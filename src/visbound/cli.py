@@ -34,7 +34,6 @@ from .covers import (
 )
 from .metrics import DA, DBAR, MetricSpec, pair_distance_matrix
 from .quasisym import (
-    eta_change_A,
     linear_control,
     power_law_fit,
     qs_envelope,

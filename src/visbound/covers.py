@@ -6,12 +6,12 @@ estimate over sampled metric data."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .metrics import MetricSpec, pair_distance_matrix
+from .metrics import MetricSpec, pair_distance_matrix, tree_branch_matrix
 from .spaces import (
     EUCLIDEAN,
     HYPERBOLIC,
@@ -46,9 +46,6 @@ class Cover:
         for s in self.sets:
             hit.update(s.members)
         return hit >= set(range(len(self.ground)))
-
-    def multiplicity(self, i: int) -> int:
-        return sum(1 for s in self.sets if i in s.members)
 
 
 # per-set frozen membership sets, built lazily on first stats pass
@@ -331,19 +328,25 @@ def _circle_arc_cover(space: Space, lam, boundary_sample: list) -> Cover | None:
     return Cover(ground=list(boundary_sample), sets=sets)
 
 
-def _greedy_net_cover(matrix: np.ndarray, lam: float, boundary_sample: list,
-                      seed: int, ball_factor: float = 2.0) -> Cover:
-    n = len(boundary_sample)
-    rng = substream(seed, "net-cover")
-    order = rng.permutation(n)
+def _greedy_net(matrix: np.ndarray, lam: float, radius: float, rng) -> list:
+    """Greedy maximal lam-separated net over the rows of `matrix`, scanned in
+    `rng`'s permutation order; returns (center, members of its open
+    radius-ball) by increasing center."""
+    n = matrix.shape[0]
+    blocked = np.zeros(n, dtype=bool)
     centers = []
-    for i in order:
-        if all(matrix[i, c] >= lam for c in centers):
+    for i in rng.permutation(n):
+        if not blocked[i]:
             centers.append(int(i))
-    sets = []
-    for c in sorted(centers):
-        members = tuple(int(i) for i in range(n) if matrix[i, c] < ball_factor * lam)
-        sets.append(CoverSet(members, None, f"net-ball center={c} radius={ball_factor * lam:.6g}"))
+            blocked |= matrix[:, i] < lam
+    return [(c, tuple(np.flatnonzero(matrix[:, c] < radius).tolist())) for c in sorted(centers)]
+
+
+def _greedy_net_cover(matrix: np.ndarray, lam: float, boundary_sample: list,
+                      seed: int) -> Cover:
+    radius = 2.0 * lam
+    sets = [CoverSet(members, None, f"net-ball center={c} radius={radius:.6g}")
+            for c, members in _greedy_net(matrix, lam, radius, substream(seed, "net-cover"))]
     # greedy-color the intersection graph
     colored = []
     assigned = []
@@ -431,13 +434,11 @@ def annular_pushin_cover(space: Space, schedule: ScaleSchedule,
     for k in range(1, K + 1):
         if k not in colored_covers:
             raise ValueError(f"missing colored cover for scale k={k}")
-    n_b = len(boundary_sample)
     if space.kind == TREE:
-        from .metrics import tree_branch_matrix
-        B = tree_branch_matrix(space, boundary_sample)
+        B = tree_branch_matrix(space, boundary_sample).tolist()
 
         def on_ray_of(i, r, j):
-            return j == i or Fraction(B[i][j]) >= r
+            return j == i or B[i][j] >= r
     else:
         rays = [Ray(space, space.basepoint, xi) for xi in boundary_sample]
 
@@ -545,20 +546,12 @@ def ell_dim_estimate(points: list, matrix: np.ndarray, scales: list, c: float,
     Returns (rows, estimate) with estimate = max order - 1."""
     if c < 1:
         raise ValueError("need c >= 1")
-    n = len(points)
     rows = []
     worst_order = 0
     for lam in scales:
         lamf = float(lam)
-        rng = substream(seed, f"net-{lamf:.12g}")
-        scan = rng.permutation(n)
-        centers = []
-        for i in scan:
-            if all(matrix[i, cc] >= lamf for cc in centers):
-                centers.append(int(i))
-        sets = [CoverSet(tuple(int(i) for i in range(n) if matrix[i, cc] < lamf),
-                         None, f"net-ball center={cc}")
-                for cc in sorted(centers)]
+        net = _greedy_net(matrix, lamf, lamf, substream(seed, f"net-{lamf:.12g}"))
+        sets = [CoverSet(members, None, f"net-ball center={cc}") for cc, members in net]
         cover = Cover(ground=list(points), sets=sets)
         stats = cover_stats(cover, matrix=matrix)
         bound_mesh = c * lamf

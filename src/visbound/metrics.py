@@ -22,6 +22,7 @@ from .spaces import (
     BoundaryPoint,
     EuclideanBoundary,
     HyperbolicBoundary,
+    IdenticalBoundaryPointsError,
     Point,
     Ray,
     Space,
@@ -117,36 +118,27 @@ def _euclid_chord(xi: EuclideanBoundary, eta: EuclideanBoundary) -> float:
     return math.sqrt(sum((a - b) ** 2 for a, b in zip(xi.direction, eta.direction)))
 
 
+def _lcp(word: tuple, xi: TreeBoundary) -> int:
+    """Number of leading letters of the vertex word shared with xi."""
+    j = 0
+    while j < len(word) and word[j] == xi.letter(j):
+        j += 1
+    return j
+
+
+def _vertex_word(origin: TreePoint) -> tuple:
+    if not origin.is_vertex:
+        raise ValueError("tree rays are only supported from vertex origins")
+    return origin.word
+
+
 def tree_branch_from(space: Space, origin: TreePoint, xi: TreeBoundary, eta: TreeBoundary) -> Fraction:
-    """Exact branch time of the two rays from `origin` toward xi and eta:
-    the last time at which they coincide."""
-    if xi == eta:
-        raise ValueError("rays coincide; branch time infinite")
-    if origin.word == ():
-        return branch_time(space, xi, eta)
-    b_root = branch_time(space, xi, eta)
-    t = Fraction(len(origin.word)) + b_root + 2
-    rx = Ray(space, origin, xi)
-    re = Ray(space, origin, eta)
-    f = dist(space, ray_point(rx, t), ray_point(re, t))
-    return t - f / 2
-
-
-def ray_separation(space: Space, origin: Point, xi: BoundaryPoint, eta: BoundaryPoint, t):
-    """f(t) = dist between the two rays from `origin` at parameter t."""
-    if space.kind == EUCLIDEAN:
-        return float(t) * _euclid_chord(xi, eta)
-    if space.kind == TREE:
-        b = tree_branch_from(space, origin, xi, eta) if xi != eta else None
-        if b is None:
-            return Fraction(0)
-        tf = t if isinstance(t, Fraction) else Fraction(t)
-        return 2 * max(Fraction(0), tf - b)
-    if origin.r == 0.0:
-        return _hyp_pole_separation(float(t), _wrapped_half_angle_sin(xi.angle, eta.angle))
-    rx = Ray(space, origin, xi)
-    re = Ray(space, origin, eta)
-    return dist(space, ray_point(rx, t), ray_point(re, t))
+    """Exact branch time of the two rays from the vertex `origin` toward xi
+    and eta: the last time at which they coincide.  From a vertex v it is
+    b(xi, eta) + |v| - lcp(v, xi) - lcp(v, eta), with b the branch time from
+    the root.  Raises IdenticalBoundaryPointsError if xi == eta."""
+    v = _vertex_word(origin)
+    return branch_time(space, xi, eta) + len(v) - _lcp(v, xi) - _lcp(v, eta)
 
 
 def _separation_fn(space: Space, origin: Point, xi, eta):
@@ -340,19 +332,43 @@ def cone_contains(space: Space, nbhd: ConeNeighborhood, z) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# bulk kernels over pools of boundary points (for large test suites)
+# pair tables over pools of boundary points
 
 
-def tree_branch_matrix(space: Space, points: list) -> list:
-    """b[i][j] = branch time (int) for i < j; -1 on the diagonal."""
+def tree_branch_matrix(space: Space, points: list, origin: TreePoint | None = None) -> np.ndarray:
+    """B[i, j] = branch time (int) of the rays from the vertex `origin` (the
+    root by default) toward points i and j; -1 on the diagonal.
+
+    Every word is unrolled to a length at which any two distinct words
+    differ, so a row's branch times from the root are its first mismatches
+    with the later rows; a vertex v shifts them as in `tree_branch_from`.
+    Raises IdenticalBoundaryPointsError if a point repeats."""
+    v = () if origin is None else _vertex_word(origin)
     n = len(points)
-    out = [[-1] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            b = int(branch_time(space, points[i], points[j]))
-            out[i][j] = b
-            out[j][i] = b
-    return out
+    B = np.full((n, n), -1, dtype=np.int64)
+    if n == 0:
+        return B
+    periods = {len(p.period) for p in points}
+    L = max(len(v), max(len(p.preperiod) for p in points)
+            + max(math.lcm(a, b) for a in periods for b in periods))
+    W = np.array([p.prefix(L) for p in points], dtype=np.min_scalar_type(space.valence))
+    for i in range(n - 1):
+        neq = W[i + 1:] != W[i]
+        if not neq.any(axis=1).all():
+            raise IdenticalBoundaryPointsError("identical boundary points - branch time infinite")
+        B[i, i + 1:] = B[i + 1:, i] = neq.argmax(axis=1)
+    if v:
+        neq = W[:, :len(v)] != np.array(v)
+        lcp = np.where(neq.any(axis=1), neq.argmax(axis=1), len(v))
+        B += len(v) - lcp[:, None] - lcp[None, :]
+        np.fill_diagonal(B, -1)
+    return B
+
+
+def tree_value_lookup(B: np.ndarray, value, zero) -> list:
+    """value(b) for every branch time 0..max(B), then `zero`, so indexing the
+    list with B maps the diagonal's -1 to `zero`."""
+    return [value(b) for b in range(int(B.max(initial=0)) + 1)] + [zero]
 
 
 def pair_distance_matrix(space: Space, spec: MetricSpec, points: list) -> np.ndarray:
@@ -369,18 +385,13 @@ def pair_distance_matrix(space: Space, spec: MetricSpec, points: list) -> np.nda
             return chord / float(spec.A)
         return chord
     if space.kind == TREE:
-        origin = spec.base(space)
-        D = np.zeros((n, n))
-        A = float(spec.A) if spec.family == DA else None
-        for i in range(n):
-            for j in range(i + 1, n):
-                b = float(tree_branch_from(space, origin, points[i], points[j]))
-                if spec.family == DA:
-                    D[i, j] = 1.0 / (b + A / 2.0)
-                else:
-                    D[i, j] = 2.0 * math.exp(-b)
-                D[j, i] = D[i, j]
-        return D
+        B = tree_branch_matrix(space, points, spec.base(space))
+        if spec.family == DA:
+            A = float(spec.A)
+            value = lambda b: 1.0 / (b + A / 2.0)
+        else:
+            value = lambda b: 2.0 * math.exp(-b)
+        return np.array(tree_value_lookup(B, value, 0.0))[B]
     # hyperbolic, pole basepoint
     origin = spec.base(space)
     if origin.r != 0.0:

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .metrics import DA, MetricSpec, tree_branch_from
+from .metrics import DA, MetricSpec, pair_distance_matrix, tree_branch_matrix, tree_value_lookup
 from .spaces import (
     TREE,
     Space,
@@ -122,22 +122,11 @@ def _pool_size(n_triples: int) -> int:
 def _metric_value_table(space: Space, spec: MetricSpec, points: list):
     """Pairwise boundary distances; exact Fractions for tree d_A, floats
     otherwise."""
-    n = len(points)
-    if space.kind == TREE:
-        origin = spec.base(space)
-        table = [[None] * n for _ in range(n)]
-        for i in range(n):
-            table[i][i] = Fraction(0) if spec.family == DA else 0.0
-            for j in range(i + 1, n):
-                b = tree_branch_from(space, origin, points[i], points[j])
-                if spec.family == DA:
-                    v = 1 / (b + Fraction(spec.A) / 2)
-                else:
-                    v = 2.0 * math.exp(-float(b))
-                table[i][j] = table[j][i] = v
-        return table
-    from .metrics import pair_distance_matrix
-
+    if space.kind == TREE and spec.family == DA:
+        B = tree_branch_matrix(space, points, spec.base(space))
+        half = Fraction(spec.A) / 2
+        lookup = tree_value_lookup(B, lambda b: 1 / (b + half), Fraction(0))
+        return [[lookup[b] for b in row] for row in B.tolist()]
     return pair_distance_matrix(space, spec, points)
 
 
@@ -152,6 +141,27 @@ def _sample_triples(n_points: int, n_triples: int, rng) -> list:
                 if len(out) == n_triples:
                     break
     return out
+
+
+def _ratio_triples(space: Space, spec1: MetricSpec, spec2: MetricSpec,
+                   n_triples: int, seed: int, stream: str):
+    """Sample n_triples triples (i, j, k) of distinct pool indices from the
+    named substream and return ([((i, j, k), t, rho)], discarded) with
+    t = d1(i,k)/d1(j,k) and rho = d2(i,k)/d2(j,k); triples with a zero
+    distance are discarded."""
+    rng = substream(seed, stream)
+    pool = sample_boundary(space, _pool_size(n_triples), seed)
+    d1 = _metric_value_table(space, spec1, pool)
+    d2 = _metric_value_table(space, spec2, pool)
+    triples = _sample_triples(len(pool), n_triples, rng)
+    kept = []
+    for (i, j, k) in triples:
+        a1, b1 = d1[i][k], d1[j][k]
+        a2, b2 = d2[i][k], d2[j][k]
+        if a1 == 0 or b1 == 0 or a2 == 0 or b2 == 0:
+            continue
+        kept.append(((i, j, k), a1 / b1, a2 / b2))
+    return kept, len(triples) - len(kept)
 
 
 @dataclass
@@ -184,23 +194,11 @@ def verify_control(space: Space, spec1: MetricSpec, spec2: MetricSpec,
     if tol_rel is None:
         # integer 0 keeps the comparison in exact arithmetic
         tol_rel = 0 if exact else 1e-8
-    rng = substream(seed, "verify-control")
-    pool = sample_boundary(space, _pool_size(n_triples), seed)
-    d1 = _metric_value_table(space, spec1, pool)
-    d2 = _metric_value_table(space, spec2, pool)
-    triples = _sample_triples(len(pool), n_triples, rng)
+    kept, discarded = _ratio_triples(space, spec1, spec2, n_triples, seed, "verify-control")
     violations = 0
-    discarded = 0
     worst = 0.0
     witnesses = []
-    for (i, j, k) in triples:
-        a1, b1 = d1[i][k], d1[j][k]
-        a2, b2 = d2[i][k], d2[j][k]
-        if a1 == 0 or b1 == 0 or a2 == 0 or b2 == 0:
-            discarded += 1
-            continue
-        t = a1 / b1
-        rho = a2 / b2
+    for (i, j, k), t, rho in kept:
         bound = eta(t)
         margin = float(rho) / float(bound) if bound > 0 else math.inf
         worst = max(worst, margin)
@@ -209,7 +207,7 @@ def verify_control(space: Space, spec1: MetricSpec, spec2: MetricSpec,
             if len(witnesses) < 10:
                 witnesses.append((i, j, k, float(t), float(rho), float(bound)))
     return ControlReport(violations=violations, worst_margin=worst,
-                         discarded=discarded, checked=len(triples) - discarded,
+                         discarded=discarded, checked=len(kept),
                          seed=seed, witnesses=witnesses)
 
 
@@ -232,20 +230,8 @@ class Envelope:
 def qs_envelope(space: Space, spec1: MetricSpec, spec2: MetricSpec,
                 n_triples: int, seed: int) -> Envelope:
     """Deterministic sampled envelope of (t, rho) ratio pairs."""
-    rng = substream(seed, "qs-envelope")
-    pool = sample_boundary(space, _pool_size(n_triples), seed)
-    d1 = _metric_value_table(space, spec1, pool)
-    d2 = _metric_value_table(space, spec2, pool)
-    triples = _sample_triples(len(pool), n_triples, rng)
-    entries = []
-    discarded = 0
-    for (i, j, k) in triples:
-        a1, b1 = d1[i][k], d1[j][k]
-        a2, b2 = d2[i][k], d2[j][k]
-        if a1 == 0 or b1 == 0 or a2 == 0 or b2 == 0:
-            discarded += 1
-            continue
-        entries.append((float(a1 / b1), float(a2 / b2), (i, j, k)))
+    kept, discarded = _ratio_triples(space, spec1, spec2, n_triples, seed, "qs-envelope")
+    entries = [(float(t), float(rho), ijk) for ijk, t, rho in kept]
     prov = {
         "space": space_id(space),
         "metric1": spec1.family, "metric2": spec2.family,

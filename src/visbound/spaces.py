@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -147,12 +147,6 @@ class TreeBoundary:
     def prefix(self, n: int) -> tuple:
         return tuple(self.letter(i) for i in range(n))
 
-    def letters(self) -> Iterator[int]:
-        i = 0
-        while True:
-            yield self.letter(i)
-            i += 1
-
 
 @dataclass(frozen=True)
 class HyperbolicBoundary:
@@ -277,10 +271,6 @@ def dist(space: Space, p: Point, q: Point):
 # boundary word helpers
 
 
-def boundary_equal(x: BoundaryPoint, y: BoundaryPoint) -> bool:
-    return x == y
-
-
 def _comparison_bound(x: TreeBoundary, y: TreeBoundary) -> int:
     return max(len(x.preperiod), len(y.preperiod)) + math.lcm(len(x.period), len(y.period))
 
@@ -390,10 +380,6 @@ def _tree_ray_point(origin: TreePoint, target: TreeBoundary, t: Fraction) -> Tre
 def rebase_ray(space: Space, new_origin: Point, xi: BoundaryPoint) -> Ray:
     """Unique ray from new_origin asymptotic to xi."""
     return Ray(space, new_origin, xi)
-
-
-def basepoint_ray(space: Space, xi: BoundaryPoint) -> Ray:
-    return Ray(space, space.basepoint, xi)
 
 
 # ---------------------------------------------------------------------------

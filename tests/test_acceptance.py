@@ -189,7 +189,7 @@ def _tree_exact_tables(points, A):
     half = Fraction(A) / 2
     for i in range(n):
         for j in range(i + 1, n):
-            b = B[i][j]
+            b = int(B[i, j])
             dA[i][j] = dA[j][i] = 1 / (b + half)
             db[i][j] = db[j][i] = 2.0 * math.exp(-b)
     return dA, db

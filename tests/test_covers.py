@@ -150,7 +150,7 @@ class TestPushout:
         B = tree_branch_matrix(T4, sample)
         for s in cover.sets:
             for i, j in itertools.combinations(s.members, 2):
-                assert B[i][j] > 4 - 4   # separation f(4) < 8 means branch > 0
+                assert B[i, j] > 4 - 4   # separation f(4) < 8 means branch > 0
         assert cover.covers_ground()
 
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from visbound.metrics import (
     ConeNeighborhood,
@@ -18,6 +20,7 @@ from visbound.metrics import (
     spec_dA,
     spec_dbar,
     tree_branch_from,
+    tree_branch_matrix,
     with_basepoint,
 )
 from visbound.spaces import (
@@ -25,9 +28,12 @@ from visbound.spaces import (
     EuclideanPoint,
     HyperbolicBoundary,
     HyperbolicPoint,
+    IdenticalBoundaryPointsError,
     Ray,
     TreeBoundary,
     TreePoint,
+    branch_time,
+    dist,
     euclidean_space,
     hyperbolic_plane,
     ray_point,
@@ -277,3 +283,98 @@ class TestPairMatrix:
             for j in range(i + 1, 12, 2):
                 slow = eval_dbar(H2, spec_dbar(), pts[i], pts[j], method="quadrature")
                 assert abs(D[i, j] - slow) < 1e-8
+
+
+def ray_branch_reference(space, origin, xi, eta):
+    """Branch time from `origin` read off the rays themselves: past the
+    split time t, b = t - d(ray_xi(t), ray_eta(t)) / 2."""
+    t = Fraction(len(origin.word)) + branch_time(space, xi, eta) + 2
+    f = dist(space, ray_point(Ray(space, origin, xi), t), ray_point(Ray(space, origin, eta), t))
+    return t - f / 2
+
+
+def kernel_origins(points):
+    """Vertices at depths 0-5: the root, prefixes of sample words (running
+    past their preperiods), and prefixes that leave the word partway."""
+    out = [TreePoint(())]
+    for xi in points[:4]:
+        for depth in range(1, 6):
+            w = xi.prefix(depth)
+            out.append(TreePoint(w))
+            if depth >= 2:
+                out.append(TreePoint(w[:-1] + ((w[-1] + 1) % 3,)))
+    return out
+
+
+def assert_kernel_matches_reference(space, points, origin):
+    B = tree_branch_matrix(space, points, origin)
+    assert B.shape == (len(points), len(points))
+    assert np.all(np.diag(B) == -1)
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            want = ray_branch_reference(space, origin, points[i], points[j])
+            assert B[i, j] == B[j, i] == want
+            assert tree_branch_from(space, origin, points[i], points[j]) == want
+
+
+@st.composite
+def tree_words(draw, k):
+    """A valid boundary word of T_k: first letter in 0..k-1, later letters
+    (the whole period included) in 0..k-2."""
+    pre_len = draw(st.integers(0, 4))
+    per = tuple(draw(st.lists(st.integers(0, k - 2), min_size=1, max_size=4)))
+    rest = draw(st.lists(st.integers(0, k - 2), min_size=max(pre_len - 1, 0),
+                         max_size=max(pre_len - 1, 0)))
+    pre = ((draw(st.integers(0, k - 1)),) + tuple(rest)) if pre_len else ()
+    return TreeBoundary(pre, per)
+
+
+class TestBranchKernel:
+    def test_table_and_scalar_match_ray_reference(self):
+        pts = sample_boundary(T4, 25, 11)
+        for origin in kernel_origins(pts):
+            assert_kernel_matches_reference(T4, pts, origin)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_words_and_origins(self, data):
+        k = data.draw(st.sampled_from([3, 4, 5]))
+        space = tree_space(k)
+        words = data.draw(st.lists(tree_words(k), min_size=2, max_size=8))
+        points = list(dict.fromkeys(words))
+        depth = data.draw(st.integers(0, 5))
+        origin = TreePoint(tuple(data.draw(tree_words(k)).prefix(depth)))
+        assert_kernel_matches_reference(space, points, origin)
+
+    def test_split_after_the_longest_period(self):
+        # (01)^inf and (010)^inf agree on 3 letters: the unrolled length must
+        # reach past the longest period, up to the lcm of the two
+        pts = [TreeBoundary((), (0, 1)), TreeBoundary((), (0, 1, 0)),
+               TreeBoundary((2,), (0, 1)), TreeBoundary((2,), (0, 1, 0))]
+        B = tree_branch_matrix(T4, pts)
+        assert B[0, 1] == 3 and B[2, 3] == 4
+        assert_kernel_matches_reference(T4, pts, TreePoint((2, 0, 1)))
+
+    def test_repeated_point_raises(self):
+        a, b = branching_pair(2)
+        with pytest.raises(IdenticalBoundaryPointsError):
+            tree_branch_matrix(T4, [a, b, a])
+        with pytest.raises(IdenticalBoundaryPointsError):
+            tree_branch_from(T4, TreePoint((0, 1)), a, a)
+
+    @pytest.mark.parametrize("spec", [spec_dA(1), spec_dA(2), spec_dA(0.7), spec_dbar()],
+                             ids=["dA1", "dA2", "dA0.7", "dbar"])
+    @pytest.mark.parametrize("origin", [TreePoint(()), TreePoint((2, 0, 1))], ids=["root", "v"])
+    def test_pair_matrix_equals_per_pair_loop(self, spec, origin):
+        spec = with_basepoint(spec, origin)
+        pts = sample_boundary(T4, 40, 5)
+        want = np.zeros((40, 40))
+        for i in range(40):
+            for j in range(i + 1, 40):
+                b = float(tree_branch_from(T4, origin, pts[i], pts[j]))
+                if spec.family == "dA":
+                    want[i, j] = 1.0 / (b + float(spec.A) / 2.0)
+                else:
+                    want[i, j] = 2.0 * math.exp(-b)
+                want[j, i] = want[i, j]
+        assert np.array_equal(pair_distance_matrix(T4, spec, pts), want)

@@ -364,11 +364,13 @@ def _atomic_write(path: str, content: str):
     os.replace(tmp, path)
 
 
-def run(cfg: RunConfig) -> int:
+def _execute(cfg: RunConfig):
+    """Run one experiment and write its files; returns (exit code, verdicts)."""
     cfg.validate()
     verdicts, files = RUNNERS[cfg.experiment](cfg)
     os.makedirs(cfg.out, exist_ok=True)
-    cfg_json = _json(cfg.to_dict())
+    # the output directory is not part of what was computed
+    cfg_json = _json({k: v for k, v in cfg.to_dict().items() if k != "out"})
     manifest = _json({
         "config": cfg.to_dict(),
         "config_sha256": hashlib.sha256(cfg_json.encode()).hexdigest(),
@@ -381,7 +383,20 @@ def run(cfg: RunConfig) -> int:
         _atomic_write(os.path.join(cfg.out, name), content)
     _atomic_write(os.path.join(cfg.out, "manifest.json"), manifest)
     failed = any(v is False for v in verdicts.values())
-    return 2 if failed else 0
+    return (2 if failed else 0), verdicts
+
+
+def run(cfg: RunConfig) -> int:
+    return _execute(cfg)[0]
+
+
+def _failing_verdicts(verdicts: dict) -> list:
+    """One line per failed verdict, with the worst margin where the
+    verdicts carry one."""
+    margin = (f" (worst_margin {_fmt(verdicts['worst_margin'])})"
+              if "worst_margin" in verdicts else "")
+    return [f"verdict failed: {name}{margin}"
+            for name, v in verdicts.items() if v is False]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,11 +442,13 @@ def main(argv=None) -> int:
         if v is not None and key != "experiment":
             d[key] = v
     try:
-        cfg = RunConfig.from_dict(d)
-        return run(cfg)
+        code, verdicts = _execute(RunConfig.from_dict(d))
     except (ConfigError, TypeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    for line in _failing_verdicts(verdicts):
+        print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -5,6 +5,9 @@ estimate over sampled metric data."""
 
 from __future__ import annotations
 
+import collections
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,13 +50,23 @@ class Cover:
             hit.update(s.members)
         return hit >= set(range(len(self.ground)))
 
+    def membership(self) -> np.ndarray:
+        """Boolean set-by-point matrix: M[s, i] iff ground point i is in set s."""
+        return _membership([s.members for s in self.sets], len(self.ground))[0]
 
-# per-set frozen membership sets, built lazily on first stats pass
-def _member_sets(cover: Cover):
-    for s in cover.sets:
-        if not hasattr(s, "member_set"):
-            object.__setattr__(s, "member_set", frozenset(s.members))
-    return [s.member_set for s in cover.sets]
+
+def _membership(member_lists: list, n: int) -> tuple:
+    """(M, set_of, point_of): the boolean membership matrix of the member
+    lists over n points, and its (set, point) pairs sorted by point and
+    then by set."""
+    sizes = [len(m) for m in member_lists]
+    points = np.fromiter(itertools.chain.from_iterable(member_lists), dtype=np.int64,
+                         count=sum(sizes))
+    sets = np.repeat(np.arange(len(sizes)), sizes)
+    M = np.zeros((len(sizes), n), dtype=bool)
+    M[sets, points] = True
+    by_point = np.argsort(points, kind="stable")
+    return M, sets[by_point], points[by_point]
 
 
 @dataclass(frozen=True)
@@ -68,7 +81,12 @@ def cover_stats(cover: Cover, dist_fn=None, matrix=None,
     """Order, mesh, and Lebesgue number of the cover measured against its
     own ground sample.  `matrix` is an optional precomputed pairwise
     distance matrix; `lebesgue_indices` restricts the Lebesgue minimum to a
-    window-interior subset."""
+    window-interior subset.
+
+    One pass over the points reads the membership matrix: point i's mesh
+    candidate is its largest distance into a set containing it, and its
+    Lebesgue candidate the largest, over those sets, of its smallest
+    distance out of the set."""
     if not cover.sets:
         raise ValueError("empty cover")
     n = len(cover.ground)
@@ -77,56 +95,73 @@ def cover_stats(cover: Cover, dist_fn=None, matrix=None,
         for i in range(n):
             for j in range(i + 1, n):
                 matrix[i, j] = matrix[j, i] = float(dist_fn(cover.ground[i], cover.ground[j]))
-    msets = _member_sets(cover)
-    counts = np.zeros(n, dtype=int)
-    mesh = 0.0
-    for ms in msets:
-        idx = sorted(ms)
-        counts[idx] += 1
-        if len(idx) > 1:
-            sub = matrix[np.ix_(idx, idx)]
-            mesh = max(mesh, float(sub.max()))
+    # identical sets give identical mesh and Lebesgue candidates, so the
+    # matrix holds each distinct set once and the order counts repeats
+    repeats = collections.Counter(frozenset(s.members) for s in cover.sets)
+    M, set_of, point_of = _membership(list(repeats), n)
+    counts = np.array(list(repeats.values())) @ M     # column sums, with repeats
     if counts.min() < 1:
         raise ValueError("ground point left uncovered")
-    order = int(counts.max())
-    which = range(n) if lebesgue_indices is None else lebesgue_indices
+    # point i's sets are set_of[ends[i] - per_point[i]:ends[i]]
+    per_point = np.bincount(point_of, minlength=n)
+    ends = np.cumsum(per_point)
+    in_window = np.ones(n, dtype=bool)
+    if lebesgue_indices is not None:
+        in_window[:] = False
+        in_window[list(lebesgue_indices)] = True
+    mesh = 0.0
     lebesgue = math.inf
-    full = set(range(n))
-    for i in which:
-        best = 0.0
-        for ms in msets:
-            if i not in ms:
-                continue
-            outside = full - ms
-            if not outside:
-                best = math.inf
-                break
-            best = max(best, float(matrix[i, sorted(outside)].min()))
-        lebesgue = min(lebesgue, best)
-        if lebesgue == 0.0:
-            break
-    return CoverStats(order=order, mesh=mesh, lebesgue=lebesgue)
+    for i in range(n):
+        rows = M[set_of[ends[i] - per_point[i]:ends[i]]]
+        mesh = max(mesh, float(np.where(rows, matrix[i], -math.inf).max()))
+        if in_window[i]:
+            best = float(np.where(rows, math.inf, matrix[i]).min(axis=1).max())
+            lebesgue = min(lebesgue, max(0.0, best))
+    return CoverStats(order=int(counts.max()), mesh=mesh, lebesgue=lebesgue)
 
 
 # ---------------------------------------------------------------------------
 # lattice / vertex-orbit ball systems
 
 
-def _tree_vertex_neighbors(word: tuple, k: int):
-    if word:
-        yield word[:-1]
-        for a in range(k - 1):
-            yield word + (a,)
-    else:
-        for a in range(k):
-            yield (a,)
+def _inside(space: Space, P, C, rad: float) -> np.ndarray:
+    """dist(P, C) < rad elementwise over broadcast rows of coordinates, in
+    the order of `spaces.dist`: difference, square, sum left to right from
+    0, square root, strict comparison.  numpy squares by d * d and
+    `spaces.dist` by the libm pow, which can differ in the last bit, so the
+    few pairs within a relative 1e-12 of the sphere are decided by
+    `spaces.dist` itself."""
+    P, C = np.broadcast_arrays(P, C)
+    sq = 0
+    for i in range(P.shape[-1]):
+        d = P[..., i] - C[..., i]
+        sq = sq + d * d
+    r = np.sqrt(sq)
+    inside = r < rad
+    for idx in zip(*np.nonzero(np.abs(r - rad) <= 1e-12 * rad)):
+        p, c = (EuclideanPoint(tuple(X[idx].tolist())) for X in (P, C))
+        inside[idx] = dist(space, p, c) < rad
+    return inside
+
+
+def _tree_levels(head: tuple, levels: int, k: int) -> list:
+    """Words of the first `levels` levels of the subtree of T_k at the
+    non-root vertex `head`."""
+    if levels <= 0:
+        return []
+    out, level = [], [head]
+    for _ in range(levels - 1):
+        out += level
+        level = [w + (a,) for w in level for a in range(k - 1)]
+    return out + level
 
 
 @dataclass(frozen=True)
 class LatticeBallSystem:
     """Open balls of radius 2R around the unit integer lattice (Euclidean)
-    or around every vertex (tree).  Centers are enumerated lazily near a
-    query point, never globally."""
+    or around every vertex (tree).  Centers are enumerated locally near a
+    query point, never globally, and named by their keys: integer
+    coordinate tuples or vertex words."""
 
     space: Space
     R: object
@@ -141,48 +176,74 @@ class LatticeBallSystem:
     def radius(self):
         return 2 * self.R
 
-    def centers_near(self, p: Point) -> list:
-        """All orbit centers whose open 2R-ball contains p."""
-        rad = self.radius
-        if self.space.kind == EUCLIDEAN:
-            lo = [math.floor(c - float(rad)) for c in p.coords]
-            hi = [math.ceil(c + float(rad)) for c in p.coords]
-            out = []
-            def rec(i, partial):
-                if i == len(lo):
-                    c = EuclideanPoint(tuple(float(v) for v in partial))
-                    if dist(self.space, p, c) < float(rad):
-                        out.append(c)
-                    return
-                for v in range(lo[i], hi[i] + 1):
-                    rec(i + 1, partial + [v])
-            rec(0, [])
-            return out
-        # tree: BFS over the vertex graph from the floor vertex of p
+    @functools.cached_property
+    def stencil(self) -> np.ndarray:
+        """Euclidean lattice offsets o, in lexicographic order, whose ball
+        around floor(p) + o can hold a point p: the gap between o and the
+        unit cube [0, 1]^n is shorter than 2R + 1e-9.  A center off the
+        stencil is farther from p than that, beyond any rounding of
+        `spaces.dist`."""
+        rad = Fraction(float(self.radius)) + Fraction(1, 10 ** 9)
+        reach = math.ceil(rad)
+        offsets = [o for o in itertools.product(range(-reach, reach + 2), repeat=self.space.dim)
+                   if sum(max(-a, a - 1, 0) ** 2 for a in o) < rad * rad]
+        return np.array(offsets, dtype=np.int64)
+
+    def _tree_ball(self, p: TreePoint) -> list:
+        """Vertex words within open distance 2R of p, by integer depth
+        budgets: walk up the ancestors of p while they are inside, and take
+        from each the levels of its other branches that stay inside.  The
+        budgets are exact ceilings, so a rational offset and a non-integer
+        R are handled exactly."""
         k = self.space.valence
-        start = p.word if p.is_vertex else p.word[:-1]
-        seen = {start}
-        frontier = [start]
-        out = []
-        while frontier:
-            nxt = []
-            for w in frontier:
-                v = TreePoint(w)
-                d = dist(self.space, p, v)
-                if d < rad:
-                    out.append(v)
-                if d <= rad:
-                    for u in _tree_vertex_neighbors(w, k):
-                        if u not in seen:
-                            seen.add(u)
-                            nxt.append(u)
-            frontier = nxt
+        rad = Fraction(self.radius)
+        w = p.word
+        if p.is_vertex:
+            up, skip, out = w, None, []
+            budget = math.ceil(rad)
+        else:
+            # the far end w of p's edge is 1 - offset away
+            up, skip = w[:-1], w[-1]
+            out = _tree_levels(w, math.ceil(rad + p.offset) - 1, k)
+            budget = math.ceil(rad - p.offset)
+        # the ancestor i steps up is inside iff i < budget
+        for i in range(min(budget, len(up) + 1)):
+            a = up[:len(up) - i]
+            out.append(a)
+            for c in range(k if not a else k - 1):
+                if c != skip:
+                    out += _tree_levels(a + (c,), budget - i - 1, k)
+            skip = a[-1] if a else None
         return out
 
-    def center_key(self, c: Point):
-        if self.space.kind == EUCLIDEAN:
-            return tuple(int(round(v)) for v in c.coords)
-        return c.word
+    def center_keys(self, points: list) -> list:
+        """For each point, the keys of all orbit centers whose open 2R-ball
+        contains it (Euclidean keys in lexicographic order)."""
+        if self.space.kind == TREE:
+            return [self._tree_ball(p) for p in points]
+        P = np.array([p.coords for p in points], dtype=float).reshape(len(points), self.space.dim)
+        base = np.floor(P)
+        hit = _inside(self.space, P[:, None, :], base[:, None, :] + self.stencil,
+                      float(self.radius))
+        keys = base.astype(np.int64)[:, None, :] + self.stencil
+        return [list(map(tuple, keys[i][hit[i]].tolist())) for i in range(len(points))]
+
+    def centers_near(self, p: Point) -> list:
+        """All orbit centers whose open 2R-ball contains p."""
+        [keys] = self.center_keys([p])
+        if self.space.kind == TREE:
+            return [TreePoint(key) for key in keys]
+        return [EuclideanPoint(tuple(float(v) for v in key)) for key in keys]
+
+
+def _ball_sets(system: LatticeBallSystem, points: list, label: str) -> list:
+    """One set per orbit ball meeting `points`, by increasing center key."""
+    by_center = {}
+    for i, keys in enumerate(system.center_keys(points)):
+        for key in keys:
+            by_center.setdefault(key, []).append(i)
+    return [CoverSet(tuple(members), None, f"{label} center={key}")
+            for key, members in sorted(by_center.items())]
 
 
 def sample_window_points(space: Space, window_radius, n: int, seed: int) -> list:
@@ -221,16 +282,10 @@ def sample_window_points(space: Space, window_radius, n: int, seed: int) -> list
 
 
 def lattice_ball_cover(space: Space, R, window_radius, n_points: int, seed: int) -> Cover:
-    """Cover of a window sample by the orbit 2R-balls.  Centers are drawn
-    from a window padded by 2R so every ball meeting the sample is present."""
-    system = LatticeBallSystem(space, R)
+    """Cover of a window sample by the orbit 2R-balls.  Every ball meeting
+    the sample is present, since centers are found from the points."""
     ground = sample_window_points(space, window_radius, n_points, seed)
-    by_center = {}
-    for i, p in enumerate(ground):
-        for c in system.centers_near(p):
-            by_center.setdefault(system.center_key(c), []).append(i)
-    sets = [CoverSet(tuple(members), None, f"ball r={float(2*R):g} center={key}")
-            for key, members in sorted(by_center.items())]
+    sets = _ball_sets(LatticeBallSystem(space, R), ground, f"ball r={float(2*R):g}")
     cover = Cover(ground=ground, sets=sets)
     if not cover.covers_ground():
         raise ValueError("orbit balls failed to cover the window sample")
@@ -240,28 +295,19 @@ def lattice_ball_cover(space: Space, R, window_radius, n_points: int, seed: int)
 def orbit_ball_order(space: Space, R, resolution: int = 48) -> int:
     """Global order of the orbit 2R-ball system.  Multiplicity is periodic
     under the orbit, so a grid over one fundamental domain (Euclidean) or
-    one deep edge (tree) finds the exact maximum up to grid resolution."""
+    one deep edge (tree) finds the exact maximum up to grid resolution.
+    The Euclidean grid is counted in one pass per stencil offset."""
     system = LatticeBallSystem(space, R)
     if space.kind == EUCLIDEAN:
-        best = 0
-        n = space.dim
-        def rec(i, partial):
-            nonlocal best
-            if i == n:
-                p = EuclideanPoint(tuple(partial))
-                best = max(best, len(system.centers_near(p)))
-                return
-            for j in range(resolution):
-                rec(i + 1, partial + [j / resolution])
-        rec(0, [])
-        return best
+        axis = np.arange(resolution) / resolution
+        grid = np.stack(np.meshgrid(*[axis] * space.dim, indexing="ij"), axis=-1)
+        counts = np.zeros(grid.shape[:-1], dtype=np.int64)
+        for o in system.stencil:
+            counts += _inside(space, grid, o, float(system.radius))
+        return int(counts.max())
     deep = tuple([0] + [1, 0] * (int(2 * R) + 2))
-    best = 0
-    for num in range(16):
-        off = Fraction(num, 16)
-        p = TreePoint(deep, off) if off > 0 else TreePoint(deep)
-        best = max(best, len(system.centers_near(p)))
-    return best
+    edge = [TreePoint(deep, Fraction(num, 16)) for num in range(16)]
+    return max(len(keys) for keys in system.center_keys(edge))
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +322,8 @@ def boundary_pushout_cover(space: Space, system: LatticeBallSystem, lam, A,
     if system.R <= A:
         raise ValueError("pushout needs ball parameter R > A")
     t = 1 / Fraction(lam) if space.kind == TREE else 1.0 / float(lam)
-    by_center = {}
-    for i, xi in enumerate(boundary_sample):
-        p = ray_point(Ray(space, space.basepoint, xi), t)
-        for c in system.centers_near(p):
-            by_center.setdefault(system.center_key(c), []).append(i)
-    sets = [CoverSet(tuple(members), None, f"pushout lam={float(lam):g} center={key}")
-            for key, members in sorted(by_center.items())]
+    points = [ray_point(Ray(space, space.basepoint, xi), t) for xi in boundary_sample]
+    sets = _ball_sets(system, points, f"pushout lam={float(lam):g}")
     cover = Cover(ground=list(boundary_sample), sets=sets)
     if not cover.covers_ground():
         raise ValueError("pushout cover failed to cover the boundary sample")
@@ -428,25 +469,24 @@ def annular_pushin_cover(space: Space, schedule: ScaleSchedule,
     boundary set U, the band kR < r < (k+2)R of rays landing in U, plus the
     base ball B(x0, 2R).  Returns (cover, claims).
 
-    interior_sample entries are (boundary index, radius) pairs; membership
-    on trees is decided exactly by branch times."""
+    interior_sample entries are (boundary index, radius) pairs.  A reach
+    matrix marks which boundary rays pass through each interior point; on
+    trees it is exact, since the ray toward j passes the point at radius r
+    on the ray toward i iff their integer branch time is >= ceil(r)."""
     R, K, c = schedule.R, schedule.K, schedule.c
     for k in range(1, K + 1):
         if k not in colored_covers:
             raise ValueError(f"missing colored cover for scale k={k}")
     if space.kind == TREE:
-        B = tree_branch_matrix(space, boundary_sample).tolist()
-
-        def on_ray_of(i, r, j):
-            return j == i or B[i][j] >= r
+        B = tree_branch_matrix(space, boundary_sample, space.basepoint)
+        np.fill_diagonal(B, np.iinfo(B.dtype).max)
+        rows = [i for i, _ in interior_sample]
+        reach = B[rows] >= np.array([math.ceil(r) for _, r in interior_sample], dtype=np.int64)[:, None]
     else:
         rays = [Ray(space, space.basepoint, xi) for xi in boundary_sample]
-
-        def on_ray_of(i, r, j):
-            if j == i:
-                return True
-            p = ray_point(rays[i], r)
-            return dist(space, p, ray_point(rays[j], r)) <= tol
+        reach = np.array([[j == i or dist(space, ray_point(rays[i], r), ray_point(rays[j], r)) <= tol
+                           for j in range(len(rays))] for i, r in interior_sample], dtype=bool)
+    reach = reach.reshape(len(interior_sample), len(boundary_sample)).astype(float)
 
     ground = [ray_point(Ray(space, space.basepoint, boundary_sample[i]), r)
               for i, r in interior_sample]
@@ -454,13 +494,10 @@ def annular_pushin_cover(space: Space, schedule: ScaleSchedule,
     set_scale = []
     for k in range(1, K + 1):
         lo, hi = k * R, (k + 2) * R
-        for s in colored_covers[k].sets:
-            members = []
-            for idx, (i, r) in enumerate(interior_sample):
-                if not (lo < r < hi):
-                    continue
-                if any(on_ray_of(i, r, j) for j in s.members):
-                    members.append(idx)
+        in_band = np.array([lo < r < hi for _, r in interior_sample], dtype=bool)
+        hits = (reach @ colored_covers[k].membership().T > 0) & in_band[:, None]
+        for s, hit in zip(colored_covers[k].sets, hits.T):
+            members = np.flatnonzero(hit).tolist()
             if members:
                 sets.append(CoverSet(tuple(members), s.color,
                                      f"tube k={k} of [{s.descriptor}]"))
@@ -476,51 +513,34 @@ def annular_pushin_cover(space: Space, schedule: ScaleSchedule,
 
 
 def _pushin_claims(space, cover, set_scale, schedule, interior_sample):
-    R, K, c = schedule.R, schedule.K, schedule.c
-    msets = _member_sets(cover)
+    R, c = schedule.R, schedule.c
+    M = cover.membership()
+    tubes = [t for t, sc in enumerate(set_scale) if sc]
     # Claim 1: same-color tube sets at one scale share no sample point
-    color_ok = True
-    for k in range(1, K + 1):
-        by_color = {}
-        for s, sc, ms in zip(cover.sets, set_scale, msets):
-            if sc != k:
-                continue
-            if by_color.setdefault(s.color, set()) & ms:
-                color_ok = False
-            by_color[s.color] |= ms
+    groups = {}
+    for t in tubes:
+        groups.setdefault((set_scale[t], cover.sets[t].color), []).append(t)
+    color_ok = all(M[g].sum(axis=0).max(initial=0) <= 1 for g in groups.values())
     # per-point decay inequality 2 e^{-r} < lam_k / 2 inside scale-k tubes
-    point_ok = True
-    for sc, ms in zip(set_scale, msets):
-        if sc == 0:
-            continue
-        lam_k = schedule.lam(sc)
-        for idx in ms:
-            r = float(interior_sample[idx][1])
-            if not 2.0 * math.exp(-r) < lam_k / 2.0:
-                point_ok = False
+    decay = np.array([2.0 * math.exp(-float(r)) for _, r in interior_sample])
+    point_ok = all((decay[M[t]] < schedule.lam(set_scale[t]) / 2.0).all() for t in tubes)
     # Claim 3: tube mesh bound
     mesh_bound = 4.0 * c * math.exp(2 * R) + 2 * R
     tube_mesh = 0.0
-    for sc, ms in zip(set_scale, msets):
-        if sc == 0 or len(ms) < 2:
-            continue
-        pts = [cover.ground[i] for i in sorted(ms)]
+    for t in tubes:
+        pts = [cover.ground[i] for i in np.flatnonzero(M[t])]
         for a in range(len(pts)):
             for b in range(a + 1, len(pts)):
                 tube_mesh = max(tube_mesh, float(dist(space, pts[a], pts[b])))
-    counts = [0] * len(cover.ground)
-    for ms in msets:
-        for i in ms:
-            counts[i] += 1
-    order = max(counts) if counts else 0
+    counts = M.sum(axis=0)
     return {
         "color_disjoint": color_ok,
         "per_point_decay": point_ok,
         "tube_mesh": tube_mesh,
         "mesh_bound": mesh_bound,
         "mesh_ok": tube_mesh <= mesh_bound,
-        "order": order,
-        "covers_ground": cover.covers_ground(),
+        "order": int(counts.max(initial=0)),
+        "covers_ground": bool(counts.all()),
     }
 
 

@@ -342,7 +342,8 @@ def tree_branch_matrix(space: Space, points: list, origin: TreePoint | None = No
     Every word is unrolled to a length at which any two distinct words
     differ, so a row's branch times from the root are its first mismatches
     with the later rows; a vertex v shifts them as in `tree_branch_from`.
-    Raises IdenticalBoundaryPointsError if a point repeats."""
+    Raises IdenticalBoundaryPointsError if a point repeats and ValueError
+    if a word uses an illegal letter."""
     v = () if origin is None else _vertex_word(origin)
     n = len(points)
     B = np.full((n, n), -1, dtype=np.int64)
@@ -351,7 +352,11 @@ def tree_branch_matrix(space: Space, points: list, origin: TreePoint | None = No
     periods = {len(p.period) for p in points}
     L = max(len(v), max(len(p.preperiod) for p in points)
             + max(math.lcm(a, b) for a in periods for b in periods))
-    W = np.array([p.prefix(L) for p in points], dtype=np.min_scalar_type(space.valence))
+    W = np.array([p.prefix(L) for p in points])
+    k = space.valence
+    if (W < 0).any() or (W[:, 0] >= k).any() or (W[:, 1:] >= k - 1).any():
+        raise ValueError(f"illegal tree word: first letter must be < {k}, later letters < {k - 1}")
+    W = W.astype(np.min_scalar_type(k))
     for i in range(n - 1):
         neq = W[i + 1:] != W[i]
         if not neq.any(axis=1).all():

@@ -598,5 +598,7 @@ def boundary_from_line(space: Space, line: str) -> BoundaryPoint:
     if space.kind == TREE:
         pre = tuple(int(a) for a in fields["pre"].split(".")) if fields["pre"] else ()
         per = tuple(int(a) for a in fields["per"].split("."))
-        return TreeBoundary(pre, per)
+        bp = TreeBoundary(pre, per)
+        validate_boundary(space, bp)
+        return bp
     return HyperbolicBoundary(float(fields["phi"]))

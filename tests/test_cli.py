@@ -61,6 +61,24 @@ class TestSubcommands:
                    "--n-triples", "2000", "--seed", "2", "--out", out])
         assert rc == 2
 
+    def test_failing_verdicts_reported(self, tmp_path, capsys):
+        # dA -> dbar on T4 is not controlled by a linear eta: exit code 2
+        args = ["compare", "--space", "tree4", "--metric", "dA", "--A", "1",
+                "--metric2", "dbar", "--n-triples", "2000", "--seed", "3"]
+        assert main(args + ["--out", str(tmp_path / "m")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        margin = read_json(str(tmp_path / "m" / "manifest.json"))["verdicts"]["worst_margin"]
+        assert err == [f"verdict failed: zero_violations (worst_margin {margin:.17g})"]
+        cfg = RunConfig.from_dict({"experiment": "compare", "space": "tree4", "metric": "dA",
+                                   "A": 1.0, "metric2": "dbar", "n_triples": 2000,
+                                   "seed": 3, "out": str(tmp_path / "r")})
+        assert run(cfg) == 2
+        assert capsys.readouterr() == ("", "")
+
+    def test_passing_run_prints_nothing(self, tmp_path, capsys):
+        assert main(["metric", "--space", "tree4", "--n", "6", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr() == ("", "")
+
     def test_cover_pushout(self, tmp_path):
         out = str(tmp_path / "p")
         rc = main(["cover-pushout", "--space", "euclidean2", "--A", "1",
@@ -121,6 +139,18 @@ class TestReproducibility:
             b1 = open(os.path.join(out1, name), "rb").read()
             b2 = open(os.path.join(out2, name), "rb").read()
             assert b1 == b2
+
+    def test_config_hash_ignores_output_directory(self, tmp_path):
+        args = ["metric", "--space", "tree4", "--n", "6", "--seed", "1"]
+        hashes = []
+        for name in ("a", "b"):
+            assert main(args + ["--out", str(tmp_path / name)]) == 0
+            man = read_json(str(tmp_path / name / "manifest.json"))
+            assert man["config"]["out"] == str(tmp_path / name)
+            hashes.append(man["config_sha256"])
+        assert hashes[0] == hashes[1]
+        assert main(args[:-1] + ["2", "--out", str(tmp_path / "c")]) == 0
+        assert read_json(str(tmp_path / "c" / "manifest.json"))["config_sha256"] != hashes[0]
 
     def test_manifest_records_hash_and_versions(self, tmp_path):
         out = str(tmp_path / "m")

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from visbound.covers import (
     Cover,
@@ -20,14 +22,16 @@ from visbound.covers import (
     sample_ray_points,
     sample_window_points,
 )
-from visbound.metrics import MetricSpec, pair_distance_matrix
+from visbound.metrics import MetricSpec, pair_distance_matrix, tree_branch_matrix
 from visbound.spaces import (
     EuclideanPoint,
+    Ray,
     TreeBoundary,
     TreePoint,
     dist,
     euclidean_space,
     hyperbolic_plane,
+    ray_point,
     sample_boundary,
     tree_space,
 )
@@ -146,7 +150,6 @@ class TestPushout:
         sys_ = LatticeBallSystem(T4, 2)
         sample = sample_boundary(T4, 60, 2)
         cover = boundary_pushout_cover(T4, sys_, Fraction(1, 4), 1, sample)
-        from visbound.metrics import tree_branch_matrix
         B = tree_branch_matrix(T4, sample)
         for s in cover.sets:
             for i, j in itertools.combinations(s.members, 2):
@@ -266,3 +269,234 @@ class TestEllDim:
         D = pair_distance_matrix(E2, MetricSpec("dA", A=1), sample)
         rows, _ = ell_dim_estimate(sample, D, [0.25], 4.0, 2)
         assert rows[0].passed and rows[0].mesh <= rows[0].bound_mesh
+
+
+# ---------------------------------------------------------------------------
+# the kernels against reference copies of the per-point loops they replaced
+
+
+def _reference_centers_near(system, p):
+    """Box scan (Euclidean) or BFS over the vertex graph (tree), testing
+    every candidate with `spaces.dist`."""
+    space, rad = system.space, system.radius
+    if space.kind == "euclidean":
+        ranges = [range(math.floor(c - float(rad)), math.ceil(c + float(rad)) + 1)
+                  for c in p.coords]
+        return [EuclideanPoint(tuple(float(v) for v in cand))
+                for cand in itertools.product(*ranges)
+                if dist(space, p, EuclideanPoint(tuple(float(v) for v in cand))) < float(rad)]
+    k = space.valence
+    start = p.word if p.is_vertex else p.word[:-1]
+    seen, frontier, out = {start}, [start], []
+    while frontier:
+        nxt = []
+        for w in frontier:
+            d = dist(space, p, TreePoint(w))
+            if d < rad:
+                out.append(TreePoint(w))
+            if d <= rad:
+                nbrs = [w[:-1]] + [w + (a,) for a in range(k - 1)] if w else [(a,) for a in range(k)]
+                for u in nbrs:
+                    if u not in seen:
+                        seen.add(u)
+                        nxt.append(u)
+        frontier = nxt
+    return out
+
+
+def _reference_cover_stats(cover, matrix, lebesgue_indices=None):
+    msets = [frozenset(s.members) for s in cover.sets]
+    n = len(cover.ground)
+    counts = np.zeros(n, dtype=int)
+    mesh = 0.0
+    for ms in msets:
+        idx = sorted(ms)
+        counts[idx] += 1
+        if len(idx) > 1:
+            mesh = max(mesh, float(matrix[np.ix_(idx, idx)].max()))
+    if counts.min() < 1:
+        raise ValueError("ground point left uncovered")
+    lebesgue = math.inf
+    full = set(range(n))
+    for i in (range(n) if lebesgue_indices is None else lebesgue_indices):
+        best = 0.0
+        for ms in msets:
+            if i not in ms:
+                continue
+            outside = full - ms
+            if not outside:
+                best = math.inf
+                break
+            best = max(best, float(matrix[i, sorted(outside)].min()))
+        lebesgue = min(lebesgue, best)
+    return (int(counts.max()), mesh, lebesgue)
+
+
+def _tree_points(k, depths=range(7)):
+    """One vertex per depth plus the interior points at offsets 1/8..7/8 on
+    its last edge."""
+    out = []
+    for depth in depths:
+        word = tuple((i % (k - 1)) if i else k - 1 for i in range(depth))
+        out.append(TreePoint(word))
+        if word:
+            out += [TreePoint(word, Fraction(num, 8)) for num in range(1, 8)]
+    return out
+
+
+class TestBallKernels:
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("R", [1, Fraction(3, 2), 2, Fraction(5, 2)])
+    def test_tree_ball_matches_bfs(self, k, R):
+        system = LatticeBallSystem(tree_space(k), R)
+        for p in _tree_points(k):
+            got = [c.word for c in system.centers_near(p)]
+            assert len(got) == len(set(got))
+            assert set(got) == {c.word for c in _reference_centers_near(system, p)}
+
+    def test_tree_ball_float_R(self):
+        for R in (1.5, 2.5):
+            system = LatticeBallSystem(T4, R)
+            for p in _tree_points(4, range(4)):
+                assert ({c.word for c in system.centers_near(p)}
+                        == {c.word for c in _reference_centers_near(system, p)})
+
+    def test_tree_ball_far_edge_end_below_half(self):
+        # 2R = 1/2 < offset 3/4: the ball holds the far end (0,) at 1/4,
+        # which a BFS from the near end (the root, at 3/4) never reaches
+        system = LatticeBallSystem(T4, Fraction(1, 4))
+        assert [c.word for c in system.centers_near(TreePoint((0,), Fraction(3, 4)))] == [(0,)]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_euclidean_stencil_matches_scan(self, dim):
+        rng = np.random.default_rng(dim)
+        points = [tuple(float(v) for v in rng.uniform(-3, 3, size=dim)) for _ in range(40)]
+        points += [(0.0,) * dim, (0.5,) * dim, tuple(float(v) for v in range(dim)),
+                   (-1e-17,) * dim, (2.9999999999999996,) * dim]
+        for R in (1, 1.25, Fraction(3, 2), 2, 2.5):
+            system = LatticeBallSystem(euclidean_space(dim), R)
+            for coords in points:
+                p = EuclideanPoint(coords)
+                assert ([c.coords for c in system.centers_near(p)]
+                        == [c.coords for c in _reference_centers_near(system, p)])
+
+    @pytest.mark.parametrize("coords,center,R", [
+        ((0.5,), (2.5,), 1),                 # 1-d, |p - c| = 2 = 2R
+        ((0.5, 0.0), (2.0, 2.0), 1.25),      # (1.5, 2) has length 2.5 = 2R
+        ((0.0, 0.0), (3.0, 4.0), 2.5),
+        ((0.0, 0.0, 0.0), (1.0, 2.0, 2.0), 1.5),
+    ])
+    def test_euclidean_boundary_of_ball_excluded(self, coords, center, R):
+        space = euclidean_space(len(coords))
+        system = LatticeBallSystem(space, R)
+        p = EuclideanPoint(coords)
+        assert dist(space, p, EuclideanPoint(center)) == 2 * R
+        got = [c.coords for c in system.centers_near(p)]
+        assert center not in got
+        assert got == [c.coords for c in _reference_centers_near(system, p)]
+
+    @pytest.mark.parametrize("dim,resolution", [(1, 8), (1, 16), (2, 8), (2, 16), (3, 8)])
+    def test_orbit_order_matches_recursion(self, dim, resolution):
+        space = euclidean_space(dim)
+        for R in ((1, Fraction(3, 2), 2) if dim < 3 else (1,)):
+            system = LatticeBallSystem(space, R)
+            axis = [j / resolution for j in range(resolution)]
+            want = max(len(_reference_centers_near(system, EuclideanPoint(p)))
+                       for p in itertools.product(axis, repeat=dim))
+            assert orbit_ball_order(space, R, resolution) == want
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_tree_orbit_order_matches_bfs(self, k):
+        for R in (1, Fraction(3, 2), 2):
+            system = LatticeBallSystem(tree_space(k), R)
+            deep = tuple([0] + [1, 0] * (int(2 * R) + 2))
+            want = max(len(_reference_centers_near(system, TreePoint(deep, Fraction(num, 16))))
+                       for num in range(16))
+            assert orbit_ball_order(tree_space(k), R) == want
+
+
+@st.composite
+def _random_covers(draw):
+    n = draw(st.integers(1, 9))
+    values = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 3.0])
+    matrix = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i, j] = matrix[j, i] = draw(values)
+    subsets = st.lists(st.integers(0, n - 1), max_size=n).map(lambda m: tuple(sorted(set(m))))
+    sets = draw(st.lists(subsets, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        sets.append(tuple(range(n)))          # a set swallowing the sample
+    window = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    return Cover(ground=list(range(n)), sets=[CoverSet(m) for m in sets]), matrix, window
+
+
+class TestStatsKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(_random_covers())
+    def test_cover_stats_matches_loop(self, case):
+        cover, matrix, window = case
+        try:
+            want = _reference_cover_stats(cover, matrix, window)
+        except ValueError:
+            with pytest.raises(ValueError, match="uncovered"):
+                cover_stats(cover, matrix=matrix, lebesgue_indices=window)
+            return
+        got = cover_stats(cover, matrix=matrix, lebesgue_indices=window)
+        assert (got.order, got.mesh, got.lebesgue) == want
+
+    def test_cover_stats_matches_loop_on_pushout(self):
+        sample = sample_boundary(E2, 120, 5)
+        D = pair_distance_matrix(E2, MetricSpec("dA", A=1), sample)
+        for lam in (0.5, 0.125, 1 / 64):
+            cover = boundary_pushout_cover(E2, LatticeBallSystem(E2, 2), lam, 1, sample)
+            st_ = cover_stats(cover, matrix=D)
+            assert (st_.order, st_.mesh, st_.lebesgue) == _reference_cover_stats(cover, D)
+
+    def test_pushin_reach_matches_fraction_comparisons(self):
+        sched = ScaleSchedule(R=2, K=3, c=1.0)
+        sample = sample_boundary(T4, 40, 11)
+        covers = {k: colored_boundary_cover(T4, sched.lam(k), sample) for k in range(1, 4)}
+        B = tree_branch_matrix(T4, sample)
+        rng = np.random.default_rng(4)
+        interior = [(int(rng.integers(0, 40)), Fraction(int(rng.integers(0, 10 * q)), q))
+                    for q in (3, 5, 7) for _ in range(150)]
+        # radii equal to a branch time sit exactly on the reach boundary
+        interior += [(i, Fraction(int(B[i, j]))) for i, j in ((0, 1), (2, 3), (5, 9))]
+        cover, claims = annular_pushin_cover(T4, sched, covers, sample, interior)
+        want = []
+        for k in range(1, 4):
+            for s in covers[k].sets:
+                members = tuple(idx for idx, (i, r) in enumerate(interior)
+                                if 2 * k < r < 2 * (k + 2)
+                                and any(j == i or B[i][j] >= r for j in s.members))
+                if members:
+                    want.append((members, s.color, f"tube k={k} of [{s.descriptor}]"))
+        got = [(s.members, s.color, s.descriptor) for s in cover.sets[:-1]]
+        assert got == want
+        counts = [sum(idx in s.members for s in cover.sets) for idx in range(len(interior))]
+        assert claims["order"] == max(counts)
+        assert claims["covers_ground"] == (min(counts) > 0)
+
+    def test_pushin_reach_from_a_vertex_basepoint(self):
+        # the ray toward j passes the tube point iff the two ray points
+        # coincide, with both rays leaving the space's basepoint
+        space = tree_space(4, TreePoint((1, 2, 0)))
+        sched = ScaleSchedule(R=1, K=3, c=1.0)
+        sample = sample_boundary(space, 30, 6)
+        covers = {k: colored_boundary_cover(space, sched.lam(k), sample) for k in range(1, 4)}
+        rng = np.random.default_rng(9)
+        interior = [(int(rng.integers(0, 30)), Fraction(int(rng.integers(0, 40)), 8))
+                    for _ in range(200)]
+        cover, _ = annular_pushin_cover(space, sched, covers, sample, interior)
+        rays = [Ray(space, space.basepoint, xi) for xi in sample]
+        want = []
+        for k in range(1, 4):
+            for s in covers[k].sets:
+                members = tuple(idx for idx, (i, r) in enumerate(interior)
+                                if k < r < k + 2
+                                and any(dist(space, ray_point(rays[i], r), ray_point(rays[j], r)) == 0
+                                        for j in s.members))
+                if members:
+                    want.append(members)
+        assert [s.members for s in cover.sets[:-1]] == want

@@ -1,9 +1,11 @@
-"""Golden-output gate: small tree configs run through `cli.run` must write
+"""Golden-output gate: small configs run through `cli.run` must write
 byte-identical data files and return the same exit codes as the recorded
-values.  Tree configs only, because their floats come from IEEE division
-and `math.exp`, not from BLAS, so the hashes do not depend on the machine's
-linear-algebra build.  Re-record a hash only when a change to the outputs
-is intended, and say why in the change log."""
+values.  Tree floats come from IEEE division and `math.exp`, so their
+hashes do not depend on the machine's linear-algebra build.  The Euclidean
+cover configs pin the lattice stencil of the ball system; their pair tables
+come from a two-column matrix product, so a BLAS build that rounds that
+product differently would change those hashes.  Re-record a hash only when
+a change to the outputs is intended, and say why in the change log."""
 
 import hashlib
 import math
@@ -14,6 +16,7 @@ import pytest
 from visbound.cli import RunConfig, run
 
 TREE_SCALES = [4.0 * math.exp(-k) for k in range(1, 9)]
+CIRCLE_SCALES = [2.0 ** -k for k in range(1, 7)]
 
 # name -> (config fields, expected exit code, {data file: sha256}); seed 3
 GOLDEN = {
@@ -44,6 +47,18 @@ GOLDEN = {
              n_triples=2000), 0,
         {"claims.json": "cd1159649331ef444a81d6333b7a437921022039d4ec059acccab1f1d8538ea1",
          "cover.json": "26293245b275d521323bbcfda4d061c0d5b881cd5faac65eadb9dac12f0ffce4"}),
+    "cover-pushout-euclidean2": (
+        dict(experiment="cover-pushout", space="euclidean2", A=1.0, R=2.0, n=120), 0,
+        {"cover.json": "b8248048a448540a591880f12e16e9ead67b8438e111694ef2d3c244eba36ab0",
+         "stats.csv": "a37ef6b00a7a0c724fe4969d9cce9c012f7e5dbc23baabac7fbf07a8b93d3f4f"}),
+    "cover-pushout-tree4": (
+        dict(experiment="cover-pushout", space="tree4", A=1.0, R=2.0, n=60), 0,
+        {"cover.json": "18aa3daaefd7ec331fd02f727671c8deb631cd5cbc91cb1925cddf76880ce1bc",
+         "stats.csv": "af2c3f597d88e388d4bd57445f676157b7e04c041d8ec0410c3a728df1f219f6"}),
+    "ell-dim-euclidean2": (
+        dict(experiment="ell-dim", space="euclidean2", metric="dA", A=1.0, n=400,
+             scales=CIRCLE_SCALES), 0,
+        {"stats.csv": "0e75727a1839489107d420a301adc2a78901b4edbef55f60b1a3a042dbc02e6a"}),
     "demo-t4": (
         dict(experiment="demo-t4", n=50), 0,
         {"nonqs.csv": "1d1efe8e87a26036027977698338df9ecc404b1cfbe7df00a87ceec3db7f4f05",

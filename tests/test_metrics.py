@@ -362,6 +362,16 @@ class TestBranchKernel:
         with pytest.raises(IdenticalBoundaryPointsError):
             tree_branch_from(T4, TreePoint((0, 1)), a, a)
 
+    @pytest.mark.parametrize("word", [TreeBoundary((), (3,)), TreeBoundary((4,), (0,)),
+                                      TreeBoundary((1, 3), (0,)), TreeBoundary((), (0, -1))])
+    def test_illegal_word_raises(self, word):
+        # TreeBoundary((), (3,)) once got d_1 = 2 on T4 without complaint
+        pts = [TreeBoundary((0,), (1,)), word]
+        with pytest.raises(ValueError, match="illegal tree word"):
+            tree_branch_matrix(T4, pts)
+        with pytest.raises(ValueError, match="illegal tree word"):
+            pair_distance_matrix(T4, spec_dA(1), pts)
+
     @pytest.mark.parametrize("spec", [spec_dA(1), spec_dA(2), spec_dA(0.7), spec_dbar()],
                              ids=["dA1", "dA2", "dA0.7", "dbar"])
     @pytest.mark.parametrize("origin", [TreePoint(()), TreePoint((2, 0, 1))], ids=["root", "v"])

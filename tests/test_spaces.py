@@ -274,3 +274,10 @@ class TestSerialization:
         for sp in (T4, E2, H2):
             for bp in sample_boundary(sp, 10, 2):
                 assert boundary_from_line(sp, boundary_to_line(sp, bp)) == bp
+
+    @pytest.mark.parametrize("line", ["tree4 pre= per=3", "tree4 pre=4 per=0",
+                                      "tree4 pre=0.3 per=1", "tree4 pre=0 per=-1"])
+    def test_illegal_tree_word_rejected(self, line):
+        # first letter < 4, later letters < 3 on T4
+        with pytest.raises(ValueError, match="letter"):
+            boundary_from_line(T4, line)

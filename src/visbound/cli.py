@@ -287,16 +287,25 @@ def run_ell_dim(cfg: RunConfig):
     return verdicts, files
 
 
-def run_visual_fit(cfg: RunConfig):
-    space = parse_space(cfg.space)
-    spec = _spec(cfg)
-    sample = sample_boundary(space, cfg.n, cfg.seed)
-    rng = substream(cfg.seed, "visual-pairs")
+def _draw_pairs(sample: list, count: int, rng) -> list:
+    """`count` ordered pairs of distinct sample points, drawn as index pairs
+    from `rng` with equal indices redrawn."""
     pairs = []
-    while len(pairs) < cfg.n:
+    while len(pairs) < count:
         i, j = rng.integers(0, len(sample), size=2)
         if i != j:
             pairs.append((sample[int(i)], sample[int(j)]))
+    return pairs
+
+
+def run_visual_fit(cfg: RunConfig):
+    space = parse_space(cfg.space)
+    if space.kind == "euclidean":
+        raise ConfigError("visual-fit needs finite Gromov products: use a tree or "
+                          "hyperbolic_plane (on R^n they diverge off antipodal pairs)")
+    spec = _spec(cfg)
+    sample = sample_boundary(space, cfg.n, cfg.seed)
+    pairs = _draw_pairs(sample, cfg.n, substream(cfg.seed, "visual-pairs"))
     fit = visual_fit(space, spec, cfg.a, pairs)
     files = {"visual_fit.json": _json({
         "a": fit.a, "k1": fit.k1, "k2": fit.k2, "verdict": fit.verdict,
@@ -308,13 +317,8 @@ def run_visual_fit(cfg: RunConfig):
 
 def run_demo_t4(cfg: RunConfig):
     space = tree_space(4)
-    rng = substream(cfg.seed, "demo-pairs")
     sample = sample_boundary(space, max(cfg.n, 50), cfg.seed)
-    pairs = []
-    while len(pairs) < 1000:
-        i, j = rng.integers(0, len(sample), size=2)
-        if i != j:
-            pairs.append((sample[int(i)], sample[int(j)]))
+    pairs = _draw_pairs(sample, 1000, substream(cfg.seed, "demo-pairs"))
     fit = visual_fit(space, MetricSpec(DBAR), math.e, pairs)
     nv = nonvisual_witness_dA(space, 1, range(1, 31))
     nq = nonqs_witness(space, range(1, 26))
@@ -399,6 +403,11 @@ def _failing_verdicts(verdicts: dict) -> list:
             for name, v in verdicts.items() if v is False]
 
 
+# flag parser per RunConfig field annotation; scales are comma-separated
+_FLAG_TYPES = {"str": str, "int": int, "float": float,
+               "list": lambda s: [float(x) for x in s.split(",")]}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="visbound",
                                 description="boundary-metric experiments on model CAT(0) spaces")
@@ -406,23 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in EXPERIMENTS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON config file; flags override its values")
-        sp.add_argument("--space")
-        sp.add_argument("--metric", choices=[DA, DBAR])
-        sp.add_argument("--A", type=float)
-        sp.add_argument("--metric2", choices=[DA, DBAR])
-        sp.add_argument("--A2", type=float)
-        sp.add_argument("--eta-slope", dest="eta_slope", type=float)
-        sp.add_argument("--a", type=float)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--n-triples", dest="n_triples", type=int)
-        sp.add_argument("--scales", type=lambda s: [float(x) for x in s.split(",")])
-        sp.add_argument("--R", type=float)
-        sp.add_argument("--K", type=int)
-        sp.add_argument("--c", type=float)
-        sp.add_argument("--window", type=float)
-        sp.add_argument("--tol", type=float)
-        sp.add_argument("--out")
+        for f in fields(RunConfig):
+            if f.name != "experiment":
+                sp.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                                type=_FLAG_TYPES[f.type],
+                                choices=[DA, DBAR] if f.name.startswith("metric") else None)
     return p
 
 

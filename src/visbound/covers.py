@@ -435,13 +435,10 @@ class ScaleSchedule:
     R: int
     K: int
     c: float
-    lam0: float = 4.0
 
     def __post_init__(self):
         if self.R <= 0 or self.K < 0 or self.c < 1:
             raise ValueError("need R > 0, K >= 0, c >= 1")
-        if 4.0 / math.exp(self.R) >= self.lam0:
-            raise ValueError("scale ladder must start below lam0")
 
     def lam(self, k: int) -> float:
         return 4.0 * math.exp(-k * self.R)
@@ -464,29 +461,27 @@ def sample_ray_points(space: Space, boundary_sample: list, r_max, n: int,
 
 def annular_pushin_cover(space: Space, schedule: ScaleSchedule,
                          colored_covers: dict, boundary_sample: list,
-                         interior_sample: list, tol: float = 1e-9):
-    """Tube cover of the interior sample: for each scale k and each colored
-    boundary set U, the band kR < r < (k+2)R of rays landing in U, plus the
-    base ball B(x0, 2R).  Returns (cover, claims).
+                         interior_sample: list):
+    """Tube cover of the interior sample of a tree: for each scale k and
+    each colored boundary set U, the band kR < r < (k+2)R of rays landing
+    in U, plus the base ball B(x0, 2R).  Returns (cover, claims).
 
-    interior_sample entries are (boundary index, radius) pairs.  A reach
-    matrix marks which boundary rays pass through each interior point; on
-    trees it is exact, since the ray toward j passes the point at radius r
-    on the ray toward i iff their integer branch time is >= ceil(r)."""
+    interior_sample entries are (boundary index, radius) pairs.  Everything
+    is read from one branch table B of the basepoint rays, with +inf on its
+    diagonal: the ray toward j passes the point at radius r on the ray
+    toward i iff B[i, j] >= ceil(r).  Raises ValueError on a non-tree
+    space."""
+    if space.kind != TREE:
+        raise ValueError("the annular pushin is built on tree spaces only")
     R, K, c = schedule.R, schedule.K, schedule.c
     for k in range(1, K + 1):
         if k not in colored_covers:
             raise ValueError(f"missing colored cover for scale k={k}")
-    if space.kind == TREE:
-        B = tree_branch_matrix(space, boundary_sample, space.basepoint)
-        np.fill_diagonal(B, np.iinfo(B.dtype).max)
-        rows = [i for i, _ in interior_sample]
-        reach = B[rows] >= np.array([math.ceil(r) for _, r in interior_sample], dtype=np.int64)[:, None]
-    else:
-        rays = [Ray(space, space.basepoint, xi) for xi in boundary_sample]
-        reach = np.array([[j == i or dist(space, ray_point(rays[i], r), ray_point(rays[j], r)) <= tol
-                           for j in range(len(rays))] for i, r in interior_sample], dtype=bool)
-    reach = reach.reshape(len(interior_sample), len(boundary_sample)).astype(float)
+    B = tree_branch_matrix(space, boundary_sample, space.basepoint).astype(float)
+    np.fill_diagonal(B, math.inf)
+    rays = np.array([i for i, _ in interior_sample], dtype=np.int64)
+    ceil_r = np.array([math.ceil(r) for _, r in interior_sample], dtype=float)
+    reach = (B[rays] >= ceil_r[:, None]).astype(float)
 
     ground = [ray_point(Ray(space, space.basepoint, boundary_sample[i]), r)
               for i, r in interior_sample]
@@ -508,11 +503,15 @@ def annular_pushin_cover(space: Space, schedule: ScaleSchedule,
     set_scale.append(0)
     cover = Cover(ground=ground, sets=sets)
 
-    claims = _pushin_claims(space, cover, set_scale, schedule, interior_sample)
+    claims = _pushin_claims(cover, set_scale, schedule, interior_sample, rays, B)
     return cover, claims
 
 
-def _pushin_claims(space, cover, set_scale, schedule, interior_sample):
+def _pushin_claims(cover, set_scale, schedule, interior_sample, rays, B):
+    """The pushin claims, with the tube mesh read from the branch table B
+    (+inf diagonal): points at radii r_a, r_b on the rays toward i_a, i_b
+    (`rays`) are r_a + r_b - 2 min(r_a, r_b, B[i_a, i_b]) apart, exactly in
+    float for dyadic radii."""
     R, c = schedule.R, schedule.c
     M = cover.membership()
     tubes = [t for t, sc in enumerate(set_scale) if sc]
@@ -526,12 +525,13 @@ def _pushin_claims(space, cover, set_scale, schedule, interior_sample):
     point_ok = all((decay[M[t]] < schedule.lam(set_scale[t]) / 2.0).all() for t in tubes)
     # Claim 3: tube mesh bound
     mesh_bound = 4.0 * c * math.exp(2 * R) + 2 * R
+    radii = np.array([float(r) for _, r in interior_sample])
     tube_mesh = 0.0
     for t in tubes:
-        pts = [cover.ground[i] for i in np.flatnonzero(M[t])]
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                tube_mesh = max(tube_mesh, float(dist(space, pts[a], pts[b])))
+        members = np.flatnonzero(M[t])
+        i, r = rays[members], radii[members]
+        shared = np.minimum(np.minimum.outer(r, r), B[np.ix_(i, i)])
+        tube_mesh = max(tube_mesh, float((r[:, None] + r[None, :] - 2.0 * shared).max()))
     counts = M.sum(axis=0)
     return {
         "color_disjoint": color_ok,

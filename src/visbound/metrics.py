@@ -3,8 +3,8 @@
 Two families: d_A (reciprocal of the time at which the two basepoint rays
 reach separation A) and dbar (the exponentially weighted integral of the
 ray separation).  Tree values are exact; Euclidean and hyperbolic use
-closed forms where available and a bracketed bisection / adaptive Simpson
-kernel otherwise.
+closed forms where available, one fixed Simpson grid for dbar at the pole
+of H^2, and a bracketed bisection / adaptive Simpson kernel otherwise.
 """
 
 from __future__ import annotations
@@ -39,9 +39,16 @@ from .spaces import (
 DA = "dA"
 DBAR = "dbar"
 
+_SIMPSON_MAX_DEPTH = 50
+# the composite-Simpson grid of pole dbar: horizon, intervals, pairs per chunk
+_POLE_T = 40.0
+_POLE_INTERVALS = 8192
+_POLE_CHUNK = 400
+
 
 class DivergentGromovProductError(ArithmeticError):
-    """The sequence t - f(t)/2 failed to stabilize within the horizon."""
+    """t - f(t)/2 has no finite limit (non-antipodal directions of R^n), or
+    the pole closed form underflows."""
 
 
 @dataclass(frozen=True)
@@ -147,8 +154,6 @@ def _separation_fn(space: Space, origin: Point, xi, eta):
         chord = _euclid_chord(xi, eta)
         return lambda t: t * chord
     if space.kind == TREE:
-        if xi == eta:
-            return lambda t: 0.0
         b = float(tree_branch_from(space, origin, xi, eta))
         return lambda t: 2.0 * max(0.0, t - b)
     if origin.r == 0.0:
@@ -219,11 +224,12 @@ def _simpson(f, a, fa, b, fb):
     return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 50) -> float:
-    """Adaptive Simpson integration of f on [a, b] to absolute tolerance."""
+def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
+    """Adaptive Simpson integration of f on [a, b] to absolute tolerance,
+    bisecting at most _SIMPSON_MAX_DEPTH times."""
     fa, fb = f(a), f(b)
     m, fm, whole = _simpson(f, fa=fa, a=a, b=b, fb=fb)
-    return _adapt(f, a, fa, b, fb, m, fm, whole, tol, max_depth)
+    return _adapt(f, a, fa, b, fb, m, fm, whole, tol, _SIMPSON_MAX_DEPTH)
 
 
 def _adapt(f, a, fa, b, fb, m, fm, whole, tol, depth):
@@ -243,9 +249,10 @@ def _adapt(f, a, fa, b, fb, m, fm, whole, tol, depth):
 def eval_dbar(space: Space, spec: MetricSpec, xi: BoundaryPoint, eta: BoundaryPoint, method="auto") -> float:
     """dbar_{x0}(xi, eta) = integral of f(r) e^-r.
 
-    method 'auto' uses closed forms (tree: 2 e^-b; Euclidean: the chord);
-    'quadrature' forces the adaptive Simpson kernel with the rigorous tail
-    estimate (f(r) <= 2r gives tail < 2(T+1)e^-T)."""
+    method 'auto' uses closed forms (tree: 2 e^-b; Euclidean: the chord) and
+    at the pole of H^2 the Simpson grid of `pole_dbar`; 'quadrature', and
+    an off-pole basepoint, use the adaptive Simpson kernel with the rigorous
+    tail estimate (f(r) <= 2r gives tail < 2(T+1)e^-T)."""
     if spec.family != DBAR:
         raise ValueError("spec.family must be dbar")
     if xi == eta:
@@ -257,6 +264,9 @@ def eval_dbar(space: Space, spec: MetricSpec, xi: BoundaryPoint, eta: BoundaryPo
             return 2.0 * math.exp(-float(b))
         if space.kind == EUCLIDEAN:
             return _euclid_chord(xi, eta)  # int r e^-r dr = 1
+        if origin.r == 0.0:
+            s = _wrapped_half_angle_sin(xi.angle, eta.angle)
+            return float(pole_dbar(np.array([s]))[0])
     f = _separation_fn(space, origin, xi, eta)
     T = spec.tail_horizon
     g = lambda r: f(r) * math.exp(-r)
@@ -292,27 +302,28 @@ def eval_dbar_extended(space: Space, spec: MetricSpec, x, y) -> float:
 # Gromov product
 
 
-def gromov_product(space: Space, x0: Point, xi: BoundaryPoint, eta: BoundaryPoint,
-                   tol: float = 1e-10, max_doublings: int = 60):
-    """Limit of t - f(t)/2.  Exact branch time on trees; evaluated at t = 2^j
-    until Cauchy elsewhere.  Raises DivergentGromovProductError when the
-    sequence fails to stabilize (Euclidean non-antipodal directions)."""
+def gromov_product(space: Space, x0: Point, xi: BoundaryPoint, eta: BoundaryPoint):
+    """Limit of t - f(t)/2, in closed form: the exact branch time on trees,
+    -log sin(dphi/2) at the pole of H^2.  On R^n, t - f(t)/2 = t(1 - chord/2)
+    converges only for antipodal directions, to 2 - chord (0 up to
+    rounding) when |1 - chord/2| < 1e-10; otherwise raises
+    DivergentGromovProductError."""
     if xi == eta:
         return math.inf
     if space.kind == TREE:
         return tree_branch_from(space, x0, xi, eta)
-    if space.kind == HYPERBOLIC and x0.r != 0.0:
-        raise SpaceMismatchError("hyperbolic Gromov products are supported at the pole only")
-    f = _separation_fn(space, x0, xi, eta)
-    prev = None
-    for j in range(max_doublings + 1):
-        t = float(2 ** j)
-        g = t - f(t) / 2.0
-        if prev is not None and abs(g - prev) < tol:
-            return g
-        prev = g
+    if space.kind == HYPERBOLIC:
+        if x0.r != 0.0:
+            raise SpaceMismatchError("hyperbolic Gromov products are supported at the pole only")
+        s = _wrapped_half_angle_sin(xi.angle, eta.angle)
+        if s == 0.0:
+            raise DivergentGromovProductError("angles too close: sin(dphi/2) underflows to 0")
+        return -math.log(s)
+    chord = _euclid_chord(xi, eta)
+    if abs(1.0 - chord / 2.0) < 1e-10:
+        return 2.0 - chord
     raise DivergentGromovProductError(
-        "t - f(t)/2 did not stabilize within the doubling horizon")
+        "t - f(t)/2 diverges for non-antipodal Euclidean directions")
 
 
 # ---------------------------------------------------------------------------
@@ -420,35 +431,33 @@ def pair_distance_matrix(space: Space, spec: MetricSpec, points: list) -> np.nda
             D = np.where(a > 0, 1.0 / np.where(a > 0, a, 1.0), 0.0)
         np.fill_diagonal(D, 0.0)
         return D
-    return _hyp_dbar_matrix(s)
-
-
-def _hyp_dbar_matrix(s: np.ndarray, T: float = 40.0, n_intervals: int = 8192,
-                     chunk: int = 400) -> np.ndarray:
-    """Composite-Simpson dbar for pole rays at half-angle sines s (symmetric
-    matrix input), vectorized in chunks."""
-    n = s.shape[0]
     iu = np.triu_indices(n, k=1)
-    svals = s[iu]
-    r = np.linspace(0.0, T, n_intervals + 1)
-    w = np.ones(n_intervals + 1)
+    D = np.zeros((n, n))
+    D[iu] = D[(iu[1], iu[0])] = pole_dbar(s[iu])
+    return D
+
+
+def pole_dbar(svals: np.ndarray) -> np.ndarray:
+    """dbar at the pole of H^2 for pairs of rays with half-angle sines
+    `svals`: composite Simpson on the fixed grid over [0, _POLE_T], in
+    chunks of _POLE_CHUNK pairs, plus the frozen tail."""
+    T = _POLE_T
+    r = np.linspace(0.0, T, _POLE_INTERVALS + 1)
+    w = np.ones(_POLE_INTERVALS + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    w *= (T / n_intervals) / 3.0
+    w *= (T / _POLE_INTERVALS) / 3.0
     w_exp = w * np.exp(-r)
     sinh_r = np.sinh(r)
     out = np.empty(svals.shape[0])
-    for lo in range(0, svals.shape[0], chunk):
-        sv = svals[lo:lo + chunk]
+    for lo in range(0, svals.shape[0], _POLE_CHUNK):
+        sv = svals[lo:lo + _POLE_CHUNK]
         f = 2.0 * np.arcsinh(sinh_r[None, :] * sv[:, None])
-        out[lo:lo + chunk] = f @ w_exp
+        out[lo:lo + _POLE_CHUNK] = f @ w_exp
     # frozen-tail correction, ~2(T + log s) e^-T, negligible at T = 40
     fT = 2.0 * np.arcsinh(math.sinh(T) * svals)
     out += fT * math.exp(-T)
-    D = np.zeros((n, n))
-    D[iu] = out
-    D[(iu[1], iu[0])] = out
-    return D
+    return out
 
 
 def with_basepoint(spec: MetricSpec, basepoint: Point) -> MetricSpec:

@@ -21,6 +21,8 @@ LINEAR = "linear"
 POWER = "power"
 COMPOSITE = "composite"
 
+_DELTA_GRID = 96
+
 
 @dataclass(frozen=True)
 class ControlFunction:
@@ -184,16 +186,14 @@ class ControlReport:
 
 
 def verify_control(space: Space, spec1: MetricSpec, spec2: MetricSpec,
-                   eta: ControlFunction, n_triples: int, seed: int,
-                   tol_rel: float | None = None) -> ControlReport:
+                   eta: ControlFunction, n_triples: int, seed: int) -> ControlReport:
     """Sample triples (x, y, z) of distinct boundary points and test the
     quasi-symmetry inequality rho <= eta(t) for t = d1(x,z)/d1(y,z) and
     rho = d2(x,z)/d2(y,z).  Exact on trees when both metrics are d_A."""
     exact = (space.kind == TREE and spec1.family == DA and spec2.family == DA
              and eta.form == LINEAR and isinstance(eta.slope, (int, Fraction)))
-    if tol_rel is None:
-        # integer 0 keeps the comparison in exact arithmetic
-        tol_rel = 0 if exact else 1e-8
+    # integer 0 keeps the comparison in exact arithmetic
+    tol_rel = 0 if exact else 1e-8
     kept, discarded = _ratio_triples(space, spec1, spec2, n_triples, seed, "verify-control")
     violations = 0
     worst = 0.0
@@ -220,12 +220,6 @@ class Envelope:
     provenance: dict
     discarded: int = 0
 
-    def ts(self):
-        return [e[0] for e in self.entries]
-
-    def rhos(self):
-        return [e[1] for e in self.entries]
-
 
 def qs_envelope(space: Space, spec1: MetricSpec, spec2: MetricSpec,
                 n_triples: int, seed: int) -> Envelope:
@@ -248,21 +242,17 @@ class PowerLawFit:
     delta: float
     max_residual: float
 
-    @property
-    def control(self) -> ControlFunction:
-        return power_control(max(1.0, self.c), self.delta)
 
-
-def power_law_fit(env: Envelope, delta_grid: int = 96) -> PowerLawFit:
-    """Smallest c over a delta grid with rho <= c * max(t^delta, t^(1/delta))
-    for every envelope pair; residual is the worst log-gap to the fitted
-    envelope."""
+def power_law_fit(env: Envelope) -> PowerLawFit:
+    """Smallest c over the delta grid k/_DELTA_GRID with
+    rho <= c * max(t^delta, t^(1/delta)) for every envelope pair; residual
+    is the worst log-gap to the fitted envelope."""
     if not env.entries:
         raise ValueError("empty envelope")
     log_pairs = [(math.log(t), math.log(r)) for t, r, _ in env.entries]
     best = None
-    for step in range(delta_grid, 0, -1):
-        delta = step / delta_grid
+    for step in range(_DELTA_GRID, 0, -1):
+        delta = step / _DELTA_GRID
         need = max(lr - max(lt * delta, lt / delta) for lt, lr in log_pairs)
         c = max(1.0, math.exp(need))
         resid = max(abs(math.log(c) + max(lt * delta, lt / delta) - lr)

@@ -332,9 +332,6 @@ class Ray:
         if self.space.kind == TREE and not self.origin.is_vertex:
             raise ValueError("tree rays are only supported from vertex origins")
 
-    def point(self, t) -> Point:
-        return ray_point(self, t)
-
 
 def ray_point(ray: Ray, t) -> Point:
     """Point at parameter t >= 0 along the ray."""
@@ -436,6 +433,8 @@ def sample_boundary(space: Space, n: int, seed: int) -> list:
     """n pairwise-distinct boundary points, deterministic in (space, n, seed)."""
     if n < 1:
         raise ValueError("sample size must be >= 1")
+    if space.kind == EUCLIDEAN and space.dim == 1 and n > 2:
+        raise ValueError(f"R^1 has only 2 boundary points, cannot sample {n}")
     rng = substream(seed, f"boundary-{space.kind}")
     if space.kind == EUCLIDEAN:
         out = []

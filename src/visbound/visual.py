@@ -13,6 +13,7 @@ from .spaces import TREE, Space, TreeBoundary
 
 FITS = "fits"
 UNBOUNDED = "unbounded-evidence"
+_GROWTH_FACTOR = 1e3
 
 
 @dataclass(frozen=True)
@@ -48,12 +49,11 @@ def _pair_value(space: Space, spec: MetricSpec, a: float, xi, eta, method):
 
 
 def visual_fit(space: Space, spec: MetricSpec, a: float, pairs: list,
-               method: str = "auto", nested_families: list | None = None,
-               growth_factor: float = 1e3) -> VisualFit:
+               method: str = "auto", nested_families: list | None = None) -> VisualFit:
     """Best constants k1 = min, k2 = max of d * a^product over the pairs.
 
     nested_families: optional increasing pair families; when their k2 values
-    increase monotonically by more than growth_factor overall, the verdict
+    increase monotonically by more than _GROWTH_FACTOR overall, the verdict
     flips to unbounded-evidence."""
     if a <= 1:
         raise ValueError("visual parameter must exceed 1")
@@ -74,7 +74,7 @@ def visual_fit(space: Space, spec: MetricSpec, a: float, pairs: list,
         for fam in nested_families:
             t = max(_pair_value(space, spec, a, xi, eta, method)[0] for xi, eta in fam)
             tops.append(t)
-        if all(x < y for x, y in zip(tops, tops[1:])) and tops[-1] >= growth_factor * tops[0]:
+        if all(x < y for x, y in zip(tops, tops[1:])) and tops[-1] >= _GROWTH_FACTOR * tops[0]:
             verdict = UNBOUNDED
     return VisualFit(a=float(a), k1=k1, k2=k2, witness_min=wmin,
                      witness_max=wmax, verdict=verdict)

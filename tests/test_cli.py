@@ -1,10 +1,14 @@
+import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
-from visbound.cli import ConfigError, RunConfig, main, parse_space, run
+import visbound
+from visbound.cli import ConfigError, RunConfig, build_parser, main, parse_space, run
 
 
 def read_json(path):
@@ -25,6 +29,25 @@ class TestConfig:
         cfg = RunConfig(experiment="metric", metric="dX")
         with pytest.raises(ConfigError, match="metric"):
             cfg.validate()
+
+    def test_every_field_round_trips_through_its_flag(self):
+        values = {"experiment": "compare", "space": "tree5", "metric": "dA", "A": 0.75,
+                  "metric2": "dbar", "A2": 3.5, "eta_slope": 1.25, "a": 2.5, "seed": 7,
+                  "n": 33, "n_triples": 444, "scales": [0.5, 0.125], "R": 3.0, "K": 4,
+                  "c": 2.0, "window": 9.5, "tol": 1e-8, "out": "somewhere"}
+        names = [f.name for f in dataclasses.fields(RunConfig)]
+        assert sorted(values) == sorted(names)
+        argv = ["compare"]
+        for name in names[1:]:
+            v = values[name]
+            argv += ["--" + name.replace("_", "-"),
+                     ",".join(map(str, v)) if isinstance(v, list) else str(v)]
+        args = build_parser().parse_args(argv)
+        got = {name: getattr(args, name) for name in names}
+        assert got == values
+        assert all(type(got[k]) is type(values[k]) for k in names)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["metric", "--metric2", "dX"])
 
     def test_parse_space(self):
         assert parse_space("euclidean3").dim == 3
@@ -189,6 +212,21 @@ class TestErrorPaths:
     def test_pushin_tree_only(self, tmp_path):
         rc = main(["cover-pushin", "--space", "euclidean2", "--out", str(tmp_path)])
         assert rc == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["cover-pushout", "--space", "euclidean1", "--n", "3"],
+        ["visual-fit", "--space", "euclidean2", "--n", "20"],
+    ])
+    def test_rejected_on_entry(self, argv, tmp_path):
+        # a separate interpreter, so that a hang times out and a traceback shows
+        src = os.path.dirname(os.path.dirname(visbound.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-m", "visbound.cli", *argv,
+                               "--out", str(tmp_path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
 
     def test_run_validates(self):
         with pytest.raises(ConfigError):

@@ -209,8 +209,6 @@ class TestPushin:
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             ScaleSchedule(R=2, K=3, c=0.5)
-        with pytest.raises(ValueError):
-            ScaleSchedule(R=1, K=1, c=1.0, lam0=1.0)
 
     def test_missing_cover_rejected(self):
         interior = sample_ray_points(T4, self.sample, 10, 100, 1)
@@ -500,3 +498,32 @@ class TestStatsKernels:
                 if members:
                     want.append(members)
         assert [s.members for s in cover.sets[:-1]] == want
+
+    @pytest.mark.parametrize("basepoint", [TreePoint(()), TreePoint((1, 2, 0))])
+    def test_pushin_tube_mesh_matches_fraction_dist(self, basepoint):
+        space = tree_space(4, basepoint)
+        sched = ScaleSchedule(R=1, K=3, c=1.0)
+        sample = sample_boundary(space, 30, 6)
+        covers = {k: colored_boundary_cover(space, sched.lam(k), sample) for k in range(1, 4)}
+        B = tree_branch_matrix(space, sample, basepoint)
+        rng = np.random.default_rng(2)
+        interior = [(int(rng.integers(0, 30)), Fraction(int(rng.integers(0, 40)), 8))
+                    for _ in range(200)]
+        # repeated boundary indices, and radii equal to branch times
+        interior += [(3, Fraction(r, 4)) for r in range(4, 20)]
+        interior += [(i, Fraction(int(B[i, j]))) for i, j in ((0, 1), (2, 3), (5, 9), (7, 8))
+                     if B[i, j] > 0]
+        cover, claims = annular_pushin_cover(space, sched, covers, sample, interior)
+        want = 0.0
+        for s in cover.sets[:-1]:
+            pts = [cover.ground[i] for i in s.members]
+            for a, b in itertools.combinations(pts, 2):
+                want = max(want, float(dist(space, a, b)))
+        assert want > 0
+        assert claims["tube_mesh"] == want
+
+    def test_pushin_rejects_non_tree(self):
+        sample = sample_boundary(E2, 10, 1)
+        with pytest.raises(ValueError, match="tree"):
+            annular_pushin_cover(E2, ScaleSchedule(R=2, K=0, c=1.0), {}, sample,
+                                 [(0, Fraction(1))])

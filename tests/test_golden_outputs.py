@@ -59,6 +59,12 @@ GOLDEN = {
         dict(experiment="ell-dim", space="euclidean2", metric="dA", A=1.0, n=400,
              scales=CIRCLE_SCALES), 0,
         {"stats.csv": "0e75727a1839489107d420a301adc2a78901b4edbef55f60b1a3a042dbc02e6a"}),
+    "visual-fit-dbar": (
+        dict(experiment="visual-fit", space="tree4", metric="dbar", n=300), 0,
+        {"visual_fit.json": "c3576636a99560e571b7d3e000fa51cfc6db2c8be8de665aff00e615ba3a6460"}),
+    "visual-fit-dA": (
+        dict(experiment="visual-fit", space="tree4", metric="dA", A=1.0, n=300), 0,
+        {"visual_fit.json": "e94414057525340d6dd17758d0c1c267c0f54375cb9012226c2f2fac659306b8"}),
     "demo-t4": (
         dict(experiment="demo-t4", n=50), 0,
         {"nonqs.csv": "1d1efe8e87a26036027977698338df9ecc404b1cfbe7df00a87ceec3db7f4f05",

@@ -30,6 +30,7 @@ from visbound.spaces import (
     HyperbolicPoint,
     IdenticalBoundaryPointsError,
     Ray,
+    SpaceMismatchError,
     TreeBoundary,
     TreePoint,
     branch_time,
@@ -135,6 +136,16 @@ class TestDbar:
             q = eval_dbar(T4, spec_dbar(), a, b, method="quadrature")
             assert abs(q - 2.0 * math.exp(-n)) < 1e-10
 
+    def test_pole_auto_reads_the_grid_kernel(self):
+        pts = sample_boundary(H2, 30, 4) + [HyperbolicBoundary(1.0 + 1e-6),
+                                           HyperbolicBoundary(1.0 + math.pi)]
+        pts.insert(0, HyperbolicBoundary(1.0))
+        D = pair_distance_matrix(H2, spec_dbar(), pts)
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                v = eval_dbar(H2, spec_dbar(), pts[i], pts[j])
+                assert abs(v - D[i, j]) <= 1e-14 * D[i, j]
+
     def test_adaptive_simpson_known_integral(self):
         v = adaptive_simpson(lambda r: r * math.exp(-r), 0.0, 40.0, 1e-12)
         assert abs(v - (1.0 - 41.0 * math.exp(-40.0))) < 1e-11
@@ -197,6 +208,50 @@ class TestGromovProduct:
         x, y = circle_pair(1.0)
         with pytest.raises(DivergentGromovProductError):
             gromov_product(E2, EuclideanPoint((0.0, 0.0)), x, y)
+
+    @staticmethod
+    def _doubling_limit(space, xi, eta, tol=1e-10, max_doublings=60):
+        """t - f(t)/2 at t = 2^j until Cauchy, with f(t) the distance of the
+        two basepoint ray points; None if it never stabilizes."""
+        rx, re = Ray(space, space.basepoint, xi), Ray(space, space.basepoint, eta)
+        prev = None
+        for j in range(max_doublings + 1):
+            t = float(2 ** j)
+            g = t - dist(space, ray_point(rx, t), ray_point(re, t)) / 2.0
+            if prev is not None and abs(g - prev) < tol:
+                return g
+            prev = g
+        return None
+
+    @pytest.mark.parametrize("dphi", [1e-6, 1e-3, 0.4, 1.0, 2.5, math.pi - 1e-9, math.pi,
+                                      2 * math.pi - 0.3])
+    def test_pole_closed_form_matches_doubling_loop(self, dphi):
+        xi, eta = HyperbolicBoundary(0.5), HyperbolicBoundary(0.5 + dphi)
+        want = self._doubling_limit(H2, xi, eta)
+        got = gromov_product(H2, H2.basepoint, xi, eta)
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("theta", [0.0, 0.7, 2.0, 4.1])
+    def test_euclidean_closed_form_matches_doubling_loop(self, theta):
+        xi = EuclideanBoundary((math.cos(theta), math.sin(theta)))
+        antipode = EuclideanBoundary((math.cos(theta + math.pi), math.sin(theta + math.pi)))
+        want = self._doubling_limit(E2, xi, antipode)
+        assert abs(gromov_product(E2, E2.basepoint, xi, antipode) - want) <= 1e-10
+        near = EuclideanBoundary((math.cos(theta + 3.0), math.sin(theta + 3.0)))
+        assert self._doubling_limit(E2, xi, near) is None
+        with pytest.raises(DivergentGromovProductError):
+            gromov_product(E2, E2.basepoint, xi, near)
+
+    def test_pole_underflow_signaled(self):
+        # distinct angles whose half-angle sine rounds to 0
+        xi, eta = HyperbolicBoundary(0.0), HyperbolicBoundary(5e-324)
+        with pytest.raises(DivergentGromovProductError):
+            gromov_product(H2, H2.basepoint, xi, eta)
+
+    def test_off_pole_hyperbolic_rejected(self):
+        off = hyperbolic_plane(HyperbolicPoint(0.5, 1.0))
+        with pytest.raises(SpaceMismatchError):
+            gromov_product(off, off.basepoint, HyperbolicBoundary(0.0), HyperbolicBoundary(1.0))
 
 
 class TestRebasedTree:

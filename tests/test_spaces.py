@@ -224,6 +224,12 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_boundary(T4, 0, 1)
 
+    def test_line_has_two_boundary_points(self):
+        E1 = euclidean_space(1)
+        assert sorted(p.direction for p in sample_boundary(E1, 2, 0)) == [(-1.0,), (1.0,)]
+        with pytest.raises(ValueError, match="2 boundary points"):
+            sample_boundary(E1, 3, 0)
+
     def test_determinism(self):
         assert sample_boundary(E2, 25, 9) == sample_boundary(E2, 25, 9)
         assert sample_boundary(T4, 25, 9) == sample_boundary(T4, 25, 9)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .metrics import MetricSpec, pair_distance_matrix, tree_branch_matrix
+from .metrics import MetricSpec, pair_distance_matrix, pair_invariants
 from .spaces import (
     EUCLIDEAN,
     HYPERBOLIC,
@@ -76,12 +76,11 @@ class CoverStats:
     lebesgue: float     # math.inf sentinel when some set swallows the sample
 
 
-def cover_stats(cover: Cover, dist_fn=None, matrix=None,
-                lebesgue_indices=None) -> CoverStats:
+def cover_stats(cover: Cover, matrix: np.ndarray, lebesgue_indices=None) -> CoverStats:
     """Order, mesh, and Lebesgue number of the cover measured against its
-    own ground sample.  `matrix` is an optional precomputed pairwise
-    distance matrix; `lebesgue_indices` restricts the Lebesgue minimum to a
-    window-interior subset.
+    own ground sample, whose pairwise distances are `matrix`;
+    `lebesgue_indices` restricts the Lebesgue minimum to a window-interior
+    subset.
 
     One pass over the points reads the membership matrix: point i's mesh
     candidate is its largest distance into a set containing it, and its
@@ -90,11 +89,6 @@ def cover_stats(cover: Cover, dist_fn=None, matrix=None,
     if not cover.sets:
         raise ValueError("empty cover")
     n = len(cover.ground)
-    if matrix is None:
-        matrix = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                matrix[i, j] = matrix[j, i] = float(dist_fn(cover.ground[i], cover.ground[j]))
     # identical sets give identical mesh and Lebesgue candidates, so the
     # matrix holds each distinct set once and the order counts repeats
     repeats = collections.Counter(frozenset(s.members) for s in cover.sets)
@@ -477,8 +471,9 @@ def annular_pushin_cover(space: Space, schedule: ScaleSchedule,
     for k in range(1, K + 1):
         if k not in colored_covers:
             raise ValueError(f"missing colored cover for scale k={k}")
-    B = tree_branch_matrix(space, boundary_sample, space.basepoint).astype(float)
-    np.fill_diagonal(B, math.inf)
+    I, J = np.triu_indices(len(boundary_sample), k=1)
+    B = np.full((len(boundary_sample),) * 2, math.inf)
+    B[I, J] = B[J, I] = pair_invariants(space, boundary_sample, I, J)
     rays = np.array([i for i, _ in interior_sample], dtype=np.int64)
     ceil_r = np.array([math.ceil(r) for _, r in interior_sample], dtype=float)
     reach = (B[rays] >= ceil_r[:, None]).astype(float)

@@ -2,9 +2,11 @@
 
 Two families: d_A (reciprocal of the time at which the two basepoint rays
 reach separation A) and dbar (the exponentially weighted integral of the
-ray separation).  Tree values are exact; Euclidean and hyperbolic use
-closed forms where available, one fixed Simpson grid for dbar at the pole
-of H^2, and a bracketed bisection / adaptive Simpson kernel otherwise.
+ray separation).  Every closed-form value reads one pair invariant from
+`pair_invariants` (the branch time on T_k, the chord on R^n, the half-angle
+sine at the pole of H^2) and maps it through `_closed_form`; tree d_A is
+exact on request.  Off the pole of H^2, and as the reference paths, a
+bracketed bisection and adaptive Simpson evaluate one pair at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .spaces import (
     SpaceMismatchError,
     TreeBoundary,
     TreePoint,
-    branch_time,
     dist,
     point_on_geodesic,
     project_to_sphere,
@@ -44,6 +45,8 @@ _SIMPSON_MAX_DEPTH = 50
 _POLE_T = 40.0
 _POLE_INTERVALS = 8192
 _POLE_CHUNK = 400
+# pairs per chunk of the tree branch-time scan (memory O(chunk * word length))
+_PAIR_CHUNK = 8192
 
 
 class DivergentGromovProductError(ArithmeticError):
@@ -99,14 +102,132 @@ class ConeNeighborhood:
 
 
 # ---------------------------------------------------------------------------
+# pair invariants and their closed forms
+
+
+def _vertex_word(origin: TreePoint) -> tuple:
+    if not origin.is_vertex:
+        raise ValueError("tree rays are only supported from vertex origins")
+    return origin.word
+
+
+def _has_closed_form(space: Space, origin: Point) -> bool:
+    """Whether pairs seen from `origin` have a pair invariant: everywhere
+    except off the pole of H^2."""
+    return space.kind != HYPERBOLIC or origin.r == 0.0
+
+
+def pair_invariants(space: Space, points: list, I, J, origin: Point | None = None) -> np.ndarray:
+    """The invariant of each pair (points[I[k]], points[J[k]]) of boundary
+    points seen from `origin` (the space's basepoint by default):
+
+    - T_k: the branch time (int64) of the rays from the vertex `origin`,
+      the last time at which they coincide;
+    - R^n: the chord |xi - eta| of the unit directions, summed from
+      coordinate differences;
+    - H^2: s = sin(dphi/2) at the pole; other basepoints raise
+      SpaceMismatchError.
+
+    Tree words are unrolled once to a length at which any two distinct
+    words differ, so a branch time from the root is a first mismatch,
+    scanned _PAIR_CHUNK pairs at a time; a vertex v shifts it by
+    |v| - lcp(v, xi) - lcp(v, eta).  Raises IdenticalBoundaryPointsError
+    for a tree pair that repeats a point and ValueError if a word uses an
+    illegal letter."""
+    origin = space.basepoint if origin is None else origin
+    I = np.asarray(I, dtype=np.intp)
+    J = np.asarray(J, dtype=np.intp)
+    if space.kind == TREE:
+        return _branch_times(space, points, I, J, _vertex_word(origin))
+    if space.kind == EUCLIDEAN:
+        V = np.array([p.direction for p in points], dtype=float).reshape(len(points), space.dim)
+        sq = 0.0
+        for col in V.T:
+            d = col[I] - col[J]
+            sq = sq + d * d
+        return np.sqrt(sq)
+    if origin.r != 0.0:
+        raise SpaceMismatchError("hyperbolic pair invariants are supported at the pole only")
+    phi = np.array([p.angle for p in points], dtype=float)
+    delta = np.abs(phi[I] - phi[J]) % (2 * math.pi)
+    return np.sin(np.where(delta > math.pi, 2 * math.pi - delta, delta) / 2.0)
+
+
+def _branch_times(space: Space, points: list, I: np.ndarray, J: np.ndarray, v: tuple) -> np.ndarray:
+    out = np.zeros(len(I), dtype=np.int64)
+    if not points:
+        return out
+    periods = {len(p.period) for p in points}
+    L = max(len(v), max(len(p.preperiod) for p in points)
+            + max(math.lcm(a, b) for a in periods for b in periods))
+    W = np.array([p.prefix(L) for p in points])
+    k = space.valence
+    if (W < 0).any() or (W[:, 0] >= k).any() or (W[:, 1:] >= k - 1).any():
+        raise ValueError(f"illegal tree word: first letter must be < {k}, later letters < {k - 1}")
+    W = W.astype(np.min_scalar_type(k))
+    for lo in range(0, len(I), _PAIR_CHUNK):
+        neq = W[I[lo:lo + _PAIR_CHUNK]] != W[J[lo:lo + _PAIR_CHUNK]]
+        first = neq.argmax(axis=1)
+        if not neq[np.arange(len(first)), first].all():
+            raise IdenticalBoundaryPointsError("identical boundary points - branch time infinite")
+        out[lo:lo + len(first)] = first
+    if v:
+        neq = W[:, :len(v)] != np.array(v)
+        lcp = np.where(neq.any(axis=1), neq.argmax(axis=1), len(v))
+        out += len(v) - lcp[I] - lcp[J]
+    return out
+
+
+def _closed_form(space: Space, spec: MetricSpec, inv: np.ndarray, exact: bool) -> np.ndarray:
+    """The metric `spec` at pair invariants `inv`, elementwise.
+
+    - T_k: d_A = 1/(b + A/2) (Fractions when `exact`) and dbar = 2e^{-b},
+      each evaluated once per branch time up to max(b) with IEEE division
+      and `math.exp`;
+    - R^n: d_A = chord/A and dbar = chord;
+    - the pole of H^2: d_A = 1/asinh(sinh(A/2)/s) and dbar = `pole_dbar(s)`.
+      Where sinh(A/2)/s overflows, asinh is read as
+      log(sinh(A/2) + hypot(sinh(A/2), s)) - log s."""
+    if space.kind == TREE:
+        if spec.family == DBAR:
+            value = lambda b: 2.0 * math.exp(-b)
+        else:
+            half = Fraction(spec.A) / 2 if exact else float(spec.A) / 2.0
+            value = lambda b: 1 / (b + half)
+        lookup = [value(b) for b in range(int(inv.max(initial=0)) + 1)]
+        return np.array(lookup, dtype=object if exact and spec.family == DA else float)[inv]
+    if space.kind == EUCLIDEAN:
+        return inv / float(spec.A) if spec.family == DA else inv
+    if spec.family == DBAR:
+        return pole_dbar(inv)
+    c = math.sinh(float(spec.A) / 2.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        x = c / inv
+        a = np.arcsinh(x)
+        big = np.isinf(x) & (inv > 0)
+        a[big] = np.log(c + np.hypot(c, inv[big])) - np.log(inv[big])
+        return 1.0 / a
+
+
+def _gromov_closed_form(space: Space, inv: np.ndarray) -> np.ndarray:
+    """Gromov products at pair invariants: the branch time on T_k, -log s at
+    the pole of H^2 (s rounding to 0 raises DivergentGromovProductError),
+    and on R^n 2 - chord when |1 - chord/2| < 1e-10; t - f(t)/2 diverges
+    for any other Euclidean pair, which raises DivergentGromovProductError."""
+    if space.kind == TREE:
+        return inv
+    if space.kind == HYPERBOLIC:
+        if not inv.all():
+            raise DivergentGromovProductError("angles too close: sin(dphi/2) underflows to 0")
+        return -np.log(inv)
+    if (np.abs(1.0 - inv / 2.0) >= 1e-10).any():
+        raise DivergentGromovProductError(
+            "t - f(t)/2 diverges for non-antipodal Euclidean directions")
+    return 2.0 - inv
+
+
+# ---------------------------------------------------------------------------
 # ray separation f(t) = d(alpha(t), beta(t)) for rays from a common origin
-
-
-def _wrapped_half_angle_sin(phi1: float, phi2: float) -> float:
-    delta = abs(phi1 - phi2) % (2 * math.pi)
-    if delta > math.pi:
-        delta = 2 * math.pi - delta
-    return math.sin(delta / 2)
 
 
 def _hyp_pole_separation(t: float, s: float) -> float:
@@ -121,47 +242,18 @@ def _hyp_pole_separation(t: float, s: float) -> float:
     return 2 * (t + math.log(s) + math.log1p(-math.exp(-2 * t)) if t < 350 else t + math.log(s))
 
 
-def _euclid_chord(xi: EuclideanBoundary, eta: EuclideanBoundary) -> float:
-    return math.sqrt(sum((a - b) ** 2 for a, b in zip(xi.direction, eta.direction)))
-
-
-def _lcp(word: tuple, xi: TreeBoundary) -> int:
-    """Number of leading letters of the vertex word shared with xi."""
-    j = 0
-    while j < len(word) and word[j] == xi.letter(j):
-        j += 1
-    return j
-
-
-def _vertex_word(origin: TreePoint) -> tuple:
-    if not origin.is_vertex:
-        raise ValueError("tree rays are only supported from vertex origins")
-    return origin.word
-
-
-def tree_branch_from(space: Space, origin: TreePoint, xi: TreeBoundary, eta: TreeBoundary) -> Fraction:
-    """Exact branch time of the two rays from the vertex `origin` toward xi
-    and eta: the last time at which they coincide.  From a vertex v it is
-    b(xi, eta) + |v| - lcp(v, xi) - lcp(v, eta), with b the branch time from
-    the root.  Raises IdenticalBoundaryPointsError if xi == eta."""
-    v = _vertex_word(origin)
-    return branch_time(space, xi, eta) + len(v) - _lcp(v, xi) - _lcp(v, eta)
-
-
 def _separation_fn(space: Space, origin: Point, xi, eta):
     """Per-pair closure for f(t), hoisting pair-level precomputation."""
+    if not _has_closed_form(space, origin):
+        rx = Ray(space, origin, xi)
+        re = Ray(space, origin, eta)
+        return lambda t: dist(space, ray_point(rx, t), ray_point(re, t))
+    inv = pair_invariants(space, [xi, eta], [0], [1], origin).item(0)
     if space.kind == EUCLIDEAN:
-        chord = _euclid_chord(xi, eta)
-        return lambda t: t * chord
+        return lambda t: t * inv
     if space.kind == TREE:
-        b = float(tree_branch_from(space, origin, xi, eta))
-        return lambda t: 2.0 * max(0.0, t - b)
-    if origin.r == 0.0:
-        s = _wrapped_half_angle_sin(xi.angle, eta.angle)
-        return lambda t: _hyp_pole_separation(t, s)
-    rx = Ray(space, origin, xi)
-    re = Ray(space, origin, eta)
-    return lambda t: dist(space, ray_point(rx, t), ray_point(re, t))
+        return lambda t: 2.0 * max(0.0, t - inv)
+    return lambda t: _hyp_pole_separation(t, inv)
 
 
 # ---------------------------------------------------------------------------
@@ -189,29 +281,18 @@ def _bisect_dA(f, A: float, tol: float) -> float:
 
 
 def eval_dA(space: Space, spec: MetricSpec, xi: BoundaryPoint, eta: BoundaryPoint, method="auto"):
-    """d_{A,x0}(xi, eta).  Exact Fraction on trees (method 'auto'/'closed');
-    closed forms on Euclidean and pole-based hyperbolic; bracketed bisection
-    otherwise or when method='bisect'."""
+    """d_{A,x0}(xi, eta).  Method 'auto' maps the pair invariant through the
+    closed form (an exact Fraction on trees); 'bisect', and a basepoint off
+    the pole of H^2, use the bracketed bisection kernel."""
     if spec.family != DA:
         raise ValueError("spec.family must be dA")
     if xi == eta:
         return Fraction(0) if space.kind == TREE and method != "bisect" else 0.0
     origin = spec.base(space)
-    if method == "bisect":
-        f = _separation_fn(space, origin, xi, eta)
-        return _bisect_dA(f, float(spec.A), spec.tol)
-    if space.kind == TREE:
-        b = tree_branch_from(space, origin, xi, eta)
-        return 1 / (b + Fraction(spec.A) / 2)
-    if space.kind == EUCLIDEAN:
-        chord = _euclid_chord(xi, eta)
-        return chord / float(spec.A)
-    if origin.r == 0.0:
-        s = _wrapped_half_angle_sin(xi.angle, eta.angle)
-        a = math.asinh(math.sinh(float(spec.A) / 2) / s)
-        return 1.0 / a
-    f = _separation_fn(space, origin, xi, eta)
-    return _bisect_dA(f, float(spec.A), spec.tol)
+    if method == "bisect" or not _has_closed_form(space, origin):
+        return _bisect_dA(_separation_fn(space, origin, xi, eta), float(spec.A), spec.tol)
+    return _closed_form(space, spec, pair_invariants(space, [xi, eta], [0], [1], origin),
+                        exact=True).item(0)
 
 
 # ---------------------------------------------------------------------------
@@ -249,24 +330,18 @@ def _adapt(f, a, fa, b, fb, m, fm, whole, tol, depth):
 def eval_dbar(space: Space, spec: MetricSpec, xi: BoundaryPoint, eta: BoundaryPoint, method="auto") -> float:
     """dbar_{x0}(xi, eta) = integral of f(r) e^-r.
 
-    method 'auto' uses closed forms (tree: 2 e^-b; Euclidean: the chord) and
-    at the pole of H^2 the Simpson grid of `pole_dbar`; 'quadrature', and
-    an off-pole basepoint, use the adaptive Simpson kernel with the rigorous
-    tail estimate (f(r) <= 2r gives tail < 2(T+1)e^-T)."""
+    Method 'auto' maps the pair invariant through the closed form (tree:
+    2 e^-b; Euclidean: the chord; pole of H^2: `pole_dbar`); 'quadrature',
+    and a basepoint off the pole of H^2, use the adaptive Simpson kernel
+    with the rigorous tail estimate (f(r) <= 2r gives tail < 2(T+1)e^-T)."""
     if spec.family != DBAR:
         raise ValueError("spec.family must be dbar")
     if xi == eta:
         return 0.0
     origin = spec.base(space)
-    if method != "quadrature":
-        if space.kind == TREE:
-            b = tree_branch_from(space, origin, xi, eta)
-            return 2.0 * math.exp(-float(b))
-        if space.kind == EUCLIDEAN:
-            return _euclid_chord(xi, eta)  # int r e^-r dr = 1
-        if origin.r == 0.0:
-            s = _wrapped_half_angle_sin(xi.angle, eta.angle)
-            return float(pole_dbar(np.array([s]))[0])
+    if method != "quadrature" and _has_closed_form(space, origin):
+        return _closed_form(space, spec, pair_invariants(space, [xi, eta], [0], [1], origin),
+                            exact=False).item(0)
     f = _separation_fn(space, origin, xi, eta)
     T = spec.tail_horizon
     g = lambda r: f(r) * math.exp(-r)
@@ -303,27 +378,15 @@ def eval_dbar_extended(space: Space, spec: MetricSpec, x, y) -> float:
 
 
 def gromov_product(space: Space, x0: Point, xi: BoundaryPoint, eta: BoundaryPoint):
-    """Limit of t - f(t)/2, in closed form: the exact branch time on trees,
-    -log sin(dphi/2) at the pole of H^2.  On R^n, t - f(t)/2 = t(1 - chord/2)
+    """Limit of t - f(t)/2, in closed form from the pair invariant: the
+    exact branch time on trees, -log sin(dphi/2) at the pole of H^2 (other
+    basepoints raise SpaceMismatchError).  On R^n, t - f(t)/2 = t(1 - chord/2)
     converges only for antipodal directions, to 2 - chord (0 up to
     rounding) when |1 - chord/2| < 1e-10; otherwise raises
     DivergentGromovProductError."""
     if xi == eta:
         return math.inf
-    if space.kind == TREE:
-        return tree_branch_from(space, x0, xi, eta)
-    if space.kind == HYPERBOLIC:
-        if x0.r != 0.0:
-            raise SpaceMismatchError("hyperbolic Gromov products are supported at the pole only")
-        s = _wrapped_half_angle_sin(xi.angle, eta.angle)
-        if s == 0.0:
-            raise DivergentGromovProductError("angles too close: sin(dphi/2) underflows to 0")
-        return -math.log(s)
-    chord = _euclid_chord(xi, eta)
-    if abs(1.0 - chord / 2.0) < 1e-10:
-        return 2.0 - chord
-    raise DivergentGromovProductError(
-        "t - f(t)/2 diverges for non-antipodal Euclidean directions")
+    return _gromov_closed_form(space, pair_invariants(space, [xi, eta], [0], [1], x0)).item(0)
 
 
 # ---------------------------------------------------------------------------
@@ -346,114 +409,46 @@ def cone_contains(space: Space, nbhd: ConeNeighborhood, z) -> bool:
 # pair tables over pools of boundary points
 
 
-def tree_branch_matrix(space: Space, points: list, origin: TreePoint | None = None) -> np.ndarray:
-    """B[i, j] = branch time (int) of the rays from the vertex `origin` (the
-    root by default) toward points i and j; -1 on the diagonal.
-
-    Every word is unrolled to a length at which any two distinct words
-    differ, so a row's branch times from the root are its first mismatches
-    with the later rows; a vertex v shifts them as in `tree_branch_from`.
-    Raises IdenticalBoundaryPointsError if a point repeats and ValueError
-    if a word uses an illegal letter."""
-    v = () if origin is None else _vertex_word(origin)
+def pair_distance_matrix(space: Space, spec: MetricSpec, points: list, exact: bool = False) -> np.ndarray:
+    """Symmetric matrix of pairwise boundary distances, 0 on the diagonal:
+    the closed form over the pair invariants of the upper triangle,
+    mirrored.  Floats, except that `exact=True` gives the tree d_A table in
+    `Fraction`s.  Off the pole of H^2 each pair goes through `eval_dA`
+    (bisection) or `eval_dbar` (adaptive Simpson)."""
     n = len(points)
-    B = np.full((n, n), -1, dtype=np.int64)
-    if n == 0:
-        return B
-    periods = {len(p.period) for p in points}
-    L = max(len(v), max(len(p.preperiod) for p in points)
-            + max(math.lcm(a, b) for a in periods for b in periods))
-    W = np.array([p.prefix(L) for p in points])
-    k = space.valence
-    if (W < 0).any() or (W[:, 0] >= k).any() or (W[:, 1:] >= k - 1).any():
-        raise ValueError(f"illegal tree word: first letter must be < {k}, later letters < {k - 1}")
-    W = W.astype(np.min_scalar_type(k))
-    for i in range(n - 1):
-        neq = W[i + 1:] != W[i]
-        if not neq.any(axis=1).all():
-            raise IdenticalBoundaryPointsError("identical boundary points - branch time infinite")
-        B[i, i + 1:] = B[i + 1:, i] = neq.argmax(axis=1)
-    if v:
-        neq = W[:, :len(v)] != np.array(v)
-        lcp = np.where(neq.any(axis=1), neq.argmax(axis=1), len(v))
-        B += len(v) - lcp[:, None] - lcp[None, :]
-        np.fill_diagonal(B, -1)
-    return B
-
-
-def tree_value_lookup(B: np.ndarray, value, zero) -> list:
-    """value(b) for every branch time 0..max(B), then `zero`, so indexing the
-    list with B maps the diagonal's -1 to `zero`."""
-    return [value(b) for b in range(int(B.max(initial=0)) + 1)] + [zero]
-
-
-def pair_distance_matrix(space: Space, spec: MetricSpec, points: list) -> np.ndarray:
-    """Dense float matrix of pairwise boundary distances (vectorized for the
-    numeric spaces; closed forms on trees converted to float)."""
-    n = len(points)
-    if space.kind == EUCLIDEAN:
-        V = np.array([p.direction for p in points], dtype=float)
-        G = V @ V.T
-        sq = np.maximum(2.0 - 2.0 * np.clip(G, -1.0, 1.0), 0.0)
-        chord = np.sqrt(sq)
-        np.fill_diagonal(chord, 0.0)
-        if spec.family == DA:
-            return chord / float(spec.A)
-        return chord
-    if space.kind == TREE:
-        B = tree_branch_matrix(space, points, spec.base(space))
-        if spec.family == DA:
-            A = float(spec.A)
-            value = lambda b: 1.0 / (b + A / 2.0)
-        else:
-            value = lambda b: 2.0 * math.exp(-b)
-        return np.array(tree_value_lookup(B, value, 0.0))[B]
-    # hyperbolic, pole basepoint
+    I, J = np.triu_indices(n, k=1)
     origin = spec.base(space)
-    if origin.r != 0.0:
-        D = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if spec.family == DA:
-                    D[i, j] = float(eval_dA(space, spec, points[i], points[j], method="bisect"))
-                else:
-                    D[i, j] = eval_dbar(space, spec, points[i], points[j], method="quadrature")
-                D[j, i] = D[i, j]
-        return D
-    phis = np.array([p.angle for p in points])
-    delta = np.abs(phis[:, None] - phis[None, :]) % (2 * math.pi)
-    delta = np.where(delta > math.pi, 2 * math.pi - delta, delta)
-    s = np.sin(delta / 2.0)
-    if spec.family == DA:
-        A = float(spec.A)
-        with np.errstate(divide="ignore"):
-            a = np.arcsinh(math.sinh(A / 2.0) / np.where(s > 0, s, np.inf))
-            D = np.where(a > 0, 1.0 / np.where(a > 0, a, 1.0), 0.0)
-        np.fill_diagonal(D, 0.0)
-        return D
-    iu = np.triu_indices(n, k=1)
-    D = np.zeros((n, n))
-    D[iu] = D[(iu[1], iu[0])] = pole_dbar(s[iu])
+    if _has_closed_form(space, origin):
+        values = _closed_form(space, spec, pair_invariants(space, points, I, J, origin), exact)
+    else:
+        evaluate = eval_dA if spec.family == DA else eval_dbar
+        values = np.array([float(evaluate(space, spec, points[i], points[j]))
+                           for i, j in zip(I.tolist(), J.tolist())])
+    D = np.zeros((n, n), dtype=values.dtype)
+    D[I, J] = D[J, I] = values
     return D
 
 
 def pole_dbar(svals: np.ndarray) -> np.ndarray:
     """dbar at the pole of H^2 for pairs of rays with half-angle sines
     `svals`: composite Simpson on the fixed grid over [0, _POLE_T], in
-    chunks of _POLE_CHUNK pairs, plus the frozen tail."""
+    chunks of _POLE_CHUNK pairs, plus the frozen tail.  Each row is summed
+    by numpy, not by a BLAS product, so the values do not depend on the
+    BLAS thread count."""
     T = _POLE_T
     r = np.linspace(0.0, T, _POLE_INTERVALS + 1)
     w = np.ones(_POLE_INTERVALS + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     w *= (T / _POLE_INTERVALS) / 3.0
-    w_exp = w * np.exp(-r)
+    w2_exp = 2.0 * (w * np.exp(-r))
     sinh_r = np.sinh(r)
     out = np.empty(svals.shape[0])
     for lo in range(0, svals.shape[0], _POLE_CHUNK):
-        sv = svals[lo:lo + _POLE_CHUNK]
-        f = 2.0 * np.arcsinh(sinh_r[None, :] * sv[:, None])
-        out[lo:lo + _POLE_CHUNK] = f @ w_exp
+        f = np.multiply.outer(svals[lo:lo + _POLE_CHUNK], sinh_r)
+        np.arcsinh(f, out=f)
+        f *= w2_exp
+        out[lo:lo + _POLE_CHUNK] = f.sum(axis=1)
     # frozen-tail correction, ~2(T + log s) e^-T, negligible at T = 40
     fT = 2.0 * np.arcsinh(math.sinh(T) * svals)
     out += fT * math.exp(-T)

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .metrics import DA, MetricSpec, pair_distance_matrix, tree_branch_matrix, tree_value_lookup
+from .metrics import DA, MetricSpec, pair_distance_matrix
 from .spaces import (
     TREE,
     Space,
@@ -121,17 +121,6 @@ def _pool_size(n_triples: int) -> int:
     return min(400, max(16, int(1.5 * math.sqrt(n_triples)) + 8))
 
 
-def _metric_value_table(space: Space, spec: MetricSpec, points: list):
-    """Pairwise boundary distances; exact Fractions for tree d_A, floats
-    otherwise."""
-    if space.kind == TREE and spec.family == DA:
-        B = tree_branch_matrix(space, points, spec.base(space))
-        half = Fraction(spec.A) / 2
-        lookup = tree_value_lookup(B, lambda b: 1 / (b + half), Fraction(0))
-        return [[lookup[b] for b in row] for row in B.tolist()]
-    return pair_distance_matrix(space, spec, points)
-
-
 def _sample_triples(n_points: int, n_triples: int, rng) -> list:
     out = []
     while len(out) < n_triples:
@@ -153,13 +142,13 @@ def _ratio_triples(space: Space, spec1: MetricSpec, spec2: MetricSpec,
     distance are discarded."""
     rng = substream(seed, stream)
     pool = sample_boundary(space, _pool_size(n_triples), seed)
-    d1 = _metric_value_table(space, spec1, pool)
-    d2 = _metric_value_table(space, spec2, pool)
+    d1 = pair_distance_matrix(space, spec1, pool, exact=True)
+    d2 = pair_distance_matrix(space, spec2, pool, exact=True)
     triples = _sample_triples(len(pool), n_triples, rng)
     kept = []
     for (i, j, k) in triples:
-        a1, b1 = d1[i][k], d1[j][k]
-        a2, b2 = d2[i][k], d2[j][k]
+        a1, b1 = d1[i, k], d1[j, k]
+        a2, b2 = d2[i, k], d2[j, k]
         if a1 == 0 or b1 == 0 or a2 == 0 or b2 == 0:
             continue
         kept.append(((i, j, k), a1 / b1, a2 / b2))
@@ -322,12 +311,12 @@ def uniformly_perfect_check(space: Space, spec: MetricSpec, samples: list,
                     failures.append((center, rf, d))
         return PerfectnessReport(cases=cases, vacuous=vacuous,
                                  failures=failures, witnesses=witnesses)
-    table = _metric_value_table(space, spec, samples)
+    table = pair_distance_matrix(space, spec, samples, exact=True)
     n = len(samples)
     for i in range(n):
         for r in radii:
             cases += 1
-            others = [(table[i][j], j) for j in range(n) if j != i]
+            others = [(table[i, j], j) for j in range(n) if j != i]
             if not any(d >= r for d, _ in others):
                 vacuous += 1
                 continue

@@ -145,7 +145,9 @@ class TreeBoundary:
         return self.period[(i - len(self.preperiod)) % len(self.period)]
 
     def prefix(self, n: int) -> tuple:
-        return tuple(self.letter(i) for i in range(n))
+        pre, per = self.preperiod, self.period
+        reps = -(-max(n - len(pre), 0) // len(per))
+        return (pre + per * reps)[:n]
 
 
 @dataclass(frozen=True)

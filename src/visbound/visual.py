@@ -8,7 +8,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .metrics import DA, DBAR, MetricSpec, eval_dA, eval_dbar, gromov_product
+import numpy as np
+
+from .metrics import (
+    DA,
+    DBAR,
+    MetricSpec,
+    _closed_form,
+    _gromov_closed_form,
+    eval_dA,
+    eval_dbar,
+    gromov_product,
+    pair_invariants,
+)
 from .spaces import TREE, Space, TreeBoundary
 
 FITS = "fits"
@@ -30,27 +42,33 @@ class VisualFit:
             raise ValueError("k1 must not exceed k2")
 
 
-def _pair_value(space: Space, spec: MetricSpec, a: float, xi, eta, method):
-    """d(xi,eta) * a^(xi,eta); on trees evaluated through a single exponent
-    so that a = e gives the constant 2 exactly for dbar."""
-    if space.kind == TREE and method == "auto":
-        b = gromov_product(space, spec.base(space), xi, eta)
-        bf = float(b)
-        la = math.log(a)
+def _fit_values(space: Space, spec: MetricSpec, a: float, pairs: list) -> tuple:
+    """(v, p) over the pairs: v = d(xi,eta) * a^(xi,eta) and p the Gromov
+    product, from one invariant call over the distinct points of the pairs.
+    Trees use single-exponent forms, so a = e gives the constant 2 exactly
+    for dbar."""
+    index = {}
+    for pair in pairs:
+        for x in pair:
+            index.setdefault(x, len(index))
+    inv = pair_invariants(space, list(index), [index[x] for x, _ in pairs],
+                          [index[y] for _, y in pairs], spec.base(space))
+    la = math.log(a)
+    if space.kind == TREE:
         if spec.family == DBAR:
-            return 2.0 * math.exp(bf * (la - 1.0)), bf
-        return math.exp(bf * la) / (bf + float(spec.A) / 2.0), bf
-    if spec.family == DBAR:
-        d = eval_dbar(space, spec, xi, eta, method=method)
-    else:
-        d = float(eval_dA(space, spec, xi, eta, method=method))
-    p = float(gromov_product(space, spec.base(space), xi, eta))
-    return d * math.exp(p * math.log(a)), p
+            value = lambda b: 2.0 * math.exp(b * (la - 1.0))
+        else:
+            value = lambda b: math.exp(b * la) / (b + float(spec.A) / 2.0)
+        lookup = np.array([value(b) for b in range(int(inv.max(initial=0)) + 1)])
+        return lookup[inv], inv.astype(float)
+    p = _gromov_closed_form(space, inv)
+    return _closed_form(space, spec, inv, exact=False) * np.exp(p * la), p
 
 
 def visual_fit(space: Space, spec: MetricSpec, a: float, pairs: list,
-               method: str = "auto", nested_families: list | None = None) -> VisualFit:
-    """Best constants k1 = min, k2 = max of d * a^product over the pairs.
+               nested_families: list | None = None) -> VisualFit:
+    """Best constants k1 = min, k2 = max of d * a^product over the pairs
+    (the first pair attaining each is its witness).
 
     nested_families: optional increasing pair families; when their k2 values
     increase monotonically by more than _GROWTH_FACTOR overall, the verdict
@@ -59,25 +77,17 @@ def visual_fit(space: Space, spec: MetricSpec, a: float, pairs: list,
         raise ValueError("visual parameter must exceed 1")
     if not pairs:
         raise ValueError("need at least one pair")
-    k1 = math.inf
-    k2 = -math.inf
-    wmin = wmax = None
-    for xi, eta in pairs:
-        v, p = _pair_value(space, spec, a, xi, eta, method)
-        if v < k1:
-            k1, wmin = v, (xi, eta, p, v)
-        if v > k2:
-            k2, wmax = v, (xi, eta, p, v)
+    v, p = _fit_values(space, spec, a, pairs)
+    lo, hi = int(np.argmin(v)), int(np.argmax(v))
     verdict = FITS
     if nested_families:
-        tops = []
-        for fam in nested_families:
-            t = max(_pair_value(space, spec, a, xi, eta, method)[0] for xi, eta in fam)
-            tops.append(t)
+        tops = [float(_fit_values(space, spec, a, fam)[0].max()) for fam in nested_families]
         if all(x < y for x, y in zip(tops, tops[1:])) and tops[-1] >= _GROWTH_FACTOR * tops[0]:
             verdict = UNBOUNDED
-    return VisualFit(a=float(a), k1=k1, k2=k2, witness_min=wmin,
-                     witness_max=wmax, verdict=verdict)
+    return VisualFit(a=float(a), k1=float(v[lo]), k2=float(v[hi]),
+                     witness_min=(*pairs[lo], float(p[lo]), float(v[lo])),
+                     witness_max=(*pairs[hi], float(p[hi]), float(v[hi])),
+                     verdict=verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from visbound.metrics import (
     pair_distance_matrix,
     spec_dA,
     spec_dbar,
-    tree_branch_matrix,
 )
 from visbound.quasisym import (
     eta_change_A,
@@ -182,16 +181,8 @@ def _triangle_violations_float(D, n_triples, rng, tol):
 
 
 def _tree_exact_tables(points, A):
-    B = tree_branch_matrix(T4, points)
-    n = len(points)
-    dA = [[Fraction(0)] * n for _ in range(n)]
-    db = [[0.0] * n for _ in range(n)]
-    half = Fraction(A) / 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            b = int(B[i, j])
-            dA[i][j] = dA[j][i] = 1 / (b + half)
-            db[i][j] = db[j][i] = 2.0 * math.exp(-b)
+    dA = pair_distance_matrix(T4, spec_dA(A), points, exact=True).tolist()
+    db = pair_distance_matrix(T4, spec_dbar(), points).tolist()
     return dA, db
 
 

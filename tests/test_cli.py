@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -162,6 +163,22 @@ class TestReproducibility:
             b1 = open(os.path.join(out1, name), "rb").read()
             b2 = open(os.path.join(out2, name), "rb").read()
             assert b1 == b2
+
+    def test_pole_dbar_pairs_independent_of_blas_threads(self, tmp_path):
+        # one interpreter per thread count: BLAS reads it at start-up
+        src = os.path.dirname(os.path.dirname(visbound.__file__))
+        hashes = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            out = tmp_path / threads
+            proc = subprocess.run([sys.executable, "-m", "visbound.cli", "metric",
+                                   "--space", "hyperbolic_plane", "--metric", "dbar",
+                                   "--n", "100", "--seed", "0", "--out", str(out)],
+                                  capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            hashes.add(hashlib.sha256((out / "pairs.csv").read_bytes()).hexdigest())
+        assert len(hashes) == 1
 
     def test_config_hash_ignores_output_directory(self, tmp_path):
         args = ["metric", "--space", "tree4", "--n", "6", "--seed", "1"]

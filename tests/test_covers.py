@@ -22,12 +22,13 @@ from visbound.covers import (
     sample_ray_points,
     sample_window_points,
 )
-from visbound.metrics import MetricSpec, pair_distance_matrix, tree_branch_matrix
+from visbound.metrics import MetricSpec, pair_distance_matrix, pair_invariants
 from visbound.spaces import (
     EuclideanPoint,
     Ray,
     TreeBoundary,
     TreePoint,
+    branch_time,
     dist,
     euclidean_space,
     hyperbolic_plane,
@@ -51,22 +52,30 @@ def all_depth3_boundary_words():
     return out
 
 
+def distance_matrix(ground, d):
+    """Pairwise distances d(p, q) of the ground points, mirrored."""
+    D = np.zeros((len(ground), len(ground)))
+    for i, j in itertools.combinations(range(len(ground)), 2):
+        D[i, j] = D[j, i] = float(d(ground[i], ground[j]))
+    return D
+
+
 class TestCoverStats:
     def test_single_set_sentinel(self):
         cover = Cover(ground=[0, 1, 2], sets=[CoverSet((0, 1, 2))])
-        st = cover_stats(cover, dist_fn=lambda p, q: abs(p - q))
+        st = cover_stats(cover, distance_matrix(cover.ground, lambda p, q: abs(p - q)))
         assert st.order == 1 and st.lebesgue == math.inf and st.mesh == 2
 
     def test_partition_order_one(self):
         cover = Cover(ground=[0.0, 1.0, 5.0, 6.0],
                       sets=[CoverSet((0, 1)), CoverSet((2, 3))])
-        st = cover_stats(cover, dist_fn=lambda p, q: abs(p - q))
+        st = cover_stats(cover, distance_matrix(cover.ground, lambda p, q: abs(p - q)))
         assert st.order == 1 and st.mesh == 1.0 and st.lebesgue == 4.0
 
     def test_uncovered_point_rejected(self):
         cover = Cover(ground=[0, 1], sets=[CoverSet((0,))])
         with pytest.raises(ValueError):
-            cover_stats(cover, dist_fn=lambda p, q: abs(p - q))
+            cover_stats(cover, distance_matrix(cover.ground, lambda p, q: abs(p - q)))
 
     def test_depth1_cylinders_dbar(self):
         words = all_depth3_boundary_words()
@@ -104,20 +113,20 @@ class TestLatticeBalls:
 
     def test_interval_cover_lebesgue(self):
         cover = lattice_ball_cover(E1, 1, 6.0, 200, 3)
-        st = cover_stats(cover, dist_fn=lambda p, q: dist(E1, p, q))
+        st = cover_stats(cover, distance_matrix(cover.ground, lambda p, q: dist(E1, p, q)))
         assert st.mesh <= 4.0 and st.lebesgue >= 1.0
 
     def test_window_stats_match_bounds(self):
         for space, R in ((E2, 2), (T4, 2)):
             cover = lattice_ball_cover(space, R, 8, 250, 5)
-            st = cover_stats(cover, dist_fn=lambda p, q: float(dist(space, p, q)))
+            st = cover_stats(cover, distance_matrix(cover.ground, lambda p, q: dist(space, p, q)))
             assert st.mesh <= 4 * R
             assert st.lebesgue >= R
 
     def test_order_matches_global_count(self):
         for space in (E2, T4):
             cover = lattice_ball_cover(space, 2, 8, 250, 5)
-            st = cover_stats(cover, dist_fn=lambda p, q: float(dist(space, p, q)))
+            st = cover_stats(cover, distance_matrix(cover.ground, lambda p, q: dist(space, p, q)))
             assert st.order <= orbit_ball_order(space, 2)
 
     def test_empty_window_rejected(self):
@@ -150,10 +159,10 @@ class TestPushout:
         sys_ = LatticeBallSystem(T4, 2)
         sample = sample_boundary(T4, 60, 2)
         cover = boundary_pushout_cover(T4, sys_, Fraction(1, 4), 1, sample)
-        B = tree_branch_matrix(T4, sample)
         for s in cover.sets:
             for i, j in itertools.combinations(s.members, 2):
-                assert B[i, j] > 4 - 4   # separation f(4) < 8 means branch > 0
+                # separation f(4) < 8 means branch > 0
+                assert branch_time(T4, sample[i], sample[j]) > 4 - 4
         assert cover.covers_ground()
 
 
@@ -455,12 +464,13 @@ class TestStatsKernels:
         sched = ScaleSchedule(R=2, K=3, c=1.0)
         sample = sample_boundary(T4, 40, 11)
         covers = {k: colored_boundary_cover(T4, sched.lam(k), sample) for k in range(1, 4)}
-        B = tree_branch_matrix(T4, sample)
+        B = [[None if i == j else branch_time(T4, x, y) for j, y in enumerate(sample)]
+             for i, x in enumerate(sample)]
         rng = np.random.default_rng(4)
         interior = [(int(rng.integers(0, 40)), Fraction(int(rng.integers(0, 10 * q)), q))
                     for q in (3, 5, 7) for _ in range(150)]
         # radii equal to a branch time sit exactly on the reach boundary
-        interior += [(i, Fraction(int(B[i, j]))) for i, j in ((0, 1), (2, 3), (5, 9))]
+        interior += [(i, B[i][j]) for i, j in ((0, 1), (2, 3), (5, 9))]
         cover, claims = annular_pushin_cover(T4, sched, covers, sample, interior)
         want = []
         for k in range(1, 4):
@@ -505,14 +515,14 @@ class TestStatsKernels:
         sched = ScaleSchedule(R=1, K=3, c=1.0)
         sample = sample_boundary(space, 30, 6)
         covers = {k: colored_boundary_cover(space, sched.lam(k), sample) for k in range(1, 4)}
-        B = tree_branch_matrix(space, sample, basepoint)
+        ends = ((0, 1), (2, 3), (5, 9), (7, 8))
+        b = pair_invariants(space, sample, *zip(*ends), basepoint)
         rng = np.random.default_rng(2)
         interior = [(int(rng.integers(0, 30)), Fraction(int(rng.integers(0, 40)), 8))
                     for _ in range(200)]
         # repeated boundary indices, and radii equal to branch times
         interior += [(3, Fraction(r, 4)) for r in range(4, 20)]
-        interior += [(i, Fraction(int(B[i, j]))) for i, j in ((0, 1), (2, 3), (5, 9), (7, 8))
-                     if B[i, j] > 0]
+        interior += [(i, Fraction(int(bij))) for (i, _), bij in zip(ends, b) if bij > 0]
         cover, claims = annular_pushin_cover(space, sched, covers, sample, interior)
         want = 0.0
         for s in cover.sets[:-1]:

@@ -3,9 +3,9 @@ byte-identical data files and return the same exit codes as the recorded
 values.  Tree floats come from IEEE division and `math.exp`, so their
 hashes do not depend on the machine's linear-algebra build.  The Euclidean
 cover configs pin the lattice stencil of the ball system; their pair tables
-come from a two-column matrix product, so a BLAS build that rounds that
-product differently would change those hashes.  Re-record a hash only when
-a change to the outputs is intended, and say why in the change log."""
+sum squared coordinate differences in numpy, with no BLAS call.  Re-record
+a hash only when a change to the outputs is intended, and say why in the
+change log."""
 
 import hashlib
 import math
@@ -50,7 +50,7 @@ GOLDEN = {
     "cover-pushout-euclidean2": (
         dict(experiment="cover-pushout", space="euclidean2", A=1.0, R=2.0, n=120), 0,
         {"cover.json": "b8248048a448540a591880f12e16e9ead67b8438e111694ef2d3c244eba36ab0",
-         "stats.csv": "a37ef6b00a7a0c724fe4969d9cce9c012f7e5dbc23baabac7fbf07a8b93d3f4f"}),
+         "stats.csv": "5cf6551c68387ccd681383885f30e01ca019470a2ddbfded1f0c6e014bbd03ea"}),
     "cover-pushout-tree4": (
         dict(experiment="cover-pushout", space="tree4", A=1.0, R=2.0, n=60), 0,
         {"cover.json": "18aa3daaefd7ec331fd02f727671c8deb631cd5cbc91cb1925cddf76880ce1bc",
@@ -58,7 +58,7 @@ GOLDEN = {
     "ell-dim-euclidean2": (
         dict(experiment="ell-dim", space="euclidean2", metric="dA", A=1.0, n=400,
              scales=CIRCLE_SCALES), 0,
-        {"stats.csv": "0e75727a1839489107d420a301adc2a78901b4edbef55f60b1a3a042dbc02e6a"}),
+        {"stats.csv": "71036d96f112a383b9e9158a7e463520386c328f5801452e34fc5111b4bf7094"}),
     "visual-fit-dbar": (
         dict(experiment="visual-fit", space="tree4", metric="dbar", n=300), 0,
         {"visual_fit.json": "c3576636a99560e571b7d3e000fa51cfc6db2c8be8de665aff00e615ba3a6460"}),

@@ -1,6 +1,8 @@
+import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,10 +19,9 @@ from visbound.metrics import (
     eval_dbar_extended,
     gromov_product,
     pair_distance_matrix,
+    pair_invariants,
     spec_dA,
     spec_dbar,
-    tree_branch_from,
-    tree_branch_matrix,
     with_basepoint,
 )
 from visbound.spaces import (
@@ -260,7 +261,7 @@ class TestRebasedTree:
         origin = TreePoint((1,))
         xi = TreeBoundary((), (0,))
         eta = TreeBoundary((0, 1), (1,))
-        assert tree_branch_from(T4, origin, xi, eta) == 2
+        assert pair_invariants(T4, [xi, eta], [0], [1], origin).item(0) == 2
 
     def test_da_with_moved_basepoint(self):
         origin = TreePoint((0,))
@@ -362,14 +363,20 @@ def kernel_origins(points):
 
 
 def assert_kernel_matches_reference(space, points, origin):
-    B = tree_branch_matrix(space, points, origin)
-    assert B.shape == (len(points), len(points))
-    assert np.all(np.diag(B) == -1)
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            want = ray_branch_reference(space, origin, points[i], points[j])
-            assert B[i, j] == B[j, i] == want
-            assert tree_branch_from(space, origin, points[i], points[j]) == want
+    """pair_invariants against the ray reference: over the upper triangle,
+    over the same pairs shuffled and in both orders, and one pair at a
+    time."""
+    n = len(points)
+    I, J = np.triu_indices(n, k=1)
+    want = [ray_branch_reference(space, origin, points[i], points[j])
+            for i, j in zip(I.tolist(), J.tolist())]
+    assert pair_invariants(space, points, I, J, origin).tolist() == want
+    perm = np.random.default_rng(n).permutation(len(I))
+    got = pair_invariants(space, points, np.concatenate([J[perm], I[perm]]),
+                          np.concatenate([I[perm], J[perm]]), origin)
+    assert got.tolist() == [want[k] for k in perm] * 2
+    for (i, j), b in zip(zip(I.tolist(), J.tolist()), want):
+        assert pair_invariants(space, [points[i], points[j]], [0], [1], origin).item(0) == b
 
 
 @st.composite
@@ -406,16 +413,17 @@ class TestBranchKernel:
         # reach past the longest period, up to the lcm of the two
         pts = [TreeBoundary((), (0, 1)), TreeBoundary((), (0, 1, 0)),
                TreeBoundary((2,), (0, 1)), TreeBoundary((2,), (0, 1, 0))]
-        B = tree_branch_matrix(T4, pts)
-        assert B[0, 1] == 3 and B[2, 3] == 4
+        assert pair_invariants(T4, pts, [0, 2], [1, 3]).tolist() == [3, 4]
         assert_kernel_matches_reference(T4, pts, TreePoint((2, 0, 1)))
 
     def test_repeated_point_raises(self):
         a, b = branching_pair(2)
         with pytest.raises(IdenticalBoundaryPointsError):
-            tree_branch_matrix(T4, [a, b, a])
+            pair_invariants(T4, [a, b, a], *np.triu_indices(3, k=1))
         with pytest.raises(IdenticalBoundaryPointsError):
-            tree_branch_from(T4, TreePoint((0, 1)), a, a)
+            pair_invariants(T4, [a, b], [0, 1], [1, 1], TreePoint((0, 1)))
+        with pytest.raises(IdenticalBoundaryPointsError):
+            pair_invariants(T4, [a, a], [0], [1], TreePoint((0, 1)))
 
     @pytest.mark.parametrize("word", [TreeBoundary((), (3,)), TreeBoundary((4,), (0,)),
                                       TreeBoundary((1, 3), (0,)), TreeBoundary((), (0, -1))])
@@ -423,7 +431,7 @@ class TestBranchKernel:
         # TreeBoundary((), (3,)) once got d_1 = 2 on T4 without complaint
         pts = [TreeBoundary((0,), (1,)), word]
         with pytest.raises(ValueError, match="illegal tree word"):
-            tree_branch_matrix(T4, pts)
+            pair_invariants(T4, pts, [0], [1])
         with pytest.raises(ValueError, match="illegal tree word"):
             pair_distance_matrix(T4, spec_dA(1), pts)
 
@@ -436,10 +444,80 @@ class TestBranchKernel:
         want = np.zeros((40, 40))
         for i in range(40):
             for j in range(i + 1, 40):
-                b = float(tree_branch_from(T4, origin, pts[i], pts[j]))
+                b = float(ray_branch_reference(T4, origin, pts[i], pts[j]))
                 if spec.family == "dA":
                     want[i, j] = 1.0 / (b + float(spec.A) / 2.0)
                 else:
                     want[i, j] = 2.0 * math.exp(-b)
                 want[j, i] = want[i, j]
         assert np.array_equal(pair_distance_matrix(T4, spec, pts), want)
+
+
+def nearby_directions(dim, gaps, seed):
+    """Unit directions of R^dim in clusters of three, about `gap` apart."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for gap in gaps:
+        base = rng.normal(size=dim)
+        step = rng.normal(size=dim)
+        for m in range(3):
+            v = base + m * gap * np.linalg.norm(base) * step / np.linalg.norm(step)
+            out.append(EuclideanBoundary(tuple(v / np.linalg.norm(v))))
+    return out
+
+
+class TestOneKernel:
+    """Scalar evaluators and tables read one invariant kernel and one map."""
+
+    @pytest.mark.parametrize("space, origin, points", [
+        (T4, TreePoint(()), sample_boundary(T4, 30, 2)),
+        (T4, TreePoint((2, 0, 1)), sample_boundary(T4, 30, 2)),
+        (H2, H2.basepoint, sample_boundary(H2, 30, 2) + [HyperbolicBoundary(1.0 + 1e-6),
+                                                         HyperbolicBoundary(1.0)]),
+        (E2, E2.basepoint, sample_boundary(E2, 20, 2) + nearby_directions(2, (1e-6, 1e-3), 3)
+         + [EuclideanBoundary((0.6, 0.8)), EuclideanBoundary((-0.6, -0.8))]),
+    ], ids=["tree-root", "tree-vertex", "pole", "plane"])
+    def test_scalar_evaluators_equal_table_entries(self, space, origin, points):
+        specs = [with_basepoint(s, origin) for s in (spec_dA(1), spec_dA(0.7), spec_dbar())]
+        tables = [pair_distance_matrix(space, s, points, exact=True) for s in specs]
+        I, J = np.triu_indices(len(points), k=1)
+        inv = pair_invariants(space, points, I, J, origin)
+        for i, j, b in zip(I.tolist(), J.tolist(), inv.tolist()):
+            xi, eta = points[i], points[j]
+            for s, D in zip(specs, tables):
+                evaluate = eval_dA if s.family == "dA" else eval_dbar
+                assert evaluate(space, s, xi, eta) == D[i, j]
+            if space is T4:
+                assert gromov_product(space, origin, xi, eta) == b
+            elif space is H2:
+                assert gromov_product(space, origin, xi, eta) == -np.log(b)
+            elif abs(1.0 - b / 2.0) < 1e-10:
+                assert gromov_product(space, origin, xi, eta) == 2.0 - b
+            else:
+                with pytest.raises(DivergentGromovProductError):
+                    gromov_product(space, origin, xi, eta)
+        assert isinstance(eval_dA(space, specs[0], points[0], points[1]),
+                          Fraction if space is T4 else float)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_chord_of_nearby_directions_matches_mpmath(self, dim):
+        space = euclidean_space(dim)
+        pts = nearby_directions(dim, (1e-6, 1e-5, 1e-4, 1e-3), dim)
+        D = pair_distance_matrix(space, spec_dbar(), pts)
+        mpmath.mp.prec = 200
+        for i, j in itertools.combinations(range(len(pts)), 2):
+            want = float(mpmath.sqrt(sum((mpmath.mpf(a) - mpmath.mpf(b)) ** 2
+                                         for a, b in zip(pts[i].direction, pts[j].direction))))
+            assert abs(D[i, j] - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("A", [0.5, 1, 4])
+    @pytest.mark.parametrize("gap", [1e-320, 1e-310, 2e-308, 1e-300])
+    def test_pole_dA_of_nearby_angles_matches_mpmath(self, A, gap):
+        # sinh(A/2)/s overflows for the smallest gaps; d_A must stay positive
+        pts = [HyperbolicBoundary(0.0), HyperbolicBoundary(gap)]
+        mpmath.mp.prec = 200
+        s = mpmath.sin(mpmath.mpf(pts[1].angle) / 2)
+        want = float(1 / mpmath.asinh(mpmath.sinh(mpmath.mpf(A) / 2) / s))
+        got = eval_dA(H2, spec_dA(A), *pts)
+        assert abs(got - want) <= 1e-14 * want
+        assert pair_distance_matrix(H2, spec_dA(A), pts)[0, 1] == got

@@ -39,14 +39,6 @@ class TestVisualFit:
         fit = visual_fit(T4, spec_dbar(), math.e, [pair])
         assert fit.k1 == fit.k2 == 2.0
 
-    def test_quadrature_path_near_two(self):
-        # small branch times keep the relative quadrature error ~ tol
-        pairs = [(TreeBoundary((), (0,)),
-                  TreeBoundary(tuple([0] * b) + (1,), (0,)) if b else TreeBoundary((), (1,)))
-                 for b in range(4)]
-        fit = visual_fit(T4, spec_dbar(), math.e, pairs, method="quadrature")
-        assert abs(fit.k1 - 2.0) < 1e-9 and abs(fit.k2 - 2.0) < 1e-9
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             visual_fit(T4, spec_dbar(), 1.0, sample_pairs(T4, 2, 1))

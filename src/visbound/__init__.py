@@ -25,6 +25,7 @@ from .metrics import (
     ConeNeighborhood,
     DivergentGromovProductError,
     MetricSpec,
+    SeparationNotReachedError,
     cone_contains,
     eval_dA,
     eval_dbar,

@@ -3,8 +3,8 @@
 Two families: d_A (reciprocal of the time at which the two basepoint rays
 reach separation A) and dbar (the exponentially weighted integral of the
 ray separation).  Every closed-form value reads one pair invariant from
-`pair_invariants` (the branch time on T_k, the chord on R^n, the half-angle
-sine at the pole of H^2) and maps it through `_closed_form`; tree d_A is
+`pair_invariants` (the branch time on T_k, the chord on R^n, the wrapped
+angle at the pole of H^2) and maps it through `_closed_form`; tree d_A is
 exact on request.  Off the pole of H^2, and as the reference paths, a
 bracketed bisection and adaptive Simpson evaluate one pair at a time.
 """
@@ -41,17 +41,23 @@ DA = "dA"
 DBAR = "dbar"
 
 _SIMPSON_MAX_DEPTH = 50
-# the composite-Simpson grid of pole dbar: horizon, intervals, pairs per chunk
-_POLE_T = 40.0
-_POLE_INTERVALS = 8192
-_POLE_CHUNK = 400
+# pole dbar: duplication rounds of the Carlson kernel (fixed, so a value does
+# not depend on its batch), and the angle below which the two-term
+# small-angle expansion, off by less than 1.1e-18 relative, replaces it
+_CARLSON_ROUNDS = 16
+_POLE_SMALL_ANGLE = 1e-8
+_TINY = np.finfo(float).tiny
 # pairs per chunk of the tree branch-time scan (memory O(chunk * word length))
 _PAIR_CHUNK = 8192
 
 
 class DivergentGromovProductError(ArithmeticError):
-    """t - f(t)/2 has no finite limit (non-antipodal directions of R^n), or
-    the pole closed form underflows."""
+    """t - f(t)/2 has no finite limit (non-antipodal directions of R^n)."""
+
+
+class SeparationNotReachedError(ArithmeticError):
+    """The ray separation stays below A up to t = 2^200, so the bisection
+    for d_A has nothing to bracket."""
 
 
 @dataclass(frozen=True)
@@ -125,8 +131,8 @@ def pair_invariants(space: Space, points: list, I, J, origin: Point | None = Non
       the last time at which they coincide;
     - R^n: the chord |xi - eta| of the unit directions, summed from
       coordinate differences;
-    - H^2: s = sin(dphi/2) at the pole; other basepoints raise
-      SpaceMismatchError.
+    - H^2: the angle dphi in [0, pi] between the rays at the pole; other
+      basepoints raise SpaceMismatchError.
 
     Tree words are unrolled once to a length at which any two distinct
     words differ, so a branch time from the root is a first mismatch,
@@ -150,7 +156,7 @@ def pair_invariants(space: Space, points: list, I, J, origin: Point | None = Non
         raise SpaceMismatchError("hyperbolic pair invariants are supported at the pole only")
     phi = np.array([p.angle for p in points], dtype=float)
     delta = np.abs(phi[I] - phi[J]) % (2 * math.pi)
-    return np.sin(np.where(delta > math.pi, 2 * math.pi - delta, delta) / 2.0)
+    return np.where(delta > math.pi, 2 * math.pi - delta, delta)
 
 
 def _branch_times(space: Space, points: list, I: np.ndarray, J: np.ndarray, v: tuple) -> np.ndarray:
@@ -185,9 +191,9 @@ def _closed_form(space: Space, spec: MetricSpec, inv: np.ndarray, exact: bool) -
       each evaluated once per branch time up to max(b) with IEEE division
       and `math.exp`;
     - R^n: d_A = chord/A and dbar = chord;
-    - the pole of H^2: d_A = 1/asinh(sinh(A/2)/s) and dbar = `pole_dbar(s)`.
-      Where sinh(A/2)/s overflows, asinh is read as
-      log(sinh(A/2) + hypot(sinh(A/2), s)) - log s."""
+    - the pole of H^2: d_A = 1/asinh(sinh(A/2)/s) with s = sin(dphi/2), and
+      dbar = `pole_dbar(dphi)`.  Where sinh(A/2)/s overflows, asinh is read
+      as log(sinh(A/2) + hypot(sinh(A/2), s)) - log s."""
     if space.kind == TREE:
         if spec.family == DBAR:
             value = lambda b: 2.0 * math.exp(-b)
@@ -201,25 +207,31 @@ def _closed_form(space: Space, spec: MetricSpec, inv: np.ndarray, exact: bool) -
     if spec.family == DBAR:
         return pole_dbar(inv)
     c = math.sinh(float(spec.A) / 2.0)
+    s = np.sin(inv / 2.0)
     with np.errstate(divide="ignore", over="ignore"):
-        x = c / inv
+        x = c / s
         a = np.arcsinh(x)
-        big = np.isinf(x) & (inv > 0)
-        a[big] = np.log(c + np.hypot(c, inv[big])) - np.log(inv[big])
+        big = np.isinf(x)
+        a[big] = np.log(c + np.hypot(c, s[big])) - _log_half_sine(inv[big], s[big])
         return 1.0 / a
 
 
+def _log_half_sine(dphi: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """log s for s = sin(dphi/2), read as log(dphi) - log 2 where s is
+    subnormal or 0 (-inf at dphi = 0)."""
+    with np.errstate(divide="ignore"):
+        return np.where(s >= _TINY, np.log(s), np.log(dphi) - math.log(2.0))
+
+
 def _gromov_closed_form(space: Space, inv: np.ndarray) -> np.ndarray:
-    """Gromov products at pair invariants: the branch time on T_k, -log s at
-    the pole of H^2 (s rounding to 0 raises DivergentGromovProductError),
-    and on R^n 2 - chord when |1 - chord/2| < 1e-10; t - f(t)/2 diverges
-    for any other Euclidean pair, which raises DivergentGromovProductError."""
+    """Gromov products at pair invariants: the branch time on T_k, -log s
+    with s = sin(dphi/2) at the pole of H^2, and on R^n 2 - chord when
+    |1 - chord/2| < 1e-10; t - f(t)/2 diverges for any other Euclidean pair,
+    which raises DivergentGromovProductError."""
     if space.kind == TREE:
         return inv
     if space.kind == HYPERBOLIC:
-        if not inv.all():
-            raise DivergentGromovProductError("angles too close: sin(dphi/2) underflows to 0")
-        return -np.log(inv)
+        return -_log_half_sine(inv, np.sin(inv / 2.0))
     if (np.abs(1.0 - inv / 2.0) >= 1e-10).any():
         raise DivergentGromovProductError(
             "t - f(t)/2 diverges for non-antipodal Euclidean directions")
@@ -230,16 +242,19 @@ def _gromov_closed_form(space: Space, inv: np.ndarray) -> np.ndarray:
 # ray separation f(t) = d(alpha(t), beta(t)) for rays from a common origin
 
 
-def _hyp_pole_separation(t: float, s: float) -> float:
-    """d(gamma_1(t), gamma_2(t)) for two pole rays, s = sin(dphi/2); stable
-    for arbitrarily large t."""
-    if s == 0.0:
-        return 0.0
-    x = math.sinh(t) * s if t < 350 else math.inf
-    if math.isfinite(x) and x < 1e15:
+def _hyp_pole_separation(t: float, s: float, log_s: float) -> float:
+    """d(gamma_1(t), gamma_2(t)) = 2 asinh(s sinh t) for two pole rays,
+    s = sin(dphi/2), given with its logarithm because s may underflow;
+    stable for arbitrarily large t."""
+    if t < 350:
+        x = math.sinh(t) * s
+    else:  # sinh t = e^t / 2 in floating point
+        lx = t - math.log(2.0) + log_s
+        x = math.exp(lx) if lx < 40.0 else math.inf
+    if x < 1e15:
         return 2 * math.asinh(x)
-    # asymptotic regime: sinh t ~ e^t/2
-    return 2 * (t + math.log(s) + math.log1p(-math.exp(-2 * t)) if t < 350 else t + math.log(s))
+    # asymptotic regime: asinh x = log 2x to double precision
+    return 2 * (t + log_s + math.log1p(-math.exp(-2 * t)))
 
 
 def _separation_fn(space: Space, origin: Point, xi, eta):
@@ -248,12 +263,15 @@ def _separation_fn(space: Space, origin: Point, xi, eta):
         rx = Ray(space, origin, xi)
         re = Ray(space, origin, eta)
         return lambda t: dist(space, ray_point(rx, t), ray_point(re, t))
-    inv = pair_invariants(space, [xi, eta], [0], [1], origin).item(0)
+    inv = pair_invariants(space, [xi, eta], [0], [1], origin)
+    b = inv.item(0)
     if space.kind == EUCLIDEAN:
-        return lambda t: t * inv
+        return lambda t: t * b
     if space.kind == TREE:
-        return lambda t: 2.0 * max(0.0, t - inv)
-    return lambda t: _hyp_pole_separation(t, inv)
+        return lambda t: 2.0 * max(0.0, t - b)
+    s = np.sin(inv / 2.0)
+    s, log_s = s.item(0), _log_half_sine(inv, s).item(0)
+    return lambda t: _hyp_pole_separation(t, s, log_s)
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +280,13 @@ def _separation_fn(space: Space, origin: Point, xi, eta):
 
 def _bisect_dA(f, A: float, tol: float) -> float:
     """Solve f(a) = A for nondecreasing continuous f with f(0) = 0 and
-    f unbounded; returns 1/a."""
+    f unbounded; returns 1/a.  Raises SeparationNotReachedError if f stays
+    below A up to 2^200 (two rays to one boundary point)."""
     hi = 1.0
     while f(hi) < A:
         hi *= 2.0
         if hi > 2.0 ** 200:
-            return 0.0  # separation never reaches A: identical classes
+            raise SeparationNotReachedError(f"ray separation stays below A = {A} up to t = 2^200")
     lo = hi / 2.0 if hi > 1.0 else 0.0
     if lo > 0.0 and f(lo) >= A:
         lo = 0.0
@@ -429,30 +448,62 @@ def pair_distance_matrix(space: Space, spec: MetricSpec, points: list, exact: bo
     return D
 
 
-def pole_dbar(svals: np.ndarray) -> np.ndarray:
-    """dbar at the pole of H^2 for pairs of rays with half-angle sines
-    `svals`: composite Simpson on the fixed grid over [0, _POLE_T], in
-    chunks of _POLE_CHUNK pairs, plus the frozen tail.  Each row is summed
-    by numpy, not by a BLAS product, so the values do not depend on the
-    BLAS thread count."""
-    T = _POLE_T
-    r = np.linspace(0.0, T, _POLE_INTERVALS + 1)
-    w = np.ones(_POLE_INTERVALS + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= (T / _POLE_INTERVALS) / 3.0
-    w2_exp = 2.0 * (w * np.exp(-r))
-    sinh_r = np.sinh(r)
-    out = np.empty(svals.shape[0])
-    for lo in range(0, svals.shape[0], _POLE_CHUNK):
-        f = np.multiply.outer(svals[lo:lo + _POLE_CHUNK], sinh_r)
-        np.arcsinh(f, out=f)
-        f *= w2_exp
-        out[lo:lo + _POLE_CHUNK] = f.sum(axis=1)
-    # frozen-tail correction, ~2(T + log s) e^-T, negligible at T = 40
-    fT = 2.0 * np.arcsinh(math.sinh(T) * svals)
-    out += fT * math.exp(-T)
+def pole_dbar(dphi: np.ndarray) -> np.ndarray:
+    """dbar at the pole of H^2 for pairs of rays at angles `dphi` in [0, pi].
+
+    With y = e^{-r} the integral of 2 asinh(s sinh r) e^{-r}, s = sin(dphi/2),
+    becomes an elliptic integral; with q = dphi/4,
+    dbar = 2 [R_F(1, csc^2 q, sec^2 q) + R_D(csc^2 q, sec^2 q, 1)/3]
+         = 2 sin q [R_F(1, tan^2 q, sin^2 q) + sin^2 q R_D(1, tan^2 q, sin^2 q)/3]
+    by the homogeneity of R_F (degree -1/2) and R_D (degree -3/2).  Below
+    _POLE_SMALL_ANGLE the expansion (dphi/2)(log(8/dphi) + 1/2) is used
+    instead, which stays finite and positive down to the smallest
+    subnormal angle.  Each value depends on its own angle only."""
+    dphi = np.asarray(dphi, dtype=float)
+    out = np.zeros(dphi.shape)
+    small = dphi < _POLE_SMALL_ANGLE
+    q = dphi[~small] / 4.0
+    sq = np.sin(q)
+    tq = np.tan(q)
+    rf, rd = _carlson_rf_rd(1.0, tq * tq, sq * sq)
+    out[~small] = 2.0 * sq * (rf + sq * sq * rd / 3.0)
+    tiny = small & (dphi > 0.0)
+    d = dphi[tiny]
+    out[tiny] = d * ((math.log(8.0) + 0.5) - np.log(d)) * 0.5
     return out
+
+
+def _carlson_rf_rd(x, y, z) -> tuple:
+    """Carlson's symmetric elliptic integrals R_F(x, y, z) and R_D(x, y, z)
+    for positive arrays, by _CARLSON_ROUNDS rounds of the duplication
+    theorem and the fifth-order series of DLMF 19.36.1 and 19.36.2
+    (B. C. Carlson, Numer. Algorithms 10, 1995).  Both read one duplication
+    sequence of (x, y, z)."""
+    x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z)))
+    a_f = (x + y + z) / 3.0
+    a_d = (x + y + 3.0 * z) / 5.0
+    xf, yf, xd, yd = a_f - x, a_f - y, a_d - x, a_d - y
+    tail = np.zeros(x.shape)
+    scale = 1.0
+    for _ in range(_CARLSON_ROUNDS):
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = sx * sy + sx * sz + sy * sz
+        tail += scale / (sz * (z + lam))
+        scale *= 0.25
+        x, y, z = (x + lam) * 0.25, (y + lam) * 0.25, (z + lam) * 0.25
+        a_f, a_d = (a_f + lam) * 0.25, (a_d + lam) * 0.25
+    X, Y = xf * scale / a_f, yf * scale / a_f
+    Z = -(X + Y)
+    e2, e3 = X * Y - Z * Z, X * Y * Z
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(a_f)
+    X, Y = xd * scale / a_d, yd * scale / a_d
+    Z = -(X + Y) / 3.0
+    xy, zz = X * Y, Z * Z
+    e2, e3, e4, e5 = xy - 6.0 * zz, (3.0 * xy - 8.0 * zz) * Z, 3.0 * (xy - zz) * zz, xy * zz * Z
+    series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
+              - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
+    rd = 3.0 * tail + scale / (a_d * np.sqrt(a_d)) * series
+    return rf, rd
 
 
 def with_basepoint(spec: MetricSpec, basepoint: Point) -> MetricSpec:

@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .metrics import DA, MetricSpec, pair_distance_matrix
 from .spaces import (
     TREE,
@@ -238,14 +240,14 @@ def power_law_fit(env: Envelope) -> PowerLawFit:
     is the worst log-gap to the fitted envelope."""
     if not env.entries:
         raise ValueError("empty envelope")
-    log_pairs = [(math.log(t), math.log(r)) for t, r, _ in env.entries]
+    LT = np.array([math.log(t) for t, _, _ in env.entries])
+    LR = np.array([math.log(r) for _, r, _ in env.entries])
     best = None
     for step in range(_DELTA_GRID, 0, -1):
         delta = step / _DELTA_GRID
-        need = max(lr - max(lt * delta, lt / delta) for lt, lr in log_pairs)
-        c = max(1.0, math.exp(need))
-        resid = max(abs(math.log(c) + max(lt * delta, lt / delta) - lr)
-                    for lt, lr in log_pairs)
+        e = np.maximum(LT * delta, LT / delta)
+        c = max(1.0, math.exp((LR - e).max()))
+        resid = float(np.abs(math.log(c) + e - LR).max())
         if best is None or (c, resid) < (best.c, best.max_residual):
             best = PowerLawFit(c=c, delta=delta, max_residual=resid)
     return best

@@ -9,7 +9,10 @@ import sys
 import pytest
 
 import visbound
-from visbound.cli import ConfigError, RunConfig, build_parser, main, parse_space, run
+from visbound.cli import (ConfigError, RunConfig, _csv, _fmt, _spec, build_parser, main,
+                          parse_space, run)
+from visbound.metrics import pair_distance_matrix
+from visbound.spaces import sample_boundary
 
 
 def read_json(path):
@@ -67,6 +70,22 @@ class TestSubcommands:
         lines = open(os.path.join(out, "pairs.csv")).read().splitlines()
         assert lines[0] == "i,j,metric_family,A_or_blank,value"
         assert len(lines) == 1 + 12 * 11 // 2
+
+    @pytest.mark.parametrize("space, metric, A", [("tree4", "dA", 0.7),
+                                                  ("hyperbolic_plane", "dbar", 1.0),
+                                                  ("euclidean2", "dA", 1.5)])
+    def test_pairs_csv_equals_the_csv_writer(self, space, metric, A, tmp_path):
+        # the one-pass writer against csv.writer over the same rows
+        cfg = RunConfig(experiment="metric", space=space, metric=metric, A=A, n=25, seed=4,
+                        out=str(tmp_path))
+        assert run(cfg) == 0
+        spec = _spec(cfg)
+        D = pair_distance_matrix(parse_space(space), spec, sample_boundary(parse_space(space), 25, 4))
+        a_field = _fmt(float(A)) if metric == "dA" else ""
+        rows = [(i, j, metric, a_field, float(D[i, j])) for i in range(25) for j in range(i + 1, 25)]
+        want = _csv(["i", "j", "metric_family", "A_or_blank", "value"], rows)
+        with open(tmp_path / "pairs.csv") as fh:
+            assert fh.read() == want
 
     def test_compare_identity(self, tmp_path):
         out = str(tmp_path / "c")

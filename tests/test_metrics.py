@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import elliprd, elliprf
 
 from visbound.metrics import (
     ConeNeighborhood,
     DivergentGromovProductError,
     MetricSpec,
+    SeparationNotReachedError,
+    _bisect_dA,
+    _carlson_rf_rd,
     adaptive_simpson,
     cone_contains,
     eval_dA,
@@ -20,6 +24,7 @@ from visbound.metrics import (
     gromov_product,
     pair_distance_matrix,
     pair_invariants,
+    pole_dbar,
     spec_dA,
     spec_dbar,
     with_basepoint,
@@ -105,6 +110,22 @@ class TestDA:
         closed = eval_dA(H2, spec_dA(1), u, v)
         assert abs(closed - eval_dA(H2, spec_dA(1), u, v, method="bisect")) < 1e-9
 
+    def test_pole_bisect_at_the_closest_angles(self):
+        # sin(dphi/2) rounds to 0; the separation reads log s from dphi
+        u, v = HyperbolicBoundary(0.0), HyperbolicBoundary(5e-324)
+        closed = eval_dA(H2, spec_dA(1), u, v)
+        assert closed > 0.0
+        assert abs(eval_dA(H2, spec_dA(1), u, v, method="bisect") - closed) <= 1e-9 * closed
+
+    def test_bisect_raises_when_separation_never_reaches_A(self):
+        with pytest.raises(SeparationNotReachedError):
+            _bisect_dA(lambda t: 0.0, 1.0, 1e-10)
+        # distinct angles 0 and 2pi (rounded) are one boundary point
+        u, v = HyperbolicBoundary(0.0), HyperbolicBoundary(-5e-324)
+        assert u != v and eval_dA(H2, spec_dA(1), u, v) == 0.0
+        with pytest.raises(SeparationNotReachedError):
+            eval_dA(H2, spec_dA(1), u, v, method="bisect")
+
     def test_time_to_separation_monotone_in_A(self):
         # a(A) <= a(A') for A <= A', i.e. 1/dA(A) <= 1/dA(A')
         for xi, eta in [branching_pair(2)]:
@@ -150,6 +171,64 @@ class TestDbar:
     def test_adaptive_simpson_known_integral(self):
         v = adaptive_simpson(lambda r: r * math.exp(-r), 0.0, 40.0, 1e-12)
         assert abs(v - (1.0 - 41.0 * math.exp(-40.0))) < 1e-11
+
+
+def pole_dbar_integral(dphi):
+    """The integral of 2s(1+y^2)/sqrt(4y^2 + s^2(1-y^2)^2) over [0, 1],
+    s = sin(dphi/2), by mpmath: y = (s/2)e^u puts the bump near y = s/2 at
+    u = 0, and the integrand is divided by s so that the quadrature's
+    error target scales with the value.  Below u = -60 the integrand is 2
+    to within a relative e^-120, so that piece is 2y at y = (s/2)e^-60."""
+    with mpmath.workdps(20):
+        s = mpmath.sin(mpmath.mpf(dphi) / 2)
+        h = s / 2
+        g = lambda y: 2 * (1 + y * y) / mpmath.sqrt(4 * y * y + s * s * (1 - y * y) ** 2) * y
+        body = mpmath.quad(lambda u: g(h * mpmath.exp(u)), mpmath.linspace(-60, -mpmath.log(h), 40))
+        return s * body + 2 * h * mpmath.exp(-60)
+
+
+class TestPoleDbar:
+    """The Carlson closed form of pole dbar against independent oracles."""
+
+    def test_carlson_integrals_match_scipy(self):
+        rng = np.random.default_rng(5)
+        x, y, z = 10.0 ** rng.uniform(-200, 200, size=(3, 3000))
+        rf, rd = _carlson_rf_rd(x, y, z)
+        assert np.all(np.abs(rf / elliprf(x, y, z) - 1.0) <= 1e-15)
+        assert np.all(np.abs(rd / elliprd(x, y, z) - 1.0) <= 1e-15)
+
+    @pytest.mark.parametrize("dphi", [1e-300, 1e-100, 1e-20, 1e-8 * (1 - 1e-12), 1e-8, 1e-6,
+                                      1e-4, 1e-2, 0.3, 1.0, 2.0, 3.0, math.pi])
+    def test_matches_mpmath_integral(self, dphi):
+        want = pole_dbar_integral(dphi)
+        got = pole_dbar(np.array([dphi]))[0]
+        assert abs(got - want) <= 1e-14 * want
+        pts = [HyperbolicBoundary(0.0), HyperbolicBoundary(dphi)]
+        assert eval_dbar(H2, spec_dbar(), *pts) == got
+
+    def test_subnormal_angles_finite_positive_increasing(self):
+        vals = pole_dbar(np.array([0.0, 5e-324, 1e-320, 1e-300]))
+        assert vals[0] == 0.0
+        assert np.all(np.isfinite(vals)) and np.all(np.diff(vals) > 0.0)
+
+    def test_values_independent_of_the_batch(self):
+        rng = np.random.default_rng(9)
+        dphi = np.concatenate([rng.uniform(0.0, math.pi, 500), 10.0 ** rng.uniform(-320, 0, 300),
+                               [0.0, math.pi, 1e-8, 1e-8 * (1 - 1e-16)]])
+        whole = pole_dbar(dphi)
+        perm = rng.permutation(len(dphi))
+        assert np.array_equal(pole_dbar(dphi[perm]), whole[perm])
+        assert np.array_equal(np.concatenate([pole_dbar(dphi[lo:lo + 7])
+                                              for lo in range(0, len(dphi), 7)]), whole)
+        assert np.array_equal(pole_dbar(dphi[::3]), whole[::3])
+        assert all(pole_dbar(dphi[k:k + 1])[0] == whole[k] for k in range(0, len(dphi), 11))
+
+    @pytest.mark.parametrize("dphi", [1e-6, 1e-3, 0.3, 1.0, 2.5, math.pi])
+    def test_quadrature_agrees(self, dphi):
+        spec = spec_dbar()
+        pts = [HyperbolicBoundary(0.5), HyperbolicBoundary(0.5 + dphi)]
+        quad = eval_dbar(H2, spec, *pts, method="quadrature")
+        assert abs(quad - eval_dbar(H2, spec, *pts)) <= spec.tol
 
 
 class TestDbarExtended:
@@ -243,11 +322,18 @@ class TestGromovProduct:
         with pytest.raises(DivergentGromovProductError):
             gromov_product(E2, E2.basepoint, xi, near)
 
-    def test_pole_underflow_signaled(self):
-        # distinct angles whose half-angle sine rounds to 0
+    def test_pole_closest_angles_match_mpmath(self):
+        # sin(dphi/2) rounds to 0 at the smallest subnormal gap; log s is
+        # read from dphi, so the Gromov product and d_A stay finite
         xi, eta = HyperbolicBoundary(0.0), HyperbolicBoundary(5e-324)
-        with pytest.raises(DivergentGromovProductError):
-            gromov_product(H2, H2.basepoint, xi, eta)
+        with mpmath.workprec(200):
+            s = mpmath.sin(mpmath.mpf(eta.angle) / 2)
+            want_product = float(-mpmath.log(s))
+            want_dA = float(1 / mpmath.asinh(mpmath.sinh(mpmath.mpf(1) / 2) / s))
+        product = gromov_product(H2, H2.basepoint, xi, eta)
+        assert abs(product - want_product) <= 1e-14 * want_product
+        dA = eval_dA(H2, spec_dA(1), xi, eta)
+        assert abs(dA - want_dA) <= 1e-14 * want_dA
 
     def test_off_pole_hyperbolic_rejected(self):
         off = hyperbolic_plane(HyperbolicPoint(0.5, 1.0))
@@ -490,7 +576,7 @@ class TestOneKernel:
             if space is T4:
                 assert gromov_product(space, origin, xi, eta) == b
             elif space is H2:
-                assert gromov_product(space, origin, xi, eta) == -np.log(b)
+                assert gromov_product(space, origin, xi, eta) == -np.log(np.sin(b / 2))
             elif abs(1.0 - b / 2.0) < 1e-10:
                 assert gromov_product(space, origin, xi, eta) == 2.0 - b
             else:

@@ -186,6 +186,22 @@ class TestPowerLawFit:
         with pytest.raises(ValueError):
             power_law_fit(Envelope([], {}))
 
+    @given(st.lists(st.tuples(st.floats(1e-6, 1e6), st.floats(1e-6, 1e6)), min_size=1, max_size=40))
+    def test_equals_the_loop_form(self, pairs):
+        # reference: a per-pair loop over the IEEE operations of the numpy rows
+        log_pairs = [(math.log(t), math.log(r)) for t, r in pairs]
+        best = None
+        for step in range(96, 0, -1):
+            delta = step / 96
+            need = max(lr - max(lt * delta, lt / delta) for lt, lr in log_pairs)
+            c = max(1.0, math.exp(need))
+            resid = max(abs(math.log(c) + max(lt * delta, lt / delta) - lr)
+                        for lt, lr in log_pairs)
+            if best is None or (c, resid) < best[:2]:
+                best = (c, resid, delta)
+        fit = power_law_fit(Envelope([(t, r, (0, 1, 2)) for t, r in pairs], {}))
+        assert (fit.c, fit.max_residual, fit.delta) == best
+
 
 class TestUniformPerfectness:
     def test_tree_constructive_witnesses(self):

@@ -73,6 +73,13 @@ class TreePoint:
         return self.offset == 0
 
 
+def _wrap_angle(phi) -> float:
+    """phi mod 2*pi in [0, 2*pi): a tiny negative angle rounds up to 2*pi
+    itself under %, which is the angle 0."""
+    w = float(phi) % (2 * math.pi)
+    return 0.0 if w == 2 * math.pi else w
+
+
 @dataclass(frozen=True)
 class HyperbolicPoint:
     """Polar coordinates around the pole (basepoint of H^2)."""
@@ -83,7 +90,7 @@ class HyperbolicPoint:
     def __post_init__(self):
         if self.r < 0:
             raise ValueError("hyperbolic radius must be >= 0")
-        object.__setattr__(self, "phi", float(self.phi) % (2 * math.pi))
+        object.__setattr__(self, "phi", _wrap_angle(self.phi))
         object.__setattr__(self, "r", float(self.r))
 
 
@@ -155,7 +162,7 @@ class HyperbolicBoundary:
     angle: float
 
     def __post_init__(self):
-        object.__setattr__(self, "angle", float(self.angle) % (2 * math.pi))
+        object.__setattr__(self, "angle", _wrap_angle(self.angle))
 
 
 BoundaryPoint = Union[EuclideanBoundary, TreeBoundary, HyperbolicBoundary]

@@ -6,11 +6,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import visbound
-from visbound.cli import (ConfigError, RunConfig, _csv, _fmt, _spec, build_parser, main,
-                          parse_space, run)
+from visbound.cli import (ConfigError, RunConfig, _csv, _fmt, _pairs_csv, _spec, build_parser,
+                          main, parse_space, run)
 from visbound.metrics import pair_distance_matrix
 from visbound.spaces import sample_boundary
 
@@ -86,6 +87,18 @@ class TestSubcommands:
         want = _csv(["i", "j", "metric_family", "A_or_blank", "value"], rows)
         with open(tmp_path / "pairs.csv") as fh:
             assert fh.read() == want
+
+    @pytest.mark.parametrize("metric, a_field", [("dA", _fmt(0.7)), ("dbar", "")])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_pairs_writer_edge_cases(self, n, metric, a_field):
+        # n=1 is the header alone; n=5 puts every special float in the triangle
+        values = [0.0, -0.0, 5e-324, 1e-300, 1 / 3, 2.0, 1e300, math.inf, -math.inf, math.nan]
+        I, J = np.triu_indices(n, k=1)
+        D = np.zeros((n, n))
+        D[I, J] = D[J, I] = values[:len(I)]
+        rows = [(i, j, metric, a_field, float(D[i, j])) for i, j in zip(I.tolist(), J.tolist())]
+        want = _csv(["i", "j", "metric_family", "A_or_blank", "value"], rows)
+        assert _pairs_csv(D, f"{metric},{a_field}") == want
 
     def test_compare_identity(self, tmp_path):
         out = str(tmp_path / "c")

@@ -68,6 +68,12 @@ class TestConstruction:
         with pytest.raises(SpaceMismatchError):
             dist(T4, EuclideanPoint((0.0, 0.0)), TreePoint(()))
 
+    @pytest.mark.parametrize("angle", [-5e-324, -1e-17, -0.0, 2 * math.pi])
+    def test_hyperbolic_angles_wrap_into_zero_two_pi(self, angle):
+        # x % 2pi rounds to 2pi for tiny negative x; that angle is 0
+        assert HyperbolicBoundary(angle) == HyperbolicBoundary(0.0)
+        assert HyperbolicPoint(1.0, angle) == HyperbolicPoint(1.0, 0.0)
+
 
 class TestBoundaryWords:
     def test_period_made_primitive(self):

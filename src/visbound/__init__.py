@@ -17,7 +17,6 @@ from .spaces import (
     euclidean_space,
     hyperbolic_plane,
     ray_point,
-    rebase_ray,
     sample_boundary,
     tree_space,
 )

@@ -2,11 +2,12 @@
 
 Two families: d_A (reciprocal of the time at which the two basepoint rays
 reach separation A) and dbar (the exponentially weighted integral of the
-ray separation).  Every closed-form value reads one pair invariant from
-`pair_invariants` (the branch time on T_k, the chord on R^n, the wrapped
-angle at the pole of H^2) and maps it through `_closed_form`; tree d_A is
-exact on request.  Off the pole of H^2, and as the reference paths, a
-bracketed bisection and adaptive Simpson evaluate one pair at a time.
+ray separation).  Every value reads one pair invariant from
+`pair_invariants` (the branch time on T_k, the chord on R^n, the angle
+between the rays on H^2, from any basepoint) and maps it through
+`_closed_form`; tree d_A is exact on request.  As the reference paths, a
+bracketed bisection and adaptive Simpson evaluate one pair at a time on the
+same invariant.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .spaces import (
     Point,
     Ray,
     Space,
-    SpaceMismatchError,
     TreeBoundary,
     TreePoint,
     dist,
@@ -47,6 +47,9 @@ _SIMPSON_MAX_DEPTH = 50
 _CARLSON_ROUNDS = 16
 _POLE_SMALL_ANGLE = 1e-8
 _TINY = np.finfo(float).tiny
+# the H^2 invariant: the angle between the two rays and log sin(angle/2),
+# which stays exact where the sine underflows
+_HALF_ANGLE = np.dtype([("angle", float), ("log_sine", float)])
 # pairs per chunk of the tree branch-time scan (memory O(chunk * word length))
 _PAIR_CHUNK = 8192
 
@@ -117,12 +120,6 @@ def _vertex_word(origin: TreePoint) -> tuple:
     return origin.word
 
 
-def _has_closed_form(space: Space, origin: Point) -> bool:
-    """Whether pairs seen from `origin` have a pair invariant: everywhere
-    except off the pole of H^2."""
-    return space.kind != HYPERBOLIC or origin.r == 0.0
-
-
 def pair_invariants(space: Space, points: list, I, J, origin: Point | None = None) -> np.ndarray:
     """The invariant of each pair (points[I[k]], points[J[k]]) of boundary
     points seen from `origin` (the space's basepoint by default):
@@ -131,15 +128,18 @@ def pair_invariants(space: Space, points: list, I, J, origin: Point | None = Non
       the last time at which they coincide;
     - R^n: the chord |xi - eta| of the unit directions, summed from
       coordinate differences;
-    - H^2: the angle dphi in [0, pi] between the rays at the pole; other
-      basepoints raise SpaceMismatchError.
+    - H^2: the angle in [0, pi] between the rays at `origin` with the log of
+      its half-angle sine s, as `_HALF_ANGLE` records.  At the pole the
+      angle is the wrapped dphi.  Elsewhere the Moebius map moving `origin`
+      to the pole scales the chord of a pair by w_i w_j (`_chord_scales`),
+      so s' = s w_i w_j and log s' = log s + log(w_i w_j).
 
     Tree words are unrolled once to a length at which any two distinct
     words differ, so a branch time from the root is a first mismatch,
     scanned _PAIR_CHUNK pairs at a time; a vertex v shifts it by
     |v| - lcp(v, xi) - lcp(v, eta).  Raises IdenticalBoundaryPointsError
     for a tree pair that repeats a point and ValueError if a word uses an
-    illegal letter."""
+    illegal letter or an H^2 basepoint is too far out for `_chord_scales`."""
     origin = space.basepoint if origin is None else origin
     I = np.asarray(I, dtype=np.intp)
     J = np.asarray(J, dtype=np.intp)
@@ -152,11 +152,43 @@ def pair_invariants(space: Space, points: list, I, J, origin: Point | None = Non
             d = col[I] - col[J]
             sq = sq + d * d
         return np.sqrt(sq)
-    if origin.r != 0.0:
-        raise SpaceMismatchError("hyperbolic pair invariants are supported at the pole only")
     phi = np.array([p.angle for p in points], dtype=float)
-    delta = np.abs(phi[I] - phi[J]) % (2 * math.pi)
-    return np.where(delta > math.pi, 2 * math.pi - delta, delta)
+    dphi = _wrapped_gap(phi[I], phi[J])
+    s = np.sin(dphi / 2.0)
+    out = np.empty(len(I), dtype=_HALF_ANGLE)
+    out["angle"], out["log_sine"] = dphi, _log_half_sine(dphi, s)
+    if origin.r != 0.0:
+        w = _chord_scales(origin, phi)
+        k = w[I] * w[J]
+        # s' = s k; where s is subnormal, dphi (k/2) keeps the bits s lost
+        half = np.minimum(1.0, np.where(s >= _TINY, s * k, dphi * (k / 2.0)))
+        out["angle"] = 2.0 * np.arcsin(half)
+        out["log_sine"] = np.minimum(0.0, out["log_sine"] + np.log(k))
+    return out
+
+
+def _wrapped_gap(a, b) -> np.ndarray:
+    """|a - b| wrapped into [0, pi]."""
+    d = np.abs(a - b) % (2 * math.pi)
+    return np.where(d > math.pi, 2 * math.pi - d, d)
+
+
+def _chord_scales(origin: Point, phi: np.ndarray) -> np.ndarray:
+    """The chord scale w = sqrt(1 - rho^2) / |1 - conj(z0) e^{i phi}| of each
+    boundary angle under g(z) = (z - z0)/(1 - conj(z0) z), z0 = rho e^{i phi0},
+    rho = tanh(r/2), which moves `origin` to the pole:
+    |g(xi) - g(eta)| = |xi - eta| w_xi w_eta.  Free of cancellation:
+    1 - rho^2 = sech^2(r/2), 1 - rho = 2/(1 + e^r) = 2e^-r/(1 + e^-r) and
+    |1 - conj(z0) e^{i phi}|^2 = (1 - rho)^2 + 4 rho sin^2((phi - phi0)/2).
+    Raises ValueError where (1 - rho)^2 underflows (r above about 354)."""
+    r = origin.r
+    e = math.exp(-r)
+    one_minus_rho_sq = (2.0 * e / (1.0 + e)) ** 2
+    if not one_minus_rho_sq >= _TINY:
+        raise ValueError(f"H^2 basepoint radius {r} is too large: (1 - tanh(r/2))^2 underflows")
+    sigma = np.sin(_wrapped_gap(phi, origin.phi) / 2.0)
+    m2 = one_minus_rho_sq + 4.0 * math.tanh(r / 2.0) * sigma * sigma
+    return (1.0 / math.cosh(r / 2.0)) / np.sqrt(m2)
 
 
 def _branch_times(space: Space, points: list, I: np.ndarray, J: np.ndarray, v: tuple) -> np.ndarray:
@@ -191,8 +223,8 @@ def _closed_form(space: Space, spec: MetricSpec, inv: np.ndarray, exact: bool) -
       each evaluated once per branch time up to max(b) with IEEE division
       and `math.exp`;
     - R^n: d_A = chord/A and dbar = chord;
-    - the pole of H^2: d_A = 1/asinh(sinh(A/2)/s) with s = sin(dphi/2), and
-      dbar = `pole_dbar(dphi)`.  Where sinh(A/2)/s overflows, asinh is read
+    - H^2: d_A = 1/asinh(sinh(A/2)/s) with s = sin(angle/2), and
+      dbar = `pole_dbar(angle)`.  Where sinh(A/2)/s overflows, asinh is read
       as log(sinh(A/2) + hypot(sinh(A/2), s)) - log s."""
     if space.kind == TREE:
         if spec.family == DBAR:
@@ -205,14 +237,14 @@ def _closed_form(space: Space, spec: MetricSpec, inv: np.ndarray, exact: bool) -
     if space.kind == EUCLIDEAN:
         return inv / float(spec.A) if spec.family == DA else inv
     if spec.family == DBAR:
-        return pole_dbar(inv)
+        return pole_dbar(inv["angle"])
     c = math.sinh(float(spec.A) / 2.0)
-    s = np.sin(inv / 2.0)
+    s = np.sin(inv["angle"] / 2.0)
     with np.errstate(divide="ignore", over="ignore"):
         x = c / s
         a = np.arcsinh(x)
         big = np.isinf(x)
-        a[big] = np.log(c + np.hypot(c, s[big])) - _log_half_sine(inv[big], s[big])
+        a[big] = np.log(c + np.hypot(c, s[big])) - inv["log_sine"][big]
         return 1.0 / a
 
 
@@ -220,18 +252,21 @@ def _log_half_sine(dphi: np.ndarray, s: np.ndarray) -> np.ndarray:
     """log s for s = sin(dphi/2), read as log(dphi) - log 2 where s is
     subnormal or 0 (-inf at dphi = 0)."""
     with np.errstate(divide="ignore"):
-        return np.where(s >= _TINY, np.log(s), np.log(dphi) - math.log(2.0))
+        out = np.log(s)
+        small = s < _TINY
+        out[small] = np.log(dphi[small]) - math.log(2.0)
+    return out
 
 
 def _gromov_closed_form(space: Space, inv: np.ndarray) -> np.ndarray:
     """Gromov products at pair invariants: the branch time on T_k, -log s
-    with s = sin(dphi/2) at the pole of H^2, and on R^n 2 - chord when
+    with s = sin(angle/2) on H^2, and on R^n 2 - chord when
     |1 - chord/2| < 1e-10; t - f(t)/2 diverges for any other Euclidean pair,
     which raises DivergentGromovProductError."""
     if space.kind == TREE:
         return inv
     if space.kind == HYPERBOLIC:
-        return -_log_half_sine(inv, np.sin(inv / 2.0))
+        return -inv["log_sine"]
     if (np.abs(1.0 - inv / 2.0) >= 1e-10).any():
         raise DivergentGromovProductError(
             "t - f(t)/2 diverges for non-antipodal Euclidean directions")
@@ -242,10 +277,10 @@ def _gromov_closed_form(space: Space, inv: np.ndarray) -> np.ndarray:
 # ray separation f(t) = d(alpha(t), beta(t)) for rays from a common origin
 
 
-def _hyp_pole_separation(t: float, s: float, log_s: float) -> float:
-    """d(gamma_1(t), gamma_2(t)) = 2 asinh(s sinh t) for two pole rays,
-    s = sin(dphi/2), given with its logarithm because s may underflow;
-    stable for arbitrarily large t."""
+def _hyp_separation(t: float, s: float, log_s: float) -> float:
+    """d(gamma_1(t), gamma_2(t)) = 2 asinh(s sinh t) for two rays of H^2 from
+    one origin, s = sin(angle/2), given with its logarithm because s may
+    underflow; stable for arbitrarily large t."""
     if t < 350:
         x = math.sinh(t) * s
     else:  # sinh t = e^t / 2 in floating point
@@ -258,20 +293,15 @@ def _hyp_pole_separation(t: float, s: float, log_s: float) -> float:
 
 
 def _separation_fn(space: Space, origin: Point, xi, eta):
-    """Per-pair closure for f(t), hoisting pair-level precomputation."""
-    if not _has_closed_form(space, origin):
-        rx = Ray(space, origin, xi)
-        re = Ray(space, origin, eta)
-        return lambda t: dist(space, ray_point(rx, t), ray_point(re, t))
+    """Per-pair closure for f(t) from the pair invariant."""
     inv = pair_invariants(space, [xi, eta], [0], [1], origin)
+    if space.kind == HYPERBOLIC:
+        s, log_s = np.sin(inv["angle"] / 2.0).item(0), inv["log_sine"].item(0)
+        return lambda t: _hyp_separation(t, s, log_s)
     b = inv.item(0)
     if space.kind == EUCLIDEAN:
         return lambda t: t * b
-    if space.kind == TREE:
-        return lambda t: 2.0 * max(0.0, t - b)
-    s = np.sin(inv / 2.0)
-    s, log_s = s.item(0), _log_half_sine(inv, s).item(0)
-    return lambda t: _hyp_pole_separation(t, s, log_s)
+    return lambda t: 2.0 * max(0.0, t - b)
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +331,14 @@ def _bisect_dA(f, A: float, tol: float) -> float:
 
 def eval_dA(space: Space, spec: MetricSpec, xi: BoundaryPoint, eta: BoundaryPoint, method="auto"):
     """d_{A,x0}(xi, eta).  Method 'auto' maps the pair invariant through the
-    closed form (an exact Fraction on trees); 'bisect', and a basepoint off
-    the pole of H^2, use the bracketed bisection kernel."""
+    closed form (an exact Fraction on trees); 'bisect' solves f(a) = A on
+    the same invariant's separation with the bracketed bisection kernel."""
     if spec.family != DA:
         raise ValueError("spec.family must be dA")
     if xi == eta:
         return Fraction(0) if space.kind == TREE and method != "bisect" else 0.0
     origin = spec.base(space)
-    if method == "bisect" or not _has_closed_form(space, origin):
+    if method == "bisect":
         return _bisect_dA(_separation_fn(space, origin, xi, eta), float(spec.A), spec.tol)
     return _closed_form(space, spec, pair_invariants(space, [xi, eta], [0], [1], origin),
                         exact=True).item(0)
@@ -350,15 +380,16 @@ def eval_dbar(space: Space, spec: MetricSpec, xi: BoundaryPoint, eta: BoundaryPo
     """dbar_{x0}(xi, eta) = integral of f(r) e^-r.
 
     Method 'auto' maps the pair invariant through the closed form (tree:
-    2 e^-b; Euclidean: the chord; pole of H^2: `pole_dbar`); 'quadrature',
-    and a basepoint off the pole of H^2, use the adaptive Simpson kernel
-    with the rigorous tail estimate (f(r) <= 2r gives tail < 2(T+1)e^-T)."""
+    2 e^-b; Euclidean: the chord; H^2: `pole_dbar` of the angle at x0);
+    'quadrature' integrates the same invariant's separation with the
+    adaptive Simpson kernel and the rigorous tail estimate (f(r) <= 2r
+    gives tail < 2(T+1)e^-T)."""
     if spec.family != DBAR:
         raise ValueError("spec.family must be dbar")
     if xi == eta:
         return 0.0
     origin = spec.base(space)
-    if method != "quadrature" and _has_closed_form(space, origin):
+    if method != "quadrature":
         return _closed_form(space, spec, pair_invariants(space, [xi, eta], [0], [1], origin),
                             exact=False).item(0)
     f = _separation_fn(space, origin, xi, eta)
@@ -398,8 +429,8 @@ def eval_dbar_extended(space: Space, spec: MetricSpec, x, y) -> float:
 
 def gromov_product(space: Space, x0: Point, xi: BoundaryPoint, eta: BoundaryPoint):
     """Limit of t - f(t)/2, in closed form from the pair invariant: the
-    exact branch time on trees, -log sin(dphi/2) at the pole of H^2 (other
-    basepoints raise SpaceMismatchError).  On R^n, t - f(t)/2 = t(1 - chord/2)
+    exact branch time on trees, -log sin(angle/2) on H^2 with the angle
+    seen from x0.  On R^n, t - f(t)/2 = t(1 - chord/2)
     converges only for antipodal directions, to 2 - chord (0 up to
     rounding) when |1 - chord/2| < 1e-10; otherwise raises
     DivergentGromovProductError."""
@@ -430,19 +461,12 @@ def cone_contains(space: Space, nbhd: ConeNeighborhood, z) -> bool:
 
 def pair_distance_matrix(space: Space, spec: MetricSpec, points: list, exact: bool = False) -> np.ndarray:
     """Symmetric matrix of pairwise boundary distances, 0 on the diagonal:
-    the closed form over the pair invariants of the upper triangle,
-    mirrored.  Floats, except that `exact=True` gives the tree d_A table in
-    `Fraction`s.  Off the pole of H^2 each pair goes through `eval_dA`
-    (bisection) or `eval_dbar` (adaptive Simpson)."""
+    the closed form over the pair invariants of the upper triangle from the
+    spec's basepoint, mirrored.  Floats, except that `exact=True` gives the
+    tree d_A table in `Fraction`s."""
     n = len(points)
     I, J = np.triu_indices(n, k=1)
-    origin = spec.base(space)
-    if _has_closed_form(space, origin):
-        values = _closed_form(space, spec, pair_invariants(space, points, I, J, origin), exact)
-    else:
-        evaluate = eval_dA if spec.family == DA else eval_dbar
-        values = np.array([float(evaluate(space, spec, points[i], points[j]))
-                           for i, j in zip(I.tolist(), J.tolist())])
+    values = _closed_form(space, spec, pair_invariants(space, points, I, J, spec.base(space)), exact)
     D = np.zeros((n, n), dtype=values.dtype)
     D[I, J] = D[J, I] = values
     return D

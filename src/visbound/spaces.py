@@ -2,9 +2,9 @@
 hyperbolic plane H^2.
 
 Each space carries a distinguished basepoint, exact or closed-form geodesic
-rays, distances, ray re-basing, and seeded boundary sampling.  Tree
-arithmetic is exact (Fractions, integer edge words); Euclidean and
-hyperbolic computations are double precision.
+rays, distances, and seeded boundary sampling.  Tree arithmetic is exact
+(Fractions, integer edge words); Euclidean and hyperbolic computations are
+double precision.
 """
 
 from __future__ import annotations
@@ -383,11 +383,6 @@ def _tree_ray_point(origin: TreePoint, target: TreeBoundary, t: Fraction) -> Tre
     return _tree_point_at_depth(target.letter, d)
 
 
-def rebase_ray(space: Space, new_origin: Point, xi: BoundaryPoint) -> Ray:
-    """Unique ray from new_origin asymptotic to xi."""
-    return Ray(space, new_origin, xi)
-
-
 # ---------------------------------------------------------------------------
 # geodesics between points and the sphere projection
 
@@ -496,38 +491,7 @@ def _sample_tree_boundary(k: int, n: int, rng: np.random.Generator) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the root-edge reflection of T_k (an isometry moving the basepoint)
-
-
-def tree_reflection_letters(word_letters: tuple) -> tuple:
-    """Image of a root word under the reflection of T_k across the midpoint of
-    the edge root--(0).  Swaps the root with vertex (0); an involution."""
-    if not word_letters:
-        return (0,)
-    a = word_letters[0]
-    if a == 0:
-        if len(word_letters) == 1:
-            return ()
-        return (word_letters[1] + 1,) + word_letters[2:]
-    return (0, a - 1) + word_letters[1:]
-
-
-def tree_reflect_point(p: TreePoint) -> TreePoint:
-    if not p.is_vertex:
-        raise ValueError("reflection implemented for vertices only")
-    return TreePoint(tree_reflection_letters(p.word))
-
-
-def tree_reflect_boundary(bp: TreeBoundary) -> TreeBoundary:
-    pre = bp.preperiod
-    per = bp.period
-    while len(pre) < 2:
-        pre = pre + per
-    return TreeBoundary(tree_reflection_letters(pre), per)
-
-
-# ---------------------------------------------------------------------------
-# serialization (small key-value text form; line-oriented boundary records)
+# serialization (line-oriented boundary records)
 
 
 def space_id(space: Space) -> str:
@@ -545,46 +509,6 @@ def _point_to_str(space: Space, p: Point) -> str:
         w = ".".join(str(a) for a in p.word)
         return f"{w}@{p.offset}"
     return f"{p.r:.17g},{p.phi:.17g}"
-
-
-def _point_from_str(space: Space, s: str) -> Point:
-    if space.kind == EUCLIDEAN:
-        return EuclideanPoint(tuple(float(c) for c in s.split(",")) if s else ())
-    if space.kind == TREE:
-        w, off = s.split("@")
-        word = tuple(int(a) for a in w.split(".")) if w else ()
-        return TreePoint(word, Fraction(off))
-    r, phi = s.split(",")
-    return HyperbolicPoint(float(r), float(phi))
-
-
-def space_to_text(space: Space) -> str:
-    lines = [f"kind={space.kind}"]
-    if space.kind == EUCLIDEAN:
-        lines.append(f"n={space.dim}")
-    elif space.kind == TREE:
-        lines.append(f"k={space.valence}")
-    lines.append(f"basepoint={_point_to_str(space, space.basepoint)}")
-    return "\n".join(lines) + "\n"
-
-def space_from_text(text: str) -> Space:
-    kv = {}
-    for line in text.strip().splitlines():
-        key, _, val = line.partition("=")
-        kv[key.strip()] = val.strip()
-    kind = kv["kind"]
-    if kind == EUCLIDEAN:
-        sp = euclidean_space(int(kv["n"]))
-    elif kind == TREE:
-        sp = tree_space(int(kv["k"]))
-    elif kind == HYPERBOLIC:
-        sp = hyperbolic_plane()
-    else:
-        raise ValueError(f"unknown space kind {kind!r}")
-    if "basepoint" in kv:
-        sp = Space(kind, dim=sp.dim, valence=sp.valence,
-                   basepoint=_point_from_str(sp, kv["basepoint"]))
-    return sp
 
 
 def boundary_to_line(space: Space, bp: BoundaryPoint) -> str:

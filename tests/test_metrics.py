@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import elliprd, elliprf
 
 from visbound.metrics import (
@@ -36,7 +38,6 @@ from visbound.spaces import (
     HyperbolicPoint,
     IdenticalBoundaryPointsError,
     Ray,
-    SpaceMismatchError,
     TreeBoundary,
     TreePoint,
     branch_time,
@@ -174,16 +175,22 @@ class TestDbar:
 
 
 def pole_dbar_integral(dphi):
-    """The integral of 2s(1+y^2)/sqrt(4y^2 + s^2(1-y^2)^2) over [0, 1],
-    s = sin(dphi/2), by mpmath: y = (s/2)e^u puts the bump near y = s/2 at
-    u = 0, and the integrand is divided by s so that the quadrature's
-    error target scales with the value.  Below u = -60 the integrand is 2
-    to within a relative e^-120, so that piece is 2y at y = (s/2)e^-60."""
     with mpmath.workdps(20):
-        s = mpmath.sin(mpmath.mpf(dphi) / 2)
+        return half_sine_dbar_integral(mpmath.sin(mpmath.mpf(dphi) / 2))
+
+
+def half_sine_dbar_integral(s):
+    """dbar of two rays at half-angle sine s: the integral of
+    2s(1+y^2)/sqrt(4y^2 + s^2(1-y^2)^2) over [0, 1], by mpmath at 20
+    digits: y = (s/2)e^u puts the bump near y = s/2 at u = 0, and the
+    integrand is divided by s so that the quadrature's error target scales
+    with the value.  Below u = -60 the integrand is 2 to within a relative
+    e^-120, so that piece is 2y at y = (s/2)e^-60."""
+    with mpmath.workdps(20):
+        s = +s
         h = s / 2
         g = lambda y: 2 * (1 + y * y) / mpmath.sqrt(4 * y * y + s * s * (1 - y * y) ** 2) * y
-        body = mpmath.quad(lambda u: g(h * mpmath.exp(u)), mpmath.linspace(-60, -mpmath.log(h), 40))
+        body = mpmath.quad(lambda u: g(h * mpmath.exp(u)), mpmath.linspace(-60, -mpmath.log(h), 16))
         return s * body + 2 * h * mpmath.exp(-60)
 
 
@@ -334,11 +341,6 @@ class TestGromovProduct:
         assert abs(product - want_product) <= 1e-14 * want_product
         dA = eval_dA(H2, spec_dA(1), xi, eta)
         assert abs(dA - want_dA) <= 1e-14 * want_dA
-
-    def test_off_pole_hyperbolic_rejected(self):
-        off = hyperbolic_plane(HyperbolicPoint(0.5, 1.0))
-        with pytest.raises(SpaceMismatchError):
-            gromov_product(off, off.basepoint, HyperbolicBoundary(0.0), HyperbolicBoundary(1.0))
 
 
 class TestRebasedTree:
@@ -560,9 +562,11 @@ class TestOneKernel:
         (T4, TreePoint((2, 0, 1)), sample_boundary(T4, 30, 2)),
         (H2, H2.basepoint, sample_boundary(H2, 30, 2) + [HyperbolicBoundary(1.0 + 1e-6),
                                                          HyperbolicBoundary(1.0)]),
+        (H2, HyperbolicPoint(1.3, 0.7), sample_boundary(H2, 30, 2)
+         + [HyperbolicBoundary(1.0 + 1e-6), HyperbolicBoundary(1.0)]),
         (E2, E2.basepoint, sample_boundary(E2, 20, 2) + nearby_directions(2, (1e-6, 1e-3), 3)
          + [EuclideanBoundary((0.6, 0.8)), EuclideanBoundary((-0.6, -0.8))]),
-    ], ids=["tree-root", "tree-vertex", "pole", "plane"])
+    ], ids=["tree-root", "tree-vertex", "pole", "off-pole", "plane"])
     def test_scalar_evaluators_equal_table_entries(self, space, origin, points):
         specs = [with_basepoint(s, origin) for s in (spec_dA(1), spec_dA(0.7), spec_dbar())]
         tables = [pair_distance_matrix(space, s, points, exact=True) for s in specs]
@@ -576,7 +580,12 @@ class TestOneKernel:
             if space is T4:
                 assert gromov_product(space, origin, xi, eta) == b
             elif space is H2:
-                assert gromov_product(space, origin, xi, eta) == -np.log(np.sin(b / 2))
+                angle, log_sine = b
+                assert gromov_product(space, origin, xi, eta) == -log_sine
+                if origin.r == 0.0:
+                    gap = abs(xi.angle - eta.angle) % (2 * math.pi)
+                    assert angle == min(gap, 2 * math.pi - gap)
+                    assert log_sine == np.log(np.sin(angle / 2))
             elif abs(1.0 - b / 2.0) < 1e-10:
                 assert gromov_product(space, origin, xi, eta) == 2.0 - b
             else:
@@ -607,3 +616,121 @@ class TestOneKernel:
         got = eval_dA(H2, spec_dA(A), *pts)
         assert abs(got - want) <= 1e-14 * want
         assert pair_distance_matrix(H2, spec_dA(A), pts)[0, 1] == got
+
+
+def mapped_half_sine(origin, a, b):
+    """|g(e^{ia}) - g(e^{ib})| / 2 for the Moebius map g(z) = (z - z0)/(1 -
+    conj(z0) z) that moves `origin` to the pole, with each point mapped on
+    its own in mpmath: 1300 bits cover the cancellation of gaps down to
+    5e-324, and 3r more the e^r magnification next to the basepoint."""
+    with mpmath.workprec(1300 + int(3 * origin.r)):
+        z0 = mpmath.tanh(mpmath.mpf(origin.r) / 2) * mpmath.expj(origin.phi)
+        g = lambda phi: (mpmath.expj(phi) - z0) / (1 - mpmath.conj(z0) * mpmath.expj(phi))
+        return abs(g(mpmath.mpf(a)) - g(mpmath.mpf(b))) / 2
+
+
+def ray_oracle(origin, xi, eta, A):
+    """(d_A, dbar, Gromov product) of a pair from the two rays themselves:
+    f(t) = d(ray_xi(t), ray_eta(t)) from `ray_point` and `dist`, d_A = 1/a
+    with f(a) = A by brentq, dbar by scipy's quad on [0, 40] (f(t) <= 2t, so
+    the rest is below 1e-15), and the product as t - f(t)/2 at t = 15."""
+    rx, re = Ray(H2, origin, xi), Ray(H2, origin, eta)
+    f = lambda t: dist(H2, ray_point(rx, t), ray_point(re, t))
+    hi = 1.0
+    while f(hi) < A:
+        hi *= 2.0
+    a = brentq(lambda t: f(t) - A, 0.0, hi, xtol=1e-300, rtol=1e-15)
+    dbar = quad(lambda t: f(t) * math.exp(-t), 0.0, 40.0, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+    return 1.0 / a, dbar, 15.0 - f(15.0) / 2.0
+
+
+NEAR_SIDE_FAR = pytest.mark.parametrize("phi0", [0.0, 1.5, math.pi], ids=["near", "side", "far"])
+
+
+class TestOffPole:
+    """H^2 from basepoints off the pole: the chord-scaled angle against a
+    high-precision Moebius map and against the rays themselves.  The pairs
+    sit at angles 0 and gap (the only place a float angle can hold a gap
+    below 1e-16), and the basepoint direction phi0 puts them next to the
+    basepoint (chord scale up to e^r), beside it, or opposite (down to e^-r)."""
+
+    GAPS = [5e-324, 1e-320, 1e-300, 1e-100, 1e-20, 1e-8, 1e-4, 0.3, 1.0, 2.0, 3.0, math.pi]
+    DBAR_GAPS = [5e-324, 1e-300, 1e-8, 1.0, math.pi]
+
+    @NEAR_SIDE_FAR
+    @pytest.mark.parametrize("r", [1.3, 4.0, 20.0, 40.0])
+    def test_matches_mpmath(self, r, phi0):
+        origin = HyperbolicPoint(r, phi0)
+        specs = with_basepoint(spec_dA(1), origin), with_basepoint(spec_dbar(), origin)
+        for gap in self.GAPS:
+            xi, eta = HyperbolicBoundary(0.0), HyperbolicBoundary(gap)
+            s = mapped_half_sine(origin, xi.angle, eta.angle)
+            with mpmath.workprec(200):
+                want_product = float(-mpmath.log(s))
+                want_dA = float(1 / mpmath.asinh(mpmath.sinh(mpmath.mpf(1) / 2) / s))
+            assert abs(eval_dA(H2, specs[0], xi, eta) - want_dA) <= 1e-14 * want_dA
+            # a product near 0 is -log of a sine that rounds to 1, as at the pole
+            product = gromov_product(H2, origin, xi, eta)
+            assert abs(product - want_product) <= 1e-14 * max(want_product, 1.0)
+            if gap in self.DBAR_GAPS:
+                want = float(half_sine_dbar_integral(s))
+                got = eval_dbar(H2, specs[1], xi, eta)
+                if s >= np.finfo(float).tiny:
+                    assert abs(got - want) <= 1e-14 * want
+                else:
+                    # a subnormal mapped angle keeps only its absolute rounding,
+                    # 2^-1074, scaled by the slope log(4/s) + 1/2 of dbar
+                    assert abs(got - want) <= (float(mpmath.log(4 / s)) + 3.0) * 2.0 ** -1074
+
+    @pytest.mark.parametrize("origin", [HyperbolicPoint(1.3, 0.7), HyperbolicPoint(2.5, 4.0)])
+    def test_matches_ray_geometry(self, origin):
+        pts = sample_boundary(H2, 10, 3)
+        specs = with_basepoint(spec_dA(1), origin), with_basepoint(spec_dbar(), origin)
+        for xi, eta in itertools.combinations(pts, 2):
+            want_dA, want_dbar, want_product = ray_oracle(origin, xi, eta, 1.0)
+            assert abs(eval_dA(H2, specs[0], xi, eta) - want_dA) <= 1e-12 * want_dA
+            assert abs(eval_dbar(H2, specs[1], xi, eta) - want_dbar) <= 1e-10 * want_dbar
+            assert abs(gromov_product(H2, origin, xi, eta) - want_product) <= 1e-7
+
+    @pytest.mark.parametrize("origin", [HyperbolicPoint(1.3, 0.7), HyperbolicPoint(3.0, 2.0)])
+    def test_reference_kernels_agree(self, origin):
+        pts = sample_boundary(H2, 6, 4) + [HyperbolicBoundary(1.0), HyperbolicBoundary(1.0 + 1e-6)]
+        da, db = with_basepoint(spec_dA(1), origin), with_basepoint(spec_dbar(), origin)
+        for xi, eta in itertools.combinations(pts, 2):
+            closed = eval_dA(H2, da, xi, eta)
+            assert abs(eval_dA(H2, da, xi, eta, method="bisect") - closed) <= da.tol * closed
+            closed = eval_dbar(H2, db, xi, eta)
+            assert abs(eval_dbar(H2, db, xi, eta, method="quadrature") - closed) <= db.tol
+
+    @NEAR_SIDE_FAR
+    def test_closest_gaps_finite_and_increasing(self, phi0):
+        origin = HyperbolicPoint(1.3, phi0)
+        spec = with_basepoint(spec_dA(1), origin)
+        u = HyperbolicBoundary(0.0)
+        closest, next_ = HyperbolicBoundary(5e-324), HyperbolicBoundary(1e-320)
+        dA = [eval_dA(H2, spec, u, v) for v in (closest, next_)]
+        assert all(math.isfinite(d) for d in dA) and 0.0 < dA[0] < dA[1]
+        assert all(math.isfinite(gromov_product(H2, origin, u, v)) for v in (closest, next_))
+
+    @pytest.mark.parametrize("r", [1e-300, 1e-8, 0.5, 5.0, 40.0, 200.0, 354.0])
+    def test_every_distinct_pair_finite_and_positive(self, r):
+        for phi0 in (0.0, 2.0, 4.0):
+            origin = HyperbolicPoint(r, phi0)
+            pts = sample_boundary(H2, 30, 6) + [HyperbolicBoundary(phi0), HyperbolicBoundary(phi0 + 1e-6),
+                                                HyperbolicBoundary(phi0 + math.pi),
+                                                HyperbolicBoundary(phi0 + math.pi + 1e-6)]
+            for spec in (spec_dA(1), spec_dA(0.7), spec_dbar()):
+                D = pair_distance_matrix(H2, with_basepoint(spec, origin), pts)
+                off = ~np.eye(len(pts), dtype=bool)
+                assert np.all(np.isfinite(D)) and np.all(D[off] > 0.0)
+            for xi, eta in itertools.combinations(pts[-6:], 2):
+                assert 0.0 <= gromov_product(H2, origin, xi, eta) < math.inf
+
+    @pytest.mark.parametrize("r", [355.0, 1e6, math.inf, math.nan])
+    def test_far_basepoints_raise(self, r):
+        origin = HyperbolicPoint(r, 0.3)
+        pts = [HyperbolicBoundary(0.0), HyperbolicBoundary(1.0)]
+        with pytest.raises(ValueError, match="too large"):
+            pair_distance_matrix(H2, with_basepoint(spec_dbar(), origin), pts)
+        with pytest.raises(ValueError, match="too large"):
+            gromov_product(H2, origin, *pts)

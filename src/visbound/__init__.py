@@ -36,11 +36,9 @@ from .metrics import (
 from .quasisym import (
     ControlFunction,
     Envelope,
-    compose_eta,
     eta_change_A,
     eta_change_basepoint,
     linear_control,
-    power_control,
     power_law_fit,
     qs_envelope,
     uniformly_perfect_check,
@@ -57,7 +55,6 @@ from .covers import (
     colored_boundary_cover,
     cover_stats,
     ell_dim_estimate,
-    lattice_ball_cover,
 )
 from .visual import VisualFit, nonqs_witness, nonvisual_witness_dA, visual_fit
 

@@ -1,4 +1,4 @@
-"""Cover constructions and measured cover statistics: lattice ball covers
+"""Cover constructions and measured cover statistics: lattice ball systems
 of the space, their pushout to boundary covers, colored boundary covers,
 annular tube covers pushed back into the space, and a greedy-net dimension
 estimate over sampled metric data."""
@@ -76,11 +76,9 @@ class CoverStats:
     lebesgue: float     # math.inf sentinel when some set swallows the sample
 
 
-def cover_stats(cover: Cover, matrix: np.ndarray, lebesgue_indices=None) -> CoverStats:
+def cover_stats(cover: Cover, matrix: np.ndarray) -> CoverStats:
     """Order, mesh, and Lebesgue number of the cover measured against its
-    own ground sample, whose pairwise distances are `matrix`;
-    `lebesgue_indices` restricts the Lebesgue minimum to a window-interior
-    subset.
+    own ground sample, whose pairwise distances are `matrix`.
 
     One pass over the points reads the membership matrix: point i's mesh
     candidate is its largest distance into a set containing it, and its
@@ -99,18 +97,13 @@ def cover_stats(cover: Cover, matrix: np.ndarray, lebesgue_indices=None) -> Cove
     # point i's sets are set_of[ends[i] - per_point[i]:ends[i]]
     per_point = np.bincount(point_of, minlength=n)
     ends = np.cumsum(per_point)
-    in_window = np.ones(n, dtype=bool)
-    if lebesgue_indices is not None:
-        in_window[:] = False
-        in_window[list(lebesgue_indices)] = True
     mesh = 0.0
     lebesgue = math.inf
     for i in range(n):
         rows = M[set_of[ends[i] - per_point[i]:ends[i]]]
         mesh = max(mesh, float(np.where(rows, matrix[i], -math.inf).max()))
-        if in_window[i]:
-            best = float(np.where(rows, math.inf, matrix[i]).min(axis=1).max())
-            lebesgue = min(lebesgue, max(0.0, best))
+        best = float(np.where(rows, math.inf, matrix[i]).min(axis=1).max())
+        lebesgue = min(lebesgue, max(0.0, best))
     return CoverStats(order=int(counts.max()), mesh=mesh, lebesgue=lebesgue)
 
 
@@ -238,52 +231,6 @@ def _ball_sets(system: LatticeBallSystem, points: list, label: str) -> list:
             by_center.setdefault(key, []).append(i)
     return [CoverSet(tuple(members), None, f"{label} center={key}")
             for key, members in sorted(by_center.items())]
-
-
-def sample_window_points(space: Space, window_radius, n: int, seed: int) -> list:
-    """Interior sample in the ball of radius window_radius about the
-    basepoint (exact dyadic offsets on trees)."""
-    if n < 1:
-        raise ValueError("window sample must be nonempty")
-    rng = substream(seed, f"window-{space.kind}")
-    out = []
-    if space.kind == EUCLIDEAN:
-        dim = space.dim
-        wr = float(window_radius)
-        while len(out) < n:
-            v = rng.uniform(-wr, wr, size=dim)
-            if float(np.linalg.norm(v)) <= wr:
-                out.append(EuclideanPoint(tuple(float(c) for c in v)))
-        return out
-    if space.kind == TREE:
-        k = space.valence
-        max_depth = int(window_radius)
-        for _ in range(n):
-            depth = int(rng.integers(0, max_depth + 1))
-            word = []
-            for i in range(depth):
-                hi = k if i == 0 else k - 1
-                word.append(int(rng.integers(0, hi)))
-            off = Fraction(int(rng.integers(0, 8)), 8)
-            if off > 0 and depth < max_depth:
-                hi = k if depth == 0 else k - 1
-                word.append(int(rng.integers(0, hi)))
-                out.append(TreePoint(tuple(word), off))
-            else:
-                out.append(TreePoint(tuple(word)))
-        return out
-    raise ValueError("window sampling is defined on euclidean and tree spaces")
-
-
-def lattice_ball_cover(space: Space, R, window_radius, n_points: int, seed: int) -> Cover:
-    """Cover of a window sample by the orbit 2R-balls.  Every ball meeting
-    the sample is present, since centers are found from the points."""
-    ground = sample_window_points(space, window_radius, n_points, seed)
-    sets = _ball_sets(LatticeBallSystem(space, R), ground, f"ball r={float(2*R):g}")
-    cover = Cover(ground=ground, sets=sets)
-    if not cover.covers_ground():
-        raise ValueError("orbit balls failed to cover the window sample")
-    return cover
 
 
 def orbit_ball_order(space: Space, R, resolution: int = 48) -> int:

@@ -198,11 +198,13 @@ def _branch_times(space: Space, points: list, I: np.ndarray, J: np.ndarray, v: t
     periods = {len(p.period) for p in points}
     L = max(len(v), max(len(p.preperiod) for p in points)
             + max(math.lcm(a, b) for a in periods for b in periods))
-    W = np.array([p.prefix(L) for p in points])
+    # the check reads one letter more, so that every period letter is also
+    # read at a non-initial position; the scan needs only L
+    W = np.array([p.prefix(L + 1) for p in points])
     k = space.valence
     if (W < 0).any() or (W[:, 0] >= k).any() or (W[:, 1:] >= k - 1).any():
         raise ValueError(f"illegal tree word: first letter must be < {k}, later letters < {k - 1}")
-    W = W.astype(np.min_scalar_type(k))
+    W = W[:, :L].astype(np.min_scalar_type(k))
     for lo in range(0, len(I), _PAIR_CHUNK):
         neq = W[I[lo:lo + _PAIR_CHUNK]] != W[J[lo:lo + _PAIR_CHUNK]]
         first = neq.argmax(axis=1)

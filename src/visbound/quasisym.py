@@ -19,75 +19,26 @@ from .spaces import (
     substream,
 )
 
-LINEAR = "linear"
-POWER = "power"
-COMPOSITE = "composite"
-
 _DELTA_GRID = 96
 
 
 @dataclass(frozen=True)
 class ControlFunction:
-    """Homeomorphism of [0, inf) used as a quasi-symmetry control.
+    """Linear homeomorphism eta(t) = slope * t of [0, inf), slope > 0, used
+    as a quasi-symmetry control."""
 
-    linear:    eta(t) = slope * t, slope > 0
-    power:     eta(t) = c * max(t^delta, t^(1/delta)), c >= 1, 0 < delta <= 1
-    composite: components applied innermost-first
-    """
-
-    form: str
-    slope: object = None
-    c: float = None
-    delta: float = None
-    components: tuple = ()
+    slope: object
 
     def __post_init__(self):
-        if self.form == LINEAR:
-            if self.slope is None or self.slope <= 0:
-                raise ValueError("linear control function needs slope > 0")
-        elif self.form == POWER:
-            if self.c is None or self.c < 1 or not (0 < self.delta <= 1):
-                raise ValueError("power control function needs c >= 1, delta in (0,1]")
-        elif self.form == COMPOSITE:
-            if not self.components:
-                raise ValueError("composite control function needs components")
-        else:
-            raise ValueError(f"unknown control function form {self.form!r}")
+        if self.slope <= 0:
+            raise ValueError("linear control function needs slope > 0")
 
     def __call__(self, t):
-        if self.form == LINEAR:
-            return self.slope * t
-        if self.form == POWER:
-            tf = float(t)
-            return self.c * max(tf ** self.delta, tf ** (1.0 / self.delta)) if tf > 0 else 0.0
-        out = t
-        for comp in self.components:
-            out = comp(out)
-        return out
+        return self.slope * t
 
 
 def linear_control(slope) -> ControlFunction:
-    return ControlFunction(LINEAR, slope=slope)
-
-
-def power_control(c: float, delta: float) -> ControlFunction:
-    return ControlFunction(POWER, c=c, delta=delta)
-
-
-identity_control = linear_control(Fraction(1))
-
-
-def compose_eta(inner: ControlFunction, outer: ControlFunction) -> ControlFunction:
-    """outer o inner; linear o linear simplifies to linear(product)."""
-    if inner.form == LINEAR and outer.form == LINEAR:
-        return linear_control(inner.slope * outer.slope)
-    if inner.form == LINEAR and inner.slope == 1:
-        return outer
-    if outer.form == LINEAR and outer.slope == 1:
-        return inner
-    inner_parts = inner.components if inner.form == COMPOSITE else (inner,)
-    outer_parts = outer.components if outer.form == COMPOSITE else (outer,)
-    return ControlFunction(COMPOSITE, components=inner_parts + outer_parts)
+    return ControlFunction(slope)
 
 
 def eta_change_A(A, A_prime) -> ControlFunction:
@@ -182,7 +133,7 @@ def verify_control(space: Space, spec1: MetricSpec, spec2: MetricSpec,
     quasi-symmetry inequality rho <= eta(t) for t = d1(x,z)/d1(y,z) and
     rho = d2(x,z)/d2(y,z).  Exact on trees when both metrics are d_A."""
     exact = (space.kind == TREE and spec1.family == DA and spec2.family == DA
-             and eta.form == LINEAR and isinstance(eta.slope, (int, Fraction)))
+             and isinstance(eta.slope, (int, Fraction)))
     # integer 0 keeps the comparison in exact arithmetic
     tol_rel = 0 if exact else 1e-8
     kept, discarded = _ratio_triples(space, spec1, spec2, n_triples, seed, "verify-control")

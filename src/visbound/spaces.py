@@ -287,11 +287,13 @@ def _comparison_bound(x: TreeBoundary, y: TreeBoundary) -> int:
 def branch_time(space: Space, x: TreeBoundary, y: TreeBoundary) -> Fraction:
     """Longest common prefix length of two boundary words of T_k (exact).
 
-    Raises IdenticalBoundaryPointsError if x == y (branch time infinite).
+    Raises ValueError if a word uses an illegal letter and
+    IdenticalBoundaryPointsError if x == y (branch time infinite).
     """
     if space.kind != TREE:
         raise SpaceMismatchError("branch_time is defined on trees only")
-    _check_kind(space, x, y)
+    validate_boundary(space, x)
+    validate_boundary(space, y)
     if x == y:
         raise IdenticalBoundaryPointsError("identical boundary points - branch time infinite")
     n = _comparison_bound(x, y)
@@ -491,7 +493,7 @@ def _sample_tree_boundary(k: int, n: int, rng: np.random.Generator) -> list:
 
 
 # ---------------------------------------------------------------------------
-# serialization (line-oriented boundary records)
+# serialization (line-oriented boundary records, written only)
 
 
 def space_id(space: Space) -> str:
@@ -521,16 +523,3 @@ def boundary_to_line(space: Space, bp: BoundaryPoint) -> str:
         return f"{sid} pre={pre} per={per}"
     return f"{sid} phi={bp.angle:.17g}"
 
-
-def boundary_from_line(space: Space, line: str) -> BoundaryPoint:
-    parts = line.split()
-    fields = dict(p.split("=", 1) for p in parts[1:])
-    if space.kind == EUCLIDEAN:
-        return EuclideanBoundary(tuple(float(c) for c in fields["dir"].split(",")))
-    if space.kind == TREE:
-        pre = tuple(int(a) for a in fields["pre"].split(".")) if fields["pre"] else ()
-        per = tuple(int(a) for a in fields["per"].split("."))
-        bp = TreeBoundary(pre, per)
-        validate_boundary(space, bp)
-        return bp
-    return HyperbolicBoundary(float(fields["phi"]))

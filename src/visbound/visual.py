@@ -24,8 +24,6 @@ from .metrics import (
 from .spaces import TREE, Space, TreeBoundary
 
 FITS = "fits"
-UNBOUNDED = "unbounded-evidence"
-_GROWTH_FACTOR = 1e3
 
 
 @dataclass(frozen=True)
@@ -65,29 +63,19 @@ def _fit_values(space: Space, spec: MetricSpec, a: float, pairs: list) -> tuple:
     return _closed_form(space, spec, inv, exact=False) * np.exp(p * la), p
 
 
-def visual_fit(space: Space, spec: MetricSpec, a: float, pairs: list,
-               nested_families: list | None = None) -> VisualFit:
+def visual_fit(space: Space, spec: MetricSpec, a: float, pairs: list) -> VisualFit:
     """Best constants k1 = min, k2 = max of d * a^product over the pairs
-    (the first pair attaining each is its witness).
-
-    nested_families: optional increasing pair families; when their k2 values
-    increase monotonically by more than _GROWTH_FACTOR overall, the verdict
-    flips to unbounded-evidence."""
+    (the first pair attaining each is its witness)."""
     if a <= 1:
         raise ValueError("visual parameter must exceed 1")
     if not pairs:
         raise ValueError("need at least one pair")
     v, p = _fit_values(space, spec, a, pairs)
     lo, hi = int(np.argmin(v)), int(np.argmax(v))
-    verdict = FITS
-    if nested_families:
-        tops = [float(_fit_values(space, spec, a, fam)[0].max()) for fam in nested_families]
-        if all(x < y for x, y in zip(tops, tops[1:])) and tops[-1] >= _GROWTH_FACTOR * tops[0]:
-            verdict = UNBOUNDED
     return VisualFit(a=float(a), k1=float(v[lo]), k2=float(v[hi]),
                      witness_min=(*pairs[lo], float(p[lo]), float(v[lo])),
                      witness_max=(*pairs[hi], float(p[hi]), float(v[hi])),
-                     verdict=verdict)
+                     verdict=FITS)
 
 
 # ---------------------------------------------------------------------------

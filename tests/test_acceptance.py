@@ -23,9 +23,12 @@ from visbound.covers import (
     sample_ray_points,
 )
 from visbound.metrics import (
+    ConeNeighborhood,
     MetricSpec,
+    cone_contains,
     eval_dA,
     eval_dbar,
+    eval_dbar_extended,
     pair_distance_matrix,
     spec_dA,
     spec_dbar,
@@ -39,6 +42,8 @@ from visbound.quasisym import (
     verify_control,
 )
 from visbound.spaces import (
+    EuclideanBoundary,
+    HyperbolicBoundary,
     Ray,
     TreeBoundary,
     TreePoint,
@@ -235,7 +240,6 @@ def test_10_oracle_equivalence():
         worst_dA = max(worst_dA, abs(closed - eval_dA(T4, spec_dA(1), xi, eta, method="bisect")))
         closed_b = eval_dbar(T4, spec_dbar(), xi, eta)
         worst_db = max(worst_db, abs(closed_b - eval_dbar(T4, spec_dbar(), xi, eta, method="quadrature")))
-    from visbound.spaces import EuclideanBoundary
     worst_e = 0.0
     for theta in np.linspace(1e-3, math.pi, 1000):
         x = EuclideanBoundary((1.0, 0.0))
@@ -262,3 +266,32 @@ def test_11_ell_dim_stability():
     ok = orders_t == [1] * 8 and est_t == 0 and orders_c == [2] * 6 and est_c == 1
     _report(11, ok, f"net-ball orders: tree {orders_t} (estimate {est_t}), "
                     f"circle {orders_c} (estimate {est_c})")
+
+
+def test_12_dbar_extends_to_closure_with_cone_topology():
+    # xi and boundary points z_m -> xi: branching at m on T4, at angle 2^-m on
+    # R^2 and H^2 (on H^2 from below, across the seam at angle 0)
+    cases = [
+        (T4, TreeBoundary((), (0,)), [TreeBoundary((0,) * m + (1,), (0,)) for m in range(1, 11)]),
+        (E2, EuclideanBoundary((1.0, 0.0)),
+         [EuclideanBoundary((math.cos(2.0 ** -m), math.sin(2.0 ** -m))) for m in range(1, 17)]),
+        (H2, HyperbolicBoundary(0.0), [HyperbolicBoundary(-2.0 ** -m) for m in range(1, 17)]),
+    ]
+    spec = spec_dbar()
+    ok = True
+    lines = []
+    for space, xi, zs in cases:
+        ray = Ray(space, space.basepoint, xi)
+        # x at distance n on the ray to xi: the two paths part at time n
+        err = max(abs(eval_dbar_extended(space, spec, ray_point(ray, n), xi) - math.exp(-n))
+                  for n in (1, 3, 6))
+        d = [eval_dbar(space, spec, xi, z) for z in zs]
+        nbhd = ConeNeighborhood(ray, 4, 0.1)
+        near = [z for z, dz in zip(zs, d) if dz < 5e-3]
+        good = (err <= spec.tol and all(a > b for a, b in zip(d, d[1:]))
+                and len(near) >= 3 and all(cone_contains(space, nbhd, z) for z in near)
+                and not cone_contains(space, nbhd, zs[0]))
+        ok = ok and good
+        lines.append(f"{space.kind}: |dbar(x_n, xi) - e^-n| <= {err:.1e}, "
+                     f"{len(near)} in U(ray, 4, 0.1)")
+    _report(12, ok, "dbar on X u dX and the cone topology: " + "; ".join(lines))

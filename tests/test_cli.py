@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 
@@ -280,3 +281,30 @@ class TestErrorPaths:
     def test_run_validates(self):
         with pytest.raises(ConfigError):
             run(RunConfig(experiment="nope"))
+
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+# each script and the run directories it writes under out/
+SCRIPT_OUTPUTS = {
+    "run_demo_t4.py": ["demo-t4"],
+    "run_ell_dim.py": ["ell-dim-circle", "ell-dim-tree4"],
+    "run_pushin.py": ["pushin-tree4"],
+    "run_pushout.py": ["pushout-euclidean2", "pushout-tree4"],
+}
+
+
+class TestScripts:
+    def test_every_script_listed(self):
+        assert sorted(f for f in os.listdir(SCRIPTS) if f.endswith(".py")) == sorted(SCRIPT_OUTPUTS)
+
+    @pytest.mark.parametrize("script", sorted(SCRIPT_OUTPUTS))
+    def test_script_runs(self, script, tmp_path, monkeypatch):
+        path = os.path.join(SCRIPTS, script)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", [path, "--n", "40"])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_path(path, run_name="__main__")
+        assert done.value.code == 0
+        assert sorted(os.listdir(tmp_path / "out")) == SCRIPT_OUTPUTS[script]
+        for name in SCRIPT_OUTPUTS[script]:
+            assert "manifest.json" in os.listdir(tmp_path / "out" / name)

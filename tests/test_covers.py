@@ -17,10 +17,8 @@ from visbound.covers import (
     colored_boundary_cover,
     cover_stats,
     ell_dim_estimate,
-    lattice_ball_cover,
     orbit_ball_order,
     sample_ray_points,
-    sample_window_points,
 )
 from visbound.metrics import MetricSpec, pair_distance_matrix, pair_invariants
 from visbound.spaces import (
@@ -110,28 +108,6 @@ class TestLatticeBalls:
         assert (0, 0) in words and (0,) in words
         assert () not in words
         assert len([w for w in words if len(w) == 3]) == 3
-
-    def test_interval_cover_lebesgue(self):
-        cover = lattice_ball_cover(E1, 1, 6.0, 200, 3)
-        st = cover_stats(cover, distance_matrix(cover.ground, lambda p, q: dist(E1, p, q)))
-        assert st.mesh <= 4.0 and st.lebesgue >= 1.0
-
-    def test_window_stats_match_bounds(self):
-        for space, R in ((E2, 2), (T4, 2)):
-            cover = lattice_ball_cover(space, R, 8, 250, 5)
-            st = cover_stats(cover, distance_matrix(cover.ground, lambda p, q: dist(space, p, q)))
-            assert st.mesh <= 4 * R
-            assert st.lebesgue >= R
-
-    def test_order_matches_global_count(self):
-        for space in (E2, T4):
-            cover = lattice_ball_cover(space, 2, 8, 250, 5)
-            st = cover_stats(cover, distance_matrix(cover.ground, lambda p, q: dist(space, p, q)))
-            assert st.order <= orbit_ball_order(space, 2)
-
-    def test_empty_window_rejected(self):
-        with pytest.raises(ValueError):
-            sample_window_points(E2, 5.0, 0, 1)
 
 
 class TestPushout:
@@ -311,7 +287,7 @@ def _reference_centers_near(system, p):
     return out
 
 
-def _reference_cover_stats(cover, matrix, lebesgue_indices=None):
+def _reference_cover_stats(cover, matrix):
     msets = [frozenset(s.members) for s in cover.sets]
     n = len(cover.ground)
     counts = np.zeros(n, dtype=int)
@@ -325,7 +301,7 @@ def _reference_cover_stats(cover, matrix, lebesgue_indices=None):
         raise ValueError("ground point left uncovered")
     lebesgue = math.inf
     full = set(range(n))
-    for i in (range(n) if lebesgue_indices is None else lebesgue_indices):
+    for i in range(n):
         best = 0.0
         for ms in msets:
             if i not in ms:
@@ -434,22 +410,21 @@ def _random_covers(draw):
     sets = draw(st.lists(subsets, min_size=1, max_size=6))
     if draw(st.booleans()):
         sets.append(tuple(range(n)))          # a set swallowing the sample
-    window = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
-    return Cover(ground=list(range(n)), sets=[CoverSet(m) for m in sets]), matrix, window
+    return Cover(ground=list(range(n)), sets=[CoverSet(m) for m in sets]), matrix
 
 
 class TestStatsKernels:
     @settings(max_examples=300, deadline=None)
     @given(_random_covers())
     def test_cover_stats_matches_loop(self, case):
-        cover, matrix, window = case
+        cover, matrix = case
         try:
-            want = _reference_cover_stats(cover, matrix, window)
+            want = _reference_cover_stats(cover, matrix)
         except ValueError:
             with pytest.raises(ValueError, match="uncovered"):
-                cover_stats(cover, matrix=matrix, lebesgue_indices=window)
+                cover_stats(cover, matrix=matrix)
             return
-        got = cover_stats(cover, matrix=matrix, lebesgue_indices=window)
+        got = cover_stats(cover, matrix=matrix)
         assert (got.order, got.mesh, got.lebesgue) == want
 
     def test_cover_stats_matches_loop_on_pushout(self):

@@ -516,12 +516,19 @@ class TestBranchKernel:
     @pytest.mark.parametrize("word", [TreeBoundary((), (3,)), TreeBoundary((4,), (0,)),
                                       TreeBoundary((1, 3), (0,)), TreeBoundary((), (0, -1))])
     def test_illegal_word_raises(self, word):
-        # TreeBoundary((), (3,)) once got d_1 = 2 on T4 without complaint
-        pts = [TreeBoundary((0,), (1,)), word]
-        with pytest.raises(ValueError, match="illegal tree word"):
-            pair_invariants(T4, pts, [0], [1])
-        with pytest.raises(ValueError, match="illegal tree word"):
-            pair_distance_matrix(T4, spec_dA(1), pts)
+        # TreeBoundary((), (3,)) once got d_1 = 2 on T4 without complaint, and
+        # beside TreeBoundary((), (0,)) its unrolled words once stopped at the
+        # legal first letter
+        for other in (TreeBoundary((0,), (1,)), TreeBoundary((), (0,))):
+            pts = [other, word]
+            with pytest.raises(ValueError, match="illegal tree word"):
+                pair_invariants(T4, pts, [0], [1])
+            with pytest.raises(ValueError, match="illegal tree word"):
+                pair_distance_matrix(T4, spec_dA(1), pts)
+            with pytest.raises(ValueError, match="illegal tree word"):
+                eval_dA(T4, spec_dA(1), *pts, method="bisect")
+            with pytest.raises(ValueError, match="illegal tree word"):
+                eval_dbar(T4, spec_dbar(), *pts, method="quadrature")
 
     @pytest.mark.parametrize("spec", [spec_dA(1), spec_dA(2), spec_dA(0.7), spec_dbar()],
                              ids=["dA1", "dA2", "dA0.7", "dbar"])

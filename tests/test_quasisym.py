@@ -7,14 +7,10 @@ from hypothesis import strategies as st
 
 from visbound.metrics import MetricSpec, spec_dA, spec_dbar
 from visbound.quasisym import (
-    ControlFunction,
     Envelope,
-    compose_eta,
     eta_change_A,
     eta_change_basepoint,
-    identity_control,
     linear_control,
-    power_control,
     power_law_fit,
     qs_envelope,
     uniformly_perfect_check,
@@ -31,52 +27,11 @@ from visbound.spaces import (
 T4 = tree_space(4)
 E2 = euclidean_space(2)
 
-positive_t = st.floats(min_value=1e-6, max_value=1e6,
-                       allow_nan=False, allow_infinity=False)
-
 
 class TestControlFunctions:
     def test_linear_needs_positive_slope(self):
         with pytest.raises(ValueError):
             linear_control(0)
-
-    def test_power_parameter_ranges(self):
-        with pytest.raises(ValueError):
-            power_control(0.5, 1.0)
-        with pytest.raises(ValueError):
-            power_control(2.0, 1.5)
-
-    def test_power_shape(self):
-        eta = power_control(2.0, 0.5)
-        assert eta(4.0) == 2.0 * 4.0 ** 2      # t >= 1 branch: t^{1/delta}
-        assert eta(0.25) == 2.0 * 0.5          # t < 1 branch: t^delta
-
-    @given(a=positive_t, b=positive_t, t=positive_t)
-    def test_linear_composition_is_product(self, a, b, t):
-        comp = compose_eta(linear_control(a), linear_control(b))
-        assert comp.form == "linear"
-        assert math.isclose(comp(t), a * b * t, rel_tol=1e-12)
-
-    @given(t=positive_t)
-    def test_identity_laws(self, t):
-        eta = power_control(3.0, 0.5)
-        assert compose_eta(identity_control, eta)(t) == eta(t)
-        assert compose_eta(eta, identity_control)(t) == eta(t)
-
-    @given(t=positive_t, m=positive_t)
-    def test_power_after_linear_pointwise(self, t, m):
-        eta = compose_eta(linear_control(m), power_control(2.0, 0.5))
-        want = 2.0 * max((m * t) ** 0.5, (m * t) ** 2)
-        assert math.isclose(eta(t), want, rel_tol=1e-12)
-
-    @given(t=positive_t)
-    def test_composition_associative_pointwise(self, t):
-        f = linear_control(2.0)
-        g = power_control(1.5, 0.5)
-        h = linear_control(0.25)
-        left = compose_eta(compose_eta(f, g), h)
-        right = compose_eta(f, compose_eta(g, h))
-        assert math.isclose(left(t), right(t), rel_tol=1e-12)
 
 
 class TestEtaFormulas:
@@ -108,7 +63,7 @@ class TestEtaFormulas:
 
 class TestVerifyControl:
     def test_identity_zero_violations(self):
-        rep = verify_control(T4, spec_dA(1), spec_dA(1), identity_control, 2000, 1)
+        rep = verify_control(T4, spec_dA(1), spec_dA(1), linear_control(Fraction(1)), 2000, 1)
         assert rep.violations == 0
         assert rep.worst_margin <= 1
 
@@ -135,7 +90,7 @@ class TestVerifyControl:
         assert rep.violations == 0
 
     def test_report_serializes(self):
-        rep = verify_control(T4, spec_dA(1), spec_dA(1), identity_control, 100, 5)
+        rep = verify_control(T4, spec_dA(1), spec_dA(1), linear_control(Fraction(1)), 100, 5)
         d = rep.to_dict()
         assert set(d) == {"violations", "worst_margin", "discarded", "checked", "seed"}
 

@@ -15,8 +15,6 @@ from visbound.spaces import (
     SpaceMismatchError,
     TreeBoundary,
     TreePoint,
-    boundary_from_line,
-    boundary_to_line,
     branch_time,
     dist,
     euclidean_space,
@@ -110,6 +108,15 @@ class TestBoundaryWords:
         a = TreeBoundary((), (0,))
         with pytest.raises(IdenticalBoundaryPointsError):
             branch_time(T4, a, TreeBoundary((0,), (0,)))
+
+    @pytest.mark.parametrize("pre, per", [((), (3,)), ((4,), (0,)), ((0, 3), (1,)), ((0,), (-1,))],
+                             ids=["pre= per=3", "pre=4 per=0", "pre=0.3 per=1", "pre=0 per=-1"])
+    def test_illegal_tree_word_rejected(self, pre, per):
+        # first letter < 4, later letters < 3 on T4
+        word, legal = TreeBoundary(pre, per), TreeBoundary((), (0,))
+        for x, y in ((word, legal), (legal, word)):
+            with pytest.raises(ValueError, match="letter"):
+                branch_time(T4, x, y)
 
 
 class TestDistances:
@@ -242,17 +249,3 @@ class TestSampling:
             assert 0 <= bp.letter(0) <= 3
             for i in range(1, len(bp.preperiod) + 2 * len(bp.period)):
                 assert 0 <= bp.letter(i) <= 2
-
-
-class TestSerialization:
-    def test_boundary_round_trip(self):
-        for sp in (T4, E2, H2):
-            for bp in sample_boundary(sp, 10, 2):
-                assert boundary_from_line(sp, boundary_to_line(sp, bp)) == bp
-
-    @pytest.mark.parametrize("line", ["tree4 pre= per=3", "tree4 pre=4 per=0",
-                                      "tree4 pre=0.3 per=1", "tree4 pre=0 per=-1"])
-    def test_illegal_tree_word_rejected(self, line):
-        # first letter < 4, later letters < 3 on T4
-        with pytest.raises(ValueError, match="letter"):
-            boundary_from_line(T4, line)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from visbound.metrics import MetricSpec, spec_dbar
+from visbound.metrics import spec_dbar
 from visbound.spaces import (
     TreeBoundary,
     euclidean_space,
@@ -13,7 +13,6 @@ from visbound.spaces import (
 )
 from visbound.visual import (
     FITS,
-    UNBOUNDED,
     nonqs_witness,
     nonvisual_witness_dA,
     visual_fit,
@@ -44,16 +43,6 @@ class TestVisualFit:
             visual_fit(T4, spec_dbar(), 1.0, sample_pairs(T4, 2, 1))
         with pytest.raises(ValueError):
             visual_fit(T4, spec_dbar(), math.e, [])
-
-    def test_nested_families_flag_unbounded(self):
-        spec = MetricSpec("dA", A=1)
-        fams = []
-        for top in (5, 10, 20, 30):
-            fams.append([(TreeBoundary((), (0,)),
-                          TreeBoundary(tuple([0] * n) + (1,), (0,)))
-                         for n in range(1, top + 1)])
-        fit = visual_fit(T4, spec, math.e, fams[0], nested_families=fams)
-        assert fit.verdict == UNBOUNDED
 
     def test_hyperbolic_dbar_band(self):
         # constants stay in a bounded band over products in [0, 10];

@@ -103,8 +103,12 @@ class RunConfig:
             raise ConfigError("A must be positive")
         if self.n < 1 or self.n_triples < 1:
             raise ConfigError("sample sizes must be >= 1")
+        if not self.scales:
+            raise ConfigError("scales must not be empty")
         if any(s <= 0 for s in self.scales):
             raise ConfigError("scales must be positive")
+        if self.eta_slope < 0:
+            raise ConfigError("eta_slope must be positive, or 0 for auto")
         if self.tol <= 0:
             raise ConfigError("tol must be positive")
         if self.R <= 0 or self.K < 0 or self.c < 1:
@@ -338,7 +342,7 @@ def run_demo_t4(cfg: RunConfig):
     radii = [Fraction(int(r), 64) for r in
              substream(cfg.seed, "demo-radii").integers(1, 127, size=20)]
     centers = sample_boundary(space, 50, cfg.seed + 1)
-    perf = uniformly_perfect_check(space, MetricSpec(DA, A=1), centers, 4, radii)
+    perf = uniformly_perfect_check(space, centers, radii)
     nv_rows = [(r.n, r.branch, _fmt(float(r.dA)), _fmt(float(r.product)), r.growth)
                for r in nv]
     nq_rows = [(r.n, _fmt(float(r.t)), r.rho, r.required_c) for r in nq]

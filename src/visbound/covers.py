@@ -1,7 +1,7 @@
 """Cover constructions and measured cover statistics: lattice ball systems
-of the space, their pushout to boundary covers, colored boundary covers,
-annular tube covers pushed back into the space, and a greedy-net dimension
-estimate over sampled metric data."""
+of the space, their pushout to boundary covers, colored boundary covers of
+trees and the circle, annular tube covers pushed back into a tree, and a
+greedy-net dimension estimate over sampled metric data."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .metrics import MetricSpec, pair_distance_matrix, pair_invariants
+from .metrics import _wrapped_gap, pair_invariants
 from .spaces import (
     EUCLIDEAN,
     HYPERBOLIC,
@@ -275,7 +275,7 @@ def boundary_pushout_cover(space: Space, system: LatticeBallSystem, lam, A,
 # colored boundary covers
 
 
-def _tree_cylinder_cover(space: Space, lam, boundary_sample: list) -> Cover:
+def _tree_cylinder_cover(lam, boundary_sample: list) -> Cover:
     depth = max(1, math.ceil(math.log(4.0 / float(lam)) - 1e-9))
     by_prefix = {}
     for i, xi in enumerate(boundary_sample):
@@ -285,27 +285,23 @@ def _tree_cylinder_cover(space: Space, lam, boundary_sample: list) -> Cover:
     return Cover(ground=list(boundary_sample), sets=sets)
 
 
-def _circle_arc_cover(space: Space, lam, boundary_sample: list) -> Cover | None:
+def _circle_arc_cover(lam, boundary_sample: list) -> Cover:
     """Two alternating colors of overlapping arcs; same-color arcs stay a
-    chordal gap >= lam/2 apart, arc diameter <= ~5 lam."""
+    chordal gap >= lam/2 apart, arc diameter <= ~5 lam.  Raises ValueError
+    when lam is too coarse for four arcs."""
     lamf = float(lam)
-    if lamf >= 4.0 * math.sin(math.pi / 8):
-        return None
     theta = 4.0 * math.asin(min(1.0, lamf / 4.0))
     N = 2 * int(math.floor(math.pi / theta))
-    if N < 4:
-        return None
+    if lamf >= 4.0 * math.sin(math.pi / 8) or N < 4:
+        raise ValueError(f"scale {lamf:g} is too coarse for four arcs of the circle")
     spacing = 2 * math.pi / N
     half = 0.75 * spacing
+    V = np.array([xi.direction for xi in boundary_sample], dtype=float)
+    phi = np.arctan2(V[:, 1], V[:, 0]) % (2 * math.pi)
     sets = []
     for j in range(N):
         center = j * spacing
-        members = []
-        for i, xi in enumerate(boundary_sample):
-            phi = math.atan2(xi.direction[1], xi.direction[0]) % (2 * math.pi)
-            delta = abs(phi - center) % (2 * math.pi)
-            if min(delta, 2 * math.pi - delta) <= half:
-                members.append(i)
+        members = np.flatnonzero(_wrapped_gap(phi, center) <= half).tolist()
         sets.append(CoverSet(tuple(members), j % 2, f"arc j={j} center={center:.6f} half={half:.6f}"))
     return Cover(ground=list(boundary_sample), sets=sets)
 
@@ -324,45 +320,18 @@ def _greedy_net(matrix: np.ndarray, lam: float, radius: float, rng) -> list:
     return [(c, tuple(np.flatnonzero(matrix[:, c] < radius).tolist())) for c in sorted(centers)]
 
 
-def _greedy_net_cover(matrix: np.ndarray, lam: float, boundary_sample: list,
-                      seed: int) -> Cover:
-    radius = 2.0 * lam
-    sets = [CoverSet(members, None, f"net-ball center={c} radius={radius:.6g}")
-            for c, members in _greedy_net(matrix, lam, radius, substream(seed, "net-cover"))]
-    # greedy-color the intersection graph
-    colored = []
-    assigned = []
-    for s in sets:
-        used = {col for t, col in colored if set(s.members) & set(t.members)}
-        col = 0
-        while col in used:
-            col += 1
-        colored.append((s, col))
-        assigned.append(CoverSet(s.members, col, s.descriptor))
-    return Cover(ground=list(boundary_sample), sets=assigned)
-
-
-def colored_boundary_cover(space: Space, lam, boundary_sample: list,
-                           metric_spec: MetricSpec | None = None,
-                           seed: int = 0) -> Cover:
-    """Boundary cover at scale lam whose color classes are lam/2-separated.
-    Trees get disjoint cylinders (one color); the circle gets two colors of
-    alternating arcs; anything else a greedy net with greedy coloring."""
+def colored_boundary_cover(space: Space, lam, boundary_sample: list) -> Cover:
+    """Boundary cover at scale lam whose color classes are lam/2-separated:
+    disjoint cylinders of one color on a tree, two colors of alternating
+    arcs on the circle.  Any other space, or a circle scale too coarse for
+    four arcs, raises ValueError."""
     if lam <= 0:
         raise ValueError("scale must be positive")
     if space.kind == TREE:
-        return _tree_cylinder_cover(space, lam, boundary_sample)
+        return _tree_cylinder_cover(lam, boundary_sample)
     if space.kind == EUCLIDEAN and space.dim == 2:
-        cover = _circle_arc_cover(space, lam, boundary_sample)
-        if cover is not None:
-            return cover
-    if metric_spec is None:
-        raise ValueError("generic fallback needs a metric spec")
-    matrix = pair_distance_matrix(space, metric_spec, boundary_sample)
-    if float(lam) >= float(matrix.max()):
-        return Cover(ground=list(boundary_sample),
-                     sets=[CoverSet(tuple(range(len(boundary_sample))), 0, "whole-sample")])
-    return _greedy_net_cover(matrix, float(lam), boundary_sample, seed)
+        return _circle_arc_cover(lam, boundary_sample)
+    raise ValueError("colored boundary covers are built on trees and the circle only")
 
 
 # ---------------------------------------------------------------------------

@@ -378,14 +378,22 @@ def _adapt(f, a, fa, b, fb, m, fm, whole, tol, depth):
 # dbar
 
 
+def _integrate_separation(f, spec: MetricSpec) -> float:
+    """The reference dbar integral of a separation f: adaptive Simpson of
+    f(r) e^-r on [0, T] to spec.tol/2, plus the tail bound f(T) e^-T
+    (f(r) <= 2r gives tail < 2(T+1)e^-T), T = spec.tail_horizon."""
+    T = spec.tail_horizon
+    g = lambda r: f(r) * math.exp(-r)
+    return adaptive_simpson(g, 0.0, T, spec.tol / 2.0) + f(T) * math.exp(-T)
+
+
 def eval_dbar(space: Space, spec: MetricSpec, xi: BoundaryPoint, eta: BoundaryPoint, method="auto") -> float:
     """dbar_{x0}(xi, eta) = integral of f(r) e^-r.
 
     Method 'auto' maps the pair invariant through the closed form (tree:
     2 e^-b; Euclidean: the chord; H^2: `pole_dbar` of the angle at x0);
-    'quadrature' integrates the same invariant's separation with the
-    adaptive Simpson kernel and the rigorous tail estimate (f(r) <= 2r
-    gives tail < 2(T+1)e^-T)."""
+    'quadrature' integrates the same invariant's separation by
+    `_integrate_separation`."""
     if spec.family != DBAR:
         raise ValueError("spec.family must be dbar")
     if xi == eta:
@@ -394,10 +402,7 @@ def eval_dbar(space: Space, spec: MetricSpec, xi: BoundaryPoint, eta: BoundaryPo
     if method != "quadrature":
         return _closed_form(space, spec, pair_invariants(space, [xi, eta], [0], [1], origin),
                             exact=False).item(0)
-    f = _separation_fn(space, origin, xi, eta)
-    T = spec.tail_horizon
-    g = lambda r: f(r) * math.exp(-r)
-    return adaptive_simpson(g, 0.0, T, spec.tol / 2.0) + f(T) * math.exp(-T)
+    return _integrate_separation(_separation_fn(space, origin, xi, eta), spec)
 
 
 def eval_dbar_extended(space: Space, spec: MetricSpec, x, y) -> float:
@@ -419,10 +424,7 @@ def eval_dbar_extended(space: Space, spec: MetricSpec, x, y) -> float:
         return lambda r: point_on_geodesic(space, origin, z, r)
 
     cx, cy = path(x), path(y)
-    f = lambda r: float(dist(space, cx(r), cy(r)))
-    T = spec.tail_horizon
-    g = lambda r: f(r) * math.exp(-r)
-    return adaptive_simpson(g, 0.0, T, spec.tol / 2.0) + f(T) * math.exp(-T)
+    return _integrate_separation(lambda r: float(dist(space, cx(r), cy(r))), spec)
 
 
 # ---------------------------------------------------------------------------

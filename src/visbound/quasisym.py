@@ -1,21 +1,22 @@
 """Control functions, empirical quasi-symmetry verification, ratio
-envelopes, power-law envelope fitting, and uniform perfectness checks."""
+envelopes, power-law envelope fitting, and the uniform perfectness check
+of the tree boundary."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .metrics import DA, MetricSpec, pair_distance_matrix
+from .metrics import DA, MetricSpec, _closed_form, pair_distance_matrix, pair_invariants
 from .spaces import (
     TREE,
     Space,
     TreeBoundary,
     sample_boundary,
-    space_id,
     substream,
 )
 
@@ -159,7 +160,6 @@ class Envelope:
     metrics, one entry per sampled triple."""
 
     entries: list                 # (t, rho, (i, j, k))
-    provenance: dict
     discarded: int = 0
 
 
@@ -168,14 +168,7 @@ def qs_envelope(space: Space, spec1: MetricSpec, spec2: MetricSpec,
     """Deterministic sampled envelope of (t, rho) ratio pairs."""
     kept, discarded = _ratio_triples(space, spec1, spec2, n_triples, seed, "qs-envelope")
     entries = [(float(t), float(rho), ijk) for ijk, t, rho in kept]
-    prov = {
-        "space": space_id(space),
-        "metric1": spec1.family, "metric2": spec2.family,
-        "A1": None if spec1.A is None else float(spec1.A),
-        "A2": None if spec2.A is None else float(spec2.A),
-        "seed": seed, "n_triples": n_triples,
-    }
-    return Envelope(entries=entries, provenance=prov, discarded=discarded)
+    return Envelope(entries=entries, discarded=discarded)
 
 
 @dataclass
@@ -220,63 +213,40 @@ class PerfectnessReport:
         return not self.failures
 
 
-def _tree_annulus_witness(space: Space, center: TreeBoundary, r: Fraction):
-    """Explicit witness in B(center, r) - B(center, r/4) for (tree, d_1):
-    the ray agreeing with the center for ceil(1/r) edges, then branching."""
+def _tree_annulus_witness(space: Space, center: TreeBoundary, r: Fraction) -> TreeBoundary:
+    """Witness in B(center, r) - B(center, r/4) for (tree, d_1): the ray
+    agreeing with the center for ceil(1/r) edges, then branching."""
     m = int(math.ceil(1 / r))
-    k = space.valence
-    prefix = center.prefix(m)
     avoid = center.letter(m)
     # period letters repeat at non-initial positions, so stay within 0..k-2
-    letter = next(a for a in range(k - 1) if a != avoid)
-    witness = TreeBoundary(prefix, (letter,))
-    d = 1 / (Fraction(m) + Fraction(1, 2))
-    return witness, d
+    letter = next(a for a in range(space.valence - 1) if a != avoid)
+    return TreeBoundary(center.prefix(m), (letter,))
 
 
-def uniformly_perfect_check(space: Space, spec: MetricSpec, samples: list,
-                            c, radii: list) -> PerfectnessReport:
-    """For each sampled center and radius: if the complement of B(x, r) is
-    nonempty, find a witness in B(x, r) - B(x, r/c).  Constructive (exact)
-    on trees with d_1 and c >= 4; otherwise searched among `samples`."""
-    if c <= 1:
-        raise ValueError("uniform perfectness constant must exceed 1")
-    constructive = (space.kind == TREE and spec.family == DA
-                    and Fraction(spec.A) == 1 and c >= 4)
-    failures = []
-    witnesses = []
-    cases = 0
-    vacuous = 0
-    if constructive:
-        diam = Fraction(2)
-        for center in samples:
-            for r in radii:
-                rf = Fraction(r)
-                cases += 1
-                if rf >= diam:
-                    vacuous += 1
-                    continue
-                w, d = _tree_annulus_witness(space, center, rf)
-                ok = w is not None and (rf / 4 <= d < rf)
-                if ok:
-                    witnesses.append((center, rf, w, d))
-                else:
-                    failures.append((center, rf, d))
-        return PerfectnessReport(cases=cases, vacuous=vacuous,
-                                 failures=failures, witnesses=witnesses)
-    table = pair_distance_matrix(space, spec, samples, exact=True)
-    n = len(samples)
-    for i in range(n):
-        for r in radii:
-            cases += 1
-            others = [(table[i, j], j) for j in range(n) if j != i]
-            if not any(d >= r for d, _ in others):
-                vacuous += 1
-                continue
-            hit = next(((d, j) for d, j in others if r / c <= d < r), None)
-            if hit is None:
-                failures.append((i, r))
-            else:
-                witnesses.append((i, r, hit[1], float(hit[0])))
-    return PerfectnessReport(cases=cases, vacuous=vacuous,
+def uniformly_perfect_check(space: Space, centers: list, radii: list) -> PerfectnessReport:
+    """Uniform perfectness of (boundary of T_k, d_1) with constant 4: for
+    each center and each radius r below the diameter 2, a constructed
+    witness whose d_1 distance d from the center, measured by the pair
+    kernel in exact arithmetic, must satisfy r/4 <= d < r.  Radii >= 2 are
+    vacuous.  Raises ValueError on a non-tree space."""
+    if space.kind != TREE:
+        raise ValueError("the perfectness check is constructive on tree spaces only")
+    live = [Fraction(r) for r in radii if Fraction(r) < 2]
+    k = len(live)
+    found = [_tree_annulus_witness(space, center, r) for center in centers for r in live]
+    # the kernel unrolls every word of a call to one length, so each call
+    # takes one center and its k witnesses, not all of them at once
+    inv = np.zeros(len(found), dtype=np.int64)
+    for i, center in enumerate(centers):
+        inv[i * k:(i + 1) * k] = pair_invariants(space, [center] + found[i * k:(i + 1) * k],
+                                                 np.zeros(k, dtype=np.int64), np.arange(1, k + 1))
+    dists = _closed_form(space, MetricSpec(DA, A=1), inv, exact=True)
+    failures, witnesses = [], []
+    for (center, r), w, d in zip(itertools.product(centers, live), found, dists):
+        if r / 4 <= d < r:
+            witnesses.append((center, r, w, d))
+        else:
+            failures.append((center, r, d))
+    return PerfectnessReport(cases=len(centers) * len(radii),
+                             vacuous=len(centers) * (len(radii) - k),
                              failures=failures, witnesses=witnesses)

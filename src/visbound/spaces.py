@@ -38,9 +38,6 @@ class IdenticalBoundaryPointsError(ValueError):
 class EuclideanPoint:
     coords: tuple
 
-    def __iter__(self):
-        return iter(self.coords)
-
 
 @dataclass(frozen=True)
 class TreePoint:
@@ -435,6 +432,33 @@ def substream(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([int(seed) & 0xFFFFFFFF, zlib.crc32(name.encode())])
 
 
+def _draw_boundary(space: Space, rng: np.random.Generator):
+    """One boundary point drawn from `rng`, or None to reject the draw: a
+    normalized Gaussian direction, a uniform angle, or an eventually
+    periodic tree word with a geometric preperiod and a period of 1-4."""
+    if space.kind == EUCLIDEAN:
+        v = rng.normal(size=space.dim)
+        nv = float(np.linalg.norm(v))
+        if nv == 0.0:
+            return None
+        v = v / nv
+        v = v / float(np.linalg.norm(v))
+        return EuclideanBoundary(tuple(float(c) for c in v))
+    if space.kind == HYPERBOLIC:
+        return HyperbolicBoundary(float(rng.uniform(0, 2 * math.pi)))
+    k = space.valence
+    pre_len = int(rng.geometric(0.4)) - 1
+    per_len = int(rng.integers(1, 5))
+    letters = []
+    for i in range(pre_len + per_len):
+        hi = k if i == 0 and pre_len > 0 else k - 1
+        letters.append(int(rng.integers(0, hi)))
+    try:
+        return TreeBoundary(tuple(letters[:pre_len]), tuple(letters[pre_len:]))
+    except ValueError:
+        return None
+
+
 def sample_boundary(space: Space, n: int, seed: int) -> list:
     """n pairwise-distinct boundary points, deterministic in (space, n, seed)."""
     if n < 1:
@@ -442,53 +466,13 @@ def sample_boundary(space: Space, n: int, seed: int) -> list:
     if space.kind == EUCLIDEAN and space.dim == 1 and n > 2:
         raise ValueError(f"R^1 has only 2 boundary points, cannot sample {n}")
     rng = substream(seed, f"boundary-{space.kind}")
-    if space.kind == EUCLIDEAN:
-        out = []
-        seen = set()
-        while len(out) < n:
-            v = rng.normal(size=space.dim)
-            nv = float(np.linalg.norm(v))
-            if nv == 0.0:
-                continue
-            v = v / nv
-            v = v / float(np.linalg.norm(v))
-            bp = EuclideanBoundary(tuple(float(c) for c in v))
-            if bp not in seen:
-                seen.add(bp)
-                out.append(bp)
-        return out
-    if space.kind == HYPERBOLIC:
-        out = []
-        seen = set()
-        while len(out) < n:
-            bp = HyperbolicBoundary(float(rng.uniform(0, 2 * math.pi)))
-            if bp not in seen:
-                seen.add(bp)
-                out.append(bp)
-        return out
-    return _sample_tree_boundary(space.valence, n, rng)
-
-
-def _sample_tree_boundary(k: int, n: int, rng: np.random.Generator) -> list:
     out = []
     seen = set()
     while len(out) < n:
-        pre_len = int(rng.geometric(0.4)) - 1
-        per_len = int(rng.integers(1, 5))
-        letters = []
-        for i in range(pre_len + per_len):
-            hi = k if i == 0 and pre_len > 0 else k - 1
-            letters.append(int(rng.integers(0, hi)))
-        pre = tuple(letters[:pre_len])
-        per = tuple(letters[pre_len:])
-        try:
-            bp = TreeBoundary(pre, per)
-        except ValueError:
-            continue
-        if bp in seen:
-            continue
-        seen.add(bp)
-        out.append(bp)
+        bp = _draw_boundary(space, rng)
+        if bp is not None and bp not in seen:
+            seen.add(bp)
+            out.append(bp)
     return out
 
 

@@ -31,17 +31,11 @@ class VisualFit:
     a: float
     k1: float
     k2: float
-    witness_min: tuple
-    witness_max: tuple
     verdict: str
 
-    def __post_init__(self):
-        if self.verdict == FITS and self.k1 > self.k2:
-            raise ValueError("k1 must not exceed k2")
 
-
-def _fit_values(space: Space, spec: MetricSpec, a: float, pairs: list) -> tuple:
-    """(v, p) over the pairs: v = d(xi,eta) * a^(xi,eta) and p the Gromov
+def _fit_values(space: Space, spec: MetricSpec, a: float, pairs: list) -> np.ndarray:
+    """d(xi,eta) * a^(xi,eta) over the pairs, with (xi,eta) the Gromov
     product, from one invariant call over the distinct points of the pairs.
     Trees use single-exponent forms, so a = e gives the constant 2 exactly
     for dbar."""
@@ -58,24 +52,18 @@ def _fit_values(space: Space, spec: MetricSpec, a: float, pairs: list) -> tuple:
         else:
             value = lambda b: math.exp(b * la) / (b + float(spec.A) / 2.0)
         lookup = np.array([value(b) for b in range(int(inv.max(initial=0)) + 1)])
-        return lookup[inv], inv.astype(float)
-    p = _gromov_closed_form(space, inv)
-    return _closed_form(space, spec, inv, exact=False) * np.exp(p * la), p
+        return lookup[inv]
+    return _closed_form(space, spec, inv, exact=False) * np.exp(_gromov_closed_form(space, inv) * la)
 
 
 def visual_fit(space: Space, spec: MetricSpec, a: float, pairs: list) -> VisualFit:
-    """Best constants k1 = min, k2 = max of d * a^product over the pairs
-    (the first pair attaining each is its witness)."""
+    """Best constants k1 = min, k2 = max of d * a^product over the pairs."""
     if a <= 1:
         raise ValueError("visual parameter must exceed 1")
     if not pairs:
         raise ValueError("need at least one pair")
-    v, p = _fit_values(space, spec, a, pairs)
-    lo, hi = int(np.argmin(v)), int(np.argmax(v))
-    return VisualFit(a=float(a), k1=float(v[lo]), k2=float(v[hi]),
-                     witness_min=(*pairs[lo], float(p[lo]), float(v[lo])),
-                     witness_max=(*pairs[hi], float(p[hi]), float(v[hi])),
-                     verdict=FITS)
+    v = _fit_values(space, spec, a, pairs)
+    return VisualFit(a=float(a), k1=float(v.min()), k2=float(v.max()), verdict=FITS)
 
 
 # ---------------------------------------------------------------------------

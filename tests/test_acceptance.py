@@ -101,7 +101,7 @@ def test_03_identity_d1_to_dbar_not_quasisymmetric():
     # the best-fit residual over growing witness prefixes must also grow
     residuals = []
     for top in (5, 10, 15, 20, 25):
-        env = Envelope([(float(r.t), r.rho, (0, 1, 2)) for r in rows[:top]], {})
+        env = Envelope([(float(r.t), r.rho, (0, 1, 2)) for r in rows[:top]])
         residuals.append(power_law_fit(env).max_residual)
     res_mono = all(a < b for a, b in zip(residuals, residuals[1:]))
     ok = req_mono and res_mono and rows[-1].required_c > 1e6
@@ -113,7 +113,7 @@ def test_04_tree_d1_uniformly_perfect():
     centers = sample_boundary(T4, 100, SEED)
     rng = substream(SEED, "acc4")
     radii = sorted({Fraction(int(k), 64) for k in rng.integers(1, 128, size=40)})[:10]
-    rep = uniformly_perfect_check(T4, spec_dA(1), centers, 4, radii)
+    rep = uniformly_perfect_check(T4, centers, radii)
     ok = rep.ok and rep.vacuous == 0 and rep.cases == len(centers) * len(radii) == 1000
     _report(4, ok, f"constructive annulus witnesses for {rep.cases} (center, radius) "
                    f"cases, failures={len(rep.failures)}")

@@ -266,13 +266,22 @@ class TestErrorPaths:
     @pytest.mark.parametrize("argv", [
         ["cover-pushout", "--space", "euclidean1", "--n", "3"],
         ["visual-fit", "--space", "euclidean2", "--n", "20"],
+        ["cover-pushout", "--space", "tree4", "--n", "20", "--config", {"scales": []}],
+        ["ell-dim", "--space", "tree4", "--n", "20", "--config", {"scales": []}],
+        ["compare", "--space", "tree4", "--n-triples", "100", "--eta-slope", "-1"],
     ])
     def test_rejected_on_entry(self, argv, tmp_path):
-        # a separate interpreter, so that a hang times out and a traceback shows
+        # a separate interpreter, so that a hang times out and a traceback
+        # shows; a dict in argv is written to a config file first
         src = os.path.dirname(os.path.dirname(visbound.__file__))
         env = {**os.environ, "PYTHONPATH": src}
+        config = tmp_path / "config.json"
+        for a in argv:
+            if isinstance(a, dict):
+                config.write_text(json.dumps(a))
+        argv = [str(config) if isinstance(a, dict) else a for a in argv]
         proc = subprocess.run([sys.executable, "-m", "visbound.cli", *argv,
-                               "--out", str(tmp_path)],
+                               "--out", str(tmp_path / "out")],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")

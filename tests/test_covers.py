@@ -177,11 +177,17 @@ class TestColoredCovers:
             gap = min(D[i, j] for i in s.members for j in t.members)
             assert gap >= lam / 2 - 1e-12
 
-    def test_large_scale_single_set(self):
-        sample = sample_boundary(E2, 50, 3)
-        cover = colored_boundary_cover(E2, 10.0, sample,
-                                       metric_spec=MetricSpec("dA", A=1))
-        assert len(cover.sets) == 1
+    @pytest.mark.parametrize("space, lam, reason", [
+        (hyperbolic_plane(), 0.25, "trees and the circle only"),
+        (euclidean_space(3), 0.25, "trees and the circle only"),
+        (E2, 10.0, "too coarse for four arcs"),
+    ], ids=["H2", "R3", "circle-coarse"])
+    def test_other_spaces_and_coarse_circle_rejected(self, space, lam, reason):
+        # trees get cylinders and the circle arcs; there is no generic
+        # fallback that a metric could unlock
+        sample = sample_boundary(space, 50, 3)
+        with pytest.raises(ValueError, match=reason):
+            colored_boundary_cover(space, lam, sample)
 
 
 class TestPushin:

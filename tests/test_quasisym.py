@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from visbound import quasisym
 from visbound.metrics import MetricSpec, spec_dA, spec_dbar
 from visbound.quasisym import (
     Envelope,
@@ -109,21 +110,16 @@ class TestEnvelope:
         env = qs_envelope(T4, spec_dA(1), spec_dA(2), 2000, 7)
         assert all(r <= 2 * t * (1 + 1e-12) for t, r, _ in env.entries)
 
-    def test_provenance_recorded(self):
-        env = qs_envelope(T4, spec_dA(1), spec_dbar(), 100, 9)
-        assert env.provenance["space"] == "tree4"
-        assert env.provenance["seed"] == 9
-
 
 class TestPowerLawFit:
     def test_diagonal(self):
         entries = [(t, t, (0, 1, 2)) for t in (0.1, 0.5, 1.0, 3.0, 10.0)]
-        fit = power_law_fit(Envelope(entries, {}))
+        fit = power_law_fit(Envelope(entries))
         assert fit.c == 1.0 and fit.delta == 1.0 and fit.max_residual < 1e-12
 
     def test_linear_relation(self):
         entries = [(t, 5.0 * t, (0, 1, 2)) for t in (0.01, 0.2, 1.0, 7.0, 50.0)]
-        fit = power_law_fit(Envelope(entries, {}))
+        fit = power_law_fit(Envelope(entries))
         assert abs(fit.c - 5.0) < 1e-9 and fit.delta == 1.0
 
     def test_witness_family_residual_grows(self):
@@ -132,14 +128,14 @@ class TestPowerLawFit:
         prev = 0.0
         for top in (5, 10, 15, 20, 25):
             entries = [(2 * n + 1.0, math.exp(n), (0, 1, 2)) for n in range(1, top + 1)]
-            fit = power_law_fit(Envelope(entries, {}))
+            fit = power_law_fit(Envelope(entries))
             assert fit.max_residual > prev
             prev = fit.max_residual
         assert prev > 10.0
 
     def test_empty_envelope_rejected(self):
         with pytest.raises(ValueError):
-            power_law_fit(Envelope([], {}))
+            power_law_fit(Envelope([]))
 
     @given(st.lists(st.tuples(st.floats(1e-6, 1e6), st.floats(1e-6, 1e6)), min_size=1, max_size=40))
     def test_equals_the_loop_form(self, pairs):
@@ -154,7 +150,7 @@ class TestPowerLawFit:
                         for lt, lr in log_pairs)
             if best is None or (c, resid) < best[:2]:
                 best = (c, resid, delta)
-        fit = power_law_fit(Envelope([(t, r, (0, 1, 2)) for t, r in pairs], {}))
+        fit = power_law_fit(Envelope([(t, r, (0, 1, 2)) for t, r in pairs]))
         assert (fit.c, fit.max_residual, fit.delta) == best
 
 
@@ -162,28 +158,34 @@ class TestUniformPerfectness:
     def test_tree_constructive_witnesses(self):
         centers = sample_boundary(T4, 40, 3)
         radii = [Fraction(1, 2), Fraction(1, 7), Fraction(3, 2), Fraction(1, 100)]
-        rep = uniformly_perfect_check(T4, spec_dA(1), centers, 4, radii)
+        rep = uniformly_perfect_check(T4, centers, radii)
         assert rep.ok and rep.vacuous == 0
         for center, r, w, d in rep.witnesses:
             assert r / 4 <= d < r
 
     def test_explicit_half_radius_witness(self):
         center = TreeBoundary((), (0,))
-        rep = uniformly_perfect_check(T4, spec_dA(1), [center], 4, [Fraction(1, 2)])
+        rep = uniformly_perfect_check(T4, [center], [Fraction(1, 2)])
         (c, r, w, d) = rep.witnesses[0]
         assert d == Fraction(2, 5)        # branch at ceil(1/r) = 2
 
     def test_radius_beyond_diameter_vacuous(self):
         center = TreeBoundary((), (0,))
-        rep = uniformly_perfect_check(T4, spec_dA(1), [center], 4, [Fraction(3)])
+        rep = uniformly_perfect_check(T4, [center], [Fraction(3)])
         assert rep.vacuous == 1 and rep.ok
 
-    def test_circle_search(self):
-        centers = sample_boundary(E2, 300, 4)
-        rep = uniformly_perfect_check(E2, spec_dA(1), centers, 4,
-                                      [1.0, 0.5, 0.2, 0.1])
-        assert rep.ok
+    def test_witness_distance_is_measured(self, monkeypatch):
+        # a witness that branches off at the root is d_1 = 2 from its
+        # center, outside every annulus r/4 <= d < r with r < 2
+        def root_branch(space, center, r):
+            return TreeBoundary((), ((center.letter(0) + 1) % (space.valence - 1),))
 
-    def test_c_must_exceed_one(self):
+        monkeypatch.setattr(quasisym, "_tree_annulus_witness", root_branch)
+        centers = sample_boundary(T4, 10, 3)
+        rep = uniformly_perfect_check(T4, centers, [Fraction(1, 2), Fraction(1, 7)])
+        assert len(rep.failures) == 20 and not rep.witnesses
+        assert all(d == 2 for _, _, d in rep.failures)
+
+    def test_non_tree_rejected(self):
         with pytest.raises(ValueError):
-            uniformly_perfect_check(T4, spec_dA(1), [], 1, [])
+            uniformly_perfect_check(E2, sample_boundary(E2, 10, 4), [0.5])

@@ -78,8 +78,10 @@ class RunConfig:
     K: int = 5
     c: float = 1.0
     window: float = 14.0
-    tol: float = 1e-10
     out: str = "out"
+    # not a field: every run evaluates its metrics at the kernels' default
+    # tolerance, which oracle checks of the outputs read here
+    tol = MetricSpec.tol
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -93,6 +95,11 @@ class RunConfig:
         return cls(**d)
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if any(isinstance(x, float) and not math.isfinite(x)
+                   for x in (value if isinstance(value, list) else [value])):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
         if self.metric not in (DA, DBAR):
@@ -109,8 +116,6 @@ class RunConfig:
             raise ConfigError("scales must be positive")
         if self.eta_slope < 0:
             raise ConfigError("eta_slope must be positive, or 0 for auto")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
         if self.R <= 0 or self.K < 0 or self.c < 1:
             raise ConfigError("need R > 0, K >= 0, c >= 1")
 
@@ -129,8 +134,8 @@ def _spec(cfg: RunConfig, which: int = 1) -> MetricSpec:
     fam = cfg.metric if which == 1 else (cfg.metric2 or cfg.metric)
     A = cfg.A if which == 1 else cfg.A2
     if fam == DA:
-        return MetricSpec(DA, A=A, tol=cfg.tol)
-    return MetricSpec(DBAR, tol=cfg.tol)
+        return MetricSpec(DA, A=A)
+    return MetricSpec(DBAR)
 
 
 def _fmt(x) -> str:
@@ -233,7 +238,7 @@ def run_cover_pushout(cfg: RunConfig):
         raise ConfigError("pushout requires R > A")
     system = LatticeBallSystem(space, int(R) if float(R) == int(R) else R)
     sample = sample_boundary(space, cfg.n, cfg.seed)
-    spec = MetricSpec(DA, A=A, tol=cfg.tol)
+    spec = MetricSpec(DA, A=A)
     D = pair_distance_matrix(space, spec, sample)
     order_v = orbit_ball_order(space, system.R)
     rows = []
@@ -441,7 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        # a usage error is a rejected config (exit 1), not argparse's 2;
+        # --help exits 0
+        return 1 if e.code else 0
     d = {}
     if args.config:
         try:

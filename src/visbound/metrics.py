@@ -23,17 +23,12 @@ from .spaces import (
     HYPERBOLIC,
     TREE,
     BoundaryPoint,
-    EuclideanBoundary,
-    HyperbolicBoundary,
     IdenticalBoundaryPointsError,
     Point,
     Ray,
     Space,
-    TreeBoundary,
     TreePoint,
     dist,
-    point_on_geodesic,
-    project_to_sphere,
     ray_point,
 )
 
@@ -406,25 +401,17 @@ def eval_dbar(space: Space, spec: MetricSpec, xi: BoundaryPoint, eta: BoundaryPo
 
 
 def eval_dbar_extended(space: Space, spec: MetricSpec, x, y) -> float:
-    """dbar on Xbar = X union boundary: interior points travel their
-    basepoint geodesic and then stay frozen at the endpoint."""
+    """dbar on Xbar = X union boundary: each point travels its basepoint
+    geodesic and then stays frozen at its endpoint."""
     if spec.family != DBAR:
         raise ValueError("spec.family must be dbar")
-    origin = spec.base(space)
-    bnd = (EuclideanBoundary, TreeBoundary, HyperbolicBoundary)
-    if not isinstance(x, bnd) and not isinstance(y, bnd) and x == y:
+    if x == y:
         return 0.0
-    if isinstance(x, bnd) and isinstance(y, bnd):
+    if isinstance(x, BoundaryPoint) and isinstance(y, BoundaryPoint):
         return eval_dbar(space, spec, x, y)
-
-    def path(z):
-        if isinstance(z, bnd):
-            ray = Ray(space, origin, z)
-            return lambda r: ray_point(ray, r)
-        return lambda r: point_on_geodesic(space, origin, z, r)
-
-    cx, cy = path(x), path(y)
-    return _integrate_separation(lambda r: float(dist(space, cx(r), cy(r))), spec)
+    origin = spec.base(space)
+    cx, cy = Ray(space, origin, x), Ray(space, origin, y)
+    return _integrate_separation(lambda r: float(dist(space, ray_point(cx, r), ray_point(cy, r))), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -448,15 +435,14 @@ def gromov_product(space: Space, x0: Point, xi: BoundaryPoint, eta: BoundaryPoin
 
 
 def cone_contains(space: Space, nbhd: ConeNeighborhood, z) -> bool:
-    """Membership of a point or boundary point in U(c, r, eps)."""
+    """Membership of a point or boundary point in U(c, r, eps): z lies
+    beyond the sphere S(x0, r), and its projection there, the point at r
+    on the geodesic from x0 toward z, is eps-close to c(r)."""
     c = nbhd.ray
     x0 = c.origin
-    bnd = (EuclideanBoundary, TreeBoundary, HyperbolicBoundary)
-    if not isinstance(z, bnd):
-        if dist(space, z, x0) <= nbhd.r:
-            return False
-    proj = project_to_sphere(space, x0, z, nbhd.r)
-    return dist(space, proj, ray_point(c, nbhd.r)) < nbhd.eps
+    if not isinstance(z, BoundaryPoint) and dist(space, z, x0) <= nbhd.r:
+        return False
+    return dist(space, ray_point(Ray(space, x0, z), nbhd.r), ray_point(c, nbhd.r)) < nbhd.eps
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 hyperbolic plane H^2.
 
 Each space carries a distinguished basepoint, exact or closed-form geodesic
-rays, distances, and seeded boundary sampling.  Tree arithmetic is exact
-(Fractions, integer edge words); Euclidean and hyperbolic computations are
-double precision.
+rays and segments (one walk, `ray_point`), distances, and seeded boundary
+sampling.  Tree arithmetic is exact (Fractions, integer edge words);
+Euclidean and hyperbolic computations are double precision.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import math
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 import numpy as np
 
@@ -91,7 +90,7 @@ class HyperbolicPoint:
         object.__setattr__(self, "r", float(self.r))
 
 
-Point = Union[EuclideanPoint, TreePoint, HyperbolicPoint]
+Point = EuclideanPoint | TreePoint | HyperbolicPoint
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +161,7 @@ class HyperbolicBoundary:
         object.__setattr__(self, "angle", _wrap_angle(self.angle))
 
 
-BoundaryPoint = Union[EuclideanBoundary, TreeBoundary, HyperbolicBoundary]
+BoundaryPoint = EuclideanBoundary | TreeBoundary | HyperbolicBoundary
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +240,18 @@ def validate_boundary(space: Space, bp: BoundaryPoint) -> None:
 # distances
 
 
-def _tree_meet_depth(p: TreePoint, q: TreePoint) -> Fraction:
-    wp, wq = p.word, q.word
+def _tree_meet(p: TreePoint, z) -> Fraction:
+    """Depth at which the root paths to p and to z, a point or a boundary
+    point of T_k, part."""
+    wp = p.word
+    wz, depth_z = (z.prefix(len(wp)), math.inf) if isinstance(z, TreeBoundary) else (z.word, z.depth)
     j = 0
-    m = min(len(wp), len(wq))
-    while j < m and wp[j] == wq[j]:
+    m = min(len(wp), len(wz))
+    while j < m and wp[j] == wz[j]:
         j += 1
-    if j < len(wp) and j < len(wq):
+    if j < len(wp) and j < len(wz):
         return Fraction(j)
-    return min(p.depth, q.depth)
+    return min(p.depth, depth_z)
 
 
 def _hyp_cosh_dist_minus_1(r1, phi1, r2, phi2):
@@ -269,7 +271,7 @@ def dist(space: Space, p: Point, q: Point):
     if space.kind == EUCLIDEAN:
         return math.sqrt(sum((a - b) ** 2 for a, b in zip(p.coords, q.coords)))
     if space.kind == TREE:
-        return p.depth + q.depth - 2 * _tree_meet_depth(p, q)
+        return p.depth + q.depth - 2 * _tree_meet(p, q)
     return _acosh1p(_hyp_cosh_dist_minus_1(p.r, p.phi, q.r, q.phi))
 
 
@@ -302,7 +304,7 @@ def branch_time(space: Space, x: TreeBoundary, y: TreeBoundary) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# rays
+# rays and segments
 
 
 def _disk_from_polar(r: float, phi: float) -> complex:
@@ -318,21 +320,14 @@ def _polar_from_disk(w: complex) -> HyperbolicPoint:
     return HyperbolicPoint(r, phi)
 
 
-def _mobius_to_zero(z0: complex, w: complex) -> complex:
-    return (w - z0) / (1 - z0.conjugate() * w)
-
-
-def _mobius_from_zero(z0: complex, u: complex) -> complex:
-    return (u + z0) / (1 + z0.conjugate() * u)
-
-
 @dataclass(frozen=True)
 class Ray:
-    """Unit-speed geodesic ray from `origin` asymptotic to `target`."""
+    """Unit-speed geodesic from `origin` toward `target`: a ray when the
+    target is a boundary point, a segment ending there when it is a point."""
 
     space: Space
     origin: Point
-    target: BoundaryPoint
+    target: Point | BoundaryPoint
 
     def __post_init__(self):
         _check_kind(self.space, self.origin)
@@ -341,86 +336,50 @@ class Ray:
             raise ValueError("tree rays are only supported from vertex origins")
 
 
+def _tree_point_at_depth(word: tuple, d: Fraction) -> TreePoint:
+    """Point at depth d on the root path spelled by `word` (len >= ceil(d))."""
+    n = math.ceil(d)
+    return TreePoint(tuple(word[:n]), d - n + 1 if d < n else Fraction(0))
+
+
 def ray_point(ray: Ray, t) -> Point:
-    """Point at parameter t >= 0 along the ray."""
+    """Point at parameter t >= 0 along the ray or the segment; a segment
+    stays at its target once t >= d(origin, target)."""
     if t < 0:
         raise ValueError("ray parameter must be nonnegative")
-    space, origin, target = ray.space, ray.origin, ray.target
+    space, p, z = ray.space, ray.origin, ray.target
+    to_boundary = isinstance(z, BoundaryPoint)
+    if not to_boundary:
+        d = dist(space, p, z)
+        if t >= d:
+            return z
+        if t == 0:  # p itself, not its round trip through the disk of H^2
+            return p
     if space.kind == EUCLIDEAN:
-        return EuclideanPoint(tuple(c + float(t) * d for c, d in zip(origin.coords, target.direction)))
+        # p + s v: (t, direction) on a ray, (t/d, q - p) on a segment
+        if to_boundary:
+            s, v = float(t), z.direction
+        else:
+            s, v = float(t) / d, [b - a for a, b in zip(p.coords, z.coords)]
+        return EuclideanPoint(tuple(a + s * c for a, c in zip(p.coords, v)))
     if space.kind == TREE:
-        return _tree_ray_point(origin, target, t if isinstance(t, Fraction) else Fraction(t))
-    # hyperbolic
-    if origin.r == 0.0:
-        return HyperbolicPoint(float(t), target.angle)
-    z0 = _disk_from_polar(origin.r, origin.phi)
-    zeta = complex(math.cos(target.angle), math.sin(target.angle))
-    zp = _mobius_to_zero(z0, zeta)
-    zp /= abs(zp)
-    u = math.tanh(float(t) / 2) * zp
-    return _polar_from_disk(_mobius_from_zero(z0, u))
-
-
-def _tree_point_at_depth(letters, d: Fraction) -> TreePoint:
-    """Point at depth d on the root-path spelled by `letters` (indexable)."""
-    if d == int(d):
-        return TreePoint(tuple(letters(i) for i in range(int(d))))
-    n = math.floor(d)
-    return TreePoint(tuple(letters(i) for i in range(n + 1)), d - n)
-
-
-def _tree_ray_point(origin: TreePoint, target: TreeBoundary, t: Fraction) -> TreePoint:
-    v = origin.word
-    j = 0
-    while j < len(v) and v[j] == target.letter(j):
-        j += 1
-    up = len(v) - j
-    if t <= up:
-        d = len(v) - t
-        return _tree_point_at_depth(lambda i: v[i], d)
-    d = j + (t - up)
-    return _tree_point_at_depth(target.letter, d)
-
-
-# ---------------------------------------------------------------------------
-# geodesics between points and the sphere projection
-
-
-def point_on_geodesic(space: Space, p: Point, q: Point, t):
-    """Point at distance min(t, d(p,q)) along the geodesic from p to q."""
-    _check_kind(space, p, q)
-    d = dist(space, p, q)
-    if t >= d:
-        return q
-    if t <= 0:
-        return p
-    if space.kind == EUCLIDEAN:
-        lam = float(t) / d
-        return EuclideanPoint(tuple(a + lam * (b - a) for a, b in zip(p.coords, q.coords)))
-    if space.kind == TREE:
-        tf = t if isinstance(t, Fraction) else Fraction(t)
-        m = _tree_meet_depth(p, q)
-        down_p = p.depth - m
-        if tf <= down_p:
-            d0 = p.depth - tf
-            return _tree_point_at_depth(lambda i: p.word[i], d0)
-        d0 = m + (tf - down_p)
-        return _tree_point_at_depth(lambda i: q.word[i], d0)
+        # back up p's word to the meet, then down the target's
+        t = t if isinstance(t, Fraction) else Fraction(t)
+        m = _tree_meet(p, z)
+        up = p.depth - m
+        if t <= up:
+            return _tree_point_at_depth(p.word, p.depth - t)
+        d = m + (t - up)
+        return _tree_point_at_depth(z.prefix(math.ceil(d)) if to_boundary else z.word, d)
+    if to_boundary and p.r == 0.0:
+        return HyperbolicPoint(float(t), z.angle)
+    # the Moebius map w -> (w - z0)/(1 - conj(z0) w) takes p to 0: walk
+    # toward the image of the target there, and map back
     z0 = _disk_from_polar(p.r, p.phi)
-    z1 = _disk_from_polar(q.r, q.phi)
-    u1 = _mobius_to_zero(z0, z1)
-    u = math.tanh(float(t) / 2) * (u1 / abs(u1))
-    return _polar_from_disk(_mobius_from_zero(z0, u))
-
-
-def project_to_sphere(space: Space, x0: Point, z, r):
-    """Natural projection of a point or boundary point onto the closed ball
-    of radius r about x0: the point at distance min(r, d(x0,z)) toward z."""
-    if r <= 0:
-        raise ValueError("projection radius must be positive")
-    if isinstance(z, (EuclideanBoundary, TreeBoundary, HyperbolicBoundary)):
-        return ray_point(Ray(space, x0, z), r)
-    return point_on_geodesic(space, x0, z, r)
+    w = complex(math.cos(z.angle), math.sin(z.angle)) if to_boundary else _disk_from_polar(z.r, z.phi)
+    u = (w - z0) / (1 - z0.conjugate() * w)
+    u = math.tanh(float(t) / 2) * (u / abs(u))
+    return _polar_from_disk((u + z0) / (1 + z0.conjugate() * u))
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +412,7 @@ def _draw_boundary(space: Space, rng: np.random.Generator):
     for i in range(pre_len + per_len):
         hi = k if i == 0 and pre_len > 0 else k - 1
         letters.append(int(rng.integers(0, hi)))
-    try:
-        return TreeBoundary(tuple(letters[:pre_len]), tuple(letters[pre_len:]))
-    except ValueError:
-        return None
+    return TreeBoundary(tuple(letters[:pre_len]), tuple(letters[pre_len:]))
 
 
 def sample_boundary(space: Space, n: int, seed: int) -> list:

@@ -40,7 +40,7 @@ class TestConfig:
         values = {"experiment": "compare", "space": "tree5", "metric": "dA", "A": 0.75,
                   "metric2": "dbar", "A2": 3.5, "eta_slope": 1.25, "a": 2.5, "seed": 7,
                   "n": 33, "n_triples": 444, "scales": [0.5, 0.125], "R": 3.0, "K": 4,
-                  "c": 2.0, "window": 9.5, "tol": 1e-8, "out": "somewhere"}
+                  "c": 2.0, "window": 9.5, "out": "somewhere"}
         names = [f.name for f in dataclasses.fields(RunConfig)]
         assert sorted(values) == sorted(names)
         argv = ["compare"]
@@ -269,6 +269,11 @@ class TestErrorPaths:
         ["cover-pushout", "--space", "tree4", "--n", "20", "--config", {"scales": []}],
         ["ell-dim", "--space", "tree4", "--n", "20", "--config", {"scales": []}],
         ["compare", "--space", "tree4", "--n-triples", "100", "--eta-slope", "-1"],
+        ["metric", "--metric", "dA", "--A", "nan", "--n", "5"],
+        ["metric", "--metric", "dA", "--A", "inf", "--n", "5"],
+        ["ell-dim", "--space", "tree4", "--n", "20", "--scales", "nan"],
+        ["cover-pushout", "--space", "tree4", "--n", "20", "--R", "inf"],
+        ["ell-dim", "--space", "tree4", "--n", "20", "--config", {"scales": [0.5, math.inf]}],
     ])
     def test_rejected_on_entry(self, argv, tmp_path):
         # a separate interpreter, so that a hang times out and a traceback
@@ -286,6 +291,22 @@ class TestErrorPaths:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["metric", "--metric", "foo"],
+        ["ell-dim", "--scales", ""],
+        ["metric", "--tol", "1e-3"],
+        ["nope"],
+    ])
+    def test_usage_error_exits_one(self, argv, tmp_path, capsys):
+        # exit 2 is kept for a violated bound
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["metric", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage:")
 
     def test_run_validates(self):
         with pytest.raises(ConfigError):

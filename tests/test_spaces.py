@@ -19,8 +19,6 @@ from visbound.spaces import (
     dist,
     euclidean_space,
     hyperbolic_plane,
-    point_on_geodesic,
-    project_to_sphere,
     ray_point,
     sample_boundary,
     tree_space,
@@ -210,21 +208,54 @@ class TestRays:
 
 
 class TestProjection:
+    # the point at r toward z is the projection of z to the ball B(x0, r)
     def test_euclidean_projection(self):
-        p = project_to_sphere(E2, EuclideanPoint((0.0, 0.0)), EuclideanPoint((10.0, 0.0)), 2)
+        p = ray_point(Ray(E2, EuclideanPoint((0.0, 0.0)), EuclideanPoint((10.0, 0.0))), 2)
         assert p.coords == (2.0, 0.0)
 
     def test_inside_ball_fixed(self):
         z = EuclideanPoint((0.5, 0.0))
-        assert project_to_sphere(E2, EuclideanPoint((0.0, 0.0)), z, 2) == z
+        assert ray_point(Ray(E2, EuclideanPoint((0.0, 0.0)), z), 2) == z
 
     def test_tree_boundary_projection(self):
-        p = project_to_sphere(T4, TreePoint(()), TreeBoundary((), (0,)), 3)
+        p = ray_point(Ray(T4, TreePoint(()), TreeBoundary((), (0,))), 3)
         assert p == TreePoint((0, 0, 0))
 
     def test_geodesic_midpoint(self):
-        m = point_on_geodesic(T4, TreePoint((0, 0)), TreePoint((1,)), Fraction(3, 2))
+        m = ray_point(Ray(T4, TreePoint((0, 0)), TreePoint((1,))), Fraction(3, 2))
         assert m == TreePoint((0,), Fraction(1, 2))
+
+
+SEGMENTS = [
+    (E2, EuclideanPoint((1.0, 2.0)), EuclideanPoint((-3.5, 0.25))),
+    (E2, EuclideanPoint((0.0, 0.0)), EuclideanPoint((10.0, 0.0))),
+    (T4, TreePoint((1, 0)), TreePoint((2, 1, 0), Fraction(1, 3))),
+    (T4, TreePoint(()), TreePoint((0, 1, 2), Fraction(1, 2))),
+    (T4, TreePoint((0, 1, 2)), TreePoint((0, 1), Fraction(1, 4))),
+    (T4, TreePoint((0,)), TreePoint((0, 1, 1), Fraction(3, 4))),
+    (H2, HyperbolicPoint(0.7, 0.3), HyperbolicPoint(2.0, 4.0)),
+    (H2, HyperbolicPoint(0.0, 0.0), HyperbolicPoint(1.5, 2.5)),
+    (H2, HyperbolicPoint(3.0, 1.0), HyperbolicPoint(0.2, 5.9)),
+]
+
+
+class TestSegments:
+    @pytest.mark.parametrize("space, p, q", SEGMENTS)
+    def test_point_at_t_splits_the_segment(self, space, p, q):
+        # min(t, d) from p and d - min(t, d) from q: exact on T4, within
+        # 1e-12 of d elsewhere; past d the walk stays at q itself
+        d = dist(space, p, q)
+        seg = Ray(space, p, q)
+        for t in [0, d / 7, d / 2, d * 9 / 10, d, d * 3 / 2, d + 1]:
+            x = ray_point(seg, t)
+            s = min(t, d)
+            if space.kind == "tree":
+                assert (dist(space, p, x), dist(space, x, q)) == (s, d - s)
+            else:
+                assert abs(dist(space, p, x) - s) <= 1e-12 * d
+                assert abs(dist(space, x, q) - (d - s)) <= 1e-12 * d
+            if t >= d:
+                assert x is q
 
 
 class TestSampling:

@@ -29,6 +29,10 @@ from .spaces import (
     substream,
 )
 
+# membership and distance entries per block of cover_stats (its transient
+# memory is O(chunk))
+_CHUNK = 1 << 15
+
 
 @dataclass(frozen=True)
 class CoverSet:
@@ -62,6 +66,8 @@ def _membership(member_lists: list, n: int) -> tuple:
     sizes = [len(m) for m in member_lists]
     points = np.fromiter(itertools.chain.from_iterable(member_lists), dtype=np.int64,
                          count=sum(sizes))
+    if points.size and (points.min() < 0 or points.max() >= n):
+        raise ValueError(f"cover member index outside [0, {n})")
     sets = np.repeat(np.arange(len(sizes)), sizes)
     M = np.zeros((len(sizes), n), dtype=bool)
     M[sets, points] = True
@@ -80,13 +86,17 @@ def cover_stats(cover: Cover, matrix: np.ndarray) -> CoverStats:
     """Order, mesh, and Lebesgue number of the cover measured against its
     own ground sample, whose pairwise distances are `matrix`.
 
-    One pass over the points reads the membership matrix: point i's mesh
-    candidate is its largest distance into a set containing it, and its
-    Lebesgue candidate the largest, over those sets, of its smallest
-    distance out of the set."""
+    The (set, point) incidences, sorted by point, are read in blocks of
+    about _CHUNK matrix entries.  An incidence's mesh candidate is the
+    largest distance from its point into its set, and its Lebesgue
+    candidate the smallest distance from its point out of the set; a
+    point's Lebesgue candidate is the largest of its incidences'."""
     if not cover.sets:
         raise ValueError("empty cover")
     n = len(cover.ground)
+    matrix = np.asarray(matrix)
+    if matrix.shape != (n, n):
+        raise ValueError(f"distance matrix has shape {matrix.shape}, not ({n}, {n})")
     # identical sets give identical mesh and Lebesgue candidates, so the
     # matrix holds each distinct set once and the order counts repeats
     repeats = collections.Counter(frozenset(s.members) for s in cover.sets)
@@ -94,17 +104,17 @@ def cover_stats(cover: Cover, matrix: np.ndarray) -> CoverStats:
     counts = np.array(list(repeats.values())) @ M     # column sums, with repeats
     if counts.min() < 1:
         raise ValueError("ground point left uncovered")
-    # point i's sets are set_of[ends[i] - per_point[i]:ends[i]]
-    per_point = np.bincount(point_of, minlength=n)
-    ends = np.cumsum(per_point)
+    step = max(1, _CHUNK // n)
     mesh = 0.0
-    lebesgue = math.inf
-    for i in range(n):
-        rows = M[set_of[ends[i] - per_point[i]:ends[i]]]
-        mesh = max(mesh, float(np.where(rows, matrix[i], -math.inf).max()))
-        best = float(np.where(rows, math.inf, matrix[i]).min(axis=1).max())
-        lebesgue = min(lebesgue, max(0.0, best))
-    return CoverStats(order=int(counts.max()), mesh=mesh, lebesgue=lebesgue)
+    out = np.empty(len(point_of))
+    for lo in range(0, len(point_of), step):
+        inside = M[set_of[lo:lo + step]]
+        D = matrix[point_of[lo:lo + step]]
+        mesh = max(mesh, float(np.where(inside, D, -math.inf).max()))
+        out[lo:lo + step] = np.where(inside, math.inf, D).min(axis=1)
+    # every point is covered, so each starts a run of point_of
+    best = np.maximum.reduceat(out, np.flatnonzero(np.diff(point_of, prepend=-1)))
+    return CoverStats(order=int(counts.max()), mesh=mesh, lebesgue=max(0.0, float(best.min())))
 
 
 # ---------------------------------------------------------------------------

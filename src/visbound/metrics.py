@@ -43,8 +43,11 @@ _CARLSON_ROUNDS = 16
 _POLE_SMALL_ANGLE = 1e-8
 _TINY = np.finfo(float).tiny
 # the H^2 invariant: the angle between the two rays and log sin(angle/2),
-# which stays exact where the sine underflows
+# which stays exact where the sine underflows; off the pole also the sine
+# times _SINE_SCALE, which keeps its bits where the sine is subnormal
 _HALF_ANGLE = np.dtype([("angle", float), ("log_sine", float)])
+_MAPPED_HALF_ANGLE = np.dtype(_HALF_ANGLE.descr + [("scaled_sine", float)])
+_SINE_SCALE = 2.0 ** 600
 # pairs per chunk of the tree branch-time scan (memory O(chunk * word length))
 _PAIR_CHUNK = 8192
 
@@ -127,7 +130,8 @@ def pair_invariants(space: Space, points: list, I, J, origin: Point | None = Non
       its half-angle sine s, as `_HALF_ANGLE` records.  At the pole the
       angle is the wrapped dphi.  Elsewhere the Moebius map moving `origin`
       to the pole scales the chord of a pair by w_i w_j (`_chord_scales`),
-      so s' = s w_i w_j and log s' = log s + log(w_i w_j).
+      so s' = s w_i w_j and log s' = log s + log(w_i w_j), and the record
+      (`_MAPPED_HALF_ANGLE`) also carries s' times _SINE_SCALE.
 
     Tree words are unrolled once to a length at which any two distinct
     words differ, so a branch time from the root is a first mismatch,
@@ -150,15 +154,19 @@ def pair_invariants(space: Space, points: list, I, J, origin: Point | None = Non
     phi = np.array([p.angle for p in points], dtype=float)
     dphi = _wrapped_gap(phi[I], phi[J])
     s = np.sin(dphi / 2.0)
-    out = np.empty(len(I), dtype=_HALF_ANGLE)
-    out["angle"], out["log_sine"] = dphi, _log_half_sine(dphi, s)
-    if origin.r != 0.0:
-        w = _chord_scales(origin, phi)
-        k = w[I] * w[J]
-        # s' = s k; where s is subnormal, dphi (k/2) keeps the bits s lost
-        half = np.minimum(1.0, np.where(s >= _TINY, s * k, dphi * (k / 2.0)))
-        out["angle"] = 2.0 * np.arcsin(half)
-        out["log_sine"] = np.minimum(0.0, out["log_sine"] + np.log(k))
+    log_sine = _log_half_sine(dphi, s)
+    if origin.r == 0.0:
+        out = np.empty(len(I), dtype=_HALF_ANGLE)
+        out["angle"], out["log_sine"] = dphi, log_sine
+        return out
+    w = _chord_scales(origin, phi)
+    k = w[I] * w[J]
+    out = np.empty(len(I), dtype=_MAPPED_HALF_ANGLE)
+    # s' = s k; where s is subnormal, dphi/2 keeps the bits s lost
+    scaled = np.where(s >= _TINY, s * _SINE_SCALE, dphi * (_SINE_SCALE / 2.0)) * k
+    out["scaled_sine"] = np.minimum(_SINE_SCALE, scaled)
+    out["angle"] = 2.0 * np.arcsin(out["scaled_sine"] / _SINE_SCALE)
+    out["log_sine"] = np.minimum(0.0, log_sine + np.log(k))
     return out
 
 
@@ -234,7 +242,15 @@ def _closed_form(space: Space, spec: MetricSpec, inv: np.ndarray, exact: bool) -
     if space.kind == EUCLIDEAN:
         return inv / float(spec.A) if spec.family == DA else inv
     if spec.family == DBAR:
-        return pole_dbar(inv["angle"])
+        out = pole_dbar(inv["angle"])
+        if "scaled_sine" in inv.dtype.names:
+            # a subnormal s' leaves the mapped angle only its absolute
+            # rounding (at the pole the angle is dphi itself), so
+            # s'(log(4/s') + 1/2) is read from the scaled sine there
+            lost = inv["scaled_sine"] < _TINY * _SINE_SCALE
+            out[lost] = (inv["scaled_sine"][lost] * ((math.log(4.0) + 0.5) - inv["log_sine"][lost])
+                         / _SINE_SCALE)
+        return out
     c = math.sinh(float(spec.A) / 2.0)
     s = np.sin(inv["angle"] / 2.0)
     with np.errstate(divide="ignore", over="ignore"):

@@ -75,38 +75,36 @@ def _pool_size(n_triples: int) -> int:
     return min(400, max(16, int(1.5 * math.sqrt(n_triples)) + 8))
 
 
-def _sample_triples(n_points: int, n_triples: int, rng) -> list:
-    out = []
-    while len(out) < n_triples:
-        need = n_triples - len(out)
+def _sample_triples(n_points: int, n_triples: int, rng) -> np.ndarray:
+    """(n_triples, 3) int64 rows (i, j, k) of distinct indices below
+    n_points: each `rng.integers` block keeps its valid rows in order, cut
+    at the count still needed."""
+    blocks, have = [np.zeros((0, 3), dtype=np.int64)], 0
+    while have < n_triples:
+        need = n_triples - have
         raw = rng.integers(0, n_points, size=(need + need // 2 + 4, 3))
-        for i, j, k in raw:
-            if i != j and j != k and i != k:
-                out.append((int(i), int(j), int(k)))
-                if len(out) == n_triples:
-                    break
-    return out
+        i, j, k = raw.T
+        blocks.append(raw[(i != j) & (j != k) & (i != k)][:need])
+        have += len(blocks[-1])
+    return np.concatenate(blocks)
 
 
 def _ratio_triples(space: Space, spec1: MetricSpec, spec2: MetricSpec,
                    n_triples: int, seed: int, stream: str):
     """Sample n_triples triples (i, j, k) of distinct pool indices from the
-    named substream and return ([((i, j, k), t, rho)], discarded) with
-    t = d1(i,k)/d1(j,k) and rho = d2(i,k)/d2(j,k); triples with a zero
-    distance are discarded."""
+    named substream and return (ijk, t, rho, discarded): the kept triples
+    as rows of ijk, with t = d1(i,k)/d1(j,k) and rho = d2(i,k)/d2(j,k)
+    elementwise (IEEE division of floats, `Fraction` division of exact
+    tree d_A tables); triples with a zero distance are discarded."""
     rng = substream(seed, stream)
     pool = sample_boundary(space, _pool_size(n_triples), seed)
     d1 = pair_distance_matrix(space, spec1, pool, exact=True)
     d2 = pair_distance_matrix(space, spec2, pool, exact=True)
-    triples = _sample_triples(len(pool), n_triples, rng)
-    kept = []
-    for (i, j, k) in triples:
-        a1, b1 = d1[i, k], d1[j, k]
-        a2, b2 = d2[i, k], d2[j, k]
-        if a1 == 0 or b1 == 0 or a2 == 0 or b2 == 0:
-            continue
-        kept.append(((i, j, k), a1 / b1, a2 / b2))
-    return kept, len(triples) - len(kept)
+    ijk = _sample_triples(len(pool), n_triples, rng)
+    i, j, k = ijk.T
+    a1, b1, a2, b2 = d1[i, k], d1[j, k], d2[i, k], d2[j, k]
+    keep = (a1 != 0) & (b1 != 0) & (a2 != 0) & (b2 != 0)
+    return ijk[keep], a1[keep] / b1[keep], a2[keep] / b2[keep], len(ijk) - int(keep.sum())
 
 
 @dataclass
@@ -137,20 +135,16 @@ def verify_control(space: Space, spec1: MetricSpec, spec2: MetricSpec,
              and isinstance(eta.slope, (int, Fraction)))
     # integer 0 keeps the comparison in exact arithmetic
     tol_rel = 0 if exact else 1e-8
-    kept, discarded = _ratio_triples(space, spec1, spec2, n_triples, seed, "verify-control")
-    violations = 0
-    worst = 0.0
-    witnesses = []
-    for (i, j, k), t, rho in kept:
-        bound = eta(t)
-        margin = float(rho) / float(bound) if bound > 0 else math.inf
-        worst = max(worst, margin)
-        if rho > bound * (1 + tol_rel):
-            violations += 1
-            if len(witnesses) < 10:
-                witnesses.append((i, j, k, float(t), float(rho), float(bound)))
-    return ControlReport(violations=violations, worst_margin=worst,
-                         discarded=discarded, checked=len(kept),
+    ijk, t, rho, discarded = _ratio_triples(space, spec1, spec2, n_triples, seed, "verify-control")
+    bound = eta(t)
+    over = np.flatnonzero(rho > bound * (1 + tol_rel))
+    positive = bound > 0
+    margin = np.full(len(t), math.inf)
+    margin[positive] = rho[positive].astype(float) / bound[positive].astype(float)
+    witnesses = [(*map(int, ijk[w]), float(t[w]), float(rho[w]), float(bound[w]))
+                 for w in over[:10]]
+    return ControlReport(violations=len(over), worst_margin=float(margin.max(initial=0.0)),
+                         discarded=discarded, checked=len(t),
                          seed=seed, witnesses=witnesses)
 
 
@@ -166,8 +160,9 @@ class Envelope:
 def qs_envelope(space: Space, spec1: MetricSpec, spec2: MetricSpec,
                 n_triples: int, seed: int) -> Envelope:
     """Deterministic sampled envelope of (t, rho) ratio pairs."""
-    kept, discarded = _ratio_triples(space, spec1, spec2, n_triples, seed, "qs-envelope")
-    entries = [(float(t), float(rho), ijk) for ijk, t, rho in kept]
+    ijk, t, rho, discarded = _ratio_triples(space, spec1, spec2, n_triples, seed, "qs-envelope")
+    entries = list(zip(t.astype(float).tolist(), rho.astype(float).tolist(),
+                       map(tuple, ijk.tolist())))
     return Envelope(entries=entries, discarded=discarded)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from visbound import covers
 from visbound.covers import (
     Cover,
     CoverSet,
@@ -74,6 +76,17 @@ class TestCoverStats:
         cover = Cover(ground=[0, 1], sets=[CoverSet((0,))])
         with pytest.raises(ValueError):
             cover_stats(cover, distance_matrix(cover.ground, lambda p, q: abs(p - q)))
+
+    @pytest.mark.parametrize("matrix,sets,match", [
+        (np.zeros((2, 3)), [(0, 1), (2,)], r"shape \(2, 3\), not \(3, 3\)"),
+        (np.zeros((4, 4)), [(0, 1), (2,)], r"shape \(4, 4\), not \(3, 3\)"),
+        (np.zeros((3, 3)), [(0, 1), (2, 3)], r"member index outside \[0, 3\)"),
+        (np.zeros((3, 3)), [(-1, 0, 1), (2,)], r"member index outside \[0, 3\)"),
+    ], ids=["2x3", "4x4", "member-n", "member-minus-1"])
+    def test_bad_input_rejected(self, matrix, sets, match):
+        cover = Cover(ground=[0.0, 1.0, 2.0], sets=[CoverSet(m) for m in sets])
+        with pytest.raises(ValueError, match=match):
+            cover_stats(cover, matrix)
 
     def test_depth1_cylinders_dbar(self):
         words = all_depth3_boundary_words()
@@ -404,6 +417,20 @@ class TestBallKernels:
             assert orbit_ball_order(tree_space(k), R) == want
 
 
+def _stats_at_chunks(cover, matrix):
+    """(order, mesh, lebesgue) of `cover_stats` at the default _CHUNK and at
+    sizes at which a point's incidences straddle blocks of one row (1,
+    n - 1, n + 1) and of two rows (2n + 1)."""
+    n = len(cover.ground)
+    out = []
+    for chunk in (covers._CHUNK, 1, n - 1, n + 1, 2 * n + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(covers, "_CHUNK", chunk)
+            got = cover_stats(cover, matrix=matrix)
+        out.append((got.order, got.mesh, got.lebesgue))
+    return out
+
+
 @st.composite
 def _random_covers(draw):
     n = draw(st.integers(1, 9))
@@ -430,16 +457,34 @@ class TestStatsKernels:
             with pytest.raises(ValueError, match="uncovered"):
                 cover_stats(cover, matrix=matrix)
             return
-        got = cover_stats(cover, matrix=matrix)
-        assert (got.order, got.mesh, got.lebesgue) == want
+        assert _stats_at_chunks(cover, matrix) == [want] * 5
 
     def test_cover_stats_matches_loop_on_pushout(self):
-        sample = sample_boundary(E2, 120, 5)
-        D = pair_distance_matrix(E2, MetricSpec("dA", A=1), sample)
-        for lam in (0.5, 0.125, 1 / 64):
-            cover = boundary_pushout_cover(E2, LatticeBallSystem(E2, 2), lam, 1, sample)
-            st_ = cover_stats(cover, matrix=D)
-            assert (st_.order, st_.mesh, st_.lebesgue) == _reference_cover_stats(cover, D)
+        for space, n, scales in ((E2, 120, (0.5, 0.125, 1 / 64)),
+                                 (T4, 40, (4 * math.exp(-1), 4 * math.exp(-3)))):
+            sample = sample_boundary(space, n, 5)
+            D = pair_distance_matrix(space, MetricSpec("dA", A=1), sample)
+            for lam in scales:
+                cover = boundary_pushout_cover(space, LatticeBallSystem(space, 2), lam, 1, sample)
+                assert _stats_at_chunks(cover, D) == [_reference_cover_stats(cover, D)] * 5
+
+    def test_cover_stats_transient_memory(self):
+        # the blocks bound what cover_stats holds beyond the membership
+        # matrix; reading all (set, point) rows at once would take
+        # incidences x n floats, here over 20 MB
+        n = 1500
+        D = pair_distance_matrix(E2, MetricSpec("dA", A=1), sample_boundary(E2, n, 0))
+        net = covers._greedy_net(D, 1 / 16, 1 / 16, np.random.default_rng(0))
+        cover = Cover(ground=list(range(n)), sets=[CoverSet(members) for _, members in net])
+        incidences = sum(len(m) for _, m in net)
+        assert incidences * n * 8 > 20e6
+        tracemalloc.start()
+        try:
+            cover_stats(cover, matrix=D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= len(net) * n + 8 * covers._CHUNK * 8
 
     def test_pushin_reach_matches_fraction_comparisons(self):
         sched = ScaleSchedule(R=2, K=3, c=1.0)

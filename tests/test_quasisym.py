@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from visbound import quasisym
 from visbound.metrics import MetricSpec, spec_dA, spec_dbar
 from visbound.quasisym import (
+    ControlReport,
     Envelope,
     eta_change_A,
     eta_change_basepoint,
@@ -21,12 +23,15 @@ from visbound.spaces import (
     TreeBoundary,
     TreePoint,
     euclidean_space,
+    hyperbolic_plane,
     sample_boundary,
+    substream,
     tree_space,
 )
 
 T4 = tree_space(4)
 E2 = euclidean_space(2)
+H2 = hyperbolic_plane()
 
 
 class TestControlFunctions:
@@ -109,6 +114,136 @@ class TestEnvelope:
     def test_change_A_envelope_below_line(self):
         env = qs_envelope(T4, spec_dA(1), spec_dA(2), 2000, 7)
         assert all(r <= 2 * t * (1 + 1e-12) for t, r, _ in env.entries)
+
+
+# ---------------------------------------------------------------------------
+# the array kernels against reference copies of the per-triple loops they
+# replaced; the tables come from `quasisym.pair_distance_matrix`, so a
+# patched table reaches both
+
+
+def _reference_sample_triples(n_points, n_triples, rng):
+    out = []
+    while len(out) < n_triples:
+        need = n_triples - len(out)
+        raw = rng.integers(0, n_points, size=(need + need // 2 + 4, 3))
+        for i, j, k in raw:
+            if i != j and j != k and i != k:
+                out.append((int(i), int(j), int(k)))
+                if len(out) == n_triples:
+                    break
+    return out
+
+
+def _reference_ratio_triples(space, spec1, spec2, n_triples, seed, stream):
+    rng = substream(seed, stream)
+    pool = sample_boundary(space, quasisym._pool_size(n_triples), seed)
+    d1 = quasisym.pair_distance_matrix(space, spec1, pool, exact=True)
+    d2 = quasisym.pair_distance_matrix(space, spec2, pool, exact=True)
+    triples = _reference_sample_triples(len(pool), n_triples, rng)
+    kept = []
+    for (i, j, k) in triples:
+        a1, b1 = d1[i, k], d1[j, k]
+        a2, b2 = d2[i, k], d2[j, k]
+        if a1 == 0 or b1 == 0 or a2 == 0 or b2 == 0:
+            continue
+        kept.append(((i, j, k), a1 / b1, a2 / b2))
+    return kept, len(triples) - len(kept)
+
+
+def _reference_verify_control(space, spec1, spec2, eta, n_triples, seed):
+    exact = (space.kind == "tree" and spec1.family == "dA" and spec2.family == "dA"
+             and isinstance(eta.slope, (int, Fraction)))
+    tol_rel = 0 if exact else 1e-8
+    kept, discarded = _reference_ratio_triples(space, spec1, spec2, n_triples, seed,
+                                               "verify-control")
+    violations = 0
+    worst = 0.0
+    witnesses = []
+    for (i, j, k), t, rho in kept:
+        bound = eta(t)
+        margin = float(rho) / float(bound) if bound > 0 else math.inf
+        worst = max(worst, margin)
+        if rho > bound * (1 + tol_rel):
+            violations += 1
+            if len(witnesses) < 10:
+                witnesses.append((i, j, k, float(t), float(rho), float(bound)))
+    return ControlReport(violations=violations, worst_margin=worst,
+                         discarded=discarded, checked=len(kept),
+                         seed=seed, witnesses=witnesses)
+
+
+def _reference_qs_envelope(space, spec1, spec2, n_triples, seed):
+    kept, discarded = _reference_ratio_triples(space, spec1, spec2, n_triples, seed, "qs-envelope")
+    return Envelope(entries=[(float(t), float(rho), ijk) for ijk, t, rho in kept],
+                    discarded=discarded)
+
+
+def _zeroed_tables(pair_distance_matrix):
+    """`pair_distance_matrix` with the symmetric pairs i + j = 0 mod 5 set
+    to 0, so that every triple reading one of them is discarded."""
+    def table(space, spec, points, exact=False):
+        D = pair_distance_matrix(space, spec, points, exact=exact)
+        I, J = np.indices(D.shape)
+        D[((I + J) % 5 == 0) & (I != J)] = 0
+        return D
+    return table
+
+
+class TestTripleKernels:
+    @pytest.mark.parametrize("n_points,n_triples", [(3, 0), (3, 1), (3, 50), (4, 7), (16, 500),
+                                                    (400, 10000)])
+    def test_sampled_triples_and_rng_state_equal_the_loop(self, n_points, n_triples):
+        rng, ref = substream(9, "triples"), substream(9, "triples")
+        got = quasisym._sample_triples(n_points, n_triples, rng)
+        assert got.dtype == np.int64 and got.shape == (n_triples, 3)
+        want = _reference_sample_triples(n_points, n_triples, ref)
+        assert [tuple(row) for row in got.tolist()] == want
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("space,spec1,spec2,slope", [
+        (T4, spec_dA(1), spec_dA(2), Fraction(2)),
+        (T4, spec_dA(1), spec_dA(2), Fraction(6, 5)),
+        (T4, spec_dA(0.7), spec_dA(1.3), Fraction(1.3) / Fraction(0.7)),
+        (T4, spec_dA(0.7), spec_dA(1.3), Fraction(1)),
+        (T4, spec_dA(1), spec_dA(2), 1.5),
+        (T4, spec_dA(1), spec_dbar(), Fraction(1)),
+        (T4, spec_dbar(), spec_dA(1), 1.0),
+        (E2, spec_dA(1), spec_dbar(), 1.0),
+        (E2, spec_dA(1), spec_dbar(), 0.9),
+        (H2, spec_dA(1), spec_dbar(), 1.0),
+        (T4, MetricSpec("dA", A=4), MetricSpec("dA", A=4, basepoint=TreePoint((0,))),
+         Fraction(4)),
+        (T4, MetricSpec("dA", A=4), MetricSpec("dA", A=4, basepoint=TreePoint((0, 1))),
+         Fraction(3, 2)),
+    ], ids=["T4-dA1-dA2-exact", "T4-dA1-dA2-slope6-5", "T4-dA0.7-dA1.3", "T4-dA0.7-dA1.3-slope1",
+            "T4-float-slope-1.5", "T4-dA-dbar", "T4-dbar-dA", "E2-dA-dbar", "E2-slope-0.9",
+            "H2-dA-dbar", "T4-vertex-basepoint", "T4-vertex-basepoint-slope3-2"])
+    def test_reports_and_envelopes_equal_the_loop(self, space, spec1, spec2, slope):
+        eta = linear_control(slope)
+        got = verify_control(space, spec1, spec2, eta, 600, 3)
+        want = _reference_verify_control(space, spec1, spec2, eta, 600, 3)
+        assert got == want and repr(got) == repr(want)
+        env = qs_envelope(space, spec1, spec2, 600, 3)
+        ref = _reference_qs_envelope(space, spec1, spec2, 600, 3)
+        assert env.discarded == ref.discarded and repr(env.entries) == repr(ref.entries)
+
+    @pytest.mark.parametrize("space,spec1,spec2,slope", [
+        (T4, spec_dA(1), spec_dA(2), Fraction(6, 5)),
+        (T4, spec_dA(1), spec_dbar(), 1.5),
+        (E2, spec_dA(1), spec_dbar(), 0.9),
+    ], ids=["T4-exact", "T4-dA-dbar", "E2"])
+    def test_discarded_triples_equal_the_loop(self, space, spec1, spec2, slope, monkeypatch):
+        monkeypatch.setattr(quasisym, "pair_distance_matrix",
+                            _zeroed_tables(quasisym.pair_distance_matrix))
+        eta = linear_control(slope)
+        got = verify_control(space, spec1, spec2, eta, 600, 4)
+        want = _reference_verify_control(space, spec1, spec2, eta, 600, 4)
+        assert got.discarded > 0 and repr(got) == repr(want)
+        env = qs_envelope(space, spec1, spec2, 600, 4)
+        ref = _reference_qs_envelope(space, spec1, spec2, 600, 4)
+        assert env.discarded > 0 and env.discarded == ref.discarded
+        assert repr(env.entries) == repr(ref.entries)
 
 
 class TestPowerLawFit:

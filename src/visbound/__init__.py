@@ -55,6 +55,7 @@ from .covers import (
     colored_boundary_cover,
     cover_stats,
     ell_dim_estimate,
+    pushout_incidences,
 )
 from .visual import VisualFit, nonqs_witness, nonvisual_witness_dA, visual_fit
 

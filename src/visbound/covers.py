@@ -5,7 +5,6 @@ greedy-net dimension estimate over sampled metric data."""
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -48,31 +47,66 @@ class Cover:
     ground: list
     sets: list
 
-    def covers_ground(self) -> bool:
-        hit = set()
-        for s in self.sets:
-            hit.update(s.members)
-        return hit >= set(range(len(self.ground)))
-
     def membership(self) -> np.ndarray:
         """Boolean set-by-point matrix: M[s, i] iff ground point i is in set s."""
-        return _membership([s.members for s in self.sets], len(self.ground))[0]
+        set_of, point_of = _incidences([s.members for s in self.sets], len(self.ground))
+        M = np.zeros((len(self.sets), len(self.ground)), dtype=bool)
+        M[set_of, point_of] = True
+        return M
 
 
-def _membership(member_lists: list, n: int) -> tuple:
-    """(M, set_of, point_of): the boolean membership matrix of the member
-    lists over n points, and its (set, point) pairs sorted by point and
-    then by set."""
+def _incidences(member_lists: list, n: int) -> tuple:
+    """(set_of, point_of): the (set, point) incidences of the member lists
+    over n points, in list order (each set's incidences contiguous)."""
     sizes = [len(m) for m in member_lists]
     points = np.fromiter(itertools.chain.from_iterable(member_lists), dtype=np.int64,
                          count=sum(sizes))
     if points.size and (points.min() < 0 or points.max() >= n):
         raise ValueError(f"cover member index outside [0, {n})")
-    sets = np.repeat(np.arange(len(sizes)), sizes)
-    M = np.zeros((len(sizes), n), dtype=bool)
-    M[sets, points] = True
-    by_point = np.argsort(points, kind="stable")
-    return M, sets[by_point], points[by_point]
+    return np.repeat(np.arange(len(sizes)), sizes), points
+
+
+def _point_weights(n: int) -> np.ndarray:
+    """n fixed pseudo-random 64-bit weights, one per point index: the
+    splitmix64 finalizer of the index."""
+    w = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    w ^= w >> np.uint64(30)
+    w *= np.uint64(0xBF58476D1CE4E5B9)
+    w ^= w >> np.uint64(27)
+    w *= np.uint64(0x94D049BB133111EB)
+    return w ^ (w >> np.uint64(31))
+
+
+def _distinct_sets(set_of: np.ndarray, point_of: np.ndarray) -> tuple:
+    """(set_of, point_of, multiplicity) of the distinct sets among
+    incidences whose sets are numbered from 0, each set's contiguous: one
+    set of each group of equal member runs is kept, numbered by group.
+    Sets are sorted by an order-independent hash, the wrapping sum of
+    their points' weights, and a set joins its predecessor's group only if
+    their runs are equal point by point, so a hash collision can split a
+    group but never merges two different sets."""
+    starts = np.flatnonzero(np.diff(set_of, prepend=-1))
+    h = np.add.reduceat(_point_weights(int(point_of.max(initial=-1)) + 1)[point_of], starts)
+    order = np.argsort(h, kind="stable")
+    tie = h[order[1:]] == h[order[:-1]]
+    if not tie.any():
+        return set_of, point_of, np.ones(int(set_of.max(initial=-1)) + 1, dtype=np.int64)
+    sizes = np.diff(starts, append=len(point_of))
+    s, prev = order[1:], order[:-1]
+    cand = np.flatnonzero(tie & (sizes[s] == sizes[prev]))
+    lens = sizes[s[cand]]
+    seg = np.repeat(np.arange(len(cand)), lens)
+    offs = np.arange(len(seg)) - np.repeat(np.cumsum(lens) - lens, lens)
+    differ = point_of[starts[s[cand]][seg] + offs] != point_of[starts[prev[cand]][seg] + offs]
+    same = np.zeros(len(order), dtype=bool)
+    same[cand + 1] = np.bincount(seg[differ], minlength=len(cand)) == 0
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = np.cumsum(~same) - 1
+    first = np.empty(len(order), dtype=bool)
+    first[order] = ~same
+    run_of = np.repeat(np.arange(len(starts)), sizes)
+    keep = first[run_of]
+    return group[run_of[keep]], point_of[keep], np.bincount(group)
 
 
 @dataclass(frozen=True)
@@ -84,26 +118,37 @@ class CoverStats:
 
 def cover_stats(cover: Cover, matrix: np.ndarray) -> CoverStats:
     """Order, mesh, and Lebesgue number of the cover measured against its
-    own ground sample, whose pairwise distances are `matrix`.
-
-    The (set, point) incidences, sorted by point, are read in blocks of
-    about _CHUNK matrix entries.  An incidence's mesh candidate is the
-    largest distance from its point into its set, and its Lebesgue
-    candidate the smallest distance from its point out of the set; a
-    point's Lebesgue candidate is the largest of its incidences'."""
+    own ground sample, whose pairwise distances are `matrix`."""
     if not cover.sets:
         raise ValueError("empty cover")
     n = len(cover.ground)
     matrix = np.asarray(matrix)
     if matrix.shape != (n, n):
         raise ValueError(f"distance matrix has shape {matrix.shape}, not ({n}, {n})")
-    # identical sets give identical mesh and Lebesgue candidates, so the
-    # matrix holds each distinct set once and the order counts repeats
-    repeats = collections.Counter(frozenset(s.members) for s in cover.sets)
-    M, set_of, point_of = _membership(list(repeats), n)
-    counts = np.array(list(repeats.values())) @ M     # column sums, with repeats
+    return incidence_stats(*_incidences([s.members for s in cover.sets], n), matrix)
+
+
+def incidence_stats(set_of: np.ndarray, point_of: np.ndarray, matrix: np.ndarray) -> CoverStats:
+    """`cover_stats` of the cover whose (set, point) incidences are given,
+    sets numbered from 0 and each set's contiguous, over the points of the
+    square `matrix`.
+
+    Identical sets give identical mesh and Lebesgue candidates, so each
+    distinct set is measured once and the order counts its repeats.  The
+    incidences, sorted by point, are read in blocks of about _CHUNK matrix
+    entries.  An incidence's mesh candidate is the largest distance from
+    its point into its set, and its Lebesgue candidate the smallest
+    distance from its point out of the set; a point's Lebesgue candidate
+    is the largest of its incidences'."""
+    n = len(matrix)
+    set_of, point_of, repeats = _distinct_sets(set_of, point_of)
+    M = np.zeros((len(repeats), n), dtype=bool)
+    M[set_of, point_of] = True
+    counts = repeats @ M     # column sums, with repeats
     if counts.min() < 1:
         raise ValueError("ground point left uncovered")
+    by_point = np.argsort(point_of, kind="stable")
+    set_of, point_of = set_of[by_point], point_of[by_point]
     step = max(1, _CHUNK // n)
     mesh = 0.0
     out = np.empty(len(point_of))
@@ -213,34 +258,42 @@ class LatticeBallSystem:
             skip = a[-1] if a else None
         return out
 
-    def center_keys(self, points: list) -> list:
-        """For each point, the keys of all orbit centers whose open 2R-ball
-        contains it (Euclidean keys in lexicographic order)."""
+    def incidences(self, points: list) -> tuple:
+        """(keys, set_of, point_of): the keys of the orbit centers whose open
+        2R-ball contains some point, in increasing order, and the (ball,
+        point) incidences sorted by ball and then by point, as indices into
+        `keys` and `points`."""
         if self.space.kind == TREE:
-            return [self._tree_ball(p) for p in points]
+            balls = [self._tree_ball(p) for p in points]
+            flat = list(itertools.chain.from_iterable(balls))
+            keys = sorted(set(flat))
+            rank = {w: i for i, w in enumerate(keys)}
+            set_of = np.fromiter((rank[w] for w in flat), dtype=np.int64, count=len(flat))
+            point_of = np.repeat(np.arange(len(points)), [len(b) for b in balls])
+            # the incidences come in point order, which a stable sort keeps
+            # within each ball
+            by_set = np.argsort(set_of, kind="stable")
+            return keys, set_of[by_set], point_of[by_set]
         P = np.array([p.coords for p in points], dtype=float).reshape(len(points), self.space.dim)
         base = np.floor(P)
         hit = _inside(self.space, P[:, None, :], base[:, None, :] + self.stencil,
                       float(self.radius))
-        keys = base.astype(np.int64)[:, None, :] + self.stencil
-        return [list(map(tuple, keys[i][hit[i]].tolist())) for i in range(len(points))]
+        point_of, offset = np.nonzero(hit)
+        rows = base.astype(np.int64)[point_of] + self.stencil[offset]
+        # one stable sort of the key rows, first coordinate first, keeps the
+        # point order of the incidences within each ball
+        by_set = np.lexsort(rows.T[::-1])
+        rows = rows[by_set]
+        start = np.ones(len(rows), dtype=bool)
+        start[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        return list(map(tuple, rows[start].tolist())), np.cumsum(start) - 1, point_of[by_set]
 
     def centers_near(self, p: Point) -> list:
-        """All orbit centers whose open 2R-ball contains p."""
-        [keys] = self.center_keys([p])
+        """All orbit centers whose open 2R-ball contains p, by increasing key."""
+        keys, _, _ = self.incidences([p])
         if self.space.kind == TREE:
             return [TreePoint(key) for key in keys]
         return [EuclideanPoint(tuple(float(v) for v in key)) for key in keys]
-
-
-def _ball_sets(system: LatticeBallSystem, points: list, label: str) -> list:
-    """One set per orbit ball meeting `points`, by increasing center key."""
-    by_center = {}
-    for i, keys in enumerate(system.center_keys(points)):
-        for key in keys:
-            by_center.setdefault(key, []).append(i)
-    return [CoverSet(tuple(members), None, f"{label} center={key}")
-            for key, members in sorted(by_center.items())]
 
 
 def orbit_ball_order(space: Space, R, resolution: int = 48) -> int:
@@ -258,27 +311,39 @@ def orbit_ball_order(space: Space, R, resolution: int = 48) -> int:
         return int(counts.max())
     deep = tuple([0] + [1, 0] * (int(2 * R) + 2))
     edge = [TreePoint(deep, Fraction(num, 16)) for num in range(16)]
-    return max(len(keys) for keys in system.center_keys(edge))
+    return int(np.bincount(system.incidences(edge)[2]).max())
 
 
 # ---------------------------------------------------------------------------
 # boundary pushout
 
 
-def boundary_pushout_cover(space: Space, system: LatticeBallSystem, lam, A,
-                           boundary_sample: list) -> Cover:
-    """Push the orbit-ball cover out to the boundary at scale lam: a
-    boundary point joins the set of a ball V iff its basepoint ray sits in
-    V at time 1/lam."""
+def pushout_incidences(space: Space, system: LatticeBallSystem, lam, A,
+                       boundary_sample: list) -> tuple:
+    """The orbit-ball cover pushed out to the boundary at scale lam, as
+    `LatticeBallSystem.incidences` of the basepoint rays' points at time
+    1/lam: a boundary point joins the set of a ball V iff its ray sits in
+    V at that time."""
     if system.R <= A:
         raise ValueError("pushout needs ball parameter R > A")
     t = 1 / Fraction(lam) if space.kind == TREE else 1.0 / float(lam)
     points = [ray_point(Ray(space, space.basepoint, xi), t) for xi in boundary_sample]
-    sets = _ball_sets(system, points, f"pushout lam={float(lam):g}")
-    cover = Cover(ground=list(boundary_sample), sets=sets)
-    if not cover.covers_ground():
+    keys, set_of, point_of = system.incidences(points)
+    if not np.bincount(point_of, minlength=len(points)).all():
         raise ValueError("pushout cover failed to cover the boundary sample")
-    return cover
+    return keys, set_of, point_of
+
+
+def boundary_pushout_cover(boundary_sample: list, lam, incidences: tuple) -> Cover:
+    """The pushout cover at scale lam, one set per orbit ball by increasing
+    center key, from the scale's `pushout_incidences` of `boundary_sample`."""
+    keys, set_of, point_of = incidences
+    bounds = np.flatnonzero(np.diff(set_of, prepend=-1, append=len(keys))).tolist()
+    members = point_of.tolist()
+    label = f"pushout lam={float(lam):g}"
+    sets = [CoverSet(tuple(members[a:b]), None, f"{label} center={key}")
+            for key, a, b in zip(keys, bounds, bounds[1:])]
+    return Cover(ground=list(boundary_sample), sets=sets)
 
 
 # ---------------------------------------------------------------------------

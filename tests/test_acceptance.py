@@ -20,6 +20,7 @@ from visbound.covers import (
     cover_stats,
     ell_dim_estimate,
     orbit_ball_order,
+    pushout_incidences,
     sample_ray_points,
 )
 from visbound.metrics import (
@@ -152,7 +153,8 @@ def test_07_pushout_pipeline():
         D = pair_distance_matrix(space, MetricSpec("dA", A=1), sample)
         order_v = orbit_ball_order(space, 2)
         for lam in lams:
-            cover = boundary_pushout_cover(space, system, lam, 1, sample)
+            cover = boundary_pushout_cover(
+                sample, lam, pushout_incidences(space, system, lam, 1, sample))
             st = cover_stats(cover, matrix=D)
             good = (st.order <= order_v
                     and st.lebesgue >= float(lam) * (1 - 1e-9)

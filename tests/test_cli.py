@@ -9,12 +9,17 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import visbound
+from visbound import cli
 from visbound.cli import (ConfigError, RunConfig, _csv, _fmt, _pairs_csv, _spec, build_parser,
                           main, parse_space, run)
+from visbound.covers import (Cover, CoverSet, ScaleSchedule, annular_pushin_cover,
+                             colored_boundary_cover, sample_ray_points)
 from visbound.metrics import pair_distance_matrix
-from visbound.spaces import sample_boundary
+from visbound.spaces import _point_to_str, boundary_to_line, sample_boundary, tree_space
 
 
 def read_json(path):
@@ -157,6 +162,26 @@ class TestSubcommands:
         claims = read_json(os.path.join(out, "claims.json"))
         assert claims["color_disjoint"] and claims["mesh_ok"]
 
+    def test_pushin_order_bound_reads_the_color_count(self, tmp_path, monkeypatch):
+        # each cylinder doubled in a second color: a boundary cover in two
+        # colors (n = 1), each color class disjoint, so the tubes at one
+        # scale overlap twice, the bands twice more, and the order reaches
+        # 2n + 2 = 4
+        def two_colors(space, lam, sample):
+            cover = colored_boundary_cover(space, lam, sample)
+            return Cover(cover.ground, cover.sets + [CoverSet(s.members, 1, s.descriptor)
+                                                     for s in cover.sets])
+
+        monkeypatch.setattr(cli, "colored_boundary_cover", two_colors)
+        out = str(tmp_path / "q")
+        rc = main(["cover-pushin", "--space", "tree4", "--R", "2", "--K", "3",
+                   "--window", "10", "--n", "50", "--n-triples", "3000",
+                   "--seed", "2", "--out", out])
+        verdicts = read_json(os.path.join(out, "manifest.json"))["verdicts"]
+        assert verdicts["order"] == 4 and verdicts["color_disjoint"]
+        assert verdicts["order_le_2n_plus_2"] is True
+        assert rc == 0
+
     def test_ell_dim(self, tmp_path):
         out = str(tmp_path / "e")
         scales = ",".join(f"{4 * math.exp(-k):.17g}" for k in range(1, 5))
@@ -259,6 +284,18 @@ class TestErrorPaths:
                    "--out", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("window", ["0.1", "-3", "0"])
+    def test_window_without_a_dyadic_radius_rejected(self, window, tmp_path, capsys):
+        rc = main(["cover-pushin", "--space", "tree4", "--n", "10", "--n-triples", "100",
+                   f"--window={window}", "--out", str(tmp_path / "w")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: window") and "Traceback" not in err
+
+    def test_smallest_window_accepted(self, tmp_path):
+        assert main(["cover-pushin", "--space", "tree4", "--n", "10", "--n-triples", "100",
+                     "--window", "0.125", "--out", str(tmp_path / "w")]) == 0
+
     def test_pushin_tree_only(self, tmp_path):
         rc = main(["cover-pushin", "--space", "euclidean2", "--out", str(tmp_path)])
         assert rc == 1
@@ -311,6 +348,57 @@ class TestErrorPaths:
     def test_run_validates(self):
         with pytest.raises(ConfigError):
             run(RunConfig(experiment="nope"))
+
+
+# descriptor and ground texts that JSON must escape, and some it need not
+_TEXT = st.one_of(st.text(max_size=12),
+                  st.sampled_from(['say "hi"', "back\\slash", "two\nlines", "\u2202X \u00e9 \U0001d538",
+                                   "tab\tand\x00nul", ""]))
+
+
+@st.composite
+def _written_covers(draw):
+    ground = draw(st.lists(_TEXT, max_size=5))
+    members = st.lists(st.integers(0, max(0, len(ground) - 1)),
+                       max_size=4 if ground else 0).map(tuple)
+    sets = draw(st.lists(st.builds(CoverSet, members, st.sampled_from([None, 0, 1]), _TEXT),
+                         max_size=4))
+    return Cover(ground=ground, sets=sets)
+
+
+def _dumps_cover(ground_text, cover):
+    return json.dumps({"ground": ground_text,
+                       "sets": [{"members": list(s.members), "color": s.color,
+                                 "descriptor": s.descriptor} for s in cover.sets]},
+                      sort_keys=True, indent=2) + "\n"
+
+
+class TestCoverJson:
+    @settings(max_examples=300, deadline=None)
+    @given(_written_covers())
+    @example(Cover(ground=[], sets=[]))
+    @example(Cover(ground=[], sets=[CoverSet((), None, "base ball radius=4")]))
+    @example(Cover(ground=['a "b"', "c\\d", "e\nf", "\u00e9\u2202"],
+                   sets=[CoverSet((0, 3), 0, 'q"uote'), CoverSet((), 1, "back\\slash\n"),
+                         CoverSet((1, 2, 3), None, "\u2202X \U0001d538")]))
+    def test_equals_json_dumps(self, cover):
+        # ground texts stand in for the points' lines
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "boundary_to_line", lambda space, g: g)
+            got = cli._cover_json(None, cover)
+        assert got == _dumps_cover(cover.ground, cover)
+
+    def test_written_covers_equal_json_dumps(self):
+        T4 = tree_space(4)
+        sample = sample_boundary(T4, 40, 1)
+        sched = ScaleSchedule(R=2, K=3, c=1.0)
+        covers = {k: colored_boundary_cover(T4, sched.lam(k), sample) for k in range(1, 4)}
+        interior = sample_ray_points(T4, sample, 10, 300, 1)
+        cover, _ = annular_pushin_cover(T4, sched, covers, sample, interior)
+        assert cli._cover_json(T4, cover, ground_kind="interior") == _dumps_cover(
+            [_point_to_str(T4, g) for g in cover.ground], cover)
+        assert cli._cover_json(T4, covers[2]) == _dumps_cover(
+            [boundary_to_line(T4, g) for g in sample], covers[2])
 
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import tracemalloc
@@ -20,6 +21,7 @@ from visbound.covers import (
     cover_stats,
     ell_dim_estimate,
     orbit_ball_order,
+    pushout_incidences,
     sample_ray_points,
 )
 from visbound.metrics import MetricSpec, pair_distance_matrix, pair_invariants
@@ -50,6 +52,16 @@ def all_depth3_boundary_words():
             for c in range(3):
                 out.append(TreeBoundary((a, b, c), ((c + 1) % 3,)))
     return out
+
+
+def _pushout_cover(space, system, lam, A, sample):
+    """The pushout cover of `sample` at scale lam."""
+    return boundary_pushout_cover(sample, lam, pushout_incidences(space, system, lam, A, sample))
+
+
+def covers_ground(cover):
+    """Every ground index lies in some set of the cover."""
+    return set().union(*(s.members for s in cover.sets)) >= set(range(len(cover.ground)))
 
 
 def distance_matrix(ground, d):
@@ -127,7 +139,13 @@ class TestPushout:
     def test_R_must_exceed_A(self):
         sys_ = LatticeBallSystem(T4, 1)
         with pytest.raises(ValueError):
-            boundary_pushout_cover(T4, sys_, Fraction(1, 2), 1, sample_boundary(T4, 10, 1))
+            pushout_incidences(T4, sys_, Fraction(1, 2), 1, sample_boundary(T4, 10, 1))
+
+    def test_uncovered_sample_rejected(self):
+        # balls of radius 0.4 around Z^2 miss part of the circle of radius 2
+        sample = sample_boundary(E2, 50, 0)
+        with pytest.raises(ValueError, match="failed to cover the boundary sample"):
+            pushout_incidences(E2, LatticeBallSystem(E2, 0.2), 0.5, 0.1, sample)
 
     def test_bounds_across_scales(self):
         for space in (T4, E2):
@@ -137,7 +155,7 @@ class TestPushout:
             D = pair_distance_matrix(space, spec, sample)
             order_v = orbit_ball_order(space, 2)
             for lam in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
-                cover = boundary_pushout_cover(space, sys_, lam, 1, sample)
+                cover = _pushout_cover(space, sys_, lam, 1, sample)
                 st = cover_stats(cover, matrix=D)
                 assert st.order <= order_v
                 assert st.lebesgue >= float(lam) * (1 - 1e-9)
@@ -147,12 +165,12 @@ class TestPushout:
         # rays landing in the same radius-4 vertex ball branch late
         sys_ = LatticeBallSystem(T4, 2)
         sample = sample_boundary(T4, 60, 2)
-        cover = boundary_pushout_cover(T4, sys_, Fraction(1, 4), 1, sample)
+        cover = _pushout_cover(T4, sys_, Fraction(1, 4), 1, sample)
         for s in cover.sets:
             for i, j in itertools.combinations(s.members, 2):
                 # separation f(4) < 8 means branch > 0
                 assert branch_time(T4, sample[i], sample[j]) > 4 - 4
-        assert cover.covers_ground()
+        assert covers_ground(cover)
 
 
 class TestColoredCovers:
@@ -181,7 +199,7 @@ class TestColoredCovers:
         lam = 0.05
         cover = colored_boundary_cover(E2, lam, sample)
         assert {s.color for s in cover.sets} == {0, 1}
-        assert cover.covers_ground()
+        assert covers_ground(cover)
         D = pair_distance_matrix(E2, MetricSpec("dA", A=1), sample)
         # same-color separation >= lam/2
         for s, t in itertools.combinations(cover.sets, 2):
@@ -417,6 +435,71 @@ class TestBallKernels:
             assert orbit_ball_order(tree_space(k), R) == want
 
 
+def _reference_ball_sets(system, points):
+    """The grouping the incidence kernel replaced: (key, members) for each
+    orbit ball meeting `points`, by increasing center key, from each
+    point's centers as `_reference_centers_near` finds them."""
+    by_center = {}
+    for i, p in enumerate(points):
+        for c in _reference_centers_near(system, p):
+            key = c.word if system.space.kind == "tree" else tuple(int(v) for v in c.coords)
+            by_center.setdefault(key, []).append(i)
+    return [(key, tuple(members)) for key, members in sorted(by_center.items())]
+
+
+def _kernel_ball_sets(system, points):
+    keys, set_of, point_of = system.incidences(points)
+    # sorted by ball and then by point, each incidence once
+    assert (np.diff(set_of * len(points) + point_of) > 0).all()
+    bounds = np.flatnonzero(np.diff(set_of, prepend=-1)).tolist() + [len(set_of)]
+    assert len(bounds) == len(keys) + 1
+    return [(key, tuple(point_of[a:b].tolist())) for key, a, b in zip(keys, bounds, bounds[1:])]
+
+
+class TestIncidenceKernel:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_euclidean_matches_reference(self, dim):
+        rng = np.random.default_rng(10 + dim)
+        points = [EuclideanPoint(tuple(float(v) for v in rng.uniform(-6, 6, size=dim)))
+                  for _ in range(25)]
+        points += [EuclideanPoint(c) for c in ((-2.0,) * dim, (-0.5,) * dim, (0.0,) * dim,
+                                               (-1e-17,) * dim, (-3.0,) + (2.5,) * (dim - 1))]
+        # keys 8e6 apart on every axis
+        points += [EuclideanPoint(c) for c in ((-4e6,) * dim, (4e6 + 0.5,) + (4e6,) * (dim - 1),
+                                               (-4e6 + 0.25,) + (-4e6,) * (dim - 1))]
+        for R in (1, 1.25, Fraction(3, 2), 2.5):
+            system = LatticeBallSystem(euclidean_space(dim), R)
+            assert _kernel_ball_sets(system, points) == _reference_ball_sets(system, points)
+
+    @pytest.mark.parametrize("R", [Fraction(3, 2), 1.25, Fraction(5, 2)])
+    def test_tree_matches_reference(self, R):
+        # vertices and points at offsets 1/8..7/8 on their last edges
+        points = _tree_points(4, range(6))
+        system = LatticeBallSystem(T4, R)
+        assert _kernel_ball_sets(system, points) == _reference_ball_sets(system, points)
+
+    @pytest.mark.parametrize("space,R,n", [
+        (E1, 2.5, 2), (E2, 2.5, 80), (euclidean_space(3), Fraction(3, 2), 40),
+        (T4, Fraction(3, 2), 40), (T4, 1.25, 40),
+    ], ids=["R1", "R2", "R3", "T4-3/2", "T4-1.25"])
+    def test_pushout_sets_and_stats_per_scale(self, space, R, n):
+        sample = sample_boundary(space, n, 8)
+        D = pair_distance_matrix(space, MetricSpec("dA", A=1), sample)
+        system = LatticeBallSystem(space, R)
+        for lam in (0.5, 4 * math.exp(-2), 0.125):
+            t = 1 / Fraction(lam) if space.kind == "tree" else 1.0 / lam
+            points = [ray_point(Ray(space, space.basepoint, xi), t) for xi in sample]
+            want = _reference_ball_sets(system, points)
+            incidences = pushout_incidences(space, system, lam, 1, sample)
+            cover = boundary_pushout_cover(sample, lam, incidences)
+            assert [(s.members, s.descriptor) for s in cover.sets] == [
+                (members, f"pushout lam={lam:g} center={key}") for key, members in want]
+            ref = Cover(ground=sample, sets=[CoverSet(members) for _, members in want])
+            got = covers.incidence_stats(*incidences[1:], D)
+            assert (got.order, got.mesh, got.lebesgue) == _reference_cover_stats(ref, D)
+            assert got == cover_stats(cover, D)
+
+
 def _stats_at_chunks(cover, matrix):
     """(order, mesh, lebesgue) of `cover_stats` at the default _CHUNK and at
     sizes at which a point's incidences straddle blocks of one row (1,
@@ -459,13 +542,46 @@ class TestStatsKernels:
             return
         assert _stats_at_chunks(cover, matrix) == [want] * 5
 
+    @settings(max_examples=200, deadline=None)
+    @given(_random_covers())
+    def test_colliding_hashes_never_merge_sets(self, case):
+        # with every weight 0 all sets hash alike, and only the point by
+        # point comparison tells them apart
+        cover, matrix = case
+        try:
+            want = _reference_cover_stats(cover, matrix)
+        except ValueError:
+            return
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(covers, "_point_weights", lambda n: np.zeros(n, dtype=np.uint64))
+            assert _stats_at_chunks(cover, matrix) == [want] * 5
+
+    @pytest.mark.parametrize("weights", ["hashed", "colliding"])
+    def test_distinct_sets_count_repeats(self, weights):
+        sets = [(0, 1), (2,), (0, 1), (1, 2), (2,), (0, 1), (0, 2), (1,), (2, 0), (), (1, 2)]
+        set_of, point_of = covers._incidences(sets, 3)
+        with pytest.MonkeyPatch.context() as mp:
+            if weights == "colliding":
+                mp.setattr(covers, "_point_weights", lambda n: np.ones(n, dtype=np.uint64))
+            got_set, got_point, repeats = covers._distinct_sets(set_of, point_of)
+        runs = {}
+        for g, p in zip(got_set.tolist(), got_point.tolist()):
+            runs.setdefault(g, []).append(p)
+        got = collections.Counter()
+        for g, r in enumerate(repeats):
+            got[tuple(runs[g])] += int(r)
+        # members in their listed order: (0, 2) and (2, 0) stay apart
+        assert got == collections.Counter(s for s in sets if s)
+        # a collision may split a group of equal sets, a good hash does not
+        assert (len(repeats) == len(got)) == (weights == "hashed")
+
     def test_cover_stats_matches_loop_on_pushout(self):
         for space, n, scales in ((E2, 120, (0.5, 0.125, 1 / 64)),
                                  (T4, 40, (4 * math.exp(-1), 4 * math.exp(-3)))):
             sample = sample_boundary(space, n, 5)
             D = pair_distance_matrix(space, MetricSpec("dA", A=1), sample)
             for lam in scales:
-                cover = boundary_pushout_cover(space, LatticeBallSystem(space, 2), lam, 1, sample)
+                cover = _pushout_cover(space, LatticeBallSystem(space, 2), lam, 1, sample)
                 assert _stats_at_chunks(cover, D) == [_reference_cover_stats(cover, D)] * 5
 
     def test_cover_stats_transient_memory(self):

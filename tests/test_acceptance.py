@@ -39,6 +39,7 @@ from visbound.quasisym import (
     eta_change_basepoint,
     power_law_fit,
     Envelope,
+    ratio_pool,
     uniformly_perfect_check,
     verify_control,
 )
@@ -122,8 +123,8 @@ def test_04_tree_d1_uniformly_perfect():
 
 def test_05_change_of_A_control():
     eta = eta_change_A(1, 2)
-    rep_t = verify_control(T4, spec_dA(1), spec_dA(2), eta, 10000, SEED)
-    rep_e = verify_control(E2, spec_dA(1), spec_dA(2), eta, 10000, SEED)
+    rep_t = verify_control(ratio_pool(T4, spec_dA(1), spec_dA(2), 10000, SEED), eta, 10000, SEED)
+    rep_e = verify_control(ratio_pool(E2, spec_dA(1), spec_dA(2), 10000, SEED), eta, 10000, SEED)
     ok = rep_t.violations == 0 and rep_e.violations == 0
     _report(5, ok, f"linear(2) control: tree violations={rep_t.violations}, "
                    f"circle violations={rep_e.violations}")
@@ -131,10 +132,10 @@ def test_05_change_of_A_control():
 
 def test_06_change_of_basepoint_control():
     moved4 = MetricSpec("dA", A=4, basepoint=TreePoint((0,)))
-    rep4 = verify_control(T4, MetricSpec("dA", A=4), moved4,
+    rep4 = verify_control(ratio_pool(T4, MetricSpec("dA", A=4), moved4, 10000, SEED),
                           eta_change_basepoint(4, 1), 10000, SEED)
     moved1 = MetricSpec("dA", A=1, basepoint=TreePoint((0,)))
-    rep1 = verify_control(T4, MetricSpec("dA", A=1), moved1,
+    rep1 = verify_control(ratio_pool(T4, MetricSpec("dA", A=1), moved1, 10000, SEED),
                           eta_change_basepoint(1, 1), 10000, SEED)
     ok = (rep4.violations == 0 and rep1.violations == 0
           and eta_change_basepoint(4, 1).slope == 4

@@ -14,12 +14,15 @@ from hypothesis import strategies as st
 
 import visbound
 from visbound import cli
-from visbound.cli import (ConfigError, RunConfig, _csv, _fmt, _pairs_csv, _spec, build_parser,
-                          main, parse_space, run)
+from visbound.cli import (ConfigError, RunConfig, _csv, _draw_pairs, _envelope_csv, _fmt,
+                          _pairs_csv, _spec, build_parser, main, parse_space, run)
 from visbound.covers import (Cover, CoverSet, ScaleSchedule, annular_pushin_cover,
                              colored_boundary_cover, sample_ray_points)
 from visbound.metrics import pair_distance_matrix
-from visbound.spaces import _point_to_str, boundary_to_line, sample_boundary, tree_space
+from visbound.quasisym import qs_envelope, ratio_pool
+from visbound.spaces import _point_to_str, boundary_to_line, sample_boundary, substream, tree_space
+
+from test_quasisym import _BoundedRng
 
 
 def read_json(path):
@@ -105,6 +108,27 @@ class TestSubcommands:
         rows = [(i, j, metric, a_field, float(D[i, j])) for i, j in zip(I.tolist(), J.tolist())]
         want = _csv(["i", "j", "metric_family", "A_or_blank", "value"], rows)
         assert _pairs_csv(D, f"{metric},{a_field}") == want
+
+    @pytest.mark.parametrize("space, metric, A, metric2", [("tree4", "dA", 0.7, "dA"),
+                                                           ("tree4", "dA", 1.0, "dbar"),
+                                                           ("hyperbolic_plane", "dA", 1.0, "dbar")])
+    def test_envelope_csv_equals_the_csv_writer(self, space, metric, A, metric2, tmp_path):
+        cfg = RunConfig(experiment="compare", space=space, metric=metric, A=A, metric2=metric2,
+                        n_triples=300, seed=4, out=str(tmp_path))
+        run(cfg)
+        pool = ratio_pool(parse_space(space), _spec(cfg, 1), _spec(cfg, 2), 300, 4)
+        env = qs_envelope(pool, 300, 4)
+        rows = [(t, rho, f"{i}:{j}:{k}") for t, rho, (i, j, k) in env.entries]
+        with open(tmp_path / "envelope.csv") as fh:
+            assert fh.read() == _csv(["t", "rho", "triple_ids"], rows)
+
+    def test_envelope_writer_edge_cases(self):
+        values = [0.0, -0.0, 5e-324, 1e-300, 1 / 3, 2.0, 1e300, math.inf, -math.inf, math.nan]
+        entries = [(t, rho, (i, 10 * i, 100 * i)) for i, (t, rho) in
+                   enumerate(zip(values, values[::-1]))]
+        rows = [(t, rho, f"{i}:{j}:{k}") for t, rho, (i, j, k) in entries]
+        assert _envelope_csv(entries) == _csv(["t", "rho", "triple_ids"], rows)
+        assert _envelope_csv([]) == _csv(["t", "rho", "triple_ids"], [])
 
     def test_compare_identity(self, tmp_path):
         out = str(tmp_path / "c")
@@ -210,6 +234,32 @@ class TestSubcommands:
         assert all(v is not False for v in man["verdicts"].values())
 
 
+def _reference_draw_pairs(sample, count, rng):
+    # one size=2 draw per pair
+    pairs = []
+    while len(pairs) < count:
+        i, j = rng.integers(0, len(sample), size=2)
+        if i != j:
+            pairs.append((sample[int(i)], sample[int(j)]))
+    return pairs
+
+
+class TestDrawPairs:
+    @pytest.mark.parametrize("n", [2, 3, 1000])
+    @pytest.mark.parametrize("count", [0, 1, 1000])
+    def test_pairs_equal_the_loop(self, n, count):
+        sample = [f"p{i}" for i in range(n)]
+        for seed in range(3):
+            got = _draw_pairs(sample, count, substream(seed, "visual-pairs"))
+            assert got == _reference_draw_pairs(sample, count, substream(seed, "visual-pairs"))
+
+    def test_one_point_has_no_pair(self):
+        # the redraw loop never returned
+        assert _draw_pairs(["p"], 0, _BoundedRng()) == []
+        with pytest.raises(ValueError, match="sample of 1"):
+            _draw_pairs(["p"], 1, _BoundedRng())
+
+
 class TestReproducibility:
     def test_byte_identical_outputs(self, tmp_path):
         args = ["compare", "--space", "euclidean2", "--metric", "dA", "--A", "1",
@@ -311,6 +361,7 @@ class TestErrorPaths:
         ["ell-dim", "--space", "tree4", "--n", "20", "--scales", "nan"],
         ["cover-pushout", "--space", "tree4", "--n", "20", "--R", "inf"],
         ["ell-dim", "--space", "tree4", "--n", "20", "--config", {"scales": [0.5, math.inf]}],
+        ["visual-fit", "--space", "tree4", "--n", "1"],
     ])
     def test_rejected_on_entry(self, argv, tmp_path):
         # a separate interpreter, so that a hang times out and a traceback

@@ -16,6 +16,7 @@ from visbound.quasisym import (
     linear_control,
     power_law_fit,
     qs_envelope,
+    ratio_pool,
     uniformly_perfect_check,
     verify_control,
 )
@@ -69,50 +70,54 @@ class TestEtaFormulas:
 
 class TestVerifyControl:
     def test_identity_zero_violations(self):
-        rep = verify_control(T4, spec_dA(1), spec_dA(1), linear_control(Fraction(1)), 2000, 1)
+        pool = ratio_pool(T4, spec_dA(1), spec_dA(1), 2000, 1)
+        rep = verify_control(pool, linear_control(Fraction(1)), 2000, 1)
         assert rep.violations == 0
         assert rep.worst_margin <= 1
 
     def test_change_A_tree_exact(self):
-        rep = verify_control(T4, spec_dA(1), spec_dA(2), eta_change_A(1, 2), 3000, 2)
+        pool = ratio_pool(T4, spec_dA(1), spec_dA(2), 3000, 2)
+        rep = verify_control(pool, eta_change_A(1, 2), 3000, 2)
         assert rep.violations == 0 and rep.discarded == 0
 
     def test_change_A_circle(self):
-        rep = verify_control(E2, spec_dA(1), spec_dA(2), eta_change_A(1, 2), 3000, 2)
+        pool = ratio_pool(E2, spec_dA(1), spec_dA(2), 3000, 2)
+        rep = verify_control(pool, eta_change_A(1, 2), 3000, 2)
         assert rep.violations == 0
 
     def test_violations_reported_for_too_small_eta(self):
         # d_1 -> d_2 needs slope 2; slope 1.2 must fail somewhere
-        rep = verify_control(T4, spec_dA(1), spec_dA(2), linear_control(Fraction(6, 5)),
-                             4000, 3)
+        pool = ratio_pool(T4, spec_dA(1), spec_dA(2), 4000, 3)
+        rep = verify_control(pool, linear_control(Fraction(6, 5)), 4000, 3)
         assert rep.violations > 0
         assert rep.witnesses
         assert rep.worst_margin > 1
 
     def test_basepoint_change_tree(self):
         moved = MetricSpec("dA", A=4, basepoint=TreePoint((0,)))
-        rep = verify_control(T4, MetricSpec("dA", A=4), moved,
-                             eta_change_basepoint(4, 1), 3000, 4)
+        pool = ratio_pool(T4, MetricSpec("dA", A=4), moved, 3000, 4)
+        rep = verify_control(pool, eta_change_basepoint(4, 1), 3000, 4)
         assert rep.violations == 0
 
     def test_report_serializes(self):
-        rep = verify_control(T4, spec_dA(1), spec_dA(1), linear_control(Fraction(1)), 100, 5)
+        pool = ratio_pool(T4, spec_dA(1), spec_dA(1), 100, 5)
+        rep = verify_control(pool, linear_control(Fraction(1)), 100, 5)
         d = rep.to_dict()
         assert set(d) == {"violations", "worst_margin", "discarded", "checked", "seed"}
 
 
 class TestEnvelope:
     def test_deterministic(self):
-        e1 = qs_envelope(T4, spec_dA(1), spec_dbar(), 500, 11)
-        e2 = qs_envelope(T4, spec_dA(1), spec_dbar(), 500, 11)
+        e1 = qs_envelope(ratio_pool(T4, spec_dA(1), spec_dbar(), 500, 11), 500, 11)
+        e2 = qs_envelope(ratio_pool(T4, spec_dA(1), spec_dbar(), 500, 11), 500, 11)
         assert e1.entries == e2.entries
 
     def test_identity_envelope_on_diagonal(self):
-        env = qs_envelope(E2, spec_dA(1), spec_dA(1), 500, 6)
+        env = qs_envelope(ratio_pool(E2, spec_dA(1), spec_dA(1), 500, 6), 500, 6)
         assert all(abs(t - r) < 1e-12 for t, r, _ in env.entries)
 
     def test_change_A_envelope_below_line(self):
-        env = qs_envelope(T4, spec_dA(1), spec_dA(2), 2000, 7)
+        env = qs_envelope(ratio_pool(T4, spec_dA(1), spec_dA(2), 2000, 7), 2000, 7)
         assert all(r <= 2 * t * (1 + 1e-12) for t, r, _ in env.entries)
 
 
@@ -221,10 +226,10 @@ class TestTripleKernels:
             "H2-dA-dbar", "T4-vertex-basepoint", "T4-vertex-basepoint-slope3-2"])
     def test_reports_and_envelopes_equal_the_loop(self, space, spec1, spec2, slope):
         eta = linear_control(slope)
-        got = verify_control(space, spec1, spec2, eta, 600, 3)
+        got = verify_control(ratio_pool(space, spec1, spec2, 600, 3), eta, 600, 3)
         want = _reference_verify_control(space, spec1, spec2, eta, 600, 3)
         assert got == want and repr(got) == repr(want)
-        env = qs_envelope(space, spec1, spec2, 600, 3)
+        env = qs_envelope(ratio_pool(space, spec1, spec2, 600, 3), 600, 3)
         ref = _reference_qs_envelope(space, spec1, spec2, 600, 3)
         assert env.discarded == ref.discarded and repr(env.entries) == repr(ref.entries)
 
@@ -237,13 +242,127 @@ class TestTripleKernels:
         monkeypatch.setattr(quasisym, "pair_distance_matrix",
                             _zeroed_tables(quasisym.pair_distance_matrix))
         eta = linear_control(slope)
-        got = verify_control(space, spec1, spec2, eta, 600, 4)
+        got = verify_control(ratio_pool(space, spec1, spec2, 600, 4), eta, 600, 4)
         want = _reference_verify_control(space, spec1, spec2, eta, 600, 4)
         assert got.discarded > 0 and repr(got) == repr(want)
-        env = qs_envelope(space, spec1, spec2, 600, 4)
+        env = qs_envelope(ratio_pool(space, spec1, spec2, 600, 4), 600, 4)
         ref = _reference_qs_envelope(space, spec1, spec2, 600, 4)
         assert env.discarded > 0 and env.discarded == ref.discarded
         assert repr(env.entries) == repr(ref.entries)
+
+
+class _BoundedRng:
+    """A generator that fails after `limit` draws, so that a draw loop which
+    can never finish fails the test instead of running on."""
+
+    def __init__(self, limit=100):
+        self.rng, self.left = substream(9, "bounded"), limit
+
+    def integers(self, *args, **kwargs):
+        self.left -= 1
+        if self.left < 0:
+            raise RuntimeError("draw loop did not finish")
+        return self.rng.integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("n_points", [0, 1, 2])
+def test_too_few_points_for_a_triple_rejected(n_points):
+    # the block loop found no valid row and never returned
+    assert quasisym._sample_triples(n_points, 0, _BoundedRng()).shape == (0, 3)
+    with pytest.raises(ValueError, match="pool of"):
+        quasisym._sample_triples(n_points, 1, _BoundedRng())
+
+
+class TestExactRatioKernel:
+    """The integer kernel of the exact tree ratios: numerator and denominator
+    arrays of Python ints in place of one `Fraction` per triple."""
+
+    @pytest.mark.parametrize("slope", [Fraction(0.3) / Fraction(0.1), 0.3 / 0.1,
+                                       Fraction(2), 2.5],
+                             ids=["fraction-slope", "float-slope", "violated-2", "violated-2.5"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_wide_denominators_equal_the_loop(self, slope, seed):
+        # Fraction(0.1) and Fraction(0.3) have 55- and 54-bit denominators,
+        # so the cross products pass 2^63
+        spec1, spec2 = spec_dA(0.1), spec_dA(0.3)
+        eta = linear_control(slope)
+        got = verify_control(ratio_pool(T4, spec1, spec2, 800, seed), eta, 800, seed)
+        want = _reference_verify_control(T4, spec1, spec2, eta, 800, seed)
+        assert got == want and repr(got) == repr(want)
+        env = qs_envelope(ratio_pool(T4, spec1, spec2, 800, seed), 800, seed)
+        ref = _reference_qs_envelope(T4, spec1, spec2, 800, seed)
+        assert env.discarded == ref.discarded and repr(env.entries) == repr(ref.entries)
+
+    def test_tight_slope_equals_the_loop(self):
+        # the largest sampled rho/t as the slope: met with equality at its
+        # triple, and violated there by a slope one part in 10^40 smaller
+        spec1, spec2 = spec_dA(0.1), spec_dA(0.3)
+        kept, _ = _reference_ratio_triples(T4, spec1, spec2, 800, 3, "verify-control")
+        tight = max(rho / t for _, t, rho in kept)
+        for slope, violated in [(tight, False), (tight * (1 - Fraction(1, 10 ** 40)), True)]:
+            eta = linear_control(slope)
+            got = verify_control(ratio_pool(T4, spec1, spec2, 800, 3), eta, 800, 3)
+            assert (got.violations > 0) == violated
+            assert repr(got) == repr(_reference_verify_control(T4, spec1, spec2, eta, 800, 3))
+
+    @pytest.mark.parametrize("slope", [1e308, Fraction(1e308)], ids=["float", "fraction"])
+    def test_infinite_thresholds_equal_the_loop(self, slope):
+        # dbar ratios up to about e^20 times 1e308 overflow, so an exact
+        # rho meets an infinite threshold, which `Fraction` compares as 0.0
+        eta = linear_control(slope)
+        with np.errstate(over="ignore"):
+            got = verify_control(ratio_pool(T4, spec_dbar(), spec_dA(1), 600, 3), eta, 600, 3)
+            want = _reference_verify_control(T4, spec_dbar(), spec_dA(1), eta, 600, 3)
+        assert repr(got) == repr(want)
+
+    def test_wide_denominators_pass_int64(self):
+        d1, d2 = ratio_pool(T4, spec_dA(0.1), spec_dA(0.3), 800, 0)
+        assert max(d1.den.ravel()) * max(d2.den.ravel()) > 2 ** 63
+
+    @pytest.mark.parametrize("space,spec1,spec2,slope", [
+        (T4, spec_dA(1), spec_dA(2), Fraction(2)),
+        (T4, spec_dA(1), spec_dbar(), 1.5),
+        (H2, spec_dA(1), spec_dbar(), 1.0),
+    ], ids=["T4-exact", "T4-dA-dbar", "H2"])
+    def test_one_pool_serves_both_streams(self, space, spec1, spec2, slope):
+        # `compare` reads one pool with both streams, the envelope first;
+        # reading a pool leaves it as drawn
+        pool = ratio_pool(space, spec1, spec2, 600, 2)
+        eta = linear_control(slope)
+        env = qs_envelope(pool, 600, 2)
+        got = verify_control(pool, eta, 600, 2)
+        assert repr(got) == repr(_reference_verify_control(space, spec1, spec2, eta, 600, 2))
+        ref = _reference_qs_envelope(space, spec1, spec2, 600, 2)
+        assert repr(env.entries) == repr(ref.entries)
+        assert qs_envelope(pool, 600, 2).entries == env.entries
+
+    @pytest.mark.parametrize("rho", [Fraction(1, 3), Fraction(2, 7) ** 9, Fraction(10 ** 30 + 1, 3),
+                                     Fraction(0.1), Fraction(5, 4)])
+    def test_exceeds_floats_one_ulp_either_side(self, rho):
+        # rho against the float nearest it and the floats one ulp below and
+        # above, as `Fraction` compares them; Fraction(0.1) and 5/4 are
+        # floats themselves, so the nearest float ties with them
+        near = float(rho)
+        xs = [near, math.nextafter(near, 0.0), math.nextafter(near, math.inf),
+              math.inf, -math.inf, math.nan]
+        rhos = quasisym._Rationals(np.array([rho.numerator] * len(xs), dtype=object),
+                                   np.array([rho.denominator] * len(xs), dtype=object))
+        got = quasisym._exceeds(rhos, np.array(xs))
+        assert got.dtype == bool
+        assert got.tolist() == [rho > x for x in xs]
+        assert got[1] and not got[2]
+
+    def test_exceeds_decides_what_rounding_would_tie(self):
+        # 1/3 rounds to the float below it; rho = that float plus a quarter
+        # ulp ties with it after rounding but exceeds it exactly
+        x = 1 / 3
+        ulp = Fraction(math.nextafter(x, 1.0)) - Fraction(x)
+        rho = Fraction(x) + ulp / 4
+        assert float(rho) == x
+        rhos = quasisym._Rationals(np.array([rho.numerator, rho.numerator], dtype=object),
+                                   np.array([rho.denominator, rho.denominator], dtype=object))
+        got = quasisym._exceeds(rhos, np.array([x, math.nextafter(x, 1.0)]))
+        assert got.tolist() == [True, False]
 
 
 class TestPowerLawFit:

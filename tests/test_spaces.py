@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from visbound import spaces
 from visbound.spaces import (
     EuclideanBoundary,
     EuclideanPoint,
@@ -21,6 +23,7 @@ from visbound.spaces import (
     hyperbolic_plane,
     ray_point,
     sample_boundary,
+    substream,
     tree_space,
 )
 
@@ -280,3 +283,60 @@ class TestSampling:
             assert 0 <= bp.letter(0) <= 3
             for i in range(1, len(bp.preperiod) + 2 * len(bp.period)):
                 assert 0 <= bp.letter(i) <= 2
+
+
+def _reference_draw_boundary(space, rng):
+    # the per-draw sampler: every draw builds its boundary point
+    if space.kind == "euclidean":
+        v = rng.normal(size=space.dim)
+        nv = float(np.linalg.norm(v))
+        if nv == 0.0:
+            return None
+        v = v / nv
+        v = v / float(np.linalg.norm(v))
+        return EuclideanBoundary(tuple(float(c) for c in v))
+    if space.kind == "hyperbolic_plane":
+        return HyperbolicBoundary(float(rng.uniform(0, 2 * math.pi)))
+    k = space.valence
+    pre_len = int(rng.geometric(0.4)) - 1
+    per_len = int(rng.integers(1, 5))
+    letters = []
+    for i in range(pre_len + per_len):
+        hi = k if i == 0 and pre_len > 0 else k - 1
+        letters.append(int(rng.integers(0, hi)))
+    return TreeBoundary(tuple(letters[:pre_len]), tuple(letters[pre_len:]))
+
+
+def _reference_sample_boundary(space, n, seed):
+    rng = substream(seed, f"boundary-{space.kind}")
+    out, seen = [], set()
+    while len(out) < n:
+        bp = _reference_draw_boundary(space, rng)
+        if bp is not None and bp not in seen:
+            seen.add(bp)
+            out.append(bp)
+    return out, rng.bit_generator.state
+
+
+class TestSamplerAgainstTheLoop:
+    @pytest.mark.parametrize("space", [tree_space(3), T4, tree_space(5), E2, H2],
+                             ids=["tree3", "tree4", "tree5", "E2", "H2"])
+    @pytest.mark.parametrize("n", [1, 50, 1000])
+    def test_sample_equals_the_per_draw_loop(self, space, n, monkeypatch):
+        # skipping a repeated raw draw unbuilt leaves the sample, its order
+        # and the generator's calls as they were
+        made = []
+
+        def recording(seed, name):
+            made.append(substream(seed, name))
+            return made[-1]
+
+        monkeypatch.setattr(spaces, "substream", recording)
+        for seed in range(5):
+            want, state = _reference_sample_boundary(space, n, seed)
+            got = sample_boundary(space, n, seed)
+            assert got == want and made[-1].bit_generator.state == state
+            assert [type(p) for p in got] == [type(p) for p in want]
+            if space.kind == "tree":
+                assert [(p.preperiod, p.period) for p in got] == [(p.preperiod, p.period)
+                                                                  for p in want]

@@ -46,7 +46,6 @@ from .quasisym import (
 )
 from .covers import (
     Cover,
-    CoverSet,
     CoverStats,
     LatticeBallSystem,
     ScaleSchedule,
@@ -55,7 +54,6 @@ from .covers import (
     colored_boundary_cover,
     cover_stats,
     ell_dim_estimate,
-    pushout_incidences,
 )
 from .visual import VisualFit, nonqs_witness, nonvisual_witness_dA, visual_fit
 

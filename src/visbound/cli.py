@@ -28,10 +28,9 @@ from .covers import (
     annular_pushin_cover,
     boundary_pushout_cover,
     colored_boundary_cover,
+    cover_stats,
     ell_dim_estimate,
-    incidence_stats,
     orbit_ball_order,
-    pushout_incidences,
     sample_ray_points,
 )
 from .metrics import DA, DBAR, MetricSpec, pair_distance_matrix
@@ -200,20 +199,28 @@ def _json_list(items: list, indent: str) -> str:
     return f"[\n{indent}  " + f",\n{indent}  ".join(items) + f"\n{indent}]"
 
 
-def _cover_json(space: Space, cover, ground_kind: str = "boundary") -> str:
-    """`_json` of {"ground": the ground points as text, "sets": each set's
-    members, color and descriptor}, written with one %-template per set.
-    Strings are escaped by the encoder `json.dumps` uses by default, and
-    members are ints, whose `str` is their JSON text."""
-    from .spaces import _point_to_str
-    to_str = boundary_to_line if ground_kind == "boundary" else _point_to_str
-    ground = [encode_basestring_ascii(to_str(space, g)) for g in cover.ground]
-    sets = [_COVER_SET % ("null" if s.color is None else json.dumps(s.color),
-                          encode_basestring_ascii(s.descriptor),
-                          _json_list(list(map(str, s.members)), "      "))
-            for s in cover.sets]
+def _cover_json(ground_text: list, cover) -> str:
+    """`_json` of {"ground": `ground_text`, "sets": each set's members,
+    color and descriptor}, written with one %-template per set.  Strings
+    are escaped by the encoder `json.dumps` uses by default, and members
+    are ints, whose `str` is their JSON text."""
+    ground = [encode_basestring_ascii(g) for g in ground_text]
+    members = list(map(str, cover.point_of.tolist()))
+    bounds = cover.bounds.tolist()
+    sets = [_COVER_SET % ("null" if color is None else json.dumps(color),
+                          encode_basestring_ascii(cover.describe(s)),
+                          _json_list(members[a:b], "      "))
+            for s, (color, a, b) in enumerate(zip(cover.colors, bounds, bounds[1:]))]
     return '{\n  "ground": %s,\n  "sets": %s\n}\n' % (_json_list(ground, "  "),
                                                        _json_list(sets, "  "))
+
+
+def _interior_text(boundary_sample: list, interior_sample: list) -> list:
+    """The text "word@offset" of the point at radius r on the root's ray
+    toward boundary_sample[i], for each interior sample (i, r): the ray's
+    vertex word at depth ceil(r), and r mod 1, the offset along its edge."""
+    return [".".join(map(str, boundary_sample[i].prefix(math.ceil(r)))) + f"@{r % 1}"
+            for i, r in interior_sample]
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +284,8 @@ def run_cover_pushout(cfg: RunConfig):
     rows = []
     all_pass = True
     for lam in cfg.scales:
-        incidences = pushout_incidences(space, system, lam, A, sample)
-        stats = incidence_stats(*incidences[1:], D)
+        cover = boundary_pushout_cover(space, system, lam, A, sample)
+        stats = cover_stats(cover, D)
         bound_mesh = (4.0 * float(R) / float(A)) * float(lam)
         bound_leb = float(lam)
         ok = (stats.order <= order_v
@@ -287,12 +294,11 @@ def run_cover_pushout(cfg: RunConfig):
         all_pass = all_pass and ok
         rows.append((float(lam), stats.order, stats.mesh, stats.lebesgue,
                      bound_mesh, bound_leb, int(ok)))
-    # cover.json holds the last scale's cover
-    last_cover = boundary_pushout_cover(sample, lam, incidences)
     files = {
         "stats.csv": _csv(["lambda", "order", "mesh", "lebesgue",
                            "bound_mesh", "bound_lebesgue", "pass"], rows),
-        "cover.json": _cover_json(space, last_cover),
+        # the last scale's cover
+        "cover.json": _cover_json([boundary_to_line(space, xi) for xi in sample], cover),
     }
     verdicts = {"all_scales_pass": all_pass, "interior_order": order_v}
     return verdicts, files
@@ -313,11 +319,10 @@ def run_cover_pushin(cfg: RunConfig):
     cover, claims = annular_pushin_cover(space, schedule, covers, sample, interior)
     # a boundary cover in n + 1 colors pushes in to order <= 2n + 2; with
     # K = 0 the base ball alone covers, at order 1
-    colors = len({s.color for c in covers.values() for s in c.sets}) or 1
+    colors = len({color for c in covers.values() for color in c.colors}) or 1
     files = {
-        "cover.json": _cover_json(space, cover, ground_kind="interior"),
-        "claims.json": _json({k: (v if not isinstance(v, bool) else bool(v))
-                              for k, v in claims.items()}),
+        "cover.json": _cover_json(_interior_text(sample, interior), cover),
+        "claims.json": _json(claims),
     }
     verdicts = {
         "color_disjoint": claims["color_disjoint"],
@@ -335,7 +340,7 @@ def run_ell_dim(cfg: RunConfig):
     spec = _spec(cfg)
     sample = sample_boundary(space, cfg.n, cfg.seed)
     D = pair_distance_matrix(space, spec, sample)
-    rows, estimate = ell_dim_estimate(sample, D, cfg.scales, max(cfg.c, 4.0), cfg.seed)
+    rows, estimate = ell_dim_estimate(D, cfg.scales, max(cfg.c, 4.0), cfg.seed)
     table = [(r.lam, r.order, r.mesh, r.lebesgue, r.bound_mesh, r.bound_lebesgue,
               int(r.passed)) for r in rows]
     files = {"stats.csv": _csv(["lambda", "order", "mesh", "lebesgue",

@@ -8,6 +8,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,42 +29,43 @@ from .spaces import (
     substream,
 )
 
-# membership and distance entries per block of cover_stats (its transient
+# incidence and distance entries per block of cover_stats (its transient
 # memory is O(chunk))
 _CHUNK = 1 << 15
 
 
-@dataclass(frozen=True)
-class CoverSet:
-    members: tuple
-    color: object = None
-    descriptor: str = ""
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Cover:
-    """Finite cover of a sampled ground set; sets hold ground indices."""
+    """Cover of the ground points 0..n-1 by its (set, point) incidences,
+    sorted by set and then by point.  Set s has color colors[s] (an int or
+    None), so a set without members is still a set, and text describe(s),
+    made only when the cover is written."""
 
-    ground: list
-    sets: list
+    n: int
+    set_of: np.ndarray
+    point_of: np.ndarray
+    colors: tuple
+    describe: Callable[[int], str]
 
-    def membership(self) -> np.ndarray:
-        """Boolean set-by-point matrix: M[s, i] iff ground point i is in set s."""
-        set_of, point_of = _incidences([s.members for s in self.sets], len(self.ground))
-        M = np.zeros((len(self.sets), len(self.ground)), dtype=bool)
-        M[set_of, point_of] = True
-        return M
+    def __post_init__(self):
+        set_of = np.asarray(self.set_of, dtype=np.int64)
+        point_of = np.asarray(self.point_of, dtype=np.int64)
+        object.__setattr__(self, "set_of", set_of)
+        object.__setattr__(self, "point_of", point_of)
+        object.__setattr__(self, "colors", tuple(self.colors))
+        if point_of.size and (point_of.min() < 0 or point_of.max() >= self.n):
+            raise ValueError(f"cover member index outside [0, {self.n})")
+        if set_of.size and (set_of.min() < 0 or set_of.max() >= len(self.colors)):
+            raise ValueError(f"cover set index outside [0, {len(self.colors)})")
+        step = np.diff(set_of)
+        if ((step < 0) | ((step == 0) & (np.diff(point_of) <= 0))).any():
+            raise ValueError("cover incidences must be sorted by set and then by "
+                             "point, each once")
 
-
-def _incidences(member_lists: list, n: int) -> tuple:
-    """(set_of, point_of): the (set, point) incidences of the member lists
-    over n points, in list order (each set's incidences contiguous)."""
-    sizes = [len(m) for m in member_lists]
-    points = np.fromiter(itertools.chain.from_iterable(member_lists), dtype=np.int64,
-                         count=sum(sizes))
-    if points.size and (points.min() < 0 or points.max() >= n):
-        raise ValueError(f"cover member index outside [0, {n})")
-    return np.repeat(np.arange(len(sizes)), sizes), points
+    @property
+    def bounds(self) -> np.ndarray:
+        """Set s's members are point_of[bounds[s]:bounds[s + 1]]."""
+        return np.searchsorted(self.set_of, np.arange(len(self.colors) + 1))
 
 
 def _point_weights(n: int) -> np.ndarray:
@@ -118,20 +120,7 @@ class CoverStats:
 
 def cover_stats(cover: Cover, matrix: np.ndarray) -> CoverStats:
     """Order, mesh, and Lebesgue number of the cover measured against its
-    own ground sample, whose pairwise distances are `matrix`."""
-    if not cover.sets:
-        raise ValueError("empty cover")
-    n = len(cover.ground)
-    matrix = np.asarray(matrix)
-    if matrix.shape != (n, n):
-        raise ValueError(f"distance matrix has shape {matrix.shape}, not ({n}, {n})")
-    return incidence_stats(*_incidences([s.members for s in cover.sets], n), matrix)
-
-
-def incidence_stats(set_of: np.ndarray, point_of: np.ndarray, matrix: np.ndarray) -> CoverStats:
-    """`cover_stats` of the cover whose (set, point) incidences are given,
-    sets numbered from 0 and each set's contiguous, over the points of the
-    square `matrix`.
+    own ground sample, whose pairwise distances are `matrix`.
 
     Identical sets give identical mesh and Lebesgue candidates, so each
     distinct set is measured once and the order counts its repeats.  The
@@ -140,8 +129,13 @@ def incidence_stats(set_of: np.ndarray, point_of: np.ndarray, matrix: np.ndarray
     its point into its set, and its Lebesgue candidate the smallest
     distance from its point out of the set; a point's Lebesgue candidate
     is the largest of its incidences'."""
-    n = len(matrix)
-    set_of, point_of, repeats = _distinct_sets(set_of, point_of)
+    if not cover.colors:
+        raise ValueError("empty cover")
+    n = cover.n
+    matrix = np.asarray(matrix)
+    if matrix.shape != (n, n):
+        raise ValueError(f"distance matrix has shape {matrix.shape}, not ({n}, {n})")
+    set_of, point_of, repeats = _distinct_sets(cover.set_of, cover.point_of)
     M = np.zeros((len(repeats), n), dtype=bool)
     M[set_of, point_of] = True
     counts = repeats @ M     # column sums, with repeats
@@ -318,12 +312,13 @@ def orbit_ball_order(space: Space, R, resolution: int = 48) -> int:
 # boundary pushout
 
 
-def pushout_incidences(space: Space, system: LatticeBallSystem, lam, A,
-                       boundary_sample: list) -> tuple:
-    """The orbit-ball cover pushed out to the boundary at scale lam, as
+def boundary_pushout_cover(space: Space, system: LatticeBallSystem, lam, A,
+                           boundary_sample: list) -> Cover:
+    """The orbit-ball cover pushed out to the boundary at scale lam, from
     `LatticeBallSystem.incidences` of the basepoint rays' points at time
     1/lam: a boundary point joins the set of a ball V iff its ray sits in
-    V at that time."""
+    V at that time.  One set per ball meeting the sample, by increasing
+    center key."""
     if system.R <= A:
         raise ValueError("pushout needs ball parameter R > A")
     t = 1 / Fraction(lam) if space.kind == TREE else 1.0 / float(lam)
@@ -331,19 +326,9 @@ def pushout_incidences(space: Space, system: LatticeBallSystem, lam, A,
     keys, set_of, point_of = system.incidences(points)
     if not np.bincount(point_of, minlength=len(points)).all():
         raise ValueError("pushout cover failed to cover the boundary sample")
-    return keys, set_of, point_of
-
-
-def boundary_pushout_cover(boundary_sample: list, lam, incidences: tuple) -> Cover:
-    """The pushout cover at scale lam, one set per orbit ball by increasing
-    center key, from the scale's `pushout_incidences` of `boundary_sample`."""
-    keys, set_of, point_of = incidences
-    bounds = np.flatnonzero(np.diff(set_of, prepend=-1, append=len(keys))).tolist()
-    members = point_of.tolist()
     label = f"pushout lam={float(lam):g}"
-    sets = [CoverSet(tuple(members[a:b]), None, f"{label} center={key}")
-            for key, a, b in zip(keys, bounds, bounds[1:])]
-    return Cover(ground=list(boundary_sample), sets=sets)
+    return Cover(len(points), set_of, point_of, (None,) * len(keys),
+                 lambda s: f"{label} center={keys[s]}")
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +337,13 @@ def boundary_pushout_cover(boundary_sample: list, lam, incidences: tuple) -> Cov
 
 def _tree_cylinder_cover(lam, boundary_sample: list) -> Cover:
     depth = max(1, math.ceil(math.log(4.0 / float(lam)) - 1e-9))
-    by_prefix = {}
-    for i, xi in enumerate(boundary_sample):
-        by_prefix.setdefault(xi.prefix(depth), []).append(i)
-    sets = [CoverSet(tuple(members), 0, f"cylinder depth={depth} word={w}")
-            for w, members in sorted(by_prefix.items())]
-    return Cover(ground=list(boundary_sample), sets=sets)
+    words = [xi.prefix(depth) for xi in boundary_sample]
+    keys = sorted(set(words))
+    rank = {w: s for s, w in enumerate(keys)}
+    cylinder = np.fromiter((rank[w] for w in words), dtype=np.int64, count=len(words))
+    point_of = np.argsort(cylinder, kind="stable")
+    return Cover(len(words), cylinder[point_of], point_of, (0,) * len(keys),
+                 lambda s: f"cylinder depth={depth} word={keys[s]}")
 
 
 def _circle_arc_cover(lam, boundary_sample: list) -> Cover:
@@ -373,18 +359,16 @@ def _circle_arc_cover(lam, boundary_sample: list) -> Cover:
     half = 0.75 * spacing
     V = np.array([xi.direction for xi in boundary_sample], dtype=float)
     phi = np.arctan2(V[:, 1], V[:, 0]) % (2 * math.pi)
-    sets = []
-    for j in range(N):
-        center = j * spacing
-        members = np.flatnonzero(_wrapped_gap(phi, center) <= half).tolist()
-        sets.append(CoverSet(tuple(members), j % 2, f"arc j={j} center={center:.6f} half={half:.6f}"))
-    return Cover(ground=list(boundary_sample), sets=sets)
+    centers = np.arange(N) * spacing
+    set_of, point_of = np.nonzero(_wrapped_gap(phi, centers[:, None]) <= half)
+    return Cover(len(phi), set_of, point_of, [j % 2 for j in range(N)],
+                 lambda j: f"arc j={j} center={j * spacing:.6f} half={half:.6f}")
 
 
-def _greedy_net(matrix: np.ndarray, lam: float, radius: float, rng) -> list:
+def _greedy_net(matrix: np.ndarray, lam: float, radius: float, rng) -> Cover:
     """Greedy maximal lam-separated net over the rows of `matrix`, scanned in
-    `rng`'s permutation order; returns (center, members of its open
-    radius-ball) by increasing center."""
+    `rng`'s permutation order; returns the cover by the open radius-balls
+    around the net, one set per center by increasing center."""
     n = matrix.shape[0]
     blocked = np.zeros(n, dtype=bool)
     centers = []
@@ -392,7 +376,10 @@ def _greedy_net(matrix: np.ndarray, lam: float, radius: float, rng) -> list:
         if not blocked[i]:
             centers.append(int(i))
             blocked |= matrix[:, i] < lam
-    return [(c, tuple(np.flatnonzero(matrix[:, c] < radius).tolist())) for c in sorted(centers)]
+    centers.sort()
+    set_of, point_of = np.nonzero((matrix[:, centers] < radius).T)
+    return Cover(n, set_of, point_of, (None,) * len(centers),
+                 lambda s: f"net-ball center={centers[s]}")
 
 
 def colored_boundary_cover(space: Space, lam, boundary_sample: list) -> Cover:
@@ -458,7 +445,7 @@ def annular_pushin_cover(space: Space, schedule: ScaleSchedule,
     space."""
     if space.kind != TREE:
         raise ValueError("the annular pushin is built on tree spaces only")
-    R, K, c = schedule.R, schedule.K, schedule.c
+    R, K = schedule.R, schedule.K
     for k in range(1, K + 1):
         if k not in colored_covers:
             raise ValueError(f"missing colored cover for scale k={k}")
@@ -467,58 +454,71 @@ def annular_pushin_cover(space: Space, schedule: ScaleSchedule,
     B[I, J] = B[J, I] = pair_invariants(space, boundary_sample, I, J)
     rays = np.array([i for i, _ in interior_sample], dtype=np.int64)
     ceil_r = np.array([math.ceil(r) for _, r in interior_sample], dtype=float)
-    reach = (B[rays] >= ceil_r[:, None]).astype(float)
+    reach = B[rays] >= ceil_r[:, None]
 
-    ground = [ray_point(Ray(space, space.basepoint, boundary_sample[i]), r)
-              for i, r in interior_sample]
-    sets = []
-    set_scale = []
+    m = len(interior_sample)
+    # one tube per colored set U with members, by scale and then by U:
+    # the in-band points whose ray reaches a member of U
+    set_parts, point_parts, colors, tube_of = [], [], [], []
     for k in range(1, K + 1):
         lo, hi = k * R, (k + 2) * R
-        in_band = np.array([lo < r < hi for _, r in interior_sample], dtype=bool)
-        hits = (reach @ colored_covers[k].membership().T > 0) & in_band[:, None]
-        for s, hit in zip(colored_covers[k].sets, hits.T):
-            members = np.flatnonzero(hit).tolist()
-            if members:
-                sets.append(CoverSet(tuple(members), s.color,
-                                     f"tube k={k} of [{s.descriptor}]"))
-                set_scale.append(k)
-    base_members = tuple(idx for idx, (i, r) in enumerate(interior_sample)
-                         if r < 2 * R)
-    sets.append(CoverSet(base_members, None, f"base ball radius={2 * R}"))
-    set_scale.append(0)
-    cover = Cover(ground=ground, sets=sets)
+        band = np.flatnonzero([lo < r < hi for _, r in interior_sample])
+        boundary = colored_covers[k]
+        p, inc = np.nonzero(reach[band][:, boundary.point_of])
+        hit = np.zeros((len(boundary.colors), m), dtype=bool)
+        hit[boundary.set_of[inc], band[p]] = True
+        used = np.flatnonzero(hit.any(axis=1))
+        tube, points = np.nonzero(hit[used])
+        set_parts.append(tube + len(colors))
+        point_parts.append(points)
+        colors += [boundary.colors[s] for s in used.tolist()]
+        tube_of += [(k, s) for s in used.tolist()]
+    base = np.flatnonzero([r < 2 * R for _, r in interior_sample])
+    set_parts.append(np.full(len(base), len(colors)))
+    point_parts.append(base)
+    colors.append(None)
 
+    def describe(t):
+        if t == len(tube_of):
+            return f"base ball radius={2 * R}"
+        k, s = tube_of[t]
+        return f"tube k={k} of [{colored_covers[k].describe(s)}]"
+
+    cover = Cover(m, np.concatenate(set_parts), np.concatenate(point_parts), colors, describe)
+    set_scale = np.array([k for k, _ in tube_of] + [0])
     claims = _pushin_claims(cover, set_scale, schedule, interior_sample, rays, B)
     return cover, claims
 
 
 def _pushin_claims(cover, set_scale, schedule, interior_sample, rays, B):
-    """The pushin claims, with the tube mesh read from the branch table B
-    (+inf diagonal): points at radii r_a, r_b on the rays toward i_a, i_b
-    (`rays`) are r_a + r_b - 2 min(r_a, r_b, B[i_a, i_b]) apart, exactly in
-    float for dyadic radii."""
+    """The pushin claims, given each set's scale k (0 for the base ball),
+    with the tube mesh read from the branch table B (+inf diagonal): points
+    at radii r_a, r_b on the rays toward i_a, i_b (`rays`) are
+    r_a + r_b - 2 min(r_a, r_b, B[i_a, i_b]) apart, exact for dyadic radii."""
     R, c = schedule.R, schedule.c
-    M = cover.membership()
-    tubes = [t for t, sc in enumerate(set_scale) if sc]
+    set_of, point_of = cover.set_of, cover.point_of
+    tube = set_scale[set_of] > 0
     # Claim 1: same-color tube sets at one scale share no sample point
     groups = {}
-    for t in tubes:
-        groups.setdefault((set_scale[t], cover.sets[t].color), []).append(t)
-    color_ok = all(M[g].sum(axis=0).max(initial=0) <= 1 for g in groups.values())
+    group = np.array([groups.setdefault(key, len(groups))
+                      for key in zip(set_scale.tolist(), cover.colors)], dtype=np.int64)
+    pairs = group[set_of[tube]] * cover.n + point_of[tube]
+    color_ok = bool(np.bincount(pairs).max(initial=0) <= 1)
     # per-point decay inequality 2 e^{-r} < lam_k / 2 inside scale-k tubes
     decay = np.array([2.0 * math.exp(-float(r)) for _, r in interior_sample])
-    point_ok = all((decay[M[t]] < schedule.lam(set_scale[t]) / 2.0).all() for t in tubes)
+    half_lam = np.array([schedule.lam(k) / 2.0 for k in set_scale.tolist()])
+    point_ok = bool((decay[point_of[tube]] < half_lam[set_of[tube]]).all())
     # Claim 3: tube mesh bound
     mesh_bound = 4.0 * c * math.exp(2 * R) + 2 * R
     radii = np.array([float(r) for _, r in interior_sample])
+    bounds = cover.bounds
     tube_mesh = 0.0
-    for t in tubes:
-        members = np.flatnonzero(M[t])
+    for t in np.flatnonzero(set_scale).tolist():
+        members = point_of[bounds[t]:bounds[t + 1]]
         i, r = rays[members], radii[members]
         shared = np.minimum(np.minimum.outer(r, r), B[np.ix_(i, i)])
         tube_mesh = max(tube_mesh, float((r[:, None] + r[None, :] - 2.0 * shared).max()))
-    counts = M.sum(axis=0)
+    counts = np.bincount(point_of, minlength=cover.n)
     return {
         "color_disjoint": color_ok,
         "per_point_decay": point_ok,
@@ -545,8 +545,7 @@ class ScaleRow:
     passed: bool
 
 
-def ell_dim_estimate(points: list, matrix: np.ndarray, scales: list, c: float,
-                     seed: int = 0):
+def ell_dim_estimate(matrix: np.ndarray, scales: list, c: float, seed: int = 0):
     """At each scale: greedy maximal lam-separated net (seeded scan order,
     ties by index), cover by open lam-balls around the net, measured order.
     Returns (rows, estimate) with estimate = max order - 1."""
@@ -556,9 +555,7 @@ def ell_dim_estimate(points: list, matrix: np.ndarray, scales: list, c: float,
     worst_order = 0
     for lam in scales:
         lamf = float(lam)
-        net = _greedy_net(matrix, lamf, lamf, substream(seed, f"net-{lamf:.12g}"))
-        sets = [CoverSet(members, None, f"net-ball center={cc}") for cc, members in net]
-        cover = Cover(ground=list(points), sets=sets)
+        cover = _greedy_net(matrix, lamf, lamf, substream(seed, f"net-{lamf:.12g}"))
         stats = cover_stats(cover, matrix=matrix)
         bound_mesh = c * lamf
         row = ScaleRow(lam=lamf, order=stats.order, mesh=stats.mesh,

@@ -447,7 +447,7 @@ def gromov_product(space: Space, x0: Point, xi: BoundaryPoint, eta: BoundaryPoin
 
 
 # ---------------------------------------------------------------------------
-# cone topology membership
+# cone topology neighborhoods
 
 
 def cone_contains(space: Space, nbhd: ConeNeighborhood, z) -> bool:

@@ -461,15 +461,6 @@ def space_id(space: Space) -> str:
     return "hyperbolic_plane"
 
 
-def _point_to_str(space: Space, p: Point) -> str:
-    if space.kind == EUCLIDEAN:
-        return ",".join(f"{c:.17g}" for c in p.coords)
-    if space.kind == TREE:
-        w = ".".join(str(a) for a in p.word)
-        return f"{w}@{p.offset}"
-    return f"{p.r:.17g},{p.phi:.17g}"
-
-
 def boundary_to_line(space: Space, bp: BoundaryPoint) -> str:
     sid = space_id(space)
     if space.kind == EUCLIDEAN:

@@ -6,6 +6,7 @@ import os
 import runpy
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,12 +17,14 @@ import visbound
 from visbound import cli
 from visbound.cli import (ConfigError, RunConfig, _csv, _draw_pairs, _envelope_csv, _fmt,
                           _pairs_csv, _spec, build_parser, main, parse_space, run)
-from visbound.covers import (Cover, CoverSet, ScaleSchedule, annular_pushin_cover,
+from visbound.covers import (Cover, ScaleSchedule, annular_pushin_cover,
                              colored_boundary_cover, sample_ray_points)
 from visbound.metrics import pair_distance_matrix
 from visbound.quasisym import qs_envelope, ratio_pool
-from visbound.spaces import _point_to_str, boundary_to_line, sample_boundary, substream, tree_space
+from visbound.spaces import (Ray, boundary_to_line, ray_point, sample_boundary, substream,
+                             tree_space)
 
+from test_covers import _cover, _sets
 from test_quasisym import _BoundedRng
 
 
@@ -193,8 +196,10 @@ class TestSubcommands:
         # 2n + 2 = 4
         def two_colors(space, lam, sample):
             cover = colored_boundary_cover(space, lam, sample)
-            return Cover(cover.ground, cover.sets + [CoverSet(s.members, 1, s.descriptor)
-                                                     for s in cover.sets])
+            m = len(cover.colors)
+            return Cover(cover.n, np.concatenate([cover.set_of, cover.set_of + m]),
+                         np.concatenate([cover.point_of] * 2), cover.colors + (1,) * m,
+                         lambda s: cover.describe(s % m))
 
         monkeypatch.setattr(cli, "colored_boundary_cover", two_colors)
         out = str(tmp_path / "q")
@@ -409,35 +414,41 @@ _TEXT = st.one_of(st.text(max_size=12),
 
 @st.composite
 def _written_covers(draw):
+    """(ground texts, sets as (members, color, descriptor)) of a cover."""
     ground = draw(st.lists(_TEXT, max_size=5))
-    members = st.lists(st.integers(0, max(0, len(ground) - 1)),
-                       max_size=4 if ground else 0).map(tuple)
-    sets = draw(st.lists(st.builds(CoverSet, members, st.sampled_from([None, 0, 1]), _TEXT),
-                         max_size=4))
-    return Cover(ground=ground, sets=sets)
+    members = st.lists(st.integers(0, max(0, len(ground) - 1)), max_size=4 if ground else 0,
+                       unique=True).map(lambda m: tuple(sorted(m)))
+    sets = draw(st.lists(st.tuples(members, st.sampled_from([None, 0, 1]), _TEXT), max_size=4))
+    return ground, sets
 
 
-def _dumps_cover(ground_text, cover):
+def _tree_point_text(p):
+    """The text "word@offset" of a point of a tree, the vertex word joined
+    by dots."""
+    return ".".join(str(a) for a in p.word) + f"@{p.offset}"
+
+
+def _dumps_cover(ground_text, sets):
     return json.dumps({"ground": ground_text,
-                       "sets": [{"members": list(s.members), "color": s.color,
-                                 "descriptor": s.descriptor} for s in cover.sets]},
+                       "sets": [{"members": list(members), "color": color,
+                                 "descriptor": descriptor}
+                                for members, color, descriptor in sets]},
                       sort_keys=True, indent=2) + "\n"
 
 
 class TestCoverJson:
     @settings(max_examples=300, deadline=None)
     @given(_written_covers())
-    @example(Cover(ground=[], sets=[]))
-    @example(Cover(ground=[], sets=[CoverSet((), None, "base ball radius=4")]))
-    @example(Cover(ground=['a "b"', "c\\d", "e\nf", "\u00e9\u2202"],
-                   sets=[CoverSet((0, 3), 0, 'q"uote'), CoverSet((), 1, "back\\slash\n"),
-                         CoverSet((1, 2, 3), None, "\u2202X \U0001d538")]))
-    def test_equals_json_dumps(self, cover):
-        # ground texts stand in for the points' lines
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "boundary_to_line", lambda space, g: g)
-            got = cli._cover_json(None, cover)
-        assert got == _dumps_cover(cover.ground, cover)
+    @example(([], []))
+    @example(([], [((), None, "base ball radius=4")]))
+    @example((['a "b"', "c\\d", "e\nf", "\u00e9\u2202"],
+              [((0, 3), 0, 'q"uote'), ((), 1, "back\\slash\n"),
+               ((1, 2, 3), None, "\u2202X \U0001d538")]))
+    def test_equals_json_dumps(self, case):
+        ground, sets = case
+        cover = _cover(len(ground), [m for m, _, _ in sets], [c for _, c, _ in sets],
+                       [d for _, _, d in sets])
+        assert cli._cover_json(ground, cover) == _dumps_cover(ground, sets)
 
     def test_written_covers_equal_json_dumps(self):
         T4 = tree_space(4)
@@ -446,10 +457,40 @@ class TestCoverJson:
         covers = {k: colored_boundary_cover(T4, sched.lam(k), sample) for k in range(1, 4)}
         interior = sample_ray_points(T4, sample, 10, 300, 1)
         cover, _ = annular_pushin_cover(T4, sched, covers, sample, interior)
-        assert cli._cover_json(T4, cover, ground_kind="interior") == _dumps_cover(
-            [_point_to_str(T4, g) for g in cover.ground], cover)
-        assert cli._cover_json(T4, covers[2]) == _dumps_cover(
-            [boundary_to_line(T4, g) for g in sample], covers[2])
+        ground = [_tree_point_text(ray_point(Ray(T4, T4.basepoint, sample[i]), r))
+                  for i, r in interior]
+        assert cli._cover_json(ground, cover) == _dumps_cover(ground, _sets(cover))
+        ground = [boundary_to_line(T4, g) for g in sample]
+        assert cli._cover_json(ground, covers[2]) == _dumps_cover(ground, _sets(covers[2]))
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_interior_text_equals_the_walked_point(self, k):
+        # dyadic radii from the pushin's sampler, which hit 0 and integers,
+        # and thirds, whose offsets are not dyadic
+        space = tree_space(k)
+        sample = sample_boundary(space, 30, 5)
+        interior = sample_ray_points(space, sample, 12, 400, 5)
+        interior += [(i, Fraction(num, 3)) for i in (0, 7) for num in range(0, 20)]
+        assert {r for _, r in interior} >= {Fraction(0), Fraction(1), Fraction(5, 8)}
+        walked = [_tree_point_text(ray_point(Ray(space, space.basepoint, sample[i]), r))
+                  for i, r in interior]
+        assert cli._interior_text(sample, interior) == walked
+
+    def test_empty_base_ball_is_written(self):
+        # no interior sample lies below radius 2R = 4, yet the base ball is
+        # written, with no members, and the ground is not covered
+        T4 = tree_space(4)
+        sched = ScaleSchedule(R=2, K=1, c=1.0)
+        sample = sample_boundary(T4, 20, 1)
+        colored = {1: colored_boundary_cover(T4, sched.lam(1), sample)}
+        interior = [(0, Fraction(9, 2)), (3, Fraction(7)), (5, Fraction(5))]
+        cover, claims = annular_pushin_cover(T4, sched, colored, sample, interior)
+        written = json.loads(cli._cover_json(cli._interior_text(sample, interior), cover))
+        words = [".".join(map(str, sample[i].prefix(d))) for i, d in ((0, 5), (3, 7), (5, 5))]
+        assert written["ground"] == [words[0] + "@1/2", words[1] + "@0", words[2] + "@0"]
+        assert written["sets"][-1] == {"color": None, "descriptor": "base ball radius=4",
+                                       "members": []}
+        assert claims["covers_ground"] is False
 
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")

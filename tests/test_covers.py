@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from visbound import covers
 from visbound.covers import (
     Cover,
-    CoverSet,
     LatticeBallSystem,
     ScaleSchedule,
     annular_pushin_cover,
@@ -21,7 +20,6 @@ from visbound.covers import (
     cover_stats,
     ell_dim_estimate,
     orbit_ball_order,
-    pushout_incidences,
     sample_ray_points,
 )
 from visbound.metrics import MetricSpec, pair_distance_matrix, pair_invariants
@@ -54,14 +52,26 @@ def all_depth3_boundary_words():
     return out
 
 
-def _pushout_cover(space, system, lam, A, sample):
-    """The pushout cover of `sample` at scale lam."""
-    return boundary_pushout_cover(sample, lam, pushout_incidences(space, system, lam, A, sample))
+def _cover(n, sets, colors=None, descriptors=None):
+    """The cover record of the member lists `sets` (each sorted, no
+    repeats) over n points; colors None and descriptors empty unless
+    given."""
+    set_of = [s for s, members in enumerate(sets) for _ in members]
+    point_of = [p for members in sets for p in members]
+    descriptors = descriptors or [""] * len(sets)
+    return Cover(n, set_of, point_of, colors or [None] * len(sets), descriptors.__getitem__)
+
+
+def _sets(cover):
+    """(members, color, descriptor) of each set of the record, the members
+    read by a mask of its incidences."""
+    return [(tuple(cover.point_of[cover.set_of == s].tolist()), color, cover.describe(s))
+            for s, color in enumerate(cover.colors)]
 
 
 def covers_ground(cover):
     """Every ground index lies in some set of the cover."""
-    return set().union(*(s.members for s in cover.sets)) >= set(range(len(cover.ground)))
+    return set().union(*(m for m, _, _ in _sets(cover))) >= set(range(cover.n))
 
 
 def distance_matrix(ground, d):
@@ -74,20 +84,19 @@ def distance_matrix(ground, d):
 
 class TestCoverStats:
     def test_single_set_sentinel(self):
-        cover = Cover(ground=[0, 1, 2], sets=[CoverSet((0, 1, 2))])
-        st = cover_stats(cover, distance_matrix(cover.ground, lambda p, q: abs(p - q)))
+        cover = _cover(3, [(0, 1, 2)])
+        st = cover_stats(cover, distance_matrix([0, 1, 2], lambda p, q: abs(p - q)))
         assert st.order == 1 and st.lebesgue == math.inf and st.mesh == 2
 
     def test_partition_order_one(self):
-        cover = Cover(ground=[0.0, 1.0, 5.0, 6.0],
-                      sets=[CoverSet((0, 1)), CoverSet((2, 3))])
-        st = cover_stats(cover, distance_matrix(cover.ground, lambda p, q: abs(p - q)))
+        cover = _cover(4, [(0, 1), (2, 3)])
+        st = cover_stats(cover, distance_matrix([0.0, 1.0, 5.0, 6.0], lambda p, q: abs(p - q)))
         assert st.order == 1 and st.mesh == 1.0 and st.lebesgue == 4.0
 
     def test_uncovered_point_rejected(self):
-        cover = Cover(ground=[0, 1], sets=[CoverSet((0,))])
+        cover = _cover(2, [(0,)])
         with pytest.raises(ValueError):
-            cover_stats(cover, distance_matrix(cover.ground, lambda p, q: abs(p - q)))
+            cover_stats(cover, distance_matrix([0, 1], lambda p, q: abs(p - q)))
 
     @pytest.mark.parametrize("matrix,sets,match", [
         (np.zeros((2, 3)), [(0, 1), (2,)], r"shape \(2, 3\), not \(3, 3\)"),
@@ -96,9 +105,28 @@ class TestCoverStats:
         (np.zeros((3, 3)), [(-1, 0, 1), (2,)], r"member index outside \[0, 3\)"),
     ], ids=["2x3", "4x4", "member-n", "member-minus-1"])
     def test_bad_input_rejected(self, matrix, sets, match):
-        cover = Cover(ground=[0.0, 1.0, 2.0], sets=[CoverSet(m) for m in sets])
+        # the record rejects a member index, cover_stats a matrix shape
         with pytest.raises(ValueError, match=match):
-            cover_stats(cover, matrix)
+            cover_stats(_cover(3, sets), matrix)
+
+    @pytest.mark.parametrize("set_of,point_of,match", [
+        ([1, 0], [0, 1], "sorted by set"),
+        ([0, 0, 1], [2, 1, 0], "sorted by set"),
+        ([0, 1, 1], [0, 1, 1], "sorted by set"),
+        ([0, 2], [0, 1], r"set index outside \[0, 2\)"),
+        ([-1, 0], [0, 1], r"set index outside \[0, 2\)"),
+    ], ids=["sets-descending", "points-descending", "repeated-pair", "set-2", "set-minus-1"])
+    def test_record_rejects_unsorted_runs(self, set_of, point_of, match):
+        with pytest.raises(ValueError, match=match):
+            Cover(3, set_of, point_of, [None, None], str)
+
+    def test_empty_set_is_a_set(self):
+        # the middle set has no members and still has its number and color
+        cover = Cover(3, [0, 0, 2], [0, 1, 2], [0, 1, None], str)
+        assert cover.bounds.tolist() == [0, 2, 2, 3]
+        assert _sets(cover) == [((0, 1), 0, "0"), ((), 1, "1"), ((2,), None, "2")]
+        st = cover_stats(cover, distance_matrix([0.0, 1.0, 5.0], lambda p, q: abs(p - q)))
+        assert st.order == 1 and st.mesh == 1.0 and st.lebesgue == 4.0
 
     def test_depth1_cylinders_dbar(self):
         words = all_depth3_boundary_words()
@@ -107,7 +135,7 @@ class TestCoverStats:
         by_first = {}
         for i, w in enumerate(words):
             by_first.setdefault(w.letter(0), []).append(i)
-        cover = Cover(ground=words, sets=[CoverSet(tuple(v)) for v in by_first.values()])
+        cover = _cover(len(words), list(by_first.values()))
         st = cover_stats(cover, matrix=D)
         assert abs(st.mesh - 2 * math.exp(-1)) < 1e-12
         assert abs(st.lebesgue - 2.0) < 1e-12   # distinct first letters branch at 0
@@ -139,13 +167,13 @@ class TestPushout:
     def test_R_must_exceed_A(self):
         sys_ = LatticeBallSystem(T4, 1)
         with pytest.raises(ValueError):
-            pushout_incidences(T4, sys_, Fraction(1, 2), 1, sample_boundary(T4, 10, 1))
+            boundary_pushout_cover(T4, sys_, Fraction(1, 2), 1, sample_boundary(T4, 10, 1))
 
     def test_uncovered_sample_rejected(self):
         # balls of radius 0.4 around Z^2 miss part of the circle of radius 2
         sample = sample_boundary(E2, 50, 0)
         with pytest.raises(ValueError, match="failed to cover the boundary sample"):
-            pushout_incidences(E2, LatticeBallSystem(E2, 0.2), 0.5, 0.1, sample)
+            boundary_pushout_cover(E2, LatticeBallSystem(E2, 0.2), 0.5, 0.1, sample)
 
     def test_bounds_across_scales(self):
         for space in (T4, E2):
@@ -155,7 +183,7 @@ class TestPushout:
             D = pair_distance_matrix(space, spec, sample)
             order_v = orbit_ball_order(space, 2)
             for lam in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
-                cover = _pushout_cover(space, sys_, lam, 1, sample)
+                cover = boundary_pushout_cover(space, sys_, lam, 1, sample)
                 st = cover_stats(cover, matrix=D)
                 assert st.order <= order_v
                 assert st.lebesgue >= float(lam) * (1 - 1e-9)
@@ -165,9 +193,9 @@ class TestPushout:
         # rays landing in the same radius-4 vertex ball branch late
         sys_ = LatticeBallSystem(T4, 2)
         sample = sample_boundary(T4, 60, 2)
-        cover = _pushout_cover(T4, sys_, Fraction(1, 4), 1, sample)
-        for s in cover.sets:
-            for i, j in itertools.combinations(s.members, 2):
+        cover = boundary_pushout_cover(T4, sys_, Fraction(1, 4), 1, sample)
+        for members, _, _ in _sets(cover):
+            for i, j in itertools.combinations(members, 2):
                 # separation f(4) < 8 means branch > 0
                 assert branch_time(T4, sample[i], sample[j]) > 4 - 4
         assert covers_ground(cover)
@@ -178,12 +206,12 @@ class TestColoredCovers:
         lam = 4 * math.exp(-3)
         words = all_depth3_boundary_words()
         cover = colored_boundary_cover(T4, lam, words)
-        assert len(cover.sets) == 36
-        assert all(s.color == 0 for s in cover.sets)
+        assert len(cover.colors) == 36
+        assert all(color == 0 for color in cover.colors)
         # distinct cylinders are at dbar distance >= 2 e^{-2} = lam/2 e
         D = pair_distance_matrix(T4, MetricSpec("dbar"), words)
-        for s, t in itertools.combinations(cover.sets, 2):
-            gap = min(D[i, j] for i in s.members for j in t.members)
+        for (s, _, _), (t, _, _) in itertools.combinations(_sets(cover), 2):
+            gap = min(D[i, j] for i in s for j in t)
             assert gap >= 2 * math.exp(-2) - 1e-12
 
     def test_cylinder_mesh_below_half_lambda(self):
@@ -198,14 +226,14 @@ class TestColoredCovers:
         sample = sample_boundary(E2, 400, 3)
         lam = 0.05
         cover = colored_boundary_cover(E2, lam, sample)
-        assert {s.color for s in cover.sets} == {0, 1}
+        assert set(cover.colors) == {0, 1}
         assert covers_ground(cover)
         D = pair_distance_matrix(E2, MetricSpec("dA", A=1), sample)
         # same-color separation >= lam/2
-        for s, t in itertools.combinations(cover.sets, 2):
-            if s.color != t.color or not s.members or not t.members:
+        for (s, s_color, _), (t, t_color, _) in itertools.combinations(_sets(cover), 2):
+            if s_color != t_color or not s or not t:
                 continue
-            gap = min(D[i, j] for i in s.members for j in t.members)
+            gap = min(D[i, j] for i in s for j in t)
             assert gap >= lam / 2 - 1e-12
 
     @pytest.mark.parametrize("space, lam, reason", [
@@ -252,7 +280,7 @@ class TestPushin:
         sched = ScaleSchedule(R=2, K=0, c=1.0)
         interior = [(0, Fraction(1, 2)), (1, Fraction(3))]
         cover, claims = annular_pushin_cover(T4, sched, {}, self.sample, interior)
-        assert len(cover.sets) == 1 and claims["order"] == 1
+        assert len(cover.colors) == 1 and claims["order"] == 1
 
     def test_overlap_band_multiplicity(self):
         # a point at radius strictly inside two consecutive bands can lie in
@@ -265,14 +293,14 @@ class TestPushin:
 
 class TestEllDim:
     def test_single_point(self):
-        rows, est = ell_dim_estimate([object()], np.zeros((1, 1)), [1.0], 4.0)
+        rows, est = ell_dim_estimate(np.zeros((1, 1)), [1.0], 4.0)
         assert est == 0
 
     def test_tree_dbar_order_one(self):
         sample = sample_boundary(T4, 300, 4)
         D = pair_distance_matrix(T4, MetricSpec("dbar"), sample)
         scales = [4 * math.exp(-k) for k in range(1, 7)]
-        rows, est = ell_dim_estimate(sample, D, scales, 4.0, 2)
+        rows, est = ell_dim_estimate(D, scales, 4.0, 2)
         assert [r.order for r in rows] == [1] * 6
         assert est == 0
 
@@ -280,14 +308,14 @@ class TestEllDim:
         sample = sample_boundary(E2, 900, 4)
         D = pair_distance_matrix(E2, MetricSpec("dA", A=1), sample)
         scales = [2.0 ** -k for k in range(1, 6)]
-        rows, est = ell_dim_estimate(sample, D, scales, 4.0, 2)
+        rows, est = ell_dim_estimate(D, scales, 4.0, 2)
         assert [r.order for r in rows] == [2] * 5
         assert est == 1
 
     def test_mesh_bound_recorded(self):
         sample = sample_boundary(E2, 200, 4)
         D = pair_distance_matrix(E2, MetricSpec("dA", A=1), sample)
-        rows, _ = ell_dim_estimate(sample, D, [0.25], 4.0, 2)
+        rows, _ = ell_dim_estimate(D, [0.25], 4.0, 2)
         assert rows[0].passed and rows[0].mesh <= rows[0].bound_mesh
 
 
@@ -325,8 +353,8 @@ def _reference_centers_near(system, p):
 
 
 def _reference_cover_stats(cover, matrix):
-    msets = [frozenset(s.members) for s in cover.sets]
-    n = len(cover.ground)
+    msets = [frozenset(members) for members, _, _ in _sets(cover)]
+    n = cover.n
     counts = np.zeros(n, dtype=int)
     mesh = 0.0
     for ms in msets:
@@ -490,21 +518,19 @@ class TestIncidenceKernel:
             t = 1 / Fraction(lam) if space.kind == "tree" else 1.0 / lam
             points = [ray_point(Ray(space, space.basepoint, xi), t) for xi in sample]
             want = _reference_ball_sets(system, points)
-            incidences = pushout_incidences(space, system, lam, 1, sample)
-            cover = boundary_pushout_cover(sample, lam, incidences)
-            assert [(s.members, s.descriptor) for s in cover.sets] == [
+            cover = boundary_pushout_cover(space, system, lam, 1, sample)
+            assert [(m, d) for m, _, d in _sets(cover)] == [
                 (members, f"pushout lam={lam:g} center={key}") for key, members in want]
-            ref = Cover(ground=sample, sets=[CoverSet(members) for _, members in want])
-            got = covers.incidence_stats(*incidences[1:], D)
+            ref = _cover(len(sample), [members for _, members in want])
+            got = cover_stats(cover, D)
             assert (got.order, got.mesh, got.lebesgue) == _reference_cover_stats(ref, D)
-            assert got == cover_stats(cover, D)
 
 
 def _stats_at_chunks(cover, matrix):
     """(order, mesh, lebesgue) of `cover_stats` at the default _CHUNK and at
     sizes at which a point's incidences straddle blocks of one row (1,
     n - 1, n + 1) and of two rows (2n + 1)."""
-    n = len(cover.ground)
+    n = cover.n
     out = []
     for chunk in (covers._CHUNK, 1, n - 1, n + 1, 2 * n + 1):
         with pytest.MonkeyPatch.context() as mp:
@@ -526,7 +552,7 @@ def _random_covers(draw):
     sets = draw(st.lists(subsets, min_size=1, max_size=6))
     if draw(st.booleans()):
         sets.append(tuple(range(n)))          # a set swallowing the sample
-    return Cover(ground=list(range(n)), sets=[CoverSet(m) for m in sets]), matrix
+    return _cover(n, sets), matrix
 
 
 class TestStatsKernels:
@@ -559,7 +585,9 @@ class TestStatsKernels:
     @pytest.mark.parametrize("weights", ["hashed", "colliding"])
     def test_distinct_sets_count_repeats(self, weights):
         sets = [(0, 1), (2,), (0, 1), (1, 2), (2,), (0, 1), (0, 2), (1,), (2, 0), (), (1, 2)]
-        set_of, point_of = covers._incidences(sets, 3)
+        # raw incidences, each set's run in its listed order
+        set_of = np.repeat(np.arange(len(sets)), [len(m) for m in sets])
+        point_of = np.array([p for m in sets for p in m], dtype=np.int64)
         with pytest.MonkeyPatch.context() as mp:
             if weights == "colliding":
                 mp.setattr(covers, "_point_weights", lambda n: np.ones(n, dtype=np.uint64))
@@ -581,18 +609,17 @@ class TestStatsKernels:
             sample = sample_boundary(space, n, 5)
             D = pair_distance_matrix(space, MetricSpec("dA", A=1), sample)
             for lam in scales:
-                cover = _pushout_cover(space, LatticeBallSystem(space, 2), lam, 1, sample)
+                cover = boundary_pushout_cover(space, LatticeBallSystem(space, 2), lam, 1, sample)
                 assert _stats_at_chunks(cover, D) == [_reference_cover_stats(cover, D)] * 5
 
     def test_cover_stats_transient_memory(self):
-        # the blocks bound what cover_stats holds beyond the membership
-        # matrix; reading all (set, point) rows at once would take
+        # the blocks bound what cover_stats holds beyond its set-by-point
+        # boolean matrix; reading all (set, point) rows at once would take
         # incidences x n floats, here over 20 MB
         n = 1500
         D = pair_distance_matrix(E2, MetricSpec("dA", A=1), sample_boundary(E2, n, 0))
-        net = covers._greedy_net(D, 1 / 16, 1 / 16, np.random.default_rng(0))
-        cover = Cover(ground=list(range(n)), sets=[CoverSet(members) for _, members in net])
-        incidences = sum(len(m) for _, m in net)
+        cover = covers._greedy_net(D, 1 / 16, 1 / 16, np.random.default_rng(0))
+        incidences = len(cover.point_of)
         assert incidences * n * 8 > 20e6
         tracemalloc.start()
         try:
@@ -600,7 +627,7 @@ class TestStatsKernels:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= len(net) * n + 8 * covers._CHUNK * 8
+        assert peak <= len(cover.colors) * n + 8 * covers._CHUNK * 8
 
     def test_pushin_reach_matches_fraction_comparisons(self):
         sched = ScaleSchedule(R=2, K=3, c=1.0)
@@ -616,15 +643,15 @@ class TestStatsKernels:
         cover, claims = annular_pushin_cover(T4, sched, covers, sample, interior)
         want = []
         for k in range(1, 4):
-            for s in covers[k].sets:
+            for s_members, color, descriptor in _sets(covers[k]):
                 members = tuple(idx for idx, (i, r) in enumerate(interior)
                                 if 2 * k < r < 2 * (k + 2)
-                                and any(j == i or B[i][j] >= r for j in s.members))
+                                and any(j == i or B[i][j] >= r for j in s_members))
                 if members:
-                    want.append((members, s.color, f"tube k={k} of [{s.descriptor}]"))
-        got = [(s.members, s.color, s.descriptor) for s in cover.sets[:-1]]
-        assert got == want
-        counts = [sum(idx in s.members for s in cover.sets) for idx in range(len(interior))]
+                    want.append((members, color, f"tube k={k} of [{descriptor}]"))
+        got = _sets(cover)
+        assert got[:-1] == want
+        counts = [sum(idx in m for m, _, _ in got) for idx in range(len(interior))]
         assert claims["order"] == max(counts)
         assert claims["covers_ground"] == (min(counts) > 0)
 
@@ -642,14 +669,14 @@ class TestStatsKernels:
         rays = [Ray(space, space.basepoint, xi) for xi in sample]
         want = []
         for k in range(1, 4):
-            for s in covers[k].sets:
+            for s_members, _, _ in _sets(covers[k]):
                 members = tuple(idx for idx, (i, r) in enumerate(interior)
                                 if k < r < k + 2
                                 and any(dist(space, ray_point(rays[i], r), ray_point(rays[j], r)) == 0
-                                        for j in s.members))
+                                        for j in s_members))
                 if members:
                     want.append(members)
-        assert [s.members for s in cover.sets[:-1]] == want
+        assert [m for m, _, _ in _sets(cover)[:-1]] == want
 
     @pytest.mark.parametrize("basepoint", [TreePoint(()), TreePoint((1, 2, 0))])
     def test_pushin_tube_mesh_matches_fraction_dist(self, basepoint):
@@ -666,9 +693,10 @@ class TestStatsKernels:
         interior += [(3, Fraction(r, 4)) for r in range(4, 20)]
         interior += [(i, Fraction(int(bij))) for (i, _), bij in zip(ends, b) if bij > 0]
         cover, claims = annular_pushin_cover(space, sched, covers, sample, interior)
+        ground = [ray_point(Ray(space, basepoint, sample[i]), r) for i, r in interior]
         want = 0.0
-        for s in cover.sets[:-1]:
-            pts = [cover.ground[i] for i in s.members]
+        for members, _, _ in _sets(cover)[:-1]:
+            pts = [ground[idx] for idx in members]
             for a, b in itertools.combinations(pts, 2):
                 want = max(want, float(dist(space, a, b)))
         assert want > 0
@@ -679,3 +707,48 @@ class TestStatsKernels:
         with pytest.raises(ValueError, match="tree"):
             annular_pushin_cover(E2, ScaleSchedule(R=2, K=0, c=1.0), {}, sample,
                                  [(0, Fraction(1))])
+
+
+def _construction_covers():
+    """(name, cover, distance matrix of its ground) for each construction:
+    the pushout on T4 and R^2, the tree cylinders, the circle arcs, the
+    greedy-net balls and the pushin tubes with the base ball."""
+    out = []
+    for name, space in (("pushout-T4", T4), ("pushout-R2", E2)):
+        sample = sample_boundary(space, 60, 3)
+        D = pair_distance_matrix(space, MetricSpec("dA", A=1), sample)
+        out.append((name, boundary_pushout_cover(space, LatticeBallSystem(space, 2), 0.25, 1,
+                                                 sample), D))
+    sample = sample_boundary(T4, 80, 3)
+    D = pair_distance_matrix(T4, MetricSpec("dbar"), sample)
+    out.append(("cylinders", colored_boundary_cover(T4, 4 * math.exp(-2), sample), D))
+    out.append(("net-balls", covers._greedy_net(D, 0.1, 0.1, np.random.default_rng(1)), D))
+    circle = sample_boundary(E2, 200, 3)
+    out.append(("arcs", colored_boundary_cover(E2, 0.25, circle),
+                pair_distance_matrix(E2, MetricSpec("dA", A=1), circle)))
+    sched = ScaleSchedule(R=1, K=3, c=1.0)
+    colored = {k: colored_boundary_cover(T4, sched.lam(k), sample) for k in range(1, 4)}
+    interior = sample_ray_points(T4, sample, 5, 120, 3)
+    cover, _ = annular_pushin_cover(T4, sched, colored, sample, interior)
+    ground = [ray_point(Ray(T4, T4.basepoint, sample[i]), r) for i, r in interior]
+    out.append(("pushin", cover, distance_matrix(ground, lambda p, q: dist(T4, p, q))))
+    return out
+
+
+class TestCoverRecord:
+    def test_every_construction_keeps_the_record_invariants(self):
+        seen = []
+        for name, cover, D in _construction_covers():
+            seen.append(name)
+            set_of, point_of = cover.set_of, cover.point_of
+            assert set_of.dtype == point_of.dtype == np.int64
+            # sorted by set and then by point, each incidence once
+            assert (np.diff(set_of * cover.n + point_of) > 0).all(), name
+            assert point_of.min() >= 0 and point_of.max() < cover.n == len(D), name
+            # one color per set: every numbered set but the pushin's base
+            # ball has members, and every set has its text
+            filled = np.unique(set_of).tolist()
+            assert filled == list(range(len(cover.colors))), name
+            assert all(isinstance(cover.describe(s), str) for s in range(len(cover.colors)))
+            assert _stats_at_chunks(cover, D) == [_reference_cover_stats(cover, D)] * 5, name
+        assert len(seen) == 6

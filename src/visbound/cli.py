@@ -158,30 +158,217 @@ def _csv(header: list, rows: list) -> str:
     return buf.getvalue()
 
 
-def _pairs_csv(D: np.ndarray, family_a: str) -> str:
-    """The upper triangle of D as pairs.csv rows ``i,j,family_a,D[i,j]``.
+# ---------------------------------------------------------------------------
+# CSV lines as word arrays: `%.17g` of float64 arrays in numpy integers
+#
+# A positive x = m 2^q whose `%.17g` text is fixed-point has a decimal
+# exponent E in [-4, 16] and 17 significant digits D = m 5^p 2^(q+p),
+# p = 16 - E, rounded half to even: the product m 5^p (m < 2^53, 5^p <= 5^21
+# < 2^49) is held in two uint64 limbs and shifted right by s = -(q + p) with
+# its half and sticky bits, so it is rounded once.  E starts as
+# floor(log10 x); where D falls outside [10^16, 10^17), D is recomputed at
+# the corrected E.  Every other value (0, -0, negatives, subnormals, inf,
+# nan, exponent notation, a shift s <= 0) is formatted by `'%.17g' % x`.
 
-    Each matrix row is formatted by one %-format call; ``%d`` and ``%.17g``
-    give the same text as ``_fmt``, so the bytes equal ``_csv`` over the same
-    rows (no field here needs quoting).  ``family_a`` is the family name, a
-    comma and a ``.17g`` float, so it never holds a ``%``."""
+_M32 = np.uint64(0xFFFFFFFF)
+_E16, _E17 = np.uint64(10**16), np.uint64(10**17)
+_POW5 = np.uint64(5) ** np.arange(22, dtype=np.uint64)
+
+
+def _digit_tables():
+    """The ASCII of 0..9999 as one word each, in memory order, and their
+    trailing zeros (4 for 0)."""
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1)   # most significant first
+    return ((digits.T + 48).astype(np.uint8, order="C").view(np.uint32).ravel(),
+            np.logical_and.accumulate(digits[::-1] == 0).sum(axis=0, dtype=np.uint8))
+
+
+_WORD, _TZ4 = _digit_tables()
+
+# A value's text is cut from 11 words: "0." (bytes 2-3), the digit words
+# "000d dddd dddd dddd dddd" (words 1-5), "." (byte 27) and the last 16
+# digits again (words 7-10).  Which bytes are kept depends only on E and
+# the number tz of trailing zeros of D: one row of _KEEP per (E, tz), 0xff
+# on the bytes kept; the others become NUL, which is dropped.
+_VALUE_WORDS = 11
+_VALUE_TEXT = np.zeros(4 * _VALUE_WORDS, np.uint8)
+_VALUE_TEXT[[2, 3, 27]] = np.frombuffer(b"0..", np.uint8)
+
+
+def _value_keep() -> np.ndarray:
+    E = np.arange(-4, 17, dtype=np.int8)[:, None, None]
+    end = 20 - np.arange(17, dtype=np.int8)[None, :, None]   # past the last digit kept
+    c = np.arange(4 * _VALUE_WORDS, dtype=np.int8)
+    d1, d2 = c - 4, c - 24                       # digit-word bytes of each copy
+    neg = E < 0
+    lead = neg & (c >= 2) & (c < 4)
+    # E < 0: "0." and -E - 1 of the pad zeros; E >= 0: the E + 1 integer digits
+    first = (d1 >= 0) & (d1 < 20) & np.where(neg, (d1 >= 4 + E) & (d1 < end),
+                                              (d1 >= 3) & (d1 < 4 + E))
+    dot = ~neg & (c == 27) & (4 + E < end)
+    second = ~neg & (c >= 28) & (d2 >= 4 + E) & (d2 < end)
+    keep = (lead | first | dot | second).reshape(21 * 17, -1)
+    return (keep * np.uint8(255)).view(np.uint32)
+
+
+_KEEP = _value_keep()
+
+
+def _round_scaled(m, q, E):
+    """round(m 2^q 10^(16 - E)) to even, as uint64, for p = 16 - E in
+    [0, 21], and where the shift that gives it was in (0, 64)."""
+    p = 16 - E
+    f = _POW5[p]
+    ml, mh, fl, fh = m & _M32, m >> 32, f & _M32, f >> 32
+    mid = mh * fl + ml * fh                      # < 2^54
+    lo = ml * fl
+    low = lo + (mid << 32)                       # wraps mod 2^64
+    high = mh * fh + (mid >> 32) + (low < lo)
+    s = -(q + p)
+    ok = (s > 0) & (s < 64)
+    s = np.where(ok, s, 1).astype(np.uint64)
+    D = (high << (64 - s)) | (low >> s)
+    half = (low >> (s - 1)) & 1
+    sticky = (low & ((np.uint64(1) << (s - 1)) - 1)) != 0
+    return D + (half & (sticky | (D & 1))), ok
+
+
+def _decimal(x):
+    """(D, E, fast) for a float64 array: where `fast`, `'%.17g' % x` is
+    fixed-point with exponent E in [-4, 16] and 17 significant digits D;
+    elsewhere D is 10^16."""
+    fast = (x >= 1e-5) & (x < 1e17)
+    xs = np.where(fast, x, 1.0)
+    bits = xs.view(np.uint64)
+    m = (bits & np.uint64(2**52 - 1)) | np.uint64(2**52)
+    q = (bits >> 52).astype(np.int64) - 1075
+    # x >= 1e-5 keeps floor(log10 x) >= -5
+    E = np.minimum(np.floor(np.log10(xs)).astype(np.int64), 16)
+    D, ok = _round_scaled(m, q, E)
+    fast &= ok
+    # log10 one off next to a power of ten, or a carry into the next decade
+    redo = np.flatnonzero(fast & ((D < _E16) | (D >= _E17)))
+    if redo.size:
+        E[redo] += np.where(D[redo] >= _E17, 1, -1)
+        e = E[redo].clip(-5, 16)
+        D[redo], ok = _round_scaled(m[redo], q[redo], e)
+        fast[redo] = ok & (e == E[redo]) & (D[redo] >= _E16) & (D[redo] < _E17)
+    fast &= E >= -4
+    return np.where(fast, D, _E16), E, fast
+
+
+def _float_parts(x):
+    """The `%.17g` text of float64 array x as (its digit words, (k, 5),
+    each value's row of _KEEP, the rows formatted by `%`, their text)."""
+    D, E, fast = _decimal(x)
+    hi = D // np.uint64(10**8)
+    lo = (D - hi * np.uint64(10**8)).astype(np.uint32)
+    hi = hi.astype(np.uint32)
+    groups = np.empty((len(D), 5), np.uint32)
+    groups[:, 0], rest = np.divmod(hi, 10**8)
+    groups[:, 1], groups[:, 2] = np.divmod(rest, 10**4)
+    groups[:, 3], groups[:, 4] = np.divmod(lo, 10**4)
+    tz = _TZ4[groups[:, 4]]
+    for g in range(3, 0, -1):
+        zero = np.flatnonzero(tz == 16 - 4 * g)  # groups g + 1.. all zero
+        tz[zero] += _TZ4[groups[zero, g]]
+    slow = np.flatnonzero(~fast)
+    return (_WORD[groups], np.where(fast, (E + 4) * 17 + tz, 0), slow,
+            ["%.17g" % v for v in x[slow].tolist()])
+
+
+def _put_floats(parts, buf, at: int):
+    """Write `_float_parts` into the 11 word columns of buf from `at`,
+    which hold `_VALUE_TEXT`, and NUL the bytes not kept."""
+    words, code, slow, texts = parts
+    buf[:, at + 1:at + 6] = words
+    buf[:, at + 7:at + 11] = words[:, 1:]
+    buf[:, at:at + _VALUE_WORDS] &= np.take(_KEEP, code, axis=0)
+    if slow.size:
+        lens = np.array([len(t) for t in texts])
+        within = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
+        value = buf.view(np.uint8)[:, 4 * at:4 * (at + _VALUE_WORDS)]
+        value[slow] = 0
+        value[np.repeat(slow, lens), 2 + within] = np.frombuffer("".join(texts).encode(), np.uint8)
+
+
+def _int_table(n: int) -> np.ndarray:
+    """The text of 0..n-1, right-aligned and NUL-padded, in an (n, words)
+    uint32 table."""
+    width = len(str(max(n - 1, 0)))
+    powers = 10 ** np.arange(-width % 4 + width - 1, -1, -1)
+    v = np.arange(n)[:, None]
+    shown = (v >= powers) | (powers == 1)
+    return ((v // powers % 10 + 48) * shown).astype(np.uint8).view(np.uint32)
+
+
+def _text_rows(fields: list) -> str:
+    """CSV lines, one per row, each the concatenation of `fields`: a str
+    (the same text on every line), a float64 array (its `%.17g` text) or
+    (`_int_table` of n, int array of indices in [0, n)).  Each field takes
+    whole 4-byte words of a word array, padded with NUL, and the lines are
+    the array's bytes with every NUL dropped (no field holds one)."""
+    # formatted before the word array exists, and dropped once placed, so
+    # that their scratch arrays and it are not held at once
+    floats = {pos: _float_parts(f) for pos, f in enumerate(fields)
+              if isinstance(f, np.ndarray)}
+    k = next(len(f if isinstance(f, np.ndarray) else f[1])
+             for f in fields if not isinstance(f, str))
+    row, starts = [], []
+    for pos, f in enumerate(fields):
+        starts.append(len(row))
+        if isinstance(f, str):
+            row += np.frombuffer(f.encode("ascii") + bytes(-len(f) % 4), np.uint32).tolist()
+        else:
+            row += (_VALUE_TEXT.view(np.uint32).tolist() if pos in floats
+                    else [0] * f[0].shape[1])
+    buf = np.empty((k, len(row)), np.uint32)
+    buf[:] = row
+    for pos, (f, at) in enumerate(zip(fields, starts)):
+        if pos in floats:
+            _put_floats(floats.pop(pos), buf, at)
+        elif not isinstance(f, str):
+            text, idx = f
+            buf[:, at:at + text.shape[1]] = np.take(text, idx, axis=0)
+    text = buf.tobytes()
+    del buf                                      # before the compacted copies
+    return text.translate(None, b"\0").decode("ascii")
+
+
+# lines per block of pairs.csv
+_LINES = 1 << 12
+
+
+def _pairs_csv(D: np.ndarray, family_a: str):
+    """The upper triangle of D as pairs.csv rows ``i,j,family_a,D[i,j]``,
+    yielded in blocks of at most `_LINES` lines.  The bytes equal `_csv`
+    over the same rows (no field here needs quoting)."""
     n = len(D)
-    blocks = ["i,j,metric_family,A_or_blank,value\n"]
-    for i in range(n - 1):
-        row = [None] * (2 * (n - 1 - i))
-        row[0::2] = range(i + 1, n)
-        row[1::2] = D[i, i + 1:].tolist()
-        blocks.append((f"{i},%d,{family_a},%.17g\n" * (n - 1 - i)) % tuple(row))
-    return "".join(blocks)
+    yield "i,j,metric_family,A_or_blank,value\n"
+    ints = _int_table(n)
+    first = np.arange(n) * (2 * n - np.arange(n) - 1) // 2   # row i's first line
+    total = n * (n - 1) // 2
+    for a in range(0, total, _LINES):
+        j = np.arange(a, min(a + _LINES, total))
+        i = np.searchsorted(first, j, side="right") - 1
+        j += i + 1 - first[i]
+        yield _text_rows([(ints, i), ",", (ints, j), f",{family_a},",
+                          np.asarray(D[i, j], np.float64), "\n"])
 
 
 def _envelope_csv(entries: list) -> str:
     """envelope.csv rows ``t,rho,i:j:k`` for envelope entries
-    (t, rho, (i, j, k)), one %-template per row: ``%.17g`` and ``%d`` give
-    the text `_fmt` gives, so the bytes equal `_csv` over the rows
+    (t, rho, (i, j, k)); the bytes equal `_csv` over the rows
     (t, rho, "i:j:k")."""
-    return "t,rho,triple_ids\n" + "".join(["%.17g,%.17g,%d:%d:%d\n" % (t, rho, *ijk)
-                                            for t, rho, ijk in entries])
+    header = "t,rho,triple_ids\n"
+    if not entries:
+        return header
+    t, rho, ijk = zip(*entries)
+    ijk = np.array(ijk, np.int64)
+    ints = _int_table(int(ijk.max()) + 1)
+    return header + _text_rows([np.array(t, np.float64), ",", np.array(rho, np.float64), ",",
+                                (ints, ijk[:, 0]), ":", (ints, ijk[:, 1]), ":",
+                                (ints, ijk[:, 2]), "\n"])
 
 
 def _json(obj) -> str:
@@ -315,7 +502,7 @@ def run_cover_pushin(cfg: RunConfig):
     sample = sample_boundary(space, cfg.n, cfg.seed)
     covers = {k: colored_boundary_cover(space, schedule.lam(k), sample)
               for k in range(1, cfg.K + 1)}
-    interior = sample_ray_points(space, sample, Fraction(cfg.window), cfg.n_triples // 10 or 1, cfg.seed)
+    interior = sample_ray_points(sample, Fraction(cfg.window), cfg.n_triples // 10 or 1, cfg.seed)
     cover, claims = annular_pushin_cover(space, schedule, covers, sample, interior)
     # a boundary cover in n + 1 colors pushes in to order <= 2n + 2; with
     # K = 0 the base ball alone covers, at order 1
@@ -429,10 +616,11 @@ RUNNERS = {
 }
 
 
-def _atomic_write(path: str, content: str):
+def _atomic_write(path: str, content):
+    """Write a str, or an iterable of str blocks in order, to path."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        fh.write(content)
+        fh.writelines([content] if isinstance(content, str) else content)
     os.replace(tmp, path)
 
 

@@ -416,8 +416,7 @@ class ScaleSchedule:
         return 4.0 * math.exp(-k * self.R)
 
 
-def sample_ray_points(space: Space, boundary_sample: list, r_max, n: int,
-                      seed: int) -> list:
+def sample_ray_points(boundary_sample: list, r_max, n: int, seed: int) -> list:
     """(boundary index, radius) pairs with dyadic radii in [0, r_max);
     the interior sample for the annular pushin."""
     rng = substream(seed, "ray-points")

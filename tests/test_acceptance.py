@@ -48,7 +48,6 @@ from visbound.spaces import (
     Ray,
     TreeBoundary,
     TreePoint,
-    dist,
     euclidean_space,
     hyperbolic_plane,
     ray_point,
@@ -168,7 +167,7 @@ def test_08_pushin_pipeline():
     sample = sample_boundary(T4, 120, SEED)
     covers = {k: colored_boundary_cover(T4, schedule.lam(k), sample)
               for k in range(1, 6)}
-    interior = sample_ray_points(T4, sample, 14, 2000, SEED)
+    interior = sample_ray_points(sample, 14, 2000, SEED)
     cover, claims = annular_pushin_cover(T4, schedule, covers, sample, interior)
     ok = (claims["color_disjoint"] and claims["per_point_decay"]
           and claims["mesh_ok"] and claims["covers_ground"]

@@ -6,6 +6,7 @@ import os
 import runpy
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,19 @@ from visbound.spaces import (Ray, boundary_to_line, ray_point, sample_boundary, 
 
 from test_covers import _cover, _sets
 from test_quasisym import _BoundedRng
+
+
+# the special floats, then edges of the `%.17g` digit kernel: 17-digit ties
+# (k + 1/4 and k + 3/4 for k near 10^15 have 18 digits ending in 5), one
+# ulp either side of powers of ten (where floor(log10 x) can be one off),
+# the ends of the fixed-point range and trailing zeros
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e-300, 1 / 3, 2.0, 1e300, math.inf, -math.inf, math.nan,
+               1000000000000000.25, 1000000000000000.75, 1999999999999999.75,
+               math.nextafter(1e-3, 0), math.nextafter(1e-4, 0), 1e-4, math.nextafter(1e-4, 1),
+               math.nextafter(1e-5, 0), 1e-5, math.nextafter(1.0, 0), 1.0, 0.1, 0.5, 123.0,
+               math.nextafter(1e16, 0), 1e16, math.nextafter(1e16, math.inf),
+               99999999999999984.0, 1e17, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.5, 4e-323, 6.02214076e23]
 
 
 def read_json(path):
@@ -101,16 +115,16 @@ class TestSubcommands:
             assert fh.read() == want
 
     @pytest.mark.parametrize("metric, a_field", [("dA", _fmt(0.7)), ("dbar", "")])
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
     def test_pairs_writer_edge_cases(self, n, metric, a_field):
-        # n=1 is the header alone; n=5 puts every special float in the triangle
-        values = [0.0, -0.0, 5e-324, 1e-300, 1 / 3, 2.0, 1e300, math.inf, -math.inf, math.nan]
+        # n=1 is the header alone; n=5 puts every special float in the
+        # triangle, n=9 also the digit-kernel edges
         I, J = np.triu_indices(n, k=1)
         D = np.zeros((n, n))
-        D[I, J] = D[J, I] = values[:len(I)]
+        D[I, J] = D[J, I] = np.resize(EDGE_FLOATS, len(I))
         rows = [(i, j, metric, a_field, float(D[i, j])) for i, j in zip(I.tolist(), J.tolist())]
         want = _csv(["i", "j", "metric_family", "A_or_blank", "value"], rows)
-        assert _pairs_csv(D, f"{metric},{a_field}") == want
+        assert "".join(_pairs_csv(D, f"{metric},{a_field}")) == want
 
     @pytest.mark.parametrize("space, metric, A, metric2", [("tree4", "dA", 0.7, "dA"),
                                                            ("tree4", "dA", 1.0, "dbar"),
@@ -126,7 +140,7 @@ class TestSubcommands:
             assert fh.read() == _csv(["t", "rho", "triple_ids"], rows)
 
     def test_envelope_writer_edge_cases(self):
-        values = [0.0, -0.0, 5e-324, 1e-300, 1 / 3, 2.0, 1e300, math.inf, -math.inf, math.nan]
+        values = EDGE_FLOATS
         entries = [(t, rho, (i, 10 * i, 100 * i)) for i, (t, rho) in
                    enumerate(zip(values, values[::-1]))]
         rows = [(t, rho, f"{i}:{j}:{k}") for t, rho, (i, j, k) in entries]
@@ -263,6 +277,103 @@ class TestDrawPairs:
         assert _draw_pairs(["p"], 0, _BoundedRng()) == []
         with pytest.raises(ValueError, match="sample of 1"):
             _draw_pairs(["p"], 1, _BoundedRng())
+
+
+def _assert_same_lines(got: str, want: str):
+    # the first differing line, not a diff of the whole text
+    got, want = got.split("\n"), want.split("\n")
+    assert next(((k, a, b) for k, (a, b) in enumerate(zip(got, want)) if a != b), None) is None
+    assert len(got) == len(want)
+
+
+def _assert_printf_text(values):
+    """The CSV kernel writes each value as `'%.17g' % x` does."""
+    values = np.asarray(values, np.float64)
+    _assert_same_lines(cli._text_rows([values, "\n"]),
+                       "".join("%.17g\n" % v for v in values.tolist()))
+
+
+class TestFloatText:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=40))
+    def test_any_float(self, values):
+        _assert_printf_text(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(min_value=1e-5, max_value=1e17), min_size=1, max_size=40))
+    def test_fixed_point_range(self, values):
+        _assert_printf_text(values)
+
+    def test_random_bit_patterns(self):
+        # random mantissas at binary exponents from -20 to 60
+        rng = np.random.default_rng(17)
+        bits = (rng.integers(1023 - 20, 1023 + 61, 100_000).astype(np.uint64) << np.uint64(52)
+                | rng.integers(0, 2**52, 100_000, dtype=np.uint64))
+        values = bits.view(np.float64)
+        assert values.min() >= 2.0**-20 and values.max() < 2.0**61
+        _assert_printf_text(values)
+
+    def test_exact_ties_round_to_even(self):
+        # k + 1/4 and k + 3/4 have 18 significant digits ending in 5
+        k = np.random.default_rng(5).integers(10**15, 2 * 10**15, 20_000).astype(np.float64)
+        values = np.concatenate([k + 0.25, k + 0.75])
+        assert "%.17g" % 1000000000000000.25 == "1000000000000000.2"
+        _assert_printf_text(values)
+
+    def test_ulps_around_powers_of_ten(self):
+        # where floor(log10 x) can be one off
+        values = []
+        for e in range(-5, 18):
+            v = below = above = float(f"1e{e}")
+            values.append(v)
+            for _ in range(3):
+                below, above = math.nextafter(below, 0), math.nextafter(above, math.inf)
+                values += [below, above]
+        # 17 digits tell every double apart, so none below 10^e prints as 10^e
+        assert "%.17g" % math.nextafter(1e-4, 0) == "9.9999999999999991e-05"
+        assert "%.17g" % math.nextafter(1000.0, 0) == "999.99999999999989"
+        _assert_printf_text(values)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 11, 9999, 10001, 123457])
+    def test_int_fields(self, n):
+        # one and two words of text, next to a float and a str field
+        idx = np.unique(np.r_[0, n - 1, np.random.default_rng(n).integers(0, n, 500)])
+        got = cli._text_rows([(cli._int_table(n), idx), ":", idx / 7, ",",
+                              (cli._int_table(n), idx[::-1]), "\n"])
+        _assert_same_lines(got, "".join("%d:%.17g,%d\n" % (i, i / 7, j)
+                                        for i, j in zip(idx.tolist(), idx[::-1].tolist())))
+
+    @pytest.mark.parametrize("lines", [1, 7, 2**12, 2**13, None])
+    def test_block_size_does_not_change_the_text(self, lines, monkeypatch):
+        # 150 points give 11,175 lines: three blocks of 2^12, two of 2^13, and 4-digit
+        # line counts; every few lines a special float
+        D = pair_distance_matrix(parse_space("euclidean2"), _spec(RunConfig(metric="dA")),
+                                 sample_boundary(parse_space("euclidean2"), 150, 3))
+        D[0, ::3] = np.resize(EDGE_FLOATS, 50)
+        monkeypatch.setattr(cli, "_LINES", lines or 10**9)
+        I, J = np.triu_indices(150, k=1)
+        rows = [("%d" % i, "%d" % j, "dA", "1", float(D[i, j]))
+                for i, j in zip(I.tolist(), J.tolist())]
+        blocks = list(_pairs_csv(D, "dA,1"))
+        assert len(blocks) == 1 + -(-len(rows) // (lines or 10**9))
+        _assert_same_lines("".join(blocks),
+                           _csv(["i", "j", "metric_family", "A_or_blank", "value"], rows))
+
+    def test_pairs_write_transient_memory(self, tmp_path):
+        # the file is streamed block by block: writing it never holds its
+        # whole text
+        space = parse_space("euclidean2")
+        D = pair_distance_matrix(space, _spec(RunConfig(metric="dA")),
+                                 sample_boundary(space, 400, 0))
+        path = str(tmp_path / "pairs.csv")
+        tracemalloc.start()
+        try:
+            cli._atomic_write(path, _pairs_csv(D, "dA,1"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < os.path.getsize(path)
 
 
 class TestReproducibility:
@@ -455,7 +566,7 @@ class TestCoverJson:
         sample = sample_boundary(T4, 40, 1)
         sched = ScaleSchedule(R=2, K=3, c=1.0)
         covers = {k: colored_boundary_cover(T4, sched.lam(k), sample) for k in range(1, 4)}
-        interior = sample_ray_points(T4, sample, 10, 300, 1)
+        interior = sample_ray_points(sample, 10, 300, 1)
         cover, _ = annular_pushin_cover(T4, sched, covers, sample, interior)
         ground = [_tree_point_text(ray_point(Ray(T4, T4.basepoint, sample[i]), r))
                   for i, r in interior]
@@ -469,7 +580,7 @@ class TestCoverJson:
         # and thirds, whose offsets are not dyadic
         space = tree_space(k)
         sample = sample_boundary(space, 30, 5)
-        interior = sample_ray_points(space, sample, 12, 400, 5)
+        interior = sample_ray_points(sample, 12, 400, 5)
         interior += [(i, Fraction(num, 3)) for i in (0, 7) for num in range(0, 20)]
         assert {r for _, r in interior} >= {Fraction(0), Fraction(1), Fraction(5, 8)}
         walked = [_tree_point_text(ray_point(Ray(space, space.basepoint, sample[i]), r))

@@ -261,13 +261,13 @@ class TestPushin:
             ScaleSchedule(R=2, K=3, c=0.5)
 
     def test_missing_cover_rejected(self):
-        interior = sample_ray_points(T4, self.sample, 10, 100, 1)
+        interior = sample_ray_points(self.sample, 10, 100, 1)
         with pytest.raises(ValueError):
             annular_pushin_cover(T4, self.sched, {1: self.covers[1]},
                                  self.sample, interior)
 
     def test_claims_on_tree(self):
-        interior = sample_ray_points(T4, self.sample, 10, 600, 1)
+        interior = sample_ray_points(self.sample, 10, 600, 1)
         cover, claims = annular_pushin_cover(T4, self.sched, self.covers,
                                              self.sample, interior)
         assert claims["color_disjoint"]
@@ -285,7 +285,7 @@ class TestPushin:
     def test_overlap_band_multiplicity(self):
         # a point at radius strictly inside two consecutive bands can lie in
         # tubes of both scales
-        interior = sample_ray_points(T4, self.sample, 10, 600, 1)
+        interior = sample_ray_points(self.sample, 10, 600, 1)
         cover, claims = annular_pushin_cover(T4, self.sched, self.covers,
                                              self.sample, interior)
         assert claims["order"] == 2
@@ -728,7 +728,7 @@ def _construction_covers():
                 pair_distance_matrix(E2, MetricSpec("dA", A=1), circle)))
     sched = ScaleSchedule(R=1, K=3, c=1.0)
     colored = {k: colored_boundary_cover(T4, sched.lam(k), sample) for k in range(1, 4)}
-    interior = sample_ray_points(T4, sample, 5, 120, 3)
+    interior = sample_ray_points(sample, 5, 120, 3)
     cover, _ = annular_pushin_cover(T4, sched, colored, sample, interior)
     ground = [ray_point(Ray(T4, T4.basepoint, sample[i]), r) for i, r in interior]
     out.append(("pushin", cover, distance_matrix(ground, lambda p, q: dist(T4, p, q))))

@@ -110,6 +110,8 @@ class RunConfig:
             raise ConfigError(f"metric2 must be dA or dbar, got {self.metric2!r}")
         if self.A <= 0:
             raise ConfigError("A must be positive")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be an int >= 0, got {self.seed!r}")
         if self.n < 1 or self.n_triples < 1:
             raise ConfigError("sample sizes must be >= 1")
         if not self.scales:

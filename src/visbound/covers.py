@@ -419,15 +419,10 @@ class ScaleSchedule:
 def sample_ray_points(boundary_sample: list, r_max, n: int, seed: int) -> list:
     """(boundary index, radius) pairs with dyadic radii in [0, r_max);
     the interior sample for the annular pushin."""
-    rng = substream(seed, "ray-points")
-    out = []
-    denom = 8
-    top = int(Fraction(r_max) * denom)
-    for _ in range(n):
-        i = int(rng.integers(0, len(boundary_sample)))
-        r = Fraction(int(rng.integers(0, top)), denom)
-        out.append((i, r))
-    return out
+    top = int(Fraction(r_max) * 8)
+    # one call, index and radius draws alternating, as per-pair calls draw them
+    draws = substream(seed, "ray-points").integers(0, [len(boundary_sample), top] * n).tolist()
+    return [(i, Fraction(r, 8)) for i, r in zip(draws[::2], draws[1::2])]
 
 
 def annular_pushin_cover(space: Space, schedule: ScaleSchedule,

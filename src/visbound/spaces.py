@@ -5,12 +5,17 @@ Each space carries a distinguished basepoint, exact or closed-form geodesic
 rays and segments (one walk, `ray_point`), distances, and seeded boundary
 sampling.  Tree arithmetic is exact (Fractions, integer edge words);
 Euclidean and hyperbolic computations are double precision.
+
+The tree sampler applies numpy's `Generator.geometric` and `integers` rules
+to raw PCG64 words itself, so its samples depend only on the bit stream.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -387,33 +392,78 @@ def ray_point(ray: Ray, t) -> Point:
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
-    """Independent deterministic RNG substream named within a run seed."""
-    return np.random.default_rng([int(seed) & 0xFFFFFFFF, zlib.crc32(name.encode())])
+    """Independent deterministic RNG substream named within a run seed, a
+    nonnegative int (below 2^32 its entropy is [seed, crc32(name)])."""
+    return np.random.default_rng([int(seed), zlib.crc32(name.encode())])
 
 
-def _draw_boundary(space: Space, rng: np.random.Generator):
-    """One raw boundary draw from `rng`, hashable, or None to reject it: a
-    normalized Gaussian direction, a uniform angle, or the (preperiod
-    length, letters) of an eventually periodic tree word with a geometric
-    preperiod and a period of 1-4."""
-    if space.kind == EUCLIDEAN:
-        v = rng.normal(size=space.dim)
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            return None
-        v = v / nv
-        v = v / float(np.linalg.norm(v))
-        return tuple(float(c) for c in v)
-    if space.kind == HYPERBOLIC:
-        return float(rng.uniform(0, 2 * math.pi))
-    k = space.valence
-    pre_len = int(rng.geometric(0.4)) - 1
-    per_len = int(rng.integers(1, 5))
-    letters = []
-    for i in range(pre_len + per_len):
-        hi = k if i == 0 and pre_len > 0 else k - 1
-        letters.append(int(rng.integers(0, hi)))
-    return pre_len, tuple(letters)
+_BLOCK = 1024  # raw words or values read from the generator per call
+
+
+def _euclidean_draws(space: Space, rng: np.random.Generator):
+    """Endless normalized Gaussian directions, as tuples; rows of one
+    `rng.normal` block equal per-row calls, and a zero row is skipped."""
+    while True:
+        for v in rng.normal(size=(_BLOCK // space.dim + 1, space.dim)):
+            nv = float(np.linalg.norm(v))
+            if nv != 0.0:
+                v = v / nv
+                yield tuple((v / float(np.linalg.norm(v))).tolist())
+
+
+def _hyperbolic_draws(space: Space, rng: np.random.Generator):
+    """Endless uniform angles in [0, 2 pi)."""
+    while True:
+        yield from rng.uniform(0, 2 * math.pi, size=_BLOCK).tolist()
+
+
+def _halves(words):
+    """The 32-bit draws of a PCG64 stream: the low half of a fresh word,
+    then its high half; a whole-word draw in between leaves it buffered."""
+    for w in words:
+        yield w & 0xFFFFFFFF
+        yield w >> 32
+
+
+def _letters(e: int, halves, words):
+    """Endless `Generator.integers(0, e)` draws by Lemire's multiply-shift:
+    m = u e of a 32-bit draw u for e <= 2^32 (of a whole word above), with
+    u skipped while m mod 2^b < 2^b mod e, gives m >> b."""
+    draws, b = (halves, 32) if e <= 1 << 32 else (words, 64)
+    mask, floor = (1 << b) - 1, (1 << b) % e
+    for u in draws:
+        m = u * e
+        if m & mask >= floor:
+            yield m >> b
+
+
+def _tree_draws(space: Space, rng: np.random.Generator):
+    """Endless raw tree draws (preperiod length, letters): the values of
+    per-draw calls `rng.geometric(0.4) - 1`, `rng.integers(1, 5)` and one
+    `rng.integers(0, e)` per letter (e = k for a first preperiod letter,
+    k - 1 otherwise), read off rng's raw PCG64 words.  The geometric draw
+    counts the thresholds p, p + pq, ... (summed in numpy's order, up to
+    1.0) below U = (w >> 11) 2^-53 of a whole word w; the period length is
+    1 + (u >> 30) for a 32-bit draw u."""
+    raw = rng.bit_generator.random_raw
+    words = itertools.chain.from_iterable(iter(lambda: raw(_BLOCK).tolist(), None))
+    halves = _halves(words)
+    p = total = 0.4
+    thresholds = [total]
+    while total < 1.0:
+        p *= 0.6
+        total += p
+        thresholds.append(total)
+    first, rest = _letters(space.valence, halves, words), _letters(space.valence - 1, halves, words)
+    while True:
+        pre_len = bisect_left(thresholds, (next(words) >> 11) * 2.0 ** -53)
+        more = pre_len + (next(halves) >> 30)
+        letters = [next(first if pre_len else rest)]
+        letters += itertools.islice(rest, more)
+        yield pre_len, tuple(letters)
+
+
+_DRAWS = {EUCLIDEAN: _euclidean_draws, TREE: _tree_draws, HYPERBOLIC: _hyperbolic_draws}
 
 
 def _boundary_from_draw(space: Space, raw) -> BoundaryPoint:
@@ -434,19 +484,18 @@ def sample_boundary(space: Space, n: int, seed: int) -> list:
         raise ValueError("sample size must be >= 1")
     if space.kind == EUCLIDEAN and space.dim == 1 and n > 2:
         raise ValueError(f"R^1 has only 2 boundary points, cannot sample {n}")
-    rng = substream(seed, f"boundary-{space.kind}")
     out = []
     drawn, seen = set(), set()
-    while len(out) < n:
-        raw = _draw_boundary(space, rng)
-        if raw is None or raw in drawn:
+    for raw in _DRAWS[space.kind](space, substream(seed, f"boundary-{space.kind}")):
+        if raw in drawn:
             continue
         drawn.add(raw)
         bp = _boundary_from_draw(space, raw)
         if bp not in seen:
             seen.add(bp)
             out.append(bp)
-    return out
+            if len(out) == n:
+                return out
 
 
 # ---------------------------------------------------------------------------

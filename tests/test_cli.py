@@ -478,6 +478,8 @@ class TestErrorPaths:
         ["cover-pushout", "--space", "tree4", "--n", "20", "--R", "inf"],
         ["ell-dim", "--space", "tree4", "--n", "20", "--config", {"scales": [0.5, math.inf]}],
         ["visual-fit", "--space", "tree4", "--n", "1"],
+        ["metric", "--space", "tree4", "--n", "5", "--seed=-1"],
+        ["metric", "--space", "tree4", "--n", "5", "--config", {"seed": 1.5}],
     ])
     def test_rejected_on_entry(self, argv, tmp_path):
         # a separate interpreter, so that a hang times out and a traceback

@@ -34,6 +34,7 @@ from visbound.spaces import (
     hyperbolic_plane,
     ray_point,
     sample_boundary,
+    substream,
     tree_space,
 )
 
@@ -289,6 +290,35 @@ class TestPushin:
         cover, claims = annular_pushin_cover(T4, self.sched, self.covers,
                                              self.sample, interior)
         assert claims["order"] == 2
+
+
+def _reference_ray_points(boundary_sample, r_max, n, rng):
+    # the per-pair loop: an index draw, then a radius draw
+    top = int(Fraction(r_max) * 8)
+    return [(int(rng.integers(0, len(boundary_sample))), Fraction(int(rng.integers(0, top)), 8))
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("size, r_max, n", [(60, 10, 600), (1, 14, 50), (7, Fraction(1, 8), 40),
+                                            (5, 2 ** 30, 300), (2 ** 33 + 3, 3, 300)],
+                         ids=["pushin", "one-point", "one-radius", "top-2^33", "size-2^33"])
+def test_ray_points_equal_the_per_pair_loop(size, r_max, n, monkeypatch):
+    # one integers call over alternating bounds: the same values and the
+    # same final generator state, through Lemire's 64-bit rule past 2^32
+    made = []
+
+    def recording(seed, name):
+        made.append(substream(seed, name))
+        return made[-1]
+
+    monkeypatch.setattr(covers, "substream", recording)
+    sample = range(size)
+    for seed in range(20):
+        rng = substream(seed, "ray-points")
+        want = _reference_ray_points(sample, r_max, n, rng)
+        got = sample_ray_points(sample, r_max, n, seed)
+        assert got == want and made[-1].bit_generator.state == rng.bit_generator.state
+        assert all(type(i) is int and type(r) is Fraction for i, r in got)
 
 
 class TestEllDim:

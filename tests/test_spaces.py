@@ -1,4 +1,6 @@
+import itertools
 import math
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -285,6 +287,17 @@ class TestSampling:
                 assert 0 <= bp.letter(i) <= 2
 
 
+def _reference_tree_draw(k, rng):
+    # the per-draw generator calls behind a raw tree draw
+    pre_len = int(rng.geometric(0.4)) - 1
+    per_len = int(rng.integers(1, 5))
+    letters = []
+    for i in range(pre_len + per_len):
+        hi = k if i == 0 and pre_len > 0 else k - 1
+        letters.append(int(rng.integers(0, hi)))
+    return pre_len, tuple(letters)
+
+
 def _reference_draw_boundary(space, rng):
     # the per-draw sampler: every draw builds its boundary point
     if space.kind == "euclidean":
@@ -297,14 +310,8 @@ def _reference_draw_boundary(space, rng):
         return EuclideanBoundary(tuple(float(c) for c in v))
     if space.kind == "hyperbolic_plane":
         return HyperbolicBoundary(float(rng.uniform(0, 2 * math.pi)))
-    k = space.valence
-    pre_len = int(rng.geometric(0.4)) - 1
-    per_len = int(rng.integers(1, 5))
-    letters = []
-    for i in range(pre_len + per_len):
-        hi = k if i == 0 and pre_len > 0 else k - 1
-        letters.append(int(rng.integers(0, hi)))
-    return TreeBoundary(tuple(letters[:pre_len]), tuple(letters[pre_len:]))
+    pre_len, letters = _reference_tree_draw(space.valence, rng)
+    return TreeBoundary(letters[:pre_len], letters[pre_len:])
 
 
 def _reference_sample_boundary(space, n, seed):
@@ -315,28 +322,105 @@ def _reference_sample_boundary(space, n, seed):
         if bp is not None and bp not in seen:
             seen.add(bp)
             out.append(bp)
-    return out, rng.bit_generator.state
+    return out
 
 
 class TestSamplerAgainstTheLoop:
-    @pytest.mark.parametrize("space", [tree_space(3), T4, tree_space(5), E2, H2],
-                             ids=["tree3", "tree4", "tree5", "E2", "H2"])
+    @pytest.mark.parametrize("space", [tree_space(3), T4, tree_space(5), tree_space(7), E2,
+                                       euclidean_space(3), H2],
+                             ids=["tree3", "tree4", "tree5", "tree7", "E2", "E3", "H2"])
     @pytest.mark.parametrize("n", [1, 50, 1000])
-    def test_sample_equals_the_per_draw_loop(self, space, n, monkeypatch):
-        # skipping a repeated raw draw unbuilt leaves the sample, its order
-        # and the generator's calls as they were
-        made = []
-
-        def recording(seed, name):
-            made.append(substream(seed, name))
-            return made[-1]
-
-        monkeypatch.setattr(spaces, "substream", recording)
+    def test_sample_equals_the_per_draw_loop(self, space, n):
+        # block draws, and skipping a repeated raw draw unbuilt, leave the
+        # sample and its order as per-draw generator calls give them
         for seed in range(5):
-            want, state = _reference_sample_boundary(space, n, seed)
+            want = _reference_sample_boundary(space, n, seed)
             got = sample_boundary(space, n, seed)
-            assert got == want and made[-1].bit_generator.state == state
+            assert got == want
             assert [type(p) for p in got] == [type(p) for p in want]
             if space.kind == "tree":
                 assert [(p.preperiod, p.period) for p in got] == [(p.preperiod, p.period)
                                                                   for p in want]
+
+
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _state_with_word(offset, word, seed):
+    """A PCG64 state whose raw word at `offset` is `word`.  A word is
+    rotr64(hi ^ lo, hi >> 58) of the stepped 128-bit state (hi == lo gives
+    0), so pick hi and solve for lo; then step back offset + 1 times."""
+    inc = substream(seed, "word").bit_generator.state["state"]["inc"]
+    hi = int(substream(seed, "word").bit_generator.random_raw())
+    r = hi >> 58
+    lo = hi ^ ((word << r | word >> (64 - r)) & (1 << 64) - 1)
+    state = (hi << 64) | lo
+    for _ in range(offset + 1):
+        state = (state - inc) * pow(_PCG64_MULT, -1, 1 << 128) % (1 << 128)
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _generator(state):
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    return rng
+
+
+def _geometric_thresholds():
+    # p, p + pq, ... for p = 0.4, summed as numpy's search sums them
+    p = total = 0.4
+    out = [total]
+    while total < 1.0:
+        p *= 0.6
+        total += p
+        out.append(total)
+    return out
+
+
+_VALENCES = [3, 4, 5, 7, 2 ** 32, 2 ** 32 + 1]
+
+
+class TestRawTreeDraws:
+    # the raw PCG64 words read by the rules of Generator.geometric and
+    # Generator.integers give the values of the per-draw calls
+    @staticmethod
+    def assert_draws_match(k, state, count):
+        got = itertools.islice(spaces._tree_draws(tree_space(k), _generator(state)), count)
+        rng = _generator(state)
+        assert list(got) == [_reference_tree_draw(k, rng) for _ in range(count)]
+
+    @pytest.mark.parametrize("k", _VALENCES)
+    def test_raw_draws_equal_the_generator_calls(self, k):
+        for seed in range(20):
+            self.assert_draws_match(k, substream(seed, "boundary-tree").bit_generator.state, 5000)
+
+    @pytest.mark.parametrize("k", _VALENCES)
+    @pytest.mark.parametrize("offset", range(6))
+    def test_a_zero_word_reads_as_the_generator_reads_it(self, k, offset):
+        # U = 0 for the geometric draw, a zero period draw and a 32-bit
+        # letter draw of 0, which Lemire's rule rejects when 2^32 mod e > 0
+        state = _state_with_word(offset, 0, k)
+        assert _generator(state).bit_generator.random_raw(offset + 1)[-1] == 0
+        self.assert_draws_match(k, state, 5000)
+
+    @pytest.mark.parametrize("j", range(4))
+    def test_a_geometric_threshold_itself_is_not_passed(self, j):
+        # U equal to the j-th threshold: numpy counts only the sums below U
+        t = _geometric_thresholds()[j]
+        state = _state_with_word(0, int(t * 2 ** 53) << 11, j)
+        assert _generator(state).random() == t
+        assert next(spaces._tree_draws(T4, _generator(state)))[0] == j
+        self.assert_draws_match(4, state, 50)
+
+
+class TestSeeds:
+    def test_seeds_past_2_32_are_not_aliased(self):
+        assert sample_boundary(T4, 20, 0) != sample_boundary(T4, 20, 2 ** 32)
+        assert sample_boundary(E2, 20, 1) != sample_boundary(E2, 20, 2 ** 32 + 1)
+
+    @pytest.mark.parametrize("seed", [0, 12345, 2 ** 32 - 1])
+    def test_seeds_below_2_32_keep_their_stream(self, seed):
+        masked = np.random.default_rng([seed & 0xFFFFFFFF, zlib.crc32(b"boundary-tree")])
+        assert (substream(seed, "boundary-tree").bit_generator.random_raw(64).tolist()
+                == masked.bit_generator.random_raw(64).tolist())

@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .covers import (
     LatticeBallSystem,
+    ScaleRow,
     ScaleSchedule,
     annular_pushin_cover,
     boundary_pushout_cover,
@@ -45,6 +46,7 @@ from .quasisym import (
 from .spaces import (
     Space,
     boundary_to_line,
+    distinct_rows,
     euclidean_space,
     hyperbolic_plane,
     sample_boundary,
@@ -110,8 +112,11 @@ class RunConfig:
             raise ConfigError(f"metric2 must be dA or dbar, got {self.metric2!r}")
         if self.A <= 0:
             raise ConfigError("A must be positive")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ConfigError(f"seed must be an int >= 0, got {self.seed!r}")
+        for name in ("seed", "n", "n_triples", "K"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if self.n < 1 or self.n_triples < 1:
             raise ConfigError("sample sizes must be >= 1")
         if not self.scales:
@@ -341,6 +346,13 @@ def _text_rows(fields: list) -> str:
 _LINES = 1 << 12
 
 
+def _stats_csv(rows: list) -> str:
+    """stats.csv of `ScaleRow`s, one line per scale."""
+    return _csv(["lambda", "order", "mesh", "lebesgue", "bound_mesh", "bound_lebesgue", "pass"],
+                [(r.lam, r.order, r.mesh, r.lebesgue, r.bound_mesh, r.bound_lebesgue,
+                  int(r.passed)) for r in rows])
+
+
 def _pairs_csv(D: np.ndarray, family_a: str):
     """The upper triangle of D as pairs.csv rows ``i,j,family_a,D[i,j]``,
     yielded in blocks of at most `_LINES` lines.  The bytes equal `_csv`
@@ -471,25 +483,22 @@ def run_cover_pushout(cfg: RunConfig):
     D = pair_distance_matrix(space, spec, sample)
     order_v = orbit_ball_order(space, system.R)
     rows = []
-    all_pass = True
     for lam in cfg.scales:
         cover = boundary_pushout_cover(space, system, lam, A, sample)
         stats = cover_stats(cover, D)
         bound_mesh = (4.0 * float(R) / float(A)) * float(lam)
-        bound_leb = float(lam)
         ok = (stats.order <= order_v
-              and stats.lebesgue >= bound_leb * (1 - 1e-9)
+              and stats.lebesgue >= float(lam) * (1 - 1e-9)
               and stats.mesh <= bound_mesh * (1 + 1e-9))
-        all_pass = all_pass and ok
-        rows.append((float(lam), stats.order, stats.mesh, stats.lebesgue,
-                     bound_mesh, bound_leb, int(ok)))
+        rows.append(ScaleRow(lam=float(lam), order=stats.order, mesh=stats.mesh,
+                             lebesgue=stats.lebesgue, bound_mesh=bound_mesh,
+                             bound_lebesgue=float(lam), passed=ok))
     files = {
-        "stats.csv": _csv(["lambda", "order", "mesh", "lebesgue",
-                           "bound_mesh", "bound_lebesgue", "pass"], rows),
+        "stats.csv": _stats_csv(rows),
         # the last scale's cover
         "cover.json": _cover_json([boundary_to_line(space, xi) for xi in sample], cover),
     }
-    verdicts = {"all_scales_pass": all_pass, "interior_order": order_v}
+    verdicts = {"all_scales_pass": all(r.passed for r in rows), "interior_order": order_v}
     return verdicts, files
 
 
@@ -530,29 +539,10 @@ def run_ell_dim(cfg: RunConfig):
     sample = sample_boundary(space, cfg.n, cfg.seed)
     D = pair_distance_matrix(space, spec, sample)
     rows, estimate = ell_dim_estimate(D, cfg.scales, max(cfg.c, 4.0), cfg.seed)
-    table = [(r.lam, r.order, r.mesh, r.lebesgue, r.bound_mesh, r.bound_lebesgue,
-              int(r.passed)) for r in rows]
-    files = {"stats.csv": _csv(["lambda", "order", "mesh", "lebesgue",
-                                "bound_mesh", "bound_lebesgue", "pass"], table)}
+    files = {"stats.csv": _stats_csv(rows)}
     verdicts = {"estimate": estimate,
                 "all_scales_pass": all(r.passed for r in rows)}
     return verdicts, files
-
-
-def _draw_pairs(sample: list, count: int, rng) -> list:
-    """`count` ordered pairs of distinct sample points, drawn as index pairs
-    from `rng` with equal indices redrawn.  Each `rng.integers` block keeps
-    its valid rows in order, cut at the count still needed; a row of a
-    block is the pair one `size=2` call would draw."""
-    n = len(sample)
-    if count > 0 and n < 2:
-        raise ValueError(f"cannot draw pairs of distinct points from a sample of {n}")
-    rows = []
-    while len(rows) < count:
-        need = count - len(rows)
-        raw = rng.integers(0, n, size=(need + need // 2 + 4, 2))
-        rows += raw[raw[:, 0] != raw[:, 1]][:need].tolist()
-    return [(sample[i], sample[j]) for i, j in rows]
 
 
 def run_visual_fit(cfg: RunConfig):
@@ -562,8 +552,8 @@ def run_visual_fit(cfg: RunConfig):
                           "hyperbolic_plane (on R^n they diverge off antipodal pairs)")
     spec = _spec(cfg)
     sample = sample_boundary(space, cfg.n, cfg.seed)
-    pairs = _draw_pairs(sample, cfg.n, substream(cfg.seed, "visual-pairs"))
-    fit = visual_fit(space, spec, cfg.a, pairs)
+    pairs = distinct_rows(len(sample), cfg.n, 2, substream(cfg.seed, "visual-pairs"))
+    fit = visual_fit(space, spec, cfg.a, sample, pairs)
     files = {"visual_fit.json": _json({
         "a": fit.a, "k1": fit.k1, "k2": fit.k2, "verdict": fit.verdict,
         "space": space_id(space), "metric": spec.family})}
@@ -575,8 +565,8 @@ def run_visual_fit(cfg: RunConfig):
 def run_demo_t4(cfg: RunConfig):
     space = tree_space(4)
     sample = sample_boundary(space, max(cfg.n, 50), cfg.seed)
-    pairs = _draw_pairs(sample, 1000, substream(cfg.seed, "demo-pairs"))
-    fit = visual_fit(space, MetricSpec(DBAR), math.e, pairs)
+    pairs = distinct_rows(len(sample), 1000, 2, substream(cfg.seed, "demo-pairs"))
+    fit = visual_fit(space, MetricSpec(DBAR), math.e, sample, pairs)
     nv = nonvisual_witness_dA(space, 1, range(1, 31))
     nq = nonqs_witness(space, range(1, 26))
     radii = [Fraction(int(r), 64) for r in

@@ -24,7 +24,7 @@ from .spaces import (
     Ray,
     Space,
     TreePoint,
-    dist,
+    dist,  # unused, but bench/test_bench.py checks the tracer wraps this binding
     ray_point,
     substream,
 )
@@ -80,19 +80,19 @@ def _point_weights(n: int) -> np.ndarray:
 
 
 def _distinct_sets(set_of: np.ndarray, point_of: np.ndarray) -> tuple:
-    """(set_of, point_of, multiplicity) of the distinct sets among
-    incidences whose sets are numbered from 0, each set's contiguous: one
-    set of each group of equal member runs is kept, numbered by group.
-    Sets are sorted by an order-independent hash, the wrapping sum of
-    their points' weights, and a set joins its predecessor's group only if
-    their runs are equal point by point, so a hash collision can split a
-    group but never merges two different sets."""
+    """(set_of, point_of) of the distinct sets among incidences whose sets
+    are numbered from 0, each set's contiguous: one set of each group of
+    equal member runs is kept, numbered by group.  Sets are sorted by an
+    order-independent hash, the wrapping sum of their points' weights, and
+    a set joins its predecessor's group only if their runs are equal point
+    by point, so a hash collision can split a group but never merges two
+    different sets."""
     starts = np.flatnonzero(np.diff(set_of, prepend=-1))
     h = np.add.reduceat(_point_weights(int(point_of.max(initial=-1)) + 1)[point_of], starts)
     order = np.argsort(h, kind="stable")
     tie = h[order[1:]] == h[order[:-1]]
     if not tie.any():
-        return set_of, point_of, np.ones(int(set_of.max(initial=-1)) + 1, dtype=np.int64)
+        return set_of, point_of
     sizes = np.diff(starts, append=len(point_of))
     s, prev = order[1:], order[:-1]
     cand = np.flatnonzero(tie & (sizes[s] == sizes[prev]))
@@ -108,7 +108,7 @@ def _distinct_sets(set_of: np.ndarray, point_of: np.ndarray) -> tuple:
     first[order] = ~same
     run_of = np.repeat(np.arange(len(starts)), sizes)
     keep = first[run_of]
-    return group[run_of[keep]], point_of[keep], np.bincount(group)
+    return group[run_of[keep]], point_of[keep]
 
 
 @dataclass(frozen=True)
@@ -122,25 +122,25 @@ def cover_stats(cover: Cover, matrix: np.ndarray) -> CoverStats:
     """Order, mesh, and Lebesgue number of the cover measured against its
     own ground sample, whose pairwise distances are `matrix`.
 
-    Identical sets give identical mesh and Lebesgue candidates, so each
-    distinct set is measured once and the order counts its repeats.  The
-    incidences, sorted by point, are read in blocks of about _CHUNK matrix
-    entries.  An incidence's mesh candidate is the largest distance from
-    its point into its set, and its Lebesgue candidate the smallest
-    distance from its point out of the set; a point's Lebesgue candidate
-    is the largest of its incidences'."""
+    The order is the largest count of incidences of a point.  Identical
+    sets give identical mesh and Lebesgue candidates, so each distinct set
+    is measured once; its incidences, sorted by point, are read in blocks
+    of about _CHUNK matrix entries.  An incidence's mesh candidate is the
+    largest distance from its point into its set, and its Lebesgue
+    candidate the smallest distance from its point out of the set; a
+    point's Lebesgue candidate is the largest of its incidences'."""
     if not cover.colors:
         raise ValueError("empty cover")
     n = cover.n
     matrix = np.asarray(matrix)
     if matrix.shape != (n, n):
         raise ValueError(f"distance matrix has shape {matrix.shape}, not ({n}, {n})")
-    set_of, point_of, repeats = _distinct_sets(cover.set_of, cover.point_of)
-    M = np.zeros((len(repeats), n), dtype=bool)
-    M[set_of, point_of] = True
-    counts = repeats @ M     # column sums, with repeats
+    counts = np.bincount(cover.point_of, minlength=n)
     if counts.min() < 1:
         raise ValueError("ground point left uncovered")
+    set_of, point_of = _distinct_sets(cover.set_of, cover.point_of)
+    M = np.zeros((int(set_of.max()) + 1, n), dtype=bool)
+    M[set_of, point_of] = True
     by_point = np.argsort(point_of, kind="stable")
     set_of, point_of = set_of[by_point], point_of[by_point]
     step = max(1, _CHUNK // n)
@@ -160,24 +160,16 @@ def cover_stats(cover: Cover, matrix: np.ndarray) -> CoverStats:
 # lattice / vertex-orbit ball systems
 
 
-def _inside(space: Space, P, C, rad: float) -> np.ndarray:
-    """dist(P, C) < rad elementwise over broadcast rows of coordinates, in
-    the order of `spaces.dist`: difference, square, sum left to right from
-    0, square root, strict comparison.  numpy squares by d * d and
-    `spaces.dist` by the libm pow, which can differ in the last bit, so the
-    few pairs within a relative 1e-12 of the sphere are decided by
-    `spaces.dist` itself."""
+def _inside(P, C, rad: float) -> np.ndarray:
+    """dist(P, C) < rad elementwise over broadcast rows of coordinates, by
+    the IEEE operations of `spaces.dist`: difference, d * d, sum left to
+    right from 0, square root, strict comparison."""
     P, C = np.broadcast_arrays(P, C)
     sq = 0
     for i in range(P.shape[-1]):
         d = P[..., i] - C[..., i]
         sq = sq + d * d
-    r = np.sqrt(sq)
-    inside = r < rad
-    for idx in zip(*np.nonzero(np.abs(r - rad) <= 1e-12 * rad)):
-        p, c = (EuclideanPoint(tuple(X[idx].tolist())) for X in (P, C))
-        inside[idx] = dist(space, p, c) < rad
-    return inside
+    return np.sqrt(sq) < rad
 
 
 def _tree_levels(head: tuple, levels: int, k: int) -> list:
@@ -270,8 +262,7 @@ class LatticeBallSystem:
             return keys, set_of[by_set], point_of[by_set]
         P = np.array([p.coords for p in points], dtype=float).reshape(len(points), self.space.dim)
         base = np.floor(P)
-        hit = _inside(self.space, P[:, None, :], base[:, None, :] + self.stencil,
-                      float(self.radius))
+        hit = _inside(P[:, None, :], base[:, None, :] + self.stencil, float(self.radius))
         point_of, offset = np.nonzero(hit)
         rows = base.astype(np.int64)[point_of] + self.stencil[offset]
         # one stable sort of the key rows, first coordinate first, keeps the
@@ -301,7 +292,7 @@ def orbit_ball_order(space: Space, R, resolution: int = 48) -> int:
         grid = np.stack(np.meshgrid(*[axis] * space.dim, indexing="ij"), axis=-1)
         counts = np.zeros(grid.shape[:-1], dtype=np.int64)
         for o in system.stencil:
-            counts += _inside(space, grid, o, float(system.radius))
+            counts += _inside(grid, o, float(system.radius))
         return int(counts.max())
     deep = tuple([0] + [1, 0] * (int(2 * R) + 2))
     edge = [TreePoint(deep, Fraction(num, 16)) for num in range(16)]

@@ -73,10 +73,10 @@ class MetricSpec:
     def __post_init__(self):
         if self.family not in (DA, DBAR):
             raise ValueError(f"unknown metric family {self.family!r}")
-        if self.family == DA and (self.A is None or self.A <= 0):
-            raise ValueError("dA requires A > 0")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if self.family == DA and (self.A is None or not 0 < self.A < math.inf):
+            raise ValueError(f"dA requires a finite A > 0, got {self.A!r}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
 
     def base(self, space: Space) -> Point:
         return self.basepoint if self.basepoint is not None else space.basepoint

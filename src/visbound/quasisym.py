@@ -17,6 +17,7 @@ from .spaces import (
     TREE,
     Space,
     TreeBoundary,
+    distinct_rows,
     sample_boundary,
     substream,
 )
@@ -74,22 +75,6 @@ def eta_change_basepoint(A, D) -> ControlFunction:
 
 def _pool_size(n_triples: int) -> int:
     return min(400, max(16, int(1.5 * math.sqrt(n_triples)) + 8))
-
-
-def _sample_triples(n_points: int, n_triples: int, rng) -> np.ndarray:
-    """(n_triples, 3) int64 rows (i, j, k) of distinct indices below
-    n_points: each `rng.integers` block keeps its valid rows in order, cut
-    at the count still needed."""
-    if n_triples > 0 and n_points < 3:
-        raise ValueError(f"cannot draw triples of distinct points from a pool of {n_points}")
-    blocks, have = [np.zeros((0, 3), dtype=np.int64)], 0
-    while have < n_triples:
-        need = n_triples - have
-        raw = rng.integers(0, n_points, size=(need + need // 2 + 4, 3))
-        i, j, k = raw.T
-        blocks.append(raw[(i != j) & (j != k) & (i != k)][:need])
-        have += len(blocks[-1])
-    return np.concatenate(blocks)
 
 
 class _Rationals:
@@ -155,7 +140,7 @@ def _ratio_triples(pool: tuple, n_triples: int, seed: int, stream: str):
     ones); triples with a zero distance are discarded."""
     rng = substream(seed, stream)
     d1, d2 = pool
-    ijk = _sample_triples(len(d1), n_triples, rng)
+    ijk = distinct_rows(len(d1), n_triples, 3, rng)
     i, j, k = ijk.T
     a1, b1, a2, b2 = d1[i, k], d1[j, k], d2[i, k], d2[j, k]
     keep = np.ones(len(ijk), dtype=bool)

@@ -274,7 +274,12 @@ def dist(space: Space, p: Point, q: Point):
     """Distance between two points of the space (exact Fraction on trees)."""
     _check_kind(space, p, q)
     if space.kind == EUCLIDEAN:
-        return math.sqrt(sum((a - b) ** 2 for a, b in zip(p.coords, q.coords)))
+        # d * d summed left to right from 0, as the numpy kernels square and
+        # sum (`sum` of floats compensates from Python 3.12 on)
+        sq = 0.0
+        for a, b in zip(p.coords, q.coords):
+            sq += (a - b) * (a - b)
+        return math.sqrt(sq)
     if space.kind == TREE:
         return p.depth + q.depth - 2 * _tree_meet(p, q)
     return _acosh1p(_hyp_cosh_dist_minus_1(p.r, p.phi, q.r, q.phi))
@@ -395,6 +400,21 @@ def substream(seed: int, name: str) -> np.random.Generator:
     """Independent deterministic RNG substream named within a run seed, a
     nonnegative int (below 2^32 its entropy is [seed, crc32(name)])."""
     return np.random.default_rng([int(seed), zlib.crc32(name.encode())])
+
+
+def distinct_rows(n_points: int, count: int, width: int, rng) -> np.ndarray:
+    """(count, width) int64 rows of pairwise distinct indices below
+    n_points: each `rng.integers` block keeps its valid rows in order, cut
+    at the count still needed, so a row is what one `size=width` call draws."""
+    if count > 0 and n_points < width:
+        raise ValueError(f"cannot draw {width} distinct indices from {n_points} points")
+    blocks, have = [np.zeros((0, width), dtype=np.int64)], 0
+    while have < count:
+        need = count - have
+        raw = rng.integers(0, n_points, size=(need + need // 2 + 4, width))
+        blocks.append(raw[(np.diff(np.sort(raw), axis=1) != 0).all(axis=1)][:need])
+        have += len(blocks[-1])
+    return np.concatenate(blocks)
 
 
 _BLOCK = 1024  # raw words or values read from the generator per call

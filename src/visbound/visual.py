@@ -34,17 +34,12 @@ class VisualFit:
     verdict: str
 
 
-def _fit_values(space: Space, spec: MetricSpec, a: float, pairs: list) -> np.ndarray:
-    """d(xi,eta) * a^(xi,eta) over the pairs, with (xi,eta) the Gromov
-    product, from one invariant call over the distinct points of the pairs.
-    Trees use single-exponent forms, so a = e gives the constant 2 exactly
-    for dbar."""
-    index = {}
-    for pair in pairs:
-        for x in pair:
-            index.setdefault(x, len(index))
-    inv = pair_invariants(space, list(index), [index[x] for x, _ in pairs],
-                          [index[y] for _, y in pairs], spec.base(space))
+def _fit_values(space: Space, spec: MetricSpec, a: float, points: list,
+                pairs: np.ndarray) -> np.ndarray:
+    """d(xi,eta) * a^(xi,eta) over the index pairs into `points`, with
+    (xi,eta) the Gromov product, from one invariant call.  Trees use
+    single-exponent forms, so a = e gives the constant 2 exactly for dbar."""
+    inv = pair_invariants(space, points, pairs[:, 0], pairs[:, 1], spec.base(space))
     la = math.log(a)
     if space.kind == TREE:
         if spec.family == DBAR:
@@ -56,13 +51,16 @@ def _fit_values(space: Space, spec: MetricSpec, a: float, pairs: list) -> np.nda
     return _closed_form(space, spec, inv, exact=False) * np.exp(_gromov_closed_form(space, inv) * la)
 
 
-def visual_fit(space: Space, spec: MetricSpec, a: float, pairs: list) -> VisualFit:
-    """Best constants k1 = min, k2 = max of d * a^product over the pairs."""
+def visual_fit(space: Space, spec: MetricSpec, a: float, points: list,
+               pairs: np.ndarray) -> VisualFit:
+    """Best constants k1 = min, k2 = max of d * a^product over the pairs
+    (xi, eta) = (points[i], points[j]) of the (m, 2) index rows (i, j)."""
     if a <= 1:
         raise ValueError("visual parameter must exceed 1")
-    if not pairs:
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    if not len(pairs):
         raise ValueError("need at least one pair")
-    v = _fit_values(space, spec, a, pairs)
+    v = _fit_values(space, spec, a, points, pairs)
     return VisualFit(a=float(a), k1=float(v.min()), k2=float(v.max()), verdict=FITS)
 
 

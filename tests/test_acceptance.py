@@ -75,7 +75,7 @@ def _distinct_pairs(points, n, rng):
     while len(out) < n:
         i, j = rng.integers(0, m, size=2)
         if points[int(i)] != points[int(j)]:
-            out.append((points[int(i)], points[int(j)]))
+            out.append((int(i), int(j)))
     return out
 
 
@@ -83,7 +83,7 @@ def test_01_tree_dbar_is_visual_with_constant_two():
     pts = sample_boundary(T4, 200, SEED)
     rng = substream(SEED, "acc1")
     pairs = _distinct_pairs(pts, 1000, rng)
-    fit = visual_fit(T4, spec_dbar(), math.e, pairs)
+    fit = visual_fit(T4, spec_dbar(), math.e, pts, pairs)
     ok = fit.k1 == 2.0 and fit.k2 == 2.0 and abs(fit.k1 - 2) <= 1e-9
     _report(1, ok, f"dbar visual fit a=e on 1000 pairs: k1={fit.k1}, k2={fit.k2}")
 
@@ -218,8 +218,8 @@ def test_09_metric_axioms_and_ray_convexity():
         pts = sample_boundary(space, 40, SEED + 1)
         pairs = _distinct_pairs(pts, 200, substream(SEED, f"acc9p-{space.kind}"))
         from visbound.metrics import _separation_fn
-        for xi, eta in pairs:
-            f = _separation_fn(space, space.basepoint, xi, eta)
+        for i, j in pairs:
+            f = _separation_fn(space, space.basepoint, pts[i], pts[j])
             for _ in range(50):
                 t = float(rng.uniform(0.5, 30.0))
                 s = float(rng.uniform(0.0, 1.0)) * t
@@ -235,7 +235,7 @@ def test_10_oracle_equivalence():
     pts = sample_boundary(T4, 200, SEED)
     pairs = _distinct_pairs(pts, 10000, rng)
     worst_dA = worst_db = 0.0
-    for xi, eta in pairs:
+    for xi, eta in ((pts[i], pts[j]) for i, j in pairs):
         closed = float(eval_dA(T4, spec_dA(1), xi, eta))
         worst_dA = max(worst_dA, abs(closed - eval_dA(T4, spec_dA(1), xi, eta, method="bisect")))
         closed_b = eval_dbar(T4, spec_dbar(), xi, eta)

@@ -16,14 +16,14 @@ from hypothesis import strategies as st
 
 import visbound
 from visbound import cli
-from visbound.cli import (ConfigError, RunConfig, _csv, _draw_pairs, _envelope_csv, _fmt,
-                          _pairs_csv, _spec, build_parser, main, parse_space, run)
+from visbound.cli import (ConfigError, RunConfig, _csv, _envelope_csv, _fmt, _pairs_csv, _spec,
+                          build_parser, main, parse_space, run)
 from visbound.covers import (Cover, ScaleSchedule, annular_pushin_cover,
                              colored_boundary_cover, sample_ray_points)
 from visbound.metrics import pair_distance_matrix
 from visbound.quasisym import qs_envelope, ratio_pool
-from visbound.spaces import (Ray, boundary_to_line, ray_point, sample_boundary, substream,
-                             tree_space)
+from visbound.spaces import (Ray, boundary_to_line, distinct_rows, ray_point, sample_boundary,
+                             substream, tree_space)
 
 from test_covers import _cover, _sets
 from test_quasisym import _BoundedRng
@@ -253,30 +253,34 @@ class TestSubcommands:
         assert all(v is not False for v in man["verdicts"].values())
 
 
-def _reference_draw_pairs(sample, count, rng):
+def _reference_draw_pairs(n, count, rng):
     # one size=2 draw per pair
     pairs = []
     while len(pairs) < count:
-        i, j = rng.integers(0, len(sample), size=2)
+        i, j = rng.integers(0, n, size=2)
         if i != j:
-            pairs.append((sample[int(i)], sample[int(j)]))
+            pairs.append((int(i), int(j)))
     return pairs
 
 
 class TestDrawPairs:
+    """`distinct_rows` at width 2, the pair draw of visual-fit and demo-t4,
+    against one `size=2` call per pair."""
+
     @pytest.mark.parametrize("n", [2, 3, 1000])
     @pytest.mark.parametrize("count", [0, 1, 1000])
     def test_pairs_equal_the_loop(self, n, count):
-        sample = [f"p{i}" for i in range(n)]
         for seed in range(3):
-            got = _draw_pairs(sample, count, substream(seed, "visual-pairs"))
-            assert got == _reference_draw_pairs(sample, count, substream(seed, "visual-pairs"))
+            rng, ref = substream(seed, "visual-pairs"), substream(seed, "visual-pairs")
+            got = distinct_rows(n, count, 2, rng)
+            assert got.dtype == np.int64 and got.shape == (count, 2)
+            assert [tuple(row) for row in got.tolist()] == _reference_draw_pairs(n, count, ref)
 
     def test_one_point_has_no_pair(self):
         # the redraw loop never returned
-        assert _draw_pairs(["p"], 0, _BoundedRng()) == []
-        with pytest.raises(ValueError, match="sample of 1"):
-            _draw_pairs(["p"], 1, _BoundedRng())
+        assert distinct_rows(1, 0, 2, _BoundedRng()).shape == (0, 2)
+        with pytest.raises(ValueError, match="from 1 points"):
+            distinct_rows(1, 1, 2, _BoundedRng())
 
 
 def _assert_same_lines(got: str, want: str):
@@ -480,6 +484,11 @@ class TestErrorPaths:
         ["visual-fit", "--space", "tree4", "--n", "1"],
         ["metric", "--space", "tree4", "--n", "5", "--seed=-1"],
         ["metric", "--space", "tree4", "--n", "5", "--config", {"seed": 1.5}],
+        # a fractional n hung the sampler; True ran as n = 1
+        ["metric", "--space", "tree4", "--config", {"n": 10.5}],
+        ["metric", "--space", "tree4", "--config", {"n": True}],
+        ["compare", "--space", "tree4", "--config", {"n_triples": 2.5}],
+        ["cover-pushin", "--space", "tree4", "--n", "10", "--config", {"K": 2.5}],
     ])
     def test_rejected_on_entry(self, argv, tmp_path):
         # a separate interpreter, so that a hang times out and a traceback

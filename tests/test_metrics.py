@@ -79,6 +79,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             MetricSpec("dbar", tol=0)
 
+    # A = inf gave an all-zero d_A table and A = nan a NaN one; with
+    # tol = nan the adaptive Simpson recursion never met its tolerance
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0, -1])
+    def test_dA_needs_finite_positive_A(self, bad):
+        with pytest.raises(ValueError, match="finite A > 0"):
+            MetricSpec("dA", A=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0, -1])
+    @pytest.mark.parametrize("family,A", [("dA", 1), ("dbar", None)])
+    def test_tol_finite_positive(self, bad, family, A):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            MetricSpec(family, A=A, tol=bad)
+
 
 class TestDA:
     def test_tree_closed_form(self):

@@ -23,6 +23,7 @@ from visbound.quasisym import (
 from visbound.spaces import (
     TreeBoundary,
     TreePoint,
+    distinct_rows,
     euclidean_space,
     hyperbolic_plane,
     sample_boundary,
@@ -200,7 +201,7 @@ class TestTripleKernels:
                                                     (400, 10000)])
     def test_sampled_triples_and_rng_state_equal_the_loop(self, n_points, n_triples):
         rng, ref = substream(9, "triples"), substream(9, "triples")
-        got = quasisym._sample_triples(n_points, n_triples, rng)
+        got = distinct_rows(n_points, n_triples, 3, rng)
         assert got.dtype == np.int64 and got.shape == (n_triples, 3)
         want = _reference_sample_triples(n_points, n_triples, ref)
         assert [tuple(row) for row in got.tolist()] == want
@@ -268,9 +269,9 @@ class _BoundedRng:
 @pytest.mark.parametrize("n_points", [0, 1, 2])
 def test_too_few_points_for_a_triple_rejected(n_points):
     # the block loop found no valid row and never returned
-    assert quasisym._sample_triples(n_points, 0, _BoundedRng()).shape == (0, 3)
-    with pytest.raises(ValueError, match="pool of"):
-        quasisym._sample_triples(n_points, 1, _BoundedRng())
+    assert distinct_rows(n_points, 0, 3, _BoundedRng()).shape == (0, 3)
+    with pytest.raises(ValueError, match=f"from {n_points} points"):
+        distinct_rows(n_points, 1, 3, _BoundedRng())
 
 
 class TestExactRatioKernel:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visbound import spaces
+from visbound import covers, spaces
 from visbound.spaces import (
     EuclideanBoundary,
     EuclideanPoint,
@@ -141,6 +141,25 @@ class TestDistances:
         # ~ sinh(5) * dphi for small angle differences
         dphi = (1.0 + 1e-9) - 1.0
         assert abs(d - math.sinh(5.0) * dphi) < 1e-18 * math.sinh(5.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_euclidean_equals_the_numpy_kernels(self, dim):
+        # d * d summed left to right from 0, then sqrt: the operations of
+        # `covers._inside` and of the R^n chord of `pair_invariants`.  A
+        # `(a - b) ** 2` square goes through libm pow, and differed here in
+        # 38 (R^2) and 30 (R^3) of these pairs (glibc 2.36)
+        P, Q = np.random.default_rng(0).uniform(-4.0, 4.0, size=(2, 100_000, dim))
+        sq = 0.0
+        for i in range(dim):
+            d = P[:, i] - Q[:, i]
+            sq = sq + d * d
+        want = np.sqrt(sq)
+        E = euclidean_space(dim)
+        got = np.array([dist(E, EuclideanPoint(tuple(p)), EuclideanPoint(tuple(q)))
+                        for p, q in zip(P.tolist(), Q.tolist())])
+        assert int((got != want).sum()) == 0
+        assert not covers._inside(P, Q, got).any()
+        assert covers._inside(P, Q, np.nextafter(got, np.inf)).all()
 
     def test_tree_distance_exact_fraction(self):
         p = TreePoint((0, 1), Fraction(1, 3))

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from visbound.metrics import spec_dbar
@@ -23,35 +24,37 @@ H2 = hyperbolic_plane()
 
 
 def sample_pairs(space, n, seed):
+    # 2n points and the index pairs (k, n + k)
     pts = sample_boundary(space, 2 * n, seed)
-    return list(zip(pts[:n], pts[n:]))
+    return pts, np.stack([np.arange(n), np.arange(n, 2 * n)], axis=1)
 
 
 class TestVisualFit:
     def test_tree_dbar_exactly_two(self):
-        fit = visual_fit(T4, spec_dbar(), math.e, sample_pairs(T4, 200, 3))
+        fit = visual_fit(T4, spec_dbar(), math.e, *sample_pairs(T4, 200, 3))
         assert fit.k1 == 2.0 and fit.k2 == 2.0
         assert fit.verdict == FITS
 
     def test_single_branch_zero_pair(self):
-        pair = (TreeBoundary((), (0,)), TreeBoundary((), (1,)))
-        fit = visual_fit(T4, spec_dbar(), math.e, [pair])
+        pair = [TreeBoundary((), (0,)), TreeBoundary((), (1,))]
+        fit = visual_fit(T4, spec_dbar(), math.e, pair, [(0, 1)])
         assert fit.k1 == fit.k2 == 2.0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            visual_fit(T4, spec_dbar(), 1.0, sample_pairs(T4, 2, 1))
+            visual_fit(T4, spec_dbar(), 1.0, *sample_pairs(T4, 2, 1))
         with pytest.raises(ValueError):
-            visual_fit(T4, spec_dbar(), math.e, [])
+            visual_fit(T4, spec_dbar(), math.e, sample_boundary(T4, 2, 1), [])
 
     def test_hyperbolic_dbar_band(self):
         # constants stay in a bounded band over products in [0, 10];
         # recorded as empirical support only, so the band is generous
         from visbound.metrics import gromov_product
-        pairs = [(x, y) for x, y in sample_pairs(H2, 150, 5)
-                 if gromov_product(H2, H2.basepoint, x, y) <= 10.0]
+        pts, pairs = sample_pairs(H2, 150, 5)
+        pairs = [(i, j) for i, j in pairs.tolist()
+                 if gromov_product(H2, H2.basepoint, pts[i], pts[j]) <= 10.0]
         assert pairs
-        fit = visual_fit(H2, spec_dbar(), math.e, pairs)
+        fit = visual_fit(H2, spec_dbar(), math.e, pts, pairs)
         assert fit.verdict == FITS
         assert 0.1 < fit.k1 <= fit.k2 < 20.0
 

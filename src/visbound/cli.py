@@ -472,12 +472,10 @@ def run_compare(cfg: RunConfig):
 
 def run_cover_pushout(cfg: RunConfig):
     space = parse_space(cfg.space)
-    if space.kind == "hyperbolic_plane":
-        raise ConfigError("pushout needs a lattice orbit (euclidean or tree space)")
     R, A = cfg.R, cfg.A
     if R <= A:
         raise ConfigError("pushout requires R > A")
-    system = LatticeBallSystem(space, int(R) if float(R) == int(R) else R)
+    system = LatticeBallSystem(space, R)
     sample = sample_boundary(space, cfg.n, cfg.seed)
     spec = MetricSpec(DA, A=A)
     D = pair_distance_matrix(space, spec, sample)
@@ -485,14 +483,8 @@ def run_cover_pushout(cfg: RunConfig):
     rows = []
     for lam in cfg.scales:
         cover = boundary_pushout_cover(space, system, lam, A, sample)
-        stats = cover_stats(cover, D)
-        bound_mesh = (4.0 * float(R) / float(A)) * float(lam)
-        ok = (stats.order <= order_v
-              and stats.lebesgue >= float(lam) * (1 - 1e-9)
-              and stats.mesh <= bound_mesh * (1 + 1e-9))
-        rows.append(ScaleRow(lam=float(lam), order=stats.order, mesh=stats.mesh,
-                             lebesgue=stats.lebesgue, bound_mesh=bound_mesh,
-                             bound_lebesgue=float(lam), passed=ok))
+        rows.append(ScaleRow.judge(lam, cover_stats(cover, D), (4.0 * R / A) * float(lam),
+                                   float(lam), order_v))
     files = {
         "stats.csv": _stats_csv(rows),
         # the last scale's cover
@@ -587,8 +579,8 @@ def run_demo_t4(cfg: RunConfig):
                                   "verdict": fit.verdict}),
     }
     verdicts = {
-        "dbar_visual_k1_is_2": abs(fit.k1 - 2.0) <= 1e-9,
-        "dbar_visual_k2_is_2": abs(fit.k2 - 2.0) <= 1e-9,
+        "dbar_visual_k1_is_2": fit.k1 == 2.0,
+        "dbar_visual_k2_is_2": fit.k2 == 2.0,
         "nonvisual_growth_monotone": all(a.growth < b.growth for a, b in zip(nv, nv[1:])),
         "nonvisual_final_large": nv[-1].growth >= 1e10,
         "nonqs_required_c_large": nq[-1].required_c > 1e6,

@@ -156,6 +156,28 @@ def cover_stats(cover: Cover, matrix: np.ndarray) -> CoverStats:
     return CoverStats(order=int(counts.max()), mesh=mesh, lebesgue=max(0.0, float(best.min())))
 
 
+@dataclass(frozen=True)
+class ScaleRow:
+    lam: float
+    order: int
+    mesh: float
+    lebesgue: float
+    bound_mesh: float
+    bound_lebesgue: float
+    passed: bool
+
+    @classmethod
+    def judge(cls, lam, stats: CoverStats, bound_mesh, bound_lebesgue, bound_order) -> "ScaleRow":
+        """The row of a cover measured as `stats` at scale lam, which passes
+        when order <= bound_order, lebesgue >= bound_lebesgue (1 - 1e-9) and
+        mesh <= bound_mesh (1 + 1e-9)."""
+        return cls(lam=float(lam), order=stats.order, mesh=stats.mesh, lebesgue=stats.lebesgue,
+                   bound_mesh=bound_mesh, bound_lebesgue=bound_lebesgue,
+                   passed=(stats.order <= bound_order
+                           and stats.lebesgue >= bound_lebesgue * (1 - 1e-9)
+                           and stats.mesh <= bound_mesh * (1 + 1e-9)))
+
+
 # ---------------------------------------------------------------------------
 # lattice / vertex-orbit ball systems
 
@@ -310,6 +332,8 @@ def boundary_pushout_cover(space: Space, system: LatticeBallSystem, lam, A,
     1/lam: a boundary point joins the set of a ball V iff its ray sits in
     V at that time.  One set per ball meeting the sample, by increasing
     center key."""
+    if lam <= 0:
+        raise ValueError("scale must be positive")
     if system.R <= A:
         raise ValueError("pushout needs ball parameter R > A")
     t = 1 / Fraction(lam) if space.kind == TREE else 1.0 / float(lam)
@@ -519,34 +543,17 @@ def _pushin_claims(cover, set_scale, schedule, interior_sample, rays, B):
 # dimension estimate from greedy nets
 
 
-@dataclass(frozen=True)
-class ScaleRow:
-    lam: float
-    order: int
-    mesh: float
-    lebesgue: float
-    bound_mesh: float
-    bound_lebesgue: float
-    passed: bool
-
-
 def ell_dim_estimate(matrix: np.ndarray, scales: list, c: float, seed: int = 0):
     """At each scale: greedy maximal lam-separated net (seeded scan order,
-    ties by index), cover by open lam-balls around the net, measured order.
-    Returns (rows, estimate) with estimate = max order - 1."""
+    ties by index), cover by open lam-balls around the net, measured order;
+    a scale passes when the mesh is at most c lam.  Returns (rows,
+    estimate) with estimate = max order - 1."""
     if c < 1:
         raise ValueError("need c >= 1")
+    if not scales or any(lam <= 0 for lam in scales):
+        raise ValueError("need at least one scale, each positive")
     rows = []
-    worst_order = 0
-    for lam in scales:
-        lamf = float(lam)
-        cover = _greedy_net(matrix, lamf, lamf, substream(seed, f"net-{lamf:.12g}"))
-        stats = cover_stats(cover, matrix=matrix)
-        bound_mesh = c * lamf
-        row = ScaleRow(lam=lamf, order=stats.order, mesh=stats.mesh,
-                       lebesgue=stats.lebesgue, bound_mesh=bound_mesh,
-                       bound_lebesgue=0.0,
-                       passed=stats.mesh <= bound_mesh * (1 + 1e-9))
-        rows.append(row)
-        worst_order = max(worst_order, stats.order)
-    return rows, worst_order - 1
+    for lam in map(float, scales):
+        cover = _greedy_net(matrix, lam, lam, substream(seed, f"net-{lam:.12g}"))
+        rows.append(ScaleRow.judge(lam, cover_stats(cover, matrix=matrix), c * lam, 0.0, math.inf))
+    return rows, max(r.order for r in rows) - 1

@@ -345,9 +345,11 @@ def _bisect_dA(f, A: float, tol: float) -> float:
 def eval_dA(space: Space, spec: MetricSpec, xi: BoundaryPoint, eta: BoundaryPoint, method="auto"):
     """d_{A,x0}(xi, eta).  Method 'auto' maps the pair invariant through the
     closed form (an exact Fraction on trees); 'bisect' solves f(a) = A on
-    the same invariant's separation with the bracketed bisection kernel."""
+    its separation by bracketed bisection; other methods raise ValueError."""
     if spec.family != DA:
         raise ValueError("spec.family must be dA")
+    if method not in ("auto", "bisect"):
+        raise ValueError(f"method must be 'auto' or 'bisect', got {method!r}")
     if xi == eta:
         return Fraction(0) if space.kind == TREE and method != "bisect" else 0.0
     origin = spec.base(space)
@@ -403,14 +405,16 @@ def eval_dbar(space: Space, spec: MetricSpec, xi: BoundaryPoint, eta: BoundaryPo
 
     Method 'auto' maps the pair invariant through the closed form (tree:
     2 e^-b; Euclidean: the chord; H^2: `pole_dbar` of the angle at x0);
-    'quadrature' integrates the same invariant's separation by
-    `_integrate_separation`."""
+    'quadrature' integrates its separation by `_integrate_separation`;
+    other methods raise ValueError."""
     if spec.family != DBAR:
         raise ValueError("spec.family must be dbar")
+    if method not in ("auto", "quadrature"):
+        raise ValueError(f"method must be 'auto' or 'quadrature', got {method!r}")
     if xi == eta:
         return 0.0
     origin = spec.base(space)
-    if method != "quadrature":
+    if method == "auto":
         return _closed_form(space, spec, pair_invariants(space, [xi, eta], [0], [1], origin),
                             exact=False).item(0)
     return _integrate_separation(_separation_fn(space, origin, xi, eta), spec)

@@ -277,18 +277,17 @@ def uniformly_perfect_check(space: Space, centers: list, radii: list) -> Perfect
     each center and each radius r below the diameter 2, a constructed
     witness whose d_1 distance d from the center, measured by the pair
     kernel in exact arithmetic, must satisfy r/4 <= d < r.  Radii >= 2 are
-    vacuous.  Raises ValueError on a non-tree space."""
+    vacuous.  Raises ValueError on a non-tree space or a radius <= 0."""
     if space.kind != TREE:
         raise ValueError("the perfectness check is constructive on tree spaces only")
-    live = [Fraction(r) for r in radii if Fraction(r) < 2]
+    radii = [Fraction(r) for r in radii]
+    if any(r <= 0 for r in radii):
+        raise ValueError("radius must be positive")
+    live = [r for r in radii if r < 2]
     k = len(live)
     found = [_tree_annulus_witness(space, center, r) for center in centers for r in live]
-    # the kernel unrolls every word of a call to one length, so each call
-    # takes one center and its k witnesses, not all of them at once
-    inv = np.zeros(len(found), dtype=np.int64)
-    for i, center in enumerate(centers):
-        inv[i * k:(i + 1) * k] = pair_invariants(space, [center] + found[i * k:(i + 1) * k],
-                                                 np.zeros(k, dtype=np.int64), np.arange(1, k + 1))
+    inv = pair_invariants(space, list(centers) + found, np.repeat(np.arange(len(centers)), k),
+                          np.arange(len(centers), len(centers) + len(found)))
     dists = _closed_form(space, MetricSpec(DA, A=1), inv, exact=True)
     failures, witnesses = [], []
     for (center, r), w, d in zip(itertools.product(centers, live), found, dists):

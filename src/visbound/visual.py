@@ -16,9 +16,6 @@ from .metrics import (
     MetricSpec,
     _closed_form,
     _gromov_closed_form,
-    eval_dA,
-    eval_dbar,
-    gromov_product,
     pair_invariants,
 )
 from .spaces import TREE, Space, TreeBoundary
@@ -84,29 +81,26 @@ class WitnessRow:
     n: int
     branch: int
     dA: Fraction
-    product: Fraction
+    product: int
     growth: float
 
 
 def nonvisual_witness_dA(space: Space, A, n_range, a: float = math.e) -> list:
-    """Rows (n, branch time, d_A, product, d_A * a^product) for ray pairs
-    branching at ceil(n - A/2); growth without bound rules out any visual
-    constant k2 for d_A."""
+    """Rows (n, branch time, d_A, product, d_A * a^product) for the straight
+    ray and a ray branching off it at ceil(n - A/2), or at the root where
+    that is negative; the product is the branch time as measured.  Growth
+    without bound rules out any visual constant k2 for d_A."""
     if space.kind != TREE:
         raise ValueError("witness family lives on a tree boundary")
     if A <= 0:
         raise ValueError("A must be positive")
-    Af = Fraction(A)
-    rows = []
-    for n in n_range:
-        b = math.ceil(Fraction(n) - Af / 2)
-        xi = _straight_ray()
-        eta = _branching_ray(b)
-        d = eval_dA(space, MetricSpec(DA, A=A), xi, eta)
-        p = gromov_product(space, space.basepoint, xi, eta)
-        growth = math.exp(float(p) * math.log(a) + math.log(float(d)))
-        rows.append(WitnessRow(n=int(n), branch=int(b), dA=d, product=p, growth=growth))
-    return rows
+    ns = list(n_range)
+    rays = [_straight_ray()] + [_branching_ray(math.ceil(n - Fraction(A) / 2)) for n in ns]
+    b = pair_invariants(space, rays, np.zeros(len(ns), int), np.arange(1, len(rays)))
+    dA = _closed_form(space, MetricSpec(DA, A=A), b, exact=True)
+    return [WitnessRow(n=int(n), branch=p, dA=d, product=p,
+                       growth=math.exp(float(p) * math.log(a) + math.log(float(d))))
+            for n, p, d in zip(ns, b.tolist(), dA)]
 
 
 @dataclass(frozen=True)
@@ -126,15 +120,13 @@ def nonqs_witness(space: Space, n_range, delta: float = 1.0) -> list:
         raise ValueError("witness family lives on a tree boundary")
     if not (0 < delta <= 1):
         raise ValueError("delta must lie in (0, 1]")
-    d1 = MetricSpec(DA, A=1)
-    db = MetricSpec(DBAR)
-    rows = []
-    for n in n_range:
-        gamma = _straight_ray()
-        alpha = TreeBoundary((), (1,))
-        beta = _branching_ray(int(n)) if n > 0 else alpha
-        t = eval_dA(space, d1, alpha, gamma) / eval_dA(space, d1, beta, gamma)
-        rho = eval_dbar(space, db, alpha, gamma) / eval_dbar(space, db, beta, gamma)
-        req = rho / float(t) ** (1.0 / delta)
-        rows.append(NonQSRow(n=int(n), t=t, rho=rho, required_c=req))
-    return rows
+    ns = [int(n) for n in n_range]
+    alpha = TreeBoundary((), (1,))
+    # the pair (gamma, alpha), then (gamma, beta) for each n
+    rays = [_straight_ray(), alpha] + [_branching_ray(n) if n > 0 else alpha for n in ns]
+    b = pair_invariants(space, rays, np.zeros(len(rays) - 1, int), np.arange(1, len(rays)))
+    d1 = _closed_form(space, MetricSpec(DA, A=1), b, exact=True)
+    db = _closed_form(space, MetricSpec(DBAR), b, exact=False)
+    t, rho = d1[0] / d1[1:], (db[0] / db[1:]).tolist()
+    return [NonQSRow(n=n, t=q, rho=r, required_c=r / float(q) ** (1.0 / delta))
+            for n, q, r in zip(ns, t, rho)]

@@ -472,6 +472,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("argv", [
         ["cover-pushout", "--space", "euclidean1", "--n", "3"],
+        ["cover-pushout", "--space", "hyperbolic_plane", "--n", "3"],
         ["visual-fit", "--space", "euclidean2", "--n", "20"],
         ["cover-pushout", "--space", "tree4", "--n", "20", "--config", {"scales": []}],
         ["ell-dim", "--space", "tree4", "--n", "20", "--config", {"scales": []}],

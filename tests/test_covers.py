@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from visbound import covers
 from visbound.covers import (
     Cover,
+    CoverStats,
     LatticeBallSystem,
+    ScaleRow,
     ScaleSchedule,
     annular_pushin_cover,
     boundary_pushout_cover,
@@ -168,6 +170,14 @@ class TestPushout:
         sys_ = LatticeBallSystem(T4, 1)
         with pytest.raises(ValueError):
             boundary_pushout_cover(T4, sys_, Fraction(1, 2), 1, sample_boundary(T4, 10, 1))
+
+    # lam = 0 raised ZeroDivisionError, lam < 0 a ray-parameter error
+    @pytest.mark.parametrize("space", [T4, E2])
+    @pytest.mark.parametrize("lam", [0, -0.25, Fraction(-1, 4)])
+    def test_nonpositive_scale_rejected(self, space, lam):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            boundary_pushout_cover(space, LatticeBallSystem(space, 2), lam, 1,
+                                   sample_boundary(space, 10, 1))
 
     def test_uncovered_sample_rejected(self):
         # balls of radius 0.4 around Z^2 miss part of the circle of radius 2
@@ -346,6 +356,51 @@ class TestEllDim:
         D = pair_distance_matrix(E2, MetricSpec("dA", A=1), sample)
         rows, _ = ell_dim_estimate(D, [0.25], 4.0, 2)
         assert rows[0].passed and rows[0].mesh <= rows[0].bound_mesh
+
+    # no scale returned ([], -1)
+    @pytest.mark.parametrize("scales", [[], [0.5, 0.0], [-0.25]])
+    def test_scales_must_be_positive(self, scales):
+        with pytest.raises(ValueError, match="at least one scale, each positive"):
+            ell_dim_estimate(np.zeros((3, 3)), scales, 4.0)
+
+
+class TestScaleRowJudge:
+    LAM = 0.3
+
+    def judge(self, order=2, mesh=0.5, lebesgue=0.4, bound_mesh=1.0, bound_lebesgue=LAM,
+              bound_order=2):
+        return ScaleRow.judge(self.LAM, CoverStats(order, mesh, lebesgue), bound_mesh,
+                              bound_lebesgue, bound_order)
+
+    def test_lebesgue_boundary(self):
+        edge = self.LAM * (1 - 1e-9)
+        assert self.judge(lebesgue=edge).passed
+        assert not self.judge(lebesgue=np.nextafter(edge, 0.0)).passed
+
+    def test_mesh_boundary(self):
+        edge = 1.0 * (1 + 1e-9)
+        assert self.judge(mesh=edge).passed
+        assert not self.judge(mesh=np.nextafter(edge, 2.0)).passed
+
+    def test_order_boundary(self):
+        assert self.judge(order=2).passed
+        assert not self.judge(order=3).passed
+
+    def test_row_records_the_bounds(self):
+        row = self.judge(order=1, mesh=0.25, lebesgue=math.inf)
+        assert row == ScaleRow(lam=self.LAM, order=1, mesh=0.25, lebesgue=math.inf,
+                               bound_mesh=1.0, bound_lebesgue=self.LAM, passed=True)
+
+    @pytest.mark.parametrize("lebesgue", [0.0, 1e-300, 0.3, math.inf])
+    @pytest.mark.parametrize("order", [1, 7, 10 ** 6])
+    def test_ell_dim_form_is_the_mesh_rule(self, lebesgue, order):
+        # bound_lebesgue 0 and bound_order inf leave the mesh rule alone,
+        # since cover_stats clamps the Lebesgue number to >= 0
+        c_lam = 4.0 * 0.3
+        edge = c_lam * (1 + 1e-9)
+        for mesh in (0.0, c_lam, edge, np.nextafter(edge, 2.0), 2 * c_lam):
+            row = ScaleRow.judge(0.3, CoverStats(order, mesh, lebesgue), c_lam, 0.0, math.inf)
+            assert row.passed == (mesh <= c_lam * (1 + 1e-9))
 
 
 # ---------------------------------------------------------------------------

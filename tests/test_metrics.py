@@ -93,6 +93,15 @@ class TestSpecValidation:
             MetricSpec(family, A=A, tol=bad)
 
 
+    # a misspelled method took the closed form
+    @pytest.mark.parametrize("evaluate,spec,method", [(eval_dA, spec_dA(1), "bisection"),
+                                                      (eval_dbar, spec_dbar(), "quad")])
+    def test_unknown_method_rejected(self, evaluate, spec, method):
+        a, b = branching_pair(2)
+        with pytest.raises(ValueError, match="method must be"):
+            evaluate(T4, spec, a, b, method=method)
+
+
 class TestDA:
     def test_tree_closed_form(self):
         for n in range(6):

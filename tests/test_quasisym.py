@@ -444,3 +444,9 @@ class TestUniformPerfectness:
     def test_non_tree_rejected(self):
         with pytest.raises(ValueError):
             uniformly_perfect_check(E2, sample_boundary(E2, 10, 4), [0.5])
+
+    # r = 0 raised ZeroDivisionError and r = -1/4 IndexError
+    @pytest.mark.parametrize("r", [Fraction(0), Fraction(-1, 4)])
+    def test_nonpositive_radius_rejected(self, r):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            uniformly_perfect_check(T4, sample_boundary(T4, 3, 1), [Fraction(1, 2), r])

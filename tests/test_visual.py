@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from visbound.metrics import spec_dbar
+from visbound import metrics, quasisym, visual
+from visbound.metrics import pair_invariants, spec_dbar
+from visbound.quasisym import uniformly_perfect_check
 from visbound.spaces import (
     TreeBoundary,
     euclidean_space,
@@ -74,6 +76,12 @@ class TestNonVisualWitness:
         rows = nonvisual_witness_dA(T4, Fraction(3, 2), [4])
         assert rows[0].branch == math.ceil(4 - Fraction(3, 4))
 
+    def test_branch_is_measured(self):
+        # at A = 3 and n = 0 the row said branch -1 for rays branching at 0
+        rows = nonvisual_witness_dA(T4, 3, range(0, 3))
+        assert [r.branch for r in rows] == [r.product for r in rows] == [0, 0, 1]
+        assert rows[0].dA == Fraction(2, 3)
+
     def test_tree_only(self):
         with pytest.raises(ValueError):
             nonvisual_witness_dA(euclidean_space(2), 1, [1])
@@ -97,3 +105,22 @@ class TestNonQSWitness:
     def test_delta_validated(self):
         with pytest.raises(ValueError):
             nonqs_witness(T4, [1], delta=2.0)
+
+
+@pytest.mark.parametrize("family", [
+    lambda: uniformly_perfect_check(T4, sample_boundary(T4, 50, 1),
+                                    [Fraction(r, 64) for r in range(1, 127, 6)]),
+    lambda: nonvisual_witness_dA(T4, 1, range(1, 31)),
+    lambda: nonqs_witness(T4, range(1, 26)),
+], ids=["perfectness", "nonvisual", "nonqs"])
+def test_each_tree_check_is_one_kernel_call(family, monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return pair_invariants(*args, **kwargs)
+
+    for module in (metrics, visual, quasisym):
+        monkeypatch.setattr(module, "pair_invariants", spy)
+    family()
+    assert len(calls) == 1

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .metrics import _wrapped_gap, pair_invariants
+from .metrics import _wrapped_gap, block_lines, pair_kernel, pair_table
 from .spaces import (
     EUCLIDEAN,
     HYPERBOLIC,
@@ -392,7 +392,13 @@ def _greedy_net(matrix: np.ndarray, lam: float, radius: float, rng) -> Cover:
             centers.append(int(i))
             blocked |= matrix[:, i] < lam
     centers.sort()
-    set_of, point_of = np.nonzero((matrix[:, centers] < radius).T)
+    step = block_lines(n)
+    hits = [np.zeros((2, 0), dtype=np.intp)]
+    for lo in range(0, len(centers), step):
+        hit = np.array(np.nonzero((matrix[:, centers[lo:lo + step]] < radius).T))
+        hit[0] += lo
+        hits.append(hit)
+    set_of, point_of = np.concatenate(hits, axis=1)
     return Cover(n, set_of, point_of, (None,) * len(centers),
                  lambda s: f"net-ball center={centers[s]}")
 
@@ -458,9 +464,7 @@ def annular_pushin_cover(space: Space, schedule: ScaleSchedule,
     for k in range(1, K + 1):
         if k not in colored_covers:
             raise ValueError(f"missing colored cover for scale k={k}")
-    I, J = np.triu_indices(len(boundary_sample), k=1)
-    B = np.full((len(boundary_sample),) * 2, math.inf)
-    B[I, J] = B[J, I] = pair_invariants(space, boundary_sample, I, J)
+    B = pair_table(len(boundary_sample), pair_kernel(space, boundary_sample), math.inf)
     rays = np.array([i for i, _ in interior_sample], dtype=np.int64)
     ceil_r = np.array([math.ceil(r) for _, r in interior_sample], dtype=float)
     reach = B[rays] >= ceil_r[:, None]

@@ -48,8 +48,13 @@ _TINY = np.finfo(float).tiny
 _HALF_ANGLE = np.dtype([("angle", float), ("log_sine", float)])
 _MAPPED_HALF_ANGLE = np.dtype(_HALF_ANGLE.descr + [("scaled_sine", float)])
 _SINE_SCALE = 2.0 ** 600
-# pairs per chunk of the tree branch-time scan (memory O(chunk * word length))
+# pairs per block of a pair kernel: tables are filled, and read back, in
+# blocks of at most this many entries, so the table is their only n x n
+# array.  Unrolled tree words also stay within _WORD_BLOCK_BYTES per block,
+# as int64 letters while they are built and checked and as narrow letters
+# while they are scanned.
 _PAIR_CHUNK = 8192
+_WORD_BLOCK_BYTES = 64 * _PAIR_CHUNK
 
 
 class DivergentGromovProductError(ArithmeticError):
@@ -119,8 +124,18 @@ def _vertex_word(origin: TreePoint) -> tuple:
 
 
 def pair_invariants(space: Space, points: list, I, J, origin: Point | None = None) -> np.ndarray:
-    """The invariant of each pair (points[I[k]], points[J[k]]) of boundary
-    points seen from `origin` (the space's basepoint by default):
+    """The invariant of each pair (points[I[k]], points[J[k]]) seen from
+    `origin` (the space's basepoint by default): `pair_kernel` prepared
+    once and called once."""
+    return pair_kernel(space, points, origin)(np.asarray(I, dtype=np.intp),
+                                              np.asarray(J, dtype=np.intp))
+
+
+def pair_kernel(space: Space, points: list, origin: Point | None = None):
+    """The pair invariant of boundary points seen from `origin` (the space's
+    basepoint by default), prepared: the per-point arrays are built once and
+    the returned function maps index arrays (I, J) to the invariants of the
+    pairs (points[I[k]], points[J[k]]):
 
     - T_k: the branch time (int64) of the rays from the vertex `origin`,
       the last time at which they coincide;
@@ -133,41 +148,44 @@ def pair_invariants(space: Space, points: list, I, J, origin: Point | None = Non
       so s' = s w_i w_j and log s' = log s + log(w_i w_j), and the record
       (`_MAPPED_HALF_ANGLE`) also carries s' times _SINE_SCALE.
 
-    Tree words are unrolled once to a length at which any two distinct
-    words differ, so a branch time from the root is a first mismatch,
-    scanned _PAIR_CHUNK pairs at a time; a vertex v shifts it by
-    |v| - lcp(v, xi) - lcp(v, eta).  Raises IdenticalBoundaryPointsError
-    for a tree pair that repeats a point and ValueError if a word uses an
-    illegal letter or an H^2 basepoint is too far out for `_chord_scales`."""
+    Each value depends on its own pair only, so a table may be filled in
+    blocks.  Raises ValueError here if a tree word uses an illegal letter or
+    an H^2 basepoint is too far out for `_chord_scales`; the returned
+    function raises IdenticalBoundaryPointsError for a tree pair that
+    repeats a point."""
     origin = space.basepoint if origin is None else origin
-    I = np.asarray(I, dtype=np.intp)
-    J = np.asarray(J, dtype=np.intp)
     if space.kind == TREE:
-        return _branch_times(space, points, I, J, _vertex_word(origin))
+        return _branch_time_kernel(space, points, _vertex_word(origin))
     if space.kind == EUCLIDEAN:
         V = np.array([p.direction for p in points], dtype=float).reshape(len(points), space.dim)
-        sq = 0.0
-        for col in V.T:
-            d = col[I] - col[J]
-            sq = sq + d * d
-        return np.sqrt(sq)
+
+        def chords(I, J):
+            sq = 0.0
+            for col in V.T:
+                d = col[I] - col[J]
+                sq = sq + d * d
+            return np.sqrt(sq)
+        return chords
     phi = np.array([p.angle for p in points], dtype=float)
-    dphi = _wrapped_gap(phi[I], phi[J])
-    s = np.sin(dphi / 2.0)
-    log_sine = _log_half_sine(dphi, s)
-    if origin.r == 0.0:
-        out = np.empty(len(I), dtype=_HALF_ANGLE)
-        out["angle"], out["log_sine"] = dphi, log_sine
+    w = None if origin.r == 0.0 else _chord_scales(origin, phi)
+
+    def half_angles(I, J):
+        dphi = _wrapped_gap(phi[I], phi[J])
+        s = np.sin(dphi / 2.0)
+        log_sine = _log_half_sine(dphi, s)
+        if w is None:
+            out = np.empty(len(I), dtype=_HALF_ANGLE)
+            out["angle"], out["log_sine"] = dphi, log_sine
+            return out
+        k = w[I] * w[J]
+        out = np.empty(len(I), dtype=_MAPPED_HALF_ANGLE)
+        # s' = s k; where s is subnormal, dphi/2 keeps the bits s lost
+        scaled = np.where(s >= _TINY, s * _SINE_SCALE, dphi * (_SINE_SCALE / 2.0)) * k
+        out["scaled_sine"] = np.minimum(_SINE_SCALE, scaled)
+        out["angle"] = 2.0 * np.arcsin(out["scaled_sine"] / _SINE_SCALE)
+        out["log_sine"] = np.minimum(0.0, log_sine + np.log(k))
         return out
-    w = _chord_scales(origin, phi)
-    k = w[I] * w[J]
-    out = np.empty(len(I), dtype=_MAPPED_HALF_ANGLE)
-    # s' = s k; where s is subnormal, dphi/2 keeps the bits s lost
-    scaled = np.where(s >= _TINY, s * _SINE_SCALE, dphi * (_SINE_SCALE / 2.0)) * k
-    out["scaled_sine"] = np.minimum(_SINE_SCALE, scaled)
-    out["angle"] = 2.0 * np.arcsin(out["scaled_sine"] / _SINE_SCALE)
-    out["log_sine"] = np.minimum(0.0, log_sine + np.log(k))
-    return out
+    return half_angles
 
 
 def _wrapped_gap(a, b) -> np.ndarray:
@@ -194,31 +212,44 @@ def _chord_scales(origin: Point, phi: np.ndarray) -> np.ndarray:
     return (1.0 / math.cosh(r / 2.0)) / np.sqrt(m2)
 
 
-def _branch_times(space: Space, points: list, I: np.ndarray, J: np.ndarray, v: tuple) -> np.ndarray:
-    out = np.zeros(len(I), dtype=np.int64)
+def _branch_time_kernel(space: Space, points: list, v: tuple):
+    """Branch times from the vertex with word v.  The words are unrolled
+    once, a block of rows at a time, to a length L at which any two distinct
+    words differ, so a branch time from the root is a first mismatch; v
+    shifts it by |v| - lcp(v, xi) - lcp(v, eta)."""
     if not points:
-        return out
+        return lambda I, J: np.zeros(len(I), dtype=np.int64)
     periods = {len(p.period) for p in points}
     L = max(len(v), max(len(p.preperiod) for p in points)
             + max(math.lcm(a, b) for a in periods for b in periods))
-    # the check reads one letter more, so that every period letter is also
-    # read at a non-initial position; the scan needs only L
-    W = np.array([p.prefix(L + 1) for p in points])
     k = space.valence
-    if (W < 0).any() or (W[:, 0] >= k).any() or (W[:, 1:] >= k - 1).any():
-        raise ValueError(f"illegal tree word: first letter must be < {k}, later letters < {k - 1}")
-    W = W[:, :L].astype(np.min_scalar_type(k))
-    for lo in range(0, len(I), _PAIR_CHUNK):
-        neq = W[I[lo:lo + _PAIR_CHUNK]] != W[J[lo:lo + _PAIR_CHUNK]]
-        first = neq.argmax(axis=1)
-        if not neq[np.arange(len(first)), first].all():
-            raise IdenticalBoundaryPointsError("identical boundary points - branch time infinite")
-        out[lo:lo + len(first)] = first
+    W = np.empty((len(points), L), dtype=np.min_scalar_type(k))
+    rows = max(1, _WORD_BLOCK_BYTES // (8 * (L + 1)))
+    for lo in range(0, len(points), rows):
+        # one letter more, so that every period letter is also checked at a
+        # non-initial position; the scan needs only L
+        words = np.array([p.prefix(L + 1) for p in points[lo:lo + rows]])
+        if (words < 0).any() or (words[:, 0] >= k).any() or (words[:, 1:] >= k - 1).any():
+            raise ValueError(f"illegal tree word: first letter must be < {k}, later letters < {k - 1}")
+        W[lo:lo + rows] = words[:, :L]
+    lcp = None
     if v:
         neq = W[:, :len(v)] != np.array(v)
         lcp = np.where(neq.any(axis=1), neq.argmax(axis=1), len(v))
-        out += len(v) - lcp[I] - lcp[J]
-    return out
+    step = max(1, min(_PAIR_CHUNK, _WORD_BLOCK_BYTES // (W.itemsize * L)))
+
+    def branch_times(I, J):
+        out = np.empty(len(I), dtype=np.int64)
+        for lo in range(0, len(I), step):
+            neq = W[I[lo:lo + step]] != W[J[lo:lo + step]]
+            first = neq.argmax(axis=1)
+            if not neq[np.arange(len(first)), first].all():
+                raise IdenticalBoundaryPointsError("identical boundary points - branch time infinite")
+            out[lo:lo + len(first)] = first
+        if lcp is not None:
+            out += len(v) - lcp[I] - lcp[J]
+        return out
+    return branch_times
 
 
 def _closed_form(space: Space, spec: MetricSpec, inv: np.ndarray, exact: bool) -> np.ndarray:
@@ -471,15 +502,41 @@ def cone_contains(space: Space, nbhd: ConeNeighborhood, z) -> bool:
 
 def pair_distance_matrix(space: Space, spec: MetricSpec, points: list, exact: bool = False) -> np.ndarray:
     """Symmetric matrix of pairwise boundary distances, 0 on the diagonal:
-    the closed form over the pair invariants of the upper triangle from the
-    spec's basepoint, mirrored.  Floats, except that `exact=True` gives the
-    tree d_A table in `Fraction`s."""
-    n = len(points)
-    I, J = np.triu_indices(n, k=1)
-    values = _closed_form(space, spec, pair_invariants(space, points, I, J, spec.base(space)), exact)
-    D = np.zeros((n, n), dtype=values.dtype)
-    D[I, J] = D[J, I] = values
+    the closed form over the pair invariants from the spec's basepoint,
+    filled by `pair_table`.  Floats, except that `exact=True` gives the tree
+    d_A table in `Fraction`s."""
+    kernel = pair_kernel(space, points, spec.base(space))
+    return pair_table(len(points), lambda I, J: _closed_form(space, spec, kernel(I, J), exact))
+
+
+def pair_table(n: int, values, diagonal=0) -> np.ndarray:
+    """The symmetric n x n table of `values(I, J)` at the pairs i < j and
+    their mirrors, with `diagonal` on the diagonal, in the result type of
+    the values and `diagonal`.  `values` is called on the upper triangle in
+    row-major blocks of at most _PAIR_CHUNK pairs (once, on no pairs, when
+    n < 2), so the table is the only n x n array built."""
+    rows = np.arange(n)
+    start = rows * (2 * n - rows - 1) // 2      # index of pair (i, i + 1)
+    total = n * (n - 1) // 2
+    D = None
+    for lo in range(0, max(total, 1), _PAIR_CHUNK):
+        hi = min(lo + _PAIR_CHUNK, total)
+        # rows a..b hold the block's pairs (none when n < 2)
+        a, b = np.searchsorted(start, [lo, hi - 1], side="right") - 1
+        I = np.repeat(rows[a:b + 1], np.diff(np.clip(start[a:b + 2], lo, hi)))
+        J = np.arange(lo, hi) - start[I] + I + 1
+        v = values(I, J)
+        if D is None:
+            D = np.full((n, n), diagonal, dtype=np.result_type(v, diagonal))
+            flat = D.reshape(-1)
+        flat[I * n + J] = flat[J * n + I] = v
     return D
+
+
+def block_lines(n: int) -> int:
+    """Rows (or columns) of an n x n table per block read, so that a block
+    holds at most _PAIR_CHUNK entries (one line when n exceeds it)."""
+    return max(1, _PAIR_CHUNK // max(n, 1))
 
 
 def pole_dbar(dphi: np.ndarray) -> np.ndarray:

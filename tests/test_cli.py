@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import visbound
-from visbound import cli
+from visbound import cli, metrics
 from visbound.cli import (ConfigError, RunConfig, _csv, _envelope_csv, _fmt, _pairs_csv, _spec,
                           build_parser, main, parse_space, run)
 from visbound.covers import (Cover, ScaleSchedule, annular_pushin_cover,
@@ -97,6 +97,26 @@ class TestSubcommands:
         lines = open(os.path.join(out, "pairs.csv")).read().splitlines()
         assert lines[0] == "i,j,metric_family,A_or_blank,value"
         assert len(lines) == 1 + 12 * 11 // 2
+
+    # the 40 x 40 table is read in one block, in blocks of four rows against
+    # four columns (the last pair inside the last block), or row by row
+    @pytest.mark.parametrize("chunk", [8192, 160, 7])
+    @pytest.mark.parametrize("entry", [None, (37, 3), (3, 37), (39, 38)])
+    def test_symmetry_verdict_reads_every_block(self, chunk, entry, monkeypatch):
+        real = cli.pair_distance_matrix
+
+        def skewed(*args, **kwargs):
+            D = real(*args, **kwargs)
+            if entry:
+                D[entry] += 1.0
+            return D
+
+        monkeypatch.setattr(cli, "pair_distance_matrix", skewed)
+        monkeypatch.setattr(metrics, "_PAIR_CHUNK", chunk)
+        verdicts, _ = cli.run_metric(RunConfig(experiment="metric", space="euclidean2",
+                                               metric="dA", n=40, seed=1))
+        assert verdicts["matrix_symmetric"] is (entry is None)
+        assert verdicts["diagonal_zero"]
 
     @pytest.mark.parametrize("space, metric, A", [("tree4", "dA", 0.7),
                                                   ("hyperbolic_plane", "dbar", 1.0),
@@ -628,7 +648,19 @@ SCRIPT_OUTPUTS = {
 
 class TestScripts:
     def test_every_script_listed(self):
-        assert sorted(f for f in os.listdir(SCRIPTS) if f.endswith(".py")) == sorted(SCRIPT_OUTPUTS)
+        assert sorted(f for f in os.listdir(SCRIPTS) if f.endswith(".py")) == \
+            sorted([*SCRIPT_OUTPUTS, "l3_probe.py"])
+
+    def test_l3_probe_reports_each_run(self):
+        command = "metric --space tree4 --metric dA --A 1 --n 12"
+        proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, "l3_probe.py"),
+                               "--repeat", "2", command],
+                              capture_output=True, text=True, check=True, timeout=120)
+        (line,) = proc.stdout.splitlines()
+        report = json.loads(line)
+        assert report["command"] == command and report["rc"] == [0, 0]
+        assert len(report["runs"]) == 2
+        assert all(run["wall_s"] > 0 and run["peak_rss_mb"] > 0 for run in report["runs"])
 
     @pytest.mark.parametrize("script", sorted(SCRIPT_OUTPUTS))
     def test_script_runs(self, script, tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visbound import covers
+from visbound import covers, metrics
 from visbound.covers import (
     Cover,
     CoverStats,
@@ -350,6 +350,23 @@ class TestEllDim:
         rows, est = ell_dim_estimate(D, scales, 4.0, 2)
         assert [r.order for r in rows] == [2] * 5
         assert est == 1
+
+    # 8192 reads every center column at once, 120 two at a time, 7 one
+    @pytest.mark.parametrize("chunk", [8192, 120, 7])
+    def test_greedy_net_reads_center_columns_in_blocks(self, chunk, monkeypatch):
+        # an asymmetric matrix tells columns from rows
+        M = np.random.default_rng(4).random((60, 60))
+        blocked, centers = np.zeros(60, dtype=bool), []
+        for i in np.random.default_rng(3).permutation(60):
+            if not blocked[i]:
+                centers.append(int(i))
+                blocked |= M[:, i] < 0.2
+        centers.sort()
+        want = np.nonzero((M[:, centers] < 0.3).T)
+        monkeypatch.setattr(metrics, "_PAIR_CHUNK", chunk)
+        cover = covers._greedy_net(M, 0.2, 0.3, np.random.default_rng(3))
+        assert len(cover.colors) == len(centers) > 2
+        assert np.array_equal(cover.set_of, want[0]) and np.array_equal(cover.point_of, want[1])
 
     def test_mesh_bound_recorded(self):
         sample = sample_boundary(E2, 200, 4)
@@ -710,6 +727,11 @@ class TestStatsKernels:
         finally:
             tracemalloc.stop()
         assert peak <= len(cover.colors) * n + 8 * covers._CHUNK * 8
+
+    def test_pushin_reach_in_blocks_of_seven_pairs(self, monkeypatch):
+        # blocks of 7 pairs split the branch table's rows
+        monkeypatch.setattr(metrics, "_PAIR_CHUNK", 7)
+        self.test_pushin_reach_matches_fraction_comparisons()
 
     def test_pushin_reach_matches_fraction_comparisons(self):
         sched = ScaleSchedule(R=2, K=3, c=1.0)

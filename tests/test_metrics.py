@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +12,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import elliprd, elliprf
 
+from visbound import metrics
 from visbound.metrics import (
     ConeNeighborhood,
     DivergentGromovProductError,
@@ -449,6 +451,80 @@ class TestPairMatrix:
             for j in range(i + 1, 12, 2):
                 slow = eval_dbar(H2, spec_dbar(), pts[i], pts[j], method="quadrature")
                 assert abs(D[i, j] - slow) < 1e-8
+
+
+def unblocked_table(space, spec, points, exact):
+    """The pair table as one `pair_invariants` call over np.triu_indices,
+    mapped and mirrored."""
+    n = len(points)
+    I, J = np.triu_indices(n, k=1)
+    values = metrics._closed_form(space, spec, pair_invariants(space, points, I, J, spec.base(space)),
+                                  exact)
+    D = np.zeros((n, n), dtype=values.dtype)
+    D[I, J] = D[J, I] = values
+    return D
+
+
+OFF_POLE = HyperbolicPoint(1.3, 2.0)
+BLOCK_CASES = {
+    "tree4-dA": (T4, spec_dA(1), False),
+    "tree4-dA-exact": (T4, spec_dA(0.7), True),
+    "tree4-dA-exact-v": (T4, with_basepoint(spec_dA(1), TreePoint((2, 0, 1))), True),
+    "tree4-dbar": (T4, spec_dbar(), False),
+    "euclidean2-dA": (E2, spec_dA(1), False),
+    "euclidean2-dbar": (E2, spec_dbar(), False),
+    "euclidean3-dA": (euclidean_space(3), spec_dA(0.7), False),
+    "h2-pole-dA": (H2, spec_dA(1), False),
+    "h2-pole-dbar": (H2, spec_dbar(), False),
+    "h2-off-dA": (H2, with_basepoint(spec_dA(0.7), OFF_POLE), False),
+    "h2-off-dbar": (H2, with_basepoint(spec_dbar(), OFF_POLE), False),
+}
+
+
+class TestBlockFill:
+    """`pair_distance_matrix` fills its table in blocks of at most
+    `_PAIR_CHUNK` pairs; the table must not depend on the blocks."""
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_equals_the_unblocked_table(self, case, monkeypatch):
+        space, spec, exact = BLOCK_CASES[case]
+        points = sample_boundary(space, 129, 7)
+        # 129 points give 8256 pairs, one full block of 8192 and a partial
+        # one; blocks of 7 split rows at 6 and 23 points
+        for chunk, sizes in ((metrics._PAIR_CHUNK, (0, 1, 2, 129)), (7, (2, 3, 6, 23))):
+            monkeypatch.setattr(metrics, "_PAIR_CHUNK", chunk)
+            for n in sizes:
+                D = pair_distance_matrix(space, spec, points[:n], exact=exact)
+                want = unblocked_table(space, spec, points[:n], exact)
+                assert D.dtype == want.dtype and D.shape == want.shape
+                if D.dtype == object:
+                    assert [list(map(type, row)) for row in D.tolist()] == \
+                        [list(map(type, row)) for row in want.tolist()]
+                    assert D.tolist() == want.tolist()
+                else:
+                    assert D.tobytes() == want.tobytes()
+
+    def test_errors_raise_from_any_block(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_PAIR_CHUNK", 7)
+        points = sample_boundary(T4, 20, 7)
+        with pytest.raises(IdenticalBoundaryPointsError):
+            pair_distance_matrix(T4, spec_dA(1), points + [points[3]])
+        with pytest.raises(ValueError, match="illegal tree word"):
+            pair_distance_matrix(T4, spec_dA(1), points + [TreeBoundary((1, 3), (0,))])
+
+    @pytest.mark.parametrize("space, spec", [(E2, spec_dA(1)), (H2, spec_dbar())],
+                             ids=["euclidean2-dA", "h2-dbar"])
+    def test_scratch_is_bounded(self, space, spec):
+        # an all-pairs fill peaks at 58.6 MB (euclidean2 dA) and 353 MB
+        # (H^2 dbar) for this 19.5 MB table
+        points = sample_boundary(space, 1600, 0)
+        tracemalloc.start()
+        try:
+            D = pair_distance_matrix(space, spec, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < D.nbytes + 4 * 2**20
 
 
 def ray_branch_reference(space, origin, xi, eta):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from visbound import quasisym
-from visbound.metrics import MetricSpec, spec_dA, spec_dbar
+from visbound.metrics import MetricSpec, eval_dA, spec_dA, spec_dbar
 from visbound.quasisym import (
     ControlReport,
     Envelope,
+    PerfectnessReport,
     eta_change_A,
     eta_change_basepoint,
     linear_control,
@@ -440,6 +442,31 @@ class TestUniformPerfectness:
         rep = uniformly_perfect_check(T4, centers, [Fraction(1, 2), Fraction(1, 7)])
         assert len(rep.failures) == 20 and not rep.witnesses
         assert all(d == 2 for _, _, d in rep.failures)
+
+    def test_small_radius_memory(self):
+        # a witness for radius r agrees with its center for ceil(1/r) letters,
+        # so r = 1/2000 unrolls every word to about 2000 letters: as int64
+        # rows built from Python tuples, the word table peaks at 31.8 MB
+        centers = sample_boundary(T4, 50, 3)
+        radii = [Fraction(k, 64) for k in range(1, 127, 7)] + [Fraction(1, 2000)]
+        tracemalloc.start()
+        try:
+            rep = uniformly_perfect_check(T4, centers, radii)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        # the same report as one exact d_1 per case
+        want = PerfectnessReport(cases=50 * 19, vacuous=0, failures=[], witnesses=[])
+        for center in centers:
+            for r in radii:
+                w = quasisym._tree_annulus_witness(T4, center, r)
+                d = eval_dA(T4, spec_dA(1), center, w)
+                if r / 4 <= d < r:
+                    want.witnesses.append((center, r, w, d))
+                else:
+                    want.failures.append((center, r, d))
+        assert rep == want and rep.ok
 
     def test_non_tree_rejected(self):
         with pytest.raises(ValueError):

@@ -571,8 +571,8 @@ def run_demo_t4(cfg: RunConfig):
     nv_rows = [(r.n, r.branch, _fmt(float(r.dA)), _fmt(float(r.product)), r.growth)
                for r in nv]
     nq_rows = [(r.n, _fmt(float(r.t)), r.rho, r.required_c) for r in nq]
-    perf_rows = [(boundary_to_line(space, c), _fmt(float(r)),
-                  boundary_to_line(space, w), _fmt(float(d)))
+    center_lines = {c: boundary_to_line(space, c) for c in centers}
+    perf_rows = [(center_lines[c], _fmt(float(r)), boundary_to_line(space, w), _fmt(float(d)))
                  for c, r, w, d in perf.witnesses]
     files = {
         "nonvisual_dA.csv": _csv(["n", "branch", "dA", "product", "growth"], nv_rows),

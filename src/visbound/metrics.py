@@ -12,6 +12,7 @@ same invariant.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -225,10 +226,19 @@ def _branch_time_kernel(space: Space, points: list, v: tuple):
     k = space.valence
     W = np.empty((len(points), L), dtype=np.min_scalar_type(k))
     rows = max(1, _WORD_BLOCK_BYTES // (8 * (L + 1)))
+    # one letter more, so that every period letter is also checked at a
+    # non-initial position; the scan needs only L
+    cols = np.arange(L + 1)
     for lo in range(0, len(points), rows):
-        # one letter more, so that every period letter is also checked at a
-        # non-initial position; the scan needs only L
-        words = np.array([p.prefix(L + 1) for p in points[lo:lo + rows]])
+        block = points[lo:lo + rows]
+        P = np.array([len(p.preperiod) for p in block])[:, None]
+        Q = np.array([len(p.period) for p in block])[:, None]
+        # each word's preperiod and period letters, read at column j from
+        # j itself, then P + (j - P) mod Q
+        letters = np.array(list(itertools.chain.from_iterable(p.preperiod + p.period
+                                                              for p in block)))
+        start = np.cumsum(P + Q) - (P + Q).ravel()
+        words = letters[start[:, None] + np.where(cols < P, cols, P + (cols - P) % Q)]
         if (words < 0).any() or (words[:, 0] >= k).any() or (words[:, 1:] >= k - 1).any():
             raise ValueError(f"illegal tree word: first letter must be < {k}, later letters < {k - 1}")
         W[lo:lo + rows] = words[:, :L]

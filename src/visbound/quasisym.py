@@ -12,11 +12,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .metrics import DA, MetricSpec, _closed_form, pair_distance_matrix, pair_invariants
+from .metrics import DA, MetricSpec, pair_distance_matrix, pair_invariants, pair_kernel, pair_table
 from .spaces import (
     TREE,
     Space,
     TreeBoundary,
+    _canonical_word,
     distinct_rows,
     sample_boundary,
     substream,
@@ -123,13 +124,30 @@ def ratio_pool(space: Space, spec1: MetricSpec, spec2: MetricSpec,
                n_triples: int, seed: int) -> tuple:
     """The two pair tables (d1, d2) over the boundary pool of a ratio
     sample, built once and read by every triple stream: a float table as it
-    is, an exact tree d_A table as `_Rationals`."""
+    is, an exact tree d_A table as `_Rationals` (`_exact_dA_table`, from one
+    branch-time table per basepoint)."""
     pool = sample_boundary(space, _pool_size(n_triples), seed)
-    tables = []
+    branch, tables = {}, []
     for spec in (spec1, spec2):
-        D = pair_distance_matrix(space, spec, pool, exact=True)
-        tables.append(_Rationals(*_AS_RATIO(D)) if D.dtype == object else D)
+        if space.kind != TREE or spec.family != DA:
+            tables.append(pair_distance_matrix(space, spec, pool))
+            continue
+        base = spec.base(space)
+        if base not in branch:
+            # -1 on the diagonal reads the last entry of the lookup, 0/1
+            branch[base] = pair_table(len(pool), pair_kernel(space, pool, base), diagonal=-1)
+        tables.append(_exact_dA_table(branch[base], spec.A))
     return tuple(tables)
+
+
+def _exact_dA_table(B: np.ndarray, A) -> _Rationals:
+    """The exact tree d_A = 1/(b + A/2) at a branch-time table B, as the
+    reduced (numerator, denominator) of each b = 0..max(B) looked up in
+    object arrays of Python ints; an entry -1 of B reads 0/1."""
+    half = Fraction(A) / 2
+    lookup = [(1 / (b + half)).as_integer_ratio() for b in range(int(B.max(initial=0)) + 1)]
+    num, den = np.array(lookup + [(0, 1)], dtype=object).T
+    return _Rationals(num[B], den[B])
 
 
 def _ratio_triples(pool: tuple, n_triples: int, seed: int, stream: str):
@@ -264,34 +282,38 @@ class PerfectnessReport:
 
 def _tree_annulus_witness(space: Space, center: TreeBoundary, r: Fraction) -> TreeBoundary:
     """Witness in B(center, r) - B(center, r/4) for (tree, d_1): the ray
-    agreeing with the center for ceil(1/r) edges, then branching."""
-    m = int(math.ceil(1 / r))
-    avoid = center.letter(m)
+    agreeing with the center for m = ceil(1/r) edges, then branching."""
+    m = -(-r.denominator // r.numerator)
     # period letters repeat at non-initial positions, so stay within 0..k-2
-    letter = next(a for a in range(space.valence - 1) if a != avoid)
-    return TreeBoundary(center.prefix(m), (letter,))
+    letter = int(center.letter(m) == 0)
+    return TreeBoundary._of_canonical(_canonical_word(center.prefix(m), (letter,)))
 
 
 def uniformly_perfect_check(space: Space, centers: list, radii: list) -> PerfectnessReport:
     """Uniform perfectness of (boundary of T_k, d_1) with constant 4: for
-    each center and each radius r below the diameter 2, a constructed
-    witness whose d_1 distance d from the center, measured by the pair
-    kernel in exact arithmetic, must satisfy r/4 <= d < r.  Radii >= 2 are
-    vacuous.  Raises ValueError on a non-tree space or a radius <= 0."""
+    each center and each radius r = p/q below the diameter 2, a constructed
+    witness whose branch time b from the center is measured by the pair
+    kernel must lie at d_1 distance d = 2/(2b + 1) with r/4 <= d < r,
+    decided in integers as p(2b + 1) <= 8q and 2q < p(2b + 1).  Radii >= 2
+    are vacuous.  Raises ValueError on a non-tree space or a radius that is
+    not positive and finite."""
     if space.kind != TREE:
         raise ValueError("the perfectness check is constructive on tree spaces only")
+    if not all(0 < r < math.inf for r in radii):
+        raise ValueError("radius must be positive and finite")
     radii = [Fraction(r) for r in radii]
-    if any(r <= 0 for r in radii):
-        raise ValueError("radius must be positive")
     live = [r for r in radii if r < 2]
     k = len(live)
     found = [_tree_annulus_witness(space, center, r) for center in centers for r in live]
     inv = pair_invariants(space, list(centers) + found, np.repeat(np.arange(len(centers)), k),
                           np.arange(len(centers), len(centers) + len(found)))
-    dists = _closed_form(space, MetricSpec(DA, A=1), inv, exact=True)
-    failures, witnesses = [], []
-    for (center, r), w, d in zip(itertools.product(centers, live), found, dists):
-        if r / 4 <= d < r:
+    failures, witnesses, dist = [], [], {}
+    cases = itertools.product(centers, [(r, r.numerator, r.denominator) for r in live])
+    for (center, (r, p, q)), w, t in zip(cases, found, (2 * inv + 1).tolist()):
+        if t not in dist:
+            dist[t] = Fraction(2, t)
+        d = dist[t]
+        if p * t <= 8 * q and 2 * q < p * t:
             witnesses.append((center, r, w, d))
         else:
             failures.append((center, r, d))

@@ -7,15 +7,16 @@ sampling.  Tree arithmetic is exact (Fractions, integer edge words);
 Euclidean and hyperbolic computations are double precision.
 
 The tree sampler applies numpy's `Generator.geometric` and `integers` rules
-to raw PCG64 words itself, so its samples depend only on the bit stream.
+to raw PCG64 words itself, decoding a block of words at a time, so its
+samples depend only on the bit stream.  A tree draw is canonicalized
+straight to its (preperiod, period) tuples, which key the sample's
+duplicate check.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import zlib
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -118,10 +119,23 @@ class EuclideanBoundary:
 
 def _primitive(period: tuple) -> tuple:
     n = len(period)
-    for d in range(1, n + 1):
+    for d in range(1, n):
         if n % d == 0 and period == period[:d] * (n // d):
             return period[:d]
     return period
+
+
+def _canonical_word(pre: tuple, per: tuple) -> tuple:
+    """(preperiod, period) of the infinite word pre per per ... with the
+    period primitive and no trailing preperiod letter that the period's
+    tail repeats."""
+    per = _primitive(per)
+    if not per:
+        raise ValueError("period must be nonempty")
+    while pre and pre[-1] == per[-1]:
+        per = per[-1:] + per[:-1]
+        pre = pre[:-1]
+    return pre, per
 
 
 @dataclass(frozen=True)
@@ -137,15 +151,18 @@ class TreeBoundary:
     period: tuple
 
     def __post_init__(self):
-        pre = tuple(int(a) for a in self.preperiod)
-        per = _primitive(tuple(int(a) for a in self.period))
-        if not per:
-            raise ValueError("period must be nonempty")
-        while pre and pre[-1] == per[-1]:
-            per = per[-1:] + per[:-1]
-            pre = pre[:-1]
+        pre, per = _canonical_word(tuple(int(a) for a in self.preperiod),
+                                   tuple(int(a) for a in self.period))
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
+
+    @classmethod
+    def _of_canonical(cls, word: tuple) -> "TreeBoundary":
+        """The point of a `_canonical_word` pair of int tuples, as is."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "preperiod", word[0])
+        object.__setattr__(self, "period", word[1])
+        return self
 
     def letter(self, i: int) -> int:
         if i < len(self.preperiod):
@@ -437,85 +454,153 @@ def _hyperbolic_draws(space: Space, rng: np.random.Generator):
         yield from rng.uniform(0, 2 * math.pi, size=_BLOCK).tolist()
 
 
-def _halves(words):
-    """The 32-bit draws of a PCG64 stream: the low half of a fresh word,
-    then its high half; a whole-word draw in between leaves it buffered."""
-    for w in words:
-        yield w & 0xFFFFFFFF
-        yield w >> 32
+def _geometric_sums() -> np.ndarray:
+    """p, p + pq, ... for p = 0.4, summed in numpy's order up to 1.0: a
+    geometric(p) draw of U = (w >> 11) 2^-53 of a whole word w counts the
+    sums below U."""
+    p = total = 0.4
+    sums = [total]
+    while total < 1.0:
+        p *= 0.6
+        total += p
+        sums.append(total)
+    return np.array(sums)
 
 
-def _letters(e: int, halves, words):
-    """Endless `Generator.integers(0, e)` draws by Lemire's multiply-shift:
-    m = u e of a 32-bit draw u for e <= 2^32 (of a whole word above), with
-    u skipped while m mod 2^b < 2^b mod e, gives m >> b."""
-    draws, b = (halves, 32) if e <= 1 << 32 else (words, 64)
-    mask, floor = (1 << b) - 1, (1 << b) % e
-    for u in draws:
-        m = u * e
-        if m & mask >= floor:
-            yield m >> b
+_GEOMETRIC_SUMS = _geometric_sums()
+
+
+def _lemire(words: np.ndarray, halves: np.ndarray, e: int) -> tuple:
+    """`Generator.integers(0, e)` at each draw unit of a decoded window by
+    Lemire's multiply-shift: a unit u of b bits (b = 32 for e <= 2^32, the
+    halves; 64 above, the whole words) gives m = u e, is skipped while
+    m mod 2^b < 2^b mod e, and else draws m >> b.  Returns (wide, acc, pos,
+    let): acc[j] counts the accepted units before unit j, pos lists the
+    accepted units and let their letters."""
+    wide = e > 1 << 32
+    if not wide:
+        m = halves * np.uint64(e)
+        ok, let = (m & 0xFFFFFFFF) >= (1 << 32) % e, m >> 32
+    else:  # a 128-bit product, in Python ints
+        m = [w * e for w in words.tolist()]
+        floor = (1 << 64) % e
+        ok = np.array([x & 0xFFFFFFFFFFFFFFFF >= floor for x in m], dtype=bool)
+        let = np.array([x >> 64 for x in m], dtype=object)
+    if ok.all():
+        return wide, range(len(ok) + 1), range(len(ok)), let.tolist()
+    pos = np.flatnonzero(ok)
+    return wide, [0] + np.cumsum(ok).tolist(), pos.tolist(), let[pos].tolist()
+
+
+def _draw(alphabet: tuple, i: int, hh: int) -> tuple:
+    """One draw of a `_lemire` alphabet at the cursor (i, hh) of its window,
+    and the cursor after it: i is the next fresh word and hh the unit of
+    the held high half (-1 for none).  A half draw takes the held half,
+    else the low half of word i and holds its high half; a whole-word draw
+    takes word i and leaves a held half held.  Raises IndexError past the
+    window."""
+    wide, acc, _, let = alphabet
+    while True:
+        if wide:
+            j, i = i, i + 1
+        elif hh >= 0:
+            j, hh = hh, -1
+        else:
+            j, i, hh = 2 * i, i + 1, 2 * i + 1
+        if acc[j + 1] > acc[j]:
+            return let[acc[j]], i, hh
 
 
 def _tree_draws(space: Space, rng: np.random.Generator):
     """Endless raw tree draws (preperiod length, letters): the values of
     per-draw calls `rng.geometric(0.4) - 1`, `rng.integers(1, 5)` and one
     `rng.integers(0, e)` per letter (e = k for a first preperiod letter,
-    k - 1 otherwise), read off rng's raw PCG64 words.  The geometric draw
-    counts the thresholds p, p + pq, ... (summed in numpy's order, up to
-    1.0) below U = (w >> 11) 2^-53 of a whole word w; the period length is
-    1 + (u >> 30) for a 32-bit draw u."""
+    k - 1 otherwise), read off rng's raw PCG64 words.  Each window of words
+    is decoded once, for the geometric sums and for each alphabet (the
+    period length is 1 + `integers(0, 4)`, which accepts every half); the
+    draws then move a cursor (i, hh) over it, as `_draw` describes.  With
+    k <= 2^32 every letter draw takes a half, so a draw's letters are one
+    run of accepted halves, sliced; above, the letters are drawn one at a
+    time.  A draw that runs past the window is read again from a new one,
+    which keeps the words from its cursor on."""
     raw = rng.bit_generator.random_raw
-    words = itertools.chain.from_iterable(iter(lambda: raw(_BLOCK).tolist(), None))
-    halves = _halves(words)
-    p = total = 0.4
-    thresholds = [total]
-    while total < 1.0:
-        p *= 0.6
-        total += p
-        thresholds.append(total)
-    first, rest = _letters(space.valence, halves, words), _letters(space.valence - 1, halves, words)
+    k = space.valence
+    words, i, hh = np.zeros(0, dtype=np.uint64), 0, -1
     while True:
-        pre_len = bisect_left(thresholds, (next(words) >> 11) * 2.0 ** -53)
-        more = pre_len + (next(halves) >> 30)
-        letters = [next(first if pre_len else rest)]
-        letters += itertools.islice(rest, more)
-        yield pre_len, tuple(letters)
+        cut = i if hh < 0 else hh // 2
+        words = np.concatenate([words[cut:], raw(_BLOCK)])
+        i, hh = i - cut, (hh - 2 * cut if hh >= 0 else -1)
+        halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()
+        pre = np.searchsorted(_GEOMETRIC_SUMS, (words >> 11) * 2.0 ** -53).tolist()
+        per = (halves >> 30).tolist()
+        first, rest = (_lemire(words, halves, e) for e in (k, k - 1))
+        (wide, f_acc, f_pos, f_let), (_, r_acc, r_pos, r_let) = first, rest
+        try:
+            while True:
+                at = i, hh
+                pre_len = pre[i]
+                # the period draw takes the held half, else word i + 1's low
+                # half; the letters' halves follow it without a gap
+                u, s = (per[hh], 2 * i + 2) if hh >= 0 else (per[2 * i + 2], 2 * i + 3)
+                if wide:
+                    i, hh = (s + 1) // 2, (s if s % 2 else -1)
+                    letters = []
+                    for alphabet in [first if pre_len else rest] + [rest] * (pre_len + u):
+                        letter, i, hh = _draw(alphabet, i, hh)
+                        letters.append(letter)
+                    yield pre_len, tuple(letters)
+                    continue
+                head = []  # with no preperiod, the first letter is one of k - 1 too
+                if pre_len:
+                    n = f_acc[s]
+                    head, s = [f_let[n]], f_pos[n] + 1
+                c = pre_len + u + (not pre_len)
+                n = r_acc[s]
+                s = r_pos[n + c - 1] + 1
+                i, hh = (s + 1) // 2, (s if s % 2 else -1)
+                yield pre_len, tuple(head + r_let[n:n + c])
+        except IndexError:
+            i, hh = at
 
 
 _DRAWS = {EUCLIDEAN: _euclidean_draws, TREE: _tree_draws, HYPERBOLIC: _hyperbolic_draws}
 
 
-def _boundary_from_draw(space: Space, raw) -> BoundaryPoint:
-    """The boundary point of a raw draw, canonicalized."""
-    if space.kind == EUCLIDEAN:
-        return EuclideanBoundary(raw)
-    if space.kind == HYPERBOLIC:
-        return HyperbolicBoundary(raw)
-    pre_len, letters = raw
-    return TreeBoundary(letters[:pre_len], letters[pre_len:])
-
-
 def sample_boundary(space: Space, n: int, seed: int) -> list:
     """n pairwise-distinct boundary points, deterministic in (space, n, seed).
-    A raw draw seen before is skipped unbuilt, since its point is already
-    in the sample; on T_4, 57% of the draws behind 1000 points repeat one."""
+    Draws are keyed by their point's fields (a tree draw canonicalized by
+    `_canonical_word`; a uniform angle in [0, 2 pi) is already wrapped), and
+    a point is built only for a key not seen before; on T_4, 57% of the
+    draws behind 1000 points repeat one."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise TypeError(f"sample size must be an int, got {n!r}")
     if n < 1:
         raise ValueError("sample size must be >= 1")
     if space.kind == EUCLIDEAN and space.dim == 1 and n > 2:
         raise ValueError(f"R^1 has only 2 boundary points, cannot sample {n}")
-    out = []
-    drawn, seen = set(), set()
-    for raw in _DRAWS[space.kind](space, substream(seed, f"boundary-{space.kind}")):
-        if raw in drawn:
-            continue
-        drawn.add(raw)
-        bp = _boundary_from_draw(space, raw)
-        if bp not in seen:
-            seen.add(bp)
-            out.append(bp)
+    draws = _DRAWS[space.kind](space, substream(seed, f"boundary-{space.kind}"))
+    if space.kind == TREE:
+        draws = _tree_keys(draws)
+    build = {EUCLIDEAN: EuclideanBoundary, TREE: TreeBoundary._of_canonical,
+             HYPERBOLIC: HyperbolicBoundary}[space.kind]
+    out, seen = [], set()
+    for key in draws:
+        if key not in seen:
+            seen.add(key)
+            out.append(build(key))
             if len(out) == n:
                 return out
+
+
+def _tree_keys(draws):
+    """The canonical words of raw tree draws, a raw draw seen before skipped
+    uncanonicalized: its word is already among the keys."""
+    drawn = set()
+    for raw in draws:
+        if raw not in drawn:
+            drawn.add(raw)
+            pre_len, letters = raw
+            yield _canonical_word(letters[:pre_len], letters[pre_len:])
 
 
 # ---------------------------------------------------------------------------

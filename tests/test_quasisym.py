@@ -126,8 +126,9 @@ class TestEnvelope:
 
 # ---------------------------------------------------------------------------
 # the array kernels against reference copies of the per-triple loops they
-# replaced; the tables come from `quasisym.pair_distance_matrix`, so a
-# patched table reaches both
+# replaced; the reference tables come from `quasisym.pair_distance_matrix`,
+# as do the kernels' float tables, and the kernels' exact tree d_A tables
+# from `quasisym._exact_dA_table`, so a table patched in both reaches both
 
 
 def _reference_sample_triples(n_points, n_triples, rng):
@@ -187,15 +188,17 @@ def _reference_qs_envelope(space, spec1, spec2, n_triples, seed):
                     discarded=discarded)
 
 
-def _zeroed_tables(pair_distance_matrix):
-    """`pair_distance_matrix` with the symmetric pairs i + j = 0 mod 5 set
-    to 0, so that every triple reading one of them is discarded."""
-    def table(space, spec, points, exact=False):
-        D = pair_distance_matrix(space, spec, points, exact=exact)
-        I, J = np.indices(D.shape)
-        D[((I + J) % 5 == 0) & (I != J)] = 0
+def _zeroed_tables(table):
+    """A table builder with the symmetric pairs i + j = 0 mod 5 set to 0 (in
+    an exact table, their numerators), so that every triple reading one of
+    them is discarded."""
+    def zeroed(*args, **kwargs):
+        D = table(*args, **kwargs)
+        values = D.num if isinstance(D, quasisym._Rationals) else D
+        I, J = np.indices(values.shape)
+        values[((I + J) % 5 == 0) & (I != J)] = 0
         return D
-    return table
+    return zeroed
 
 
 class TestTripleKernels:
@@ -244,6 +247,7 @@ class TestTripleKernels:
     def test_discarded_triples_equal_the_loop(self, space, spec1, spec2, slope, monkeypatch):
         monkeypatch.setattr(quasisym, "pair_distance_matrix",
                             _zeroed_tables(quasisym.pair_distance_matrix))
+        monkeypatch.setattr(quasisym, "_exact_dA_table", _zeroed_tables(quasisym._exact_dA_table))
         eta = linear_control(slope)
         got = verify_control(ratio_pool(space, spec1, spec2, 600, 4), eta, 600, 4)
         want = _reference_verify_control(space, spec1, spec2, eta, 600, 4)
@@ -368,6 +372,39 @@ class TestExactRatioKernel:
         assert got.tolist() == [True, False]
 
 
+class TestExactTables:
+    @pytest.mark.parametrize("A", [1, 2, 0.7])
+    @pytest.mark.parametrize("basepoint", [None, TreePoint((2, 0))], ids=["root", "vertex"])
+    def test_tables_equal_the_fraction_tables(self, A, basepoint):
+        # looked up per branch time, the tables hold the reduced integer
+        # ratios of the `Fraction` tables, 0/1 on the diagonal
+        spec1, spec2 = MetricSpec("dA", A=A, basepoint=basepoint), spec_dA(1.3)
+        pool = sample_boundary(T4, quasisym._pool_size(2000), 5)
+        for got, spec in zip(ratio_pool(T4, spec1, spec2, 2000, 5), (spec1, spec2)):
+            num, den = quasisym._AS_RATIO(quasisym.pair_distance_matrix(T4, spec, pool, exact=True))
+            assert got.num.dtype == got.den.dtype == object
+            assert got.num.tolist() == num.tolist() and got.den.tolist() == den.tolist()
+            assert {type(x) for x in got.num.ravel()} | {type(x) for x in got.den.ravel()} == {int}
+            assert got.num.diagonal().tolist() == [0] * len(pool)
+            assert got.den.diagonal().tolist() == [1] * len(pool)
+
+    @pytest.mark.parametrize("spec2,kernels", [
+        (spec_dA(2), 1), (spec_dbar(), 1), (MetricSpec("dA", A=2, basepoint=TreePoint((1,))), 2),
+    ], ids=["dA-same-base", "dbar", "dA-other-base"])
+    def test_one_branch_table_per_basepoint(self, monkeypatch, spec2, kernels):
+        # two d_A tables at one basepoint read one branch-time table; a
+        # dbar table is a float `pair_distance_matrix` of its own
+        calls, pair_kernel = [], quasisym.pair_kernel
+
+        def counted(*args):
+            calls.append(args)
+            return pair_kernel(*args)
+
+        monkeypatch.setattr(quasisym, "pair_kernel", counted)
+        ratio_pool(T4, spec_dA(1), spec2, 600, 1)
+        assert len(calls) == kernels
+
+
 class TestPowerLawFit:
     def test_diagonal(self):
         entries = [(t, t, (0, 1, 2)) for t in (0.1, 0.5, 1.0, 3.0, 10.0)]
@@ -443,6 +480,32 @@ class TestUniformPerfectness:
         assert len(rep.failures) == 20 and not rep.witnesses
         assert all(d == 2 for _, _, d in rep.failures)
 
+    @pytest.mark.parametrize("b", [2, 3, 8, 61])
+    def test_annulus_edges_are_decided_exactly(self, monkeypatch, b):
+        # witnesses branching at b lie at d = 2/(2b + 1): that is r/4 at
+        # r = 8/(2b + 1), inside the annulus, and r itself at r = 2/(2b + 1),
+        # outside it
+        def branch_at_b(space, center, r):
+            return TreeBoundary(center.prefix(b), (int(center.letter(b) == 0),))
+
+        monkeypatch.setattr(quasisym, "_tree_annulus_witness", branch_at_b)
+        centers = sample_boundary(T4, 10, 5)
+        radii = [Fraction(8, 2 * b + 1), Fraction(2, 2 * b + 1)]
+        rep = uniformly_perfect_check(T4, centers, radii)
+        d = Fraction(2, 2 * b + 1)
+        want = PerfectnessReport(cases=20, vacuous=0, failures=[], witnesses=[])
+        for center in centers:
+            for r in radii:
+                w = branch_at_b(T4, center, r)
+                assert eval_dA(T4, spec_dA(1), center, w) == d
+                if r / 4 <= d < r:
+                    want.witnesses.append((center, r, w, d))
+                else:
+                    want.failures.append((center, r, d))
+        assert rep == want
+        assert [r for _, r, _, _ in rep.witnesses] == [radii[0]] * 10
+        assert [r for _, r, _ in rep.failures] == [radii[1]] * 10
+
     def test_small_radius_memory(self):
         # a witness for radius r agrees with its center for ceil(1/r) letters,
         # so r = 1/2000 unrolls every word to about 2000 letters: as int64
@@ -472,8 +535,9 @@ class TestUniformPerfectness:
         with pytest.raises(ValueError):
             uniformly_perfect_check(E2, sample_boundary(E2, 10, 4), [0.5])
 
-    # r = 0 raised ZeroDivisionError and r = -1/4 IndexError
-    @pytest.mark.parametrize("r", [Fraction(0), Fraction(-1, 4)])
+    # r = 0 raised ZeroDivisionError, r = -1/4 IndexError, r = inf
+    # OverflowError and r = nan the ValueError of `Fraction(nan)`
+    @pytest.mark.parametrize("r", [Fraction(0), Fraction(-1, 4), math.inf, math.nan])
     def test_nonpositive_radius_rejected(self, r):
         with pytest.raises(ValueError, match="radius must be positive"):
             uniformly_perfect_check(T4, sample_boundary(T4, 3, 1), [Fraction(1, 2), r])

@@ -287,6 +287,13 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_boundary(T4, 0, 1)
 
+    # n = 2.5 never equalled the sample's length, so the draw loop ran on
+    @pytest.mark.parametrize("space", [T4, E2, H2], ids=["tree4", "E2", "H2"])
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+    def test_non_int_sample_size_rejected(self, space, n):
+        with pytest.raises(TypeError, match="sample size must be an int"):
+            sample_boundary(space, n, 0)
+
     def test_line_has_two_boundary_points(self):
         E1 = euclidean_space(1)
         assert sorted(p.direction for p in sample_boundary(E1, 2, 0)) == [(-1.0,), (1.0,)]
@@ -419,6 +426,15 @@ class TestRawTreeDraws:
     def test_a_zero_word_reads_as_the_generator_reads_it(self, k, offset):
         # U = 0 for the geometric draw, a zero period draw and a 32-bit
         # letter draw of 0, which Lemire's rule rejects when 2^32 mod e > 0
+        state = _state_with_word(offset, 0, k)
+        assert _generator(state).bit_generator.random_raw(offset + 1)[-1] == 0
+        self.assert_draws_match(k, state, 5000)
+
+    @pytest.mark.parametrize("k", _VALENCES)
+    @pytest.mark.parametrize("offset", [spaces._BLOCK - 1, spaces._BLOCK, spaces._BLOCK + 1])
+    def test_a_zero_word_at_a_block_seam_reads_as_the_generator_reads_it(self, k, offset):
+        # the zero word ends the first decoded block or starts the next, so
+        # a rejected letter draw or a held high half straddles the seam
         state = _state_with_word(offset, 0, k)
         assert _generator(state).bit_generator.random_raw(offset + 1)[-1] == 0
         self.assert_draws_match(k, state, 5000)

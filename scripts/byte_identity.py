@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""SHA-256 of every data file that the fixed experiment configs write, one
+JSON line per file, so that two versions of visbound compare by one diff:
+
+    python3 scripts/byte_identity.py > before.jsonl
+    # ... change the source ...
+    python3 scripts/byte_identity.py > after.jsonl
+    diff before.jsonl after.jsonl
+
+The configs are the `GOLDEN` configs of tests/test_golden_outputs.py, the
+command lines of scripts/run_*.py and those of the README's command-line
+example.  Each runs through `visbound.cli.run` into a temporary directory at
+seeds 0, 3 and 11, and each line holds the config, the seed, the file and
+its sha256.  `manifest.json` is left out: it holds the output directory and
+the package versions.  The source imported is the `src/` next to this
+script.
+"""
+
+import hashlib
+import importlib.util
+import json
+import os
+import runpy
+import shlex
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from visbound import cli  # noqa: E402
+
+SEEDS = (0, 3, 11)
+
+
+def golden_configs() -> list:
+    """(name, config fields) of each golden config."""
+    path = os.path.join(ROOT, "tests", "test_golden_outputs.py")
+    spec = importlib.util.spec_from_file_location("golden_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [(f"golden {name}", fields) for name, (fields, _, _) in sorted(module.GOLDEN.items())]
+
+
+def _command(source: str, argv: list) -> tuple:
+    """(label, config fields) of a command line, read as `cli.main` reads
+    it; the label leaves out `--out` and `--seed`, which every run sets."""
+    args = vars(cli.build_parser().parse_args(argv))
+    fields = {k: v for k, v in args.items() if v is not None and k != "config"}
+    shown = [a for a, prev in zip(argv, [None] + argv)
+             if a not in ("--out", "--seed") and prev not in ("--out", "--seed")]
+    return f"{source}: {shlex.join(shown)}", fields
+
+
+def script_configs() -> list:
+    """(script and command line, config fields) of each CLI call that a
+    scripts/run_*.py makes, recorded in place of the call."""
+    out = []
+    scripts = os.path.join(ROOT, "scripts")
+    for name in sorted(f for f in os.listdir(scripts) if f.startswith("run_")):
+        calls = []
+        main, argv = cli.main, sys.argv
+        cli.main, sys.argv = (lambda a: calls.append(a) or 0), [name]
+        try:
+            runpy.run_path(os.path.join(scripts, name), run_name="__main__")
+        except SystemExit:
+            pass
+        finally:
+            cli.main, sys.argv = main, argv
+        out += [_command(f"scripts/{name}", a) for a in calls]
+    return out
+
+
+def readme_configs() -> list:
+    """(command line, config fields) of each `visbound ...` line of the
+    README."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        lines = [line.split() for line in fh if line.startswith("visbound ")]
+    return [_command("README", a[1:]) for a in lines]
+
+
+def main() -> int:
+    configs = golden_configs() + script_configs() + readme_configs()
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, (label, fields) in enumerate(configs):
+            for seed in SEEDS:
+                out = os.path.join(tmp, f"{k}-{seed}")
+                cli.run(cli.RunConfig.from_dict({**fields, "seed": seed, "out": out}))
+                for name in sorted(os.listdir(out)):
+                    if name == "manifest.json":
+                        continue
+                    with open(os.path.join(out, name), "rb") as fh:
+                        digest = hashlib.sha256(fh.read()).hexdigest()
+                    print(json.dumps({"config": label, "seed": seed, "file": name,
+                                      "sha256": digest}), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -34,7 +34,7 @@ from .covers import (
     orbit_ball_order,
     sample_ray_points,
 )
-from .metrics import DA, DBAR, MetricSpec, block_lines, pair_distance_matrix
+from .metrics import DA, DBAR, MetricSpec, block_lines, pair_blocks, pair_distance_matrix
 from .quasisym import (
     linear_control,
     power_law_fit,
@@ -357,17 +357,12 @@ def _pairs_csv(D: np.ndarray, family_a: str):
     """The upper triangle of D as pairs.csv rows ``i,j,family_a,D[i,j]``,
     yielded in blocks of at most `_LINES` lines.  The bytes equal `_csv`
     over the same rows (no field here needs quoting)."""
-    n = len(D)
     yield "i,j,metric_family,A_or_blank,value\n"
-    ints = _int_table(n)
-    first = np.arange(n) * (2 * n - np.arange(n) - 1) // 2   # row i's first line
-    total = n * (n - 1) // 2
-    for a in range(0, total, _LINES):
-        j = np.arange(a, min(a + _LINES, total))
-        i = np.searchsorted(first, j, side="right") - 1
-        j += i + 1 - first[i]
-        yield _text_rows([(ints, i), ",", (ints, j), f",{family_a},",
-                          np.asarray(D[i, j], np.float64), "\n"])
+    ints = _int_table(len(D))
+    for i, j in pair_blocks(len(D), _LINES):
+        if len(i):                               # the one block when n < 2 is empty
+            yield _text_rows([(ints, i), ",", (ints, j), f",{family_a},",
+                              np.asarray(D[i, j], np.float64), "\n"])
 
 
 def _envelope_csv(entries: list) -> str:
@@ -568,12 +563,15 @@ def run_demo_t4(cfg: RunConfig):
              substream(cfg.seed, "demo-radii").integers(1, 127, size=20)]
     centers = sample_boundary(space, 50, cfg.seed + 1)
     perf = uniformly_perfect_check(space, centers, radii)
-    nv_rows = [(r.n, r.branch, _fmt(float(r.dA)), _fmt(float(r.product)), r.growth)
-               for r in nv]
-    nq_rows = [(r.n, _fmt(float(r.t)), r.rho, r.required_c) for r in nq]
+    nv_rows = [(r.n, r.branch, float(r.dA), float(r.product), r.growth) for r in nv]
+    nq_rows = [(r.n, float(r.t), r.rho, r.required_c) for r in nq]
     center_lines = {c: boundary_to_line(space, c) for c in centers}
-    perf_rows = [(center_lines[c], _fmt(float(r)), boundary_to_line(space, w), _fmt(float(d)))
-                 for c, r, w, d in perf.witnesses]
+    # each distinct radius and distance formatted once: int/int division
+    # rounds as `float` of a `Fraction` does
+    ratios = [x.as_integer_ratio() for _, r, _, d in perf.witnesses for x in (r, d)]
+    text = {x: _fmt(x[0] / x[1]) for x in set(ratios)}
+    perf_rows = [(center_lines[c], text[r], boundary_to_line(space, w), text[d])
+                 for (c, _, w, _), r, d in zip(perf.witnesses, ratios[::2], ratios[1::2])]
     files = {
         "nonvisual_dA.csv": _csv(["n", "branch", "dA", "product", "growth"], nv_rows),
         "nonqs.csv": _csv(["n", "t", "rho", "required_c"], nq_rows),

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .metrics import _wrapped_gap, block_lines, pair_kernel, pair_table
+from .metrics import _chord, _wrapped_gap, block_lines, pair_kernel, pair_table
 from .spaces import (
     EUCLIDEAN,
     HYPERBOLIC,
@@ -184,14 +184,16 @@ class ScaleRow:
 
 def _inside(P, C, rad: float) -> np.ndarray:
     """dist(P, C) < rad elementwise over broadcast rows of coordinates, by
-    the IEEE operations of `spaces.dist`: difference, d * d, sum left to
-    right from 0, square root, strict comparison."""
-    P, C = np.broadcast_arrays(P, C)
-    sq = 0
-    for i in range(P.shape[-1]):
-        d = P[..., i] - C[..., i]
-        sq = sq + d * d
-    return np.sqrt(sq) < rad
+    `_chord` (the IEEE operations of `spaces.dist`) and a strict comparison."""
+    return _chord(P[..., i] - C[..., i] for i in range(P.shape[-1])) < rad
+
+
+def _rank_words(words: list) -> tuple:
+    """(keys, codes): the distinct words in increasing order, and the index
+    in keys of each word, as int64."""
+    keys = sorted(set(words))
+    rank = {w: i for i, w in enumerate(keys)}
+    return keys, np.fromiter(map(rank.__getitem__, words), dtype=np.int64, count=len(words))
 
 
 def _tree_levels(head: tuple, levels: int, k: int) -> list:
@@ -273,10 +275,7 @@ class LatticeBallSystem:
         `keys` and `points`."""
         if self.space.kind == TREE:
             balls = [self._tree_ball(p) for p in points]
-            flat = list(itertools.chain.from_iterable(balls))
-            keys = sorted(set(flat))
-            rank = {w: i for i, w in enumerate(keys)}
-            set_of = np.fromiter((rank[w] for w in flat), dtype=np.int64, count=len(flat))
+            keys, set_of = _rank_words(list(itertools.chain.from_iterable(balls)))
             point_of = np.repeat(np.arange(len(points)), [len(b) for b in balls])
             # the incidences come in point order, which a stable sort keeps
             # within each ball
@@ -352,12 +351,9 @@ def boundary_pushout_cover(space: Space, system: LatticeBallSystem, lam, A,
 
 def _tree_cylinder_cover(lam, boundary_sample: list) -> Cover:
     depth = max(1, math.ceil(math.log(4.0 / float(lam)) - 1e-9))
-    words = [xi.prefix(depth) for xi in boundary_sample]
-    keys = sorted(set(words))
-    rank = {w: s for s, w in enumerate(keys)}
-    cylinder = np.fromiter((rank[w] for w in words), dtype=np.int64, count=len(words))
+    keys, cylinder = _rank_words([xi.prefix(depth) for xi in boundary_sample])
     point_of = np.argsort(cylinder, kind="stable")
-    return Cover(len(words), cylinder[point_of], point_of, (0,) * len(keys),
+    return Cover(len(cylinder), cylinder[point_of], point_of, (0,) * len(keys),
                  lambda s: f"cylinder depth={depth} word={keys[s]}")
 
 

@@ -5,9 +5,9 @@ reach separation A) and dbar (the exponentially weighted integral of the
 ray separation).  Every value reads one pair invariant from
 `pair_invariants` (the branch time on T_k, the chord on R^n, the angle
 between the rays on H^2, from any basepoint) and maps it through
-`_closed_form`; tree d_A is exact on request.  As the reference paths, a
-bracketed bisection and adaptive Simpson evaluate one pair at a time on the
-same invariant.
+`_closed_form`, which also gives tree d_A exactly, as integer ratios
+(`_Rationals`).  As the reference paths, a bracketed bisection and adaptive
+Simpson evaluate one pair at a time on the same invariant.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from .spaces import (
     Point,
     Ray,
     Space,
-    TreePoint,
+    SpaceMismatchError,
+    _check_kind,
     dist,
     ray_point,
 )
@@ -65,6 +66,30 @@ class DivergentGromovProductError(ArithmeticError):
 class SeparationNotReachedError(ArithmeticError):
     """The ray separation stays below A up to t = 2^200, so the bisection
     for d_A has nothing to bracket."""
+
+
+class _Rationals:
+    """Rationals num/den elementwise, den > 0, over object arrays of Python
+    ints: an exact tree d_A is 1/(b + A/2), and at A = 0.7 its denominator
+    already has 53 bits, so an int64 product would wrap."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: np.ndarray, den: np.ndarray):
+        self.num, self.den = num, den
+
+    def __len__(self) -> int:
+        return len(self.num)
+
+    def __getitem__(self, index) -> "_Rationals":
+        return _Rationals(self.num[index], self.den[index])
+
+    def __truediv__(self, other: "_Rationals") -> "_Rationals":
+        return _Rationals(self.num * other.den, self.den * other.num)
+
+    def tolist(self) -> list:
+        """The entries of a one-dimensional array as `Fraction`s."""
+        return list(map(Fraction, self.num.tolist(), self.den.tolist()))
 
 
 @dataclass(frozen=True)
@@ -118,12 +143,6 @@ class ConeNeighborhood:
 # pair invariants and their closed forms
 
 
-def _vertex_word(origin: TreePoint) -> tuple:
-    if not origin.is_vertex:
-        raise ValueError("tree rays are only supported from vertex origins")
-    return origin.word
-
-
 def pair_invariants(space: Space, points: list, I, J, origin: Point | None = None) -> np.ndarray:
     """The invariant of each pair (points[I[k]], points[J[k]]) seen from
     `origin` (the space's basepoint by default): `pair_kernel` prepared
@@ -150,23 +169,22 @@ def pair_kernel(space: Space, points: list, origin: Point | None = None):
       (`_MAPPED_HALF_ANGLE`) also carries s' times _SINE_SCALE.
 
     Each value depends on its own pair only, so a table may be filled in
-    blocks.  Raises ValueError here if a tree word uses an illegal letter or
-    an H^2 basepoint is too far out for `_chord_scales`; the returned
-    function raises IdenticalBoundaryPointsError for a tree pair that
-    repeats a point."""
+    blocks.  Raises SpaceMismatchError here if `origin` or a point belongs
+    to another space (a direction to another R^n), ValueError if a tree
+    word uses an illegal letter or an H^2 basepoint is too far out for
+    `_chord_scales`; the returned function raises
+    IdenticalBoundaryPointsError for a tree pair that repeats a point."""
     origin = space.basepoint if origin is None else origin
+    _check_kind(space, origin, *points)
     if space.kind == TREE:
-        return _branch_time_kernel(space, points, _vertex_word(origin))
+        if not origin.is_vertex:
+            raise ValueError("tree rays are only supported from vertex origins")
+        return _branch_time_kernel(space, points, origin.word)
     if space.kind == EUCLIDEAN:
+        if any(len(p.direction) != space.dim for p in points):
+            raise SpaceMismatchError(f"a direction does not belong to R^{space.dim}")
         V = np.array([p.direction for p in points], dtype=float).reshape(len(points), space.dim)
-
-        def chords(I, J):
-            sq = 0.0
-            for col in V.T:
-                d = col[I] - col[J]
-                sq = sq + d * d
-            return np.sqrt(sq)
-        return chords
+        return lambda I, J: _chord(col[I] - col[J] for col in V.T)
     phi = np.array([p.angle for p in points], dtype=float)
     w = None if origin.r == 0.0 else _chord_scales(origin, phi)
 
@@ -187,6 +205,16 @@ def pair_kernel(space: Space, points: list, origin: Point | None = None):
         out["log_sine"] = np.minimum(0.0, log_sine + np.log(k))
         return out
     return half_angles
+
+
+def _chord(diffs) -> np.ndarray:
+    """sqrt of d * d summed left to right from 0 over the coordinate
+    differences d, given a column at a time (gathering rows instead made an
+    R^2 table 2-3x slower): the IEEE operations of `spaces.dist`."""
+    sq = 0.0
+    for d in diffs:
+        sq = sq + d * d
+    return np.sqrt(sq)
 
 
 def _wrapped_gap(a, b) -> np.ndarray:
@@ -262,24 +290,33 @@ def _branch_time_kernel(space: Space, points: list, v: tuple):
     return branch_times
 
 
-def _closed_form(space: Space, spec: MetricSpec, inv: np.ndarray, exact: bool) -> np.ndarray:
+def _branch_lookup(value, B: np.ndarray, dtype=float, after=()) -> np.ndarray:
+    """The array that branch times B index: value(b) for b = 0..max(B), one
+    call per branch time, then the entries `after` (an entry -1 reads the last)."""
+    return np.array([value(b) for b in range(int(B.max(initial=0)) + 1)] + list(after), dtype)
+
+
+def _closed_form(space: Space, spec: MetricSpec, inv: np.ndarray, exact: bool = False):
     """The metric `spec` at pair invariants `inv`, elementwise.
 
-    - T_k: d_A = 1/(b + A/2) (Fractions when `exact`) and dbar = 2e^{-b},
-      each evaluated once per branch time up to max(b) with IEEE division
-      and `math.exp`;
+    - T_k: d_A = 1/(b + A/2) and dbar = 2e^{-b}, each evaluated once per
+      branch time by `_branch_lookup` with IEEE division and `math.exp`.
+      With `exact`, d_A is `_Rationals` of the reduced ratios of the
+      `Fraction`s 1/(b + A/2), and a branch time -1 (a diagonal) reads 0/1;
     - R^n: d_A = chord/A and dbar = chord;
     - H^2: d_A = 1/asinh(sinh(A/2)/s) with s = sin(angle/2), and
       dbar = `pole_dbar(angle)`.  Where sinh(A/2)/s overflows, asinh is read
       as log(sinh(A/2) + hypot(sinh(A/2), s)) - log s."""
     if space.kind == TREE:
         if spec.family == DBAR:
-            value = lambda b: 2.0 * math.exp(-b)
-        else:
-            half = Fraction(spec.A) / 2 if exact else float(spec.A) / 2.0
-            value = lambda b: 1 / (b + half)
-        lookup = [value(b) for b in range(int(inv.max(initial=0)) + 1)]
-        return np.array(lookup, dtype=object if exact and spec.family == DA else float)[inv]
+            return _branch_lookup(lambda b: 2.0 * math.exp(-b), inv)[inv]
+        if not exact:
+            half = float(spec.A) / 2.0
+            return _branch_lookup(lambda b: 1 / (b + half), inv)[inv]
+        half = Fraction(spec.A) / 2
+        num, den = _branch_lookup(lambda b: (1 / (b + half)).as_integer_ratio(), inv,
+                                  object, [(0, 1)]).T
+        return _Rationals(num[inv], den[inv])
     if space.kind == EUCLIDEAN:
         return inv / float(spec.A) if spec.family == DA else inv
     if spec.family == DBAR:
@@ -397,7 +434,7 @@ def eval_dA(space: Space, spec: MetricSpec, xi: BoundaryPoint, eta: BoundaryPoin
     if method == "bisect":
         return _bisect_dA(_separation_fn(space, origin, xi, eta), float(spec.A), spec.tol)
     return _closed_form(space, spec, pair_invariants(space, [xi, eta], [0], [1], origin),
-                        exact=True).item(0)
+                        exact=True).tolist()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +493,8 @@ def eval_dbar(space: Space, spec: MetricSpec, xi: BoundaryPoint, eta: BoundaryPo
         return 0.0
     origin = spec.base(space)
     if method == "auto":
-        return _closed_form(space, spec, pair_invariants(space, [xi, eta], [0], [1], origin),
-                            exact=False).item(0)
+        return _closed_form(space, spec,
+                            pair_invariants(space, [xi, eta], [0], [1], origin)).item(0)
     return _integrate_separation(_separation_fn(space, origin, xi, eta), spec)
 
 
@@ -510,13 +547,12 @@ def cone_contains(space: Space, nbhd: ConeNeighborhood, z) -> bool:
 # pair tables over pools of boundary points
 
 
-def pair_distance_matrix(space: Space, spec: MetricSpec, points: list, exact: bool = False) -> np.ndarray:
-    """Symmetric matrix of pairwise boundary distances, 0 on the diagonal:
-    the closed form over the pair invariants from the spec's basepoint,
-    filled by `pair_table`.  Floats, except that `exact=True` gives the tree
-    d_A table in `Fraction`s."""
+def pair_distance_matrix(space: Space, spec: MetricSpec, points: list) -> np.ndarray:
+    """Symmetric float matrix of pairwise boundary distances, 0 on the
+    diagonal: the closed form over the pair invariants from the spec's
+    basepoint, filled by `pair_table`."""
     kernel = pair_kernel(space, points, spec.base(space))
-    return pair_table(len(points), lambda I, J: _closed_form(space, spec, kernel(I, J), exact))
+    return pair_table(len(points), lambda I, J: _closed_form(space, spec, kernel(I, J)))
 
 
 def pair_table(n: int, values, diagonal=0) -> np.ndarray:
@@ -525,22 +561,29 @@ def pair_table(n: int, values, diagonal=0) -> np.ndarray:
     the values and `diagonal`.  `values` is called on the upper triangle in
     row-major blocks of at most _PAIR_CHUNK pairs (once, on no pairs, when
     n < 2), so the table is the only n x n array built."""
-    rows = np.arange(n)
-    start = rows * (2 * n - rows - 1) // 2      # index of pair (i, i + 1)
-    total = n * (n - 1) // 2
     D = None
-    for lo in range(0, max(total, 1), _PAIR_CHUNK):
-        hi = min(lo + _PAIR_CHUNK, total)
-        # rows a..b hold the block's pairs (none when n < 2)
-        a, b = np.searchsorted(start, [lo, hi - 1], side="right") - 1
-        I = np.repeat(rows[a:b + 1], np.diff(np.clip(start[a:b + 2], lo, hi)))
-        J = np.arange(lo, hi) - start[I] + I + 1
+    for I, J in pair_blocks(n, _PAIR_CHUNK):
         v = values(I, J)
         if D is None:
             D = np.full((n, n), diagonal, dtype=np.result_type(v, diagonal))
             flat = D.reshape(-1)
         flat[I * n + J] = flat[J * n + I] = v
     return D
+
+
+def pair_blocks(n: int, size: int):
+    """The pairs i < j of n points in row-major order, that of
+    `np.triu_indices(n, 1)`, as index arrays (I, J) of at most `size` pairs
+    per block; one empty block when n < 2."""
+    rows = np.arange(n)
+    start = rows * (2 * n - rows - 1) // 2      # index of pair (i, i + 1)
+    total = n * (n - 1) // 2
+    for lo in range(0, max(total, 1), size):
+        hi = min(lo + size, total)
+        # rows a..b hold the block's pairs (none when n < 2)
+        a, b = np.searchsorted(start, [lo, hi - 1], side="right") - 1
+        I = np.repeat(rows[a:b + 1], np.diff(np.clip(start[a:b + 2], lo, hi)))
+        yield I, np.arange(lo, hi) - start[I] + I + 1
 
 
 def block_lines(n: int) -> int:

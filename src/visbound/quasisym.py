@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .metrics import DA, MetricSpec, pair_distance_matrix, pair_invariants, pair_kernel, pair_table
+from .metrics import (DA, MetricSpec, _closed_form, _Rationals, pair_distance_matrix,
+                      pair_invariants, pair_kernel, pair_table)
 from .spaces import (
     TREE,
     Space,
@@ -78,26 +79,6 @@ def _pool_size(n_triples: int) -> int:
     return min(400, max(16, int(1.5 * math.sqrt(n_triples)) + 8))
 
 
-class _Rationals:
-    """Rationals num/den elementwise, den > 0, over object arrays of Python
-    ints: an exact tree d_A is 1/(b + A/2), and at A = 0.7 its denominator
-    already has 53 bits, so an int64 product would wrap."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: np.ndarray, den: np.ndarray):
-        self.num, self.den = num, den
-
-    def __len__(self) -> int:
-        return len(self.num)
-
-    def __getitem__(self, index) -> "_Rationals":
-        return _Rationals(self.num[index], self.den[index])
-
-    def __truediv__(self, other: "_Rationals") -> "_Rationals":
-        return _Rationals(self.num * other.den, self.den * other.num)
-
-
 _AS_RATIO = np.frompyfunc(operator.methodcaller("as_integer_ratio"), 1, 2)
 
 
@@ -124,8 +105,8 @@ def ratio_pool(space: Space, spec1: MetricSpec, spec2: MetricSpec,
                n_triples: int, seed: int) -> tuple:
     """The two pair tables (d1, d2) over the boundary pool of a ratio
     sample, built once and read by every triple stream: a float table as it
-    is, an exact tree d_A table as `_Rationals` (`_exact_dA_table`, from one
-    branch-time table per basepoint)."""
+    is, an exact tree d_A table as the `_Rationals` of `_closed_form` over
+    one branch-time table per basepoint."""
     pool = sample_boundary(space, _pool_size(n_triples), seed)
     branch, tables = {}, []
     for spec in (spec1, spec2):
@@ -134,20 +115,10 @@ def ratio_pool(space: Space, spec1: MetricSpec, spec2: MetricSpec,
             continue
         base = spec.base(space)
         if base not in branch:
-            # -1 on the diagonal reads the last entry of the lookup, 0/1
+            # -1 on the diagonal reads 0/1
             branch[base] = pair_table(len(pool), pair_kernel(space, pool, base), diagonal=-1)
-        tables.append(_exact_dA_table(branch[base], spec.A))
+        tables.append(_closed_form(space, spec, branch[base], exact=True))
     return tuple(tables)
-
-
-def _exact_dA_table(B: np.ndarray, A) -> _Rationals:
-    """The exact tree d_A = 1/(b + A/2) at a branch-time table B, as the
-    reduced (numerator, denominator) of each b = 0..max(B) looked up in
-    object arrays of Python ints; an entry -1 of B reads 0/1."""
-    half = Fraction(A) / 2
-    lookup = [(1 / (b + half)).as_integer_ratio() for b in range(int(B.max(initial=0)) + 1)]
-    num, den = np.array(lookup + [(0, 1)], dtype=object).T
-    return _Rationals(num[B], den[B])
 
 
 def _ratio_triples(pool: tuple, n_triples: int, seed: int, stream: str):
@@ -292,11 +263,11 @@ def _tree_annulus_witness(space: Space, center: TreeBoundary, r: Fraction) -> Tr
 def uniformly_perfect_check(space: Space, centers: list, radii: list) -> PerfectnessReport:
     """Uniform perfectness of (boundary of T_k, d_1) with constant 4: for
     each center and each radius r = p/q below the diameter 2, a constructed
-    witness whose branch time b from the center is measured by the pair
-    kernel must lie at d_1 distance d = 2/(2b + 1) with r/4 <= d < r,
-    decided in integers as p(2b + 1) <= 8q and 2q < p(2b + 1).  Radii >= 2
-    are vacuous.  Raises ValueError on a non-tree space or a radius that is
-    not positive and finite."""
+    witness whose branch time from the center is measured by the pair
+    kernel must lie at the exact d_1 distance d = num/den of `_closed_form`
+    with r/4 <= d < r, decided in integers as p den <= 4q num and
+    q num < p den.  Radii >= 2 are vacuous.  Raises ValueError on a
+    non-tree space or a radius that is not positive and finite."""
     if space.kind != TREE:
         raise ValueError("the perfectness check is constructive on tree spaces only")
     if not all(0 < r < math.inf for r in radii):
@@ -307,13 +278,12 @@ def uniformly_perfect_check(space: Space, centers: list, radii: list) -> Perfect
     found = [_tree_annulus_witness(space, center, r) for center in centers for r in live]
     inv = pair_invariants(space, list(centers) + found, np.repeat(np.arange(len(centers)), k),
                           np.arange(len(centers), len(centers) + len(found)))
-    failures, witnesses, dist = [], [], {}
+    d1 = _closed_form(space, MetricSpec(DA, A=1), inv, exact=True)
+    failures, witnesses = [], []
     cases = itertools.product(centers, [(r, r.numerator, r.denominator) for r in live])
-    for (center, (r, p, q)), w, t in zip(cases, found, (2 * inv + 1).tolist()):
-        if t not in dist:
-            dist[t] = Fraction(2, t)
-        d = dist[t]
-        if p * t <= 8 * q and 2 * q < p * t:
+    for (center, (r, p, q)), w, num, den in zip(cases, found, d1.num.tolist(), d1.den.tolist()):
+        d = Fraction(num, den)
+        if p * den <= 4 * q * num and q * num < p * den:
             witnesses.append((center, r, w, d))
         else:
             failures.append((center, r, d))

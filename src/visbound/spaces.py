@@ -231,15 +231,13 @@ def hyperbolic_plane(basepoint: HyperbolicPoint | None = None) -> Space:
     return Space(HYPERBOLIC, basepoint=basepoint)
 
 
+_KINDS = {EUCLIDEAN: (EuclideanPoint, EuclideanBoundary), TREE: (TreePoint, TreeBoundary),
+          HYPERBOLIC: (HyperbolicPoint, HyperbolicBoundary)}
+
+
 def _check_kind(space: Space, *objs):
-    table = {
-        EUCLIDEAN: (EuclideanPoint, EuclideanBoundary),
-        TREE: (TreePoint, TreeBoundary),
-        HYPERBOLIC: (HyperbolicPoint, HyperbolicBoundary),
-    }
-    ok = table[space.kind]
     for o in objs:
-        if not isinstance(o, ok):
+        if not isinstance(o, _KINDS[space.kind]):
             raise SpaceMismatchError(f"{type(o).__name__} does not belong to {space.kind}")
 
 

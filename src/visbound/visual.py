@@ -10,14 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .metrics import (
-    DA,
-    DBAR,
-    MetricSpec,
-    _closed_form,
-    _gromov_closed_form,
-    pair_invariants,
-)
+from .metrics import (DA, DBAR, MetricSpec, _branch_lookup, _closed_form, _gromov_closed_form,
+                      pair_invariants)
 from .spaces import TREE, Space, TreeBoundary
 
 FITS = "fits"
@@ -43,9 +37,8 @@ def _fit_values(space: Space, spec: MetricSpec, a: float, points: list,
             value = lambda b: 2.0 * math.exp(b * (la - 1.0))
         else:
             value = lambda b: math.exp(b * la) / (b + float(spec.A) / 2.0)
-        lookup = np.array([value(b) for b in range(int(inv.max(initial=0)) + 1)])
-        return lookup[inv]
-    return _closed_form(space, spec, inv, exact=False) * np.exp(_gromov_closed_form(space, inv) * la)
+        return _branch_lookup(value, inv)[inv]
+    return _closed_form(space, spec, inv) * np.exp(_gromov_closed_form(space, inv) * la)
 
 
 def visual_fit(space: Space, spec: MetricSpec, a: float, points: list,
@@ -97,7 +90,7 @@ def nonvisual_witness_dA(space: Space, A, n_range, a: float = math.e) -> list:
     ns = list(n_range)
     rays = [_straight_ray()] + [_branching_ray(math.ceil(n - Fraction(A) / 2)) for n in ns]
     b = pair_invariants(space, rays, np.zeros(len(ns), int), np.arange(1, len(rays)))
-    dA = _closed_form(space, MetricSpec(DA, A=A), b, exact=True)
+    dA = _closed_form(space, MetricSpec(DA, A=A), b, exact=True).tolist()
     return [WitnessRow(n=int(n), branch=p, dA=d, product=p,
                        growth=math.exp(float(p) * math.log(a) + math.log(float(d))))
             for n, p, d in zip(ns, b.tolist(), dA)]
@@ -126,7 +119,7 @@ def nonqs_witness(space: Space, n_range, delta: float = 1.0) -> list:
     rays = [_straight_ray(), alpha] + [_branching_ray(n) if n > 0 else alpha for n in ns]
     b = pair_invariants(space, rays, np.zeros(len(rays) - 1, int), np.arange(1, len(rays)))
     d1 = _closed_form(space, MetricSpec(DA, A=1), b, exact=True)
-    db = _closed_form(space, MetricSpec(DBAR), b, exact=False)
-    t, rho = d1[0] / d1[1:], (db[0] / db[1:]).tolist()
+    db = _closed_form(space, MetricSpec(DBAR), b)
+    t, rho = (d1[0] / d1[1:]).tolist(), (db[0] / db[1:]).tolist()
     return [NonQSRow(n=n, t=q, rho=r, required_c=r / float(q) ** (1.0 / delta))
             for n, q, r in zip(ns, t, rho)]

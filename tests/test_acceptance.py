@@ -57,6 +57,8 @@ from visbound.spaces import (
 )
 from visbound.visual import nonqs_witness, nonvisual_witness_dA, visual_fit
 
+from exact_tables import exact_table
+
 T4 = tree_space(4)
 E2 = euclidean_space(2)
 H2 = hyperbolic_plane()
@@ -186,7 +188,7 @@ def _triangle_violations_float(D, n_triples, rng, tol):
 
 
 def _tree_exact_tables(points, A):
-    dA = pair_distance_matrix(T4, spec_dA(A), points, exact=True).tolist()
+    dA = exact_table(T4, spec_dA(A), points).tolist()
     db = pair_distance_matrix(T4, spec_dbar(), points).tolist()
     return dA, db
 

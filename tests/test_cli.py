@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -26,6 +27,7 @@ from visbound.spaces import (Ray, boundary_to_line, distinct_rows, ray_point, sa
                              substream, tree_space)
 
 from test_covers import _cover, _sets
+from test_golden_outputs import GOLDEN
 from test_quasisym import _BoundedRng
 
 
@@ -649,7 +651,32 @@ SCRIPT_OUTPUTS = {
 class TestScripts:
     def test_every_script_listed(self):
         assert sorted(f for f in os.listdir(SCRIPTS) if f.endswith(".py")) == \
-            sorted([*SCRIPT_OUTPUTS, "l3_probe.py"])
+            sorted([*SCRIPT_OUTPUTS, "l3_probe.py", "byte_identity.py"])
+
+    def test_byte_identity_reads_every_config_and_hashes_as_the_gate(self, monkeypatch, capsys):
+        spec = importlib.util.spec_from_file_location("byte_identity",
+                                                      os.path.join(SCRIPTS, "byte_identity.py"))
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        golden = dict(module.golden_configs())
+        assert golden == {f"golden {name}": fields for name, (fields, _, _) in GOLDEN.items()}
+        # the six CLI calls of the run_*.py scripts and the README's seven
+        commands = module.script_configs() + module.readme_configs()
+        assert len(commands) == 13
+        for label, fields in commands:
+            assert "--out" not in label and "--seed" not in label
+            RunConfig.from_dict(fields).validate()
+        # at the golden seed, the golden hashes
+        names = ("metric-dA", "demo-t4")
+        monkeypatch.setattr(module, "SEEDS", (3,))
+        monkeypatch.setattr(module, "golden_configs",
+                            lambda: [(f"golden {n}", GOLDEN[n][0]) for n in names])
+        monkeypatch.setattr(module, "script_configs", lambda: [])
+        monkeypatch.setattr(module, "readme_configs", lambda: [])
+        assert module.main() == 0
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert {(d["config"], d["seed"], d["file"]): d["sha256"] for d in lines} == \
+            {(f"golden {n}", 3, f): h for n in names for f, h in GOLDEN[n][2].items()}
 
     def test_l3_probe_reports_each_run(self):
         command = "metric --space tree4 --metric dA --A 1 --n 12"

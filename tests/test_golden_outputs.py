@@ -37,6 +37,11 @@ GOLDEN = {
              A2=2.0, n_triples=2000), 0,
         {"envelope.csv": "b2505126b695beb13b89c7536d82e198d27f1426bb0a6a2d120753c178386ee3",
          "report.json": "2109747405ca76367ff2789a15af691657014627075bea204ab2a79a1768318a"}),
+    "compare-dA0.7-dA1.3": (
+        dict(experiment="compare", space="tree4", metric="dA", A=0.7, metric2="dA",
+             A2=1.3, n_triples=3000), 0,
+        {"envelope.csv": "5fa6963976b946005a58f9f03fbd8361bd905db1ddbed499ae13125516826ccf",
+         "report.json": "affc554f5c21e4aa48998a995d53b8909d4f24de8b3d9583ea91e5bebf0eb226"}),
     "compare-dA-dbar": (
         dict(experiment="compare", space="tree4", metric="dA", A=1.0, metric2="dbar",
              n_triples=2000), 2,

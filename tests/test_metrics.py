@@ -26,8 +26,11 @@ from visbound.metrics import (
     eval_dbar,
     eval_dbar_extended,
     gromov_product,
+    pair_blocks,
     pair_distance_matrix,
     pair_invariants,
+    pair_kernel,
+    pair_table,
     pole_dbar,
     spec_dA,
     spec_dbar,
@@ -40,6 +43,7 @@ from visbound.spaces import (
     HyperbolicPoint,
     IdenticalBoundaryPointsError,
     Ray,
+    SpaceMismatchError,
     TreeBoundary,
     TreePoint,
     branch_time,
@@ -51,6 +55,8 @@ from visbound.spaces import (
     substream,
     tree_space,
 )
+
+from exact_tables import exact_table
 
 T4 = tree_space(4)
 E2 = euclidean_space(2)
@@ -453,13 +459,13 @@ class TestPairMatrix:
                 assert abs(D[i, j] - slow) < 1e-8
 
 
-def unblocked_table(space, spec, points, exact):
+def unblocked_table(space, spec, points):
     """The pair table as one `pair_invariants` call over np.triu_indices,
     mapped and mirrored."""
     n = len(points)
     I, J = np.triu_indices(n, k=1)
-    values = metrics._closed_form(space, spec, pair_invariants(space, points, I, J, spec.base(space)),
-                                  exact)
+    values = metrics._closed_form(space, spec,
+                                  pair_invariants(space, points, I, J, spec.base(space)))
     D = np.zeros((n, n), dtype=values.dtype)
     D[I, J] = D[J, I] = values
     return D
@@ -481,9 +487,21 @@ BLOCK_CASES = {
 }
 
 
+def exact_block_table(space, spec, points):
+    """The exact tree d_A table as `quasisym.ratio_pool` builds it: a
+    branch-time table filled by `pair_table`, -1 on its diagonal, through
+    the exact closed form, read back as `Fraction`s."""
+    B = pair_table(len(points), pair_kernel(space, points, spec.base(space)), diagonal=-1)
+    D = metrics._closed_form(space, spec, B, exact=True)
+    assert D.num.shape == D.den.shape == B.shape
+    assert {type(x) for x in D.num.ravel()} | {type(x) for x in D.den.ravel()} <= {int}
+    return [list(map(Fraction, a, b)) for a, b in zip(D.num.tolist(), D.den.tolist())]
+
+
 class TestBlockFill:
     """`pair_distance_matrix` fills its table in blocks of at most
-    `_PAIR_CHUNK` pairs; the table must not depend on the blocks."""
+    `_PAIR_CHUNK` pairs, and so does the branch-time table of an exact tree
+    d_A table; the table must not depend on the blocks."""
 
     @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
     def test_equals_the_unblocked_table(self, case, monkeypatch):
@@ -494,15 +512,27 @@ class TestBlockFill:
         for chunk, sizes in ((metrics._PAIR_CHUNK, (0, 1, 2, 129)), (7, (2, 3, 6, 23))):
             monkeypatch.setattr(metrics, "_PAIR_CHUNK", chunk)
             for n in sizes:
-                D = pair_distance_matrix(space, spec, points[:n], exact=exact)
-                want = unblocked_table(space, spec, points[:n], exact)
+                if exact:
+                    D = exact_block_table(space, spec, points[:n])
+                    assert D == exact_table(space, spec, points[:n]).tolist()
+                    continue
+                D = pair_distance_matrix(space, spec, points[:n])
+                want = unblocked_table(space, spec, points[:n])
                 assert D.dtype == want.dtype and D.shape == want.shape
-                if D.dtype == object:
-                    assert [list(map(type, row)) for row in D.tolist()] == \
-                        [list(map(type, row)) for row in want.tolist()]
-                    assert D.tolist() == want.tolist()
-                else:
-                    assert D.tobytes() == want.tobytes()
+                assert D.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("size", [1, 7, 8192])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 129])
+    def test_pair_walk_is_the_upper_triangle_in_order(self, n, size):
+        # the walk behind `pair_table` and pairs.csv: blocks of `size`
+        # pairs, the last one partial, and one empty block when n < 2
+        blocks = list(pair_blocks(n, size))
+        total = n * (n - 1) // 2
+        assert [len(I) for I, _ in blocks] == [len(J) for _, J in blocks] == \
+            [min(size, total - lo) for lo in range(0, max(total, 1), size)]
+        I, J = np.triu_indices(n, k=1)
+        assert np.concatenate([I for I, _ in blocks]).tolist() == I.tolist()
+        assert np.concatenate([J for _, J in blocks]).tolist() == J.tolist()
 
     def test_errors_raise_from_any_block(self, monkeypatch):
         monkeypatch.setattr(metrics, "_PAIR_CHUNK", 7)
@@ -525,6 +555,50 @@ class TestBlockFill:
         finally:
             tracemalloc.stop()
         assert peak < D.nbytes + 4 * 2**20
+
+
+MISMATCH_SPACES = {"tree4": T4, "euclidean2": E2, "euclidean3": euclidean_space(3), "h2": H2}
+# each entry of the metric layer, on two distinct points
+METRIC_ENTRIES = {
+    "pair_kernel": lambda space, pts: pair_kernel(space, pts),
+    "pair_invariants": lambda space, pts: pair_invariants(space, pts, [0], [1]),
+    "pair_distance_matrix": lambda space, pts: pair_distance_matrix(space, spec_dbar(), pts),
+    "eval_dA": lambda space, pts: eval_dA(space, spec_dA(1), *pts),
+    "eval_dA-bisect": lambda space, pts: eval_dA(space, spec_dA(1), *pts, method="bisect"),
+    "eval_dbar": lambda space, pts: eval_dbar(space, spec_dbar(), *pts),
+    "eval_dbar-quadrature": lambda space, pts: eval_dbar(space, spec_dbar(), *pts,
+                                                         method="quadrature"),
+    "gromov_product": lambda space, pts: gromov_product(space, space.basepoint, *pts),
+}
+
+
+class TestSpaceMismatch:
+    """Points of another space are rejected where the metric layer takes
+    them in.  Tree points on H^2 raised AttributeError (no `angle`), and
+    3-vectors on R^2 numpy's reshape error."""
+
+    @pytest.mark.parametrize("space, other", [(a, b) for a in MISMATCH_SPACES
+                                              for b in MISMATCH_SPACES if a != b])
+    def test_points_of_another_space_rejected(self, space, other):
+        space, pts = MISMATCH_SPACES[space], sample_boundary(MISMATCH_SPACES[other], 2, 1)
+        for call in METRIC_ENTRIES.values():
+            with pytest.raises(SpaceMismatchError):
+                call(space, pts)
+
+    def test_direction_of_another_dimension_rejected(self):
+        pts = sample_boundary(E2, 5, 1) + [EuclideanBoundary((0.0, 0.6, 0.8))]
+        with pytest.raises(SpaceMismatchError, match="R\\^2"):
+            pair_distance_matrix(E2, spec_dA(1), pts)
+        for call in METRIC_ENTRIES.values():
+            with pytest.raises(SpaceMismatchError):
+                call(E2, pts[-2:])
+
+    @pytest.mark.parametrize("space, other", [("tree4", "h2"), ("h2", "tree4"),
+                                              ("euclidean2", "tree4")])
+    def test_origin_of_another_space_rejected(self, space, other):
+        space = MISMATCH_SPACES[space]
+        with pytest.raises(SpaceMismatchError):
+            pair_kernel(space, sample_boundary(space, 3, 1), MISMATCH_SPACES[other].basepoint)
 
 
 def ray_branch_reference(space, origin, xi, eta):
@@ -674,7 +748,7 @@ class TestOneKernel:
     ], ids=["tree-root", "tree-vertex", "pole", "off-pole", "plane"])
     def test_scalar_evaluators_equal_table_entries(self, space, origin, points):
         specs = [with_basepoint(s, origin) for s in (spec_dA(1), spec_dA(0.7), spec_dbar())]
-        tables = [pair_distance_matrix(space, s, points, exact=True) for s in specs]
+        tables = [exact_table(space, s, points) for s in specs]
         I, J = np.triu_indices(len(points), k=1)
         inv = pair_invariants(space, points, I, J, origin)
         for i, j, b in zip(I.tolist(), J.tolist(), inv.tolist()):

@@ -33,6 +33,8 @@ from visbound.spaces import (
     tree_space,
 )
 
+from exact_tables import exact_table
+
 T4 = tree_space(4)
 E2 = euclidean_space(2)
 H2 = hyperbolic_plane()
@@ -126,9 +128,15 @@ class TestEnvelope:
 
 # ---------------------------------------------------------------------------
 # the array kernels against reference copies of the per-triple loops they
-# replaced; the reference tables come from `quasisym.pair_distance_matrix`,
-# as do the kernels' float tables, and the kernels' exact tree d_A tables
-# from `quasisym._exact_dA_table`, so a table patched in both reaches both
+# replaced; the reference tables come from `_reference_table`, the kernels'
+# float tables from `quasisym.pair_distance_matrix` and their exact tree d_A
+# tables from `quasisym._closed_form`, so a test patches all three
+
+
+def _reference_table(space, spec, pool):
+    """Exact tree d_A in `Fraction`s, one pair at a time, and any other
+    metric's float table from `quasisym.pair_distance_matrix`."""
+    return exact_table(space, spec, pool, quasisym.pair_distance_matrix)
 
 
 def _reference_sample_triples(n_points, n_triples, rng):
@@ -147,8 +155,7 @@ def _reference_sample_triples(n_points, n_triples, rng):
 def _reference_ratio_triples(space, spec1, spec2, n_triples, seed, stream):
     rng = substream(seed, stream)
     pool = sample_boundary(space, quasisym._pool_size(n_triples), seed)
-    d1 = quasisym.pair_distance_matrix(space, spec1, pool, exact=True)
-    d2 = quasisym.pair_distance_matrix(space, spec2, pool, exact=True)
+    d1, d2 = _reference_table(space, spec1, pool), _reference_table(space, spec2, pool)
     triples = _reference_sample_triples(len(pool), n_triples, rng)
     kept = []
     for (i, j, k) in triples:
@@ -247,7 +254,8 @@ class TestTripleKernels:
     def test_discarded_triples_equal_the_loop(self, space, spec1, spec2, slope, monkeypatch):
         monkeypatch.setattr(quasisym, "pair_distance_matrix",
                             _zeroed_tables(quasisym.pair_distance_matrix))
-        monkeypatch.setattr(quasisym, "_exact_dA_table", _zeroed_tables(quasisym._exact_dA_table))
+        monkeypatch.setattr(quasisym, "_closed_form", _zeroed_tables(quasisym._closed_form))
+        monkeypatch.setitem(globals(), "_reference_table", _zeroed_tables(_reference_table))
         eta = linear_control(slope)
         got = verify_control(ratio_pool(space, spec1, spec2, 600, 4), eta, 600, 4)
         want = _reference_verify_control(space, spec1, spec2, eta, 600, 4)
@@ -381,7 +389,7 @@ class TestExactTables:
         spec1, spec2 = MetricSpec("dA", A=A, basepoint=basepoint), spec_dA(1.3)
         pool = sample_boundary(T4, quasisym._pool_size(2000), 5)
         for got, spec in zip(ratio_pool(T4, spec1, spec2, 2000, 5), (spec1, spec2)):
-            num, den = quasisym._AS_RATIO(quasisym.pair_distance_matrix(T4, spec, pool, exact=True))
+            num, den = quasisym._AS_RATIO(exact_table(T4, spec, pool))
             assert got.num.dtype == got.den.dtype == object
             assert got.num.tolist() == num.tolist() and got.den.tolist() == den.tolist()
             assert {type(x) for x in got.num.ravel()} | {type(x) for x in got.den.ravel()} == {int}

@@ -8,8 +8,9 @@ JSON line per file, so that two versions of visbound compare by one diff:
     diff before.jsonl after.jsonl
 
 The configs are the `GOLDEN` configs of tests/test_golden_outputs.py, the
-command lines of scripts/run_*.py and those of the README's command-line
-example.  Each runs through `visbound.cli.run` into a temporary directory at
+command lines of scripts/run_*.py, those of the README's command-line
+example and the experiments of the benchmark's workloads in
+bench/workloads.py at their "full" sizes (that module is only read).  Each runs through `visbound.cli.run` into a temporary directory at
 seeds 0, 3 and 11, and each line holds the config, the seed, the file and
 its sha256.  `manifest.json` is left out: it holds the output directory and
 the package versions.  The source imported is the `src/` next to this
@@ -33,13 +34,28 @@ from visbound import cli  # noqa: E402
 SEEDS = (0, 3, 11)
 
 
+def _module(*path):
+    """The module of the file at `path` under the root, imported by path
+    (and registered, as its dataclasses need)."""
+    spec = importlib.util.spec_from_file_location(path[-1][:-3], os.path.join(ROOT, *path))
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def golden_configs() -> list:
     """(name, config fields) of each golden config."""
-    path = os.path.join(ROOT, "tests", "test_golden_outputs.py")
-    spec = importlib.util.spec_from_file_location("golden_outputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return [(f"golden {name}", fields) for name, (fields, _, _) in sorted(module.GOLDEN.items())]
+    golden = _module("tests", "test_golden_outputs.py").GOLDEN
+    return [(f"golden {name}", fields) for name, (fields, _, _) in sorted(golden.items())]
+
+
+def bench_configs() -> list:
+    """(workload and experiment, config fields) of each experiment of the
+    benchmark's workloads, at the sizes of its "full" profile."""
+    workloads = _module("bench", "workloads.py").WORKLOADS
+    return [(f"bench {w.name}: {exp.label()}",
+             {"experiment": exp.kind, **exp.fields, **exp.sizes["full"]})
+            for w in workloads.values() for exp in w.experiments]
 
 
 def _command(source: str, argv: list) -> tuple:
@@ -80,7 +96,7 @@ def readme_configs() -> list:
 
 
 def main() -> int:
-    configs = golden_configs() + script_configs() + readme_configs()
+    configs = golden_configs() + script_configs() + readme_configs() + bench_configs()
     with tempfile.TemporaryDirectory() as tmp:
         for k, (label, fields) in enumerate(configs):
             for seed in SEEDS:

@@ -414,9 +414,14 @@ def _cover_json(ground_text: list, cover) -> str:
 def _interior_text(boundary_sample: list, interior_sample: list) -> list:
     """The text "word@offset" of the point at radius r on the root's ray
     toward boundary_sample[i], for each interior sample (i, r): the ray's
-    vertex word at depth ceil(r), and r mod 1, the offset along its edge."""
-    return [".".join(map(str, boundary_sample[i].prefix(math.ceil(r)))) + f"@{r % 1}"
-            for i, r in interior_sample]
+    vertex word at depth ceil(r), and r mod 1, the offset along its edge,
+    as `str` of a Fraction writes it, from the integer ratio of r."""
+    out = []
+    for i, r in interior_sample:
+        num, den = r.as_integer_ratio()
+        out.append(".".join(map(str, boundary_sample[i].prefix(-(-num // den))))
+                   + (f"@{num % den}/{den}" if den > 1 else "@0"))
+    return out
 
 
 # ---------------------------------------------------------------------------

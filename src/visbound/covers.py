@@ -21,17 +21,22 @@ from .spaces import (
     TREE,
     EuclideanPoint,
     Point,
-    Ray,
     Space,
+    SpaceMismatchError,
     TreePoint,
+    _check_kind,
     dist,  # unused, but bench/test_bench.py checks the tracer wraps this binding
-    ray_point,
     substream,
 )
 
 # incidence and distance entries per block of cover_stats (its transient
 # memory is O(chunk))
 _CHUNK = 1 << 15
+
+# vertex words are bytes, one letter each: the one-letter words and the
+# text of each letter
+_LETTERS = [bytes((a,)) for a in range(256)]
+_LETTER_TEXT = [str(a) for a in range(256)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,21 +195,33 @@ def _inside(P, C, rad: float) -> np.ndarray:
 
 def _rank_words(words: list) -> tuple:
     """(keys, codes): the distinct words in increasing order, and the index
-    in keys of each word, as int64."""
+    in keys of each word, as int64 (`bytes` sort as tuples do)."""
     keys = sorted(set(words))
     rank = {w: i for i, w in enumerate(keys)}
     return keys, np.fromiter(map(rank.__getitem__, words), dtype=np.int64, count=len(words))
 
 
-def _tree_levels(head: tuple, levels: int, k: int) -> list:
+def _word_text(word: bytes) -> str:
+    """repr(tuple(word)) of a vertex word."""
+    if len(word) == 1:
+        return f"({word[0]},)"
+    return "(" + ", ".join([_LETTER_TEXT[a] for a in word]) + ")"
+
+
+def _check_letters(space: Space) -> None:
+    if space.kind == TREE and space.valence > 256:
+        raise ValueError(f"tree valence {space.valence} > 256: a word letter must fit in a byte")
+
+
+def _tree_levels(head: bytes, levels: int, k: int) -> list:
     """Words of the first `levels` levels of the subtree of T_k at the
     non-root vertex `head`."""
     if levels <= 0:
         return []
-    out, level = [], [head]
+    out, level, letters = [], [head], _LETTERS[:k - 1]
     for _ in range(levels - 1):
         out += level
-        level = [w + (a,) for w in level for a in range(k - 1)]
+        level = [w + a for w in level for a in letters]
     return out + level
 
 
@@ -212,8 +229,8 @@ def _tree_levels(head: tuple, levels: int, k: int) -> list:
 class LatticeBallSystem:
     """Open balls of radius 2R around the unit integer lattice (Euclidean)
     or around every vertex (tree).  Centers are enumerated locally near a
-    query point, never globally, and named by their keys: integer
-    coordinate tuples or vertex words."""
+    query point, never globally, and named by their keys: int64 coordinate
+    rows or `bytes` vertex words."""
 
     space: Space
     R: object
@@ -223,6 +240,7 @@ class LatticeBallSystem:
             raise ValueError("ball system needs R > 0")
         if self.space.kind == HYPERBOLIC:
             raise ValueError("no lattice orbit is provided on the hyperbolic plane")
+        _check_letters(self.space)
 
     @property
     def radius(self):
@@ -234,54 +252,63 @@ class LatticeBallSystem:
         around floor(p) + o can hold a point p: the gap between o and the
         unit cube [0, 1]^n is shorter than 2R + 1e-9.  A center off the
         stencil is farther from p than that, beyond any rounding of
-        `spaces.dist`."""
-        rad = Fraction(float(self.radius)) + Fraction(1, 10 ** 9)
-        reach = math.ceil(rad)
-        offsets = [o for o in itertools.product(range(-reach, reach + 2), repeat=self.space.dim)
-                   if sum(max(-a, a - 1, 0) ** 2 for a in o) < rad * rad]
-        return np.array(offsets, dtype=np.int64)
+        `spaces.dist`.  For 2R + 1e-9 = p/q, a squared gap s is shorter
+        iff s q^2 < p^2, that is s <= (p^2 - 1) // q^2."""
+        p, q = (Fraction(float(self.radius)) + Fraction(1, 10 ** 9)).as_integer_ratio()
+        reach, dim = -(-p // q), self.space.dim
+        # every offset in [-reach, reach + 1]^n, in lexicographic order
+        o = np.indices((2 * reach + 2,) * dim).reshape(dim, -1).T - reach
+        gap = np.maximum(np.maximum(-o, o - 1), 0)
+        return o[(gap * gap).sum(axis=1) <= (p * p - 1) // (q * q)]
 
-    def _tree_ball(self, p: TreePoint) -> list:
-        """Vertex words within open distance 2R of p, by integer depth
-        budgets: walk up the ancestors of p while they are inside, and take
-        from each the levels of its other branches that stay inside.  The
-        budgets are exact ceilings, so a rational offset and a non-integer
-        R are handled exactly."""
+    def _tree_ball(self, w: bytes, levels, budget: int) -> list:
+        """Vertex words within open distance 2R of the vertex w (levels None)
+        or of a point on the edge into w, by integer depth budgets: walk up
+        the ancestors of the point while they are inside (i steps up iff
+        i < budget), and take from each the levels of its other branches
+        that stay inside; the far end w of an edge has `levels` inside."""
         k = self.space.valence
-        rad = Fraction(self.radius)
-        w = p.word
-        if p.is_vertex:
+        if levels is None:
             up, skip, out = w, None, []
-            budget = math.ceil(rad)
         else:
-            # the far end w of p's edge is 1 - offset away
             up, skip = w[:-1], w[-1]
-            out = _tree_levels(w, math.ceil(rad + p.offset) - 1, k)
-            budget = math.ceil(rad - p.offset)
-        # the ancestor i steps up is inside iff i < budget
+            out = _tree_levels(w, levels, k)
         for i in range(min(budget, len(up) + 1)):
             a = up[:len(up) - i]
             out.append(a)
             for c in range(k if not a else k - 1):
                 if c != skip:
-                    out += _tree_levels(a + (c,), budget - i - 1, k)
+                    out += _tree_levels(a + _LETTERS[c], budget - i - 1, k)
             skip = a[-1] if a else None
         return out
 
-    def incidences(self, points: list) -> tuple:
+    def incidences(self, points) -> tuple:
         """(keys, set_of, point_of): the keys of the orbit centers whose open
         2R-ball contains some point, in increasing order, and the (ball,
         point) incidences sorted by ball and then by point, as indices into
-        `keys` and `points`."""
+        `keys` and `points`.
+
+        Tree points are (word, (num, den)) pairs, the offset num/den along
+        the edge into the `bytes` word, whose `_tree_ball` budgets are exact
+        ceilings, taken once per distinct offset.  R^n points are the rows
+        of an (m, n) float array, and the keys int64 rows."""
         if self.space.kind == TREE:
-            balls = [self._tree_ball(p) for p in points]
+            rad, budgets, balls = Fraction(self.radius), {}, []
+            for word, ratio in points:
+                if ratio not in budgets:
+                    o = Fraction(*ratio)
+                    budgets[ratio] = ((math.ceil(rad + o) - 1, math.ceil(rad - o))
+                                      if o else (None, math.ceil(rad)))
+                balls.append(self._tree_ball(word, *budgets[ratio]))
             keys, set_of = _rank_words(list(itertools.chain.from_iterable(balls)))
-            point_of = np.repeat(np.arange(len(points)), [len(b) for b in balls])
+            point_of = np.repeat(np.arange(len(balls)), [len(b) for b in balls])
             # the incidences come in point order, which a stable sort keeps
             # within each ball
             by_set = np.argsort(set_of, kind="stable")
             return keys, set_of[by_set], point_of[by_set]
-        P = np.array([p.coords for p in points], dtype=float).reshape(len(points), self.space.dim)
+        P = np.asarray(points, dtype=float)
+        if P.ndim != 2 or P.shape[1] != self.space.dim:
+            raise SpaceMismatchError(f"points of shape {P.shape} are not rows of R^{self.space.dim}")
         base = np.floor(P)
         hit = _inside(P[:, None, :], base[:, None, :] + self.stencil, float(self.radius))
         point_of, offset = np.nonzero(hit)
@@ -292,36 +319,59 @@ class LatticeBallSystem:
         rows = rows[by_set]
         start = np.ones(len(rows), dtype=bool)
         start[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        return list(map(tuple, rows[start].tolist())), np.cumsum(start) - 1, point_of[by_set]
+        return rows[start], np.cumsum(start) - 1, point_of[by_set]
 
     def centers_near(self, p: Point) -> list:
         """All orbit centers whose open 2R-ball contains p, by increasing key."""
-        keys, _, _ = self.incidences([p])
+        _check_kind(self.space, p)
         if self.space.kind == TREE:
-            return [TreePoint(key) for key in keys]
-        return [EuclideanPoint(tuple(float(v) for v in key)) for key in keys]
+            keys, _, _ = self.incidences([(bytes(p.word), p.offset.as_integer_ratio())])
+            return [TreePoint(tuple(key)) for key in keys]
+        keys, _, _ = self.incidences(np.array([p.coords], dtype=float))
+        return [EuclideanPoint(tuple(map(float, key))) for key in keys.tolist()]
 
 
 def orbit_ball_order(space: Space, R, resolution: int = 48) -> int:
     """Global order of the orbit 2R-ball system.  Multiplicity is periodic
     under the orbit, so a grid over one fundamental domain (Euclidean) or
     one deep edge (tree) finds the exact maximum up to grid resolution.
-    The Euclidean grid is counted in one pass per stencil offset."""
+    The Euclidean grid is counted a block of offsets at a time, each
+    temporary of about 2^12 entries."""
     system = LatticeBallSystem(space, R)
     if space.kind == EUCLIDEAN:
         axis = np.arange(resolution) / resolution
         grid = np.stack(np.meshgrid(*[axis] * space.dim, indexing="ij"), axis=-1)
         counts = np.zeros(grid.shape[:-1], dtype=np.int64)
-        for o in system.stencil:
-            counts += _inside(grid, o, float(system.radius))
+        stencil = system.stencil.reshape((-1,) + (1,) * space.dim + (space.dim,))
+        step = -(-(1 << 12) // counts.size)
+        for lo in range(0, len(stencil), step):
+            counts += _inside(grid, stencil[lo:lo + step], float(system.radius)).sum(axis=0)
         return int(counts.max())
-    deep = tuple([0] + [1, 0] * (int(2 * R) + 2))
-    edge = [TreePoint(deep, Fraction(num, 16)) for num in range(16)]
+    deep = bytes([0] + [1, 0] * (int(2 * R) + 2))
+    edge = [(deep, (num, 16)) for num in range(16)]
     return int(np.bincount(system.incidences(edge)[2]).max())
 
 
 # ---------------------------------------------------------------------------
 # boundary pushout
+
+
+def _tree_ray_points(space: Space, t: Fraction, boundary_sample: list) -> list:
+    """The `LatticeBallSystem.incidences` point at time t = whole + off on
+    the ray from the vertex basepoint v toward each boundary point.  A ray
+    leaving v's word at depth m walks up it first: while m <= |v| - ceil(t)
+    its point is at depth |v| - t on v, at offset 1 - off (0 for off = 0),
+    and else at depth 2m - |v| + t on its own word, at offset off."""
+    whole, off = divmod(t, 1)
+    top = space.basepoint.word
+    rise = len(top) - whole - (off > 0)
+    upper = (bytes(top[:len(top) - whole]), (1 - off if off else off).as_integer_ratio())
+    down = off.as_integer_ratio()
+    points = []
+    for xi in boundary_sample:
+        m = next((j for j, (a, b) in enumerate(zip(top, xi.prefix(len(top)))) if a != b), len(top))
+        points.append(upper if m <= rise else (bytes(xi.prefix(2 * m - rise)), down))
+    return points
 
 
 def boundary_pushout_cover(space: Space, system: LatticeBallSystem, lam, A,
@@ -330,19 +380,26 @@ def boundary_pushout_cover(space: Space, system: LatticeBallSystem, lam, A,
     `LatticeBallSystem.incidences` of the basepoint rays' points at time
     1/lam: a boundary point joins the set of a ball V iff its ray sits in
     V at that time.  One set per ball meeting the sample, by increasing
-    center key."""
+    center key.  The ray points are `spaces.ray_point`'s: at
+    t = 1/Fraction(lam) on a tree, and basepoint + (1.0 / lam) V on R^n."""
     if lam <= 0:
         raise ValueError("scale must be positive")
     if system.R <= A:
         raise ValueError("pushout needs ball parameter R > A")
-    t = 1 / Fraction(lam) if space.kind == TREE else 1.0 / float(lam)
-    points = [ray_point(Ray(space, space.basepoint, xi), t) for xi in boundary_sample]
+    _check_kind(system.space, space.basepoint, *boundary_sample)
+    n = len(boundary_sample)
+    if space.kind == TREE:
+        points = _tree_ray_points(space, 1 / Fraction(lam), boundary_sample)
+    else:
+        V = np.array([xi.direction for xi in boundary_sample], dtype=float).reshape(n, space.dim)
+        points = np.array(space.basepoint.coords) + (1.0 / float(lam)) * V
     keys, set_of, point_of = system.incidences(points)
-    if not np.bincount(point_of, minlength=len(points)).all():
+    text = _word_text if space.kind == TREE else (lambda row: str(tuple(row.tolist())))
+    if not np.bincount(point_of, minlength=n).all():
         raise ValueError("pushout cover failed to cover the boundary sample")
     label = f"pushout lam={float(lam):g}"
-    return Cover(len(points), set_of, point_of, (None,) * len(keys),
-                 lambda s: f"{label} center={keys[s]}")
+    return Cover(n, set_of, point_of, (None,) * len(keys),
+                 lambda s: f"{label} center={text(keys[s])}")
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +408,10 @@ def boundary_pushout_cover(space: Space, system: LatticeBallSystem, lam, A,
 
 def _tree_cylinder_cover(lam, boundary_sample: list) -> Cover:
     depth = max(1, math.ceil(math.log(4.0 / float(lam)) - 1e-9))
-    keys, cylinder = _rank_words([xi.prefix(depth) for xi in boundary_sample])
+    keys, cylinder = _rank_words([bytes(xi.prefix(depth)) for xi in boundary_sample])
     point_of = np.argsort(cylinder, kind="stable")
     return Cover(len(cylinder), cylinder[point_of], point_of, (0,) * len(keys),
-                 lambda s: f"cylinder depth={depth} word={keys[s]}")
+                 lambda s: f"cylinder depth={depth} word={_word_text(keys[s])}")
 
 
 def _circle_arc_cover(lam, boundary_sample: list) -> Cover:
@@ -407,6 +464,7 @@ def colored_boundary_cover(space: Space, lam, boundary_sample: list) -> Cover:
     if lam <= 0:
         raise ValueError("scale must be positive")
     if space.kind == TREE:
+        _check_letters(space)
         return _tree_cylinder_cover(lam, boundary_sample)
     if space.kind == EUCLIDEAN and space.dim == 2:
         return _circle_arc_cover(lam, boundary_sample)
@@ -449,11 +507,12 @@ def annular_pushin_cover(space: Space, schedule: ScaleSchedule,
     each colored boundary set U, the band kR < r < (k+2)R of rays landing
     in U, plus the base ball B(x0, 2R).  Returns (cover, claims).
 
-    interior_sample entries are (boundary index, radius) pairs.  Everything
-    is read from one branch table B of the basepoint rays, with +inf on its
-    diagonal: the ray toward j passes the point at radius r on the ray
-    toward i iff B[i, j] >= ceil(r).  Raises ValueError on a non-tree
-    space."""
+    interior_sample entries are (boundary index, radius) pairs; each radius
+    is read once as num/den, and tested against the bands in integers.
+    Everything is read from one branch table B of the basepoint rays, with
+    +inf on its diagonal: the ray toward j passes the point at radius r on
+    the ray toward i iff B[i, j] >= ceil(r).  Raises ValueError on a
+    non-tree space."""
     if space.kind != TREE:
         raise ValueError("the annular pushin is built on tree spaces only")
     R, K = schedule.R, schedule.K
@@ -462,8 +521,8 @@ def annular_pushin_cover(space: Space, schedule: ScaleSchedule,
             raise ValueError(f"missing colored cover for scale k={k}")
     B = pair_table(len(boundary_sample), pair_kernel(space, boundary_sample), math.inf)
     rays = np.array([i for i, _ in interior_sample], dtype=np.int64)
-    ceil_r = np.array([math.ceil(r) for _, r in interior_sample], dtype=float)
-    reach = B[rays] >= ceil_r[:, None]
+    ratios = [r.as_integer_ratio() for _, r in interior_sample]
+    reach = B[rays] >= np.array([-(-num // den) for num, den in ratios], dtype=float)[:, None]
 
     m = len(interior_sample)
     # one tube per colored set U with members, by scale and then by U:
@@ -471,7 +530,7 @@ def annular_pushin_cover(space: Space, schedule: ScaleSchedule,
     set_parts, point_parts, colors, tube_of = [], [], [], []
     for k in range(1, K + 1):
         lo, hi = k * R, (k + 2) * R
-        band = np.flatnonzero([lo < r < hi for _, r in interior_sample])
+        band = np.flatnonzero([lo * den < num < hi * den for num, den in ratios])
         boundary = colored_covers[k]
         p, inc = np.nonzero(reach[band][:, boundary.point_of])
         hit = np.zeros((len(boundary.colors), m), dtype=bool)
@@ -482,7 +541,7 @@ def annular_pushin_cover(space: Space, schedule: ScaleSchedule,
         point_parts.append(points)
         colors += [boundary.colors[s] for s in used.tolist()]
         tube_of += [(k, s) for s in used.tolist()]
-    base = np.flatnonzero([r < 2 * R for _, r in interior_sample])
+    base = np.flatnonzero([num < 2 * R * den for num, den in ratios])
     set_parts.append(np.full(len(base), len(colors)))
     point_parts.append(base)
     colors.append(None)
@@ -495,14 +554,15 @@ def annular_pushin_cover(space: Space, schedule: ScaleSchedule,
 
     cover = Cover(m, np.concatenate(set_parts), np.concatenate(point_parts), colors, describe)
     set_scale = np.array([k for k, _ in tube_of] + [0])
-    claims = _pushin_claims(cover, set_scale, schedule, interior_sample, rays, B)
+    # int / int rounds as float of a Fraction does
+    claims = _pushin_claims(cover, set_scale, schedule, [num / den for num, den in ratios], rays, B)
     return cover, claims
 
 
-def _pushin_claims(cover, set_scale, schedule, interior_sample, rays, B):
+def _pushin_claims(cover, set_scale, schedule, radii, rays, B):
     """The pushin claims, given each set's scale k (0 for the base ball),
     with the tube mesh read from the branch table B (+inf diagonal): points
-    at radii r_a, r_b on the rays toward i_a, i_b (`rays`) are
+    at float radii r_a, r_b on the rays toward i_a, i_b (`rays`) are
     r_a + r_b - 2 min(r_a, r_b, B[i_a, i_b]) apart, exact for dyadic radii."""
     R, c = schedule.R, schedule.c
     set_of, point_of = cover.set_of, cover.point_of
@@ -514,12 +574,12 @@ def _pushin_claims(cover, set_scale, schedule, interior_sample, rays, B):
     pairs = group[set_of[tube]] * cover.n + point_of[tube]
     color_ok = bool(np.bincount(pairs).max(initial=0) <= 1)
     # per-point decay inequality 2 e^{-r} < lam_k / 2 inside scale-k tubes
-    decay = np.array([2.0 * math.exp(-float(r)) for _, r in interior_sample])
+    decay = np.array([2.0 * math.exp(-r) for r in radii])
     half_lam = np.array([schedule.lam(k) / 2.0 for k in set_scale.tolist()])
     point_ok = bool((decay[point_of[tube]] < half_lam[set_of[tube]]).all())
     # Claim 3: tube mesh bound
     mesh_bound = 4.0 * c * math.exp(2 * R) + 2 * R
-    radii = np.array([float(r) for _, r in interior_sample])
+    radii = np.array(radii)
     bounds = cover.bounds
     tube_mesh = 0.0
     for t in np.flatnonzero(set_scale).tolist():

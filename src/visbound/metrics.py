@@ -28,7 +28,6 @@ from .spaces import (
     Point,
     Ray,
     Space,
-    SpaceMismatchError,
     _check_kind,
     dist,
     ray_point,
@@ -181,8 +180,6 @@ def pair_kernel(space: Space, points: list, origin: Point | None = None):
             raise ValueError("tree rays are only supported from vertex origins")
         return _branch_time_kernel(space, points, origin.word)
     if space.kind == EUCLIDEAN:
-        if any(len(p.direction) != space.dim for p in points):
-            raise SpaceMismatchError(f"a direction does not belong to R^{space.dim}")
         V = np.array([p.direction for p in points], dtype=float).reshape(len(points), space.dim)
         return lambda I, J: _chord(col[I] - col[J] for col in V.T)
     phi = np.array([p.angle for p in points], dtype=float)

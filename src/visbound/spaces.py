@@ -203,6 +203,7 @@ class Space:
                 raise ValueError("euclidean dimension must be >= 1")
             if self.basepoint is None:
                 object.__setattr__(self, "basepoint", EuclideanPoint((0.0,) * self.dim))
+            _check_kind(self, self.basepoint)
         elif self.kind == TREE:
             if self.valence < 3:
                 raise ValueError("tree valence must be >= 3")
@@ -236,9 +237,15 @@ _KINDS = {EUCLIDEAN: (EuclideanPoint, EuclideanBoundary), TREE: (TreePoint, Tree
 
 
 def _check_kind(space: Space, *objs):
+    """Each object is a point or boundary point of the space's kind, and on
+    R^n one of n coordinates."""
     for o in objs:
         if not isinstance(o, _KINDS[space.kind]):
             raise SpaceMismatchError(f"{type(o).__name__} does not belong to {space.kind}")
+        if space.kind == EUCLIDEAN and space.dim != len(
+                o.coords if isinstance(o, EuclideanPoint) else o.direction):
+            raise SpaceMismatchError(f"{type(o).__name__} of another dimension does not belong "
+                                     f"to R^{space.dim}")
 
 
 def validate_boundary(space: Space, bp: BoundaryPoint) -> None:

@@ -666,6 +666,13 @@ class TestScripts:
         for label, fields in commands:
             assert "--out" not in label and "--seed" not in label
             RunConfig.from_dict(fields).validate()
+        # the benchmark's 16 experiments, at their full sizes
+        bench = module.bench_configs()
+        assert len(bench) == 16 and len(dict(bench)) == 16
+        assert dict(bench)["bench lattice-covers: cover-pushout space=tree4 A=1.0 R=2.0"] == {
+            "experiment": "cover-pushout", "space": "tree4", "A": 1.0, "R": 2.0, "n": 12}
+        for _, fields in bench:
+            RunConfig.from_dict(fields).validate()
         # at the golden seed, the golden hashes
         names = ("metric-dA", "demo-t4")
         monkeypatch.setattr(module, "SEEDS", (3,))
@@ -673,6 +680,7 @@ class TestScripts:
                             lambda: [(f"golden {n}", GOLDEN[n][0]) for n in names])
         monkeypatch.setattr(module, "script_configs", lambda: [])
         monkeypatch.setattr(module, "readme_configs", lambda: [])
+        monkeypatch.setattr(module, "bench_configs", lambda: [])
         assert module.main() == 0
         lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert {(d["config"], d["seed"], d["file"]): d["sha256"] for d in lines} == \

@@ -25,8 +25,10 @@ from visbound.covers import (
 )
 from visbound.metrics import MetricSpec, pair_distance_matrix, pair_invariants
 from visbound.spaces import (
+    EuclideanBoundary,
     EuclideanPoint,
     Ray,
+    SpaceMismatchError,
     TreeBoundary,
     TreePoint,
     branch_time,
@@ -148,6 +150,35 @@ class TestLatticeBalls:
         with pytest.raises(ValueError):
             LatticeBallSystem(hyperbolic_plane(), 1)
 
+    # new rejection: vertex words keep one letter per byte
+    def test_valence_above_256_rejected(self):
+        space = tree_space(257)
+        with pytest.raises(ValueError, match="valence 257 > 256"):
+            LatticeBallSystem(space, 1)
+        with pytest.raises(ValueError, match="valence 257 > 256"):
+            colored_boundary_cover(space, 0.5, [TreeBoundary((256,), (255,))])
+
+    def test_valence_256_keeps_its_last_letter(self):
+        space = tree_space(256)
+        centers = LatticeBallSystem(space, 1).centers_near(TreePoint((255, 254)))
+        # the vertex, its parent and its 255 children; the root is 2 away
+        assert [c.word for c in centers] == [(255,), (255, 254)] + [(255, 254, a)
+                                                                  for a in range(255)]
+        sample = [TreeBoundary((255, 254), (0,)), TreeBoundary((0,), (254,))]
+        cover = colored_boundary_cover(space, 4 * math.exp(-2), sample)
+        assert [d for _, _, d in _sets(cover)] == ["cylinder depth=2 word=(0, 254)",
+                                                   "cylinder depth=2 word=(255, 254)"]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_stencil_matches_fraction_products(self, dim):
+        for R in (0.3, 1, 1.1, 1.25, Fraction(3, 2), 2, 2.5, 1 / 3):
+            rad = Fraction(float(2 * R)) + Fraction(1, 10 ** 9)
+            reach = math.ceil(rad)
+            want = [o for o in itertools.product(range(-reach, reach + 2), repeat=dim)
+                    if sum(max(-a, a - 1, 0) ** 2 for a in o) < rad * rad]
+            got = LatticeBallSystem(euclidean_space(dim), R).stencil
+            assert got.dtype == np.int64 and list(map(tuple, got.tolist())) == want
+
     def test_centers_near_euclidean(self):
         sys_ = LatticeBallSystem(E1, 1)
         centers = sys_.centers_near(EuclideanPoint((0.5,)))
@@ -166,6 +197,17 @@ class TestLatticeBalls:
 
 
 class TestPushout:
+    def test_direction_of_another_dimension_rejected(self):
+        sample = sample_boundary(E2, 10, 1) + [EuclideanBoundary((0.0, 0.6, 0.8))]
+        with pytest.raises(SpaceMismatchError, match="R\\^2"):
+            boundary_pushout_cover(E2, LatticeBallSystem(E2, 2), 0.5, 1, sample)
+        with pytest.raises(SpaceMismatchError, match="R\\^2"):
+            LatticeBallSystem(E2, 2).incidences(np.zeros((4, 3)))
+
+    def test_sample_of_another_space_rejected(self):
+        with pytest.raises(SpaceMismatchError):
+            boundary_pushout_cover(T4, LatticeBallSystem(T4, 2), 0.5, 1, sample_boundary(E2, 10, 1))
+
     def test_R_must_exceed_A(self):
         sys_ = LatticeBallSystem(T4, 1)
         with pytest.raises(ValueError):
@@ -564,6 +606,23 @@ class TestBallKernels:
             assert orbit_ball_order(tree_space(k), R) == want
 
 
+class TestVertexWords:
+    @pytest.mark.parametrize("word", [(), (0,), (255,), (3, 255), (0, 0),
+                                      tuple(range(192, 256)), tuple(i % 7 for i in range(64))])
+    def test_word_text_is_the_tuple_repr(self, word):
+        assert covers._word_text(bytes(word)) == repr(word)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 255), max_size=6), max_size=30))
+    def test_bytes_rank_like_tuples(self, words):
+        # prefixes of drawn words too, so that prefixes meet their extensions
+        words = [w[:j] for w in words for j in (len(w), len(w) // 2)]
+        keys, codes = covers._rank_words([bytes(w) for w in words])
+        want_keys, want_codes = covers._rank_words([tuple(w) for w in words])
+        assert [tuple(k) for k in keys] == want_keys
+        assert codes.tolist() == want_codes.tolist()
+
+
 def _reference_ball_sets(system, points):
     """The grouping the incidence kernel replaced: (key, members) for each
     orbit ball meeting `points`, by increasing center key, from each
@@ -577,12 +636,20 @@ def _reference_ball_sets(system, points):
 
 
 def _kernel_ball_sets(system, points):
-    keys, set_of, point_of = system.incidences(points)
+    """`_reference_ball_sets` from the incidence kernel, fed the points as
+    (bytes word, offset ratio) pairs on a tree and as an array of rows on
+    R^n; each key is compared as the tuple of its letters or coordinates."""
+    if system.space.kind == "tree":
+        keys, set_of, point_of = system.incidences([(bytes(p.word), p.offset.as_integer_ratio())
+                                                    for p in points])
+    else:
+        keys, set_of, point_of = system.incidences(np.array([p.coords for p in points]))
     # sorted by ball and then by point, each incidence once
     assert (np.diff(set_of * len(points) + point_of) > 0).all()
     bounds = np.flatnonzero(np.diff(set_of, prepend=-1)).tolist() + [len(set_of)]
     assert len(bounds) == len(keys) + 1
-    return [(key, tuple(point_of[a:b].tolist())) for key, a, b in zip(keys, bounds, bounds[1:])]
+    return [(tuple(key), tuple(point_of[a:b].tolist()))
+            for key, a, b in zip(keys, bounds, bounds[1:])]
 
 
 class TestIncidenceKernel:
@@ -607,21 +674,28 @@ class TestIncidenceKernel:
         system = LatticeBallSystem(T4, R)
         assert _kernel_ball_sets(system, points) == _reference_ball_sets(system, points)
 
+    # float scales with 1/lam an integer (0.5, 0.125) and not (4e^-2, 0.3),
+    # Fraction scales with 1/lam an integer (1/4) and not (3/7, 3/2).  From
+    # the vertex (1, 2, 0) a ray first walks up its word to the meet, and
+    # at t = 2/3 or 7/3 some points stay on that word.
     @pytest.mark.parametrize("space,R,n", [
         (E1, 2.5, 2), (E2, 2.5, 80), (euclidean_space(3), Fraction(3, 2), 40),
         (T4, Fraction(3, 2), 40), (T4, 1.25, 40),
-    ], ids=["R1", "R2", "R3", "T4-3/2", "T4-1.25"])
+        (tree_space(4, TreePoint((1, 2, 0))), Fraction(3, 2), 40),
+        (euclidean_space(2, (0.3, -1.7)), 2.5, 80),
+    ], ids=["R1", "R2", "R3", "T4-3/2", "T4-1.25", "T4-at-120", "R2-at-(0.3,-1.7)"])
     def test_pushout_sets_and_stats_per_scale(self, space, R, n):
         sample = sample_boundary(space, n, 8)
         D = pair_distance_matrix(space, MetricSpec("dA", A=1), sample)
         system = LatticeBallSystem(space, R)
-        for lam in (0.5, 4 * math.exp(-2), 0.125):
-            t = 1 / Fraction(lam) if space.kind == "tree" else 1.0 / lam
+        for lam in (0.5, 4 * math.exp(-2), 0.125, 0.3, Fraction(1, 4), Fraction(3, 7),
+                    Fraction(3, 2)):
+            t = 1 / Fraction(lam) if space.kind == "tree" else 1.0 / float(lam)
             points = [ray_point(Ray(space, space.basepoint, xi), t) for xi in sample]
             want = _reference_ball_sets(system, points)
             cover = boundary_pushout_cover(space, system, lam, 1, sample)
             assert [(m, d) for m, _, d in _sets(cover)] == [
-                (members, f"pushout lam={lam:g} center={key}") for key, members in want]
+                (members, f"pushout lam={float(lam):g} center={key}") for key, members in want]
             ref = _cover(len(sample), [members for _, members in want])
             got = cover_stats(cover, D)
             assert (got.order, got.mesh, got.lebesgue) == _reference_cover_stats(ref, D)
@@ -758,6 +832,19 @@ class TestStatsKernels:
         counts = [sum(idx in m for m, _, _ in got) for idx in range(len(interior))]
         assert claims["order"] == max(counts)
         assert claims["covers_ground"] == (min(counts) > 0)
+
+    def test_pushin_reads_int_and_float_radii_exactly(self):
+        # each radius is read as its integer ratio: dyadic floats and ints
+        # give the cover and claims of the same radii as Fractions
+        sched = ScaleSchedule(R=2, K=3, c=1.0)
+        sample = sample_boundary(T4, 30, 3)
+        covers = {k: colored_boundary_cover(T4, sched.lam(k), sample) for k in range(1, 4)}
+        interior = sample_ray_points(sample, 10, 200, 3)
+        numbers = [(i, int(r) if r.denominator == 1 else float(r)) for i, r in interior]
+        assert {type(r) for _, r in numbers} == {int, float}
+        want, want_claims = annular_pushin_cover(T4, sched, covers, sample, interior)
+        got, got_claims = annular_pushin_cover(T4, sched, covers, sample, numbers)
+        assert _sets(got) == _sets(want) and got_claims == want_claims
 
     def test_pushin_reach_from_a_vertex_basepoint(self):
         # the ray toward j passes the tube point iff the two ray points

@@ -27,6 +27,7 @@ from visbound.spaces import (
     sample_boundary,
     substream,
     tree_space,
+    validate_boundary,
 )
 
 T4 = tree_space(4)
@@ -63,6 +64,29 @@ class TestConstruction:
     def test_kind_mismatch(self):
         with pytest.raises(SpaceMismatchError):
             dist(T4, EuclideanPoint((0.0, 0.0)), TreePoint(()))
+
+    # points of another dimension were measured on their common prefix:
+    # this dist read 5.0, and the ray a 2-D point
+    @pytest.mark.parametrize("other", [(3.0, 4.0, 12.0), (3.0,)])
+    def test_dimension_mismatch_of_a_point(self, other):
+        with pytest.raises(SpaceMismatchError, match="R\\^2"):
+            dist(E2, EuclideanPoint((0.0, 0.0)), EuclideanPoint(other))
+        with pytest.raises(SpaceMismatchError, match="R\\^2"):
+            dist(E2, EuclideanPoint(other), EuclideanPoint((0.0, 0.0)))
+        with pytest.raises(SpaceMismatchError, match="R\\^2"):
+            Ray(E2, EuclideanPoint(other), EuclideanBoundary((1.0, 0.0)))
+
+    @pytest.mark.parametrize("direction", [(0.0, 0.6, 0.8), (1.0,)])
+    def test_dimension_mismatch_of_a_direction(self, direction):
+        with pytest.raises(SpaceMismatchError, match="R\\^2"):
+            ray_point(Ray(E2, EuclideanPoint((0.0, 0.0)), EuclideanBoundary(direction)), 1.0)
+        with pytest.raises(SpaceMismatchError, match="R\\^2"):
+            validate_boundary(E2, EuclideanBoundary(direction))
+
+    def test_basepoint_of_another_dimension_rejected(self):
+        with pytest.raises(SpaceMismatchError, match="R\\^2"):
+            euclidean_space(2, (0.0, 0.0, 0.0))
+        assert euclidean_space(3, (0.0, 0.0, 0.0)).basepoint.coords == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("angle", [-5e-324, -1e-17, -0.0, 2 * math.pi])
     def test_hyperbolic_angles_wrap_into_zero_two_pi(self, angle):

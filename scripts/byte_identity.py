@@ -9,8 +9,10 @@ JSON line per file, so that two versions of visbound compare by one diff:
 
 The configs are the `GOLDEN` configs of tests/test_golden_outputs.py, the
 command lines of scripts/run_*.py, those of the README's command-line
-example and the experiments of the benchmark's workloads in
-bench/workloads.py at their "full" sizes (that module is only read).  Each runs through `visbound.cli.run` into a temporary directory at
+example, the experiments of the benchmark's workloads in
+bench/workloads.py at their "full" sizes (that module is only read), and
+the `LARGE` configs below, which run the cover verdicts above the golden
+sizes.  Each runs through `visbound.cli.run` into a temporary directory at
 seeds 0, 3 and 11, and each line holds the config, the seed, the file and
 its sha256.  `manifest.json` is left out: it holds the output directory and
 the package versions.  The source imported is the `src/` next to this
@@ -20,6 +22,7 @@ script.
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import runpy
 import shlex
@@ -32,6 +35,22 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from visbound import cli  # noqa: E402
 
 SEEDS = (0, 3, 11)
+TREE_SCALES = [4.0 * math.exp(-k) for k in range(1, 9)]
+CIRCLE_SCALES = [2.0 ** -k for k in range(1, 7)]
+
+# (label, config fields) of the cover verdicts on larger samples
+LARGE = [
+    ("large ell-dim euclidean2 dA n=1500",
+     dict(experiment="ell-dim", space="euclidean2", metric="dA", A=1.0, n=1500,
+          scales=CIRCLE_SCALES)),
+    ("large ell-dim hyperbolic_plane dbar n=1500",
+     dict(experiment="ell-dim", space="hyperbolic_plane", metric="dbar", n=1500,
+          scales=CIRCLE_SCALES)),
+    ("large ell-dim tree4 dbar n=1500",
+     dict(experiment="ell-dim", space="tree4", metric="dbar", n=1500, scales=TREE_SCALES)),
+    ("large cover-pushout euclidean2 n=500",
+     dict(experiment="cover-pushout", space="euclidean2", A=1.0, R=2.0, n=500)),
+]
 
 
 def _module(*path):
@@ -96,7 +115,7 @@ def readme_configs() -> list:
 
 
 def main() -> int:
-    configs = golden_configs() + script_configs() + readme_configs() + bench_configs()
+    configs = golden_configs() + script_configs() + readme_configs() + bench_configs() + LARGE
     with tempfile.TemporaryDirectory() as tmp:
         for k, (label, fields) in enumerate(configs):
             for seed in SEEDS:

@@ -34,7 +34,8 @@ from .covers import (
     orbit_ball_order,
     sample_ray_points,
 )
-from .metrics import DA, DBAR, MetricSpec, block_lines, pair_blocks, pair_distance_matrix
+from .metrics import (DA, DBAR, MetricSpec, block_lines, pair_blocks, pair_distance_matrix,
+                      sample_metric)
 from .quasisym import (
     linear_control,
     power_law_fit,
@@ -411,16 +412,17 @@ def _cover_json(ground_text: list, cover) -> str:
                                                        _json_list(sets, "  "))
 
 
-def _interior_text(boundary_sample: list, interior_sample: list) -> list:
-    """The text "word@offset" of the point at radius r on the root's ray
-    toward boundary_sample[i], for each interior sample (i, r): the ray's
-    vertex word at depth ceil(r), and r mod 1, the offset along its edge,
-    as `str` of a Fraction writes it, from the integer ratio of r."""
-    out = []
-    for i, r in interior_sample:
-        num, den = r.as_integer_ratio()
+def _interior_text(boundary_sample: list, interior) -> list:
+    """The text "word@offset" of each point of the `RayPoints` interior, at
+    radius r = num/den on the root's ray toward boundary_sample[i]: the
+    ray's vertex word at depth ceil(r), and r mod 1, the offset along its
+    edge, reduced as `str` of a Fraction writes it."""
+    den, out = interior.den, []
+    for i, num in zip(interior.ray.tolist(), interior.num.tolist()):
+        part = num % den
+        g = math.gcd(part, den)
         out.append(".".join(map(str, boundary_sample[i].prefix(-(-num // den))))
-                   + (f"@{num % den}/{den}" if den > 1 else "@0"))
+                   + (f"@{part // g}/{den // g}" if part else "@0"))
     return out
 
 
@@ -480,13 +482,12 @@ def run_cover_pushout(cfg: RunConfig):
         raise ConfigError("pushout requires R > A")
     system = LatticeBallSystem(space, R)
     sample = sample_boundary(space, cfg.n, cfg.seed)
-    spec = MetricSpec(DA, A=A)
-    D = pair_distance_matrix(space, spec, sample)
+    metric = sample_metric(space, MetricSpec(DA, A=A), sample)
     order_v = orbit_ball_order(space, system.R)
     rows = []
     for lam in cfg.scales:
         cover = boundary_pushout_cover(space, system, lam, A, sample)
-        rows.append(ScaleRow.judge(lam, cover_stats(cover, D), (4.0 * R / A) * float(lam),
+        rows.append(ScaleRow.judge(lam, cover_stats(cover, metric), (4.0 * R / A) * float(lam),
                                    float(lam), order_v))
     files = {
         "stats.csv": _stats_csv(rows),
@@ -532,8 +533,8 @@ def run_ell_dim(cfg: RunConfig):
     space = parse_space(cfg.space)
     spec = _spec(cfg)
     sample = sample_boundary(space, cfg.n, cfg.seed)
-    D = pair_distance_matrix(space, spec, sample)
-    rows, estimate = ell_dim_estimate(D, cfg.scales, max(cfg.c, 4.0), cfg.seed)
+    rows, estimate = ell_dim_estimate(sample_metric(space, spec, sample), cfg.scales,
+                                      max(cfg.c, 4.0), cfg.seed)
     files = {"stats.csv": _stats_csv(rows)}
     verdicts = {"estimate": estimate,
                 "all_scales_pass": all(r.passed for r in rows)}
@@ -571,12 +572,13 @@ def run_demo_t4(cfg: RunConfig):
     nv_rows = [(r.n, r.branch, float(r.dA), float(r.product), r.growth) for r in nv]
     nq_rows = [(r.n, float(r.t), r.rho, r.required_c) for r in nq]
     center_lines = {c: boundary_to_line(space, c) for c in centers}
-    # each distinct radius and distance formatted once: int/int division
-    # rounds as `float` of a `Fraction` does
-    ratios = [x.as_integer_ratio() for _, r, _, d in perf.witnesses for x in (r, d)]
-    text = {x: _fmt(x[0] / x[1]) for x in set(ratios)}
-    perf_rows = [(center_lines[c], text[r], boundary_to_line(space, w), text[d])
-                 for (c, _, w, _), r, d in zip(perf.witnesses, ratios[::2], ratios[1::2])]
+    # each distinct radius and distance formatted once from its integer
+    # ratio: int/int division rounds as `float` of a `Fraction` does
+    text = {x: _fmt(x[0] / x[1]) for x in
+            {r.as_integer_ratio() for _, r, _, _ in perf.witnesses}
+            | {d for _, _, _, d in perf.witnesses}}
+    perf_rows = [(center_lines[c], text[r.as_integer_ratio()], boundary_to_line(space, w), text[d])
+                 for c, r, w, d in perf.witnesses]
     files = {
         "nonvisual_dA.csv": _csv(["n", "branch", "dA", "product", "growth"], nv_rows),
         "nonqs.csv": _csv(["n", "t", "rho", "required_c"], nq_rows),

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .metrics import _chord, _wrapped_gap, block_lines, pair_kernel, pair_table
+from .metrics import SampleMetric, _chord, _wrapped_gap, pair_kernel, pair_table
 from .spaces import (
     EUCLIDEAN,
     HYPERBOLIC,
@@ -29,9 +29,13 @@ from .spaces import (
     substream,
 )
 
-# incidence and distance entries per block of cover_stats (its transient
-# memory is O(chunk))
+# distances per block of the full rows and member pairs that cover_stats
+# and the row-read greedy net read (their transient memory is O(chunk))
 _CHUNK = 1 << 15
+# a circle run spanning more than half the circle less this has its mesh
+# read from its members' pairs: the H^2 angle of a nearly antipodal pair
+# is rounded to about 1e-8
+_HALF_TURN_SLACK = 1e-6
 
 # vertex words are bytes, one letter each: the one-letter words and the
 # text of each letter
@@ -92,7 +96,7 @@ def _distinct_sets(set_of: np.ndarray, point_of: np.ndarray) -> tuple:
     a set joins its predecessor's group only if their runs are equal point
     by point, so a hash collision can split a group but never merges two
     different sets."""
-    starts = np.flatnonzero(np.diff(set_of, prepend=-1))
+    starts = _starts(set_of)
     h = np.add.reduceat(_point_weights(int(point_of.max(initial=-1)) + 1)[point_of], starts)
     order = np.argsort(h, kind="stable")
     tie = h[order[1:]] == h[order[:-1]]
@@ -123,41 +127,168 @@ class CoverStats:
     lebesgue: float     # math.inf sentinel when some set swallows the sample
 
 
-def cover_stats(cover: Cover, matrix: np.ndarray) -> CoverStats:
-    """Order, mesh, and Lebesgue number of the cover measured against its
-    own ground sample, whose pairwise distances are `matrix`.
+def _ranks(order: np.ndarray) -> np.ndarray:
+    """The position of each sample index in the boundary order."""
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return rank
 
-    The order is the largest count of incidences of a point.  Identical
-    sets give identical mesh and Lebesgue candidates, so each distinct set
-    is measured once; its incidences, sorted by point, are read in blocks
-    of about _CHUNK matrix entries.  An incidence's mesh candidate is the
-    largest distance from its point into its set, and its Lebesgue
-    candidate the smallest distance from its point out of the set; a
-    point's Lebesgue candidate is the largest of its incidences'."""
+
+def _starts(x: np.ndarray) -> np.ndarray:
+    """The index of the first entry of each run of equal entries of x."""
+    new = np.ones(len(x), dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def _segments(set_of: np.ndarray) -> tuple:
+    """(starts, ends, seg) of incidences whose sets are contiguous: the
+    first and last incidence of each set, and each incidence's set, the
+    sets numbered in order from 0."""
+    starts = _starts(set_of)
+    ends = np.append(starts[1:], len(set_of)) - 1
+    return starts, ends, np.repeat(np.arange(len(starts)), ends - starts + 1)
+
+
+def _runs(metric: SampleMetric, point_of: np.ndarray, starts, ends, seg) -> tuple:
+    """(run, lo, hi) for the sets of `_segments`: whether each set is a run
+    of the boundary order (cyclic on the circle), and the ranks of its
+    first and last members along it.  A whole circle runs from rank 0 to
+    n - 1."""
+    n = metric.n
+    # each set's ranks in increasing order
+    r = np.sort(seg * n + _ranks(metric.order)[point_of]) - seg * n
+    first, last = r[starts], r[ends]
+    if metric.turn is None:
+        return last - first == ends - starts, first, last
+    # the ranks missing after each member, the last member's wrapping round
+    # to the first; a run misses ranks at one place at most, and starts
+    # after it
+    gap = np.empty(len(r), dtype=np.int64)
+    np.subtract(r[1:], r[:-1] + 1, out=gap[:-1])
+    gap[ends] = first + n - last - 1
+    at = np.flatnonzero(gap > 0)
+    cut = ends.copy()
+    cut[seg[at]] = at
+    return (np.bincount(seg[at], minlength=len(starts)) <= 1,
+            r[np.where(cut == ends, starts, cut + 1)], r[cut])
+
+
+def _far_pairs(metric: SampleMetric, lo: np.ndarray, size: np.ndarray) -> float:
+    """The largest distance between two members of one of the circle runs
+    of `size` points from rank lo, each spanning half the circle or more.
+    Along a run the members' turns u rise from 0; the farthest member from
+    the one at u is one of the two around u + pi or around u - pi, or, where
+    those fall outside the run, its end, so each member is paired with
+    those four."""
+    n, order, turn = metric.n, metric.order, metric.turn
+    seg = np.repeat(np.arange(len(lo)), size)
+    first = np.cumsum(size) - size
+    members = order[(lo[seg] + np.arange(len(seg)) - first[seg]) % n]
+    # each run's turns in a window of its own, 4 pi apart
+    u = (turn[members] - turn[members[first]][seg]) % (2 * math.pi) + 4 * math.pi * seg
+    a, b = first[seg], first[seg] + size[seg] - 1
+    j = np.searchsorted(u, np.concatenate([u + math.pi, u - math.pi]))
+    near = np.concatenate([np.clip(j - 1, np.tile(a, 2), np.tile(b, 2)),
+                           np.clip(j, np.tile(a, 2), np.tile(b, 2))])
+    return float(metric.dist(np.tile(members, 4), members[near]).max())
+
+
+def _run_candidates(metric: SampleMetric, point_of: np.ndarray, starts, ends, seg,
+                    run, lo, hi, best: np.ndarray) -> float:
+    """The largest mesh candidate of the run sets of `_runs`, over the sets
+    of `_segments`; raises best[p] to each Lebesgue candidate of a point p
+    in a run set."""
+    n, order = metric.n, metric.order
+    whole = ends - starts == n - 1
+    inc = np.flatnonzero(run[seg])
+    s = seg[inc]
+    near = np.concatenate([lo[s] - 1, hi[s] + 1])
+    if metric.turn is None:
+        # past the ends of the line there is no point
+        missing = (near < 0) | (near >= n)
+        near = np.clip(near, 0, n - 1)
+    else:
+        missing = np.tile(whole[s], 2)
+        near %= n
+    d = metric.dist(np.tile(point_of[inc], 2), order[near])
+    d[missing] = math.inf
+    np.maximum.at(best, point_of[inc], np.minimum(d[:len(inc)], d[len(inc):]))
+    spread = run & (ends > starts)
+    by_ends = spread
+    mesh = 0.0
+    if metric.turn is not None:
+        span = (metric.turn[order[hi]] - metric.turn[order[lo]]) % (2 * math.pi)
+        by_ends = spread & ~whole & (span < math.pi - _HALF_TURN_SLACK)
+        far = spread & ~by_ends
+        # identical runs have the same ends: one of each
+        ends_key = np.sort(lo[far] * n + hi[far])
+        ends_key = ends_key[_starts(ends_key)]
+        if ends_key.size:
+            first = ends_key // n
+            mesh = _far_pairs(metric, first, (ends_key % n - first) % n + 1)
+    e = np.flatnonzero(by_ends)
+    return max(mesh, float(metric.dist(order[lo[e]], order[hi[e]]).max(initial=0.0)))
+
+
+def _row_candidates(metric: SampleMetric, set_of: np.ndarray, point_of: np.ndarray,
+                    best: np.ndarray) -> float:
+    """`_run_candidates` for any sets, each distinct set measured once from
+    its members' full rows of `metric.dist`, in blocks of about _CHUNK
+    distances."""
+    n = metric.n
+    set_of, point_of = _distinct_sets(set_of, point_of)
+    inside = np.zeros((int(set_of.max()) + 1, n), dtype=bool)
+    inside[set_of, point_of] = True
+    everyone = np.arange(n)
+    step = max(1, _CHUNK // n)
+    mesh = 0.0
+    for a in range(0, len(point_of), step):
+        points = point_of[a:a + step]
+        D = metric.dist(np.repeat(points, n), np.tile(everyone, len(points))).reshape(-1, n)
+        member = inside[set_of[a:a + step]]
+        mesh = max(mesh, float(np.where(member, D, -math.inf).max()))
+        np.maximum.at(best, points, np.where(member, math.inf, D).min(axis=1))
+    return mesh
+
+
+def cover_stats(cover: Cover, metric: SampleMetric) -> CoverStats:
+    """Order, mesh, and Lebesgue number of the cover measured against its
+    own ground sample, whose distances `metric` gives.
+
+    The order is the largest count of incidences of a point.  An
+    incidence's mesh candidate is the largest distance from its point into
+    its set, and its Lebesgue candidate the smallest distance from its
+    point out of the set; a point's Lebesgue candidate is the largest of its
+    incidences'.
+
+    A set that is a run of the metric's boundary order reads each member's
+    Lebesgue candidate from the two sample points just outside the run,
+    and its mesh from its two ends, or, when it spans half the circle or
+    more (within _HALF_TURN_SLACK), from its members' pairs that can be
+    farthest (`_far_pairs`).  As `SampleMetric` says, this equals the
+    full-row answer exactly on T_k and on the circle and H^2 up to
+    near-ties of one ulp.  Any other set reads the full row of each member
+    from `metric.dist`, each distinct set once, in blocks of about _CHUNK
+    distances (`_row_candidates`)."""
     if not cover.colors:
         raise ValueError("empty cover")
     n = cover.n
-    matrix = np.asarray(matrix)
-    if matrix.shape != (n, n):
-        raise ValueError(f"distance matrix has shape {matrix.shape}, not ({n}, {n})")
+    if metric.n != n:
+        raise ValueError(f"sample metric over {metric.n} points, not {n}")
     counts = np.bincount(cover.point_of, minlength=n)
     if counts.min() < 1:
         raise ValueError("ground point left uncovered")
-    set_of, point_of = _distinct_sets(cover.set_of, cover.point_of)
-    M = np.zeros((int(set_of.max()) + 1, n), dtype=bool)
-    M[set_of, point_of] = True
-    by_point = np.argsort(point_of, kind="stable")
-    set_of, point_of = set_of[by_point], point_of[by_point]
-    step = max(1, _CHUNK // n)
+    set_of, point_of = cover.set_of, cover.point_of
+    best = np.full(n, -math.inf)
     mesh = 0.0
-    out = np.empty(len(point_of))
-    for lo in range(0, len(point_of), step):
-        inside = M[set_of[lo:lo + step]]
-        D = matrix[point_of[lo:lo + step]]
-        mesh = max(mesh, float(np.where(inside, D, -math.inf).max()))
-        out[lo:lo + step] = np.where(inside, math.inf, D).min(axis=1)
-    # every point is covered, so each starts a run of point_of
-    best = np.maximum.reduceat(out, np.flatnonzero(np.diff(point_of, prepend=-1)))
+    if metric.order is not None:
+        starts, ends, seg = _segments(set_of)
+        run, lo, hi = _runs(metric, point_of, starts, ends, seg)
+        mesh = _run_candidates(metric, point_of, starts, ends, seg, run, lo, hi, best)
+        set_of, point_of = set_of[~run[seg]], point_of[~run[seg]]
+    if len(point_of):
+        mesh = max(mesh, _row_candidates(metric, set_of, point_of, best))
     return CoverStats(order=int(counts.max()), mesh=mesh, lebesgue=max(0.0, float(best.min())))
 
 
@@ -433,22 +564,118 @@ def _circle_arc_cover(lam, boundary_sample: list) -> Cover:
                  lambda j: f"arc j={j} center={j * spacing:.6f} half={half:.6f}")
 
 
-def _greedy_net(matrix: np.ndarray, lam: float, radius: float, rng) -> Cover:
-    """Greedy maximal lam-separated net over the rows of `matrix`, scanned in
-    `rng`'s permutation order; returns the cover by the open radius-balls
-    around the net, one set per center by increasing center."""
-    n = matrix.shape[0]
+def _arcs(metric: SampleMetric, ranks: np.ndarray, radius: float, width: int = 4) -> tuple:
+    """(back, ahead): for the sample point at each of `ranks` in the
+    boundary order, how many consecutive points before it and after it are
+    within open distance `radius`, each counted by walking outward from the
+    point to the first that is not, or to the end of the line.  On the
+    circle a ball whose walks meet is the whole circle, (0, n - 1).  Every
+    walk reads a block of `width` steps per `dist` call, the blocks
+    doubling."""
+    n, order = metric.n, metric.order
+    m = len(ranks)
+    start = np.concatenate([ranks, ranks])
+    sign = np.repeat([-1, 1], m)
+    cap = (np.concatenate([ranks, n - 1 - ranks]) if metric.turn is None
+           else np.full(2 * m, n - 1))
+    reach = np.zeros(2 * m, dtype=np.int64)
+    live = np.flatnonzero(cap > 0)
+    while live.size:
+        steps = reach[live, None] + np.arange(1, width + 1)
+        valid = steps <= cap[live, None]
+        pos = (start[live, None] + sign[live, None] * steps)[valid] % n
+        inside = np.zeros(steps.shape, dtype=bool)
+        inside[valid] = metric.dist(np.repeat(order[start[live]], width)[valid.ravel()],
+                                    order[pos]) < radius
+        count = np.where(inside.all(axis=1), width, inside.argmin(axis=1))
+        reach[live] += count
+        live = live[(count == width) & (reach[live] < cap[live])]
+        width *= 2
+    back, ahead = reach[:m], reach[m:]
+    if metric.turn is not None:
+        whole = back + ahead >= n - 1
+        back[whole], ahead[whole] = 0, n - 1
+    return back, ahead
+
+
+def _greedy_net(metric: SampleMetric, lam: float, radius: float, rng) -> Cover:
+    """Greedy maximal lam-separated net of the sample, scanned in `rng`'s
+    permutation order: a point joins the net unless the open lam-ball of an
+    earlier net point holds it.  Returns the cover by the open radius-balls
+    around the net, one set per center by increasing center.
+
+    With a boundary order each ball is the arc that `_arcs` walks out.
+    The scan takes the next unblocked points a batch at a time, walks out
+    all their balls at once, and then admits them one by one.  After a
+    first batch of 8, at the mean ball size s so far, a batch holds 4/s
+    times the unblocked points, and at least _CHUNK/(8 s) points, and its
+    walks start with blocks of s steps.  Without an order each ball is read
+    from the center's full row of `metric.dist`."""
+    n = metric.n
+    scan = rng.permutation(n)
+    if metric.order is None:
+        return _row_net(metric, scan, lam, radius)
+    order, rank = metric.order, _ranks(metric.order)
+    scan = rank[scan]
+    # one byte per rank, set once the rank is blocked
+    blocked = bytearray(n)
+    flags = np.frombuffer(blocked, dtype=np.uint8)
+    ones = bytes([1]) * n
+    arcs = []
+    at, batch, width, covered = 0, 8, 4, 0
+    while True:
+        free = at + np.flatnonzero(flags[scan[at:]] == 0)
+        if not free.size:
+            break
+        take = free[:batch]
+        back, ahead = _arcs(metric, scan[take], lam, width)
+        for p, b, a in zip(scan[take].tolist(), back.tolist(), ahead.tolist()):
+            if not blocked[p]:
+                arcs.append((p, b, a))
+                lo, hi = p - b, p + a + 1
+                if lo < 0:
+                    blocked[lo:] = ones[:-lo]
+                    lo = 0
+                if hi > n:
+                    blocked[:hi - n] = ones[:hi - n]
+                    hi = n
+                blocked[lo:hi] = ones[:hi - lo]
+                covered += b + a + 1
+        at = int(take[-1]) + 1
+        width = max(4, covered // len(arcs))
+        batch = max(4 * len(arcs) * (n - int(flags.sum())), (_CHUNK >> 3) * len(arcs)) // covered
+    ranks, back, ahead = np.array(arcs, dtype=np.int64).T
+    by_center = np.argsort(order[ranks])
+    ranks, back, ahead = ranks[by_center], back[by_center], ahead[by_center]
+    if radius != lam:
+        back, ahead = _arcs(metric, ranks, radius)
+    size = back + ahead + 1
+    set_of = np.repeat(np.arange(len(ranks)), size)
+    step = np.arange(len(set_of)) - np.repeat(np.cumsum(size) - size, size)
+    point_of = order[(np.repeat(ranks - back, size) + step) % n]
+    centers = order[ranks].tolist()
+    return Cover(n, set_of, point_of[np.lexsort((point_of, set_of))], (None,) * len(centers),
+                 lambda s: f"net-ball center={centers[s]}")
+
+
+def _row_net(metric: SampleMetric, scan: np.ndarray, lam: float, radius: float) -> Cover:
+    """`_greedy_net` from full rows of `metric.dist`: one per scanned center,
+    then the radius-balls in blocks of about _CHUNK distances."""
+    n = metric.n
+    everyone = np.arange(n)
     blocked = np.zeros(n, dtype=bool)
     centers = []
-    for i in rng.permutation(n):
+    for i in scan.tolist():
         if not blocked[i]:
-            centers.append(int(i))
-            blocked |= matrix[:, i] < lam
+            centers.append(i)
+            blocked |= metric.dist(np.full(n, i), everyone) < lam
     centers.sort()
-    step = block_lines(n)
+    step = max(1, _CHUNK // n)
     hits = [np.zeros((2, 0), dtype=np.intp)]
     for lo in range(0, len(centers), step):
-        hit = np.array(np.nonzero((matrix[:, centers[lo:lo + step]] < radius).T))
+        block = centers[lo:lo + step]
+        D = metric.dist(np.repeat(block, n), np.tile(everyone, len(block)))
+        hit = np.array(np.nonzero(D.reshape(len(block), n) < radius))
         hit[0] += lo
         hits.append(hit)
     set_of, point_of = np.concatenate(hits, axis=1)
@@ -491,24 +718,49 @@ class ScaleSchedule:
         return 4.0 * math.exp(-k * self.R)
 
 
-def sample_ray_points(boundary_sample: list, r_max, n: int, seed: int) -> list:
-    """(boundary index, radius) pairs with dyadic radii in [0, r_max);
-    the interior sample for the annular pushin."""
+@dataclass(frozen=True, eq=False)
+class RayPoints:
+    """Points on the basepoint rays toward a boundary sample: point m lies at
+    radius num[m] / den on the ray toward the boundary point ray[m], with
+    int64 arrays ray and num >= 0, and an int den > 0."""
+
+    ray: np.ndarray
+    num: np.ndarray
+    den: int
+
+    @classmethod
+    def of(cls, pairs: list) -> "RayPoints":
+        """The points of (boundary index, radius) pairs, each radius read as
+        its integer ratio, over their least common denominator.  Raises
+        ValueError where a numerator needs more than 53 bits, beyond which
+        num / den in floats would round num first."""
+        ratios = [r.as_integer_ratio() for _, r in pairs]
+        den = math.lcm(*(d for _, d in ratios))
+        num = [a * (den // d) for a, d in ratios]
+        if max(num, default=0) >= 1 << 53:
+            raise ValueError("a ray radius over the common denominator needs more than 53 bits")
+        return cls(np.array([i for i, _ in pairs], dtype=np.int64),
+                   np.array(num, dtype=np.int64), den)
+
+
+def sample_ray_points(boundary_sample: list, r_max, n: int, seed: int) -> RayPoints:
+    """n points with dyadic radii in [0, r_max), in eighths, on rays toward
+    drawn boundary indices: the interior sample for the annular pushin."""
     top = int(Fraction(r_max) * 8)
     # one call, index and radius draws alternating, as per-pair calls draw them
-    draws = substream(seed, "ray-points").integers(0, [len(boundary_sample), top] * n).tolist()
-    return [(i, Fraction(r, 8)) for i, r in zip(draws[::2], draws[1::2])]
+    draws = substream(seed, "ray-points").integers(0, [len(boundary_sample), top] * n)
+    return RayPoints(draws[::2].astype(np.int64), draws[1::2].astype(np.int64), 8)
 
 
 def annular_pushin_cover(space: Space, schedule: ScaleSchedule,
                          colored_covers: dict, boundary_sample: list,
-                         interior_sample: list):
+                         interior_sample):
     """Tube cover of the interior sample of a tree: for each scale k and
     each colored boundary set U, the band kR < r < (k+2)R of rays landing
     in U, plus the base ball B(x0, 2R).  Returns (cover, claims).
 
-    interior_sample entries are (boundary index, radius) pairs; each radius
-    is read once as num/den, and tested against the bands in integers.
+    The interior sample is `RayPoints`, or (boundary index, radius) pairs
+    read by `RayPoints.of`; radii are tested against the bands in integers.
     Everything is read from one branch table B of the basepoint rays, with
     +inf on its diagonal: the ray toward j passes the point at radius r on
     the ray toward i iff B[i, j] >= ceil(r).  Raises ValueError on a
@@ -519,18 +771,19 @@ def annular_pushin_cover(space: Space, schedule: ScaleSchedule,
     for k in range(1, K + 1):
         if k not in colored_covers:
             raise ValueError(f"missing colored cover for scale k={k}")
+    if not isinstance(interior_sample, RayPoints):
+        interior_sample = RayPoints.of(interior_sample)
     B = pair_table(len(boundary_sample), pair_kernel(space, boundary_sample), math.inf)
-    rays = np.array([i for i, _ in interior_sample], dtype=np.int64)
-    ratios = [r.as_integer_ratio() for _, r in interior_sample]
-    reach = B[rays] >= np.array([-(-num // den) for num, den in ratios], dtype=float)[:, None]
+    rays, num, den = interior_sample.ray, interior_sample.num, interior_sample.den
+    reach = B[rays] >= (-(-num // den)).astype(float)[:, None]
 
-    m = len(interior_sample)
+    m = len(rays)
     # one tube per colored set U with members, by scale and then by U:
     # the in-band points whose ray reaches a member of U
     set_parts, point_parts, colors, tube_of = [], [], [], []
     for k in range(1, K + 1):
         lo, hi = k * R, (k + 2) * R
-        band = np.flatnonzero([lo * den < num < hi * den for num, den in ratios])
+        band = np.flatnonzero((lo * den < num) & (num < hi * den))
         boundary = colored_covers[k]
         p, inc = np.nonzero(reach[band][:, boundary.point_of])
         hit = np.zeros((len(boundary.colors), m), dtype=bool)
@@ -541,7 +794,7 @@ def annular_pushin_cover(space: Space, schedule: ScaleSchedule,
         point_parts.append(points)
         colors += [boundary.colors[s] for s in used.tolist()]
         tube_of += [(k, s) for s in used.tolist()]
-    base = np.flatnonzero([num < 2 * R * den for num, den in ratios])
+    base = np.flatnonzero(num < 2 * R * den)
     set_parts.append(np.full(len(base), len(colors)))
     point_parts.append(base)
     colors.append(None)
@@ -554,15 +807,15 @@ def annular_pushin_cover(space: Space, schedule: ScaleSchedule,
 
     cover = Cover(m, np.concatenate(set_parts), np.concatenate(point_parts), colors, describe)
     set_scale = np.array([k for k, _ in tube_of] + [0])
-    # int / int rounds as float of a Fraction does
-    claims = _pushin_claims(cover, set_scale, schedule, [num / den for num, den in ratios], rays, B)
+    # num < 2^53: int64 / int rounds as float of a Fraction does
+    claims = _pushin_claims(cover, set_scale, schedule, num / den, rays, B)
     return cover, claims
 
 
 def _pushin_claims(cover, set_scale, schedule, radii, rays, B):
     """The pushin claims, given each set's scale k (0 for the base ball),
     with the tube mesh read from the branch table B (+inf diagonal): points
-    at float radii r_a, r_b on the rays toward i_a, i_b (`rays`) are
+    at float radii r_a, r_b (an array `radii`) on the rays toward i_a, i_b (`rays`) are
     r_a + r_b - 2 min(r_a, r_b, B[i_a, i_b]) apart, exact for dyadic radii."""
     R, c = schedule.R, schedule.c
     set_of, point_of = cover.set_of, cover.point_of
@@ -574,12 +827,11 @@ def _pushin_claims(cover, set_scale, schedule, radii, rays, B):
     pairs = group[set_of[tube]] * cover.n + point_of[tube]
     color_ok = bool(np.bincount(pairs).max(initial=0) <= 1)
     # per-point decay inequality 2 e^{-r} < lam_k / 2 inside scale-k tubes
-    decay = np.array([2.0 * math.exp(-r) for r in radii])
+    decay = np.array([2.0 * math.exp(-r) for r in radii.tolist()])
     half_lam = np.array([schedule.lam(k) / 2.0 for k in set_scale.tolist()])
     point_ok = bool((decay[point_of[tube]] < half_lam[set_of[tube]]).all())
     # Claim 3: tube mesh bound
     mesh_bound = 4.0 * c * math.exp(2 * R) + 2 * R
-    radii = np.array(radii)
     bounds = cover.bounds
     tube_mesh = 0.0
     for t in np.flatnonzero(set_scale).tolist():
@@ -603,17 +855,21 @@ def _pushin_claims(cover, set_scale, schedule, radii, rays, B):
 # dimension estimate from greedy nets
 
 
-def ell_dim_estimate(matrix: np.ndarray, scales: list, c: float, seed: int = 0):
-    """At each scale: greedy maximal lam-separated net (seeded scan order,
-    ties by index), cover by open lam-balls around the net, measured order;
-    a scale passes when the mesh is at most c lam.  Returns (rows,
-    estimate) with estimate = max order - 1."""
+def ell_dim_estimate(metric: SampleMetric, scales: list, c: float, seed: int = 0):
+    """At each scale: greedy maximal lam-separated net of the sample that
+    `metric` measures (seeded scan order, `_greedy_net`), cover by open
+    lam-balls around the net, measured order (`cover_stats`); a scale
+    passes when the mesh is at most c lam.  On a sample with a boundary
+    order no n x n table is built: time O(n log n + incidences) and memory
+    O(n) per scale, the balls and verdicts equal to the full-row ones
+    exactly on T_k and up to near-ties of one ulp on the circle and H^2.
+    Returns (rows, estimate) with estimate = max order - 1."""
     if c < 1:
         raise ValueError("need c >= 1")
     if not scales or any(lam <= 0 for lam in scales):
         raise ValueError("need at least one scale, each positive")
     rows = []
     for lam in map(float, scales):
-        cover = _greedy_net(matrix, lam, lam, substream(seed, f"net-{lam:.12g}"))
-        rows.append(ScaleRow.judge(lam, cover_stats(cover, matrix=matrix), c * lam, 0.0, math.inf))
+        cover = _greedy_net(metric, lam, lam, substream(seed, f"net-{lam:.12g}"))
+        rows.append(ScaleRow.judge(lam, cover_stats(cover, metric), c * lam, 0.0, math.inf))
     return rows, max(r.order for r in rows) - 1

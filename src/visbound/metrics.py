@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from .spaces import (
     Point,
     Ray,
     Space,
+    TreePoint,
     _check_kind,
     dist,
     ray_point,
@@ -178,7 +180,7 @@ def pair_kernel(space: Space, points: list, origin: Point | None = None):
     if space.kind == TREE:
         if not origin.is_vertex:
             raise ValueError("tree rays are only supported from vertex origins")
-        return _branch_time_kernel(space, points, origin.word)
+        return _branch_time_kernel(_tree_words(space, points, origin.word), origin.word)
     if space.kind == EUCLIDEAN:
         V = np.array([p.direction for p in points], dtype=float).reshape(len(points), space.dim)
         return lambda I, J: _chord(col[I] - col[J] for col in V.T)
@@ -202,6 +204,78 @@ def pair_kernel(space: Space, points: list, origin: Point | None = None):
         out["log_sine"] = np.minimum(0.0, log_sine + np.log(k))
         return out
     return half_angles
+
+
+@dataclass(frozen=True, eq=False)
+class SampleMetric:
+    """Distances within a sample of n boundary points, prepared once, with
+    the sample's boundary order where the metric has one.
+
+    `dist(I, J)` maps index arrays to the distances of the pairs
+    (I[k], J[k]), equal bit for bit to the entries `pair_distance_matrix`
+    fills (0 where I[k] == J[k]), without building a table.  `order` lists
+    the sample indices in boundary order, or is None.  With an order every
+    set {j : dist(c, j) < r} is a run of consecutive indices in it, and for
+    a point of a run the nearest point outside is one of the two points just
+    outside the run; the farthest pair of a run is its two ends, unless the
+    run spans half the circle or more.  This holds exactly on T_k, where the
+    order is that of the words and the distance a non-increasing function of
+    the integer branch time, and on the circle and H^2 up to near-ties of
+    one ulp, where the distance is a rounded increasing function of the
+    angle.  `turn` is None on a line (T_k) and on the circle gives each
+    point's angle in [0, 2 pi) as the metric sees it, which turns once
+    around the circle along the cyclic order."""
+
+    n: int
+    dist: Callable
+    order: np.ndarray | None = None
+    turn: np.ndarray | None = None
+
+
+def sample_metric(space: Space, spec: MetricSpec, points: list) -> SampleMetric:
+    """The `SampleMetric` of `spec` over `points`, from `pair_kernel` and
+    `_closed_form`, with a boundary order:
+
+    - R^2 at any basepoint, by the angle of the direction;
+    - H^2 by the angle phi; from a basepoint off the pole the Moebius map
+      to the pole keeps the cyclic order, and the turn is the mapped angle
+      phi0 + 2 atan(e^r tan((phi - phi0)/2));
+    - T_k from the root, by word;
+    - none on R^n for n != 2 or on T_k from another vertex.
+
+    Raises as `pair_kernel` does."""
+    origin = spec.base(space)
+    n = len(points)
+    order = turn = None
+    if space.kind == TREE and origin == TreePoint(()):
+        _check_kind(space, *points)
+        W = _tree_words(space, points, ())
+        kernel = _branch_time_kernel(W, ())
+        order = np.lexsort(W.T[::-1])
+    else:
+        kernel = pair_kernel(space, points, origin)
+    if space.kind == EUCLIDEAN and space.dim == 2:
+        V = np.array([p.direction for p in points], dtype=float).reshape(n, 2)
+        turn = np.arctan2(V[:, 1], V[:, 0]) % (2 * math.pi)
+        order = np.argsort(turn, kind="stable")
+    elif space.kind == HYPERBOLIC:
+        phi = np.array([p.angle for p in points], dtype=float)
+        order = np.argsort(phi, kind="stable")
+        turn = phi
+        if origin.r != 0.0:
+            half = ((phi - origin.phi + math.pi) % (2 * math.pi) - math.pi) / 2.0
+            turn = (origin.phi + 2.0 * np.arctan2(math.exp(origin.r) * np.sin(half),
+                                                  np.cos(half))) % (2 * math.pi)
+
+    def dist(I, J):
+        I, J = np.asarray(I, dtype=np.intp), np.asarray(J, dtype=np.intp)
+        apart = I != J
+        if apart.all():
+            return _closed_form(space, spec, kernel(I, J))
+        out = np.zeros(len(I))
+        out[apart] = _closed_form(space, spec, kernel(I[apart], J[apart]))
+        return out
+    return SampleMetric(n, dist, order, turn)
 
 
 def _chord(diffs) -> np.ndarray:
@@ -238,16 +312,13 @@ def _chord_scales(origin: Point, phi: np.ndarray) -> np.ndarray:
     return (1.0 / math.cosh(r / 2.0)) / np.sqrt(m2)
 
 
-def _branch_time_kernel(space: Space, points: list, v: tuple):
-    """Branch times from the vertex with word v.  The words are unrolled
-    once, a block of rows at a time, to a length L at which any two distinct
-    words differ, so a branch time from the root is a first mismatch; v
-    shifts it by |v| - lcp(v, xi) - lcp(v, eta)."""
-    if not points:
-        return lambda I, J: np.zeros(len(I), dtype=np.int64)
+def _tree_words(space: Space, points: list, v: tuple) -> np.ndarray:
+    """The boundary words unrolled, a block of rows at a time, to a length L
+    at which any two distinct words differ and which holds the vertex word
+    v, as narrow letters.  Raises ValueError on an illegal letter."""
     periods = {len(p.period) for p in points}
-    L = max(len(v), max(len(p.preperiod) for p in points)
-            + max(math.lcm(a, b) for a in periods for b in periods))
+    L = max(len(v), max((len(p.preperiod) for p in points), default=0)
+            + max((math.lcm(a, b) for a in periods for b in periods), default=0))
     k = space.valence
     W = np.empty((len(points), L), dtype=np.min_scalar_type(k))
     rows = max(1, _WORD_BLOCK_BYTES // (8 * (L + 1)))
@@ -267,11 +338,19 @@ def _branch_time_kernel(space: Space, points: list, v: tuple):
         if (words < 0).any() or (words[:, 0] >= k).any() or (words[:, 1:] >= k - 1).any():
             raise ValueError(f"illegal tree word: first letter must be < {k}, later letters < {k - 1}")
         W[lo:lo + rows] = words[:, :L]
+    return W
+
+
+def _branch_time_kernel(W: np.ndarray, v: tuple):
+    """Branch times from the vertex with word v of the unrolled words W
+    (`_tree_words`): from the root a branch time is a first mismatch; v
+    shifts it by |v| - lcp(v, xi) - lcp(v, eta)."""
+    L = W.shape[1]
     lcp = None
     if v:
         neq = W[:, :len(v)] != np.array(v)
         lcp = np.where(neq.any(axis=1), neq.argmax(axis=1), len(v))
-    step = max(1, min(_PAIR_CHUNK, _WORD_BLOCK_BYTES // (W.itemsize * L)))
+    step = max(1, min(_PAIR_CHUNK, _WORD_BLOCK_BYTES // (W.itemsize * max(L, 1))))
 
     def branch_times(I, J):
         out = np.empty(len(I), dtype=np.int64)

@@ -241,6 +241,9 @@ def power_law_fit(env: Envelope) -> PowerLawFit:
 
 @dataclass
 class PerfectnessReport:
+    """Witness rows (center, r, witness, d) and failure rows (center, r, d),
+    each distance d = num/den given as the reduced ratio (num, den)."""
+
     cases: int
     vacuous: int
     failures: list
@@ -266,8 +269,9 @@ def uniformly_perfect_check(space: Space, centers: list, radii: list) -> Perfect
     witness whose branch time from the center is measured by the pair
     kernel must lie at the exact d_1 distance d = num/den of `_closed_form`
     with r/4 <= d < r, decided in integers as p den <= 4q num and
-    q num < p den.  Radii >= 2 are vacuous.  Raises ValueError on a
-    non-tree space or a radius that is not positive and finite."""
+    q num < p den; the report gives d as (num, den).  Radii >= 2 are
+    vacuous.  Raises ValueError on a non-tree space or a radius that is
+    not positive and finite."""
     if space.kind != TREE:
         raise ValueError("the perfectness check is constructive on tree spaces only")
     if not all(0 < r < math.inf for r in radii):
@@ -281,8 +285,8 @@ def uniformly_perfect_check(space: Space, centers: list, radii: list) -> Perfect
     d1 = _closed_form(space, MetricSpec(DA, A=1), inv, exact=True)
     failures, witnesses = [], []
     cases = itertools.product(centers, [(r, r.numerator, r.denominator) for r in live])
-    for (center, (r, p, q)), w, num, den in zip(cases, found, d1.num.tolist(), d1.den.tolist()):
-        d = Fraction(num, den)
+    for (center, (r, p, q)), w, d in zip(cases, found, zip(d1.num.tolist(), d1.den.tolist())):
+        num, den = d
         if p * den <= 4 * q * num and q * num < p * den:
             witnesses.append((center, r, w, d))
         else:

@@ -209,7 +209,8 @@ class Space:
                 raise ValueError("tree valence must be >= 3")
             if self.basepoint is None:
                 object.__setattr__(self, "basepoint", TreePoint(()))
-            elif not self.basepoint.is_vertex:
+            _check_kind(self, self.basepoint)
+            if not self.basepoint.is_vertex:
                 raise ValueError("tree basepoint must be a vertex")
         elif self.kind == HYPERBOLIC:
             if self.basepoint is None:
@@ -237,8 +238,10 @@ _KINDS = {EUCLIDEAN: (EuclideanPoint, EuclideanBoundary), TREE: (TreePoint, Tree
 
 
 def _check_kind(space: Space, *objs):
-    """Each object is a point or boundary point of the space's kind, and on
-    R^n one of n coordinates."""
+    """Each object is a point or boundary point of the space's kind, on R^n
+    one of n coordinates, and on T_k a point's word has legal letters: the
+    first below k, the later ones below k - 1.  Raises SpaceMismatchError,
+    or ValueError on an illegal letter."""
     for o in objs:
         if not isinstance(o, _KINDS[space.kind]):
             raise SpaceMismatchError(f"{type(o).__name__} does not belong to {space.kind}")
@@ -246,6 +249,11 @@ def _check_kind(space: Space, *objs):
                 o.coords if isinstance(o, EuclideanPoint) else o.direction):
             raise SpaceMismatchError(f"{type(o).__name__} of another dimension does not belong "
                                      f"to R^{space.dim}")
+        if isinstance(o, TreePoint) and o.word and not (
+                0 <= min(o.word) and o.word[0] < space.valence
+                and max(o.word[1:], default=0) < space.valence - 1):
+            raise ValueError(f"illegal tree word {o.word}: first letter must be < {space.valence}, "
+                             f"later letters < {space.valence - 1}")
 
 
 def validate_boundary(space: Space, bp: BoundaryPoint) -> None:

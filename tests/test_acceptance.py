@@ -30,6 +30,7 @@ from visbound.metrics import (
     eval_dbar,
     eval_dbar_extended,
     pair_distance_matrix,
+    sample_metric,
     spec_dA,
     spec_dbar,
 )
@@ -151,11 +152,11 @@ def test_07_pushout_pipeline():
     for space in (T4, E2):
         system = LatticeBallSystem(space, 2)
         sample = sample_boundary(space, 500, SEED)
-        D = pair_distance_matrix(space, MetricSpec("dA", A=1), sample)
+        metric = sample_metric(space, MetricSpec("dA", A=1), sample)
         order_v = orbit_ball_order(space, 2)
         for lam in lams:
             cover = boundary_pushout_cover(space, system, lam, 1, sample)
-            st = cover_stats(cover, matrix=D)
+            st = cover_stats(cover, metric)
             good = (st.order <= order_v
                     and st.lebesgue >= float(lam) * (1 - 1e-9)
                     and st.mesh <= 8 * float(lam) * (1 + 1e-9))
@@ -256,13 +257,12 @@ def test_10_oracle_equivalence():
 
 def test_11_ell_dim_stability():
     pts_t = sample_boundary(T4, 600, SEED)
-    D_t = pair_distance_matrix(T4, spec_dbar(), pts_t)
     scales_t = [4 * math.exp(-k) for k in range(1, 9)]
-    rows_t, est_t = ell_dim_estimate(D_t, scales_t, 4.0, SEED)
+    rows_t, est_t = ell_dim_estimate(sample_metric(T4, spec_dbar(), pts_t), scales_t, 4.0, SEED)
     pts_c = sample_boundary(E2, 1500, SEED)
-    D_c = pair_distance_matrix(E2, MetricSpec("dA", A=1), pts_c)
     scales_c = [2.0 ** -k for k in range(1, 7)]
-    rows_c, est_c = ell_dim_estimate(D_c, scales_c, 4.0, SEED)
+    rows_c, est_c = ell_dim_estimate(sample_metric(E2, MetricSpec("dA", A=1), pts_c), scales_c,
+                                     4.0, SEED)
     orders_t = [r.order for r in rows_t]
     orders_c = [r.order for r in rows_c]
     ok = orders_t == [1] * 8 and est_t == 0 and orders_c == [2] * 6 and est_c == 1

@@ -19,7 +19,8 @@ import visbound
 from visbound import cli, metrics
 from visbound.cli import (ConfigError, RunConfig, _csv, _envelope_csv, _fmt, _pairs_csv, _spec,
                           build_parser, main, parse_space, run)
-from visbound.covers import (Cover, ScaleSchedule, annular_pushin_cover,
+from visbound import covers
+from visbound.covers import (Cover, RayPoints, ScaleSchedule, annular_pushin_cover,
                              colored_boundary_cover, sample_ray_points)
 from visbound.metrics import pair_distance_matrix
 from visbound.quasisym import qs_envelope, ratio_pool
@@ -581,6 +582,33 @@ def _dumps_cover(ground_text, sets):
                       sort_keys=True, indent=2) + "\n"
 
 
+class TestSortedBoundaryRuns:
+    # on an ordered boundary the cover verdicts read the sample metric and
+    # build no n x n table
+    @pytest.mark.parametrize("fields", [
+        dict(experiment="ell-dim", space="euclidean2", metric="dA", A=1.0, n=300),
+        dict(experiment="ell-dim", space="hyperbolic_plane", metric="dbar", n=300),
+        dict(experiment="ell-dim", space="tree4", metric="dbar", n=300,
+             scales=[4.0 * math.exp(-k) for k in range(1, 9)]),
+        dict(experiment="cover-pushout", space="euclidean2", A=1.0, R=2.0, n=200),
+        dict(experiment="cover-pushout", space="tree4", A=1.0, R=2.0, n=60),
+    ], ids=["ell-dim-R2", "ell-dim-H2", "ell-dim-T4", "pushout-R2", "pushout-T4"])
+    def test_no_pair_table_is_built(self, fields, monkeypatch, tmp_path):
+        want_dir, got_dir = tmp_path / "want", tmp_path / "got"
+        assert run(RunConfig.from_dict({**fields, "seed": 2, "out": str(want_dir)})) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an n x n table was built")
+
+        for module, name in ((metrics, "pair_table"), (metrics, "pair_distance_matrix"),
+                             (cli, "pair_distance_matrix"), (covers, "pair_table")):
+            monkeypatch.setattr(module, name, refuse)
+        assert run(RunConfig.from_dict({**fields, "seed": 2, "out": str(got_dir)})) == 0
+        for name in sorted(os.listdir(want_dir)):
+            if name != "manifest.json":
+                assert (got_dir / name).read_bytes() == (want_dir / name).read_bytes()
+
+
 class TestCoverJson:
     @settings(max_examples=300, deadline=None)
     @given(_written_covers())
@@ -602,8 +630,8 @@ class TestCoverJson:
         covers = {k: colored_boundary_cover(T4, sched.lam(k), sample) for k in range(1, 4)}
         interior = sample_ray_points(sample, 10, 300, 1)
         cover, _ = annular_pushin_cover(T4, sched, covers, sample, interior)
-        ground = [_tree_point_text(ray_point(Ray(T4, T4.basepoint, sample[i]), r))
-                  for i, r in interior]
+        ground = [_tree_point_text(ray_point(Ray(T4, T4.basepoint, sample[i]), Fraction(a, 8)))
+                  for i, a in zip(interior.ray.tolist(), interior.num.tolist())]
         assert cli._cover_json(ground, cover) == _dumps_cover(ground, _sets(cover))
         ground = [boundary_to_line(T4, g) for g in sample]
         assert cli._cover_json(ground, covers[2]) == _dumps_cover(ground, _sets(covers[2]))
@@ -614,12 +642,15 @@ class TestCoverJson:
         # and thirds, whose offsets are not dyadic
         space = tree_space(k)
         sample = sample_boundary(space, 30, 5)
-        interior = sample_ray_points(sample, 12, 400, 5)
-        interior += [(i, Fraction(num, 3)) for i in (0, 7) for num in range(0, 20)]
-        assert {r for _, r in interior} >= {Fraction(0), Fraction(1), Fraction(5, 8)}
+        drawn = sample_ray_points(sample, 12, 400, 5)
+        pairs = [(i, Fraction(a, 8)) for i, a in zip(drawn.ray.tolist(), drawn.num.tolist())]
+        pairs += [(i, Fraction(num, 3)) for i in (0, 7) for num in range(0, 20)]
+        assert {r for _, r in pairs} >= {Fraction(0), Fraction(1), Fraction(5, 8)}
         walked = [_tree_point_text(ray_point(Ray(space, space.basepoint, sample[i]), r))
-                  for i, r in interior]
-        assert cli._interior_text(sample, interior) == walked
+                  for i, r in pairs]
+        # the drawn eighths as they are, and all the points over 24ths
+        assert cli._interior_text(sample, drawn) == walked[:len(drawn.ray)]
+        assert cli._interior_text(sample, RayPoints.of(pairs)) == walked
 
     def test_empty_base_ball_is_written(self):
         # no interior sample lies below radius 2R = 4, yet the base ball is
@@ -628,7 +659,7 @@ class TestCoverJson:
         sched = ScaleSchedule(R=2, K=1, c=1.0)
         sample = sample_boundary(T4, 20, 1)
         colored = {1: colored_boundary_cover(T4, sched.lam(1), sample)}
-        interior = [(0, Fraction(9, 2)), (3, Fraction(7)), (5, Fraction(5))]
+        interior = RayPoints.of([(0, Fraction(9, 2)), (3, Fraction(7)), (5, Fraction(5))])
         cover, claims = annular_pushin_cover(T4, sched, colored, sample, interior)
         written = json.loads(cli._cover_json(cli._interior_text(sample, interior), cover))
         words = [".".join(map(str, sample[i].prefix(d))) for i, d in ((0, 5), (3, 7), (5, 5))]
@@ -681,6 +712,11 @@ class TestScripts:
         monkeypatch.setattr(module, "script_configs", lambda: [])
         monkeypatch.setattr(module, "readme_configs", lambda: [])
         monkeypatch.setattr(module, "bench_configs", lambda: [])
+        # the cover verdicts above the golden sizes
+        assert len(module.LARGE) == 4
+        for _, fields in module.LARGE:
+            RunConfig.from_dict(fields).validate()
+        monkeypatch.setattr(module, "LARGE", [])
         assert module.main() == 0
         lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert {(d["config"], d["seed"], d["file"]): d["sha256"] for d in lines} == \

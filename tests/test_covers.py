@@ -20,13 +20,15 @@ from visbound.covers import (
     colored_boundary_cover,
     cover_stats,
     ell_dim_estimate,
+    _far_pairs,
     orbit_ball_order,
     sample_ray_points,
 )
-from visbound.metrics import MetricSpec, pair_distance_matrix, pair_invariants
+from visbound.metrics import MetricSpec, pair_distance_matrix, pair_invariants, sample_metric
 from visbound.spaces import (
     EuclideanBoundary,
     EuclideanPoint,
+    HyperbolicPoint,
     Ray,
     SpaceMismatchError,
     TreeBoundary,
@@ -40,6 +42,8 @@ from visbound.spaces import (
     substream,
     tree_space,
 )
+
+from table_covers import table_cover_stats, table_greedy_net, table_metric
 
 T4 = tree_space(4)
 E1 = euclidean_space(1)
@@ -89,29 +93,30 @@ def distance_matrix(ground, d):
 class TestCoverStats:
     def test_single_set_sentinel(self):
         cover = _cover(3, [(0, 1, 2)])
-        st = cover_stats(cover, distance_matrix([0, 1, 2], lambda p, q: abs(p - q)))
+        st = cover_stats(cover, table_metric(distance_matrix([0, 1, 2], lambda p, q: abs(p - q))))
         assert st.order == 1 and st.lebesgue == math.inf and st.mesh == 2
 
     def test_partition_order_one(self):
         cover = _cover(4, [(0, 1), (2, 3)])
-        st = cover_stats(cover, distance_matrix([0.0, 1.0, 5.0, 6.0], lambda p, q: abs(p - q)))
+        st = cover_stats(cover, table_metric(distance_matrix([0.0, 1.0, 5.0, 6.0],
+                                                             lambda p, q: abs(p - q))))
         assert st.order == 1 and st.mesh == 1.0 and st.lebesgue == 4.0
 
     def test_uncovered_point_rejected(self):
         cover = _cover(2, [(0,)])
         with pytest.raises(ValueError):
-            cover_stats(cover, distance_matrix([0, 1], lambda p, q: abs(p - q)))
+            cover_stats(cover, table_metric(distance_matrix([0, 1], lambda p, q: abs(p - q))))
 
-    @pytest.mark.parametrize("matrix,sets,match", [
-        (np.zeros((2, 3)), [(0, 1), (2,)], r"shape \(2, 3\), not \(3, 3\)"),
-        (np.zeros((4, 4)), [(0, 1), (2,)], r"shape \(4, 4\), not \(3, 3\)"),
-        (np.zeros((3, 3)), [(0, 1), (2, 3)], r"member index outside \[0, 3\)"),
-        (np.zeros((3, 3)), [(-1, 0, 1), (2,)], r"member index outside \[0, 3\)"),
-    ], ids=["2x3", "4x4", "member-n", "member-minus-1"])
-    def test_bad_input_rejected(self, matrix, sets, match):
-        # the record rejects a member index, cover_stats a matrix shape
+    @pytest.mark.parametrize("size,sets,match", [
+        (2, [(0, 1), (2,)], r"sample metric over 2 points, not 3"),
+        (4, [(0, 1), (2,)], r"sample metric over 4 points, not 3"),
+        (3, [(0, 1), (2, 3)], r"member index outside \[0, 3\)"),
+        (3, [(-1, 0, 1), (2,)], r"member index outside \[0, 3\)"),
+    ], ids=["2-points", "4-points", "member-n", "member-minus-1"])
+    def test_bad_input_rejected(self, size, sets, match):
+        # the record rejects a member index, cover_stats a metric of another size
         with pytest.raises(ValueError, match=match):
-            cover_stats(_cover(3, sets), matrix)
+            cover_stats(_cover(3, sets), table_metric(np.zeros((size, size))))
 
     @pytest.mark.parametrize("set_of,point_of,match", [
         ([1, 0], [0, 1], "sorted by set"),
@@ -129,18 +134,18 @@ class TestCoverStats:
         cover = Cover(3, [0, 0, 2], [0, 1, 2], [0, 1, None], str)
         assert cover.bounds.tolist() == [0, 2, 2, 3]
         assert _sets(cover) == [((0, 1), 0, "0"), ((), 1, "1"), ((2,), None, "2")]
-        st = cover_stats(cover, distance_matrix([0.0, 1.0, 5.0], lambda p, q: abs(p - q)))
+        st = cover_stats(cover, table_metric(distance_matrix([0.0, 1.0, 5.0],
+                                                             lambda p, q: abs(p - q))))
         assert st.order == 1 and st.mesh == 1.0 and st.lebesgue == 4.0
 
     def test_depth1_cylinders_dbar(self):
         words = all_depth3_boundary_words()
-        spec = MetricSpec("dbar")
-        D = pair_distance_matrix(T4, spec, words)
+        metric = sample_metric(T4, MetricSpec("dbar"), words)
         by_first = {}
         for i, w in enumerate(words):
             by_first.setdefault(w.letter(0), []).append(i)
         cover = _cover(len(words), list(by_first.values()))
-        st = cover_stats(cover, matrix=D)
+        st = cover_stats(cover, metric)
         assert abs(st.mesh - 2 * math.exp(-1)) < 1e-12
         assert abs(st.lebesgue - 2.0) < 1e-12   # distinct first letters branch at 0
 
@@ -231,12 +236,11 @@ class TestPushout:
         for space in (T4, E2):
             sys_ = LatticeBallSystem(space, 2)
             sample = sample_boundary(space, 150, 9)
-            spec = MetricSpec("dA", A=1)
-            D = pair_distance_matrix(space, spec, sample)
+            metric = sample_metric(space, MetricSpec("dA", A=1), sample)
             order_v = orbit_ball_order(space, 2)
             for lam in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
                 cover = boundary_pushout_cover(space, sys_, lam, 1, sample)
-                st = cover_stats(cover, matrix=D)
+                st = cover_stats(cover, metric)
                 assert st.order <= order_v
                 assert st.lebesgue >= float(lam) * (1 - 1e-9)
                 assert st.mesh <= 8 * float(lam) * (1 + 1e-9)
@@ -270,8 +274,7 @@ class TestColoredCovers:
         lam = 4 * math.exp(-3)
         sample = sample_boundary(T4, 200, 6)
         cover = colored_boundary_cover(T4, lam, sample)
-        D = pair_distance_matrix(T4, MetricSpec("dbar"), sample)
-        st = cover_stats(cover, matrix=D)
+        st = cover_stats(cover, sample_metric(T4, MetricSpec("dbar"), sample))
         assert st.mesh <= lam / 2 + 1e-12
 
     def test_circle_two_colors(self):
@@ -368,59 +371,58 @@ def test_ray_points_equal_the_per_pair_loop(size, r_max, n, monkeypatch):
         rng = substream(seed, "ray-points")
         want = _reference_ray_points(sample, r_max, n, rng)
         got = sample_ray_points(sample, r_max, n, seed)
-        assert got == want and made[-1].bit_generator.state == rng.bit_generator.state
-        assert all(type(i) is int and type(r) is Fraction for i, r in got)
+        # the drawn integers are carried as eighths
+        assert got.ray.dtype == got.num.dtype == np.int64 and got.den == 8
+        assert list(zip(got.ray.tolist(), [Fraction(a, 8) for a in got.num.tolist()])) == want
+        assert made[-1].bit_generator.state == rng.bit_generator.state
 
 
 class TestEllDim:
-    def test_single_point(self):
-        rows, est = ell_dim_estimate(np.zeros((1, 1)), [1.0], 4.0)
+    @pytest.mark.parametrize("space", [E2, T4, hyperbolic_plane(), euclidean_space(3)])
+    def test_single_point(self, space):
+        metric = sample_metric(space, MetricSpec("dbar"), sample_boundary(space, 1, 0))
+        rows, est = ell_dim_estimate(metric, [1.0], 4.0)
         assert est == 0
 
     def test_tree_dbar_order_one(self):
         sample = sample_boundary(T4, 300, 4)
-        D = pair_distance_matrix(T4, MetricSpec("dbar"), sample)
         scales = [4 * math.exp(-k) for k in range(1, 7)]
-        rows, est = ell_dim_estimate(D, scales, 4.0, 2)
+        rows, est = ell_dim_estimate(sample_metric(T4, MetricSpec("dbar"), sample), scales, 4.0, 2)
         assert [r.order for r in rows] == [1] * 6
         assert est == 0
 
     def test_circle_dA_order_two(self):
         sample = sample_boundary(E2, 900, 4)
-        D = pair_distance_matrix(E2, MetricSpec("dA", A=1), sample)
         scales = [2.0 ** -k for k in range(1, 6)]
-        rows, est = ell_dim_estimate(D, scales, 4.0, 2)
+        rows, est = ell_dim_estimate(sample_metric(E2, MetricSpec("dA", A=1), sample), scales,
+                                     4.0, 2)
         assert [r.order for r in rows] == [2] * 5
         assert est == 1
 
-    # 8192 reads every center column at once, 120 two at a time, 7 one
+    # 8192 reads every center row at once, 120 two at a time, 7 one
     @pytest.mark.parametrize("chunk", [8192, 120, 7])
-    def test_greedy_net_reads_center_columns_in_blocks(self, chunk, monkeypatch):
-        # an asymmetric matrix tells columns from rows
+    def test_row_net_reads_center_rows_in_blocks(self, chunk, monkeypatch):
+        # a metric without a boundary order reads full rows
         M = np.random.default_rng(4).random((60, 60))
-        blocked, centers = np.zeros(60, dtype=bool), []
-        for i in np.random.default_rng(3).permutation(60):
-            if not blocked[i]:
-                centers.append(int(i))
-                blocked |= M[:, i] < 0.2
-        centers.sort()
-        want = np.nonzero((M[:, centers] < 0.3).T)
-        monkeypatch.setattr(metrics, "_PAIR_CHUNK", chunk)
-        cover = covers._greedy_net(M, 0.2, 0.3, np.random.default_rng(3))
-        assert len(cover.colors) == len(centers) > 2
-        assert np.array_equal(cover.set_of, want[0]) and np.array_equal(cover.point_of, want[1])
+        M = np.minimum(M, M.T)
+        np.fill_diagonal(M, 0.0)
+        want = table_greedy_net(M, 0.2, 0.3, np.random.default_rng(3))
+        monkeypatch.setattr(covers, "_CHUNK", chunk)
+        cover = covers._greedy_net(table_metric(M), 0.2, 0.3, np.random.default_rng(3))
+        assert len(cover.colors) == len(want.colors) > 2
+        assert np.array_equal(cover.set_of, want.set_of)
+        assert np.array_equal(cover.point_of, want.point_of)
 
     def test_mesh_bound_recorded(self):
         sample = sample_boundary(E2, 200, 4)
-        D = pair_distance_matrix(E2, MetricSpec("dA", A=1), sample)
-        rows, _ = ell_dim_estimate(D, [0.25], 4.0, 2)
+        rows, _ = ell_dim_estimate(sample_metric(E2, MetricSpec("dA", A=1), sample), [0.25], 4.0, 2)
         assert rows[0].passed and rows[0].mesh <= rows[0].bound_mesh
 
     # no scale returned ([], -1)
     @pytest.mark.parametrize("scales", [[], [0.5, 0.0], [-0.25]])
     def test_scales_must_be_positive(self, scales):
         with pytest.raises(ValueError, match="at least one scale, each positive"):
-            ell_dim_estimate(np.zeros((3, 3)), scales, 4.0)
+            ell_dim_estimate(table_metric(np.zeros((3, 3))), scales, 4.0)
 
 
 class TestScaleRowJudge:
@@ -687,6 +689,7 @@ class TestIncidenceKernel:
     def test_pushout_sets_and_stats_per_scale(self, space, R, n):
         sample = sample_boundary(space, n, 8)
         D = pair_distance_matrix(space, MetricSpec("dA", A=1), sample)
+        metric = sample_metric(space, MetricSpec("dA", A=1), sample)
         system = LatticeBallSystem(space, R)
         for lam in (0.5, 4 * math.exp(-2), 0.125, 0.3, Fraction(1, 4), Fraction(3, 7),
                     Fraction(3, 2)):
@@ -697,11 +700,11 @@ class TestIncidenceKernel:
             assert [(m, d) for m, _, d in _sets(cover)] == [
                 (members, f"pushout lam={float(lam):g} center={key}") for key, members in want]
             ref = _cover(len(sample), [members for _, members in want])
-            got = cover_stats(cover, D)
+            got = cover_stats(cover, metric)
             assert (got.order, got.mesh, got.lebesgue) == _reference_cover_stats(ref, D)
 
 
-def _stats_at_chunks(cover, matrix):
+def _stats_at_chunks(cover, metric):
     """(order, mesh, lebesgue) of `cover_stats` at the default _CHUNK and at
     sizes at which a point's incidences straddle blocks of one row (1,
     n - 1, n + 1) and of two rows (2n + 1)."""
@@ -710,7 +713,7 @@ def _stats_at_chunks(cover, matrix):
     for chunk in (covers._CHUNK, 1, n - 1, n + 1, 2 * n + 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(covers, "_CHUNK", chunk)
-            got = cover_stats(cover, matrix=matrix)
+            got = cover_stats(cover, metric)
         out.append((got.order, got.mesh, got.lebesgue))
     return out
 
@@ -739,9 +742,9 @@ class TestStatsKernels:
             want = _reference_cover_stats(cover, matrix)
         except ValueError:
             with pytest.raises(ValueError, match="uncovered"):
-                cover_stats(cover, matrix=matrix)
+                cover_stats(cover, table_metric(matrix))
             return
-        assert _stats_at_chunks(cover, matrix) == [want] * 5
+        assert _stats_at_chunks(cover, table_metric(matrix)) == [want] * 5
 
     @settings(max_examples=200, deadline=None)
     @given(_random_covers())
@@ -755,7 +758,7 @@ class TestStatsKernels:
             return
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(covers, "_point_weights", lambda n: np.zeros(n, dtype=np.uint64))
-            assert _stats_at_chunks(cover, matrix) == [want] * 5
+            assert _stats_at_chunks(cover, table_metric(matrix)) == [want] * 5
 
     @pytest.mark.parametrize("weights", ["hashed", "colliding"])
     def test_distinct_sets_count_repeats(self, weights):
@@ -781,22 +784,25 @@ class TestStatsKernels:
                                  (T4, 40, (4 * math.exp(-1), 4 * math.exp(-3)))):
             sample = sample_boundary(space, n, 5)
             D = pair_distance_matrix(space, MetricSpec("dA", A=1), sample)
+            metric = sample_metric(space, MetricSpec("dA", A=1), sample)
             for lam in scales:
                 cover = boundary_pushout_cover(space, LatticeBallSystem(space, 2), lam, 1, sample)
-                assert _stats_at_chunks(cover, D) == [_reference_cover_stats(cover, D)] * 5
+                assert _stats_at_chunks(cover, metric) == [_reference_cover_stats(cover, D)] * 5
 
     def test_cover_stats_transient_memory(self):
-        # the blocks bound what cover_stats holds beyond its set-by-point
-        # boolean matrix; reading all (set, point) rows at once would take
-        # incidences x n floats, here over 20 MB
+        # on a metric without an order the blocks bound what cover_stats
+        # holds beyond its set-by-point boolean matrix; reading all (set,
+        # point) rows at once would take incidences x n floats, here over
+        # 20 MB
         n = 1500
         D = pair_distance_matrix(E2, MetricSpec("dA", A=1), sample_boundary(E2, n, 0))
-        cover = covers._greedy_net(D, 1 / 16, 1 / 16, np.random.default_rng(0))
+        metric = table_metric(D)
+        cover = covers._greedy_net(metric, 1 / 16, 1 / 16, np.random.default_rng(0))
         incidences = len(cover.point_of)
         assert incidences * n * 8 > 20e6
         tracemalloc.start()
         try:
-            cover_stats(cover, matrix=D)
+            cover_stats(cover, metric)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -840,7 +846,8 @@ class TestStatsKernels:
         sample = sample_boundary(T4, 30, 3)
         covers = {k: colored_boundary_cover(T4, sched.lam(k), sample) for k in range(1, 4)}
         interior = sample_ray_points(sample, 10, 200, 3)
-        numbers = [(i, int(r) if r.denominator == 1 else float(r)) for i, r in interior]
+        numbers = [(i, a // 8 if a % 8 == 0 else a / 8)
+                   for i, a in zip(interior.ray.tolist(), interior.num.tolist())]
         assert {type(r) for _, r in numbers} == {int, float}
         want, want_claims = annular_pushin_cover(T4, sched, covers, sample, interior)
         got, got_claims = annular_pushin_cover(T4, sched, covers, sample, numbers)
@@ -901,35 +908,42 @@ class TestStatsKernels:
 
 
 def _construction_covers():
-    """(name, cover, distance matrix of its ground) for each construction:
-    the pushout on T4 and R^2, the tree cylinders, the circle arcs, the
-    greedy-net balls and the pushin tubes with the base ball."""
+    """(name, cover, sample metric of its ground, its distance matrix) for
+    each construction: the pushout on T4 and R^2, the tree cylinders, the
+    circle arcs, the greedy-net balls and the pushin tubes with the base
+    ball."""
+    def boundary(space, spec, sample):
+        return sample_metric(space, spec, sample), pair_distance_matrix(space, spec, sample)
+
     out = []
     for name, space in (("pushout-T4", T4), ("pushout-R2", E2)):
         sample = sample_boundary(space, 60, 3)
-        D = pair_distance_matrix(space, MetricSpec("dA", A=1), sample)
         out.append((name, boundary_pushout_cover(space, LatticeBallSystem(space, 2), 0.25, 1,
-                                                 sample), D))
+                                                 sample),
+                    *boundary(space, MetricSpec("dA", A=1), sample)))
     sample = sample_boundary(T4, 80, 3)
-    D = pair_distance_matrix(T4, MetricSpec("dbar"), sample)
-    out.append(("cylinders", colored_boundary_cover(T4, 4 * math.exp(-2), sample), D))
-    out.append(("net-balls", covers._greedy_net(D, 0.1, 0.1, np.random.default_rng(1)), D))
+    metric, D = boundary(T4, MetricSpec("dbar"), sample)
+    out.append(("cylinders", colored_boundary_cover(T4, 4 * math.exp(-2), sample), metric, D))
+    out.append(("net-balls", covers._greedy_net(metric, 0.1, 0.1, np.random.default_rng(1)),
+                metric, D))
     circle = sample_boundary(E2, 200, 3)
     out.append(("arcs", colored_boundary_cover(E2, 0.25, circle),
-                pair_distance_matrix(E2, MetricSpec("dA", A=1), circle)))
+                *boundary(E2, MetricSpec("dA", A=1), circle)))
     sched = ScaleSchedule(R=1, K=3, c=1.0)
     colored = {k: colored_boundary_cover(T4, sched.lam(k), sample) for k in range(1, 4)}
     interior = sample_ray_points(sample, 5, 120, 3)
     cover, _ = annular_pushin_cover(T4, sched, colored, sample, interior)
-    ground = [ray_point(Ray(T4, T4.basepoint, sample[i]), r) for i, r in interior]
-    out.append(("pushin", cover, distance_matrix(ground, lambda p, q: dist(T4, p, q))))
+    ground = [ray_point(Ray(T4, T4.basepoint, sample[i]), Fraction(a, interior.den))
+              for i, a in zip(interior.ray.tolist(), interior.num.tolist())]
+    D = distance_matrix(ground, lambda p, q: dist(T4, p, q))
+    out.append(("pushin", cover, table_metric(D), D))
     return out
 
 
 class TestCoverRecord:
     def test_every_construction_keeps_the_record_invariants(self):
         seen = []
-        for name, cover, D in _construction_covers():
+        for name, cover, metric, D in _construction_covers():
             seen.append(name)
             set_of, point_of = cover.set_of, cover.point_of
             assert set_of.dtype == point_of.dtype == np.int64
@@ -941,5 +955,87 @@ class TestCoverRecord:
             filled = np.unique(set_of).tolist()
             assert filled == list(range(len(cover.colors))), name
             assert all(isinstance(cover.describe(s), str) for s in range(len(cover.colors)))
-            assert _stats_at_chunks(cover, D) == [_reference_cover_stats(cover, D)] * 5, name
+            assert _stats_at_chunks(cover, metric) == [_reference_cover_stats(cover, D)] * 5, name
         assert len(seen) == 6
+
+
+# ---------------------------------------------------------------------------
+# the runs over the sorted boundary against the table-reading reference
+
+SORTED_SPACES = {
+    "R2": (E2, MetricSpec("dA", A=1)),
+    "H2": (hyperbolic_plane(), MetricSpec("dbar")),
+    "H2-at-(1.3,0.4)": (hyperbolic_plane(HyperbolicPoint(1.3, 0.4)), MetricSpec("dA", A=0.8)),
+    "T4": (T4, MetricSpec("dbar")),
+    "T4-at-120": (tree_space(4, TreePoint((1, 2, 0))), MetricSpec("dA", A=1)),
+    "R3": (euclidean_space(3), MetricSpec("dbar")),
+}
+
+
+def _net_sets(cover):
+    return cover.set_of.tolist(), cover.point_of.tolist(), list(map(cover.describe,
+                                                                     range(len(cover.colors))))
+
+
+class TestSortedBoundary:
+    @pytest.mark.parametrize("name", sorted(SORTED_SPACES))
+    def test_nets_and_stats_equal_the_table_reference(self, name, monkeypatch):
+        # scales at quantiles of the distances, the largest with 2 lam-balls
+        # spanning more than half the circle
+        space, spec = SORTED_SPACES[name]
+        far = []
+        monkeypatch.setattr(covers, "_far_pairs",
+                            lambda *args: far.append(1) or _far_pairs(*args))
+        for seed in range(10):
+            n = (30, 120, 250)[seed % 3]
+            sample = sample_boundary(space, n, seed)
+            metric = sample_metric(space, spec, sample)
+            D = pair_distance_matrix(space, spec, sample)
+            for q in (0.002, 0.01, 0.05, 0.2, 0.5, 0.8, 0.97):
+                lam = float(np.quantile(D[np.triu_indices(n, 1)], q))
+                for radius in (lam, 2 * lam):
+                    got = covers._greedy_net(metric, lam, radius, np.random.default_rng(seed))
+                    want = table_greedy_net(D, lam, radius, np.random.default_rng(seed))
+                    assert _net_sets(got) == _net_sets(want), (seed, q, radius)
+                    assert cover_stats(got, metric) == table_cover_stats(want, D), (seed, q)
+        assert bool(far) == (metric.turn is not None)
+
+    @pytest.mark.parametrize("name", ["R2", "T4", "T4-at-120", "R3"])
+    def test_pushout_stats_equal_the_table_reference(self, name):
+        space, _ = SORTED_SPACES[name]
+        spec = MetricSpec("dA", A=1)
+        for seed in range(8):
+            sample = sample_boundary(space, (40, 150)[seed % 2], seed)
+            metric = sample_metric(space, spec, sample)
+            D = pair_distance_matrix(space, spec, sample)
+            for lam in (0.5, 0.25, 0.125, 1 / 16, 1 / 64):
+                cover = boundary_pushout_cover(space, LatticeBallSystem(space, 2), lam, 1, sample)
+                assert cover_stats(cover, metric) == table_cover_stats(cover, D), (seed, lam)
+
+    def test_tangent_ball_is_read_from_rows(self):
+        # at lam = 1/4 the ray points lie on |x| = 4, the boundary of the
+        # ball of radius 4 around the origin: which of them it holds is
+        # decided by rounding, so its set is not a run on some seeds
+        not_runs = 0
+        for seed in range(30):
+            sample = sample_boundary(E2, 80, seed)
+            metric = sample_metric(E2, MetricSpec("dA", A=1), sample)
+            cover = boundary_pushout_cover(E2, LatticeBallSystem(E2, 2), 0.25, 1, sample)
+            run, _, _ = covers._runs(metric, cover.point_of, *covers._segments(cover.set_of))
+            not_runs += not run.all()
+            D = pair_distance_matrix(E2, MetricSpec("dA", A=1), sample)
+            assert cover_stats(cover, metric) == table_cover_stats(cover, D), seed
+        assert not_runs > 0
+
+    def test_whole_circle_and_line_runs(self):
+        # a set swallowing the sample, and sets at the ends of the line
+        for space, spec in (SORTED_SPACES["R2"], SORTED_SPACES["T4"], SORTED_SPACES["H2"]):
+            sample = sample_boundary(space, 50, 4)
+            metric = sample_metric(space, spec, sample)
+            D = pair_distance_matrix(space, spec, sample)
+            order = metric.order.tolist()
+            sets = [tuple(range(50)), tuple(sorted(order[:7])), tuple(sorted(order[-5:])),
+                    tuple(sorted(order[7:-5])), tuple(sorted(order[3:9] + order[30:32]))]
+            sets.append(tuple(sorted(set(range(50)) - set().union(*sets[1:]))))
+            cover = _cover(50, [m for m in sets if m])
+            assert cover_stats(cover, metric) == table_cover_stats(cover, D)

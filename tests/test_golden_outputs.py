@@ -67,6 +67,10 @@ GOLDEN = {
         dict(experiment="ell-dim", space="euclidean2", metric="dA", A=1.0, n=400,
              scales=CIRCLE_SCALES), 0,
         {"stats.csv": "71036d96f112a383b9e9158a7e463520386c328f5801452e34fc5111b4bf7094"}),
+    "ell-dim-hyperbolic-dbar": (
+        dict(experiment="ell-dim", space="hyperbolic_plane", metric="dbar", n=300,
+             scales=CIRCLE_SCALES), 0,
+        {"stats.csv": "29fec511ba1eaad88ecc49e8db079f4644c84e76b1e6d8201e5ebb275c34f313"}),
     "visual-fit-dbar": (
         dict(experiment="visual-fit", space="tree4", metric="dbar", n=300), 0,
         {"visual_fit.json": "c3576636a99560e571b7d3e000fa51cfc6db2c8be8de665aff00e615ba3a6460"}),

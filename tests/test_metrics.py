@@ -32,6 +32,7 @@ from visbound.metrics import (
     pair_kernel,
     pair_table,
     pole_dbar,
+    sample_metric,
     spec_dA,
     spec_dbar,
     with_basepoint,
@@ -914,3 +915,76 @@ class TestOffPole:
             pair_distance_matrix(H2, with_basepoint(spec_dbar(), origin), pts)
         with pytest.raises(ValueError, match="too large"):
             gromov_product(H2, origin, *pts)
+
+
+# (space, spec, whether the sample has a boundary order) of each route of
+# `sample_metric`
+SAMPLE_METRICS = {
+    "T4-root": (tree_space(4), spec_dbar(), True),
+    "T3-dA-0.7": (tree_space(3), spec_dA(0.7), True),
+    "T4-at-120": (tree_space(4, TreePoint((1, 2, 0))), spec_dA(1), False),
+    "R2": (euclidean_space(2), spec_dA(1.5), True),
+    "R2-at-(0.3,-1.7)": (euclidean_space(2, (0.3, -1.7)), spec_dbar(), True),
+    "R3": (euclidean_space(3), spec_dbar(), False),
+    "H2": (hyperbolic_plane(), spec_dbar(), True),
+    "H2-dA": (hyperbolic_plane(), spec_dA(0.8), True),
+    "H2-at-(1.3,0.4)": (hyperbolic_plane(HyperbolicPoint(1.3, 0.4)), spec_dbar(), True),
+    "H2-at-(4,5)": (hyperbolic_plane(HyperbolicPoint(4.0, 5.0)), spec_dA(1), True),
+}
+
+
+class TestSampleMetric:
+    @pytest.mark.parametrize("name", sorted(SAMPLE_METRICS))
+    def test_dist_is_the_table_bit_for_bit(self, name):
+        space, spec, _ = SAMPLE_METRICS[name]
+        points = sample_boundary(space, 70, 5)
+        D = pair_distance_matrix(space, spec, points)
+        metric = sample_metric(space, spec, points)
+        I, J = np.indices(D.shape).reshape(2, -1)
+        got = metric.dist(I, J)
+        assert got.dtype == np.float64 and np.array_equal(got, D[I, J])
+        assert np.array_equal(metric.dist(I[::-1], J[::-1]), D[I[::-1], J[::-1]])
+
+    @pytest.mark.parametrize("name", sorted(SAMPLE_METRICS))
+    def test_balls_are_runs_of_the_order(self, name):
+        space, spec, ordered = SAMPLE_METRICS[name]
+        points = sample_boundary(space, 120, 6)
+        metric = sample_metric(space, spec, points)
+        assert metric.n == 120
+        if not ordered:
+            assert metric.order is None and metric.turn is None
+            return
+        assert sorted(metric.order.tolist()) == list(range(120))
+        assert (metric.turn is None) == (space.kind == "tree")
+        D = pair_distance_matrix(space, spec, points)
+        rank = np.argsort(metric.order)
+        for c in range(0, 120, 7):
+            for r in np.unique(D[c])[1::9]:
+                inside = np.sort(rank[D[c] < r])
+                gaps = int((np.diff(inside) > 1).sum())
+                # a run: on a line no gap, on the circle one at most
+                if metric.turn is None:
+                    assert gaps == 0
+                else:
+                    assert gaps + (inside[0] + 120 - inside[-1] > 1) <= 1
+
+    def test_tree_order_is_the_order_of_the_words(self):
+        points = sample_boundary(tree_space(4), 200, 7)
+        metric = sample_metric(tree_space(4), spec_dbar(), points)
+        words = [points[i].prefix(40) for i in metric.order.tolist()]
+        assert words == sorted(words)
+
+    @pytest.mark.parametrize("name", ["R2", "H2", "H2-at-(1.3,0.4)", "H2-at-(4,5)"])
+    def test_turn_is_the_angle_the_metric_sees(self, name):
+        space, spec, _ = SAMPLE_METRICS[name]
+        points = sample_boundary(space, 150, 8)
+        metric = sample_metric(space, spec, points)
+        # along the cyclic order the turn goes once around the circle
+        t = metric.turn[metric.order]
+        assert np.all((0 <= t) & (t < 2 * math.pi))
+        assert math.isclose(np.sum(np.diff(np.r_[t, t[0]]) % (2 * math.pi)), 2 * math.pi)
+        I, J = np.triu_indices(150, 1)
+        inv = pair_invariants(space, points, I, J, spec.base(space))
+        angle = inv["angle"] if space.kind == "hyperbolic_plane" else 2 * np.arcsin(inv / 2)
+        gap = np.abs(metric.turn[I] - metric.turn[J])
+        assert np.allclose(np.minimum(gap, 2 * math.pi - gap), angle, rtol=0, atol=1e-7)

@@ -463,13 +463,13 @@ class TestUniformPerfectness:
         rep = uniformly_perfect_check(T4, centers, radii)
         assert rep.ok and rep.vacuous == 0
         for center, r, w, d in rep.witnesses:
-            assert r / 4 <= d < r
+            assert r / 4 <= Fraction(*d) < r
 
     def test_explicit_half_radius_witness(self):
         center = TreeBoundary((), (0,))
         rep = uniformly_perfect_check(T4, [center], [Fraction(1, 2)])
         (c, r, w, d) = rep.witnesses[0]
-        assert d == Fraction(2, 5)        # branch at ceil(1/r) = 2
+        assert d == (2, 5)        # branch at ceil(1/r) = 2
 
     def test_radius_beyond_diameter_vacuous(self):
         center = TreeBoundary((), (0,))
@@ -486,7 +486,7 @@ class TestUniformPerfectness:
         centers = sample_boundary(T4, 10, 3)
         rep = uniformly_perfect_check(T4, centers, [Fraction(1, 2), Fraction(1, 7)])
         assert len(rep.failures) == 20 and not rep.witnesses
-        assert all(d == 2 for _, _, d in rep.failures)
+        assert all(d == (2, 1) for _, _, d in rep.failures)
 
     @pytest.mark.parametrize("b", [2, 3, 8, 61])
     def test_annulus_edges_are_decided_exactly(self, monkeypatch, b):
@@ -506,10 +506,11 @@ class TestUniformPerfectness:
             for r in radii:
                 w = branch_at_b(T4, center, r)
                 assert eval_dA(T4, spec_dA(1), center, w) == d
+                # the report gives each distance as its reduced integer ratio
                 if r / 4 <= d < r:
-                    want.witnesses.append((center, r, w, d))
+                    want.witnesses.append((center, r, w, d.as_integer_ratio()))
                 else:
-                    want.failures.append((center, r, d))
+                    want.failures.append((center, r, d.as_integer_ratio()))
         assert rep == want
         assert [r for _, r, _, _ in rep.witnesses] == [radii[0]] * 10
         assert [r for _, r, _ in rep.failures] == [radii[1]] * 10
@@ -534,9 +535,9 @@ class TestUniformPerfectness:
                 w = quasisym._tree_annulus_witness(T4, center, r)
                 d = eval_dA(T4, spec_dA(1), center, w)
                 if r / 4 <= d < r:
-                    want.witnesses.append((center, r, w, d))
+                    want.witnesses.append((center, r, w, d.as_integer_ratio()))
                 else:
-                    want.failures.append((center, r, d))
+                    want.failures.append((center, r, d.as_integer_ratio()))
         assert rep == want and rep.ok
 
     def test_non_tree_rejected(self):

@@ -88,6 +88,28 @@ class TestConstruction:
             euclidean_space(2, (0.0, 0.0, 0.0))
         assert euclidean_space(3, (0.0, 0.0, 0.0)).basepoint.coords == (0.0, 0.0, 0.0)
 
+    # a tree point's letters were never checked: this dist read 1,
+    # centers_near returned centers with the letter 9, the basepoint was
+    # accepted, and a letter >= 256 failed inside bytes()
+    @pytest.mark.parametrize("case", [
+        lambda: dist(T4, TreePoint((9,)), TreePoint(())),
+        lambda: covers.LatticeBallSystem(T4, 1).centers_near(TreePoint((9, 7))),
+        lambda: tree_space(4, TreePoint((9,))),
+        lambda: covers.LatticeBallSystem(T4, 1).centers_near(TreePoint((0, 256))),
+    ], ids=["dist", "centers_near", "basepoint", "letter-256"])
+    def test_illegal_tree_letters_rejected(self, case):
+        with pytest.raises(ValueError, match="illegal tree word"):
+            case()
+
+    @pytest.mark.parametrize("word", [(3,), (3, 2), (0, 2, 2, 0), (1, -1), (0, 3), (4,)])
+    def test_tree_letters_first_below_k_later_below_k_minus_1(self, word):
+        legal = word[0] < 4 and min(word) >= 0 and max(word[1:], default=0) < 3
+        if legal:
+            assert dist(T4, TreePoint(word), TreePoint(())) == len(word)
+        else:
+            with pytest.raises(ValueError, match="illegal tree word"):
+                dist(T4, TreePoint(word), TreePoint(()))
+
     @pytest.mark.parametrize("angle", [-5e-324, -1e-17, -0.0, 2 * math.pi])
     def test_hyperbolic_angles_wrap_into_zero_two_pi(self, angle):
         # x % 2pi rounds to 2pi for tiny negative x; that angle is 0

@@ -234,18 +234,17 @@ def _run_candidates(metric: SampleMetric, point_of: np.ndarray, starts, ends, se
 def _row_candidates(metric: SampleMetric, set_of: np.ndarray, point_of: np.ndarray,
                     best: np.ndarray) -> float:
     """`_run_candidates` for any sets, each distinct set measured once from
-    its members' full rows of `metric.dist`, in blocks of about _CHUNK
-    distances."""
+    its members' full rows (`SampleMetric.rows`), in blocks of about
+    _CHUNK distances."""
     n = metric.n
     set_of, point_of = _distinct_sets(set_of, point_of)
     inside = np.zeros((int(set_of.max()) + 1, n), dtype=bool)
     inside[set_of, point_of] = True
-    everyone = np.arange(n)
     step = max(1, _CHUNK // n)
     mesh = 0.0
     for a in range(0, len(point_of), step):
         points = point_of[a:a + step]
-        D = metric.dist(np.repeat(points, n), np.tile(everyone, len(points))).reshape(-1, n)
+        D = metric.rows(points)
         member = inside[set_of[a:a + step]]
         mesh = max(mesh, float(np.where(member, D, -math.inf).max()))
         np.maximum.at(best, points, np.where(member, math.inf, D).min(axis=1))
@@ -267,10 +266,12 @@ def cover_stats(cover: Cover, metric: SampleMetric) -> CoverStats:
     and its mesh from its two ends, or, when it spans half the circle or
     more (within _HALF_TURN_SLACK), from its members' pairs that can be
     farthest (`_far_pairs`).  As `SampleMetric` says, this equals the
-    full-row answer exactly on T_k and on the circle and H^2 up to
-    near-ties of one ulp.  Any other set reads the full row of each member
-    from `metric.dist`, each distinct set once, in blocks of about _CHUNK
-    distances (`_row_candidates`)."""
+    full-row answer exactly on T_k, on R^2 and at the H^2 pole up to
+    near-ties of one ulp, and off the pole up to near-ties within the
+    kernel's angle error (up to 4e-12 for nearly antipodal pairs).  Any
+    other set reads the full row of each member (`SampleMetric.rows`),
+    each distinct set once, in blocks of about _CHUNK distances
+    (`_row_candidates`)."""
     if not cover.colors:
         raise ValueError("empty cover")
     n = cover.n
@@ -608,9 +609,9 @@ def _greedy_net(metric: SampleMetric, lam: float, radius: float, rng) -> Cover:
     The scan takes the next unblocked points a batch at a time, walks out
     all their balls at once, and then admits them one by one.  After a
     first batch of 8, at the mean ball size s so far, a batch holds 4/s
-    times the unblocked points, and at least _CHUNK/(8 s) points, and its
-    walks start with blocks of s steps.  Without an order each ball is read
-    from the center's full row of `metric.dist`."""
+    times the unblocked points, and at least _CHUNK/(8 s) points, rounded
+    up, and its walks start with blocks of s steps.  Without an order each
+    ball is read from the center's full row (`SampleMetric.rows`)."""
     n = metric.n
     scan = rng.permutation(n)
     if metric.order is None:
@@ -643,7 +644,9 @@ def _greedy_net(metric: SampleMetric, lam: float, radius: float, rng) -> Cover:
                 covered += b + a + 1
         at = int(take[-1]) + 1
         width = max(4, covered // len(arcs))
-        batch = max(4 * len(arcs) * (n - int(flags.sum())), (_CHUNK >> 3) * len(arcs)) // covered
+        # a ceiling: a batch holds a point however large the balls grow
+        batch = -(-max(4 * len(arcs) * (n - int(flags.sum())), (_CHUNK >> 3) * len(arcs))
+                  // covered)
     ranks, back, ahead = np.array(arcs, dtype=np.int64).T
     by_center = np.argsort(order[ranks])
     ranks, back, ahead = ranks[by_center], back[by_center], ahead[by_center]
@@ -659,23 +662,20 @@ def _greedy_net(metric: SampleMetric, lam: float, radius: float, rng) -> Cover:
 
 
 def _row_net(metric: SampleMetric, scan: np.ndarray, lam: float, radius: float) -> Cover:
-    """`_greedy_net` from full rows of `metric.dist`: one per scanned center,
-    then the radius-balls in blocks of about _CHUNK distances."""
+    """`_greedy_net` from full rows (`SampleMetric.rows`): one per scanned
+    center, then the radius-balls in blocks of about _CHUNK distances."""
     n = metric.n
-    everyone = np.arange(n)
     blocked = np.zeros(n, dtype=bool)
     centers = []
     for i in scan.tolist():
         if not blocked[i]:
             centers.append(i)
-            blocked |= metric.dist(np.full(n, i), everyone) < lam
+            blocked |= metric.rows([i])[0] < lam
     centers.sort()
     step = max(1, _CHUNK // n)
     hits = [np.zeros((2, 0), dtype=np.intp)]
     for lo in range(0, len(centers), step):
-        block = centers[lo:lo + step]
-        D = metric.dist(np.repeat(block, n), np.tile(everyone, len(block)))
-        hit = np.array(np.nonzero(D.reshape(len(block), n) < radius))
+        hit = np.array(np.nonzero(metric.rows(centers[lo:lo + step]) < radius))
         hit[0] += lo
         hits.append(hit)
     set_of, point_of = np.concatenate(hits, axis=1)
@@ -722,25 +722,12 @@ class ScaleSchedule:
 class RayPoints:
     """Points on the basepoint rays toward a boundary sample: point m lies at
     radius num[m] / den on the ray toward the boundary point ray[m], with
-    int64 arrays ray and num >= 0, and an int den > 0."""
+    int64 arrays ray and 0 <= num < 2^53 (so that num / den in floats rounds
+    as the float of the Fraction does), and an int den > 0."""
 
     ray: np.ndarray
     num: np.ndarray
     den: int
-
-    @classmethod
-    def of(cls, pairs: list) -> "RayPoints":
-        """The points of (boundary index, radius) pairs, each radius read as
-        its integer ratio, over their least common denominator.  Raises
-        ValueError where a numerator needs more than 53 bits, beyond which
-        num / den in floats would round num first."""
-        ratios = [r.as_integer_ratio() for _, r in pairs]
-        den = math.lcm(*(d for _, d in ratios))
-        num = [a * (den // d) for a, d in ratios]
-        if max(num, default=0) >= 1 << 53:
-            raise ValueError("a ray radius over the common denominator needs more than 53 bits")
-        return cls(np.array([i for i, _ in pairs], dtype=np.int64),
-                   np.array(num, dtype=np.int64), den)
 
 
 def sample_ray_points(boundary_sample: list, r_max, n: int, seed: int) -> RayPoints:
@@ -754,25 +741,22 @@ def sample_ray_points(boundary_sample: list, r_max, n: int, seed: int) -> RayPoi
 
 def annular_pushin_cover(space: Space, schedule: ScaleSchedule,
                          colored_covers: dict, boundary_sample: list,
-                         interior_sample):
+                         interior_sample: RayPoints):
     """Tube cover of the interior sample of a tree: for each scale k and
     each colored boundary set U, the band kR < r < (k+2)R of rays landing
     in U, plus the base ball B(x0, 2R).  Returns (cover, claims).
 
-    The interior sample is `RayPoints`, or (boundary index, radius) pairs
-    read by `RayPoints.of`; radii are tested against the bands in integers.
-    Everything is read from one branch table B of the basepoint rays, with
-    +inf on its diagonal: the ray toward j passes the point at radius r on
-    the ray toward i iff B[i, j] >= ceil(r).  Raises ValueError on a
-    non-tree space."""
+    The radii of the `RayPoints` interior sample are tested against the
+    bands in integers.  Everything is read from one branch table B of the
+    basepoint rays, with +inf on its diagonal: the ray toward j passes the
+    point at radius r on the ray toward i iff B[i, j] >= ceil(r).  Raises
+    ValueError on a non-tree space."""
     if space.kind != TREE:
         raise ValueError("the annular pushin is built on tree spaces only")
     R, K = schedule.R, schedule.K
     for k in range(1, K + 1):
         if k not in colored_covers:
             raise ValueError(f"missing colored cover for scale k={k}")
-    if not isinstance(interior_sample, RayPoints):
-        interior_sample = RayPoints.of(interior_sample)
     B = pair_table(len(boundary_sample), pair_kernel(space, boundary_sample), math.inf)
     rays, num, den = interior_sample.ray, interior_sample.num, interior_sample.den
     reach = B[rays] >= (-(-num // den)).astype(float)[:, None]
@@ -862,7 +846,9 @@ def ell_dim_estimate(metric: SampleMetric, scales: list, c: float, seed: int = 0
     passes when the mesh is at most c lam.  On a sample with a boundary
     order no n x n table is built: time O(n log n + incidences) and memory
     O(n) per scale, the balls and verdicts equal to the full-row ones
-    exactly on T_k and up to near-ties of one ulp on the circle and H^2.
+    exactly on T_k, up to near-ties of one ulp on R^2 and at the H^2 pole,
+    and off the pole up to near-ties within the kernel's angle error, as
+    `SampleMetric` says.
     Returns (rows, estimate) with estimate = max order - 1."""
     if c < 1:
         raise ValueError("need c >= 1")

@@ -213,23 +213,47 @@ class SampleMetric:
 
     `dist(I, J)` maps index arrays to the distances of the pairs
     (I[k], J[k]), equal bit for bit to the entries `pair_distance_matrix`
-    fills (0 where I[k] == J[k]), without building a table.  `order` lists
-    the sample indices in boundary order, or is None.  With an order every
-    set {j : dist(c, j) < r} is a run of consecutive indices in it, and for
-    a point of a run the nearest point outside is one of the two points just
-    outside the run; the farthest pair of a run is its two ends, unless the
-    run spans half the circle or more.  This holds exactly on T_k, where the
-    order is that of the words and the distance a non-increasing function of
-    the integer branch time, and on the circle and H^2 up to near-ties of
-    one ulp, where the distance is a rounded increasing function of the
-    angle.  `turn` is None on a line (T_k) and on the circle gives each
-    point's angle in [0, 2 pi) as the metric sees it, which turns once
-    around the circle along the cyclic order."""
+    fills (0 where I[k] == J[k]); with an order without building a table.
+    `order` lists the sample indices in boundary order, or is None.  With
+    an order every set {j : dist(c, j) < r} is a run of consecutive indices
+    in it, and for a point of a run the nearest point outside is one of the
+    two points just outside the run; the farthest pair of a run is its two
+    ends, unless the run spans half the circle or more.  This holds exactly
+    on T_k, where the order is that of the words and the distance a
+    non-increasing function of the integer branch time.  On the circle and
+    H^2 the distance is a
+    rounded increasing function of the angle, so it holds up to near-ties:
+    of one ulp on R^2 and at the H^2 pole, where the angle is the wrapped
+    gap of the two directions, and off the pole of the kernel's error in
+    the mapped angle 2 arcsin(s'), about 2 eps / (pi - angle), which
+    reaches 4e-12 for nearly antipodal pairs.  `turn` is None on a line
+    (T_k) and on the circle gives each point's angle in [0, 2 pi) as the
+    metric sees it, which turns once around the circle along the cyclic
+    order.
+
+    Without an order `table` holds the n x n table of the distances, which
+    `dist` and `rows` read."""
 
     n: int
     dist: Callable
     order: np.ndarray | None = None
     turn: np.ndarray | None = None
+    table: np.ndarray | None = None
+
+    @classmethod
+    def from_table(cls, D: np.ndarray) -> "SampleMetric":
+        """The metric whose distances are the entries of the n x n table D,
+        with no boundary order."""
+        return cls(len(D), lambda I, J: D[I, J], table=D)
+
+    def rows(self, points) -> np.ndarray:
+        """The distances from each of `points` to every sample point, a row
+        per point: slices of `table` where there is one, else from `dist`."""
+        if self.table is not None:
+            return self.table[points]
+        points = np.asarray(points, dtype=np.intp)
+        return self.dist(np.repeat(points, self.n),
+                         np.tile(np.arange(self.n), len(points))).reshape(-1, self.n)
 
 
 def sample_metric(space: Space, spec: MetricSpec, points: list) -> SampleMetric:
@@ -241,7 +265,9 @@ def sample_metric(space: Space, spec: MetricSpec, points: list) -> SampleMetric:
       to the pole keeps the cyclic order, and the turn is the mapped angle
       phi0 + 2 atan(e^r tan((phi - phi0)/2));
     - T_k from the root, by word;
-    - none on R^n for n != 2 or on T_k from another vertex.
+    - none on R^n for n != 2 or on T_k from another vertex, whose verdicts
+      read full rows, each many times over: there the metric holds the
+      table `pair_distance_matrix` fills, filled once.
 
     Raises as `pair_kernel` does."""
     origin = spec.base(space)
@@ -266,6 +292,10 @@ def sample_metric(space: Space, spec: MetricSpec, points: list) -> SampleMetric:
             half = ((phi - origin.phi + math.pi) % (2 * math.pi) - math.pi) / 2.0
             turn = (origin.phi + 2.0 * np.arctan2(math.exp(origin.r) * np.sin(half),
                                                   np.cos(half))) % (2 * math.pi)
+
+    if order is None:
+        return SampleMetric.from_table(pair_table(n, lambda I, J: _closed_form(space, spec,
+                                                                               kernel(I, J))))
 
     def dist(I, J):
         I, J = np.asarray(I, dtype=np.intp), np.asarray(J, dtype=np.intp)

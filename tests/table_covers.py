@@ -1,19 +1,12 @@
 """Reference cover verdicts read off a full distance table, for the tests:
 the table-reading `cover_stats` and greedy net that `covers` replaced by
-its runs over the boundary order, and a `SampleMetric` over a table."""
+its runs over the boundary order."""
 
 import math
 
 import numpy as np
 
 from visbound.covers import Cover, CoverStats, _distinct_sets
-from visbound.metrics import SampleMetric
-
-
-def table_metric(D: np.ndarray) -> SampleMetric:
-    """The `SampleMetric` whose distances are the entries of the table D,
-    with no boundary order."""
-    return SampleMetric(len(D), lambda I, J: D[I, J])
 
 
 def table_cover_stats(cover: Cover, matrix: np.ndarray) -> CoverStats:

@@ -20,13 +20,14 @@ from visbound import cli, metrics
 from visbound.cli import (ConfigError, RunConfig, _csv, _envelope_csv, _fmt, _pairs_csv, _spec,
                           build_parser, main, parse_space, run)
 from visbound import covers
-from visbound.covers import (Cover, RayPoints, ScaleSchedule, annular_pushin_cover,
-                             colored_boundary_cover, sample_ray_points)
+from visbound.covers import (Cover, ScaleSchedule, annular_pushin_cover, colored_boundary_cover,
+                             sample_ray_points)
 from visbound.metrics import pair_distance_matrix
 from visbound.quasisym import qs_envelope, ratio_pool
 from visbound.spaces import (Ray, boundary_to_line, distinct_rows, ray_point, sample_boundary,
                              substream, tree_space)
 
+from ray_points import ray_points
 from test_covers import _cover, _sets
 from test_golden_outputs import GOLDEN
 from test_quasisym import _BoundedRng
@@ -650,7 +651,7 @@ class TestCoverJson:
                   for i, r in pairs]
         # the drawn eighths as they are, and all the points over 24ths
         assert cli._interior_text(sample, drawn) == walked[:len(drawn.ray)]
-        assert cli._interior_text(sample, RayPoints.of(pairs)) == walked
+        assert cli._interior_text(sample, ray_points(pairs)) == walked
 
     def test_empty_base_ball_is_written(self):
         # no interior sample lies below radius 2R = 4, yet the base ball is
@@ -659,7 +660,7 @@ class TestCoverJson:
         sched = ScaleSchedule(R=2, K=1, c=1.0)
         sample = sample_boundary(T4, 20, 1)
         colored = {1: colored_boundary_cover(T4, sched.lam(1), sample)}
-        interior = RayPoints.of([(0, Fraction(9, 2)), (3, Fraction(7)), (5, Fraction(5))])
+        interior = ray_points([(0, Fraction(9, 2)), (3, Fraction(7)), (5, Fraction(5))])
         cover, claims = annular_pushin_cover(T4, sched, colored, sample, interior)
         written = json.loads(cli._cover_json(cli._interior_text(sample, interior), cover))
         words = [".".join(map(str, sample[i].prefix(d))) for i, d in ((0, 5), (3, 7), (5, 5))]

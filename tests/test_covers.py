@@ -24,7 +24,8 @@ from visbound.covers import (
     orbit_ball_order,
     sample_ray_points,
 )
-from visbound.metrics import MetricSpec, pair_distance_matrix, pair_invariants, sample_metric
+from visbound.metrics import (MetricSpec, SampleMetric, pair_distance_matrix, pair_invariants,
+                              sample_metric)
 from visbound.spaces import (
     EuclideanBoundary,
     EuclideanPoint,
@@ -43,7 +44,8 @@ from visbound.spaces import (
     tree_space,
 )
 
-from table_covers import table_cover_stats, table_greedy_net, table_metric
+from ray_points import ray_points
+from table_covers import table_cover_stats, table_greedy_net
 
 T4 = tree_space(4)
 E1 = euclidean_space(1)
@@ -93,19 +95,21 @@ def distance_matrix(ground, d):
 class TestCoverStats:
     def test_single_set_sentinel(self):
         cover = _cover(3, [(0, 1, 2)])
-        st = cover_stats(cover, table_metric(distance_matrix([0, 1, 2], lambda p, q: abs(p - q))))
+        D = distance_matrix([0, 1, 2], lambda p, q: abs(p - q))
+        st = cover_stats(cover, SampleMetric.from_table(D))
         assert st.order == 1 and st.lebesgue == math.inf and st.mesh == 2
 
     def test_partition_order_one(self):
         cover = _cover(4, [(0, 1), (2, 3)])
-        st = cover_stats(cover, table_metric(distance_matrix([0.0, 1.0, 5.0, 6.0],
-                                                             lambda p, q: abs(p - q))))
+        D = distance_matrix([0.0, 1.0, 5.0, 6.0], lambda p, q: abs(p - q))
+        st = cover_stats(cover, SampleMetric.from_table(D))
         assert st.order == 1 and st.mesh == 1.0 and st.lebesgue == 4.0
 
     def test_uncovered_point_rejected(self):
         cover = _cover(2, [(0,)])
         with pytest.raises(ValueError):
-            cover_stats(cover, table_metric(distance_matrix([0, 1], lambda p, q: abs(p - q))))
+            cover_stats(cover, SampleMetric.from_table(distance_matrix([0, 1],
+                                                                       lambda p, q: abs(p - q))))
 
     @pytest.mark.parametrize("size,sets,match", [
         (2, [(0, 1), (2,)], r"sample metric over 2 points, not 3"),
@@ -116,7 +120,7 @@ class TestCoverStats:
     def test_bad_input_rejected(self, size, sets, match):
         # the record rejects a member index, cover_stats a metric of another size
         with pytest.raises(ValueError, match=match):
-            cover_stats(_cover(3, sets), table_metric(np.zeros((size, size))))
+            cover_stats(_cover(3, sets), SampleMetric.from_table(np.zeros((size, size))))
 
     @pytest.mark.parametrize("set_of,point_of,match", [
         ([1, 0], [0, 1], "sorted by set"),
@@ -134,8 +138,8 @@ class TestCoverStats:
         cover = Cover(3, [0, 0, 2], [0, 1, 2], [0, 1, None], str)
         assert cover.bounds.tolist() == [0, 2, 2, 3]
         assert _sets(cover) == [((0, 1), 0, "0"), ((), 1, "1"), ((2,), None, "2")]
-        st = cover_stats(cover, table_metric(distance_matrix([0.0, 1.0, 5.0],
-                                                             lambda p, q: abs(p - q))))
+        D = distance_matrix([0.0, 1.0, 5.0], lambda p, q: abs(p - q))
+        st = cover_stats(cover, SampleMetric.from_table(D))
         assert st.order == 1 and st.mesh == 1.0 and st.lebesgue == 4.0
 
     def test_depth1_cylinders_dbar(self):
@@ -333,7 +337,7 @@ class TestPushin:
 
     def test_trivial_schedule_base_ball_only(self):
         sched = ScaleSchedule(R=2, K=0, c=1.0)
-        interior = [(0, Fraction(1, 2)), (1, Fraction(3))]
+        interior = ray_points([(0, Fraction(1, 2)), (1, Fraction(3))])
         cover, claims = annular_pushin_cover(T4, sched, {}, self.sample, interior)
         assert len(cover.colors) == 1 and claims["order"] == 1
 
@@ -408,7 +412,7 @@ class TestEllDim:
         np.fill_diagonal(M, 0.0)
         want = table_greedy_net(M, 0.2, 0.3, np.random.default_rng(3))
         monkeypatch.setattr(covers, "_CHUNK", chunk)
-        cover = covers._greedy_net(table_metric(M), 0.2, 0.3, np.random.default_rng(3))
+        cover = covers._greedy_net(SampleMetric.from_table(M), 0.2, 0.3, np.random.default_rng(3))
         assert len(cover.colors) == len(want.colors) > 2
         assert np.array_equal(cover.set_of, want.set_of)
         assert np.array_equal(cover.point_of, want.point_of)
@@ -422,7 +426,7 @@ class TestEllDim:
     @pytest.mark.parametrize("scales", [[], [0.5, 0.0], [-0.25]])
     def test_scales_must_be_positive(self, scales):
         with pytest.raises(ValueError, match="at least one scale, each positive"):
-            ell_dim_estimate(table_metric(np.zeros((3, 3))), scales, 4.0)
+            ell_dim_estimate(SampleMetric.from_table(np.zeros((3, 3))), scales, 4.0)
 
 
 class TestScaleRowJudge:
@@ -742,9 +746,9 @@ class TestStatsKernels:
             want = _reference_cover_stats(cover, matrix)
         except ValueError:
             with pytest.raises(ValueError, match="uncovered"):
-                cover_stats(cover, table_metric(matrix))
+                cover_stats(cover, SampleMetric.from_table(matrix))
             return
-        assert _stats_at_chunks(cover, table_metric(matrix)) == [want] * 5
+        assert _stats_at_chunks(cover, SampleMetric.from_table(matrix)) == [want] * 5
 
     @settings(max_examples=200, deadline=None)
     @given(_random_covers())
@@ -758,7 +762,7 @@ class TestStatsKernels:
             return
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(covers, "_point_weights", lambda n: np.zeros(n, dtype=np.uint64))
-            assert _stats_at_chunks(cover, table_metric(matrix)) == [want] * 5
+            assert _stats_at_chunks(cover, SampleMetric.from_table(matrix)) == [want] * 5
 
     @pytest.mark.parametrize("weights", ["hashed", "colliding"])
     def test_distinct_sets_count_repeats(self, weights):
@@ -796,7 +800,7 @@ class TestStatsKernels:
         # 20 MB
         n = 1500
         D = pair_distance_matrix(E2, MetricSpec("dA", A=1), sample_boundary(E2, n, 0))
-        metric = table_metric(D)
+        metric = SampleMetric.from_table(D)
         cover = covers._greedy_net(metric, 1 / 16, 1 / 16, np.random.default_rng(0))
         incidences = len(cover.point_of)
         assert incidences * n * 8 > 20e6
@@ -824,7 +828,7 @@ class TestStatsKernels:
                     for q in (3, 5, 7) for _ in range(150)]
         # radii equal to a branch time sit exactly on the reach boundary
         interior += [(i, B[i][j]) for i, j in ((0, 1), (2, 3), (5, 9))]
-        cover, claims = annular_pushin_cover(T4, sched, covers, sample, interior)
+        cover, claims = annular_pushin_cover(T4, sched, covers, sample, ray_points(interior))
         want = []
         for k in range(1, 4):
             for s_members, color, descriptor in _sets(covers[k]):
@@ -840,8 +844,8 @@ class TestStatsKernels:
         assert claims["covers_ground"] == (min(counts) > 0)
 
     def test_pushin_reads_int_and_float_radii_exactly(self):
-        # each radius is read as its integer ratio: dyadic floats and ints
-        # give the cover and claims of the same radii as Fractions
+        # the same radii as dyadic floats and ints, over the common
+        # denominator of their integer ratios, give the same cover and claims
         sched = ScaleSchedule(R=2, K=3, c=1.0)
         sample = sample_boundary(T4, 30, 3)
         covers = {k: colored_boundary_cover(T4, sched.lam(k), sample) for k in range(1, 4)}
@@ -850,7 +854,7 @@ class TestStatsKernels:
                    for i, a in zip(interior.ray.tolist(), interior.num.tolist())]
         assert {type(r) for _, r in numbers} == {int, float}
         want, want_claims = annular_pushin_cover(T4, sched, covers, sample, interior)
-        got, got_claims = annular_pushin_cover(T4, sched, covers, sample, numbers)
+        got, got_claims = annular_pushin_cover(T4, sched, covers, sample, ray_points(numbers))
         assert _sets(got) == _sets(want) and got_claims == want_claims
 
     def test_pushin_reach_from_a_vertex_basepoint(self):
@@ -863,7 +867,7 @@ class TestStatsKernels:
         rng = np.random.default_rng(9)
         interior = [(int(rng.integers(0, 30)), Fraction(int(rng.integers(0, 40)), 8))
                     for _ in range(200)]
-        cover, _ = annular_pushin_cover(space, sched, covers, sample, interior)
+        cover, _ = annular_pushin_cover(space, sched, covers, sample, ray_points(interior))
         rays = [Ray(space, space.basepoint, xi) for xi in sample]
         want = []
         for k in range(1, 4):
@@ -890,7 +894,7 @@ class TestStatsKernels:
         # repeated boundary indices, and radii equal to branch times
         interior += [(3, Fraction(r, 4)) for r in range(4, 20)]
         interior += [(i, Fraction(int(bij))) for (i, _), bij in zip(ends, b) if bij > 0]
-        cover, claims = annular_pushin_cover(space, sched, covers, sample, interior)
+        cover, claims = annular_pushin_cover(space, sched, covers, sample, ray_points(interior))
         ground = [ray_point(Ray(space, basepoint, sample[i]), r) for i, r in interior]
         want = 0.0
         for members, _, _ in _sets(cover)[:-1]:
@@ -904,7 +908,7 @@ class TestStatsKernels:
         sample = sample_boundary(E2, 10, 1)
         with pytest.raises(ValueError, match="tree"):
             annular_pushin_cover(E2, ScaleSchedule(R=2, K=0, c=1.0), {}, sample,
-                                 [(0, Fraction(1))])
+                                 ray_points([(0, Fraction(1))]))
 
 
 def _construction_covers():
@@ -936,7 +940,7 @@ def _construction_covers():
     ground = [ray_point(Ray(T4, T4.basepoint, sample[i]), Fraction(a, interior.den))
               for i, a in zip(interior.ray.tolist(), interior.num.tolist())]
     D = distance_matrix(ground, lambda p, q: dist(T4, p, q))
-    out.append(("pushin", cover, table_metric(D), D))
+    out.append(("pushin", cover, SampleMetric.from_table(D), D))
     return out
 
 
@@ -999,6 +1003,36 @@ class TestSortedBoundary:
                     assert _net_sets(got) == _net_sets(want), (seed, q, radius)
                     assert cover_stats(got, metric) == table_cover_stats(want, D), (seed, q)
         assert bool(far) == (metric.turn is not None)
+
+    @pytest.mark.parametrize("name", ["R2", "H2", "H2-at-(1.3,0.4)", "T4"])
+    def test_net_batches_when_balls_outgrow_a_chunk(self, name, monkeypatch):
+        # with _CHUNK = 64 a mean ball of more than 8 points and a sliver of
+        # unblocked points left make the batch's quotient round to 0, as a
+        # mean ball of more than 4096 points does at the real _CHUNK
+        monkeypatch.setattr(covers, "_CHUNK", 64)
+        space, spec = SORTED_SPACES[name]
+        for seed in range(8):
+            n = (60, 250)[seed % 2]
+            sample = sample_boundary(space, n, seed)
+            metric = sample_metric(space, spec, sample)
+            D = pair_distance_matrix(space, spec, sample)
+            for q in (0.05, 0.2, 0.5, 0.8):
+                lam = float(np.quantile(D[np.triu_indices(n, 1)], q))
+                got = covers._greedy_net(metric, lam, lam, np.random.default_rng(seed))
+                want = table_greedy_net(D, lam, lam, np.random.default_rng(seed))
+                assert _net_sets(got) == _net_sets(want), (seed, q)
+
+    def test_net_of_8000_points_with_balls_over_a_chunk(self):
+        # balls of about a third of the circle, over 4096 points each; the
+        # row route of the same distances is the reference
+        for seed in range(3):
+            sample = sample_boundary(E2, 8000, seed)
+            metric = sample_metric(E2, MetricSpec("dA", A=1), sample)
+            unordered = SampleMetric(metric.n, metric.dist)
+            got = covers._greedy_net(metric, 1.5, 1.5, np.random.default_rng(seed))
+            want = covers._greedy_net(unordered, 1.5, 1.5, np.random.default_rng(seed))
+            assert _net_sets(got) == _net_sets(want), seed
+            assert cover_stats(got, metric) == cover_stats(want, unordered), seed
 
     @pytest.mark.parametrize("name", ["R2", "T4", "T4-at-120", "R3"])
     def test_pushout_stats_equal_the_table_reference(self, name):

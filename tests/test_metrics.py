@@ -944,6 +944,10 @@ class TestSampleMetric:
         got = metric.dist(I, J)
         assert got.dtype == np.float64 and np.array_equal(got, D[I, J])
         assert np.array_equal(metric.dist(I[::-1], J[::-1]), D[I[::-1], J[::-1]])
+        rows = [3, 0, 69, 3]
+        assert np.array_equal(metric.rows(rows), D[rows])
+        # only a metric without an order holds its table
+        assert (metric.table is None) == (metric.order is not None)
 
     @pytest.mark.parametrize("name", sorted(SAMPLE_METRICS))
     def test_balls_are_runs_of_the_order(self, name):

@@ -38,7 +38,8 @@ SEEDS = (0, 3, 11)
 TREE_SCALES = [4.0 * math.exp(-k) for k in range(1, 9)]
 CIRCLE_SCALES = [2.0 ** -k for k in range(1, 7)]
 
-# (label, config fields) of the cover verdicts on larger samples
+# (label, config fields) of the cover verdicts on larger samples; the
+# tree pushout and the pushin also write a cover.json of several blocks
 LARGE = [
     ("large ell-dim euclidean2 dA n=1500",
      dict(experiment="ell-dim", space="euclidean2", metric="dA", A=1.0, n=1500,
@@ -50,6 +51,10 @@ LARGE = [
      dict(experiment="ell-dim", space="tree4", metric="dbar", n=1500, scales=TREE_SCALES)),
     ("large cover-pushout euclidean2 n=500",
      dict(experiment="cover-pushout", space="euclidean2", A=1.0, R=2.0, n=500)),
+    ("large cover-pushout tree4 A=1 R=2 n=1500",
+     dict(experiment="cover-pushout", space="tree4", A=1.0, R=2.0, n=1500)),
+    ("large cover-pushin tree4 R=2 K=5 n=120 n_triples=8000",
+     dict(experiment="cover-pushin", space="tree4", R=2.0, K=5, n=120, n_triples=8000)),
 ]
 
 

@@ -24,6 +24,7 @@ from .metrics import (
     ConeNeighborhood,
     DivergentGromovProductError,
     MetricSpec,
+    QuadratureNotConvergedError,
     SeparationNotReachedError,
     cone_contains,
     eval_dA,

@@ -11,6 +11,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -313,9 +314,11 @@ def _int_table(n: int) -> np.ndarray:
 def _text_rows(fields: list) -> str:
     """CSV lines, one per row, each the concatenation of `fields`: a str
     (the same text on every line), a float64 array (its `%.17g` text) or
-    (`_int_table` of n, int array of indices in [0, n)).  Each field takes
-    whole 4-byte words of a word array, padded with NUL, and the lines are
-    the array's bytes with every NUL dropped (no field holds one)."""
+    (a word table such as `_int_table` of n, and an int array of its rows,
+    one per line, or one row of them per line, whose texts follow each
+    other).  Each field takes whole 4-byte words of a word array, padded
+    with NUL, and the lines are the array's bytes with every NUL dropped
+    (no field holds one)."""
     # formatted before the word array exists, and dropped once placed, so
     # that their scratch arrays and it are not held at once
     floats = {pos: _float_parts(f) for pos, f in enumerate(fields)
@@ -329,15 +332,16 @@ def _text_rows(fields: list) -> str:
             row += np.frombuffer(f.encode("ascii") + bytes(-len(f) % 4), np.uint32).tolist()
         else:
             row += (_VALUE_TEXT.view(np.uint32).tolist() if pos in floats
-                    else [0] * f[0].shape[1])
+                    else [0] * (f[0].shape[1] * math.prod(f[1].shape[1:])))
+    starts.append(len(row))
     buf = np.empty((k, len(row)), np.uint32)
     buf[:] = row
-    for pos, (f, at) in enumerate(zip(fields, starts)):
+    for pos, (f, at, end) in enumerate(zip(fields, starts, starts[1:])):
         if pos in floats:
             _put_floats(floats.pop(pos), buf, at)
         elif not isinstance(f, str):
             text, idx = f
-            buf[:, at:at + text.shape[1]] = np.take(text, idx, axis=0)
+            buf[:, at:end] = np.take(text, idx, axis=0).reshape(k, end - at)
     text = buf.tobytes()
     del buf                                      # before the compacted copies
     return text.translate(None, b"\0").decode("ascii")
@@ -385,45 +389,116 @@ def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-_COVER_SET = '{\n      "color": %s,\n      "descriptor": %s,\n      "members": %s\n    }'
+def _word_table(texts: list) -> np.ndarray:
+    """ASCII `texts` as the rows of a uint32 word table, left-aligned and
+    NUL-padded, and an empty row last."""
+    data = [t.encode("ascii") for t in texts] + [b""]
+    width = max(1, -(-max(map(len, data)) // 4))
+    return np.array(data, dtype=f"S{4 * width}").view(np.uint32).reshape(len(data), width)
 
 
-def _json_list(items: list, indent: str) -> str:
-    """The text `json.dumps(indent=2)` writes for a list whose items are
-    already JSON text, the list's own line indented by `indent`."""
-    if not items:
-        return "[]"
-    return f"[\n{indent}  " + f",\n{indent}  ".join(items) + f"\n{indent}]"
+_MINUS = np.frombuffer(b"-\0\0\0", np.uint32)[0]
 
 
-def _cover_json(ground_text: list, cover) -> str:
+def _range_table(ints: range) -> np.ndarray:
+    """The text of each int of `ints` (step 1) in a word table like
+    `_int_table`'s, a word for the sign first where one is negative, and an
+    empty row last."""
+    v = np.arange(ints.start, ints.stop)
+    text = _int_table(int(np.abs(v).max(initial=0)) + 1)[np.abs(v)]
+    if ints.start < 0:
+        text = np.column_stack([np.where(v < 0, _MINUS, 0).astype(np.uint32), text])
+    return np.vstack([text, np.zeros(text.shape[1], np.uint32)])
+
+
+def _part_table(texts) -> np.ndarray:
+    """The word table of a `Cover` descriptor part's texts, an empty row
+    last: a range's ints, or each distinct string escaped once by the
+    encoder `json.dumps` uses by default."""
+    if isinstance(texts, range):
+        return _range_table(texts)
+    return _word_table([encode_basestring_ascii(t)[1:-1] for t in texts])
+
+
+# a set of cover.json as `json.dumps(indent=2)` writes it: the head before
+# its descriptor; then the text before a member that is not its set's
+# first, before the first, or in a set without members; then, after a
+# member, the text within a set, or closing the set with and without a set
+# after it, or the same for a set without members
+_SET_HEAD = '    {\n      "color": %s,\n      "descriptor": "'
+_SET_MID = _word_table(["\n        ", '",\n      "members": [\n        ', '",\n      "members": ['])
+_SET_TAIL = _word_table([",", "\n      ]\n    },\n", "\n      ]\n    }\n", "]\n    },\n",
+                         "]\n    }\n"])
+
+
+def _cover_json(ground_text: list, cover):
     """`_json` of {"ground": `ground_text`, "sets": each set's members,
-    color and descriptor}, written with one %-template per set.  Strings
-    are escaped by the encoder `json.dumps` uses by default, and members
-    are ints, whose `str` is their JSON text."""
-    ground = [encode_basestring_ascii(g) for g in ground_text]
-    members = list(map(str, cover.point_of.tolist()))
-    bounds = cover.bounds.tolist()
-    sets = [_COVER_SET % ("null" if color is None else json.dumps(color),
-                          encode_basestring_ascii(cover.describe(s)),
-                          _json_list(members[a:b], "      "))
-            for s, (color, a, b) in enumerate(zip(cover.colors, bounds, bounds[1:]))]
-    return '{\n  "ground": %s,\n  "sets": %s\n}\n' % (_json_list(ground, "  "),
-                                                       _json_list(sets, "  "))
+    color and descriptor}, yielded in blocks of at most `_LINES` lines.
+    The sets are one `_text_rows` pass with a line per member, and one for
+    each set without members; each set's head, color and descriptor are
+    gathered from word tables at its first line, and its closing text at
+    its last.  Strings are escaped by the encoder `json.dumps` uses by
+    default."""
+    ground = ",\n    ".join(map(encode_basestring_ascii, ground_text))
+    head = '{\n  "ground": %s,\n  "sets": ' % (f"[\n    {ground}\n  ]" if ground_text else "[]")
+    sets = len(cover.colors)
+    if not sets:
+        yield head + "[]\n}\n"
+        return
+    yield head + "[\n"
+    colors = {c: i for i, c in enumerate(dict.fromkeys(cover.colors))}
+    color = np.fromiter(map(colors.__getitem__, cover.colors), dtype=np.int64, count=sets)
+    heads = _word_table([_SET_HEAD % json.dumps(c) for c in colors])
+    parts = [(_part_table(texts), codes) for texts, codes in cover.descriptor]
+    members = _range_table(range(cover.n))
+    counts = np.bincount(cover.set_of, minlength=sets)
+    size = np.maximum(counts, 1)
+    start = np.cumsum(size) - size
+    line_set = np.repeat(np.arange(sets), size)
+    # one line per member, and one without for each set without members
+    member = np.full(len(line_set), -1)
+    member[np.arange(len(cover.set_of)) + (start - cover.bounds[:-1])[cover.set_of]] = \
+        cover.point_of
+    for a in range(0, len(line_set), _LINES):
+        s, m = line_set[a:a + _LINES], member[a:a + _LINES]
+        line = np.arange(a, a + len(s))
+        first, last, empty = line == start[s], line == start[s] + size[s] - 1, m < 0
+        fields = [(heads, np.where(first, color[s], -1))]
+        for table, codes in parts:
+            picked = codes[s]
+            picked[~first] = -1
+            fields.append((table, picked))
+        fields += [(_SET_MID, np.where(first, 1 + empty, 0)), (members, m),
+                   (_SET_TAIL, np.where(last, 1 + 2 * empty + (s == sets - 1), 0))]
+        yield _text_rows(fields)
+    yield "  ]\n}\n"
 
 
 def _interior_text(boundary_sample: list, interior) -> list:
     """The text "word@offset" of each point of the `RayPoints` interior, at
     radius r = num/den on the root's ray toward boundary_sample[i]: the
     ray's vertex word at depth ceil(r), and r mod 1, the offset along its
-    edge, reduced as `str` of a Fraction writes it."""
-    den, out = interior.den, []
-    for i, num in zip(interior.ray.tolist(), interior.num.tolist()):
-        part = num % den
+    edge, reduced as `str` of a Fraction writes it.  Each ray's word is
+    joined once, to the depth of its deepest point, and each point's word
+    is a slice of it; each distinct offset is written once."""
+    den = interior.den
+    rays, num = interior.ray.tolist(), interior.num.tolist()
+    depth = [-(-a // den) for a in num]
+    deepest = {}
+    for i, d in zip(rays, depth):
+        deepest[i] = max(d, deepest.get(i, 0))
+    words, ends = {}, {}
+    for i, d in deepest.items():
+        letters = list(map(str, boundary_sample[i].prefix(d)))
+        words[i] = ".".join(letters)
+        # where the text of each prefix, of 0..d letters, ends
+        ends[i] = [0] + [e - 1 for e in itertools.accumulate(len(a) + 1 for a in letters)]
+    offsets = {}
+    for a in set(num):
+        part = a % den
         g = math.gcd(part, den)
-        out.append(".".join(map(str, boundary_sample[i].prefix(-(-num // den))))
-                   + (f"@{part // g}/{den // g}" if part else "@0"))
-    return out
+        offsets[a] = f"@{part // g}/{den // g}" if part else "@0"
+    return [words[i][:ends[i][d]] + offsets[a] for i, d, a in zip(rays, depth, num)]
 
 
 # ---------------------------------------------------------------------------

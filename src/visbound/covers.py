@@ -8,7 +8,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,24 +36,29 @@ _CHUNK = 1 << 15
 # is rounded to about 1e-8
 _HALF_TURN_SLACK = 1e-6
 
-# vertex words are bytes, one letter each: the one-letter words and the
-# text of each letter
+# vertex words are bytes, one letter each: the one-letter words
 _LETTERS = [bytes((a,)) for a in range(256)]
-_LETTER_TEXT = [str(a) for a in range(256)]
 
 
 @dataclass(frozen=True, eq=False)
 class Cover:
     """Cover of the ground points 0..n-1 by its (set, point) incidences,
     sorted by set and then by point.  Set s has color colors[s] (an int or
-    None), so a set without members is still a set, and text describe(s),
-    made only when the cover is written."""
+    None), so a set without members is still a set, and a descriptor text
+    held as data: `descriptor` is a tuple of parts, each a str (the same
+    text on every set) or a pair (texts, codes) of a tuple of str or a
+    `range` of ints, and an int array with one row per set (1-D, or 2-D for
+    several texts in a row) whose entries index texts, -1 for none.  Set
+    s's text is the concatenation, part by part and along its rows, of the
+    entries its codes pick (`describe(s)`).  `cli._cover_json` writes every
+    set's text from one word table per part, with no string per set; str
+    parts are kept as ((text,), zeros)."""
 
     n: int
     set_of: np.ndarray
     point_of: np.ndarray
     colors: tuple
-    describe: Callable[[int], str]
+    descriptor: tuple = ()
 
     def __post_init__(self):
         set_of = np.asarray(self.set_of, dtype=np.int64)
@@ -70,11 +74,34 @@ class Cover:
         if ((step < 0) | ((step == 0) & (np.diff(point_of) <= 0))).any():
             raise ValueError("cover incidences must be sorted by set and then by "
                              "point, each once")
+        object.__setattr__(self, "descriptor", tuple(map(self._part, self.descriptor)))
+
+    def _part(self, part) -> tuple:
+        """A descriptor part as (texts, codes), checked to hold one row of
+        codes per set, each code in [-1, len(texts))."""
+        sets = len(self.colors)
+        if isinstance(part, str):
+            return (part,), np.zeros(sets, dtype=np.int8)
+        texts, codes = part
+        codes = np.asarray(codes)
+        if codes.dtype.kind != "i":
+            codes = codes.astype(np.int64)
+        if codes.ndim not in (1, 2) or len(codes) != sets:
+            raise ValueError(f"cover descriptor part of shape {codes.shape} does not hold "
+                             f"one row per set ({sets})")
+        if codes.size and (codes.min() < -1 or codes.max() >= len(texts)):
+            raise ValueError(f"cover descriptor code outside [-1, {len(texts)})")
+        return texts, codes
 
     @property
     def bounds(self) -> np.ndarray:
         """Set s's members are point_of[bounds[s]:bounds[s + 1]]."""
         return np.searchsorted(self.set_of, np.arange(len(self.colors) + 1))
+
+    def describe(self, s: int) -> str:
+        """Set s's descriptor text."""
+        return "".join([str(texts[c]) for texts, codes in self.descriptor
+                        for c in np.ravel(codes[s]).tolist() if c >= 0])
 
 
 def _point_weights(n: int) -> np.ndarray:
@@ -333,11 +360,20 @@ def _rank_words(words: list) -> tuple:
     return keys, np.fromiter(map(rank.__getitem__, words), dtype=np.int64, count=len(words))
 
 
-def _word_text(word: bytes) -> str:
-    """repr(tuple(word)) of a vertex word."""
-    if len(word) == 1:
-        return f"({word[0]},)"
-    return "(" + ", ".join([_LETTER_TEXT[a] for a in word]) + ")"
+def _word_parts(words: list) -> tuple:
+    """Two descriptor parts (texts, codes) of repr(tuple(w)) of each vertex
+    word w without its "(": the letters, a first letter a as "a" and each
+    later one as ", a", and the closing ",)" of a one-letter word or ")"."""
+    lens = np.fromiter(map(len, words), dtype=np.int32, count=len(words))
+    width = max(1, int(lens.max(initial=0)))
+    # NUL-padded, each letter one byte
+    letters = np.array(words, dtype=f"S{width}").view(np.uint8).reshape(len(words), width)
+    top = int(letters.max(initial=0)) + 1
+    later = np.where(np.arange(width) > 0, top, 0).astype(np.int16)
+    codes = np.where(np.arange(width, dtype=np.int32) < lens[:, None], letters + later,
+                     np.int16(-1))
+    return ((tuple(map(str, range(top))) + tuple(f", {a}" for a in range(top)), codes),
+            ((")", ",)"), (lens == 1).view(np.int8)))
 
 
 def _check_letters(space: Space) -> None:
@@ -526,12 +562,18 @@ def boundary_pushout_cover(space: Space, system: LatticeBallSystem, lam, A,
         V = np.array([xi.direction for xi in boundary_sample], dtype=float).reshape(n, space.dim)
         points = np.array(space.basepoint.coords) + (1.0 / float(lam)) * V
     keys, set_of, point_of = system.incidences(points)
-    text = _word_text if space.kind == TREE else (lambda row: str(tuple(row.tolist())))
     if not np.bincount(point_of, minlength=n).all():
         raise ValueError("pushout cover failed to cover the boundary sample")
-    label = f"pushout lam={float(lam):g}"
-    return Cover(n, set_of, point_of, (None,) * len(keys),
-                 lambda s: f"{label} center={text(keys[s])}")
+    descriptor = [f"pushout lam={float(lam):g} center=("]
+    if space.kind == TREE:
+        descriptor += _word_parts(keys)
+    else:
+        # str(tuple(key)): each coordinate from one int table over their range
+        ints = range(int(keys.min(initial=0)), int(keys.max(initial=0)) + 1)
+        ends = [", "] * (space.dim - 1) + [",)" if space.dim == 1 else ")"]
+        for i, end in enumerate(ends):
+            descriptor += [(ints, keys[:, i] - ints.start), end]
+    return Cover(n, set_of, point_of, (None,) * len(keys), tuple(descriptor))
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +585,7 @@ def _tree_cylinder_cover(lam, boundary_sample: list) -> Cover:
     keys, cylinder = _rank_words([bytes(xi.prefix(depth)) for xi in boundary_sample])
     point_of = np.argsort(cylinder, kind="stable")
     return Cover(len(cylinder), cylinder[point_of], point_of, (0,) * len(keys),
-                 lambda s: f"cylinder depth={depth} word={_word_text(keys[s])}")
+                 (f"cylinder depth={depth} word=(", *_word_parts(keys)))
 
 
 def _circle_arc_cover(lam, boundary_sample: list) -> Cover:
@@ -561,8 +603,11 @@ def _circle_arc_cover(lam, boundary_sample: list) -> Cover:
     phi = np.arctan2(V[:, 1], V[:, 0]) % (2 * math.pi)
     centers = np.arange(N) * spacing
     set_of, point_of = np.nonzero(_wrapped_gap(phi, centers[:, None]) <= half)
+    arcs = np.arange(N)
     return Cover(len(phi), set_of, point_of, [j % 2 for j in range(N)],
-                 lambda j: f"arc j={j} center={j * spacing:.6f} half={half:.6f}")
+                 ("arc j=", (range(N), arcs),
+                  " center=", (tuple(f"{c:.6f}" for c in centers.tolist()), arcs),
+                  f" half={half:.6f}"))
 
 
 def _arcs(metric: SampleMetric, ranks: np.ndarray, radius: float, width: int = 4) -> tuple:
@@ -656,9 +701,8 @@ def _greedy_net(metric: SampleMetric, lam: float, radius: float, rng) -> Cover:
     set_of = np.repeat(np.arange(len(ranks)), size)
     step = np.arange(len(set_of)) - np.repeat(np.cumsum(size) - size, size)
     point_of = order[(np.repeat(ranks - back, size) + step) % n]
-    centers = order[ranks].tolist()
-    return Cover(n, set_of, point_of[np.lexsort((point_of, set_of))], (None,) * len(centers),
-                 lambda s: f"net-ball center={centers[s]}")
+    return Cover(n, set_of, point_of[np.lexsort((point_of, set_of))], (None,) * len(ranks),
+                 ("net-ball center=", (range(n), order[ranks])))
 
 
 def _row_net(metric: SampleMetric, scan: np.ndarray, lam: float, radius: float) -> Cover:
@@ -680,7 +724,7 @@ def _row_net(metric: SampleMetric, scan: np.ndarray, lam: float, radius: float) 
         hits.append(hit)
     set_of, point_of = np.concatenate(hits, axis=1)
     return Cover(n, set_of, point_of, (None,) * len(centers),
-                 lambda s: f"net-ball center={centers[s]}")
+                 ("net-ball center=", (range(n), np.array(centers, dtype=np.int64))))
 
 
 def colored_boundary_cover(space: Space, lam, boundary_sample: list) -> Cover:
@@ -764,7 +808,7 @@ def annular_pushin_cover(space: Space, schedule: ScaleSchedule,
     m = len(rays)
     # one tube per colored set U with members, by scale and then by U:
     # the in-band points whose ray reaches a member of U
-    set_parts, point_parts, colors, tube_of = [], [], [], []
+    set_parts, point_parts, colors, used_sets = [], [], [], []
     for k in range(1, K + 1):
         lo, hi = k * R, (k + 2) * R
         band = np.flatnonzero((lo * den < num) & (num < hi * den))
@@ -777,20 +821,39 @@ def annular_pushin_cover(space: Space, schedule: ScaleSchedule,
         set_parts.append(tube + len(colors))
         point_parts.append(points)
         colors += [boundary.colors[s] for s in used.tolist()]
-        tube_of += [(k, s) for s in used.tolist()]
+        used_sets.append(used)
     base = np.flatnonzero(num < 2 * R * den)
     set_parts.append(np.full(len(base), len(colors)))
     point_parts.append(base)
     colors.append(None)
+    set_scale = np.append(np.repeat(np.arange(1, K + 1), [len(u) for u in used_sets]), 0)
 
-    def describe(t):
-        if t == len(tube_of):
-            return f"base ball radius={2 * R}"
-        k, s = tube_of[t]
-        return f"tube k={k} of [{colored_covers[k].describe(s)}]"
-
-    cover = Cover(m, np.concatenate(set_parts), np.concatenate(point_parts), colors, describe)
-    set_scale = np.array([k for k, _ in tube_of] + [0])
+    # "tube k={k} of [{U's text}]" and "base ball radius={2R}"; part p of
+    # U's text is gathered from part p of each scale's cover into one part:
+    # the scales' texts one after the other, each tube's codes shifted past
+    # those of the scales before its own, -1 filling the rows to the widest
+    heads = tuple(f"tube k={k} of [" for k in range(1, K + 1)) + (f"base ball radius={2 * R}",)
+    descriptor = [(heads, np.where(set_scale > 0, set_scale - 1, K))]
+    scale_parts = [colored_covers[k].descriptor for k in range(1, K + 1)]
+    for p in range(max(map(len, scale_parts), default=0)):
+        texts, rows = (), []
+        for parts, used in zip(scale_parts, used_sets):
+            picked = np.full((len(used), 1), -1)
+            if p < len(parts):
+                t, codes = parts[p]
+                picked = codes[used] if codes.ndim == 2 else codes[used, None]
+                picked = np.where(picked >= 0, picked + len(texts), -1)
+                texts += tuple(map(str, t)) if isinstance(t, range) else t
+            rows.append(picked)
+        gathered = np.full((len(colors), max(r.shape[1] for r in rows)), -1)
+        at = 0
+        for r in rows:
+            gathered[at:at + len(r), :r.shape[1]] = r
+            at += len(r)
+        descriptor.append((texts, gathered))
+    descriptor.append((("]",), np.where(set_scale > 0, 0, -1)))
+    cover = Cover(m, np.concatenate(set_parts), np.concatenate(point_parts), colors,
+                  tuple(descriptor))
     # num < 2^53: int64 / int rounds as float of a Fraction does
     claims = _pushin_claims(cover, set_scale, schedule, num / den, rays, B)
     return cover, claims

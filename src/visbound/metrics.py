@@ -69,6 +69,12 @@ class SeparationNotReachedError(ArithmeticError):
     for d_A has nothing to bracket."""
 
 
+class QuadratureNotConvergedError(ArithmeticError):
+    """Adaptive Simpson bisected a subinterval _SIMPSON_MAX_DEPTH times and
+    its error estimate still exceeds the subinterval's share of the
+    tolerance."""
+
+
 class _Rationals:
     """Rationals num/den elementwise, den > 0, over object arrays of Python
     ints: an exact tree d_A is 1/(b + A/2), and at A = 0.7 its denominator
@@ -555,7 +561,9 @@ def _simpson(f, a, fa, b, fb):
 
 def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     """Adaptive Simpson integration of f on [a, b] to absolute tolerance,
-    bisecting at most _SIMPSON_MAX_DEPTH times."""
+    bisecting at most _SIMPSON_MAX_DEPTH times.  Raises
+    QuadratureNotConvergedError, naming the subinterval and its unmet
+    tolerance, where that depth is reached before the tolerance."""
     fa, fb = f(a), f(b)
     m, fm, whole = _simpson(f, fa=fa, a=a, b=b, fb=fb)
     return _adapt(f, a, fa, b, fb, m, fm, whole, tol, _SIMPSON_MAX_DEPTH)
@@ -565,8 +573,13 @@ def _adapt(f, a, fa, b, fb, m, fm, whole, tol, depth):
     lm, flm, left = _simpson(f, a=a, fa=fa, b=m, fb=fm)
     rm, frm, right = _simpson(f, a=m, fa=fm, b=b, fb=fb)
     delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15.0 * tol:
+    if abs(delta) <= 15.0 * tol:
         return left + right + delta / 15.0
+    if depth <= 0:
+        raise QuadratureNotConvergedError(
+            f"adaptive Simpson did not converge on [{a!r}, {b!r}] after "
+            f"{_SIMPSON_MAX_DEPTH} bisections: error estimate {abs(delta) / 15.0!r} "
+            f"> tolerance {tol!r}")
     return (_adapt(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1)
             + _adapt(f, m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1))
 

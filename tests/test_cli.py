@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import importlib.util
 import json
@@ -20,14 +21,17 @@ from visbound import cli, metrics
 from visbound.cli import (ConfigError, RunConfig, _csv, _envelope_csv, _fmt, _pairs_csv, _spec,
                           build_parser, main, parse_space, run)
 from visbound import covers
-from visbound.covers import (Cover, ScaleSchedule, annular_pushin_cover, colored_boundary_cover,
+from visbound.covers import (Cover, LatticeBallSystem, RayPoints, ScaleSchedule,
+                             annular_pushin_cover, boundary_pushout_cover, colored_boundary_cover,
                              sample_ray_points)
-from visbound.metrics import pair_distance_matrix
+from visbound.metrics import MetricSpec, pair_distance_matrix, sample_metric
 from visbound.quasisym import qs_envelope, ratio_pool
-from visbound.spaces import (Ray, boundary_to_line, distinct_rows, ray_point, sample_boundary,
-                             substream, tree_space)
+from visbound.spaces import (Ray, boundary_to_line, distinct_rows, euclidean_space, ray_point,
+                             sample_boundary, substream, tree_space)
 
+import template_cover_json as template
 from ray_points import ray_points
+from table_covers import table_greedy_net
 from test_covers import _cover, _sets
 from test_golden_outputs import GOLDEN
 from test_quasisym import _BoundedRng
@@ -237,7 +241,8 @@ class TestSubcommands:
             m = len(cover.colors)
             return Cover(cover.n, np.concatenate([cover.set_of, cover.set_of + m]),
                          np.concatenate([cover.point_of] * 2), cover.colors + (1,) * m,
-                         lambda s: cover.describe(s % m))
+                         tuple((texts, np.concatenate([codes] * 2))
+                               for texts, codes in cover.descriptor))
 
         monkeypatch.setattr(cli, "colored_boundary_cover", two_colors)
         out = str(tmp_path / "q")
@@ -610,6 +615,62 @@ class TestSortedBoundaryRuns:
                 assert (got_dir / name).read_bytes() == (want_dir / name).read_bytes()
 
 
+def _written(ground, cover):
+    """The cover.json text `cli._cover_json` writes, its blocks joined."""
+    return "".join(cli._cover_json(ground, cover))
+
+
+@functools.cache
+def _oracle_covers() -> dict:
+    """name -> (ground texts, cover, each set's reference descriptor) for
+    each cover construction, with the reference texts of
+    template_cover_json; built once, when a test first reads it."""
+    T4, E2, E3 = tree_space(4), euclidean_space(2), euclidean_space(3)
+    out = {}
+    for name, space, n, lam in (("pushout-T4-root", T4, 30, 0.5),
+                                ("pushout-T4-deep", T4, 12, 1 / 16),
+                                ("pushout-R2", E2, 40, 1 / 8), ("pushout-R3", E3, 50, 1 / 64)):
+        sample = sample_boundary(space, n, 4)
+        system = LatticeBallSystem(space, 2)
+        out[name] = ([boundary_to_line(space, xi) for xi in sample],
+                     boundary_pushout_cover(space, system, lam, 1, sample),
+                     template.pushout_descriptors(space, system, lam, sample))
+    sample = sample_boundary(T4, 40, 4)
+    ground = [boundary_to_line(T4, xi) for xi in sample]
+    for lam in (3.9, 4 * math.exp(-2)):
+        out[f"cylinders-{lam:.3g}"] = (ground, colored_boundary_cover(T4, lam, sample),
+                                       template.cylinder_descriptors(lam, sample))
+    circle = sample_boundary(E2, 200, 4)
+    out["arcs"] = ([boundary_to_line(E2, xi) for xi in circle],
+                   colored_boundary_cover(E2, 0.25, circle), template.arc_descriptors(0.25))
+    for name, space, spec in (("net-balls-ordered", T4, MetricSpec("dbar")),
+                              ("net-balls-rows", E3, MetricSpec("dA", A=1))):
+        boundary = sample_boundary(space, 60, 4)
+        metric = sample_metric(space, spec, boundary)
+        net = covers._greedy_net(metric, 0.3, 0.6, np.random.default_rng(4))
+        table = table_greedy_net(pair_distance_matrix(space, spec, boundary), 0.3, 0.6,
+                                 np.random.default_rng(4))
+        out[name] = ([boundary_to_line(space, xi) for xi in boundary], net,
+                     [table.describe(s) for s in range(len(table.colors))])
+    sched = ScaleSchedule(R=2, K=3, c=1.0)
+    colored = {k: colored_boundary_cover(T4, sched.lam(k), sample) for k in range(1, 4)}
+    drawn = sample_ray_points(sample, 10, 300, 4)
+    # no point below radius 2R = 4: the base ball has no members
+    keep = drawn.num >= 4 * drawn.den
+    interior = RayPoints(drawn.ray[keep], drawn.num[keep], drawn.den)
+    cover, _ = annular_pushin_cover(T4, sched, colored, sample, interior)
+    texts = {k: template.cylinder_descriptors(sched.lam(k), sample) for k in colored}
+    out["pushin-empty-base"] = (cli._interior_text(sample, interior), cover,
+                                template.pushin_descriptors(T4, sched, colored, texts, sample,
+                                                            interior))
+    return out
+
+
+ORACLE_COVERS = ("pushout-T4-root", "pushout-T4-deep", "pushout-R2", "pushout-R3",
+                 "cylinders-3.9", "cylinders-0.541", "arcs", "net-balls-ordered", "net-balls-rows",
+                 "pushin-empty-base")
+
+
 class TestCoverJson:
     @settings(max_examples=300, deadline=None)
     @given(_written_covers())
@@ -622,7 +683,42 @@ class TestCoverJson:
         ground, sets = case
         cover = _cover(len(ground), [m for m, _, _ in sets], [c for _, c, _ in sets],
                        [d for _, _, d in sets])
-        assert cli._cover_json(ground, cover) == _dumps_cover(ground, sets)
+        assert _written(ground, cover) == _dumps_cover(ground, sets) \
+            == template.template_cover_json(ground, sets)
+
+    @pytest.mark.parametrize("lines", [None, 1, 7])
+    @pytest.mark.parametrize("name", ORACLE_COVERS)
+    def test_constructions_equal_the_template_and_json_dumps(self, name, lines, monkeypatch):
+        # every construction's sets, their descriptors read from the keys
+        # set by set, in blocks of the default size, of 1 line and of 7
+        ground, cover, descriptors = _oracle_covers()[name]
+        if lines:
+            monkeypatch.setattr(cli, "_LINES", lines)
+        assert [cover.describe(s) for s in range(len(cover.colors))] == descriptors
+        sets = template.cover_sets(cover, descriptors)
+        assert _written(ground, cover) == template.template_cover_json(ground, sets) \
+            == _dumps_cover(ground, sets)
+
+    def test_oracle_covers_reach_every_case(self):
+        assert tuple(_oracle_covers()) == ORACLE_COVERS
+        covers_by_name = {name: (cover, texts)
+                          for name, (_, cover, texts) in _oracle_covers().items()}
+        texts = [t for _, _, ts in _oracle_covers().values() for t in ts]
+        # root and one-letter centers, negative lattice centers, int colors,
+        # an empty set, a cover of several blocks and both net routes
+        assert "pushout lam=0.5 center=()" in texts
+        assert any(t.endswith(",)") and t.startswith("pushout lam=0.5") for t in texts)
+        assert any("(-" in t for t in covers_by_name["pushout-R2"][1])
+        assert any(", -" in t for t in covers_by_name["pushout-R3"][1])
+        assert any(t.startswith("cylinder depth=1 word=(") and t.endswith(",)") for t in texts)
+        assert {c for cover, _ in covers_by_name.values() for c in cover.colors} == {None, 0, 1}
+        pushin = covers_by_name["pushin-empty-base"][0]
+        assert pushin.bounds[-2] == pushin.bounds[-1] and pushin.colors[-1] is None
+        assert len(covers_by_name["pushout-R3"][0].point_of) > cli._LINES
+        metric_orders = [sample_metric(space, spec, sample_boundary(space, 60, 4)).order
+                         for space, spec in ((tree_space(4), MetricSpec("dbar")),
+                                             (euclidean_space(3), MetricSpec("dA", A=1)))]
+        assert metric_orders[0] is not None and metric_orders[1] is None
 
     def test_written_covers_equal_json_dumps(self):
         T4 = tree_space(4)
@@ -633,9 +729,9 @@ class TestCoverJson:
         cover, _ = annular_pushin_cover(T4, sched, covers, sample, interior)
         ground = [_tree_point_text(ray_point(Ray(T4, T4.basepoint, sample[i]), Fraction(a, 8)))
                   for i, a in zip(interior.ray.tolist(), interior.num.tolist())]
-        assert cli._cover_json(ground, cover) == _dumps_cover(ground, _sets(cover))
+        assert _written(ground, cover) == _dumps_cover(ground, _sets(cover))
         ground = [boundary_to_line(T4, g) for g in sample]
-        assert cli._cover_json(ground, covers[2]) == _dumps_cover(ground, _sets(covers[2]))
+        assert _written(ground, covers[2]) == _dumps_cover(ground, _sets(covers[2]))
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_interior_text_equals_the_walked_point(self, k):
@@ -662,7 +758,7 @@ class TestCoverJson:
         colored = {1: colored_boundary_cover(T4, sched.lam(1), sample)}
         interior = ray_points([(0, Fraction(9, 2)), (3, Fraction(7)), (5, Fraction(5))])
         cover, claims = annular_pushin_cover(T4, sched, colored, sample, interior)
-        written = json.loads(cli._cover_json(cli._interior_text(sample, interior), cover))
+        written = json.loads(_written(cli._interior_text(sample, interior), cover))
         words = [".".join(map(str, sample[i].prefix(d))) for i, d in ((0, 5), (3, 7), (5, 5))]
         assert written["ground"] == [words[0] + "@1/2", words[1] + "@0", words[2] + "@0"]
         assert written["sets"][-1] == {"color": None, "descriptor": "base ball radius=4",
@@ -713,8 +809,9 @@ class TestScripts:
         monkeypatch.setattr(module, "script_configs", lambda: [])
         monkeypatch.setattr(module, "readme_configs", lambda: [])
         monkeypatch.setattr(module, "bench_configs", lambda: [])
-        # the cover verdicts above the golden sizes
-        assert len(module.LARGE) == 4
+        # the cover verdicts above the golden sizes, and the writer of
+        # cover.json over several blocks
+        assert len(module.LARGE) == 6
         for _, fields in module.LARGE:
             RunConfig.from_dict(fields).validate()
         monkeypatch.setattr(module, "LARGE", [])

@@ -68,8 +68,11 @@ def _cover(n, sets, colors=None, descriptors=None):
     given."""
     set_of = [s for s, members in enumerate(sets) for _ in members]
     point_of = [p for members in sets for p in members]
-    descriptors = descriptors or [""] * len(sets)
-    return Cover(n, set_of, point_of, colors or [None] * len(sets), descriptors.__getitem__)
+    # the descriptors as a table of their distinct texts
+    texts = {t: i for i, t in enumerate(dict.fromkeys(descriptors or [""] * len(sets)))}
+    codes = [texts[t] for t in descriptors or [""] * len(sets)]
+    return Cover(n, set_of, point_of, colors or [None] * len(sets),
+                 ((tuple(texts), np.array(codes, dtype=np.int64)),))
 
 
 def _sets(cover):
@@ -131,11 +134,30 @@ class TestCoverStats:
     ], ids=["sets-descending", "points-descending", "repeated-pair", "set-2", "set-minus-1"])
     def test_record_rejects_unsorted_runs(self, set_of, point_of, match):
         with pytest.raises(ValueError, match=match):
-            Cover(3, set_of, point_of, [None, None], str)
+            Cover(3, set_of, point_of, [None, None])
+
+    @pytest.mark.parametrize("descriptor,match", [
+        (((("a", "b"), [0, 1]),), "one row per set"),
+        (((("a", "b"), [0, 1, 1, 0]),), "one row per set"),
+        (((range(4), np.zeros((2, 3), dtype=np.int64)),), "one row per set"),
+        (((("a",), np.zeros((3, 1, 1), dtype=np.int64)),), "one row per set"),
+        (("x", (("a", "b"), [0, 2, 1])), r"code outside \[-1, 2\)"),
+        ((((), [-1, -1, -2]),), r"code outside \[-1, 0\)"),
+    ], ids=["short", "long", "2d-short", "3d", "code-2", "code-minus-2"])
+    def test_record_rejects_descriptor_not_one_per_set(self, descriptor, match):
+        with pytest.raises(ValueError, match=match):
+            Cover(3, [0, 1, 2], [0, 1, 2], [None] * 3, descriptor)
+
+    def test_descriptor_parts_are_read_along_rows(self):
+        # a constant part, an int range and a text table, with -1 for none
+        cover = Cover(3, [0, 1, 2], [0, 1, 2], [None] * 3,
+                      ("at ", (range(-2, 3), [[0, 4], [2, -1], [-1, -1]]),
+                       (("x", "y"), np.array([1, -1, 0], dtype=np.int8))))
+        assert [cover.describe(s) for s in range(3)] == ["at -22y", "at 0", "at x"]
 
     def test_empty_set_is_a_set(self):
         # the middle set has no members and still has its number and color
-        cover = Cover(3, [0, 0, 2], [0, 1, 2], [0, 1, None], str)
+        cover = Cover(3, [0, 0, 2], [0, 1, 2], [0, 1, None], ((range(3), np.arange(3)),))
         assert cover.bounds.tolist() == [0, 2, 2, 3]
         assert _sets(cover) == [((0, 1), 0, "0"), ((), 1, "1"), ((2,), None, "2")]
         D = distance_matrix([0.0, 1.0, 5.0], lambda p, q: abs(p - q))
@@ -616,7 +638,11 @@ class TestVertexWords:
     @pytest.mark.parametrize("word", [(), (0,), (255,), (3, 255), (0, 0),
                                       tuple(range(192, 256)), tuple(i % 7 for i in range(64))])
     def test_word_text_is_the_tuple_repr(self, word):
-        assert covers._word_text(bytes(word)) == repr(word)
+        # the word among others, which set the table's letters and width
+        words = [bytes(word), b"", b"\x03", bytes(range(5))]
+        cover = Cover(0, [], [], [None] * len(words), ("(", *covers._word_parts(words)))
+        assert cover.describe(0) == repr(word)
+        assert [cover.describe(s) for s in range(1, 4)] == ["()", "(3,)", "(0, 1, 2, 3, 4)"]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 255), max_size=6), max_size=30))

@@ -17,6 +17,7 @@ from visbound.metrics import (
     ConeNeighborhood,
     DivergentGromovProductError,
     MetricSpec,
+    QuadratureNotConvergedError,
     SeparationNotReachedError,
     _bisect_dA,
     _carlson_rf_rd,
@@ -203,6 +204,17 @@ class TestDbar:
     def test_adaptive_simpson_known_integral(self):
         v = adaptive_simpson(lambda r: r * math.exp(-r), 0.0, 40.0, 1e-12)
         assert abs(v - (1.0 - 41.0 * math.exp(-40.0))) < 1e-11
+
+    def test_adaptive_simpson_raises_at_the_depth_limit(self):
+        # a jump at 1/3, never an end or a midpoint: the dyadic pieces on
+        # either side integrate exactly, and the piece holding the jump
+        # never meets tolerance 1e-300 within the depth limit
+        jump = lambda r: 0.0 if r < 1 / 3 else 1.0
+        with pytest.raises(QuadratureNotConvergedError,
+                           match=r"on \[0\.333.*\] after 50 bisections.*> tolerance 8\.8.*e-316"):
+            adaptive_simpson(jump, 0.0, 1.0, 1e-300)
+        # the smooth integrand converges well before the limit
+        adaptive_simpson(lambda r: r * math.exp(-r), 0.0, 40.0, 1e-12)
 
 
 def pole_dbar_integral(dphi):

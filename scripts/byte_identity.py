@@ -15,8 +15,10 @@ the `LARGE` configs below, which run the cover verdicts above the golden
 sizes.  Each runs through `visbound.cli.run` into a temporary directory at
 seeds 0, 3 and 11, and each line holds the config, the seed, the file and
 its sha256.  `manifest.json` is left out: it holds the output directory and
-the package versions.  The source imported is the `src/` next to this
-script.
+the package versions.  The `KERNELS` section then hashes, in process and at
+the same seeds, what no CLI config reaches: the kernels at basepoints other
+than the default one (its lines name the kernel where others name a file).
+The source imported is the `src/` next to this script.
 """
 
 import hashlib
@@ -33,6 +35,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from visbound import cli  # noqa: E402
+from visbound.covers import ell_dim_estimate  # noqa: E402
+from visbound.metrics import (MetricSpec, eval_dA, eval_dbar, gromov_product,  # noqa: E402
+                              pair_distance_matrix, sample_metric)
+from visbound.spaces import (EuclideanBoundary, EuclideanPoint, HyperbolicPoint, Ray,  # noqa: E402
+                             TreePoint, euclidean_space, hyperbolic_plane, ray_point,
+                             sample_boundary, tree_space)
 
 SEEDS = (0, 3, 11)
 TREE_SCALES = [4.0 * math.exp(-k) for k in range(1, 9)]
@@ -56,6 +64,75 @@ LARGE = [
     ("large cover-pushin tree4 R=2 K=5 n=120 n_triples=8000",
      dict(experiment="cover-pushin", space="tree4", R=2.0, K=5, n=120, n_triples=8000)),
 ]
+
+
+# the spaces of the KERNELS section, each at a basepoint off the default
+# one, with the scales of its dimension estimate
+KERNEL_SPACES = [
+    ("tree4 at (1, 0)", tree_space(4, TreePoint((1, 0))), TREE_SCALES),
+    ("euclidean3 at (0.5, -1, 2)", euclidean_space(3, (0.5, -1.0, 2.0)), CIRCLE_SCALES),
+    ("hyperbolic_plane at (1.3, 0.4)", hyperbolic_plane(HyperbolicPoint(1.3, 0.4)),
+     CIRCLE_SCALES),
+]
+KERNEL_SPECS = [MetricSpec("dA", A=1.0), MetricSpec("dbar")]
+
+
+def _tables(space, scales, seed: int):
+    """(kernel, bytes) of the pair table, the `sample_metric` rows, order
+    and turn, and the dimension estimate's rows, for dA and dbar."""
+    sample = sample_boundary(space, 90, seed)
+    out = []
+    for spec in KERNEL_SPECS:
+        D = pair_distance_matrix(space, spec, sample)
+        metric = sample_metric(space, spec, sample)
+        rows = metric.rows(list(range(metric.n)))
+        extras = [x for x in (metric.order, metric.turn) if x is not None]
+        out += [(f"pair_distance_matrix {spec.family}", D.tobytes()),
+                (f"sample_metric {spec.family}", b"".join(a.tobytes() for a in [rows, *extras])),
+                (f"ell_dim_estimate {spec.family}",
+                 repr(ell_dim_estimate(metric, scales, 4.0, seed)).encode())]
+    return out
+
+
+def _pairs(space, seed: int):
+    """(kernel, bytes) of the Gromov products, bisected d_A and integrated
+    dbar of a few pairs; on R^n the products are of antipodal pairs, the
+    only ones that have one."""
+    sample = sample_boundary(space, 4, seed)
+    pairs = list(zip(sample, sample[1:]))
+    opposite = [(xi, EuclideanBoundary(tuple(-c for c in xi.direction)))
+                for xi in sample] if space.kind == "euclidean" else pairs
+    base = space.basepoint
+    return [("gromov_product", repr([gromov_product(space, base, x, y)
+                                     for x, y in opposite]).encode()),
+            ("eval_dA bisect", repr([eval_dA(space, KERNEL_SPECS[0], x, y, method="bisect")
+                                     for x, y in pairs]).encode()),
+            ("eval_dbar quadrature", repr([eval_dbar(space, KERNEL_SPECS[1], x, y,
+                                                     method="quadrature")
+                                           for x, y in pairs[:1]]).encode())]
+
+
+def _rays(space, seed: int):
+    """(kernel, bytes) of `ray_point` along rays from the basepoint toward
+    boundary points and along segments toward points on them."""
+    times = [0, 0.25, 1, 2.5, 7] if space.kind != "tree" else [0, 1, 2, 3, 7]
+    out = []
+    for xi in sample_boundary(space, 3, seed):
+        ray = Ray(space, space.basepoint, xi)
+        segment = Ray(space, space.basepoint, ray_point(ray, times[-2]))
+        out += [ray_point(r, t) for r in (ray, segment) for t in times]
+    return [("ray_point", repr(out).encode())]
+
+
+def kernel_lines(seed: int) -> list:
+    """(label, kernel, bytes) of each hash of the KERNELS section."""
+    return [(f"kernels {label}", kernel, data) for label, space, scales in KERNEL_SPACES
+            for section in (_tables(space, scales, seed), _pairs(space, seed),
+                            _rays(space, seed))
+            for kernel, data in section]
+
+
+KERNELS = [kernel_lines]
 
 
 def _module(*path):
@@ -133,6 +210,11 @@ def main() -> int:
                         digest = hashlib.sha256(fh.read()).hexdigest()
                     print(json.dumps({"config": label, "seed": seed, "file": name,
                                       "sha256": digest}), flush=True)
+    for section in KERNELS:
+        for seed in SEEDS:
+            for label, kernel, data in section(seed):
+                print(json.dumps({"config": label, "seed": seed, "kernel": kernel,
+                                  "sha256": hashlib.sha256(data).hexdigest()}), flush=True)
     return 0
 
 

@@ -23,39 +23,15 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .covers import (
-    LatticeBallSystem,
-    ScaleRow,
-    ScaleSchedule,
-    annular_pushin_cover,
-    boundary_pushout_cover,
-    colored_boundary_cover,
-    cover_stats,
-    ell_dim_estimate,
-    orbit_ball_order,
-    sample_ray_points,
-)
+from .covers import (LatticeBallSystem, ScaleRow, ScaleSchedule, annular_pushin_cover,
+                     boundary_pushout_cover, colored_boundary_cover, cover_stats,
+                     ell_dim_estimate, orbit_ball_order, sample_ray_points)
 from .metrics import (DA, DBAR, MetricSpec, block_lines, pair_blocks, pair_distance_matrix,
                       sample_metric)
-from .quasisym import (
-    linear_control,
-    power_law_fit,
-    qs_envelope,
-    ratio_pool,
-    uniformly_perfect_check,
-    verify_control,
-)
-from .spaces import (
-    Space,
-    boundary_to_line,
-    distinct_rows,
-    euclidean_space,
-    hyperbolic_plane,
-    sample_boundary,
-    space_id,
-    substream,
-    tree_space,
-)
+from .quasisym import (linear_control, power_law_fit, qs_envelope, ratio_pool,
+                       uniformly_perfect_check, verify_control)
+from .spaces import (Space, boundary_to_line, distinct_rows, sample_boundary, space_id, space_of_id,
+                     substream, tree_space)
 from .visual import nonqs_witness, nonvisual_witness_dA, visual_fit
 
 EXPERIMENTS = ("metric", "compare", "cover-pushout", "cover-pushin",
@@ -135,13 +111,13 @@ class RunConfig:
 
 
 def parse_space(name: str) -> Space:
-    if name.startswith("euclidean"):
-        return euclidean_space(int(name[len("euclidean"):]))
-    if name.startswith("tree"):
-        return tree_space(int(name[len("tree"):]))
-    if name == "hyperbolic_plane":
-        return hyperbolic_plane()
-    raise ConfigError(f"unknown space {name!r} (euclideanN, treeK, hyperbolic_plane)")
+    """The space that `space_id` names `name`; any other name raises
+    ConfigError."""
+    space = space_of_id(name)
+    if space is None:
+        raise ConfigError(f"unknown space {name!r} (euclideanN, treeK, hyperbolic_plane; "
+                          f"N and K in decimal digits without a leading zero)")
+    return space
 
 
 def _spec(cfg: RunConfig, which: int = 1) -> MetricSpec:
@@ -575,8 +551,6 @@ def run_cover_pushout(cfg: RunConfig):
 
 def run_cover_pushin(cfg: RunConfig):
     space = parse_space(cfg.space)
-    if space.kind != "tree":
-        raise ConfigError("the annular pushin experiment runs on tree spaces")
     R = int(cfg.R)
     if R != cfg.R:
         raise ConfigError("pushin uses integer R (scale ladder alignment)")
@@ -618,9 +592,6 @@ def run_ell_dim(cfg: RunConfig):
 
 def run_visual_fit(cfg: RunConfig):
     space = parse_space(cfg.space)
-    if space.kind == "euclidean":
-        raise ConfigError("visual-fit needs finite Gromov products: use a tree or "
-                          "hyperbolic_plane (on R^n they diverge off antipodal pairs)")
     spec = _spec(cfg)
     sample = sample_boundary(space, cfg.n, cfg.seed)
     pairs = distinct_rows(len(sample), cfg.n, 2, substream(cfg.seed, "visual-pairs"))

@@ -1,32 +1,20 @@
 """Cover constructions and measured cover statistics: lattice ball systems
 of the space, their pushout to boundary covers, colored boundary covers of
 trees and the circle, annular tube covers pushed back into a tree, and a
-greedy-net dimension estimate over sampled metric data."""
+greedy-net dimension estimate over sampled metric data.  The orbit, its
+balls and the colored covers of each space are its own (`spaces.Space`)."""
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .metrics import SampleMetric, _chord, _wrapped_gap, pair_kernel, pair_table
-from .spaces import (
-    EUCLIDEAN,
-    HYPERBOLIC,
-    TREE,
-    EuclideanPoint,
-    Point,
-    Space,
-    SpaceMismatchError,
-    TreePoint,
-    _check_kind,
-    dist,  # unused, but bench/test_bench.py checks the tracer wraps this binding
-    substream,
-)
+from .metrics import SampleMetric, pair_kernel, pair_table
+# `dist` is unused, but bench/test_bench.py checks the tracer wraps this binding
+from .spaces import TREE, Point, Space, _check_kind, dist, substream  # noqa: F401
 
 # distances per block of the full rows and member pairs that cover_stats
 # and the row-read greedy net read (their transient memory is O(chunk))
@@ -35,10 +23,6 @@ _CHUNK = 1 << 15
 # read from its members' pairs: the H^2 angle of a nearly antipodal pair
 # is rounded to about 1e-8
 _HALF_TURN_SLACK = 1e-6
-
-# vertex words are bytes, one letter each: the one-letter words
-_LETTERS = [bytes((a,)) for a in range(256)]
-
 
 @dataclass(frozen=True, eq=False)
 class Cover:
@@ -292,13 +276,10 @@ def cover_stats(cover: Cover, metric: SampleMetric) -> CoverStats:
     Lebesgue candidate from the two sample points just outside the run,
     and its mesh from its two ends, or, when it spans half the circle or
     more (within _HALF_TURN_SLACK), from its members' pairs that can be
-    farthest (`_far_pairs`).  As `SampleMetric` says, this equals the
-    full-row answer exactly on T_k, on R^2 and at the H^2 pole up to
-    near-ties of one ulp, and off the pole up to near-ties within the
-    kernel's angle error (up to 4e-12 for nearly antipodal pairs).  Any
-    other set reads the full row of each member (`SampleMetric.rows`),
-    each distinct set once, in blocks of about _CHUNK distances
-    (`_row_candidates`)."""
+    farthest (`_far_pairs`), equal to the full-row answer up to the
+    near-ties that `SampleMetric` names.  Any other set reads the full row
+    of each member (`SampleMetric.rows`), each distinct set once, in blocks
+    of about _CHUNK distances (`_row_candidates`)."""
     if not cover.colors:
         raise ValueError("empty cover")
     n = cover.n
@@ -346,59 +327,12 @@ class ScaleRow:
 # lattice / vertex-orbit ball systems
 
 
-def _inside(P, C, rad: float) -> np.ndarray:
-    """dist(P, C) < rad elementwise over broadcast rows of coordinates, by
-    `_chord` (the IEEE operations of `spaces.dist`) and a strict comparison."""
-    return _chord(P[..., i] - C[..., i] for i in range(P.shape[-1])) < rad
-
-
-def _rank_words(words: list) -> tuple:
-    """(keys, codes): the distinct words in increasing order, and the index
-    in keys of each word, as int64 (`bytes` sort as tuples do)."""
-    keys = sorted(set(words))
-    rank = {w: i for i, w in enumerate(keys)}
-    return keys, np.fromiter(map(rank.__getitem__, words), dtype=np.int64, count=len(words))
-
-
-def _word_parts(words: list) -> tuple:
-    """Two descriptor parts (texts, codes) of repr(tuple(w)) of each vertex
-    word w without its "(": the letters, a first letter a as "a" and each
-    later one as ", a", and the closing ",)" of a one-letter word or ")"."""
-    lens = np.fromiter(map(len, words), dtype=np.int32, count=len(words))
-    width = max(1, int(lens.max(initial=0)))
-    # NUL-padded, each letter one byte
-    letters = np.array(words, dtype=f"S{width}").view(np.uint8).reshape(len(words), width)
-    top = int(letters.max(initial=0)) + 1
-    later = np.where(np.arange(width) > 0, top, 0).astype(np.int16)
-    codes = np.where(np.arange(width, dtype=np.int32) < lens[:, None], letters + later,
-                     np.int16(-1))
-    return ((tuple(map(str, range(top))) + tuple(f", {a}" for a in range(top)), codes),
-            ((")", ",)"), (lens == 1).view(np.int8)))
-
-
-def _check_letters(space: Space) -> None:
-    if space.kind == TREE and space.valence > 256:
-        raise ValueError(f"tree valence {space.valence} > 256: a word letter must fit in a byte")
-
-
-def _tree_levels(head: bytes, levels: int, k: int) -> list:
-    """Words of the first `levels` levels of the subtree of T_k at the
-    non-root vertex `head`."""
-    if levels <= 0:
-        return []
-    out, level, letters = [], [head], _LETTERS[:k - 1]
-    for _ in range(levels - 1):
-        out += level
-        level = [w + a for w in level for a in letters]
-    return out + level
-
-
 @dataclass(frozen=True)
 class LatticeBallSystem:
-    """Open balls of radius 2R around the unit integer lattice (Euclidean)
-    or around every vertex (tree).  Centers are enumerated locally near a
-    query point, never globally, and named by their keys: int64 coordinate
-    rows or `bytes` vertex words."""
+    """Open balls of radius 2R around the unit integer lattice of R^n or
+    every vertex of T_k (H^2 raises ValueError).  Centers are enumerated
+    locally near a query point, never globally, and named by their keys:
+    int64 coordinate rows or `bytes` vertex words."""
 
     space: Space
     R: object
@@ -406,140 +340,31 @@ class LatticeBallSystem:
     def __post_init__(self):
         if self.R <= 0:
             raise ValueError("ball system needs R > 0")
-        if self.space.kind == HYPERBOLIC:
-            raise ValueError("no lattice orbit is provided on the hyperbolic plane")
-        _check_letters(self.space)
+        self.space.check_orbit()
 
     @property
     def radius(self):
         return 2 * self.R
 
-    @functools.cached_property
-    def stencil(self) -> np.ndarray:
-        """Euclidean lattice offsets o, in lexicographic order, whose ball
-        around floor(p) + o can hold a point p: the gap between o and the
-        unit cube [0, 1]^n is shorter than 2R + 1e-9.  A center off the
-        stencil is farther from p than that, beyond any rounding of
-        `spaces.dist`.  For 2R + 1e-9 = p/q, a squared gap s is shorter
-        iff s q^2 < p^2, that is s <= (p^2 - 1) // q^2."""
-        p, q = (Fraction(float(self.radius)) + Fraction(1, 10 ** 9)).as_integer_ratio()
-        reach, dim = -(-p // q), self.space.dim
-        # every offset in [-reach, reach + 1]^n, in lexicographic order
-        o = np.indices((2 * reach + 2,) * dim).reshape(dim, -1).T - reach
-        gap = np.maximum(np.maximum(-o, o - 1), 0)
-        return o[(gap * gap).sum(axis=1) <= (p * p - 1) // (q * q)]
-
-    def _tree_ball(self, w: bytes, levels, budget: int) -> list:
-        """Vertex words within open distance 2R of the vertex w (levels None)
-        or of a point on the edge into w, by integer depth budgets: walk up
-        the ancestors of the point while they are inside (i steps up iff
-        i < budget), and take from each the levels of its other branches
-        that stay inside; the far end w of an edge has `levels` inside."""
-        k = self.space.valence
-        if levels is None:
-            up, skip, out = w, None, []
-        else:
-            up, skip = w[:-1], w[-1]
-            out = _tree_levels(w, levels, k)
-        for i in range(min(budget, len(up) + 1)):
-            a = up[:len(up) - i]
-            out.append(a)
-            for c in range(k if not a else k - 1):
-                if c != skip:
-                    out += _tree_levels(a + _LETTERS[c], budget - i - 1, k)
-            skip = a[-1] if a else None
-        return out
-
     def incidences(self, points) -> tuple:
         """(keys, set_of, point_of): the keys of the orbit centers whose open
         2R-ball contains some point, in increasing order, and the (ball,
         point) incidences sorted by ball and then by point, as indices into
-        `keys` and `points`.
-
-        Tree points are (word, (num, den)) pairs, the offset num/den along
-        the edge into the `bytes` word, whose `_tree_ball` budgets are exact
-        ceilings, taken once per distinct offset.  R^n points are the rows
-        of an (m, n) float array, and the keys int64 rows."""
-        if self.space.kind == TREE:
-            rad, budgets, balls = Fraction(self.radius), {}, []
-            for word, ratio in points:
-                if ratio not in budgets:
-                    o = Fraction(*ratio)
-                    budgets[ratio] = ((math.ceil(rad + o) - 1, math.ceil(rad - o))
-                                      if o else (None, math.ceil(rad)))
-                balls.append(self._tree_ball(word, *budgets[ratio]))
-            keys, set_of = _rank_words(list(itertools.chain.from_iterable(balls)))
-            point_of = np.repeat(np.arange(len(balls)), [len(b) for b in balls])
-            # the incidences come in point order, which a stable sort keeps
-            # within each ball
-            by_set = np.argsort(set_of, kind="stable")
-            return keys, set_of[by_set], point_of[by_set]
-        P = np.asarray(points, dtype=float)
-        if P.ndim != 2 or P.shape[1] != self.space.dim:
-            raise SpaceMismatchError(f"points of shape {P.shape} are not rows of R^{self.space.dim}")
-        base = np.floor(P)
-        hit = _inside(P[:, None, :], base[:, None, :] + self.stencil, float(self.radius))
-        point_of, offset = np.nonzero(hit)
-        rows = base.astype(np.int64)[point_of] + self.stencil[offset]
-        # one stable sort of the key rows, first coordinate first, keeps the
-        # point order of the incidences within each ball
-        by_set = np.lexsort(rows.T[::-1])
-        rows = rows[by_set]
-        start = np.ones(len(rows), dtype=bool)
-        start[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        return rows[start], np.cumsum(start) - 1, point_of[by_set]
+        `keys` and `points`: (word, (num, den)) pairs on T_k, at offset
+        num/den along the edge into the `bytes` word, rows of R^n."""
+        return self.space.incidences(self, points)
 
     def centers_near(self, p: Point) -> list:
         """All orbit centers whose open 2R-ball contains p, by increasing key."""
         _check_kind(self.space, p)
-        if self.space.kind == TREE:
-            keys, _, _ = self.incidences([(bytes(p.word), p.offset.as_integer_ratio())])
-            return [TreePoint(tuple(key)) for key in keys]
-        keys, _, _ = self.incidences(np.array([p.coords], dtype=float))
-        return [EuclideanPoint(tuple(map(float, key))) for key in keys.tolist()]
+        return self.space.centers_near(self, p)
 
 
 def orbit_ball_order(space: Space, R, resolution: int = 48) -> int:
     """Global order of the orbit 2R-ball system.  Multiplicity is periodic
     under the orbit, so a grid over one fundamental domain (Euclidean) or
-    one deep edge (tree) finds the exact maximum up to grid resolution.
-    The Euclidean grid is counted a block of offsets at a time, each
-    temporary of about 2^12 entries."""
-    system = LatticeBallSystem(space, R)
-    if space.kind == EUCLIDEAN:
-        axis = np.arange(resolution) / resolution
-        grid = np.stack(np.meshgrid(*[axis] * space.dim, indexing="ij"), axis=-1)
-        counts = np.zeros(grid.shape[:-1], dtype=np.int64)
-        stencil = system.stencil.reshape((-1,) + (1,) * space.dim + (space.dim,))
-        step = -(-(1 << 12) // counts.size)
-        for lo in range(0, len(stencil), step):
-            counts += _inside(grid, stencil[lo:lo + step], float(system.radius)).sum(axis=0)
-        return int(counts.max())
-    deep = bytes([0] + [1, 0] * (int(2 * R) + 2))
-    edge = [(deep, (num, 16)) for num in range(16)]
-    return int(np.bincount(system.incidences(edge)[2]).max())
-
-
-# ---------------------------------------------------------------------------
-# boundary pushout
-
-
-def _tree_ray_points(space: Space, t: Fraction, boundary_sample: list) -> list:
-    """The `LatticeBallSystem.incidences` point at time t = whole + off on
-    the ray from the vertex basepoint v toward each boundary point.  A ray
-    leaving v's word at depth m walks up it first: while m <= |v| - ceil(t)
-    its point is at depth |v| - t on v, at offset 1 - off (0 for off = 0),
-    and else at depth 2m - |v| + t on its own word, at offset off."""
-    whole, off = divmod(t, 1)
-    top = space.basepoint.word
-    rise = len(top) - whole - (off > 0)
-    upper = (bytes(top[:len(top) - whole]), (1 - off if off else off).as_integer_ratio())
-    down = off.as_integer_ratio()
-    points = []
-    for xi in boundary_sample:
-        m = next((j for j, (a, b) in enumerate(zip(top, xi.prefix(len(top)))) if a != b), len(top))
-        points.append(upper if m <= rise else (bytes(xi.prefix(2 * m - rise)), down))
-    return points
+    one deep edge (tree) finds the exact maximum up to grid resolution."""
+    return space.orbit_order(LatticeBallSystem(space, R), resolution)
 
 
 def boundary_pushout_cover(space: Space, system: LatticeBallSystem, lam, A,
@@ -548,66 +373,23 @@ def boundary_pushout_cover(space: Space, system: LatticeBallSystem, lam, A,
     `LatticeBallSystem.incidences` of the basepoint rays' points at time
     1/lam: a boundary point joins the set of a ball V iff its ray sits in
     V at that time.  One set per ball meeting the sample, by increasing
-    center key.  The ray points are `spaces.ray_point`'s: at
-    t = 1/Fraction(lam) on a tree, and basepoint + (1.0 / lam) V on R^n."""
+    center key.  The ray points are `spaces.ray_point`'s, at
+    t = 1/Fraction(lam) on a tree (`Space.pushout_points`)."""
     if lam <= 0:
         raise ValueError("scale must be positive")
     if system.R <= A:
         raise ValueError("pushout needs ball parameter R > A")
     _check_kind(system.space, space.basepoint, *boundary_sample)
     n = len(boundary_sample)
-    if space.kind == TREE:
-        points = _tree_ray_points(space, 1 / Fraction(lam), boundary_sample)
-    else:
-        V = np.array([xi.direction for xi in boundary_sample], dtype=float).reshape(n, space.dim)
-        points = np.array(space.basepoint.coords) + (1.0 / float(lam)) * V
-    keys, set_of, point_of = system.incidences(points)
+    keys, set_of, point_of = system.incidences(space.pushout_points(lam, boundary_sample))
     if not np.bincount(point_of, minlength=n).all():
         raise ValueError("pushout cover failed to cover the boundary sample")
-    descriptor = [f"pushout lam={float(lam):g} center=("]
-    if space.kind == TREE:
-        descriptor += _word_parts(keys)
-    else:
-        # str(tuple(key)): each coordinate from one int table over their range
-        ints = range(int(keys.min(initial=0)), int(keys.max(initial=0)) + 1)
-        ends = [", "] * (space.dim - 1) + [",)" if space.dim == 1 else ")"]
-        for i, end in enumerate(ends):
-            descriptor += [(ints, keys[:, i] - ints.start), end]
-    return Cover(n, set_of, point_of, (None,) * len(keys), tuple(descriptor))
+    return Cover(n, set_of, point_of, (None,) * len(keys),
+                 (f"pushout lam={float(lam):g} center=(", *space.center_parts(keys)))
 
 
 # ---------------------------------------------------------------------------
 # colored boundary covers
-
-
-def _tree_cylinder_cover(lam, boundary_sample: list) -> Cover:
-    depth = max(1, math.ceil(math.log(4.0 / float(lam)) - 1e-9))
-    keys, cylinder = _rank_words([bytes(xi.prefix(depth)) for xi in boundary_sample])
-    point_of = np.argsort(cylinder, kind="stable")
-    return Cover(len(cylinder), cylinder[point_of], point_of, (0,) * len(keys),
-                 (f"cylinder depth={depth} word=(", *_word_parts(keys)))
-
-
-def _circle_arc_cover(lam, boundary_sample: list) -> Cover:
-    """Two alternating colors of overlapping arcs; same-color arcs stay a
-    chordal gap >= lam/2 apart, arc diameter <= ~5 lam.  Raises ValueError
-    when lam is too coarse for four arcs."""
-    lamf = float(lam)
-    theta = 4.0 * math.asin(min(1.0, lamf / 4.0))
-    N = 2 * int(math.floor(math.pi / theta))
-    if lamf >= 4.0 * math.sin(math.pi / 8) or N < 4:
-        raise ValueError(f"scale {lamf:g} is too coarse for four arcs of the circle")
-    spacing = 2 * math.pi / N
-    half = 0.75 * spacing
-    V = np.array([xi.direction for xi in boundary_sample], dtype=float)
-    phi = np.arctan2(V[:, 1], V[:, 0]) % (2 * math.pi)
-    centers = np.arange(N) * spacing
-    set_of, point_of = np.nonzero(_wrapped_gap(phi, centers[:, None]) <= half)
-    arcs = np.arange(N)
-    return Cover(len(phi), set_of, point_of, [j % 2 for j in range(N)],
-                 ("arc j=", (range(N), arcs),
-                  " center=", (tuple(f"{c:.6f}" for c in centers.tolist()), arcs),
-                  f" half={half:.6f}"))
 
 
 def _arcs(metric: SampleMetric, ranks: np.ndarray, radius: float, width: int = 4) -> tuple:
@@ -734,12 +516,8 @@ def colored_boundary_cover(space: Space, lam, boundary_sample: list) -> Cover:
     four arcs, raises ValueError."""
     if lam <= 0:
         raise ValueError("scale must be positive")
-    if space.kind == TREE:
-        _check_letters(space)
-        return _tree_cylinder_cover(lam, boundary_sample)
-    if space.kind == EUCLIDEAN and space.dim == 2:
-        return _circle_arc_cover(lam, boundary_sample)
-    raise ValueError("colored boundary covers are built on trees and the circle only")
+    _check_kind(space, *boundary_sample)
+    return space.colored_cover(lam, boundary_sample)
 
 
 # ---------------------------------------------------------------------------
@@ -862,8 +640,10 @@ def annular_pushin_cover(space: Space, schedule: ScaleSchedule,
 def _pushin_claims(cover, set_scale, schedule, radii, rays, B):
     """The pushin claims, given each set's scale k (0 for the base ball),
     with the tube mesh read from the branch table B (+inf diagonal): points
-    at float radii r_a, r_b (an array `radii`) on the rays toward i_a, i_b (`rays`) are
-    r_a + r_b - 2 min(r_a, r_b, B[i_a, i_b]) apart, exact for dyadic radii."""
+    at float radii r_a, r_b (an array `radii`) on the rays toward i_a, i_b
+    (`rays`) are r_a + r_b - 2 min(r_a, r_b, B[i_a, i_b]) apart, exact for
+    dyadic radii.  The mesh is the largest of these over the ordered pairs
+    (a, b) of members of each tube, gathered flat, all tubes at once."""
     R, c = schedule.R, schedule.c
     set_of, point_of = cover.set_of, cover.point_of
     tube = set_scale[set_of] > 0
@@ -879,13 +659,14 @@ def _pushin_claims(cover, set_scale, schedule, radii, rays, B):
     point_ok = bool((decay[point_of[tube]] < half_lam[set_of[tube]]).all())
     # Claim 3: tube mesh bound
     mesh_bound = 4.0 * c * math.exp(2 * R) + 2 * R
-    bounds = cover.bounds
-    tube_mesh = 0.0
-    for t in np.flatnonzero(set_scale).tolist():
-        members = point_of[bounds[t]:bounds[t + 1]]
-        i, r = rays[members], radii[members]
-        shared = np.minimum(np.minimum.outer(r, r), B[np.ix_(i, i)])
-        tube_mesh = max(tube_mesh, float((r[:, None] + r[None, :] - 2.0 * shared).max()))
+    tubes = np.flatnonzero(set_scale)
+    first, size = cover.bounds[tubes], np.diff(cover.bounds)[tubes]
+    pairs = size * size
+    t = np.repeat(np.arange(len(tubes)), pairs)
+    k = np.arange(len(t)) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+    a, b = point_of[first[t] + k // size[t]], point_of[first[t] + k % size[t]]
+    shared = np.minimum(np.minimum(radii[a], radii[b]), B[rays[a], rays[b]])
+    tube_mesh = float((radii[a] + radii[b] - 2.0 * shared).max(initial=0.0))
     counts = np.bincount(point_of, minlength=cover.n)
     return {
         "color_disjoint": color_ok,
@@ -908,10 +689,8 @@ def ell_dim_estimate(metric: SampleMetric, scales: list, c: float, seed: int = 0
     lam-balls around the net, measured order (`cover_stats`); a scale
     passes when the mesh is at most c lam.  On a sample with a boundary
     order no n x n table is built: time O(n log n + incidences) and memory
-    O(n) per scale, the balls and verdicts equal to the full-row ones
-    exactly on T_k, up to near-ties of one ulp on R^2 and at the H^2 pole,
-    and off the pole up to near-ties within the kernel's angle error, as
-    `SampleMetric` says.
+    O(n) per scale, the balls and verdicts equal to the full-row ones up to
+    the near-ties that `SampleMetric` names.
     Returns (rows, estimate) with estimate = max order - 1."""
     if c < 1:
         raise ValueError("need c >= 1")

@@ -14,15 +14,8 @@ import numpy as np
 
 from .metrics import (DA, MetricSpec, _closed_form, _Rationals, pair_distance_matrix,
                       pair_invariants, pair_kernel, pair_table)
-from .spaces import (
-    TREE,
-    Space,
-    TreeBoundary,
-    _canonical_word,
-    distinct_rows,
-    sample_boundary,
-    substream,
-)
+from .spaces import (TREE, Space, TreeBoundary, _canonical_word, distinct_rows, sample_boundary,
+                     substream)
 
 _DELTA_GRID = 96
 

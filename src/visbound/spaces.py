@@ -1,10 +1,12 @@
 """Model CAT(0) spaces: Euclidean R^n, the regular tree T_k, and the
 hyperbolic plane H^2.
 
-Each space carries a distinguished basepoint, exact or closed-form geodesic
-rays and segments (one walk, `ray_point`), distances, and seeded boundary
-sampling.  Tree arithmetic is exact (Fractions, integer edge words);
-Euclidean and hyperbolic computations are double precision.
+This module holds what the three share: their point and boundary point
+types, the `Space` record with its basepoint, and the generic entries
+`dist`, `ray_point` (one walk along rays and segments), `sample_boundary`
+and `space_id`, each of which reads its space's kernels from the space
+itself (`Space` lists them).  Tree arithmetic is exact (Fractions, integer edge
+words); Euclidean and hyperbolic computations are double precision.
 
 The tree sampler applies numpy's `Generator.geometric` and `integers` rules
 to raw PCG64 words itself, decoding a block of words at a time, so its
@@ -36,7 +38,7 @@ class IdenticalBoundaryPointsError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# points
+# points and boundary points
 
 
 @dataclass(frozen=True)
@@ -97,10 +99,6 @@ class HyperbolicPoint:
 
 
 Point = EuclideanPoint | TreePoint | HyperbolicPoint
-
-
-# ---------------------------------------------------------------------------
-# boundary points
 
 
 @dataclass(frozen=True)
@@ -189,175 +187,128 @@ BoundaryPoint = EuclideanBoundary | TreeBoundary | HyperbolicBoundary
 # ---------------------------------------------------------------------------
 # spaces
 
+# kind -> the class of that model space, which holds its kernels (in
+# `visbound.euclidean`, `.tree` and `.hyperbolic`; each enters its class here
+# when the package imports it)
+MODELS = {}
+
 
 @dataclass(frozen=True)
 class Space:
+    """A model space with its basepoint, built by `euclidean_space`,
+    `tree_space` or `hyperbolic_plane` as the class of its kind in MODELS,
+    which holds the space's kernels; the generic code reads them from the
+    space itself:
+
+    - name, parameter: `space_id` is name, then the field `parameter` if any;
+    - point, boundary, check(o), check_origin(p): the types of its points
+      and boundary points, and the rules that they, and an origin of rays,
+      keep beyond their type; default_basepoint() checks the parameter;
+    - dist(p, q), walk(p, z, t, d): distances, and the point at t from p
+      toward z along a ray (d None) or a segment of length d > t;
+    - boundary_size(), keys(rng), of_key(key), boundary_text(bp): sampling
+      (endless keys of draws, each key's boundary point) and writing;
+    - prepare(points, origin): (kernel, order), the kernel mapping index
+      arrays (I, J) to the invariants of the pairs (points[I[k]],
+      points[J[k]]) seen from `origin`, and order None or a function that
+      gives the boundary order and the turn (`metrics.SampleMetric`);
+    - closed_form(spec, inv, exact), exact_zero, gromov(inv),
+      separation(inv), visual_values(spec, la, inv): what the pair
+      invariants give (`metrics`, `visual`);
+    - check_orbit(), incidences, centers_near, orbit_order, pushout_points,
+      center_parts: the orbit ball system and its pushout
+      (`covers.LatticeBallSystem`), and colored_cover(lam, sample).
+
+    A space without an orbit or a colored cover raises ValueError from
+    `check_orbit` or `colored_cover`."""
+
     kind: str
     dim: int = 0          # euclidean dimension n
     valence: int = 0      # tree valence k
     basepoint: Point = None
+    parameter = None
+    exact_zero = 0.0
 
     def __post_init__(self):
-        if self.kind == EUCLIDEAN:
-            if self.dim < 1:
-                raise ValueError("euclidean dimension must be >= 1")
-            if self.basepoint is None:
-                object.__setattr__(self, "basepoint", EuclideanPoint((0.0,) * self.dim))
-            _check_kind(self, self.basepoint)
-        elif self.kind == TREE:
-            if self.valence < 3:
-                raise ValueError("tree valence must be >= 3")
-            if self.basepoint is None:
-                object.__setattr__(self, "basepoint", TreePoint(()))
-            _check_kind(self, self.basepoint)
-            if not self.basepoint.is_vertex:
-                raise ValueError("tree basepoint must be a vertex")
-        elif self.kind == HYPERBOLIC:
-            if self.basepoint is None:
-                object.__setattr__(self, "basepoint", HyperbolicPoint(0.0, 0.0))
-        else:
-            raise ValueError(f"unknown space kind {self.kind!r}")
+        default = self.default_basepoint()
+        if self.basepoint is None:
+            object.__setattr__(self, "basepoint", default)
+        _check_origin(self, self.basepoint)
+
+    def check(self, o) -> None:
+        pass
+
+    def check_origin(self, p) -> None:
+        pass
+
+    def boundary_size(self) -> float:
+        return math.inf
+
+    def visual_values(self, spec, la: float, inv: np.ndarray) -> np.ndarray:
+        return self.closed_form(spec, inv) * np.exp(self.gromov(inv) * la)
+
+    def check_orbit(self) -> None:
+        raise ValueError(f"no lattice orbit is provided on {space_id(self)}")
+
+    def colored_cover(self, lam, boundary_sample: list):
+        raise ValueError("colored boundary covers are built on trees and the circle only")
 
 
 def euclidean_space(n: int, basepoint=None) -> Space:
     if basepoint is not None and not isinstance(basepoint, EuclideanPoint):
         basepoint = EuclideanPoint(tuple(float(c) for c in basepoint))
-    return Space(EUCLIDEAN, dim=n, basepoint=basepoint)
+    return MODELS[EUCLIDEAN](EUCLIDEAN, dim=n, basepoint=basepoint)
 
 
 def tree_space(k: int, basepoint: TreePoint | None = None) -> Space:
-    return Space(TREE, valence=k, basepoint=basepoint)
+    return MODELS[TREE](TREE, valence=k, basepoint=basepoint)
 
 
 def hyperbolic_plane(basepoint: HyperbolicPoint | None = None) -> Space:
-    return Space(HYPERBOLIC, basepoint=basepoint)
-
-
-_KINDS = {EUCLIDEAN: (EuclideanPoint, EuclideanBoundary), TREE: (TreePoint, TreeBoundary),
-          HYPERBOLIC: (HyperbolicPoint, HyperbolicBoundary)}
+    return MODELS[HYPERBOLIC](HYPERBOLIC, basepoint=basepoint)
 
 
 def _check_kind(space: Space, *objs):
-    """Each object is a point or boundary point of the space's kind, on R^n
-    one of n coordinates, and on T_k a point's word has legal letters: the
-    first below k, the later ones below k - 1.  Raises SpaceMismatchError,
-    or ValueError on an illegal letter."""
+    """Each object is a point or boundary point of the space's kind that
+    keeps the space's rules (`Space.check`: on R^n one of n coordinates, on
+    T_k a word of legal letters).  Raises SpaceMismatchError, or ValueError
+    on an illegal letter."""
     for o in objs:
-        if not isinstance(o, _KINDS[space.kind]):
+        if not isinstance(o, (space.point, space.boundary)):
             raise SpaceMismatchError(f"{type(o).__name__} does not belong to {space.kind}")
-        if space.kind == EUCLIDEAN and space.dim != len(
-                o.coords if isinstance(o, EuclideanPoint) else o.direction):
-            raise SpaceMismatchError(f"{type(o).__name__} of another dimension does not belong "
-                                     f"to R^{space.dim}")
-        if isinstance(o, TreePoint) and o.word and not (
-                0 <= min(o.word) and o.word[0] < space.valence
-                and max(o.word[1:], default=0) < space.valence - 1):
-            raise ValueError(f"illegal tree word {o.word}: first letter must be < {space.valence}, "
-                             f"later letters < {space.valence - 1}")
+        space.check(o)
+
+
+def _check_origin(space: Space, p: Point) -> None:
+    """`_check_kind` of an origin of rays, which on T_k must be a vertex."""
+    _check_kind(space, p)
+    space.check_origin(p)
 
 
 def validate_boundary(space: Space, bp: BoundaryPoint) -> None:
     """Check the per-space boundary representation invariants."""
     _check_kind(space, bp)
-    if space.kind == TREE:
-        k = space.valence
-        n = len(bp.preperiod) + 2 * len(bp.period)
-        for i in range(n):
-            a = bp.letter(i)
-            if i == 0:
-                if not 0 <= a <= k - 1:
-                    raise ValueError("first letter must be in 0..k-1")
-            elif not 0 <= a <= k - 2:
-                raise ValueError("non-initial letters must be in 0..k-2")
-
-
-# ---------------------------------------------------------------------------
-# distances
-
-
-def _tree_meet(p: TreePoint, z) -> Fraction:
-    """Depth at which the root paths to p and to z, a point or a boundary
-    point of T_k, part."""
-    wp = p.word
-    wz, depth_z = (z.prefix(len(wp)), math.inf) if isinstance(z, TreeBoundary) else (z.word, z.depth)
-    j = 0
-    m = min(len(wp), len(wz))
-    while j < m and wp[j] == wz[j]:
-        j += 1
-    if j < len(wp) and j < len(wz):
-        return Fraction(j)
-    return min(p.depth, depth_z)
-
-
-def _hyp_cosh_dist_minus_1(r1, phi1, r2, phi2):
-    # cosh d - 1 written without cancellation for nearby points
-    dphi = phi1 - phi2
-    return 2 * math.sinh((r1 - r2) / 2) ** 2 + 2 * math.sinh(r1) * math.sinh(r2) * math.sin(dphi / 2) ** 2
-
-
-def _acosh1p(x: float) -> float:
-    # arccosh(1 + x) for x >= 0, stable near 0
-    return math.log1p(x + math.sqrt(x * (x + 2)))
 
 
 def dist(space: Space, p: Point, q: Point):
     """Distance between two points of the space (exact Fraction on trees)."""
     _check_kind(space, p, q)
-    if space.kind == EUCLIDEAN:
-        # d * d summed left to right from 0, as the numpy kernels square and
-        # sum (`sum` of floats compensates from Python 3.12 on)
-        sq = 0.0
-        for a, b in zip(p.coords, q.coords):
-            sq += (a - b) * (a - b)
-        return math.sqrt(sq)
-    if space.kind == TREE:
-        return p.depth + q.depth - 2 * _tree_meet(p, q)
-    return _acosh1p(_hyp_cosh_dist_minus_1(p.r, p.phi, q.r, q.phi))
-
-
-# ---------------------------------------------------------------------------
-# boundary word helpers
-
-
-def _comparison_bound(x: TreeBoundary, y: TreeBoundary) -> int:
-    return max(len(x.preperiod), len(y.preperiod)) + math.lcm(len(x.period), len(y.period))
+    return space.dist(p, q)
 
 
 def branch_time(space: Space, x: TreeBoundary, y: TreeBoundary) -> Fraction:
-    """Longest common prefix length of two boundary words of T_k (exact).
-
-    Raises ValueError if a word uses an illegal letter and
-    IdenticalBoundaryPointsError if x == y (branch time infinite).
-    """
+    """Longest common prefix length of two boundary words of T_k (exact),
+    by the pair kernel.  Raises ValueError if a word uses an illegal letter
+    and IdenticalBoundaryPointsError if x == y (branch time infinite)."""
     if space.kind != TREE:
         raise SpaceMismatchError("branch_time is defined on trees only")
-    validate_boundary(space, x)
-    validate_boundary(space, y)
-    if x == y:
-        raise IdenticalBoundaryPointsError("identical boundary points - branch time infinite")
-    n = _comparison_bound(x, y)
-    for i in range(n):
-        if x.letter(i) != y.letter(i):
-            return Fraction(i)
-    # canonical equality check above makes this unreachable
-    raise IdenticalBoundaryPointsError("words agree beyond the periodicity bound")
+    _check_kind(space, x, y)
+    kernel = space.prepare([x, y], TreePoint(()))[0]
+    return Fraction(int(kernel(np.array([0]), np.array([1]))[0]))
 
 
 # ---------------------------------------------------------------------------
 # rays and segments
-
-
-def _disk_from_polar(r: float, phi: float) -> complex:
-    return math.tanh(r / 2) * complex(math.cos(phi), math.sin(phi))
-
-
-def _polar_from_disk(w: complex) -> HyperbolicPoint:
-    rho = abs(w)
-    if rho >= 1.0:
-        rho = math.nextafter(1.0, 0.0)
-    r = 2 * math.atanh(rho)
-    phi = math.atan2(w.imag, w.real) if rho > 0 else 0.0
-    return HyperbolicPoint(r, phi)
 
 
 @dataclass(frozen=True)
@@ -370,16 +321,8 @@ class Ray:
     target: Point | BoundaryPoint
 
     def __post_init__(self):
-        _check_kind(self.space, self.origin)
+        _check_origin(self.space, self.origin)
         _check_kind(self.space, self.target)
-        if self.space.kind == TREE and not self.origin.is_vertex:
-            raise ValueError("tree rays are only supported from vertex origins")
-
-
-def _tree_point_at_depth(word: tuple, d: Fraction) -> TreePoint:
-    """Point at depth d on the root path spelled by `word` (len >= ceil(d))."""
-    n = math.ceil(d)
-    return TreePoint(tuple(word[:n]), d - n + 1 if d < n else Fraction(0))
 
 
 def ray_point(ray: Ray, t) -> Point:
@@ -388,38 +331,14 @@ def ray_point(ray: Ray, t) -> Point:
     if t < 0:
         raise ValueError("ray parameter must be nonnegative")
     space, p, z = ray.space, ray.origin, ray.target
-    to_boundary = isinstance(z, BoundaryPoint)
-    if not to_boundary:
+    d = None
+    if not isinstance(z, BoundaryPoint):
         d = dist(space, p, z)
         if t >= d:
             return z
         if t == 0:  # p itself, not its round trip through the disk of H^2
             return p
-    if space.kind == EUCLIDEAN:
-        # p + s v: (t, direction) on a ray, (t/d, q - p) on a segment
-        if to_boundary:
-            s, v = float(t), z.direction
-        else:
-            s, v = float(t) / d, [b - a for a, b in zip(p.coords, z.coords)]
-        return EuclideanPoint(tuple(a + s * c for a, c in zip(p.coords, v)))
-    if space.kind == TREE:
-        # back up p's word to the meet, then down the target's
-        t = t if isinstance(t, Fraction) else Fraction(t)
-        m = _tree_meet(p, z)
-        up = p.depth - m
-        if t <= up:
-            return _tree_point_at_depth(p.word, p.depth - t)
-        d = m + (t - up)
-        return _tree_point_at_depth(z.prefix(math.ceil(d)) if to_boundary else z.word, d)
-    if to_boundary and p.r == 0.0:
-        return HyperbolicPoint(float(t), z.angle)
-    # the Moebius map w -> (w - z0)/(1 - conj(z0) w) takes p to 0: walk
-    # toward the image of the target there, and map back
-    z0 = _disk_from_polar(p.r, p.phi)
-    w = complex(math.cos(z.angle), math.sin(z.angle)) if to_boundary else _disk_from_polar(z.r, z.phi)
-    u = (w - z0) / (1 - z0.conjugate() * w)
-    u = math.tanh(float(t) / 2) * (u / abs(u))
-    return _polar_from_disk((u + z0) / (1 + z0.conjugate() * u))
+    return space.walk(p, z, t, d)
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +495,6 @@ def _tree_draws(space: Space, rng: np.random.Generator):
             i, hh = at
 
 
-_DRAWS = {EUCLIDEAN: _euclidean_draws, TREE: _tree_draws, HYPERBOLIC: _hyperbolic_draws}
-
-
 def sample_boundary(space: Space, n: int, seed: int) -> list:
     """n pairwise-distinct boundary points, deterministic in (space, n, seed).
     Draws are keyed by their point's fields (a tree draw canonicalized by
@@ -589,31 +505,16 @@ def sample_boundary(space: Space, n: int, seed: int) -> list:
         raise TypeError(f"sample size must be an int, got {n!r}")
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    if space.kind == EUCLIDEAN and space.dim == 1 and n > 2:
-        raise ValueError(f"R^1 has only 2 boundary points, cannot sample {n}")
-    draws = _DRAWS[space.kind](space, substream(seed, f"boundary-{space.kind}"))
-    if space.kind == TREE:
-        draws = _tree_keys(draws)
-    build = {EUCLIDEAN: EuclideanBoundary, TREE: TreeBoundary._of_canonical,
-             HYPERBOLIC: HyperbolicBoundary}[space.kind]
+    if n > space.boundary_size():
+        raise ValueError(f"{space_id(space)} has only {space.boundary_size()} boundary "
+                         f"points, cannot sample {n}")
     out, seen = [], set()
-    for key in draws:
+    for key in space.keys(substream(seed, f"boundary-{space.kind}")):
         if key not in seen:
             seen.add(key)
-            out.append(build(key))
+            out.append(space.of_key(key))
             if len(out) == n:
                 return out
-
-
-def _tree_keys(draws):
-    """The canonical words of raw tree draws, a raw draw seen before skipped
-    uncanonicalized: its word is already among the keys."""
-    drawn = set()
-    for raw in draws:
-        if raw not in drawn:
-            drawn.add(raw)
-            pre_len, letters = raw
-            yield _canonical_word(letters[:pre_len], letters[pre_len:])
 
 
 # ---------------------------------------------------------------------------
@@ -621,20 +522,22 @@ def _tree_keys(draws):
 
 
 def space_id(space: Space) -> str:
-    if space.kind == EUCLIDEAN:
-        return f"euclidean{space.dim}"
-    if space.kind == TREE:
-        return f"tree{space.valence}"
-    return "hyperbolic_plane"
+    return space.name + (str(getattr(space, space.parameter)) if space.parameter else "")
+
+
+def space_of_id(name: str) -> Space | None:
+    """The space whose `space_id` is `name`, or None: a parameter is
+    written in decimal digits without a leading zero."""
+    for kind, cls in MODELS.items():
+        digits = name[len(cls.name):]
+        if not name.startswith(cls.name) or bool(digits) != bool(cls.parameter):
+            continue
+        if not digits:
+            return cls(kind)
+        if digits.isascii() and digits.isdigit() and digits[0] != "0":
+            return cls(kind, **{cls.parameter: int(digits)})
+    return None
 
 
 def boundary_to_line(space: Space, bp: BoundaryPoint) -> str:
-    sid = space_id(space)
-    if space.kind == EUCLIDEAN:
-        return f"{sid} dir=" + ",".join(f"{c:.17g}" for c in bp.direction)
-    if space.kind == TREE:
-        pre = ".".join(str(a) for a in bp.preperiod)
-        per = ".".join(str(a) for a in bp.period)
-        return f"{sid} pre={pre} per={per}"
-    return f"{sid} phi={bp.angle:.17g}"
-
+    return f"{space_id(space)} {space.boundary_text(bp)}"

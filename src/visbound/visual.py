@@ -10,8 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .metrics import (DA, DBAR, MetricSpec, _branch_lookup, _closed_form, _gromov_closed_form,
-                      pair_invariants)
+from .metrics import DA, DBAR, MetricSpec, _closed_form, pair_invariants
 from .spaces import TREE, Space, TreeBoundary
 
 FITS = "fits"
@@ -25,32 +24,19 @@ class VisualFit:
     verdict: str
 
 
-def _fit_values(space: Space, spec: MetricSpec, a: float, points: list,
-                pairs: np.ndarray) -> np.ndarray:
-    """d(xi,eta) * a^(xi,eta) over the index pairs into `points`, with
-    (xi,eta) the Gromov product, from one invariant call.  Trees use
-    single-exponent forms, so a = e gives the constant 2 exactly for dbar."""
-    inv = pair_invariants(space, points, pairs[:, 0], pairs[:, 1], spec.base(space))
-    la = math.log(a)
-    if space.kind == TREE:
-        if spec.family == DBAR:
-            value = lambda b: 2.0 * math.exp(b * (la - 1.0))
-        else:
-            value = lambda b: math.exp(b * la) / (b + float(spec.A) / 2.0)
-        return _branch_lookup(value, inv)[inv]
-    return _closed_form(space, spec, inv) * np.exp(_gromov_closed_form(space, inv) * la)
-
-
 def visual_fit(space: Space, spec: MetricSpec, a: float, points: list,
                pairs: np.ndarray) -> VisualFit:
     """Best constants k1 = min, k2 = max of d * a^product over the pairs
-    (xi, eta) = (points[i], points[j]) of the (m, 2) index rows (i, j)."""
+    (xi, eta) = (points[i], points[j]) of the (m, 2) index rows (i, j), from
+    one invariant call (`Space.visual_values`; on T_k in single-exponent
+    forms, so that a = e gives dbar the constant 2 exactly)."""
     if a <= 1:
         raise ValueError("visual parameter must exceed 1")
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     if not len(pairs):
         raise ValueError("need at least one pair")
-    v = _fit_values(space, spec, a, points, pairs)
+    inv = pair_invariants(space, points, pairs[:, 0], pairs[:, 1], spec.base(space))
+    v = space.visual_values(spec, math.log(a), inv)
     return VisualFit(a=float(a), k1=float(v.min()), k2=float(v.max()), verdict=FITS)
 
 

@@ -11,7 +11,6 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from visbound.covers import _tree_ray_points
 from visbound.spaces import branch_time
 
 _COVER_SET = '{\n      "color": %s,\n      "descriptor": %s,\n      "members": %s\n    }'
@@ -50,7 +49,7 @@ def pushout_descriptors(space, system, lam, boundary_sample: list) -> list:
     """The text of each set of `boundary_pushout_cover`: its center's key
     as a tuple."""
     if space.kind == "tree":
-        points = _tree_ray_points(space, 1 / Fraction(lam), boundary_sample)
+        points = space.pushout_points(lam, boundary_sample)
         keys = [tuple(key) for key in system.incidences(points)[0]]
     else:
         V = np.array([xi.direction for xi in boundary_sample], dtype=float)

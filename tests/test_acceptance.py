@@ -220,9 +220,9 @@ def test_09_metric_axioms_and_ray_convexity():
     for space in (T4, E2, H2):
         pts = sample_boundary(space, 40, SEED + 1)
         pairs = _distinct_pairs(pts, 200, substream(SEED, f"acc9p-{space.kind}"))
-        from visbound.metrics import _separation_fn
+        from visbound.metrics import _pair
         for i, j in pairs:
-            f = _separation_fn(space, space.basepoint, pts[i], pts[j])
+            f = space.separation(_pair(space, space.basepoint, pts[i], pts[j]))
             for _ in range(50):
                 t = float(rng.uniform(0.5, 30.0))
                 s = float(rng.uniform(0.0, 1.0)) * t

@@ -815,6 +815,9 @@ class TestScripts:
         for _, fields in module.LARGE:
             RunConfig.from_dict(fields).validate()
         monkeypatch.setattr(module, "LARGE", [])
+        # the in-process kernel hashes, one section
+        assert module.KERNELS == [module.kernel_lines]
+        monkeypatch.setattr(module, "KERNELS", [])
         assert module.main() == 0
         lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert {(d["config"], d["seed"], d["file"]): d["sha256"] for d in lines} == \

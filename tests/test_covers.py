@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visbound import covers, metrics
+from visbound import covers, euclidean, metrics, tree
 from visbound.covers import (
     Cover,
     CoverStats,
@@ -207,7 +207,7 @@ class TestLatticeBalls:
             reach = math.ceil(rad)
             want = [o for o in itertools.product(range(-reach, reach + 2), repeat=dim)
                     if sum(max(-a, a - 1, 0) ** 2 for a in o) < rad * rad]
-            got = LatticeBallSystem(euclidean_space(dim), R).stencil
+            got = euclidean.stencil(float(2 * R), dim)
             assert got.dtype == np.int64 and list(map(tuple, got.tolist())) == want
 
     def test_centers_near_euclidean(self):
@@ -640,7 +640,7 @@ class TestVertexWords:
     def test_word_text_is_the_tuple_repr(self, word):
         # the word among others, which set the table's letters and width
         words = [bytes(word), b"", b"\x03", bytes(range(5))]
-        cover = Cover(0, [], [], [None] * len(words), ("(", *covers._word_parts(words)))
+        cover = Cover(0, [], [], [None] * len(words), ("(", *tree._word_parts(words)))
         assert cover.describe(0) == repr(word)
         assert [cover.describe(s) for s in range(1, 4)] == ["()", "(3,)", "(0, 1, 2, 3, 4)"]
 
@@ -649,8 +649,8 @@ class TestVertexWords:
     def test_bytes_rank_like_tuples(self, words):
         # prefixes of drawn words too, so that prefixes meet their extensions
         words = [w[:j] for w in words for j in (len(w), len(w) // 2)]
-        keys, codes = covers._rank_words([bytes(w) for w in words])
-        want_keys, want_codes = covers._rank_words([tuple(w) for w in words])
+        keys, codes = tree._rank_words([bytes(w) for w in words])
+        want_keys, want_codes = tree._rank_words([tuple(w) for w in words])
         assert [tuple(k) for k in keys] == want_keys
         assert codes.tolist() == want_codes.tolist()
 

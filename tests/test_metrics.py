@@ -20,7 +20,6 @@ from visbound.metrics import (
     QuadratureNotConvergedError,
     SeparationNotReachedError,
     _bisect_dA,
-    _carlson_rf_rd,
     adaptive_simpson,
     cone_contains,
     eval_dA,
@@ -32,12 +31,12 @@ from visbound.metrics import (
     pair_invariants,
     pair_kernel,
     pair_table,
-    pole_dbar,
     sample_metric,
     spec_dA,
     spec_dbar,
     with_basepoint,
 )
+from visbound.hyperbolic import _carlson_rf_rd, pole_dbar
 from visbound.spaces import (
     EuclideanBoundary,
     EuclideanPoint,

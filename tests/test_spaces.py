@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visbound import covers, spaces
+from visbound import covers, euclidean, spaces
 from visbound.spaces import (
     EuclideanBoundary,
     EuclideanPoint,
@@ -204,8 +204,8 @@ class TestDistances:
         got = np.array([dist(E, EuclideanPoint(tuple(p)), EuclideanPoint(tuple(q)))
                         for p, q in zip(P.tolist(), Q.tolist())])
         assert int((got != want).sum()) == 0
-        assert not covers._inside(P, Q, got).any()
-        assert covers._inside(P, Q, np.nextafter(got, np.inf)).all()
+        assert not euclidean._inside(P, Q, got).any()
+        assert euclidean._inside(P, Q, np.nextafter(got, np.inf)).all()
 
     def test_tree_distance_exact_fraction(self):
         p = TreePoint((0, 1), Fraction(1, 3))

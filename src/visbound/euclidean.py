@@ -14,6 +14,8 @@ from .metrics import DA, DivergentGromovProductError, _wrapped_gap
 from .spaces import (EUCLIDEAN, MODELS, EuclideanBoundary, EuclideanPoint, Space,
                      SpaceMismatchError, _euclidean_draws)
 
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
+
 
 def _chord(diffs) -> np.ndarray:
     """sqrt of d * d summed left to right from 0 over the coordinate
@@ -103,7 +105,18 @@ class Euclidean(Space):
         """The chords |xi - eta| of the directions, from any basepoint; on R^2
         ordered by the angle, the turn, and no order in other dimensions."""
         V = self._directions(points)
-        kernel = lambda I, J: _chord(col[I] - col[J] for col in V.T)
+
+        def kernel(I, J):
+            diffs = [col[I] - col[J] for col in V.T]
+            chord = _chord(diffs)
+            # below sqrt(tiny) a square may have underflowed: there the
+            # chord is m |d / m|, m the largest |d|, which stays positive
+            low = np.flatnonzero(chord < _SQRT_TINY)
+            if low.size:
+                d = np.abs([x[low] for x in diffs])
+                m = d.max(axis=0)
+                chord[low] = m * _chord(d / np.where(m > 0, m, 1.0))
+            return chord
         if self.dim != 2:
             return kernel, None
 

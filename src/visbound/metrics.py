@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .spaces import BoundaryPoint, Point, Ray, Space, _check_kind, _check_origin, dist, ray_point
+from .spaces import BoundaryPoint, Point, Ray, Space, _check_kind, dist, ray_point
 
 DA = "dA"
 DBAR = "dbar"
@@ -142,8 +142,8 @@ def _prepare(space: Space, points: list, origin: Point | None) -> tuple:
     space (a direction to another R^n), and ValueError on an illegal tree
     word, a tree origin off the vertices or an H^2 origin too far out."""
     origin = space.basepoint if origin is None else origin
-    _check_origin(space, origin)
-    _check_kind(space, *points)
+    _check_kind(space, origin, *points)
+    space.check_origin(origin)
     return space.prepare(points, origin)
 
 

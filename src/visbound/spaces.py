@@ -195,10 +195,9 @@ MODELS = {}
 
 @dataclass(frozen=True)
 class Space:
-    """A model space with its basepoint, built by `euclidean_space`,
-    `tree_space` or `hyperbolic_plane` as the class of its kind in MODELS,
-    which holds the space's kernels; the generic code reads them from the
-    space itself:
+    """A model space with its basepoint.  `Space(kind, ...)` builds the
+    class of its kind in MODELS, which holds the space's kernels; the
+    generic code reads them from the space itself:
 
     - name, parameter: `space_id` is name, then the field `parameter` if any;
     - point, boundary, check(o), check_origin(p): the types of its points
@@ -229,11 +228,19 @@ class Space:
     parameter = None
     exact_zero = 0.0
 
+    def __new__(cls, kind: str = None, *args, **kwargs):
+        if cls is Space:
+            if kind not in MODELS:
+                raise ValueError(f"unknown space kind {kind!r}")
+            cls = MODELS[kind]
+        return object.__new__(cls)
+
     def __post_init__(self):
         default = self.default_basepoint()
         if self.basepoint is None:
             object.__setattr__(self, "basepoint", default)
-        _check_origin(self, self.basepoint)
+        _check_kind(self, self.basepoint)
+        self.check_origin(self.basepoint)
 
     def check(self, o) -> None:
         pass
@@ -257,15 +264,15 @@ class Space:
 def euclidean_space(n: int, basepoint=None) -> Space:
     if basepoint is not None and not isinstance(basepoint, EuclideanPoint):
         basepoint = EuclideanPoint(tuple(float(c) for c in basepoint))
-    return MODELS[EUCLIDEAN](EUCLIDEAN, dim=n, basepoint=basepoint)
+    return Space(EUCLIDEAN, dim=n, basepoint=basepoint)
 
 
 def tree_space(k: int, basepoint: TreePoint | None = None) -> Space:
-    return MODELS[TREE](TREE, valence=k, basepoint=basepoint)
+    return Space(TREE, valence=k, basepoint=basepoint)
 
 
 def hyperbolic_plane(basepoint: HyperbolicPoint | None = None) -> Space:
-    return MODELS[HYPERBOLIC](HYPERBOLIC, basepoint=basepoint)
+    return Space(HYPERBOLIC, basepoint=basepoint)
 
 
 def _check_kind(space: Space, *objs):
@@ -279,15 +286,8 @@ def _check_kind(space: Space, *objs):
         space.check(o)
 
 
-def _check_origin(space: Space, p: Point) -> None:
-    """`_check_kind` of an origin of rays, which on T_k must be a vertex."""
-    _check_kind(space, p)
-    space.check_origin(p)
-
-
-def validate_boundary(space: Space, bp: BoundaryPoint) -> None:
-    """Check the per-space boundary representation invariants."""
-    _check_kind(space, bp)
+# the per-space invariants of a boundary point
+validate_boundary = _check_kind
 
 
 def dist(space: Space, p: Point, q: Point):
@@ -321,8 +321,8 @@ class Ray:
     target: Point | BoundaryPoint
 
     def __post_init__(self):
-        _check_origin(self.space, self.origin)
-        _check_kind(self.space, self.target)
+        _check_kind(self.space, self.origin, self.target)
+        self.space.check_origin(self.origin)
 
 
 def ray_point(ray: Ray, t) -> Point:
@@ -529,13 +529,11 @@ def space_of_id(name: str) -> Space | None:
     """The space whose `space_id` is `name`, or None: a parameter is
     written in decimal digits without a leading zero."""
     for kind, cls in MODELS.items():
-        digits = name[len(cls.name):]
-        if not name.startswith(cls.name) or bool(digits) != bool(cls.parameter):
-            continue
-        if not digits:
-            return cls(kind)
-        if digits.isascii() and digits.isdigit() and digits[0] != "0":
-            return cls(kind, **{cls.parameter: int(digits)})
+        digits = name[len(cls.name):] if name.startswith(cls.name) else None
+        if cls.parameter is None and digits == "":
+            return Space(kind)
+        if cls.parameter and digits and digits.isascii() and digits.isdigit() and digits[0] != "0":
+            return Space(kind, **{cls.parameter: int(digits)})
     return None
 
 

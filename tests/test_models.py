@@ -15,7 +15,7 @@ from visbound.cli import ConfigError, main, parse_space
 from visbound.covers import LatticeBallSystem, boundary_pushout_cover, colored_boundary_cover
 from visbound.metrics import (eval_dA, eval_dbar, gromov_product, pair_distance_matrix,
                               pair_kernel, sample_metric, spec_dA, spec_dbar)
-from visbound.spaces import (EuclideanBoundary, HyperbolicBoundary, HyperbolicPoint, Ray,
+from visbound.spaces import (EuclideanBoundary, HyperbolicBoundary, HyperbolicPoint, Ray, Space,
                              TreeBoundary, TreePoint, branch_time, dist, euclidean_space,
                              hyperbolic_plane, ray_point, space_id, tree_space, validate_boundary)
 
@@ -114,6 +114,15 @@ def test_space_names_round_trip(name):
     assert space_id(parse_space(name)) == name
 
 
+def test_space_of_a_kind_is_its_class():
+    # Space(kind, ...) builds the class of the kind, which holds its kernels
+    assert Space("tree", valence=4) == tree_space(4)
+    assert type(Space("euclidean", dim=2)) is type(euclidean_space(2))
+    assert type(Space("hyperbolic_plane")) is type(hyperbolic_plane())
+    with pytest.raises(ValueError, match="unknown space kind"):
+        Space("lobachevsky")
+
+
 REJECTED_NAMES = ["tree04", "tree 4", "tree4 ", "tree+4", "euclidean 2", "tree1_0",
                   "euclidean02", "tree-4", " tree4", "tree", "euclidean", "tree٤",
                   "hyperbolic_plane2", "hyperbolic_plane ", "lobachevsky"]
@@ -171,7 +180,8 @@ OFF_VERTEX = {
 
 @pytest.mark.parametrize("rule, case", [("illegal tree word", c) for c in ILLEGAL_WORD.values()]
                          + [("vertex origins", c) for c in OFF_VERTEX.values()],
-                         ids=[f"word-{k}" for k in ILLEGAL_WORD] + [f"vertex-{k}" for k in OFF_VERTEX])
+                         ids=[f"word-{k}" for k in ILLEGAL_WORD]
+                         + [f"vertex-{k}" for k in OFF_VERTEX])
 def test_each_tree_rule_raises_alike_at_every_entry(rule, case):
     # one letter rule and one vertex rule, stated once on the tree: each
     # entry raises a plain ValueError with its text

@@ -191,7 +191,7 @@ class TestDistances:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_euclidean_equals_the_numpy_kernels(self, dim):
         # d * d summed left to right from 0, then sqrt: the operations of
-        # `covers._inside` and of the R^n chord of `pair_invariants`.  A
+        # `euclidean._inside` and of the R^n chord of `pair_invariants`.  A
         # `(a - b) ** 2` square goes through libm pow, and differed here in
         # 38 (R^2) and 30 (R^3) of these pairs (glibc 2.36)
         P, Q = np.random.default_rng(0).uniform(-4.0, 4.0, size=(2, 100_000, dim))

@@ -134,200 +134,257 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _csv(header: list, rows: list) -> str:
+def _csv(header: list, rows: list) -> bytes:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
     for row in rows:
         w.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
+    return buf.getvalue().encode()
 
 
 # ---------------------------------------------------------------------------
 # CSV lines as word arrays: `%.17g` of float64 arrays in numpy integers
 #
-# A positive x = m 2^q whose `%.17g` text is fixed-point has a decimal
-# exponent E in [-4, 16] and 17 significant digits D = m 5^p 2^(q+p),
-# p = 16 - E, rounded half to even: the product m 5^p (m < 2^53, 5^p <= 5^21
-# < 2^49) is held in two uint64 limbs and shifted right by s = -(q + p) with
-# its half and sticky bits, so it is rounded once.  E starts as
-# floor(log10 x); where D falls outside [10^16, 10^17), D is recomputed at
-# the corrected E.  Every other value (0, -0, negatives, subnormals, inf,
-# nan, exponent notation, a shift s <= 0) is formatted by `'%.17g' % x`.
+# A positive x whose `%.17g` text is fixed-point has a decimal exponent E in
+# [-4, 16] and 17 significant digits D = round(x 10^p), p = 16 - E, half to
+# even.  10^p is exact for p <= 22, and Dekker's two-product (T. J. Dekker,
+# Numer. Math. 18, 1971) splits x 10^p exactly into hi + lo, hi its float64
+# rounding: where hi >= 2^53, hi is an even integer and D = hi + rint(lo).
+# E starts as floor(log10 x); where D falls outside [10^16, 10^17), D is
+# recomputed at the corrected E.  Every other value (0, -0, negatives,
+# subnormals, inf, nan, exponent notation) is formatted by `'%.17g' % x`.
+#
+# The text is the integer part, a "." unless no fraction digit is left, and
+# the fraction: the digits "00" D from byte 3 + E on (from byte 0 after
+# "0.0" at E = -4), without trailing zeros.  17 digits tell every double
+# apart, so rounding x to them never reaches an integer it is not: the
+# integer part is floor(x), and no fraction digit is left exactly where x
+# is an integer.  "00" D shares its five words with the byte after the
+# value, its separator or NUL: "00dd", three words of four digits, and
+# "ddd" with that byte.
 
-_M32 = np.uint64(0xFFFFFFFF)
-_E16, _E17 = np.uint64(10**16), np.uint64(10**17)
-_POW5 = np.uint64(5) ** np.arange(22, dtype=np.uint64)
-
-
-def _digit_tables():
-    """The ASCII of 0..9999 as one word each, in memory order, and their
-    trailing zeros (4 for 0)."""
-    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1)   # most significant first
-    return ((digits.T + 48).astype(np.uint8, order="C").view(np.uint32).ravel(),
-            np.logical_and.accumulate(digits[::-1] == 0).sum(axis=0, dtype=np.uint8))
-
-
-_WORD, _TZ4 = _digit_tables()
-
-# A value's text is cut from 11 words: "0." (bytes 2-3), the digit words
-# "000d dddd dddd dddd dddd" (words 1-5), "." (byte 27) and the last 16
-# digits again (words 7-10).  Which bytes are kept depends only on E and
-# the number tz of trailing zeros of D: one row of _KEEP per (E, tz), 0xff
-# on the bytes kept; the others become NUL, which is dropped.
-_VALUE_WORDS = 11
-_VALUE_TEXT = np.zeros(4 * _VALUE_WORDS, np.uint8)
-_VALUE_TEXT[[2, 3, 27]] = np.frombuffer(b"0..", np.uint8)
+_SPLIT = 134217729.0                             # 2^27 + 1, Veltkamp's splitter
+_E16, _E17 = 10**16, 10**17
 
 
-def _value_keep() -> np.ndarray:
-    E = np.arange(-4, 17, dtype=np.int8)[:, None, None]
-    end = 20 - np.arange(17, dtype=np.int8)[None, :, None]   # past the last digit kept
-    c = np.arange(4 * _VALUE_WORDS, dtype=np.int8)
-    d1, d2 = c - 4, c - 24                       # digit-word bytes of each copy
-    neg = E < 0
-    lead = neg & (c >= 2) & (c < 4)
-    # E < 0: "0." and -E - 1 of the pad zeros; E >= 0: the E + 1 integer digits
-    first = (d1 >= 0) & (d1 < 20) & np.where(neg, (d1 >= 4 + E) & (d1 < end),
-                                              (d1 >= 3) & (d1 < 4 + E))
-    dot = ~neg & (c == 27) & (4 + E < end)
-    second = ~neg & (c >= 28) & (d2 >= 4 + E) & (d2 < end)
-    keep = (lead | first | dot | second).reshape(21 * 17, -1)
-    return (keep * np.uint8(255)).view(np.uint32)
+def _split(a):
+    """(hi, lo), a = hi + lo, each of at most 26 significant bits."""
+    c = a * _SPLIT
+    hi = c - (c - a)
+    return hi, a - hi
 
 
-_KEEP = _value_keep()
+# 10^(16 - E) for E = -5..16, and its halves
+_P10 = np.array([float(10**(21 - e)) for e in range(22)])
+_P10_HI, _P10_LO = _split(_P10)
 
 
-def _round_scaled(m, q, E):
-    """round(m 2^q 10^(16 - E)) to even, as uint64, for p = 16 - E in
-    [0, 21], and where the shift that gives it was in (0, 64)."""
-    p = 16 - E
-    f = _POW5[p]
-    ml, mh, fl, fh = m & _M32, m >> 32, f & _M32, f >> 32
-    mid = mh * fl + ml * fh                      # < 2^54
-    lo = ml * fl
-    low = lo + (mid << 32)                       # wraps mod 2^64
-    high = mh * fh + (mid >> 32) + (low < lo)
-    s = -(q + p)
-    ok = (s > 0) & (s < 64)
-    s = np.where(ok, s, 1).astype(np.uint64)
-    D = (high << (64 - s)) | (low >> s)
-    half = (low >> (s - 1)) & 1
-    sticky = (low & ((np.uint64(1) << (s - 1)) - 1)) != 0
-    return D + (half & (sticky | (D & 1))), ok
+def _scaled(x, E):
+    """round(x 10^(16 - E)) half to even, as int64, for E in [-5, 16]:
+    exact where x 10^(16 - E) >= 2^53, and below 10^16 elsewhere."""
+    e = E + 5
+    y, yh, yl = np.take(_P10, e), np.take(_P10_HI, e), np.take(_P10_LO, e)
+    hi = x * y
+    xh, xl = _split(x)
+    lo = xl * yl - (((hi - xh * yh) - xl * yh) - xh * yl)
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
 def _decimal(x):
-    """(D, E, fast) for a float64 array: where `fast`, `'%.17g' % x` is
-    fixed-point with exponent E in [-4, 16] and 17 significant digits D;
-    elsewhere D is 10^16."""
-    fast = (x >= 1e-5) & (x < 1e17)
-    xs = np.where(fast, x, 1.0)
-    bits = xs.view(np.uint64)
-    m = (bits & np.uint64(2**52 - 1)) | np.uint64(2**52)
-    q = (bits >> 52).astype(np.int64) - 1075
-    # x >= 1e-5 keeps floor(log10 x) >= -5
+    """(D, E, fast, xs) for a float64 array: where `fast`, `'%.17g' % x`
+    is fixed-point with exponent E in [-4, 16] and 17 significant digits
+    D, and xs is x; elsewhere D is 10^16, E is 0 and xs is 1."""
+    # 17 digits tell every double apart, so no x below the double 1e-4
+    # rounds up to the exponent -4, and none below 1e17 to 17
+    fast = (x >= 1e-4) & (x < 1e17)
+    xs = x if fast.all() else np.where(fast, x, 1.0)
+    # x >= 1e-4 keeps floor(log10 x) >= -5
     E = np.minimum(np.floor(np.log10(xs)).astype(np.int64), 16)
-    D, ok = _round_scaled(m, q, E)
-    fast &= ok
+    D = _scaled(xs, E)
     # log10 one off next to a power of ten, or a carry into the next decade
-    redo = np.flatnonzero(fast & ((D < _E16) | (D >= _E17)))
+    redo = np.flatnonzero((D - _E16).view(np.uint64) >= _E17 - _E16)
     if redo.size:
         E[redo] += np.where(D[redo] >= _E17, 1, -1)
         e = E[redo].clip(-5, 16)
-        D[redo], ok = _round_scaled(m[redo], q[redo], e)
-        fast[redo] = ok & (e == E[redo]) & (D[redo] >= _E16) & (D[redo] < _E17)
-    fast &= E >= -4
-    return np.where(fast, D, _E16), E, fast
+        D[redo] = _scaled(xs[redo], e)
+        ok = (e == E[redo]) & (D[redo] >= _E16) & (D[redo] < _E17)
+        if not ok.all():
+            fast[redo] = ok
+            return np.where(fast, D, _E16), np.where(fast, E, 0), fast, np.where(fast, xs, 1.0)
+    return D, E, fast, xs
 
 
-def _float_parts(x):
-    """The `%.17g` text of float64 array x as (its digit words, (k, 5),
-    each value's row of _KEEP, the rows formatted by `%`, their text)."""
-    D, E, fast = _decimal(x)
-    hi = D // np.uint64(10**8)
-    lo = (D - hi * np.uint64(10**8)).astype(np.uint32)
-    hi = hi.astype(np.uint32)
-    groups = np.empty((len(D), 5), np.uint32)
-    groups[:, 0], rest = np.divmod(hi, 10**8)
-    groups[:, 1], groups[:, 2] = np.divmod(rest, 10**4)
-    groups[:, 3], groups[:, 4] = np.divmod(lo, 10**4)
-    tz = _TZ4[groups[:, 4]]
-    for g in range(3, 0, -1):
-        zero = np.flatnonzero(tz == 16 - 4 * g)  # groups g + 1.. all zero
-        tz[zero] += _TZ4[groups[zero, g]]
-    slow = np.flatnonzero(~fast)
-    return (_WORD[groups], np.where(fast, (E + 4) * 17 + tz, 0), slow,
-            ["%.17g" % v for v in x[slow].tolist()])
+def _digit_words():
+    """The ASCII of 0..9999 as one word each, in memory order, three times:
+    leading zeros NUL, as they are, and trailing zeros NUL (0 all NUL in
+    the first and the last)."""
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy()   # most significant first
+    nonzero = digits != 0
+    lead = np.logical_or.accumulate(nonzero, axis=1)
+    trail = np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
+    text = digits + np.uint8(48)
+    return np.concatenate([text * lead, text, text * trail]).view(np.uint32).ravel()
 
 
-def _put_floats(parts, buf, at: int):
-    """Write `_float_parts` into the 11 word columns of buf from `at`,
-    which hold `_VALUE_TEXT`, and NUL the bytes not kept."""
-    words, code, slow, texts = parts
-    buf[:, at + 1:at + 6] = words
-    buf[:, at + 7:at + 11] = words[:, 1:]
-    buf[:, at:at + _VALUE_WORDS] &= np.take(_KEEP, code, axis=0)
-    if slow.size:
-        lens = np.array([len(t) for t in texts])
-        within = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
-        value = buf.view(np.uint8)[:, 4 * at:4 * (at + _VALUE_WORDS)]
-        value[slow] = 0
-        value[np.repeat(slow, lens), 2 + within] = np.frombuffer("".join(texts).encode(), np.uint8)
+def _point_words():
+    """The words "ddd." of 0..999 four times: leading zeros NUL (but the
+    units digit), as they are, and the same two with the point NUL; then
+    "0.0"."""
+    digits = np.indices((10,) * 3, np.uint8).reshape(3, -1).T.copy()
+    lead = np.logical_or.accumulate(digits != 0, axis=1)
+    lead[:, 2] = True
+    text = digits + np.uint8(48)
+    point = np.full((1000, 1), ord("."), np.uint8)
+    return np.concatenate([np.hstack([text * lead, point]), np.hstack([text, point]),
+                           np.hstack([text * lead, 0 * point]), np.hstack([text, 0 * point]),
+                           np.frombuffer(b"\x000.0", np.uint8)[None]]).view(np.uint32).ravel()
 
 
-def _int_table(n: int) -> np.ndarray:
-    """The text of 0..n-1, right-aligned and NUL-padded, in an (n, words)
-    uint32 table."""
+_DIGITS, _POINT = _digit_words(), _point_words()
+# the last digit word: three digits, trailing zeros NUL, and a NUL byte
+_LAST = _DIGITS[2 * 10**4::10]
+# _FRACTION[w, E + 4]: the bytes of digit word w that hold the fraction at E,
+# or the byte after it, 0xff each
+_FRACTION = ((np.arange(20).reshape(5, 1, 4) >= 3 + np.arange(-4, 17).reshape(1, 21, 1))
+             * np.uint8(255)).view(np.uint32)[..., 0]
+
+
+class _FloatParts:
+    """The `%.17g` text of a float64 array and a one-byte `suffix` (or
+    none), as words: `int_words` for the integer part and its point,
+    right-aligned, then the five digit words of "00" D and the suffix from
+    `first` on; the rows in `slow` get the texts `'%.17g'` writes, and the
+    suffix, from the field's first byte."""
+
+    def __init__(self, x, suffix: str):
+        D, self.E, fast, xs = _decimal(x)
+        whole = np.floor(xs)
+        self.whole = whole.astype(np.int64)
+        self.pointless = whole == xs             # no fraction digit is left
+        self.suffix = np.frombuffer(suffix.encode("ascii").rjust(4, b"\0"), np.uint32)
+        self.slow = np.flatnonzero(~fast)
+        self.texts = ["%.17g" % v + suffix for v in x[self.slow].tolist()]
+        lo, hi = int(self.E.min()), int(self.E.max())
+        # the words of the longest text of `%`; the integer part widens for it
+        need = -(-max(map(len, self.texts), default=0) // 4)
+        self.int_words = max((max(hi, 0) + 5) // 4, need - 5)
+        # digit words before `first` hold no fraction byte of any value, and
+        # those past `masked` hold no integer digit
+        self.first = min(max(3 + lo, 0) // 4, 5 + self.int_words - need)
+        self.masked = (2 + hi) // 4
+        self.words = self.int_words + 5 - self.first
+        # the groups of the digit words
+        top = D // 10**7
+        low = D - top * 10**7
+        lead = top // 10**8
+        mid = top - lead * 10**8
+        g1, g3 = mid // 10**4, low // 1000
+        self.groups = [lead, g1, mid - g1 * 10**4, g3, low - g3 * 1000]
+
+    def put(self, words, at: int):
+        """Write the text into the word columns of `words` from `at`; once,
+        as it reuses the parts' arrays."""
+        col = at + self.int_words - 1
+        rest = idx = self.whole
+        if self.int_words > 1:
+            rest, idx = np.divmod(rest, 1000)
+            idx += 1000 * (rest > 0)
+        np.add(idx, 2000, out=idx, where=self.pointless)
+        np.copyto(idx, 4000, where=self.E == -4)
+        words[:, col] = np.take(_POINT, idx)
+        for c in range(col - 1, at - 1, -1):
+            rest, g = np.divmod(rest, 10**4)
+            words[:, c] = np.take(_DIGITS, g + 10**4 * (rest > 0))
+        base = col + 1 - self.first               # the column of digit word 0
+        last = self.groups[4]
+        words[:, base + 4] = np.take(_LAST | self.suffix, last)
+        # trailing zeros NUL: a word's where every digit after it is 0
+        zero = last == 0
+        for w in range(3, self.first - 1, -1):
+            g = self.groups[w]
+            if zero.any():
+                g, zero = g + 10**4 * zero, zero & (g == 0)
+            words[:, base + w] = np.take(_DIGITS[10**4:], g)
+        for w in range(self.first, self.masked + 1):
+            words[:, base + w] &= np.take(_FRACTION[w], self.E + 4)
+        if self.slow.size:
+            lens = np.array([len(t) for t in self.texts])
+            within = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
+            value = words.view(np.uint8)[:, 4 * at:4 * (at + self.words)]
+            value[self.slow] = 0
+            value[np.repeat(self.slow, lens), within] = np.frombuffer("".join(self.texts).encode(),
+                                                                      np.uint8)
+
+
+def _int_table(n: int, suffix: str = "") -> np.ndarray:
+    """The text of 0..n-1 followed by `suffix`, right-aligned and
+    NUL-padded, in an (n, words) uint32 table."""
     width = len(str(max(n - 1, 0)))
-    powers = 10 ** np.arange(-width % 4 + width - 1, -1, -1)
+    end = width + len(suffix)
+    pad = -end % 4
+    powers = 10 ** np.arange(width - 1, -1, -1)
     v = np.arange(n)[:, None]
     shown = (v >= powers) | (powers == 1)
-    return ((v // powers % 10 + 48) * shown).astype(np.uint8).view(np.uint32)
+    text = np.zeros((n, pad + end), np.uint8)
+    text[:, pad:pad + width] = (v // powers % 10 + 48) * shown
+    text[:, pad + width:] = np.frombuffer(suffix.encode("ascii"), np.uint8)
+    return text.view(np.uint32)
 
 
-def _text_rows(fields: list) -> str:
+def _text_rows(fields: list, buf: bytearray) -> bytes:
     """CSV lines, one per row, each the concatenation of `fields`: a str
     (the same text on every line), a float64 array (its `%.17g` text) or
     (a word table such as `_int_table` of n, and an int array of its rows,
     one per line, or one row of them per line, whose texts follow each
-    other).  Each field takes whole 4-byte words of a word array, padded
-    with NUL, and the lines are the array's bytes with every NUL dropped
-    (no field holds one)."""
-    # formatted before the word array exists, and dropped once placed, so
-    # that their scratch arrays and it are not held at once
-    floats = {pos: _float_parts(f) for pos, f in enumerate(fields)
-              if isinstance(f, np.ndarray)}
+    other).  Each field takes whole 4-byte words of the word buffer `buf`,
+    resized to the lines and padded with NUL, and the lines are its bytes
+    with every NUL dropped (no field holds one).  A writer passes one
+    buffer to each of its calls."""
+    # formatted before the word buffer exists, and dropped once placed, so
+    # that their scratch arrays and it are not held at once; a float takes
+    # a one-byte str after it into its last word
+    fields, floats = list(fields), {}
+    for pos, f in enumerate(fields):
+        if isinstance(f, np.ndarray):
+            after = fields[pos + 1] if pos + 1 < len(fields) else None
+            suffix = after if isinstance(after, str) and len(after) == 1 else ""
+            floats[pos] = _FloatParts(f, suffix)
+            if suffix:
+                fields[pos + 1] = ""
     k = next(len(f if isinstance(f, np.ndarray) else f[1])
              for f in fields if not isinstance(f, str))
-    row, starts = [], []
+    starts = [0]
     for pos, f in enumerate(fields):
-        starts.append(len(row))
-        if isinstance(f, str):
-            row += np.frombuffer(f.encode("ascii") + bytes(-len(f) % 4), np.uint32).tolist()
-        else:
-            row += (_VALUE_TEXT.view(np.uint32).tolist() if pos in floats
-                    else [0] * (f[0].shape[1] * math.prod(f[1].shape[1:])))
-    starts.append(len(row))
-    buf = np.empty((k, len(row)), np.uint32)
-    buf[:] = row
+        starts.append(starts[-1] + (-(-len(f) // 4) if isinstance(f, str) else
+                                    floats[pos].words if pos in floats else
+                                    f[0].shape[1] * math.prod(f[1].shape[1:])))
+    size = 4 * k * starts[-1]
+    if len(buf) > size:
+        del buf[size:]
+    else:
+        buf.extend(bytes(size - len(buf)))
+    words = np.frombuffer(buf, np.uint32).reshape(k, starts[-1])
     for pos, (f, at, end) in enumerate(zip(fields, starts, starts[1:])):
-        if pos in floats:
-            _put_floats(floats.pop(pos), buf, at)
-        elif not isinstance(f, str):
+        if isinstance(f, str):
+            words[:, at:end] = np.frombuffer(f.encode("ascii") + bytes(-len(f) % 4), np.uint32)
+        elif pos in floats:
+            floats.pop(pos).put(words, at)
+        else:
+            # each row of the table as one item, which numpy copies whole
             text, idx = f
-            buf[:, at:end] = np.take(text, idx, axis=0).reshape(k, end - at)
-    text = buf.tobytes()
-    del buf                                      # before the compacted copies
-    return text.translate(None, b"\0").decode("ascii")
+            row = f"V{4 * text.shape[1]}"
+            words.view(np.uint8)[:, 4 * at:4 * end].view(row)[:] = \
+                np.take(np.ascontiguousarray(text).view(row)[:, 0], idx).reshape(k, -1)
+    del words                                    # a bytearray with views cannot resize
+    return bytes(buf.translate(None, b"\0"))
 
 
 # lines per block of pairs.csv
 _LINES = 1 << 12
 
 
-def _stats_csv(rows: list) -> str:
+def _stats_csv(rows: list) -> bytes:
     """stats.csv of `ScaleRow`s, one line per scale."""
     return _csv(["lambda", "order", "mesh", "lebesgue", "bound_mesh", "bound_lebesgue", "pass"],
                 [(r.lam, r.order, r.mesh, r.lebesgue, r.bound_mesh, r.bound_lebesgue,
@@ -338,31 +395,32 @@ def _pairs_csv(D: np.ndarray, family_a: str):
     """The upper triangle of D as pairs.csv rows ``i,j,family_a,D[i,j]``,
     yielded in blocks of at most `_LINES` lines.  The bytes equal `_csv`
     over the same rows (no field here needs quoting)."""
-    yield "i,j,metric_family,A_or_blank,value\n"
-    ints = _int_table(len(D))
+    yield b"i,j,metric_family,A_or_blank,value\n"
+    rows, cols = _int_table(len(D), ","), _int_table(len(D), f",{family_a},")
+    buf = bytearray()
     for i, j in pair_blocks(len(D), _LINES):
         if len(i):                               # the one block when n < 2 is empty
-            yield _text_rows([(ints, i), ",", (ints, j), f",{family_a},",
-                              np.asarray(D[i, j], np.float64), "\n"])
+            values = np.take(D, i * len(D) + j).astype(np.float64, copy=False)
+            yield _text_rows([(rows, i), (cols, j), values, "\n"], buf)
 
 
-def _envelope_csv(entries: list) -> str:
+def _envelope_csv(entries: list) -> bytes:
     """envelope.csv rows ``t,rho,i:j:k`` for envelope entries
     (t, rho, (i, j, k)); the bytes equal `_csv` over the rows
     (t, rho, "i:j:k")."""
-    header = "t,rho,triple_ids\n"
+    header = b"t,rho,triple_ids\n"
     if not entries:
         return header
     t, rho, ijk = zip(*entries)
     ijk = np.array(ijk, np.int64)
-    ints = _int_table(int(ijk.max()) + 1)
+    n = int(ijk.max()) + 1
+    colon, end = _int_table(n, ":"), _int_table(n, "\n")
     return header + _text_rows([np.array(t, np.float64), ",", np.array(rho, np.float64), ",",
-                                (ints, ijk[:, 0]), ":", (ints, ijk[:, 1]), ":",
-                                (ints, ijk[:, 2]), "\n"])
+                                (colon, ijk[:, :2]), (end, ijk[:, 2])], bytearray())
 
 
-def _json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _json(obj) -> bytes:
+    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
 
 
 def _word_table(texts: list) -> np.ndarray:
@@ -419,9 +477,9 @@ def _cover_json(ground_text: list, cover):
     head = '{\n  "ground": %s,\n  "sets": ' % (f"[\n    {ground}\n  ]" if ground_text else "[]")
     sets = len(cover.colors)
     if not sets:
-        yield head + "[]\n}\n"
+        yield (head + "[]\n}\n").encode()
         return
-    yield head + "[\n"
+    yield (head + "[\n").encode()
     colors = {c: i for i, c in enumerate(dict.fromkeys(cover.colors))}
     color = np.fromiter(map(colors.__getitem__, cover.colors), dtype=np.int64, count=sets)
     heads = _word_table([_SET_HEAD % json.dumps(c) for c in colors])
@@ -435,6 +493,7 @@ def _cover_json(ground_text: list, cover):
     member = np.full(len(line_set), -1)
     member[np.arange(len(cover.set_of)) + (start - cover.bounds[:-1])[cover.set_of]] = \
         cover.point_of
+    buf = bytearray()
     for a in range(0, len(line_set), _LINES):
         s, m = line_set[a:a + _LINES], member[a:a + _LINES]
         line = np.arange(a, a + len(s))
@@ -446,8 +505,8 @@ def _cover_json(ground_text: list, cover):
             fields.append((table, picked))
         fields += [(_SET_MID, np.where(first, 1 + empty, 0)), (members, m),
                    (_SET_TAIL, np.where(last, 1 + 2 * empty + (s == sets - 1), 0))]
-        yield _text_rows(fields)
-    yield "  ]\n}\n"
+        yield _text_rows(fields, buf)
+    yield b"  ]\n}\n"
 
 
 def _interior_text(boundary_sample: list, interior) -> list:
@@ -655,10 +714,10 @@ RUNNERS = {
 
 
 def _atomic_write(path: str, content):
-    """Write a str, or an iterable of str blocks in order, to path."""
+    """Write bytes, or an iterable of bytes blocks in order, to path."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.writelines([content] if isinstance(content, str) else content)
+    with open(tmp, "wb") as fh:
+        fh.writelines([content] if isinstance(content, bytes) else content)
     os.replace(tmp, path)
 
 
@@ -671,7 +730,7 @@ def _execute(cfg: RunConfig):
     cfg_json = _json({k: v for k, v in cfg.to_dict().items() if k != "out"})
     manifest = _json({
         "config": cfg.to_dict(),
-        "config_sha256": hashlib.sha256(cfg_json.encode()).hexdigest(),
+        "config_sha256": hashlib.sha256(cfg_json).hexdigest(),
         "versions": {"python": sys.version.split()[0],
                      "numpy": np.__version__,
                      "visbound": __version__},

@@ -17,14 +17,28 @@ from .spaces import (EUCLIDEAN, MODELS, EuclideanBoundary, EuclideanPoint, Space
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
 
-def _chord(diffs) -> np.ndarray:
-    """sqrt of d * d summed left to right from 0 over the coordinate
-    differences d, given a column at a time (gathering rows instead made an
-    R^2 table 2-3x slower): the IEEE operations of `Euclidean.dist`."""
+def _root_sum(diffs) -> np.ndarray:
+    """sqrt of d * d summed left to right from 0 over the arrays d."""
     sq = 0.0
     for d in diffs:
         sq = sq + d * d
     return np.sqrt(sq)
+
+
+def _chord(diffs) -> np.ndarray:
+    """sqrt of d * d summed left to right from 0 over the coordinate
+    differences d, given a column at a time (gathering rows instead made an
+    R^2 table 2-3x slower); below sqrt(tiny), where a square may have
+    underflowed, m |d / m|, m the largest |d|, which stays positive.  The
+    IEEE operations of `Euclidean.dist`."""
+    diffs = list(diffs)
+    chord = _root_sum(diffs)
+    low = chord < _SQRT_TINY
+    if low.any():
+        d = np.abs([np.broadcast_to(x, chord.shape)[low] for x in diffs])
+        m = d.max(axis=0)
+        chord[low] = m * _root_sum(d / np.where(m > 0, m, 1.0))
+    return chord
 
 
 def _inside(P, C, rad: float) -> np.ndarray:
@@ -82,12 +96,20 @@ class Euclidean(Space):
         return "dir=" + ",".join(f"{c:.17g}" for c in bp.direction)
 
     def dist(self, p: EuclideanPoint, q: EuclideanPoint) -> float:
-        # d * d summed left to right from 0, as `_chord` squares and sums
-        # (`sum` of floats compensates from Python 3.12 on)
+        # `_chord` of one pair in Python floats (`sum` of floats compensates
+        # from Python 3.12 on)
+        diffs = [a - b for a, b in zip(p.coords, q.coords)]
         sq = 0.0
-        for a, b in zip(p.coords, q.coords):
-            sq += (a - b) * (a - b)
-        return math.sqrt(sq)
+        for d in diffs:
+            sq += d * d
+        chord = math.sqrt(sq)
+        m = max(map(abs, diffs)) if chord < _SQRT_TINY else 0.0
+        if m > 0.0:
+            sq = 0.0
+            for d in diffs:
+                sq += (abs(d) / m) * (abs(d) / m)
+            chord = m * math.sqrt(sq)
+        return chord
 
     def walk(self, p: EuclideanPoint, z, t, d) -> EuclideanPoint:
         """p + s v: (t, direction) on a ray (d None), (t/d, q - p) on a segment."""
@@ -104,19 +126,12 @@ class Euclidean(Space):
     def prepare(self, points: list, origin: EuclideanPoint) -> tuple:
         """The chords |xi - eta| of the directions, from any basepoint; on R^2
         ordered by the angle, the turn, and no order in other dimensions."""
+        for xi in points:
+            self.check(xi)
         V = self._directions(points)
 
         def kernel(I, J):
-            diffs = [col[I] - col[J] for col in V.T]
-            chord = _chord(diffs)
-            # below sqrt(tiny) a square may have underflowed: there the
-            # chord is m |d / m|, m the largest |d|, which stays positive
-            low = np.flatnonzero(chord < _SQRT_TINY)
-            if low.size:
-                d = np.abs([x[low] for x in diffs])
-                m = d.max(axis=0)
-                chord[low] = m * _chord(d / np.where(m > 0, m, 1.0))
-            return chord
+            return _chord(col[I] - col[J] for col in V.T)
         if self.dim != 2:
             return kernel, None
 

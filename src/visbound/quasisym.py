@@ -18,6 +18,8 @@ from .spaces import (TREE, Space, TreeBoundary, _canonical_word, distinct_rows, 
                      substream)
 
 _DELTA_GRID = 96
+# the power-law fit's scratch arrays hold at most this many bytes each
+_FIT_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -217,14 +219,29 @@ def power_law_fit(env: Envelope) -> PowerLawFit:
         raise ValueError("empty envelope")
     LT = np.array([math.log(t) for t, _, _ in env.entries])
     LR = np.array([math.log(r) for _, r, _ in env.entries])
+    # max(lt * delta, lt / delta) is lt / delta where lt >= 0 and lt * delta
+    # elsewhere (delta <= 1, and rounding keeps the order): entries of each
+    # sign side by side in every row
+    up = LT >= 0
+    LT_up, LT_down, LR = LT[up], LT[~up], np.concatenate([LR[up], LR[~up]])
+    deltas = np.arange(_DELTA_GRID, 0, -1) / _DELTA_GRID
+    # a block of deltas at a time, one row each, in two scratch arrays of
+    # at most _FIT_BLOCK_BYTES or one row
+    rows = max(1, _FIT_BLOCK_BYTES // (8 * len(LR)))
+    e, gap = np.empty((rows, len(LR))), np.empty((rows, len(LR)))
     best = None
-    for step in range(_DELTA_GRID, 0, -1):
-        delta = step / _DELTA_GRID
-        e = np.maximum(LT * delta, LT / delta)
-        c = max(1.0, math.exp((LR - e).max()))
-        resid = float(np.abs(math.log(c) + e - LR).max())
-        if best is None or (c, resid) < (best.c, best.max_residual):
-            best = PowerLawFit(c=c, delta=delta, max_residual=resid)
+    for lo in range(0, _DELTA_GRID, rows):
+        delta = deltas[lo:lo + rows, None]
+        e, gap = e[:len(delta)], gap[:len(delta)]
+        np.divide(LT_up, delta, out=e[:, :len(LT_up)])
+        np.multiply(LT_down, delta, out=e[:, len(LT_up):])
+        cs = [max(1.0, math.exp(m)) for m in np.subtract(LR, e, out=gap).max(axis=1).tolist()]
+        # log(c) + e - LR, as one row's operations
+        np.add(np.array([[math.log(c)] for c in cs]), e, out=e)
+        resids = np.abs(np.subtract(e, LR, out=e), out=e).max(axis=1).tolist()
+        for c, resid, d in zip(cs, resids, delta[:, 0].tolist()):
+            if best is None or (c, resid) < (best.c, best.max_residual):
+                best = PowerLawFit(c=c, delta=d, max_residual=resid)
     return best
 
 

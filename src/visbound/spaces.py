@@ -275,14 +275,21 @@ def hyperbolic_plane(basepoint: HyperbolicPoint | None = None) -> Space:
     return Space(HYPERBOLIC, basepoint=basepoint)
 
 
+def _check_types(space: Space, objs) -> None:
+    """Each object is a point or boundary point of the space's kind; raises
+    SpaceMismatchError."""
+    for o in objs:
+        if not isinstance(o, (space.point, space.boundary)):
+            raise SpaceMismatchError(f"{type(o).__name__} does not belong to {space.kind}")
+
+
 def _check_kind(space: Space, *objs):
     """Each object is a point or boundary point of the space's kind that
     keeps the space's rules (`Space.check`: on R^n one of n coordinates, on
     T_k a word of legal letters).  Raises SpaceMismatchError, or ValueError
     on an illegal letter."""
+    _check_types(space, objs)
     for o in objs:
-        if not isinstance(o, (space.point, space.boundary)):
-            raise SpaceMismatchError(f"{type(o).__name__} does not belong to {space.kind}")
         space.check(o)
 
 
@@ -374,10 +381,11 @@ def _euclidean_draws(space: Space, rng: np.random.Generator):
     `rng.normal` block equal per-row calls, and a zero row is skipped."""
     while True:
         for v in rng.normal(size=(_BLOCK // space.dim + 1, space.dim)):
-            nv = float(np.linalg.norm(v))
+            # the sqrt of the dot product `np.linalg.norm` takes of a row
+            nv = math.sqrt(v.dot(v))
             if nv != 0.0:
                 v = v / nv
-                yield tuple((v / float(np.linalg.norm(v))).tolist())
+                yield tuple((v / math.sqrt(v.dot(v))).tolist())
 
 
 def _hyperbolic_draws(space: Space, rng: np.random.Generator):

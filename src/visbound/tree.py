@@ -40,10 +40,17 @@ def _at_depth(word: tuple, d: Fraction) -> TreePoint:
     return TreePoint(tuple(word[:n]), d - n + 1 if d < n else Fraction(0))
 
 
+def _illegal_word(o, k: int) -> ValueError:
+    return ValueError(f"illegal tree word {o}: first letter must be < {k}, "
+                      f"later letters < {k - 1}")
+
+
 def _words(k: int, points: list, v: tuple) -> np.ndarray:
     """The boundary words unrolled, a block of rows at a time, to a length
     L >= 1 at which any two distinct words differ and which holds the
-    vertex word v, as narrow letters."""
+    vertex word v, as narrow letters.  Raises ValueError on a word that
+    breaks the letter rule of `Tree.check`; L covers each word's
+    preperiod and a whole period, so every letter is checked."""
     periods = {len(p.period) for p in points}
     L = max(1, len(v), max((len(p.preperiod) for p in points), default=0)
             + max((math.lcm(a, b) for a in periods for b in periods), default=0))
@@ -59,7 +66,13 @@ def _words(k: int, points: list, v: tuple) -> np.ndarray:
         letters = np.array(list(itertools.chain.from_iterable(p.preperiod + p.period
                                                               for p in block)))
         start = np.cumsum(P + Q) - (P + Q).ravel()
-        W[lo:lo + rows] = letters[start[:, None] + np.where(cols < P, cols, P + (cols - P) % Q)]
+        U = letters[start[:, None] + np.where(cols < P, cols, P + (cols - P) % Q)]
+        # a first letter that is a period letter is also a later one
+        bad = (U.min(axis=1) < 0) | (U[:, 1:].max(axis=1, initial=0) >= k - 1) \
+            | (U[:, 0] >= np.where(P[:, 0] > 0, k, k - 1))
+        if bad.any():
+            raise _illegal_word(block[int(bad.argmax())], k)
+        W[lo:lo + rows] = U
     return W
 
 
@@ -146,8 +159,7 @@ class Tree(Space):
         word = o.word if isinstance(o, TreePoint) else o.preperiod + 2 * o.period
         k = self.valence
         if word and not (0 <= min(word) and word[0] < k and max(word[1:], default=0) < k - 1):
-            raise ValueError(f"illegal tree word {o}: first letter must be < {k}, "
-                             f"later letters < {k - 1}")
+            raise _illegal_word(o, k)
 
     def check_origin(self, p: TreePoint) -> None:
         if not p.is_vertex:
@@ -186,7 +198,8 @@ class Tree(Space):
 
     def prepare(self, points: list, origin: TreePoint) -> tuple:
         """The branch times (int64) of the rays from the vertex `origin`,
-        raising IdenticalBoundaryPointsError on a repeated point.  From the
+        raising IdenticalBoundaryPointsError on a repeated point, and
+        ValueError on a word with an illegal letter (`_words`).  From the
         root, the first mismatches of the unrolled words (`_words`), in
         blocks of at most _PAIR_CHUNK pairs and _WORD_BLOCK_BYTES letters,
         ordered by word, a line; a vertex v adds |v| - lcp(v, xi) -

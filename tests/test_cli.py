@@ -139,7 +139,7 @@ class TestSubcommands:
         a_field = _fmt(float(A)) if metric == "dA" else ""
         rows = [(i, j, metric, a_field, float(D[i, j])) for i in range(25) for j in range(i + 1, 25)]
         want = _csv(["i", "j", "metric_family", "A_or_blank", "value"], rows)
-        with open(tmp_path / "pairs.csv") as fh:
+        with open(tmp_path / "pairs.csv", "rb") as fh:
             assert fh.read() == want
 
     @pytest.mark.parametrize("metric, a_field", [("dA", _fmt(0.7)), ("dbar", "")])
@@ -152,7 +152,7 @@ class TestSubcommands:
         D[I, J] = D[J, I] = np.resize(EDGE_FLOATS, len(I))
         rows = [(i, j, metric, a_field, float(D[i, j])) for i, j in zip(I.tolist(), J.tolist())]
         want = _csv(["i", "j", "metric_family", "A_or_blank", "value"], rows)
-        assert "".join(_pairs_csv(D, f"{metric},{a_field}")) == want
+        assert b"".join(_pairs_csv(D, f"{metric},{a_field}")) == want
 
     @pytest.mark.parametrize("space, metric, A, metric2", [("tree4", "dA", 0.7, "dA"),
                                                            ("tree4", "dA", 1.0, "dbar"),
@@ -164,7 +164,7 @@ class TestSubcommands:
         pool = ratio_pool(parse_space(space), _spec(cfg, 1), _spec(cfg, 2), 300, 4)
         env = qs_envelope(pool, 300, 4)
         rows = [(t, rho, f"{i}:{j}:{k}") for t, rho, (i, j, k) in env.entries]
-        with open(tmp_path / "envelope.csv") as fh:
+        with open(tmp_path / "envelope.csv", "rb") as fh:
             assert fh.read() == _csv(["t", "rho", "triple_ids"], rows)
 
     def test_envelope_writer_edge_cases(self):
@@ -312,9 +312,9 @@ class TestDrawPairs:
             distinct_rows(1, 1, 2, _BoundedRng())
 
 
-def _assert_same_lines(got: str, want: str):
+def _assert_same_lines(got: bytes, want: bytes):
     # the first differing line, not a diff of the whole text
-    got, want = got.split("\n"), want.split("\n")
+    got, want = got.split(b"\n"), want.split(b"\n")
     assert next(((k, a, b) for k, (a, b) in enumerate(zip(got, want)) if a != b), None) is None
     assert len(got) == len(want)
 
@@ -322,8 +322,8 @@ def _assert_same_lines(got: str, want: str):
 def _assert_printf_text(values):
     """The CSV kernel writes each value as `'%.17g' % x` does."""
     values = np.asarray(values, np.float64)
-    _assert_same_lines(cli._text_rows([values, "\n"]),
-                       "".join("%.17g\n" % v for v in values.tolist()))
+    _assert_same_lines(cli._text_rows([values, "\n"], bytearray()),
+                       "".join("%.17g\n" % v for v in values.tolist()).encode())
 
 
 class TestFloatText:
@@ -373,9 +373,50 @@ class TestFloatText:
         # one and two words of text, next to a float and a str field
         idx = np.unique(np.r_[0, n - 1, np.random.default_rng(n).integers(0, n, 500)])
         got = cli._text_rows([(cli._int_table(n), idx), ":", idx / 7, ",",
-                              (cli._int_table(n), idx[::-1]), "\n"])
+                              (cli._int_table(n), idx[::-1]), "\n"], bytearray())
         _assert_same_lines(got, "".join("%d:%.17g,%d\n" % (i, i / 7, j)
-                                        for i, j in zip(idx.tolist(), idx[::-1].tolist())))
+                                        for i, j in zip(idx.tolist(), idx[::-1].tolist())).encode())
+
+    @staticmethod
+    def _pairs_text_equals_csv(values, monkeypatch, lines):
+        """pairs.csv of a table whose upper triangle holds `values` in row
+        order, in blocks of `lines` lines, against `_csv` of its rows."""
+        n = next(n for n in range(2, 10**4) if n * (n - 1) // 2 >= len(values))
+        I, J = np.triu_indices(n, k=1)
+        D = np.zeros((n, n))
+        D[I, J] = np.resize(values, len(I))
+        monkeypatch.setattr(cli, "_LINES", lines)
+        rows = [(i, j, "dA", "1", float(D[i, j])) for i, j in zip(I.tolist(), J.tolist())]
+        _assert_same_lines(b"".join(_pairs_csv(D, "dA,1")),
+                           _csv(["i", "j", "metric_family", "A_or_blank", "value"], rows))
+
+    @pytest.mark.parametrize("lines", [41, 300, 2**12])
+    def test_every_exponent_beside_values_written_by_printf(self, lines, monkeypatch):
+        # every fixed-point exponent E in [-4, 16], with and without trailing
+        # zeros, integers among them, and the values `%` writes, the longest
+        # texts too, shuffled: in one block, and cut at block edges that
+        # split the exponents
+        rng = np.random.default_rng(28)
+        values = [-1.7976931348623157e308, -2.2250738585072014e-308]
+        for e in range(-4, 17):
+            values += [10.0 ** e, 1.25 * 10.0 ** e, float(rng.uniform(1, 10)) * 10.0 ** e,
+                       math.nextafter(10.0 ** e, math.inf), math.nextafter(10.0 ** e, 0)]
+        values = np.array(values + EDGE_FLOATS * 3)
+        rng.shuffle(values)
+        exponents = np.floor(np.log10(values[(values >= 1e-4) & (values < 1e17)]))
+        assert set(exponents.tolist()) >= set(range(-4, 17))
+        self._pairs_text_equals_csv(values, monkeypatch, lines)
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_narrow_block_beside_a_wide_one(self, order, monkeypatch):
+        # a block's words follow its own exponents: one block of values
+        # below 1000, one of them a longest text of `%`, and one of values
+        # of 17 integer digits, either first
+        rng = np.random.default_rng(5)
+        narrow = rng.uniform(1e-4, 999.0, 64)
+        narrow[9] = -1.7976931348623157e308
+        wide = rng.uniform(1e16, 1e17, 64)
+        self._pairs_text_equals_csv(np.concatenate([narrow, wide][::order]), monkeypatch, 64)
 
     @pytest.mark.parametrize("lines", [1, 7, 2**12, 2**13, None])
     def test_block_size_does_not_change_the_text(self, lines, monkeypatch):
@@ -390,7 +431,7 @@ class TestFloatText:
                 for i, j in zip(I.tolist(), J.tolist())]
         blocks = list(_pairs_csv(D, "dA,1"))
         assert len(blocks) == 1 + -(-len(rows) // (lines or 10**9))
-        _assert_same_lines("".join(blocks),
+        _assert_same_lines(b"".join(blocks),
                            _csv(["i", "j", "metric_family", "A_or_blank", "value"], rows))
 
     def test_pairs_write_transient_memory(self, tmp_path):
@@ -617,7 +658,7 @@ class TestSortedBoundaryRuns:
 
 def _written(ground, cover):
     """The cover.json text `cli._cover_json` writes, its blocks joined."""
-    return "".join(cli._cover_json(ground, cover))
+    return b"".join(cli._cover_json(ground, cover)).decode("ascii")
 
 
 @functools.cache

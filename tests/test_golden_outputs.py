@@ -5,7 +5,7 @@ hashes do not depend on the machine's linear-algebra build.  The Euclidean
 cover configs pin the lattice stencil of the ball system; their pair tables
 sum squared coordinate differences in numpy, but their samples depend on
 the BLAS build: `spaces._euclidean_draws` normalizes each Gaussian row by
-`np.linalg.norm`, a BLAS dot product, which may fuse a multiply and an add
+the sqrt of its BLAS dot product, which may fuse a multiply and an add
 (sqrt(fma(x1, x1, x0^2)) for a 2-vector) or not, so a sample's last bits,
 and the Euclidean hashes, can differ between CPUs.  Re-record a hash only
 when a change to the outputs is intended, and say why in the change log."""

@@ -188,3 +188,22 @@ def test_each_tree_rule_raises_alike_at_every_entry(rule, case):
     with pytest.raises(ValueError, match=rule) as raised:
         case()
     assert type(raised.value) is ValueError
+
+
+@pytest.mark.parametrize("k", [4, 300])
+@pytest.mark.parametrize("word", [((), (3,)), ((), (2, 1)), ((3,), (0,)), ((4,), (0,)),
+                                  ((0, 3), (1,)), ((-1,), (0,)), ((), (0, 256)), ((), (65536,)),
+                                  ((299,), (298,)), ((), (299,))])
+def test_pair_kernel_letter_check_agrees_with_the_rule(k, word):
+    # the pair kernel reads the letters from the unrolled words, narrowed
+    # to a byte or two only after the check: a period letter at position 0
+    # is a later letter, and no letter wraps into range
+    space, xi = tree_space(k), TreeBoundary(*word)
+    try:
+        space.check(xi)
+    except ValueError:
+        with pytest.raises(ValueError, match="illegal tree word"):
+            pair_kernel(space, [TreeBoundary((0,), (1,)), xi])
+    else:
+        assert pair_kernel(space, [TreeBoundary((0,), (1,)), xi])(np.array([0]),
+                                                                 np.array([1])) >= 0

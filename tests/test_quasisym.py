@@ -441,19 +441,35 @@ class TestPowerLawFit:
 
     @given(st.lists(st.tuples(st.floats(1e-6, 1e6), st.floats(1e-6, 1e6)), min_size=1, max_size=40))
     def test_equals_the_loop_form(self, pairs):
-        # reference: a per-pair loop over the IEEE operations of the numpy rows
-        log_pairs = [(math.log(t), math.log(r)) for t, r in pairs]
-        best = None
-        for step in range(96, 0, -1):
-            delta = step / 96
-            need = max(lr - max(lt * delta, lt / delta) for lt, lr in log_pairs)
-            c = max(1.0, math.exp(need))
-            resid = max(abs(math.log(c) + max(lt * delta, lt / delta) - lr)
-                        for lt, lr in log_pairs)
-            if best is None or (c, resid) < best[:2]:
-                best = (c, resid, delta)
         fit = power_law_fit(Envelope([(t, r, (0, 1, 2)) for t, r in pairs]))
-        assert (fit.c, fit.max_residual, fit.delta) == best
+        assert (fit.c, fit.max_residual, fit.delta) == _loop_fit(pairs)
+
+    @pytest.mark.parametrize("block_bytes", [1, 8 * 700, 8 * 3 * 700 + 8, 1 << 17])
+    def test_blocks_of_deltas_equal_the_loop_form(self, block_bytes, monkeypatch):
+        # one delta a row, one per block, seven and a part, all 96 at once:
+        # real envelopes, with t on both sides of 1 and t = 1 itself
+        monkeypatch.setattr(quasisym, "_FIT_BLOCK_BYTES", block_bytes)
+        for spec2 in (spec_dA(2), spec_dbar()):
+            pool = ratio_pool(T4, spec_dA(1), spec2, 700, 3)
+            entries = qs_envelope(pool, 700, 3).entries + [(1.0, 2.0, (0, 1, 2))]
+            assert min(t for t, _, _ in entries) < 1.0 < max(t for t, _, _ in entries)
+            fit = power_law_fit(Envelope(entries))
+            assert (fit.c, fit.max_residual, fit.delta) == _loop_fit([(t, r) for t, r, _ in entries])
+
+
+def _loop_fit(pairs):
+    """(c, residual, delta) of the fit by a per-pair loop over the IEEE
+    operations of one delta's row."""
+    log_pairs = [(math.log(t), math.log(r)) for t, r in pairs]
+    best = None
+    for step in range(96, 0, -1):
+        delta = step / 96
+        need = max(lr - max(lt * delta, lt / delta) for lt, lr in log_pairs)
+        c = max(1.0, math.exp(need))
+        resid = max(abs(math.log(c) + max(lt * delta, lt / delta) - lr) for lt, lr in log_pairs)
+        if best is None or (c, resid) < best[:2]:
+            best = (c, resid, delta)
+    return best
 
 
 class TestUniformPerfectness:

@@ -207,6 +207,33 @@ class TestDistances:
         assert not euclidean._inside(P, Q, got).any()
         assert euclidean._inside(P, Q, np.nextafter(got, np.inf)).all()
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("gap", [1e-200, 1e-160])
+    def test_euclidean_tiny_gaps_against_the_exact_norm(self, dim, gap):
+        # the squares of these differences underflow: dist, the ball test
+        # and the chord rescale by the largest |difference| alike.  On an
+        # axis the distance is the difference itself; elsewhere the
+        # rescaled sum of squares rounds six times, within 2 ulps (1.73 at
+        # worst over 18,000 such pairs)
+        def exact_norm(diffs):
+            s = sum(Fraction(d) ** 2 for d in diffs)
+            return Fraction(math.isqrt(s.numerator * s.denominator << 4000),
+                            s.denominator << 2000)
+
+        E = euclidean_space(dim)
+        Q = gap * np.random.default_rng(dim).uniform(-1.0, 1.0, size=(200, dim))
+        Q[:dim] = gap * np.eye(dim)
+        P = np.zeros_like(Q)
+        got = np.array([dist(E, EuclideanPoint(tuple(p)), EuclideanPoint(tuple(q)))
+                        for p, q in zip(P.tolist(), Q.tolist())])
+        assert got[:dim].tolist() == [gap] * dim
+        for d, q in zip(got.tolist(), Q.tolist()):
+            want = exact_norm(q)
+            assert abs(Fraction(d) - want) <= 2 * Fraction(math.ulp(float(want)))
+        assert got.tolist() == euclidean._chord(P[:, i] - Q[:, i] for i in range(dim)).tolist()
+        assert not euclidean._inside(P, Q, got).any()
+        assert euclidean._inside(P, Q, np.nextafter(got, np.inf)).all()
+
     def test_tree_distance_exact_fraction(self):
         p = TreePoint((0, 1), Fraction(1, 3))
         q = TreePoint((0,))
@@ -413,6 +440,16 @@ class TestSamplerAgainstTheLoop:
             if space.kind == "tree":
                 assert [(p.preperiod, p.period) for p in got] == [(p.preperiod, p.period)
                                                                   for p in want]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_direction_draws_equal_the_norm_loop(self, dim):
+        # 10^4 raw directions, normalized twice by np.linalg.norm as the
+        # per-draw loop does, bit for bit
+        space = euclidean_space(dim)
+        got = list(itertools.islice(spaces._euclidean_draws(space, substream(7, "dirs")), 10**4))
+        rng = substream(7, "dirs")
+        want = [_reference_draw_boundary(space, rng) for _ in range(10**4)]
+        assert got == [p.direction for p in want]
 
 
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645

@@ -71,7 +71,7 @@ def stencil(radius: float, dim: int) -> np.ndarray:
 class Euclidean(Space):
     """R^n, n = dim, whose boundary is the sphere of unit directions."""
 
-    name, parameter = "euclidean", "dim"
+    parameter = "dim"
     point, boundary = EuclideanPoint, EuclideanBoundary
     keys, of_key = _euclidean_draws, EuclideanBoundary
 
@@ -120,14 +120,19 @@ class Euclidean(Space):
         return EuclideanPoint(tuple(a + s * c for a, c in zip(p.coords, v)))
 
     def _directions(self, boundary_sample: list) -> np.ndarray:
-        return np.array([xi.direction for xi in boundary_sample],
-                        dtype=float).reshape(len(boundary_sample), self.dim)
+        """The (n, dim) array of the directions; raises SpaceMismatchError
+        when one has another dimension (a ragged list, or n rows of
+        another width, which no reshape to (n, dim) takes)."""
+        try:
+            return np.array([xi.direction for xi in boundary_sample],
+                            dtype=float).reshape(len(boundary_sample), self.dim)
+        except ValueError:
+            raise SpaceMismatchError(f"a direction of another dimension does not belong "
+                                     f"to R^{self.dim}") from None
 
     def prepare(self, points: list, origin: EuclideanPoint) -> tuple:
         """The chords |xi - eta| of the directions, from any basepoint; on R^2
         ordered by the angle, the turn, and no order in other dimensions."""
-        for xi in points:
-            self.check(xi)
         V = self._directions(points)
 
         def kernel(I, J):

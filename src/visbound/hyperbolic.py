@@ -116,7 +116,6 @@ def _carlson_rf_rd(x, y, z) -> tuple:
 class HyperbolicPlane(Space):
     """H^2 with the pole, r = 0, as its default basepoint."""
 
-    name = HYPERBOLIC
     point, boundary = HyperbolicPoint, HyperbolicBoundary
     keys, of_key = _hyperbolic_draws, HyperbolicBoundary
 

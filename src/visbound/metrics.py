@@ -227,11 +227,6 @@ def _closed_form(space: Space, spec: MetricSpec, inv: np.ndarray, exact: bool = 
     return space.closed_form(spec, inv, exact)
 
 
-def _pair(space: Space, origin: Point, xi, eta) -> np.ndarray:
-    """The invariant of the one pair (xi, eta) seen from `origin`."""
-    return pair_invariants(space, [xi, eta], [0], [1], origin)
-
-
 # ---------------------------------------------------------------------------
 # d_A
 
@@ -268,10 +263,10 @@ def eval_dA(space: Space, spec: MetricSpec, xi: BoundaryPoint, eta: BoundaryPoin
         raise ValueError(f"method must be 'auto' or 'bisect', got {method!r}")
     if xi == eta:
         return space.exact_zero if method != "bisect" else 0.0
-    origin = spec.base(space)
+    inv = pair_invariants(space, [xi, eta], [0], [1], spec.base(space))
     if method == "bisect":
-        return _bisect_dA(space.separation(_pair(space, origin, xi, eta)), float(spec.A), spec.tol)
-    return _closed_form(space, spec, _pair(space, origin, xi, eta), exact=True).tolist()[0]
+        return _bisect_dA(space.separation(inv), float(spec.A), spec.tol)
+    return _closed_form(space, spec, inv, exact=True).tolist()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +328,10 @@ def eval_dbar(space: Space, spec: MetricSpec, xi: BoundaryPoint, eta: BoundaryPo
         raise ValueError(f"method must be 'auto' or 'quadrature', got {method!r}")
     if xi == eta:
         return 0.0
-    origin = spec.base(space)
+    inv = pair_invariants(space, [xi, eta], [0], [1], spec.base(space))
     if method == "auto":
-        return _closed_form(space, spec, _pair(space, origin, xi, eta)).item(0)
-    return _integrate_separation(space.separation(_pair(space, origin, xi, eta)), spec)
+        return _closed_form(space, spec, inv).item(0)
+    return _integrate_separation(space.separation(inv), spec)
 
 
 def eval_dbar_extended(space: Space, spec: MetricSpec, x, y) -> float:
@@ -360,7 +355,7 @@ def gromov_product(space: Space, x0: Point, xi: BoundaryPoint, eta: BoundaryPoin
     raises DivergentGromovProductError."""
     if xi == eta:
         return math.inf
-    return space.gromov(_pair(space, x0, xi, eta)).item(0)
+    return space.gromov(pair_invariants(space, [xi, eta], [0], [1], x0)).item(0)
 
 
 def cone_contains(space: Space, nbhd: ConeNeighborhood, z) -> bool:

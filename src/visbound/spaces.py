@@ -199,7 +199,7 @@ class Space:
     class of its kind in MODELS, which holds the space's kernels; the
     generic code reads them from the space itself:
 
-    - name, parameter: `space_id` is name, then the field `parameter` if any;
+    - parameter: `space_id` is the kind, then the field `parameter` if any;
     - point, boundary, check(o), check_origin(p): the types of its points
       and boundary points, and the rules that they, and an origin of rays,
       keep beyond their type; default_basepoint() checks the parameter;
@@ -410,45 +410,18 @@ def _geometric_sums() -> np.ndarray:
 _GEOMETRIC_SUMS = _geometric_sums()
 
 
-def _lemire(words: np.ndarray, halves: np.ndarray, e: int) -> tuple:
-    """`Generator.integers(0, e)` at each draw unit of a decoded window by
-    Lemire's multiply-shift: a unit u of b bits (b = 32 for e <= 2^32, the
-    halves; 64 above, the whole words) gives m = u e, is skipped while
-    m mod 2^b < 2^b mod e, and else draws m >> b.  Returns (wide, acc, pos,
-    let): acc[j] counts the accepted units before unit j, pos lists the
-    accepted units and let their letters."""
-    wide = e > 1 << 32
-    if not wide:
-        m = halves * np.uint64(e)
-        ok, let = (m & 0xFFFFFFFF) >= (1 << 32) % e, m >> 32
-    else:  # a 128-bit product, in Python ints
-        m = [w * e for w in words.tolist()]
-        floor = (1 << 64) % e
-        ok = np.array([x & 0xFFFFFFFFFFFFFFFF >= floor for x in m], dtype=bool)
-        let = np.array([x >> 64 for x in m], dtype=object)
+def _lemire(halves: np.ndarray, e: int) -> tuple:
+    """`Generator.integers(0, e)`, 2 <= e <= 2^32, at each 32-bit half u of
+    a decoded window by Lemire's multiply-shift: m = u e is skipped while
+    m mod 2^32 < 2^32 mod e, and else draws m >> 32.  Returns (acc, pos,
+    let): acc[j] counts the accepted halves before half j, pos lists the
+    accepted halves and let their letters."""
+    m = halves * np.uint64(e)
+    ok, let = (m & 0xFFFFFFFF) >= (1 << 32) % e, m >> 32
     if ok.all():
-        return wide, range(len(ok) + 1), range(len(ok)), let.tolist()
+        return range(len(ok) + 1), range(len(ok)), let.tolist()
     pos = np.flatnonzero(ok)
-    return wide, [0] + np.cumsum(ok).tolist(), pos.tolist(), let[pos].tolist()
-
-
-def _draw(alphabet: tuple, i: int, hh: int) -> tuple:
-    """One draw of a `_lemire` alphabet at the cursor (i, hh) of its window,
-    and the cursor after it: i is the next fresh word and hh the unit of
-    the held high half (-1 for none).  A half draw takes the held half,
-    else the low half of word i and holds its high half; a whole-word draw
-    takes word i and leaves a held half held.  Raises IndexError past the
-    window."""
-    wide, acc, _, let = alphabet
-    while True:
-        if wide:
-            j, i = i, i + 1
-        elif hh >= 0:
-            j, hh = hh, -1
-        else:
-            j, i, hh = 2 * i, i + 1, 2 * i + 1
-        if acc[j + 1] > acc[j]:
-            return let[acc[j]], i, hh
+    return [0] + np.cumsum(ok).tolist(), pos.tolist(), let[pos].tolist()
 
 
 def _tree_draws(space: Space, rng: np.random.Generator):
@@ -457,39 +430,32 @@ def _tree_draws(space: Space, rng: np.random.Generator):
     `rng.integers(0, e)` per letter (e = k for a first preperiod letter,
     k - 1 otherwise), read off rng's raw PCG64 words.  Each window of words
     is decoded once, for the geometric sums and for each alphabet (the
-    period length is 1 + `integers(0, 4)`, which accepts every half); the
-    draws then move a cursor (i, hh) over it, as `_draw` describes.  With
-    k <= 2^32 every letter draw takes a half, so a draw's letters are one
-    run of accepted halves, sliced; above, the letters are drawn one at a
-    time.  A draw that runs past the window is read again from a new one,
-    which keeps the words from its cursor on."""
+    period length is 1 + `integers(0, 4)`, which accepts every half).  One
+    cursor s, the next unread half, moves over it: with k <= 2^32
+    (`Tree.default_basepoint`) every letter draw takes a half, so a draw's
+    letters are one run of accepted halves, sliced.  A draw that runs past
+    the window is read again from a new one, which keeps the words from
+    s // 2 on."""
     raw = rng.bit_generator.random_raw
     k = space.valence
-    words, i, hh = np.zeros(0, dtype=np.uint64), 0, -1
+    words, s = np.zeros(0, dtype=np.uint64), 0
     while True:
-        cut = i if hh < 0 else hh // 2
-        words = np.concatenate([words[cut:], raw(_BLOCK)])
-        i, hh = i - cut, (hh - 2 * cut if hh >= 0 else -1)
+        words = np.concatenate([words[s // 2:], raw(_BLOCK)])
+        s %= 2
         halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()
         pre = np.searchsorted(_GEOMETRIC_SUMS, (words >> 11) * 2.0 ** -53).tolist()
         per = (halves >> 30).tolist()
-        first, rest = (_lemire(words, halves, e) for e in (k, k - 1))
-        (wide, f_acc, f_pos, f_let), (_, r_acc, r_pos, r_let) = first, rest
+        (f_acc, f_pos, f_let), (r_acc, r_pos, r_let) = (_lemire(halves, e) for e in (k, k - 1))
         try:
             while True:
-                at = i, hh
-                pre_len = pre[i]
-                # the period draw takes the held half, else word i + 1's low
-                # half; the letters' halves follow it without a gap
-                u, s = (per[hh], 2 * i + 2) if hh >= 0 else (per[2 * i + 2], 2 * i + 3)
-                if wide:
-                    i, hh = (s + 1) // 2, (s if s % 2 else -1)
-                    letters = []
-                    for alphabet in [first if pre_len else rest] + [rest] * (pre_len + u):
-                        letter, i, hh = _draw(alphabet, i, hh)
-                        letters.append(letter)
-                    yield pre_len, tuple(letters)
-                    continue
+                at = s
+                pre_len = pre[(s + 1) // 2]
+                # the geometric draw takes the fresh word (s + 1) // 2 and
+                # keeps a held high half (s odd); the period draw takes that
+                # half, else the low half s + 2 of the next word, and the
+                # letters' halves follow it without a gap
+                u = per[s if s % 2 else s + 2]
+                s += 3
                 head = []  # with no preperiod, the first letter is one of k - 1 too
                 if pre_len:
                     n = f_acc[s]
@@ -497,10 +463,9 @@ def _tree_draws(space: Space, rng: np.random.Generator):
                 c = pre_len + u + (not pre_len)
                 n = r_acc[s]
                 s = r_pos[n + c - 1] + 1
-                i, hh = (s + 1) // 2, (s if s % 2 else -1)
                 yield pre_len, tuple(head + r_let[n:n + c])
         except IndexError:
-            i, hh = at
+            s = at
 
 
 def sample_boundary(space: Space, n: int, seed: int) -> list:
@@ -530,14 +495,14 @@ def sample_boundary(space: Space, n: int, seed: int) -> list:
 
 
 def space_id(space: Space) -> str:
-    return space.name + (str(getattr(space, space.parameter)) if space.parameter else "")
+    return space.kind + (str(getattr(space, space.parameter)) if space.parameter else "")
 
 
 def space_of_id(name: str) -> Space | None:
     """The space whose `space_id` is `name`, or None: a parameter is
     written in decimal digits without a leading zero."""
     for kind, cls in MODELS.items():
-        digits = name[len(cls.name):] if name.startswith(cls.name) else None
+        digits = name[len(kind):] if name.startswith(kind) else None
         if cls.parameter is None and digits == "":
             return Space(kind)
         if cls.parameter and digits and digits.isascii() and digits.isdigit() and digits[0] != "0":

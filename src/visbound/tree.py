@@ -142,14 +142,16 @@ def _ball(k: int, w: bytes, levels, budget: int) -> list:
 class Tree(Space):
     """T_k, k = valence, rooted at the empty word; rays leave from vertices."""
 
-    name, parameter = "tree", "valence"
+    parameter = "valence"
     point, boundary = TreePoint, TreeBoundary
     exact_zero = Fraction(0)
     of_key = TreeBoundary._of_canonical
 
     def default_basepoint(self) -> TreePoint:
-        if self.valence < 3:
-            raise ValueError("tree valence must be >= 3")
+        """The root; 3 <= k <= 2^32, so that a letter draw takes 32 bits
+        (`spaces._tree_draws`)."""
+        if not 3 <= self.valence <= 1 << 32:
+            raise ValueError(f"tree valence must be in [3, 2^32], got {self.valence}")
         return TreePoint(())
 
     def check(self, o) -> None:

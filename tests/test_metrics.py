@@ -605,6 +605,20 @@ class TestSpaceMismatch:
             with pytest.raises(SpaceMismatchError):
                 call(E2, pts[-2:])
 
+    def test_sample_of_another_dimension_rejected(self):
+        # every direction 3-D: no (n, 2) reshape takes the (n, 3) array
+        pts = sample_boundary(euclidean_space(3), 6, 1)
+        with pytest.raises(SpaceMismatchError, match="R\\^2"):
+            pair_distance_matrix(E2, spec_dA(1), pts)
+        for call in METRIC_ENTRIES.values():
+            with pytest.raises(SpaceMismatchError):
+                call(E2, pts[:2])
+
+    def test_empty_sample(self):
+        none = np.zeros(0, dtype=np.intp)
+        assert pair_kernel(E2, [])(none, none).shape == (0,)
+        assert pair_distance_matrix(E2, spec_dA(1), []).shape == (0, 0)
+
     @pytest.mark.parametrize("space, other", [("tree4", "h2"), ("h2", "tree4"),
                                               ("euclidean2", "tree4")])
     def test_origin_of_another_space_rejected(self, space, other):

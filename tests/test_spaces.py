@@ -62,6 +62,24 @@ class TestConstruction:
         assert len(set(pts)) == 50
         assert all(0 <= bp.letter(0) < 2 ** 32 for bp in pts)
 
+    # the check sits in default_basepoint, which runs with a given basepoint too
+    @pytest.mark.parametrize("k", [1, 2, 2 ** 32 + 1, 2 ** 33, 2 ** 64])
+    def test_valence_out_of_range_rejected(self, k):
+        with pytest.raises(ValueError, match=str(k)):
+            tree_space(k)
+        with pytest.raises(ValueError):
+            tree_space(k, TreePoint(()))
+        with pytest.raises(ValueError):
+            spaces.space_of_id(f"tree{k}")
+
+    @pytest.mark.parametrize("k", [3, 2 ** 32 - 1, 2 ** 32])
+    def test_valence_in_range_accepted(self, k):
+        space = tree_space(k)
+        assert spaces.space_of_id(spaces.space_id(space)) == space
+        pts = sample_boundary(space, 20, 7)
+        assert all(0 <= bp.letter(0) < k for bp in pts)
+        assert all(0 <= bp.letter(1) < k - 1 for bp in pts)
+
     def test_tree_basepoint_must_be_vertex(self):
         with pytest.raises(ValueError):
             tree_space(4, TreePoint((0,), Fraction(1, 2)))

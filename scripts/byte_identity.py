@@ -63,6 +63,13 @@ LARGE = [
      dict(experiment="cover-pushout", space="tree4", A=1.0, R=2.0, n=1500)),
     ("large cover-pushin tree4 R=2 K=5 n=120 n_triples=8000",
      dict(experiment="cover-pushin", space="tree4", R=2.0, K=5, n=120, n_triples=8000)),
+    # three coordinates per center, some of them negative
+    ("large cover-pushout euclidean3 n=200",
+     dict(experiment="cover-pushout", space="euclidean3", A=1.0, R=2.0, n=200)),
+    # colored covers of different depths per scale
+    ("large cover-pushin tree3 R=1 K=4 window=6 n=80 n_triples=3000",
+     dict(experiment="cover-pushin", space="tree3", R=1.0, K=4, window=6.0, n=80,
+          n_triples=3000)),
 ]
 
 

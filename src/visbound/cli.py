@@ -251,20 +251,20 @@ _FRACTION = ((np.arange(20).reshape(5, 1, 4) >= 3 + np.arange(-4, 17).reshape(1,
 
 
 class _FloatParts:
-    """The `%.17g` text of a float64 array and a one-byte `suffix` (or
-    none), as words: `int_words` for the integer part and its point,
-    right-aligned, then the five digit words of "00" D and the suffix from
-    `first` on; the rows in `slow` get the texts `'%.17g'` writes, and the
-    suffix, from the field's first byte."""
+    """The `%.17g` text of a float64 array and a one-byte `separator`, as
+    words: `int_words` for the integer part and its point, right-aligned,
+    then the five digit words of "00" D and the separator from `first` on;
+    the rows in `slow` get the texts `'%.17g'` writes, and the separator,
+    from the field's first byte."""
 
-    def __init__(self, x, suffix: str):
+    def __init__(self, x, separator: str):
         D, self.E, fast, xs = _decimal(x)
         whole = np.floor(xs)
         self.whole = whole.astype(np.int64)
         self.pointless = whole == xs             # no fraction digit is left
-        self.suffix = np.frombuffer(suffix.encode("ascii").rjust(4, b"\0"), np.uint32)
+        self.separator = np.frombuffer(separator.encode("ascii").rjust(4, b"\0"), np.uint32)
         self.slow = np.flatnonzero(~fast)
-        self.texts = ["%.17g" % v + suffix for v in x[self.slow].tolist()]
+        self.texts = ["%.17g" % v + separator for v in x[self.slow].tolist()]
         lo, hi = int(self.E.min()), int(self.E.max())
         # the words of the longest text of `%`; the integer part widens for it
         need = -(-max(map(len, self.texts), default=0) // 4)
@@ -298,7 +298,7 @@ class _FloatParts:
             words[:, c] = np.take(_DIGITS, g + 10**4 * (rest > 0))
         base = col + 1 - self.first               # the column of digit word 0
         last = self.groups[4]
-        words[:, base + 4] = np.take(_LAST | self.suffix, last)
+        words[:, base + 4] = np.take(_LAST | self.separator, last)
         # trailing zeros NUL: a word's where every digit after it is 0
         zero = last == 0
         for w in range(3, self.first - 1, -1):
@@ -333,31 +333,21 @@ def _int_table(n: int, suffix: str = "") -> np.ndarray:
 
 
 def _text_rows(fields: list, buf: bytearray) -> bytes:
-    """CSV lines, one per row, each the concatenation of `fields`: a str
-    (the same text on every line), a float64 array (its `%.17g` text) or
-    (a word table such as `_int_table` of n, and an int array of its rows,
-    one per line, or one row of them per line, whose texts follow each
-    other).  Each field takes whole 4-byte words of the word buffer `buf`,
-    resized to the lines and padded with NUL, and the lines are its bytes
-    with every NUL dropped (no field holds one).  A writer passes one
-    buffer to each of its calls."""
+    """CSV lines, one per row, each the concatenation of `fields`: (a
+    float64 array, a one-byte separator) for its `%.17g` text and the
+    separator, or (a word table such as `_int_table` of n, and an int array
+    of its rows, one per line, or one row of them per line, whose texts
+    follow each other).  Each field takes whole 4-byte words of the word
+    buffer `buf`, resized to the lines and padded with NUL, and the lines
+    are its bytes with every NUL dropped (no field holds one).  A writer
+    passes one buffer to each of its calls."""
     # formatted before the word buffer exists, and dropped once placed, so
-    # that their scratch arrays and it are not held at once; a float takes
-    # a one-byte str after it into its last word
-    fields, floats = list(fields), {}
-    for pos, f in enumerate(fields):
-        if isinstance(f, np.ndarray):
-            after = fields[pos + 1] if pos + 1 < len(fields) else None
-            suffix = after if isinstance(after, str) and len(after) == 1 else ""
-            floats[pos] = _FloatParts(f, suffix)
-            if suffix:
-                fields[pos + 1] = ""
-    k = next(len(f if isinstance(f, np.ndarray) else f[1])
-             for f in fields if not isinstance(f, str))
+    # that their scratch arrays and it are not held at once
+    floats = {pos: _FloatParts(*f) for pos, f in enumerate(fields) if isinstance(f[1], str)}
+    k = len(fields[0][0] if 0 in floats else fields[0][1])
     starts = [0]
     for pos, f in enumerate(fields):
-        starts.append(starts[-1] + (-(-len(f) // 4) if isinstance(f, str) else
-                                    floats[pos].words if pos in floats else
+        starts.append(starts[-1] + (floats[pos].words if pos in floats else
                                     f[0].shape[1] * math.prod(f[1].shape[1:])))
     size = 4 * k * starts[-1]
     if len(buf) > size:
@@ -366,9 +356,7 @@ def _text_rows(fields: list, buf: bytearray) -> bytes:
         buf.extend(bytes(size - len(buf)))
     words = np.frombuffer(buf, np.uint32).reshape(k, starts[-1])
     for pos, (f, at, end) in enumerate(zip(fields, starts, starts[1:])):
-        if isinstance(f, str):
-            words[:, at:end] = np.frombuffer(f.encode("ascii") + bytes(-len(f) % 4), np.uint32)
-        elif pos in floats:
+        if pos in floats:
             floats.pop(pos).put(words, at)
         else:
             # each row of the table as one item, which numpy copies whole
@@ -401,7 +389,7 @@ def _pairs_csv(D: np.ndarray, family_a: str):
     for i, j in pair_blocks(len(D), _LINES):
         if len(i):                               # the one block when n < 2 is empty
             values = np.take(D, i * len(D) + j).astype(np.float64, copy=False)
-            yield _text_rows([(rows, i), (cols, j), values, "\n"], buf)
+            yield _text_rows([(rows, i), (cols, j), (values, "\n")], buf)
 
 
 def _envelope_csv(entries: list) -> bytes:
@@ -415,7 +403,7 @@ def _envelope_csv(entries: list) -> bytes:
     ijk = np.array(ijk, np.int64)
     n = int(ijk.max()) + 1
     colon, end = _int_table(n, ":"), _int_table(n, "\n")
-    return header + _text_rows([np.array(t, np.float64), ",", np.array(rho, np.float64), ",",
+    return header + _text_rows([(np.array(t, np.float64), ","), (np.array(rho, np.float64), ","),
                                 (colon, ijk[:, :2]), (end, ijk[:, 2])], bytearray())
 
 
@@ -429,29 +417,6 @@ def _word_table(texts: list) -> np.ndarray:
     data = [t.encode("ascii") for t in texts] + [b""]
     width = max(1, -(-max(map(len, data)) // 4))
     return np.array(data, dtype=f"S{4 * width}").view(np.uint32).reshape(len(data), width)
-
-
-_MINUS = np.frombuffer(b"-\0\0\0", np.uint32)[0]
-
-
-def _range_table(ints: range) -> np.ndarray:
-    """The text of each int of `ints` (step 1) in a word table like
-    `_int_table`'s, a word for the sign first where one is negative, and an
-    empty row last."""
-    v = np.arange(ints.start, ints.stop)
-    text = _int_table(int(np.abs(v).max(initial=0)) + 1)[np.abs(v)]
-    if ints.start < 0:
-        text = np.column_stack([np.where(v < 0, _MINUS, 0).astype(np.uint32), text])
-    return np.vstack([text, np.zeros(text.shape[1], np.uint32)])
-
-
-def _part_table(texts) -> np.ndarray:
-    """The word table of a `Cover` descriptor part's texts, an empty row
-    last: a range's ints, or each distinct string escaped once by the
-    encoder `json.dumps` uses by default."""
-    if isinstance(texts, range):
-        return _range_table(texts)
-    return _word_table([encode_basestring_ascii(t)[1:-1] for t in texts])
 
 
 # a set of cover.json as `json.dumps(indent=2)` writes it: the head before
@@ -483,8 +448,10 @@ def _cover_json(ground_text: list, cover):
     colors = {c: i for i, c in enumerate(dict.fromkeys(cover.colors))}
     color = np.fromiter(map(colors.__getitem__, cover.colors), dtype=np.int64, count=sets)
     heads = _word_table([_SET_HEAD % json.dumps(c) for c in colors])
-    parts = [(_part_table(texts), codes) for texts, codes in cover.descriptor]
-    members = _range_table(range(cover.n))
+    parts = [(_word_table([encode_basestring_ascii(t)[1:-1] for t in texts]), codes)
+             for texts, codes in cover.descriptor]
+    members = _int_table(cover.n)
+    members = np.vstack([members, np.zeros((1, members.shape[1]), np.uint32)])  # empty row last
     counts = np.bincount(cover.set_of, minlength=sets)
     size = np.maximum(counts, 1)
     start = np.cumsum(size) - size
@@ -613,6 +580,11 @@ def run_cover_pushin(cfg: RunConfig):
     R = int(cfg.R)
     if R != cfg.R:
         raise ConfigError("pushin uses integer R (scale ladder alignment)")
+    # the interior radii are the eighths below the window, and the tubes
+    # and the base ball hold the radii below (K+2)R
+    if int(8 * cfg.window) > 8 * (cfg.K + 2) * R:
+        raise ConfigError(f"window must be below (K+2)R + 1/8 = {(cfg.K + 2) * R + 0.125:g}, "
+                          f"so that no radius drawn reaches (K+2)R, got {cfg.window!r}")
     schedule = ScaleSchedule(R=R, K=cfg.K, c=cfg.c)
     sample = sample_boundary(space, cfg.n, cfg.seed)
     covers = {k: colored_boundary_cover(space, schedule.lam(k), sample)

@@ -30,13 +30,13 @@ class Cover:
     sorted by set and then by point.  Set s has color colors[s] (an int or
     None), so a set without members is still a set, and a descriptor text
     held as data: `descriptor` is a tuple of parts, each a str (the same
-    text on every set) or a pair (texts, codes) of a tuple of str or a
-    `range` of ints, and an int array with one row per set (1-D, or 2-D for
-    several texts in a row) whose entries index texts, -1 for none.  Set
-    s's text is the concatenation, part by part and along its rows, of the
-    entries its codes pick (`describe(s)`).  `cli._cover_json` writes every
-    set's text from one word table per part, with no string per set; str
-    parts are kept as ((text,), zeros)."""
+    text on every set) or a pair (texts, codes) of a tuple of str and an
+    int array with one row per set (1-D, or 2-D for several texts in a row)
+    whose entries index texts, -1 for none.  Set s's text is the
+    concatenation, part by part and along its rows, of the texts its codes
+    pick (`describe(s)`).  `cli._cover_json` writes every set's text from
+    one word table per part, with no string per set; str parts are kept as
+    ((text,), zeros)."""
 
     n: int
     set_of: np.ndarray
@@ -67,6 +67,8 @@ class Cover:
         if isinstance(part, str):
             return (part,), np.zeros(sets, dtype=np.int8)
         texts, codes = part
+        if type(texts) is not tuple or not all(isinstance(t, str) for t in texts):
+            raise ValueError("cover descriptor texts must be a tuple of str")
         codes = np.asarray(codes)
         if codes.dtype.kind != "i":
             codes = codes.astype(np.int64)
@@ -84,7 +86,7 @@ class Cover:
 
     def describe(self, s: int) -> str:
         """Set s's descriptor text."""
-        return "".join([str(texts[c]) for texts, codes in self.descriptor
+        return "".join([texts[c] for texts, codes in self.descriptor
                         for c in np.ravel(codes[s]).tolist() if c >= 0])
 
 
@@ -483,8 +485,7 @@ def _greedy_net(metric: SampleMetric, lam: float, radius: float, rng) -> Cover:
     set_of = np.repeat(np.arange(len(ranks)), size)
     step = np.arange(len(set_of)) - np.repeat(np.cumsum(size) - size, size)
     point_of = order[(np.repeat(ranks - back, size) + step) % n]
-    return Cover(n, set_of, point_of[np.lexsort((point_of, set_of))], (None,) * len(ranks),
-                 ("net-ball center=", (range(n), order[ranks])))
+    return Cover(n, set_of, point_of[np.lexsort((point_of, set_of))], (None,) * len(ranks))
 
 
 def _row_net(metric: SampleMetric, scan: np.ndarray, lam: float, radius: float) -> Cover:
@@ -505,8 +506,7 @@ def _row_net(metric: SampleMetric, scan: np.ndarray, lam: float, radius: float) 
         hit[0] += lo
         hits.append(hit)
     set_of, point_of = np.concatenate(hits, axis=1)
-    return Cover(n, set_of, point_of, (None,) * len(centers),
-                 ("net-ball center=", (range(n), np.array(centers, dtype=np.int64))))
+    return Cover(n, set_of, point_of, (None,) * len(centers))
 
 
 def colored_boundary_cover(space: Space, lam, boundary_sample: list) -> Cover:
@@ -587,10 +587,10 @@ def annular_pushin_cover(space: Space, schedule: ScaleSchedule,
     # one tube per colored set U with members, by scale and then by U:
     # the in-band points whose ray reaches a member of U
     set_parts, point_parts, colors, used_sets = [], [], [], []
-    for k in range(1, K + 1):
+    scale_covers = [colored_covers[k] for k in range(1, K + 1)]
+    for k, boundary in enumerate(scale_covers, 1):
         lo, hi = k * R, (k + 2) * R
         band = np.flatnonzero((lo * den < num) & (num < hi * den))
-        boundary = colored_covers[k]
         p, inc = np.nonzero(reach[band][:, boundary.point_of])
         hit = np.zeros((len(boundary.colors), m), dtype=bool)
         hit[boundary.set_of[inc], band[p]] = True
@@ -612,23 +612,17 @@ def annular_pushin_cover(space: Space, schedule: ScaleSchedule,
     # those of the scales before its own, -1 filling the rows to the widest
     heads = tuple(f"tube k={k} of [" for k in range(1, K + 1)) + (f"base ball radius={2 * R}",)
     descriptor = [(heads, np.where(set_scale > 0, set_scale - 1, K))]
-    scale_parts = [colored_covers[k].descriptor for k in range(1, K + 1)]
-    for p in range(max(map(len, scale_parts), default=0)):
+    for p in range(max((len(c.descriptor) for c in scale_covers), default=0)):
         texts, rows = (), []
-        for parts, used in zip(scale_parts, used_sets):
-            picked = np.full((len(used), 1), -1)
-            if p < len(parts):
-                t, codes = parts[p]
-                picked = codes[used] if codes.ndim == 2 else codes[used, None]
-                picked = np.where(picked >= 0, picked + len(texts), -1)
-                texts += tuple(map(str, t)) if isinstance(t, range) else t
-            rows.append(picked)
-        gathered = np.full((len(colors), max(r.shape[1] for r in rows)), -1)
-        at = 0
-        for r in rows:
-            gathered[at:at + len(r), :r.shape[1]] = r
-            at += len(r)
-        descriptor.append((texts, gathered))
+        for boundary, used in zip(scale_covers, used_sets):
+            t, codes = (boundary.descriptor[p] if p < len(boundary.descriptor)
+                        else ((), np.full(len(boundary.colors), -1)))
+            codes = (codes[:, None] if codes.ndim == 1 else codes)[used].astype(np.int64)
+            rows.append(np.where(codes >= 0, codes + len(texts), -1))
+            texts += t
+        width = max(r.shape[1] for r in rows)
+        rows = [np.hstack([r, np.full((len(r), width - r.shape[1]), -1)]) for r in rows]
+        descriptor.append((texts, np.concatenate(rows + [np.full((1, width), -1)])))
     descriptor.append((("]",), np.where(set_scale > 0, 0, -1)))
     cover = Cover(m, np.concatenate(set_parts), np.concatenate(point_parts), colors,
                   tuple(descriptor))

@@ -204,13 +204,14 @@ class Euclidean(Space):
                 + (1.0 / float(lam)) * self._directions(boundary_sample))
 
     def center_parts(self, keys: np.ndarray) -> list:
-        """str(tuple(key)) without its "(": each coordinate from one int
-        table over their range."""
-        ints = range(int(keys.min(initial=0)), int(keys.max(initial=0)) + 1)
+        """str(tuple(key)) without its "(": each coordinate from one table
+        of the ints over their range."""
+        lo = int(keys.min(initial=0))
+        ints = tuple(map(str, range(lo, int(keys.max(initial=0)) + 1)))
         ends = [", "] * (self.dim - 1) + [",)" if self.dim == 1 else ")"]
         parts = []
         for i, end in enumerate(ends):
-            parts += [(ints, keys[:, i] - ints.start), end]
+            parts += [(ints, keys[:, i] - lo), end]
         return parts
 
     def colored_cover(self, lam, boundary_sample: list) -> Cover:
@@ -231,7 +232,7 @@ class Euclidean(Space):
         set_of, point_of = np.nonzero(_wrapped_gap(phi, mids[:, None]) <= half)
         arcs = np.arange(N)
         return Cover(len(phi), set_of, point_of, [j % 2 for j in range(N)],
-                     ("arc j=", (range(N), arcs),
+                     ("arc j=", (tuple(map(str, range(N))), arcs),
                       " center=", (tuple(f"{c:.6f}" for c in mids.tolist()), arcs),
                       f" half={half:.6f}"))
 

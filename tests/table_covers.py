@@ -8,8 +8,6 @@ import numpy as np
 
 from visbound.covers import Cover, CoverStats, _distinct_sets
 
-from template_cover_json import net_descriptors
-
 
 def table_cover_stats(cover: Cover, matrix: np.ndarray) -> CoverStats:
     """`cover_stats` from full rows of the table: for each incidence of a
@@ -32,8 +30,8 @@ def table_cover_stats(cover: Cover, matrix: np.ndarray) -> CoverStats:
 
 def table_greedy_net(matrix: np.ndarray, lam: float, radius: float, rng) -> Cover:
     """The greedy lam-net scanned in `rng`'s permutation order, each ball a
-    column of the table, and its cover by the open radius-balls, each
-    set's descriptor one text of its own."""
+    column of the table, and its cover by the open radius-balls, one set
+    per center by increasing center."""
     n = matrix.shape[0]
     blocked = np.zeros(n, dtype=bool)
     centers = []
@@ -43,5 +41,4 @@ def table_greedy_net(matrix: np.ndarray, lam: float, radius: float, rng) -> Cove
             blocked |= matrix[:, i] < lam
     centers.sort()
     set_of, point_of = np.nonzero((matrix[:, centers] < radius).T)
-    return Cover(n, set_of, point_of, (None,) * len(centers),
-                 ((tuple(net_descriptors(centers)), np.arange(len(centers))),))
+    return Cover(n, set_of, point_of, (None,) * len(centers))

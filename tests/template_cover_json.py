@@ -75,12 +75,6 @@ def arc_descriptors(lam) -> list:
     return [f"arc j={j} center={j * spacing:.6f} half={half:.6f}" for j in range(N)]
 
 
-def net_descriptors(centers: list) -> list:
-    """The text of each set of a net-ball cover with the given centers, in
-    increasing order."""
-    return [f"net-ball center={c}" for c in sorted(centers)]
-
-
 def pushin_descriptors(space, schedule, colored: dict, colored_texts: dict,
                        boundary_sample: list, interior) -> list:
     """The text of each set of `annular_pushin_cover`: the tube of each

@@ -254,6 +254,47 @@ class TestSubcommands:
         assert verdicts["order_le_2n_plus_2"] is True
         assert rc == 0
 
+    def test_pushin_gathers_parts_of_every_count_and_width(self, tmp_path, monkeypatch):
+        # the scales' colored covers hold one str part, no part, the
+        # cylinders' three parts, and a part three codes wide with a gap
+        # before a str part: each tube's text is its set's, in brackets
+        made = []
+
+        def colored(space, lam, sample):
+            # called for k = 1, 2, ... in turn
+            cover = colored_boundary_cover(space, lam, sample)
+            wide = np.array([[s % 2, -1, (s + 1) % 2] for s in range(len(cover.colors))])
+            descriptor = [("one part",), (), cover.descriptor, ((("a", "b"), wide), "!")]
+            made.append(Cover(cover.n, cover.set_of, cover.point_of, cover.colors,
+                              descriptor[len(made)]))
+            return made[-1]
+
+        built = []
+
+        def pushin(*args):
+            built.append(args)
+            return annular_pushin_cover(*args)
+
+        monkeypatch.setattr(cli, "colored_boundary_cover", colored)
+        monkeypatch.setattr(cli, "annular_pushin_cover", pushin)
+        out = str(tmp_path / "q")
+        assert main(["cover-pushin", "--space", "tree4", "--R", "1", "--K", "4",
+                     "--window", "6", "--n", "40", "--n-triples", "2000",
+                     "--seed", "2", "--out", out]) == 0
+        space, sched, covers_by_k, sample, interior = built[0]
+        assert [covers_by_k[k] for k in range(1, 5)] == made
+        assert [len(c.descriptor) for c in made] == [1, 0, 3, 2]
+        texts = {k: [c.describe(u) for u in range(len(c.colors))] for k, c in covers_by_k.items()}
+        assert texts[1][0] == "one part" and texts[2][0] == "" and texts[4][:2] == ["ab!", "ba!"]
+        want = template.pushin_descriptors(space, sched, covers_by_k, texts, sample, interior)
+        written = read_json(os.path.join(out, "cover.json"))["sets"]
+        assert [s["descriptor"] for s in written] == want
+        assert {t[:len("tube k=1")] for t in want[:-1]} == {f"tube k={k}" for k in range(1, 5)}
+        # one part per part index: the heads, three gathered, the bracket
+        cover, _ = annular_pushin_cover(*built[0])
+        assert len(cover.descriptor) == 5
+        assert [cover.describe(s) for s in range(len(cover.colors))] == want
+
     def test_ell_dim(self, tmp_path):
         out = str(tmp_path / "e")
         scales = ",".join(f"{4 * math.exp(-k):.17g}" for k in range(1, 5))
@@ -322,7 +363,7 @@ def _assert_same_lines(got: bytes, want: bytes):
 def _assert_printf_text(values):
     """The CSV kernel writes each value as `'%.17g' % x` does."""
     values = np.asarray(values, np.float64)
-    _assert_same_lines(cli._text_rows([values, "\n"], bytearray()),
+    _assert_same_lines(cli._text_rows([(values, "\n")], bytearray()),
                        "".join("%.17g\n" % v for v in values.tolist()).encode())
 
 
@@ -370,10 +411,11 @@ class TestFloatText:
 
     @pytest.mark.parametrize("n", [1, 2, 10, 11, 9999, 10001, 123457])
     def test_int_fields(self, n):
-        # one and two words of text, next to a float and a str field
+        # one and two words of text, each with its separator, next to a
+        # float field
         idx = np.unique(np.r_[0, n - 1, np.random.default_rng(n).integers(0, n, 500)])
-        got = cli._text_rows([(cli._int_table(n), idx), ":", idx / 7, ",",
-                              (cli._int_table(n), idx[::-1]), "\n"], bytearray())
+        got = cli._text_rows([(cli._int_table(n, ":"), idx), (idx / 7, ","),
+                              (cli._int_table(n, "\n"), idx[::-1])], bytearray())
         _assert_same_lines(got, "".join("%d:%.17g,%d\n" % (i, i / 7, j)
                                         for i, j in zip(idx.tolist(), idx[::-1].tolist())).encode())
 
@@ -560,6 +602,9 @@ class TestErrorPaths:
         ["metric", "--space", "tree4", "--config", {"n": True}],
         ["compare", "--space", "tree4", "--config", {"n_triples": 2.5}],
         ["cover-pushin", "--space", "tree4", "--n", "10", "--config", {"K": 2.5}],
+        # radii drawn at (K+2)R or beyond, which no tube holds
+        ["cover-pushin", "--space", "tree4", "--n", "10", "--K", "2"],
+        ["cover-pushin", "--space", "tree4", "--n", "10", "--window", "14.125"],
     ])
     def test_rejected_on_entry(self, argv, tmp_path):
         # a separate interpreter, so that a hang times out and a traceback
@@ -691,8 +736,11 @@ def _oracle_covers() -> dict:
         net = covers._greedy_net(metric, 0.3, 0.6, np.random.default_rng(4))
         table = table_greedy_net(pair_distance_matrix(space, spec, boundary), 0.3, 0.6,
                                  np.random.default_rng(4))
+        # a net cover has no descriptor: its sets are the table net's
+        assert np.array_equal(net.set_of, table.set_of), name
+        assert np.array_equal(net.point_of, table.point_of), name
         out[name] = ([boundary_to_line(space, xi) for xi in boundary], net,
-                     [table.describe(s) for s in range(len(table.colors))])
+                     [""] * len(table.colors))
     sched = ScaleSchedule(R=2, K=3, c=1.0)
     colored = {k: colored_boundary_cover(T4, sched.lam(k), sample) for k in range(1, 4)}
     drawn = sample_ray_points(sample, 10, 300, 4)
@@ -850,9 +898,9 @@ class TestScripts:
         monkeypatch.setattr(module, "script_configs", lambda: [])
         monkeypatch.setattr(module, "readme_configs", lambda: [])
         monkeypatch.setattr(module, "bench_configs", lambda: [])
-        # the cover verdicts above the golden sizes, and the writer of
-        # cover.json over several blocks
-        assert len(module.LARGE) == 6
+        # the cover verdicts above the golden sizes, the writer of
+        # cover.json over several blocks, R^3 centers and tree3 scales
+        assert len(module.LARGE) == 8
         for _, fields in module.LARGE:
             RunConfig.from_dict(fields).validate()
         monkeypatch.setattr(module, "LARGE", [])

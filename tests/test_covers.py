@@ -139,7 +139,7 @@ class TestCoverStats:
     @pytest.mark.parametrize("descriptor,match", [
         (((("a", "b"), [0, 1]),), "one row per set"),
         (((("a", "b"), [0, 1, 1, 0]),), "one row per set"),
-        (((range(4), np.zeros((2, 3), dtype=np.int64)),), "one row per set"),
+        (((("a", "b", "c", "d"), np.zeros((2, 3), dtype=np.int64)),), "one row per set"),
         (((("a",), np.zeros((3, 1, 1), dtype=np.int64)),), "one row per set"),
         (("x", (("a", "b"), [0, 2, 1])), r"code outside \[-1, 2\)"),
         ((((), [-1, -1, -2]),), r"code outside \[-1, 0\)"),
@@ -148,16 +148,23 @@ class TestCoverStats:
         with pytest.raises(ValueError, match=match):
             Cover(3, [0, 1, 2], [0, 1, 2], [None] * 3, descriptor)
 
+    @pytest.mark.parametrize("texts", [range(3), ("0", 1, "2"), ["0", "1", "2"], "012"],
+                             ids=["range", "int-text", "list", "str"])
+    def test_record_rejects_texts_not_a_tuple_of_str(self, texts):
+        with pytest.raises(ValueError, match="tuple of str"):
+            Cover(3, [0, 1, 2], [0, 1, 2], [None] * 3, ((texts, [0, 1, 2]),))
+
     def test_descriptor_parts_are_read_along_rows(self):
-        # a constant part, an int range and a text table, with -1 for none
+        # a constant part, a table of int texts read two to a row and a
+        # text table, with -1 for none
         cover = Cover(3, [0, 1, 2], [0, 1, 2], [None] * 3,
-                      ("at ", (range(-2, 3), [[0, 4], [2, -1], [-1, -1]]),
+                      ("at ", (("-2", "-1", "0", "1", "2"), [[0, 4], [2, -1], [-1, -1]]),
                        (("x", "y"), np.array([1, -1, 0], dtype=np.int8))))
         assert [cover.describe(s) for s in range(3)] == ["at -22y", "at 0", "at x"]
 
     def test_empty_set_is_a_set(self):
         # the middle set has no members and still has its number and color
-        cover = Cover(3, [0, 0, 2], [0, 1, 2], [0, 1, None], ((range(3), np.arange(3)),))
+        cover = Cover(3, [0, 0, 2], [0, 1, 2], [0, 1, None], ((("0", "1", "2"), np.arange(3)),))
         assert cover.bounds.tolist() == [0, 2, 2, 3]
         assert _sets(cover) == [((0, 1), 0, "0"), ((), 1, "1"), ((2,), None, "2")]
         D = distance_matrix([0.0, 1.0, 5.0], lambda p, q: abs(p - q))
@@ -1003,8 +1010,7 @@ SORTED_SPACES = {
 
 
 def _net_sets(cover):
-    return cover.set_of.tolist(), cover.point_of.tolist(), list(map(cover.describe,
-                                                                     range(len(cover.colors))))
+    return cover.set_of.tolist(), cover.point_of.tolist()
 
 
 class TestSortedBoundary:

@@ -108,6 +108,17 @@ class RunConfig:
         if self.window < 0.125:
             raise ConfigError(f"window must be at least 1/8, the dyadic radius step, "
                               f"got {self.window!r}")
+        if self.experiment == "cover-pushout" and self.R <= self.A:
+            raise ConfigError("pushout requires R > A")
+        if self.experiment == "cover-pushin":
+            if self.R != int(self.R):
+                raise ConfigError("pushin uses integer R (scale ladder alignment)")
+            # the interior radii are the eighths below the window, and the
+            # tubes and the base ball hold the radii below (K+2)R
+            if int(8 * self.window) > 8 * (self.K + 2) * self.R:
+                raise ConfigError(f"window must be below (K+2)R + 1/8 = "
+                                  f"{(self.K + 2) * self.R + 0.125:g}, so that no radius drawn "
+                                  f"reaches (K+2)R, got {self.window!r}")
 
 
 def parse_space(name: str) -> Space:
@@ -317,25 +328,10 @@ class _FloatParts:
                                                                       np.uint8)
 
 
-def _int_table(n: int, suffix: str = "") -> np.ndarray:
-    """The text of 0..n-1 followed by `suffix`, right-aligned and
-    NUL-padded, in an (n, words) uint32 table."""
-    width = len(str(max(n - 1, 0)))
-    end = width + len(suffix)
-    pad = -end % 4
-    powers = 10 ** np.arange(width - 1, -1, -1)
-    v = np.arange(n)[:, None]
-    shown = (v >= powers) | (powers == 1)
-    text = np.zeros((n, pad + end), np.uint8)
-    text[:, pad:pad + width] = (v // powers % 10 + 48) * shown
-    text[:, pad + width:] = np.frombuffer(suffix.encode("ascii"), np.uint8)
-    return text.view(np.uint32)
-
-
 def _text_rows(fields: list, buf: bytearray) -> bytes:
     """CSV lines, one per row, each the concatenation of `fields`: (a
     float64 array, a one-byte separator) for its `%.17g` text and the
-    separator, or (a word table such as `_int_table` of n, and an int array
+    separator, or (a word table such as `_word_table`'s, and an int array
     of its rows, one per line, or one row of them per line, whose texts
     follow each other).  Each field takes whole 4-byte words of the word
     buffer `buf`, resized to the lines and padded with NUL, and the lines
@@ -384,7 +380,8 @@ def _pairs_csv(D: np.ndarray, family_a: str):
     yielded in blocks of at most `_LINES` lines.  The bytes equal `_csv`
     over the same rows (no field here needs quoting)."""
     yield b"i,j,metric_family,A_or_blank,value\n"
-    rows, cols = _int_table(len(D), ","), _int_table(len(D), f",{family_a},")
+    rows = _word_table([f"{i}," for i in range(len(D))])
+    cols = _word_table([f"{i},{family_a}," for i in range(len(D))])
     buf = bytearray()
     for i, j in pair_blocks(len(D), _LINES):
         if len(i):                               # the one block when n < 2 is empty
@@ -402,7 +399,8 @@ def _envelope_csv(entries: list) -> bytes:
     t, rho, ijk = zip(*entries)
     ijk = np.array(ijk, np.int64)
     n = int(ijk.max()) + 1
-    colon, end = _int_table(n, ":"), _int_table(n, "\n")
+    colon = _word_table([f"{i}:" for i in range(n)])
+    end = _word_table([f"{i}\n" for i in range(n)])
     return header + _text_rows([(np.array(t, np.float64), ","), (np.array(rho, np.float64), ","),
                                 (colon, ijk[:, :2]), (end, ijk[:, 2])], bytearray())
 
@@ -450,8 +448,7 @@ def _cover_json(ground_text: list, cover):
     heads = _word_table([_SET_HEAD % json.dumps(c) for c in colors])
     parts = [(_word_table([encode_basestring_ascii(t)[1:-1] for t in texts]), codes)
              for texts, codes in cover.descriptor]
-    members = _int_table(cover.n)
-    members = np.vstack([members, np.zeros((1, members.shape[1]), np.uint32)])  # empty row last
+    members = _word_table(list(map(str, range(cover.n))))   # a line without a member reads ""
     counts = np.bincount(cover.set_of, minlength=sets)
     size = np.maximum(counts, 1)
     start = np.cumsum(size) - size
@@ -555,8 +552,6 @@ def run_compare(cfg: RunConfig):
 def run_cover_pushout(cfg: RunConfig):
     space = parse_space(cfg.space)
     R, A = cfg.R, cfg.A
-    if R <= A:
-        raise ConfigError("pushout requires R > A")
     system = LatticeBallSystem(space, R)
     sample = sample_boundary(space, cfg.n, cfg.seed)
     metric = sample_metric(space, MetricSpec(DA, A=A), sample)
@@ -578,13 +573,6 @@ def run_cover_pushout(cfg: RunConfig):
 def run_cover_pushin(cfg: RunConfig):
     space = parse_space(cfg.space)
     R = int(cfg.R)
-    if R != cfg.R:
-        raise ConfigError("pushin uses integer R (scale ladder alignment)")
-    # the interior radii are the eighths below the window, and the tubes
-    # and the base ball hold the radii below (K+2)R
-    if int(8 * cfg.window) > 8 * (cfg.K + 2) * R:
-        raise ConfigError(f"window must be below (K+2)R + 1/8 = {(cfg.K + 2) * R + 0.125:g}, "
-                          f"so that no radius drawn reaches (K+2)R, got {cfg.window!r}")
     schedule = ScaleSchedule(R=R, K=cfg.K, c=cfg.c)
     sample = sample_boundary(space, cfg.n, cfg.seed)
     covers = {k: colored_boundary_cover(space, schedule.lam(k), sample)
@@ -613,10 +601,10 @@ def run_ell_dim(cfg: RunConfig):
     space = parse_space(cfg.space)
     spec = _spec(cfg)
     sample = sample_boundary(space, cfg.n, cfg.seed)
-    rows, estimate = ell_dim_estimate(sample_metric(space, spec, sample), cfg.scales,
-                                      max(cfg.c, 4.0), cfg.seed)
+    c = max(cfg.c, 4.0)
+    rows, estimate = ell_dim_estimate(sample_metric(space, spec, sample), cfg.scales, c, cfg.seed)
     files = {"stats.csv": _stats_csv(rows)}
-    verdicts = {"estimate": estimate,
+    verdicts = {"estimate": estimate, "c_judged": c,
                 "all_scales_pass": all(r.passed for r in rows)}
     return verdicts, files
 

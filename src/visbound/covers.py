@@ -90,6 +90,23 @@ class Cover:
                         for c in np.ravel(codes[s]).tolist() if c >= 0])
 
 
+def tuple_parts(rows: np.ndarray, lens=None) -> tuple:
+    """Two descriptor parts (texts, codes) of repr(tuple(row)) without its
+    "(" for each row of the int array `rows`, of its first lens[i] entries
+    (every entry where `lens` is None): the entries, a first one v as "v"
+    and each later one as ", v", then ",)" after one entry or ")".  The
+    codes are of the narrowest signed type."""
+    lo, hi = int(rows.min(initial=0)), int(rows.max(initial=0))
+    ints = tuple(map(str, range(lo, hi + 1)))
+    codes = np.empty(rows.shape, np.min_scalar_type(-2 * len(ints)))
+    np.subtract(rows, lo, out=codes, casting="unsafe")
+    codes[:, 1:] += len(ints)
+    if lens is not None:
+        codes[np.arange(rows.shape[1]) >= lens[:, None]] = -1
+    one = (codes[:, 0] >= 0) & (codes[:, 1:2] < 0).all(axis=1)
+    return (ints + tuple(", " + t for t in ints), codes), ((")", ",)"), one.view(np.int8))
+
+
 def _point_weights(n: int) -> np.ndarray:
     """n fixed pseudo-random 64-bit weights, one per point index: the
     splitmix64 finalizer of the index."""

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .covers import Cover
+from .covers import Cover, tuple_parts
 from .metrics import DA, DivergentGromovProductError, _wrapped_gap
 from .spaces import (EUCLIDEAN, MODELS, EuclideanBoundary, EuclideanPoint, Space,
                      SpaceMismatchError, _euclidean_draws)
@@ -203,16 +203,7 @@ class Euclidean(Space):
         return (np.array(self.basepoint.coords)
                 + (1.0 / float(lam)) * self._directions(boundary_sample))
 
-    def center_parts(self, keys: np.ndarray) -> list:
-        """str(tuple(key)) without its "(": each coordinate from one table
-        of the ints over their range."""
-        lo = int(keys.min(initial=0))
-        ints = tuple(map(str, range(lo, int(keys.max(initial=0)) + 1)))
-        ends = [", "] * (self.dim - 1) + [",)" if self.dim == 1 else ")"]
-        parts = []
-        for i, end in enumerate(ends):
-            parts += [(ints, keys[:, i] - lo), end]
-        return parts
+    center_parts = staticmethod(tuple_parts)
 
     def colored_cover(self, lam, boundary_sample: list) -> Cover:
         """On the circle: two alternating colors of overlapping arcs, of

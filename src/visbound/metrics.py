@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -71,36 +71,32 @@ class _Rationals:
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """Which boundary metric to evaluate, with basepoint and tolerances."""
+    """Which boundary metric to evaluate, and from which basepoint."""
 
     family: str
     A: object = None              # positive length for dA, ignored for dbar
     basepoint: Point = None       # None means the space's own basepoint
-    tol: float = 1e-10
+    # not fields: the reference paths' tolerance, and the quadrature's
+    # horizon T, at which the tail 2(T+1)e^-T is far below tol/2
+    tol = 1e-10
+    tail_horizon = 40.0
 
     def __post_init__(self):
         if self.family not in (DA, DBAR):
             raise ValueError(f"unknown metric family {self.family!r}")
         if self.family == DA and (self.A is None or not 0 < self.A < math.inf):
             raise ValueError(f"dA requires a finite A > 0, got {self.A!r}")
-        if not 0 < self.tol < math.inf:
-            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
 
     def base(self, space: Space) -> Point:
         return self.basepoint if self.basepoint is not None else space.basepoint
 
-    @property
-    def tail_horizon(self) -> float:
-        # 2(T+1)e^-T < tol/2 is comfortably satisfied at this T
-        return max(40.0, -math.log(self.tol / 8.0) + 4.0)
+
+def spec_dA(A, basepoint=None) -> MetricSpec:
+    return MetricSpec(DA, A=A, basepoint=basepoint)
 
 
-def spec_dA(A, basepoint=None, tol=1e-10) -> MetricSpec:
-    return MetricSpec(DA, A=A, basepoint=basepoint, tol=tol)
-
-
-def spec_dbar(basepoint=None, tol=1e-10) -> MetricSpec:
-    return MetricSpec(DBAR, basepoint=basepoint, tol=tol)
+def spec_dbar(basepoint=None) -> MetricSpec:
+    return MetricSpec(DBAR, basepoint=basepoint)
 
 
 @dataclass(frozen=True)
@@ -200,17 +196,17 @@ def sample_metric(space: Space, spec: MetricSpec, points: list) -> SampleMetric:
     holds the table that `pair_distance_matrix` fills, filled once."""
     kernel, order = _prepare(space, points, spec.base(space))
     if order is None:
-        return SampleMetric.from_table(pair_table(len(points), lambda I, J: _closed_form(
-            space, spec, kernel(I, J))))
+        return SampleMetric.from_table(
+            pair_table(len(points), lambda I, J: space.closed_form(spec, kernel(I, J))))
     order, turn = order()
 
     def dist(I, J):
         I, J = np.asarray(I, dtype=np.intp), np.asarray(J, dtype=np.intp)
         apart = I != J
         if apart.all():
-            return _closed_form(space, spec, kernel(I, J))
+            return space.closed_form(spec, kernel(I, J))
         out = np.zeros(len(I))
-        out[apart] = _closed_form(space, spec, kernel(I[apart], J[apart]))
+        out[apart] = space.closed_form(spec, kernel(I[apart], J[apart]))
         return out
     return SampleMetric(len(points), dist, order, turn)
 
@@ -219,12 +215,6 @@ def _wrapped_gap(a, b) -> np.ndarray:
     """|a - b| wrapped into [0, pi]."""
     d = np.abs(a - b) % (2 * math.pi)
     return np.where(d > math.pi, 2 * math.pi - d, d)
-
-
-def _closed_form(space: Space, spec: MetricSpec, inv: np.ndarray, exact: bool = False):
-    """The metric `spec` at pair invariants `inv`, elementwise
-    (`Space.closed_form`; `exact` gives tree d_A as `_Rationals`)."""
-    return space.closed_form(spec, inv, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +256,7 @@ def eval_dA(space: Space, spec: MetricSpec, xi: BoundaryPoint, eta: BoundaryPoin
     inv = pair_invariants(space, [xi, eta], [0], [1], spec.base(space))
     if method == "bisect":
         return _bisect_dA(space.separation(inv), float(spec.A), spec.tol)
-    return _closed_form(space, spec, inv, exact=True).tolist()[0]
+    return space.closed_form(spec, inv, exact=True).tolist()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +320,7 @@ def eval_dbar(space: Space, spec: MetricSpec, xi: BoundaryPoint, eta: BoundaryPo
         return 0.0
     inv = pair_invariants(space, [xi, eta], [0], [1], spec.base(space))
     if method == "auto":
-        return _closed_form(space, spec, inv).item(0)
+        return space.closed_form(spec, inv).item(0)
     return _integrate_separation(space.separation(inv), spec)
 
 
@@ -378,7 +368,7 @@ def pair_distance_matrix(space: Space, spec: MetricSpec, points: list) -> np.nda
     diagonal: the closed form over the pair invariants from the spec's
     basepoint, filled by `pair_table`."""
     kernel = pair_kernel(space, points, spec.base(space))
-    return pair_table(len(points), lambda I, J: _closed_form(space, spec, kernel(I, J)))
+    return pair_table(len(points), lambda I, J: space.closed_form(spec, kernel(I, J)))
 
 
 def pair_table(n: int, values, diagonal=0) -> np.ndarray:
@@ -416,7 +406,3 @@ def block_lines(n: int) -> int:
     """Rows (or columns) of an n x n table per block read, so that a block
     holds at most _PAIR_CHUNK entries (one line when n exceeds it)."""
     return max(1, _PAIR_CHUNK // max(n, 1))
-
-
-def with_basepoint(spec: MetricSpec, basepoint: Point) -> MetricSpec:
-    return replace(spec, basepoint=basepoint)

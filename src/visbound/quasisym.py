@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .metrics import (DA, MetricSpec, _closed_form, _Rationals, pair_distance_matrix,
+from .metrics import (DA, MetricSpec, _Rationals, pair_distance_matrix,
                       pair_invariants, pair_kernel, pair_table)
 from .spaces import (TREE, Space, TreeBoundary, _canonical_word, distinct_rows, sample_boundary,
                      substream)
@@ -100,7 +100,7 @@ def ratio_pool(space: Space, spec1: MetricSpec, spec2: MetricSpec,
                n_triples: int, seed: int) -> tuple:
     """The two pair tables (d1, d2) over the boundary pool of a ratio
     sample, built once and read by every triple stream: a float table as it
-    is, an exact tree d_A table as the `_Rationals` of `_closed_form` over
+    is, an exact tree d_A table as the `_Rationals` of `Space.closed_form` over
     one branch-time table per basepoint."""
     pool = sample_boundary(space, _pool_size(n_triples), seed)
     branch, tables = {}, []
@@ -112,7 +112,7 @@ def ratio_pool(space: Space, spec1: MetricSpec, spec2: MetricSpec,
         if base not in branch:
             # -1 on the diagonal reads 0/1
             branch[base] = pair_table(len(pool), pair_kernel(space, pool, base), diagonal=-1)
-        tables.append(_closed_form(space, spec, branch[base], exact=True))
+        tables.append(space.closed_form(spec, branch[base], exact=True))
     return tuple(tables)
 
 
@@ -277,7 +277,7 @@ def uniformly_perfect_check(space: Space, centers: list, radii: list) -> Perfect
     """Uniform perfectness of (boundary of T_k, d_1) with constant 4: for
     each center and each radius r = p/q below the diameter 2, a constructed
     witness whose branch time from the center is measured by the pair
-    kernel must lie at the exact d_1 distance d = num/den of `_closed_form`
+    kernel must lie at the exact d_1 distance d = num/den of `Space.closed_form`
     with r/4 <= d < r, decided in integers as p den <= 4q num and
     q num < p den; the report gives d as (num, den).  Radii >= 2 are
     vacuous.  Raises ValueError on a non-tree space or a radius that is
@@ -292,7 +292,7 @@ def uniformly_perfect_check(space: Space, centers: list, radii: list) -> Perfect
     found = [_tree_annulus_witness(space, center, r) for center in centers for r in live]
     inv = pair_invariants(space, list(centers) + found, np.repeat(np.arange(len(centers)), k),
                           np.arange(len(centers), len(centers) + len(found)))
-    d1 = _closed_form(space, MetricSpec(DA, A=1), inv, exact=True)
+    d1 = space.closed_form(MetricSpec(DA, A=1), inv, exact=True)
     failures, witnesses = [], []
     cases = itertools.product(centers, [(r, r.numerator, r.denominator) for r in live])
     for (center, (r, p, q)), w, d in zip(cases, found, zip(d1.num.tolist(), d1.den.tolist())):

@@ -293,10 +293,6 @@ def _check_kind(space: Space, *objs):
         space.check(o)
 
 
-# the per-space invariants of a boundary point
-validate_boundary = _check_kind
-
-
 def dist(space: Space, p: Point, q: Point):
     """Distance between two points of the space (exact Fraction on trees)."""
     _check_kind(space, p, q)

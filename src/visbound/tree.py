@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .covers import Cover
+from .covers import Cover, tuple_parts
 from .metrics import _PAIR_CHUNK, DBAR, _Rationals
 from .spaces import (MODELS, TREE, IdenticalBoundaryPointsError, Space, TreeBoundary, TreePoint,
                      _canonical_word, _tree_draws)
@@ -88,22 +88,6 @@ def _rank_words(words: list) -> tuple:
     keys = sorted(set(words))
     rank = {w: i for i, w in enumerate(keys)}
     return keys, np.fromiter(map(rank.__getitem__, words), dtype=np.int64, count=len(words))
-
-
-def _word_parts(words: list) -> tuple:
-    """Two descriptor parts (texts, codes) of repr(tuple(w)) of each vertex
-    word w without its "(": the letters, a first letter a as "a" and each
-    later one as ", a", and the closing ",)" of a one-letter word or ")"."""
-    lens = np.fromiter(map(len, words), dtype=np.int32, count=len(words))
-    width = max(1, int(lens.max(initial=0)))
-    # NUL-padded, each letter one byte
-    letters = np.array(words, dtype=f"S{width}").view(np.uint8).reshape(len(words), width)
-    top = int(letters.max(initial=0)) + 1
-    later = np.where(np.arange(width) > 0, top, 0).astype(np.int16)
-    codes = np.where(np.arange(width, dtype=np.int32) < lens[:, None], letters + later,
-                     np.int16(-1))
-    return ((tuple(map(str, range(top))) + tuple(f", {a}" for a in range(top)), codes),
-            ((")", ",)"), (lens == 1).view(np.int8)))
 
 
 def _levels(head: bytes, levels: int, k: int) -> list:
@@ -304,7 +288,13 @@ class Tree(Space):
             points.append(upper if m <= rise else (bytes(xi.prefix(2 * m - rise)), down))
         return points
 
-    center_parts = staticmethod(_word_parts)
+    @staticmethod
+    def center_parts(words: list) -> tuple:
+        """`tuple_parts` of the vertex words, a letter per byte, NUL-padded."""
+        lens = np.fromiter(map(len, words), dtype=np.int32, count=len(words))
+        width = max(1, int(lens.max(initial=0)))
+        letters = np.array(words, dtype=f"S{width}").view(np.uint8).reshape(len(words), width)
+        return tuple_parts(letters, lens)
 
     def colored_cover(self, lam, boundary_sample: list) -> Cover:
         """One color of disjoint cylinders of d_1 diameter below lam."""
@@ -313,7 +303,7 @@ class Tree(Space):
         keys, cylinder = _rank_words([bytes(xi.prefix(depth)) for xi in boundary_sample])
         point_of = np.argsort(cylinder, kind="stable")
         return Cover(len(cylinder), cylinder[point_of], point_of, (0,) * len(keys),
-                     (f"cylinder depth={depth} word=(", *_word_parts(keys)))
+                     (f"cylinder depth={depth} word=(", *self.center_parts(keys)))
 
 
 MODELS[TREE] = Tree

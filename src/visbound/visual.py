@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .metrics import DA, DBAR, MetricSpec, _closed_form, pair_invariants
+from .metrics import DA, DBAR, MetricSpec, pair_invariants
 from .spaces import TREE, Space, TreeBoundary
 
 FITS = "fits"
@@ -76,7 +76,7 @@ def nonvisual_witness_dA(space: Space, A, n_range, a: float = math.e) -> list:
     ns = list(n_range)
     rays = [_straight_ray()] + [_branching_ray(math.ceil(n - Fraction(A) / 2)) for n in ns]
     b = pair_invariants(space, rays, np.zeros(len(ns), int), np.arange(1, len(rays)))
-    dA = _closed_form(space, MetricSpec(DA, A=A), b, exact=True).tolist()
+    dA = space.closed_form(MetricSpec(DA, A=A), b, exact=True).tolist()
     return [WitnessRow(n=int(n), branch=p, dA=d, product=p,
                        growth=math.exp(float(p) * math.log(a) + math.log(float(d))))
             for n, p, d in zip(ns, b.tolist(), dA)]
@@ -104,8 +104,8 @@ def nonqs_witness(space: Space, n_range, delta: float = 1.0) -> list:
     # the pair (gamma, alpha), then (gamma, beta) for each n
     rays = [_straight_ray(), alpha] + [_branching_ray(n) if n > 0 else alpha for n in ns]
     b = pair_invariants(space, rays, np.zeros(len(rays) - 1, int), np.arange(1, len(rays)))
-    d1 = _closed_form(space, MetricSpec(DA, A=1), b, exact=True)
-    db = _closed_form(space, MetricSpec(DBAR), b)
+    d1 = space.closed_form(MetricSpec(DA, A=1), b, exact=True)
+    db = space.closed_form(MetricSpec(DBAR), b)
     t, rho = (d1[0] / d1[1:]).tolist(), (db[0] / db[1:]).tolist()
     return [NonQSRow(n=n, t=q, rho=r, required_c=r / float(q) ** (1.0 / delta))
             for n, q, r in zip(ns, t, rho)]

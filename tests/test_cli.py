@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import functools
 import hashlib
@@ -304,6 +305,18 @@ class TestSubcommands:
         man = read_json(os.path.join(out, "manifest.json"))
         assert man["verdicts"]["estimate"] == 0
 
+    @pytest.mark.parametrize("c,judged", [("1", 4.0), ("6", 6.0)])
+    def test_ell_dim_records_the_constant_judged(self, c, judged, tmp_path):
+        # a c below 4 is judged at 4, and the verdicts say so next to the c given
+        out = str(tmp_path / "e")
+        assert main(["ell-dim", "--space", "tree4", "--metric", "dbar", "--n", "60",
+                     "--scales", "1.47,0.54", "--c", c, "--out", out]) == 0
+        man = read_json(os.path.join(out, "manifest.json"))
+        assert man["config"]["c"] == float(c) and man["verdicts"]["c_judged"] == judged
+        with open(os.path.join(out, "stats.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["bound_mesh"]) for r in rows] == [judged * 1.47, judged * 0.54]
+
     def test_visual_fit(self, tmp_path):
         out = str(tmp_path / "vf")
         rc = main(["visual-fit", "--space", "tree4", "--metric", "dbar",
@@ -409,13 +422,16 @@ class TestFloatText:
         assert "%.17g" % math.nextafter(1000.0, 0) == "999.99999999999989"
         _assert_printf_text(values)
 
-    @pytest.mark.parametrize("n", [1, 2, 10, 11, 9999, 10001, 123457])
+    @pytest.mark.parametrize("n", [1, 2, 10, 11, 9999, 10000, 10001, 123457])
     def test_int_fields(self, n):
         # one and two words of text, each with its separator, next to a
         # float field
         idx = np.unique(np.r_[0, n - 1, np.random.default_rng(n).integers(0, n, 500)])
-        got = cli._text_rows([(cli._int_table(n, ":"), idx), (idx / 7, ","),
-                              (cli._int_table(n, "\n"), idx[::-1])], bytearray())
+        colon = cli._word_table([f"{i}:" for i in range(n)])
+        end = cli._word_table([f"{i}\n" for i in range(n)])
+        # the last row of each table is empty
+        assert len(colon) == n + 1 and not colon[-1].any() and not end[-1].any()
+        got = cli._text_rows([(colon, idx), (idx / 7, ","), (end, idx[::-1])], bytearray())
         _assert_same_lines(got, "".join("%d:%.17g,%d\n" % (i, i / 7, j)
                                         for i, j in zip(idx.tolist(), idx[::-1].tolist())).encode())
 
@@ -565,6 +581,19 @@ class TestErrorPaths:
         rc = main(["cover-pushout", "--space", "tree4", "--A", "3", "--R", "2",
                    "--out", str(tmp_path)])
         assert rc == 1
+
+    @pytest.mark.parametrize("fields,message", [
+        (dict(experiment="cover-pushin", K=2), "window must be below"),
+        (dict(experiment="cover-pushin", window=14.125), "window must be below"),
+        (dict(experiment="cover-pushin", R=2.5), "integer R"),
+        (dict(experiment="cover-pushout", A=2.0, R=2.0), "R > A"),
+    ], ids=["pushin-K", "pushin-window", "pushin-R", "pushout-R"])
+    def test_experiment_rules_in_validate(self, fields, message):
+        # each rule is its experiment's own: another experiment takes the
+        # same fields
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(**fields).validate()
+        RunConfig(**{**fields, "experiment": "metric"}).validate()
 
     @pytest.mark.parametrize("window", ["0.1", "-3", "0"])
     def test_window_without_a_dyadic_radius_rejected(self, window, tmp_path, capsys):
@@ -868,7 +897,23 @@ SCRIPT_OUTPUTS = {
 class TestScripts:
     def test_every_script_listed(self):
         assert sorted(f for f in os.listdir(SCRIPTS) if f.endswith(".py")) == \
-            sorted([*SCRIPT_OUTPUTS, "l3_probe.py", "byte_identity.py"])
+            sorted([*SCRIPT_OUTPUTS, "l3_probe.py", "byte_identity.py", "src_lines.py"])
+
+    def test_src_lines_totals_are_the_line_counts(self):
+        proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, "src_lines.py")],
+                              capture_output=True, text=True, check=True, timeout=120)
+        head, *files, total = [line.split() for line in proc.stdout.splitlines()]
+        assert head == ["file", "total", "code", "docstring", "comment", "blank"]
+        src = os.path.dirname(visbound.__file__)
+        want = {}
+        for name in sorted(f for f in os.listdir(src) if f.endswith(".py")):
+            with open(os.path.join(src, name), "rb") as fh:
+                want[name] = fh.read().count(b"\n")
+        assert {row[0]: int(row[1]) for row in files} == want
+        assert all(int(row[1]) == sum(map(int, row[2:])) for row in files + [total])
+        assert total[0] == "total" and int(total[1]) == sum(want.values())
+        assert [int(x) for x in total[2:]] == [sum(int(row[k]) for row in files)
+                                                 for k in range(2, 6)]
 
     def test_byte_identity_reads_every_config_and_hashes_as_the_gate(self, monkeypatch, capsys):
         spec = importlib.util.spec_from_file_location("byte_identity",

@@ -23,6 +23,7 @@ from visbound.covers import (
     _far_pairs,
     orbit_ball_order,
     sample_ray_points,
+    tuple_parts,
 )
 from visbound.metrics import (MetricSpec, SampleMetric, pair_distance_matrix, pair_invariants,
                               sample_metric)
@@ -641,13 +642,48 @@ class TestBallKernels:
             assert orbit_ball_order(tree_space(k), R) == want
 
 
+def _texts(parts: tuple) -> list:
+    """The text of each row that descriptor `parts` describe, after "(" ."""
+    rows = len(parts[1][1])
+    cover = Cover(0, [], [], [None] * rows, ("(", *parts))
+    return [cover.describe(s) for s in range(rows)]
+
+
+class TestTupleParts:
+    @pytest.mark.parametrize("k", [3, 4, 256])
+    def test_tree_words_read_as_tuples(self, k):
+        # words of 0, 1 and 62 letters with letter 0 and the largest first
+        # and later letters, first and later letters read apart
+        rng = np.random.default_rng(k)
+        words = [(), (0,), (k - 1,), (0,) * 62, (k - 1,) + (k - 2,) * 61,
+                 (0,) + tuple(rng.integers(0, k - 1, 61).tolist()), (k - 1, 0)]
+        parts = tree.Tree.center_parts([bytes(w) for w in words])
+        assert _texts(parts) == [repr(w) for w in words]
+        assert [part[1].dtype for part in parts] == [np.int16 if k > 64 else np.int8, np.int8]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_lattice_rows_read_as_tuples(self, dim):
+        rng = np.random.default_rng(dim)
+        keys = np.vstack([rng.integers(-300, 300, (20, dim)), np.full((1, dim), -1),
+                          np.zeros((1, dim), np.int64)])
+        parts = euclidean_space(dim).center_parts(keys)
+        assert _texts(parts) == [repr(tuple(row)) for row in keys.tolist()]
+        assert parts[0][1].dtype == np.int16
+        assert _texts(tuple_parts(keys[:, :1] - 1)) == [f"({a - 1},)" for a in keys[:, 0].tolist()]
+
+    def test_lens_cut_rows(self):
+        rows = np.array([[5, 6, 7], [-2, 0, 9], [4, 4, 4]])
+        assert _texts(tuple_parts(rows, np.array([3, 1, 0]))) == ["(5, 6, 7)", "(-2,)", "()"]
+        assert tuple_parts(rows)[0][1].dtype == np.int8
+
+
 class TestVertexWords:
     @pytest.mark.parametrize("word", [(), (0,), (255,), (3, 255), (0, 0),
                                       tuple(range(192, 256)), tuple(i % 7 for i in range(64))])
     def test_word_text_is_the_tuple_repr(self, word):
         # the word among others, which set the table's letters and width
         words = [bytes(word), b"", b"\x03", bytes(range(5))]
-        cover = Cover(0, [], [], [None] * len(words), ("(", *tree._word_parts(words)))
+        cover = Cover(0, [], [], [None] * len(words), ("(", *tree.Tree.center_parts(words)))
         assert cover.describe(0) == repr(word)
         assert [cover.describe(s) for s in range(1, 4)] == ["()", "(3,)", "(0, 1, 2, 3, 4)"]
 

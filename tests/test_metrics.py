@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -34,7 +35,6 @@ from visbound.metrics import (
     sample_metric,
     spec_dA,
     spec_dbar,
-    with_basepoint,
 )
 from visbound.hyperbolic import _carlson_rf_rd, pole_dbar
 from visbound.spaces import (
@@ -84,9 +84,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             MetricSpec("dC")
 
+    # the tolerance is a class constant that every spec reads: a spec takes
+    # no tol of its own, whatever its value
     def test_tol_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="tol"):
             MetricSpec("dbar", tol=0)
+        assert spec_dbar().tol == spec_dA(2).tol == MetricSpec.tol == 1e-10
+        assert spec_dbar().tail_horizon == 40.0
 
     # A = inf gave an all-zero d_A table and A = nan a NaN one; with
     # tol = nan the adaptive Simpson recursion never met its tolerance
@@ -98,7 +102,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0, -1])
     @pytest.mark.parametrize("family,A", [("dA", 1), ("dbar", None)])
     def test_tol_finite_positive(self, bad, family, A):
-        with pytest.raises(ValueError, match="tol must be finite"):
+        with pytest.raises(TypeError, match="tol"):
             MetricSpec(family, A=A, tol=bad)
 
 
@@ -402,8 +406,9 @@ class TestRebasedTree:
         assert eval_dA(T4, spec, xi, eta) == Fraction(1, 1) / (1 + Fraction(1, 2))
 
     def test_with_basepoint_helper(self):
-        spec = with_basepoint(spec_dA(1), TreePoint((2,)))
-        assert spec.basepoint == TreePoint((2,))
+        spec = spec_dA(1, TreePoint((2,)))
+        assert spec == replace(spec_dA(1), basepoint=TreePoint((2,)))
+        assert spec_dbar(TreePoint((2,))).basepoint == spec.basepoint == TreePoint((2,))
 
 
 class TestConeTopology:
@@ -476,8 +481,7 @@ def unblocked_table(space, spec, points):
     mapped and mirrored."""
     n = len(points)
     I, J = np.triu_indices(n, k=1)
-    values = metrics._closed_form(space, spec,
-                                  pair_invariants(space, points, I, J, spec.base(space)))
+    values = space.closed_form(spec, pair_invariants(space, points, I, J, spec.base(space)))
     D = np.zeros((n, n), dtype=values.dtype)
     D[I, J] = D[J, I] = values
     return D
@@ -487,15 +491,15 @@ OFF_POLE = HyperbolicPoint(1.3, 2.0)
 BLOCK_CASES = {
     "tree4-dA": (T4, spec_dA(1), False),
     "tree4-dA-exact": (T4, spec_dA(0.7), True),
-    "tree4-dA-exact-v": (T4, with_basepoint(spec_dA(1), TreePoint((2, 0, 1))), True),
+    "tree4-dA-exact-v": (T4, spec_dA(1, TreePoint((2, 0, 1))), True),
     "tree4-dbar": (T4, spec_dbar(), False),
     "euclidean2-dA": (E2, spec_dA(1), False),
     "euclidean2-dbar": (E2, spec_dbar(), False),
     "euclidean3-dA": (euclidean_space(3), spec_dA(0.7), False),
     "h2-pole-dA": (H2, spec_dA(1), False),
     "h2-pole-dbar": (H2, spec_dbar(), False),
-    "h2-off-dA": (H2, with_basepoint(spec_dA(0.7), OFF_POLE), False),
-    "h2-off-dbar": (H2, with_basepoint(spec_dbar(), OFF_POLE), False),
+    "h2-off-dA": (H2, spec_dA(0.7, OFF_POLE), False),
+    "h2-off-dbar": (H2, spec_dbar(OFF_POLE), False),
 }
 
 
@@ -504,7 +508,7 @@ def exact_block_table(space, spec, points):
     branch-time table filled by `pair_table`, -1 on its diagonal, through
     the exact closed form, read back as `Fraction`s."""
     B = pair_table(len(points), pair_kernel(space, points, spec.base(space)), diagonal=-1)
-    D = metrics._closed_form(space, spec, B, exact=True)
+    D = space.closed_form(spec, B, exact=True)
     assert D.num.shape == D.den.shape == B.shape
     assert {type(x) for x in D.num.ravel()} | {type(x) for x in D.den.ravel()} <= {int}
     return [list(map(Fraction, a, b)) for a, b in zip(D.num.tolist(), D.den.tolist())]
@@ -732,7 +736,7 @@ class TestBranchKernel:
                              ids=["dA1", "dA2", "dA0.7", "dbar"])
     @pytest.mark.parametrize("origin", [TreePoint(()), TreePoint((2, 0, 1))], ids=["root", "v"])
     def test_pair_matrix_equals_per_pair_loop(self, spec, origin):
-        spec = with_basepoint(spec, origin)
+        spec = replace(spec, basepoint=origin)
         pts = sample_boundary(T4, 40, 5)
         want = np.zeros((40, 40))
         for i in range(40):
@@ -773,7 +777,7 @@ class TestOneKernel:
          + [EuclideanBoundary((0.6, 0.8)), EuclideanBoundary((-0.6, -0.8))]),
     ], ids=["tree-root", "tree-vertex", "pole", "off-pole", "plane"])
     def test_scalar_evaluators_equal_table_entries(self, space, origin, points):
-        specs = [with_basepoint(s, origin) for s in (spec_dA(1), spec_dA(0.7), spec_dbar())]
+        specs = [replace(s, basepoint=origin) for s in (spec_dA(1), spec_dA(0.7), spec_dbar())]
         tables = [exact_table(space, s, points) for s in specs]
         I, J = np.triu_indices(len(points), k=1)
         inv = pair_invariants(space, points, I, J, origin)
@@ -866,7 +870,7 @@ class TestOffPole:
     @pytest.mark.parametrize("r", [1.3, 4.0, 20.0, 40.0])
     def test_matches_mpmath(self, r, phi0):
         origin = HyperbolicPoint(r, phi0)
-        specs = with_basepoint(spec_dA(1), origin), with_basepoint(spec_dbar(), origin)
+        specs = spec_dA(1, origin), spec_dbar(origin)
         for gap in self.GAPS:
             xi, eta = HyperbolicBoundary(0.0), HyperbolicBoundary(gap)
             s = mapped_half_sine(origin, xi.angle, eta.angle)
@@ -891,7 +895,7 @@ class TestOffPole:
     @pytest.mark.parametrize("origin", [HyperbolicPoint(1.3, 0.7), HyperbolicPoint(2.5, 4.0)])
     def test_matches_ray_geometry(self, origin):
         pts = sample_boundary(H2, 10, 3)
-        specs = with_basepoint(spec_dA(1), origin), with_basepoint(spec_dbar(), origin)
+        specs = spec_dA(1, origin), spec_dbar(origin)
         for xi, eta in itertools.combinations(pts, 2):
             want_dA, want_dbar, want_product = ray_oracle(origin, xi, eta, 1.0)
             assert abs(eval_dA(H2, specs[0], xi, eta) - want_dA) <= 1e-12 * want_dA
@@ -901,7 +905,7 @@ class TestOffPole:
     @pytest.mark.parametrize("origin", [HyperbolicPoint(1.3, 0.7), HyperbolicPoint(3.0, 2.0)])
     def test_reference_kernels_agree(self, origin):
         pts = sample_boundary(H2, 6, 4) + [HyperbolicBoundary(1.0), HyperbolicBoundary(1.0 + 1e-6)]
-        da, db = with_basepoint(spec_dA(1), origin), with_basepoint(spec_dbar(), origin)
+        da, db = spec_dA(1, origin), spec_dbar(origin)
         for xi, eta in itertools.combinations(pts, 2):
             closed = eval_dA(H2, da, xi, eta)
             assert abs(eval_dA(H2, da, xi, eta, method="bisect") - closed) <= da.tol * closed
@@ -911,7 +915,7 @@ class TestOffPole:
     @NEAR_SIDE_FAR
     def test_closest_gaps_finite_and_increasing(self, phi0):
         origin = HyperbolicPoint(1.3, phi0)
-        spec = with_basepoint(spec_dA(1), origin)
+        spec = spec_dA(1, origin)
         u = HyperbolicBoundary(0.0)
         closest, next_ = HyperbolicBoundary(5e-324), HyperbolicBoundary(1e-320)
         dA = [eval_dA(H2, spec, u, v) for v in (closest, next_)]
@@ -926,7 +930,7 @@ class TestOffPole:
                                                 HyperbolicBoundary(phi0 + math.pi),
                                                 HyperbolicBoundary(phi0 + math.pi + 1e-6)]
             for spec in (spec_dA(1), spec_dA(0.7), spec_dbar()):
-                D = pair_distance_matrix(H2, with_basepoint(spec, origin), pts)
+                D = pair_distance_matrix(H2, replace(spec, basepoint=origin), pts)
                 off = ~np.eye(len(pts), dtype=bool)
                 assert np.all(np.isfinite(D)) and np.all(D[off] > 0.0)
             for xi, eta in itertools.combinations(pts[-6:], 2):
@@ -937,7 +941,7 @@ class TestOffPole:
         origin = HyperbolicPoint(r, 0.3)
         pts = [HyperbolicBoundary(0.0), HyperbolicBoundary(1.0)]
         with pytest.raises(ValueError, match="too large"):
-            pair_distance_matrix(H2, with_basepoint(spec_dbar(), origin), pts)
+            pair_distance_matrix(H2, spec_dbar(origin), pts)
         with pytest.raises(ValueError, match="too large"):
             gromov_product(H2, origin, *pts)
 

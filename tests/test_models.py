@@ -16,8 +16,8 @@ from visbound.covers import LatticeBallSystem, boundary_pushout_cover, colored_b
 from visbound.metrics import (eval_dA, eval_dbar, gromov_product, pair_distance_matrix,
                               pair_kernel, sample_metric, spec_dA, spec_dbar)
 from visbound.spaces import (EuclideanBoundary, HyperbolicBoundary, HyperbolicPoint, Ray, Space,
-                             TreeBoundary, TreePoint, branch_time, dist, euclidean_space,
-                             hyperbolic_plane, ray_point, space_id, tree_space, validate_boundary)
+                             TreeBoundary, TreePoint, _check_kind, branch_time, dist,
+                             euclidean_space, hyperbolic_plane, ray_point, space_id, tree_space)
 
 # the triangle inequality d(i, k) <= d(i, j) + d(j, k) is checked with a
 # slack of this many ulps of the largest of the three sides: each side is
@@ -149,7 +149,7 @@ ILLEGAL_WORD = {
     "ray-target": lambda: Ray(T4, ROOT, BAD_WORD),
     "segment-target": lambda: Ray(T4, ROOT, BAD_POINT),
     "centers_near": lambda: LatticeBallSystem(T4, 1).centers_near(BAD_POINT),
-    "validate_boundary": lambda: validate_boundary(T4, BAD_WORD),
+    "_check_kind": lambda: _check_kind(T4, BAD_WORD),
     "branch_time": lambda: branch_time(T4, A, BAD_WORD),
     "pair_kernel": lambda: pair_kernel(T4, [A, BAD_WORD]),
     "pair_kernel-origin": lambda: pair_kernel(T4, [A, B], BAD_POINT),

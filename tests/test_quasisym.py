@@ -32,6 +32,7 @@ from visbound.spaces import (
     substream,
     tree_space,
 )
+from visbound.tree import Tree
 
 from exact_tables import exact_table
 
@@ -130,7 +131,8 @@ class TestEnvelope:
 # the array kernels against reference copies of the per-triple loops they
 # replaced; the reference tables come from `_reference_table`, the kernels'
 # float tables from `quasisym.pair_distance_matrix` and their exact tree d_A
-# tables from `quasisym._closed_form`, so a test patches all three
+# tables from `Tree.closed_form` over a branch-time table, so a test patches
+# all three
 
 
 def _reference_table(space, spec, pool):
@@ -198,12 +200,13 @@ def _reference_qs_envelope(space, spec1, spec2, n_triples, seed):
 def _zeroed_tables(table):
     """A table builder with the symmetric pairs i + j = 0 mod 5 set to 0 (in
     an exact table, their numerators), so that every triple reading one of
-    them is discarded."""
+    them is discarded; a 1-D result, a block of a table, is left as it is."""
     def zeroed(*args, **kwargs):
         D = table(*args, **kwargs)
         values = D.num if isinstance(D, quasisym._Rationals) else D
-        I, J = np.indices(values.shape)
-        values[((I + J) % 5 == 0) & (I != J)] = 0
+        if values.ndim == 2:
+            I, J = np.indices(values.shape)
+            values[((I + J) % 5 == 0) & (I != J)] = 0
         return D
     return zeroed
 
@@ -254,7 +257,7 @@ class TestTripleKernels:
     def test_discarded_triples_equal_the_loop(self, space, spec1, spec2, slope, monkeypatch):
         monkeypatch.setattr(quasisym, "pair_distance_matrix",
                             _zeroed_tables(quasisym.pair_distance_matrix))
-        monkeypatch.setattr(quasisym, "_closed_form", _zeroed_tables(quasisym._closed_form))
+        monkeypatch.setattr(Tree, "closed_form", _zeroed_tables(Tree.closed_form))
         monkeypatch.setitem(globals(), "_reference_table", _zeroed_tables(_reference_table))
         eta = linear_control(slope)
         got = verify_control(ratio_pool(space, spec1, spec2, 600, 4), eta, 600, 4)

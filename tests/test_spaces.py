@@ -21,6 +21,7 @@ from visbound.spaces import (
     SpaceMismatchError,
     TreeBoundary,
     TreePoint,
+    _check_kind,
     branch_time,
     dist,
     euclidean_space,
@@ -29,7 +30,6 @@ from visbound.spaces import (
     sample_boundary,
     substream,
     tree_space,
-    validate_boundary,
 )
 
 T4 = tree_space(4)
@@ -112,7 +112,7 @@ class TestConstruction:
         with pytest.raises(SpaceMismatchError, match="R\\^2"):
             ray_point(Ray(E2, EuclideanPoint((0.0, 0.0)), EuclideanBoundary(direction)), 1.0)
         with pytest.raises(SpaceMismatchError, match="R\\^2"):
-            validate_boundary(E2, EuclideanBoundary(direction))
+            _check_kind(E2, EuclideanBoundary(direction))
 
     def test_basepoint_of_another_dimension_rejected(self):
         with pytest.raises(SpaceMismatchError, match="R\\^2"):

@@ -102,6 +102,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0, -1])
     @pytest.mark.parametrize("family,A", [("dA", 1), ("dbar", None)])
     def test_tol_finite_positive(self, bad, family, A):
+        # no tol, finite or not, reaches a spec of either family
         with pytest.raises(TypeError, match="tol"):
             MetricSpec(family, A=A, tol=bad)
 

@@ -203,10 +203,14 @@ def readme_configs() -> list:
     return [_command("README", a[1:]) for a in lines]
 
 
+def configs() -> list:
+    """(label, config fields) of every fixed config, in the order run."""
+    return golden_configs() + script_configs() + readme_configs() + bench_configs() + LARGE
+
+
 def main() -> int:
-    configs = golden_configs() + script_configs() + readme_configs() + bench_configs() + LARGE
     with tempfile.TemporaryDirectory() as tmp:
-        for k, (label, fields) in enumerate(configs):
+        for k, (label, fields) in enumerate(configs()):
             for seed in SEEDS:
                 out = os.path.join(tmp, f"{k}-{seed}")
                 cli.run(cli.RunConfig.from_dict({**fields, "seed": seed, "out": out}))

@@ -26,17 +26,13 @@ from . import __version__
 from .covers import (LatticeBallSystem, ScaleRow, ScaleSchedule, annular_pushin_cover,
                      boundary_pushout_cover, colored_boundary_cover, cover_stats,
                      ell_dim_estimate, orbit_ball_order, sample_ray_points)
-from .metrics import (DA, DBAR, MetricSpec, block_lines, pair_blocks, pair_distance_matrix,
+from .metrics import (_PAIR_CHUNK, DA, DBAR, MetricSpec, pair_blocks, pair_distance_matrix,
                       sample_metric)
 from .quasisym import (linear_control, power_law_fit, qs_envelope, ratio_pool,
                        uniformly_perfect_check, verify_control)
 from .spaces import (Space, boundary_to_line, distinct_rows, sample_boundary, space_id, space_of_id,
                      substream, tree_space)
 from .visual import nonqs_witness, nonvisual_witness_dA, visual_fit
-
-EXPERIMENTS = ("metric", "compare", "cover-pushout", "cover-pushin",
-               "ell-dim", "visual-fit", "demo-t4")
-
 
 class ConfigError(ValueError):
     pass
@@ -50,7 +46,6 @@ class RunConfig:
     A: float = 1.0
     metric2: str = ""
     A2: float = 2.0
-    eta_slope: float = 0.0       # 0 means auto (A2/A for dA pairs, else 1)
     a: float = math.e
     seed: int = 0
     n: int = 200
@@ -82,14 +77,16 @@ class RunConfig:
             if any(isinstance(x, float) and not math.isfinite(x)
                    for x in (value if isinstance(value, list) else [value])):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
+        if self.experiment not in RUNNERS:
+            raise ConfigError(f"experiment must be one of {tuple(RUNNERS)}, got {self.experiment!r}")
         if self.metric not in (DA, DBAR):
             raise ConfigError(f"metric must be dA or dbar, got {self.metric!r}")
         if self.metric2 and self.metric2 not in (DA, DBAR):
             raise ConfigError(f"metric2 must be dA or dbar, got {self.metric2!r}")
-        if self.A <= 0:
-            raise ConfigError("A must be positive")
+        if self.A <= 0 or self.A2 <= 0:
+            raise ConfigError("A and A2 must be positive")
+        if self.a <= 1:
+            raise ConfigError(f"a must exceed 1, got {self.a!r}")
         for name in ("seed", "n", "n_triples", "K"):
             if type(getattr(self, name)) is not int:
                 raise ConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
@@ -101,8 +98,6 @@ class RunConfig:
             raise ConfigError("scales must not be empty")
         if any(s <= 0 for s in self.scales):
             raise ConfigError("scales must be positive")
-        if self.eta_slope < 0:
-            raise ConfigError("eta_slope must be positive, or 0 for auto")
         if self.R <= 0 or self.K < 0 or self.c < 1:
             raise ConfigError("need R > 0, K >= 0, c >= 1")
         if self.window < 0.125:
@@ -132,11 +127,8 @@ def parse_space(name: str) -> Space:
 
 
 def _spec(cfg: RunConfig, which: int = 1) -> MetricSpec:
-    fam = cfg.metric if which == 1 else (cfg.metric2 or cfg.metric)
-    A = cfg.A if which == 1 else cfg.A2
-    if fam == DA:
-        return MetricSpec(DA, A=A)
-    return MetricSpec(DBAR)
+    fam, A = (cfg.metric, cfg.A) if which == 1 else (cfg.metric2 or cfg.metric, cfg.A2)
+    return MetricSpec(fam, A=A if fam == DA else None)
 
 
 def _fmt(x) -> str:
@@ -513,7 +505,7 @@ def run_metric(cfg: RunConfig):
     files = {"pairs.csv": _pairs_csv(D, family_a)}
     # quick symmetry/identity sanity over the matrix itself, a block of rows
     # against the same block of columns at a time
-    step = block_lines(len(D))
+    step = max(1, _PAIR_CHUNK // max(len(D), 1))
     sym = all(np.array_equal(D[lo:lo + step], D[:, lo:lo + step].T)
               for lo in range(0, len(D), step))
     verdicts = {"matrix_symmetric": sym, "diagonal_zero": bool(np.all(np.diag(D) == 0.0))}
@@ -527,12 +519,10 @@ def run_compare(cfg: RunConfig):
     # of which draws its triples from its own substream
     pool = ratio_pool(space, s1, s2, cfg.n_triples, cfg.seed)
     env = qs_envelope(pool, cfg.n_triples, cfg.seed)
-    if cfg.eta_slope > 0:
-        slope = cfg.eta_slope
-    elif s1.family == DA and s2.family == DA:
+    # the control of a change of A, A'/A either way round (`eta_change_A`)
+    slope = 1.0
+    if s1.family == s2.family == DA:
         slope = max(float(s2.A) / float(s1.A), float(s1.A) / float(s2.A))
-    else:
-        slope = 1.0
     eta = linear_control(Fraction(slope) if slope == int(slope) else slope)
     report = verify_control(pool, eta, cfg.n_triples, cfg.seed)
     fit = power_law_fit(env)
@@ -725,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="visbound",
                                 description="boundary-metric experiments on model CAT(0) spaces")
     sub = p.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
+    for name in RUNNERS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON config file; flags override its values")
         for f in fields(RunConfig):

@@ -116,19 +116,11 @@ class ConeNeighborhood:
 # pair invariants and their closed forms
 
 
-def pair_invariants(space: Space, points: list, I, J, origin: Point | None = None) -> np.ndarray:
-    """The invariant of each pair (points[I[k]], points[J[k]]) seen from
-    `origin` (the space's basepoint by default): `pair_kernel` prepared
-    once and called once."""
-    return pair_kernel(space, points, origin)(np.asarray(I, dtype=np.intp),
-                                              np.asarray(J, dtype=np.intp))
-
-
 def pair_kernel(space: Space, points: list, origin: Point | None = None):
     """The pair invariant of boundary points seen from `origin`, prepared
-    once (`_prepare`): a function of index arrays (I, J) giving the branch
-    time on T_k, the chord on R^n or the angle between the rays on H^2 of
-    each pair (points[I[k]], points[J[k]]), from that pair alone."""
+    once (`_prepare`): a function of index arrays or lists (I, J) giving the
+    branch time on T_k, the chord on R^n or the angle between the rays on
+    H^2 of each pair (points[I[k]], points[J[k]]), from that pair alone."""
     return _prepare(space, points, origin)[0]
 
 
@@ -253,7 +245,7 @@ def eval_dA(space: Space, spec: MetricSpec, xi: BoundaryPoint, eta: BoundaryPoin
         raise ValueError(f"method must be 'auto' or 'bisect', got {method!r}")
     if xi == eta:
         return space.exact_zero if method != "bisect" else 0.0
-    inv = pair_invariants(space, [xi, eta], [0], [1], spec.base(space))
+    inv = pair_kernel(space, [xi, eta], spec.base(space))([0], [1])
     if method == "bisect":
         return _bisect_dA(space.separation(inv), float(spec.A), spec.tol)
     return space.closed_form(spec, inv, exact=True).tolist()[0]
@@ -318,7 +310,7 @@ def eval_dbar(space: Space, spec: MetricSpec, xi: BoundaryPoint, eta: BoundaryPo
         raise ValueError(f"method must be 'auto' or 'quadrature', got {method!r}")
     if xi == eta:
         return 0.0
-    inv = pair_invariants(space, [xi, eta], [0], [1], spec.base(space))
+    inv = pair_kernel(space, [xi, eta], spec.base(space))([0], [1])
     if method == "auto":
         return space.closed_form(spec, inv).item(0)
     return _integrate_separation(space.separation(inv), spec)
@@ -345,7 +337,7 @@ def gromov_product(space: Space, x0: Point, xi: BoundaryPoint, eta: BoundaryPoin
     raises DivergentGromovProductError."""
     if xi == eta:
         return math.inf
-    return space.gromov(pair_invariants(space, [xi, eta], [0], [1], x0)).item(0)
+    return space.gromov(pair_kernel(space, [xi, eta], x0)([0], [1])).item(0)
 
 
 def cone_contains(space: Space, nbhd: ConeNeighborhood, z) -> bool:
@@ -400,9 +392,3 @@ def pair_blocks(n: int, size: int):
         a, b = np.searchsorted(start, [lo, hi - 1], side="right") - 1
         I = np.repeat(rows[a:b + 1], np.diff(np.clip(start[a:b + 2], lo, hi)))
         yield I, np.arange(lo, hi) - start[I] + I + 1
-
-
-def block_lines(n: int) -> int:
-    """Rows (or columns) of an n x n table per block read, so that a block
-    holds at most _PAIR_CHUNK entries (one line when n exceeds it)."""
-    return max(1, _PAIR_CHUNK // max(n, 1))

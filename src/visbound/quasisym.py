@@ -12,8 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .metrics import (DA, MetricSpec, _Rationals, pair_distance_matrix,
-                      pair_invariants, pair_kernel, pair_table)
+from .metrics import DA, MetricSpec, _Rationals, pair_distance_matrix, pair_kernel, pair_table
 from .spaces import (TREE, Space, TreeBoundary, _canonical_word, distinct_rows, sample_boundary,
                      substream)
 
@@ -290,8 +289,8 @@ def uniformly_perfect_check(space: Space, centers: list, radii: list) -> Perfect
     live = [r for r in radii if r < 2]
     k = len(live)
     found = [_tree_annulus_witness(space, center, r) for center in centers for r in live]
-    inv = pair_invariants(space, list(centers) + found, np.repeat(np.arange(len(centers)), k),
-                          np.arange(len(centers), len(centers) + len(found)))
+    inv = pair_kernel(space, list(centers) + found)(
+        np.repeat(np.arange(len(centers)), k), np.arange(len(centers), len(centers) + len(found)))
     d1 = space.closed_form(MetricSpec(DA, A=1), inv, exact=True)
     failures, witnesses = [], []
     cases = itertools.product(centers, [(r, r.numerator, r.denominator) for r in live])

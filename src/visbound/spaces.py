@@ -45,6 +45,10 @@ class IdenticalBoundaryPointsError(ValueError):
 class EuclideanPoint:
     coords: tuple
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, self.coords)):
+            raise ValueError(f"coordinates must be finite, got {self.coords!r}")
+
 
 @dataclass(frozen=True)
 class TreePoint:
@@ -79,8 +83,10 @@ class TreePoint:
 
 def _wrap_angle(phi) -> float:
     """phi mod 2*pi in [0, 2*pi): a tiny negative angle rounds up to 2*pi
-    itself under %, which is the angle 0."""
+    itself under %, which is the angle 0; a non-finite angle raises ValueError."""
     w = float(phi) % (2 * math.pi)
+    if math.isnan(w):
+        raise ValueError(f"angle must be finite, got {phi!r}")
     return 0.0 if w == 2 * math.pi else w
 
 
@@ -92,8 +98,8 @@ class HyperbolicPoint:
     phi: float
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("hyperbolic radius must be >= 0")
+        if not 0 <= self.r < math.inf:
+            raise ValueError(f"hyperbolic radius must be finite and >= 0, got {self.r!r}")
         object.__setattr__(self, "phi", _wrap_angle(self.phi))
         object.__setattr__(self, "r", float(self.r))
 
@@ -110,7 +116,7 @@ class EuclideanBoundary:
     def __post_init__(self):
         v = tuple(float(c) for c in self.direction)
         n = math.sqrt(sum(c * c for c in v))
-        if abs(n - 1.0) > 1e-12:
+        if not abs(n - 1.0) <= 1e-12:
             raise ValueError("direction must be a unit vector (tol 1e-12)")
         object.__setattr__(self, "direction", v)
 
@@ -372,16 +378,22 @@ def distinct_rows(n_points: int, count: int, width: int, rng) -> np.ndarray:
 _BLOCK = 1024  # raw words or values read from the generator per call
 
 
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    """The (m, 1) column of sqrt(v.dot(v)), the norm `np.linalg.norm` takes
+    of a row v, for each row of V, bit for bit: the batched product runs
+    that dot on every row (einsum or a sum of squares rounds otherwise)."""
+    return np.sqrt(V[:, None] @ V[..., None])[:, 0]
+
+
 def _euclidean_draws(space: Space, rng: np.random.Generator):
     """Endless normalized Gaussian directions, as tuples; rows of one
-    `rng.normal` block equal per-row calls, and a zero row is skipped."""
+    `rng.normal` block equal per-row calls, and a zero row is skipped.
+    Each row is divided by its norm twice, a block at a time."""
     while True:
-        for v in rng.normal(size=(_BLOCK // space.dim + 1, space.dim)):
-            # the sqrt of the dot product `np.linalg.norm` takes of a row
-            nv = math.sqrt(v.dot(v))
-            if nv != 0.0:
-                v = v / nv
-                yield tuple((v / math.sqrt(v.dot(v))).tolist())
+        V = rng.normal(size=(_BLOCK // space.dim + 1, space.dim))
+        norm = _row_norms(V)
+        V = V[norm[:, 0] != 0.0] / norm[norm[:, 0] != 0.0]
+        yield from map(tuple, (V / _row_norms(V)).tolist())
 
 
 def _hyperbolic_draws(space: Space, rng: np.random.Generator):

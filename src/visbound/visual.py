@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .metrics import DA, DBAR, MetricSpec, pair_invariants
+from .metrics import DA, DBAR, MetricSpec, pair_kernel
 from .spaces import TREE, Space, TreeBoundary
 
 FITS = "fits"
@@ -35,7 +35,7 @@ def visual_fit(space: Space, spec: MetricSpec, a: float, points: list,
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     if not len(pairs):
         raise ValueError("need at least one pair")
-    inv = pair_invariants(space, points, pairs[:, 0], pairs[:, 1], spec.base(space))
+    inv = pair_kernel(space, points, spec.base(space))(pairs[:, 0], pairs[:, 1])
     v = space.visual_values(spec, math.log(a), inv)
     return VisualFit(a=float(a), k1=float(v.min()), k2=float(v.max()), verdict=FITS)
 
@@ -75,7 +75,7 @@ def nonvisual_witness_dA(space: Space, A, n_range, a: float = math.e) -> list:
         raise ValueError("A must be positive")
     ns = list(n_range)
     rays = [_straight_ray()] + [_branching_ray(math.ceil(n - Fraction(A) / 2)) for n in ns]
-    b = pair_invariants(space, rays, np.zeros(len(ns), int), np.arange(1, len(rays)))
+    b = pair_kernel(space, rays)(np.zeros(len(ns), int), np.arange(1, len(rays)))
     dA = space.closed_form(MetricSpec(DA, A=A), b, exact=True).tolist()
     return [WitnessRow(n=int(n), branch=p, dA=d, product=p,
                        growth=math.exp(float(p) * math.log(a) + math.log(float(d))))
@@ -103,7 +103,7 @@ def nonqs_witness(space: Space, n_range, delta: float = 1.0) -> list:
     alpha = TreeBoundary((), (1,))
     # the pair (gamma, alpha), then (gamma, beta) for each n
     rays = [_straight_ray(), alpha] + [_branching_ray(n) if n > 0 else alpha for n in ns]
-    b = pair_invariants(space, rays, np.zeros(len(rays) - 1, int), np.arange(1, len(rays)))
+    b = pair_kernel(space, rays)(np.zeros(len(rays) - 1, int), np.arange(1, len(rays)))
     d1 = space.closed_form(MetricSpec(DA, A=1), b, exact=True)
     db = space.closed_form(MetricSpec(DBAR), b)
     t, rho = (d1[0] / d1[1:]).tolist(), (db[0] / db[1:]).tolist()

@@ -1,11 +1,11 @@
 """Exact reference tables for the tests, built one pair at a time: tree d_A
-as `Fraction`s 1/(b + A/2) at the branch times b of `pair_invariants`."""
+as `Fraction`s 1/(b + A/2) at the branch times b of `pair_kernel`."""
 
 from fractions import Fraction
 
 import numpy as np
 
-from visbound.metrics import DA, pair_distance_matrix, pair_invariants
+from visbound.metrics import DA, pair_distance_matrix, pair_kernel
 from visbound.spaces import TREE
 
 
@@ -20,5 +20,5 @@ def exact_table(space, spec, points, floats=pair_distance_matrix) -> np.ndarray:
     half = Fraction(spec.A) / 2
     D = np.zeros((n, n), dtype=object)
     D[I, J] = D[J, I] = [1 / (b + half) for b in
-                         pair_invariants(space, points, I, J, spec.base(space)).tolist()]
+                         pair_kernel(space, points, spec.base(space))(I, J).tolist()]
     return D

@@ -30,7 +30,7 @@ from visbound.metrics import (
     eval_dbar,
     eval_dbar_extended,
     pair_distance_matrix,
-    pair_invariants,
+    pair_kernel,
     sample_metric,
     spec_dA,
     spec_dbar,
@@ -222,7 +222,7 @@ def test_09_metric_axioms_and_ray_convexity():
         pts = sample_boundary(space, 40, SEED + 1)
         pairs = _distinct_pairs(pts, 200, substream(SEED, f"acc9p-{space.kind}"))
         for i, j in pairs:
-            f = space.separation(pair_invariants(space, [pts[i], pts[j]], [0], [1]))
+            f = space.separation(pair_kernel(space, [pts[i], pts[j]])([0], [1]))
             for _ in range(50):
                 t = float(rng.uniform(0.5, 30.0))
                 s = float(rng.uniform(0.0, 1.0)) * t

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import hashlib
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -72,7 +73,7 @@ class TestConfig:
 
     def test_every_field_round_trips_through_its_flag(self):
         values = {"experiment": "compare", "space": "tree5", "metric": "dA", "A": 0.75,
-                  "metric2": "dbar", "A2": 3.5, "eta_slope": 1.25, "a": 2.5, "seed": 7,
+                  "metric2": "dbar", "A2": 3.5, "a": 2.5, "seed": 7,
                   "n": 33, "n_triples": 444, "scales": [0.5, 0.125], "R": 3.0, "K": 4,
                   "c": 2.0, "window": 9.5, "out": "somewhere"}
         names = [f.name for f in dataclasses.fields(RunConfig)]
@@ -186,12 +187,15 @@ class TestSubcommands:
         assert rep["violations"] == 0
 
     def test_compare_violation_exit_code(self, tmp_path):
-        # deliberately undersized control: dA(1) -> dA(2) needs slope 2
-        out = str(tmp_path / "v")
-        rc = main(["compare", "--space", "tree4", "--metric", "dA", "--A", "1",
-                   "--metric2", "dA", "--A2", "2", "--eta-slope", "1.1",
-                   "--n-triples", "2000", "--seed", "2", "--out", out])
-        assert rc == 2
+        # the control of a change of A has the derived slope A2/A either way
+        # round, here the float 1.3, and holds: no violation, exit code 0
+        for A, A2 in (("1", "1.3"), ("1.3", "1")):
+            out = str(tmp_path / A)
+            rc = main(["compare", "--space", "tree4", "--metric", "dA", "--A", A,
+                       "--metric2", "dA", "--A2", A2, "--n-triples", "2000", "--seed", "2",
+                       "--out", out])
+            rep = read_json(os.path.join(out, "report.json"))
+            assert (rc, rep["violations"], rep["eta_slope"]) == (0, 0, 1.3)
 
     def test_failing_verdicts_reported(self, tmp_path, capsys):
         # dA -> dbar on T4 is not controlled by a linear eta: exit code 2
@@ -595,6 +599,17 @@ class TestErrorPaths:
             RunConfig(**fields).validate()
         RunConfig(**{**fields, "experiment": "metric"}).validate()
 
+    @pytest.mark.parametrize("fields,message", [
+        (dict(experiment="compare", A2=-1.0), "A2 must be positive"),
+        (dict(experiment="compare", A2=0.0), "A2 must be positive"),
+        (dict(experiment="visual-fit", a=0.5), "a must exceed 1"),
+        (dict(experiment="visual-fit", a=1.0), "a must exceed 1"),
+    ])
+    def test_A2_and_a_checked_in_validate(self, fields, message):
+        # before sampling, not where `MetricSpec` or `visual_fit` reads them
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(**fields).validate()
+
     @pytest.mark.parametrize("window", ["0.1", "-3", "0"])
     def test_window_without_a_dyadic_radius_rejected(self, window, tmp_path, capsys):
         rc = main(["cover-pushin", "--space", "tree4", "--n", "10", "--n-triples", "100",
@@ -617,7 +632,7 @@ class TestErrorPaths:
         ["visual-fit", "--space", "euclidean2", "--n", "20"],
         ["cover-pushout", "--space", "tree4", "--n", "20", "--config", {"scales": []}],
         ["ell-dim", "--space", "tree4", "--n", "20", "--config", {"scales": []}],
-        ["compare", "--space", "tree4", "--n-triples", "100", "--eta-slope", "-1"],
+        ["compare", "--space", "tree4", "--n-triples", "100", "--A2", "-1"],
         ["metric", "--metric", "dA", "--A", "nan", "--n", "5"],
         ["metric", "--metric", "dA", "--A", "inf", "--n", "5"],
         ["ell-dim", "--space", "tree4", "--n", "20", "--scales", "nan"],
@@ -634,6 +649,7 @@ class TestErrorPaths:
         # radii drawn at (K+2)R or beyond, which no tube holds
         ["cover-pushin", "--space", "tree4", "--n", "10", "--K", "2"],
         ["cover-pushin", "--space", "tree4", "--n", "10", "--window", "14.125"],
+        ["visual-fit", "--space", "tree4", "--n", "20", "--a", "0.5"],
     ])
     def test_rejected_on_entry(self, argv, tmp_path):
         # a separate interpreter, so that a hang times out and a traceback
@@ -657,6 +673,8 @@ class TestErrorPaths:
         ["ell-dim", "--scales", ""],
         ["metric", "--tol", "1e-3"],
         ["nope"],
+        # the compare slope is derived from A and A2, not a setting
+        ["compare", "--eta-slope", "1.1"],
     ])
     def test_usage_error_exits_one(self, argv, tmp_path, capsys):
         # exit 2 is kept for a violated bound
@@ -897,7 +915,23 @@ SCRIPT_OUTPUTS = {
 class TestScripts:
     def test_every_script_listed(self):
         assert sorted(f for f in os.listdir(SCRIPTS) if f.endswith(".py")) == \
-            sorted([*SCRIPT_OUTPUTS, "l3_probe.py", "byte_identity.py", "src_lines.py"])
+            sorted([*SCRIPT_OUTPUTS, "l3_probe.py", "byte_identity.py", "src_lines.py",
+                    "line_trace.py"])
+
+    def test_line_trace_lists_what_one_config_skips(self):
+        proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, "line_trace.py"),
+                               "golden metric-dbar"],
+                              capture_output=True, text=True, check=True, timeout=120)
+        *listed, count = proc.stdout.splitlines()
+        assert count == f"{len(listed)} statements in functions of src/visbound not " \
+                        f"executed by 1 configs"
+        where = {line.split(": ", 1)[0] for line in listed}
+        # a `metric` run builds no net, and runs all of `run_metric`
+        lines, start = inspect.getsourcelines(covers._row_net)
+        assert f"src/visbound/covers.py:{start + len(lines) - 1}" in where
+        lines, start = inspect.getsourcelines(cli.run_metric)
+        assert lines[1].strip() == "space = parse_space(cfg.space)"
+        assert f"src/visbound/cli.py:{start + 1}" not in where
 
     def test_src_lines_totals_are_the_line_counts(self):
         proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, "src_lines.py")],

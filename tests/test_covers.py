@@ -25,7 +25,7 @@ from visbound.covers import (
     sample_ray_points,
     tuple_parts,
 )
-from visbound.metrics import (MetricSpec, SampleMetric, pair_distance_matrix, pair_invariants,
+from visbound.metrics import (MetricSpec, SampleMetric, pair_distance_matrix, pair_kernel,
                               sample_metric)
 from visbound.spaces import (
     EuclideanBoundary,
@@ -956,7 +956,7 @@ class TestStatsKernels:
         sample = sample_boundary(space, 30, 6)
         covers = {k: colored_boundary_cover(space, sched.lam(k), sample) for k in range(1, 4)}
         ends = ((0, 1), (2, 3), (5, 9), (7, 8))
-        b = pair_invariants(space, sample, *zip(*ends), basepoint)
+        b = pair_kernel(space, sample, basepoint)(*np.transpose(ends))
         rng = np.random.default_rng(2)
         interior = [(int(rng.integers(0, 30)), Fraction(int(rng.integers(0, 40)), 8))
                     for _ in range(200)]

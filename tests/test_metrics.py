@@ -29,7 +29,6 @@ from visbound.metrics import (
     gromov_product,
     pair_blocks,
     pair_distance_matrix,
-    pair_invariants,
     pair_kernel,
     pair_table,
     sample_metric,
@@ -182,6 +181,18 @@ class TestDbar:
     def test_branch_zero_gives_two(self):
         a, b = branching_pair(0)
         assert eval_dbar(T4, spec_dbar(), a, b) == 2.0
+
+    @pytest.mark.parametrize("space,x", [
+        (T4, TreeBoundary((1,), (0, 2))),
+        (E2, EuclideanBoundary((0.6, 0.8))),
+        (euclidean_space(3), EuclideanBoundary((0.0, 0.6, -0.8))),
+        (H2, HyperbolicBoundary(1.0)),
+        (hyperbolic_plane(HyperbolicPoint(1.3, 0.4)), HyperbolicBoundary(5.0)),
+    ], ids=["tree4", "euclidean2", "euclidean3", "pole", "off-pole"])
+    def test_identical_points_give_zero(self, space, x):
+        for method in ("auto", "quadrature"):
+            got = eval_dbar(space, spec_dbar(), x, x, method=method)
+            assert got == 0.0 and type(got) is float
 
     def test_euclidean_equals_chord(self):
         x, y = circle_pair(0.9)
@@ -396,7 +407,7 @@ class TestRebasedTree:
         origin = TreePoint((1,))
         xi = TreeBoundary((), (0,))
         eta = TreeBoundary((0, 1), (1,))
-        assert pair_invariants(T4, [xi, eta], [0], [1], origin).item(0) == 2
+        assert pair_kernel(T4, [xi, eta], origin)([0], [1]).item(0) == 2
 
     def test_da_with_moved_basepoint(self):
         origin = TreePoint((0,))
@@ -478,11 +489,11 @@ class TestPairMatrix:
 
 
 def unblocked_table(space, spec, points):
-    """The pair table as one `pair_invariants` call over np.triu_indices,
+    """The pair table as one `pair_kernel` call over np.triu_indices,
     mapped and mirrored."""
     n = len(points)
     I, J = np.triu_indices(n, k=1)
-    values = space.closed_form(spec, pair_invariants(space, points, I, J, spec.base(space)))
+    values = space.closed_form(spec, pair_kernel(space, points, spec.base(space))(I, J))
     D = np.zeros((n, n), dtype=values.dtype)
     D[I, J] = D[J, I] = values
     return D
@@ -578,7 +589,7 @@ MISMATCH_SPACES = {"tree4": T4, "euclidean2": E2, "euclidean3": euclidean_space(
 # each entry of the metric layer, on two distinct points
 METRIC_ENTRIES = {
     "pair_kernel": lambda space, pts: pair_kernel(space, pts),
-    "pair_invariants": lambda space, pts: pair_invariants(space, pts, [0], [1]),
+    "pair_kernel-call": lambda space, pts: pair_kernel(space, pts)([0], [1]),
     "pair_distance_matrix": lambda space, pts: pair_distance_matrix(space, spec_dbar(), pts),
     "eval_dA": lambda space, pts: eval_dA(space, spec_dA(1), *pts),
     "eval_dA-bisect": lambda space, pts: eval_dA(space, spec_dA(1), *pts, method="bisect"),
@@ -654,20 +665,20 @@ def kernel_origins(points):
 
 
 def assert_kernel_matches_reference(space, points, origin):
-    """pair_invariants against the ray reference: over the upper triangle,
+    """pair_kernel against the ray reference: over the upper triangle,
     over the same pairs shuffled and in both orders, and one pair at a
     time."""
     n = len(points)
     I, J = np.triu_indices(n, k=1)
     want = [ray_branch_reference(space, origin, points[i], points[j])
             for i, j in zip(I.tolist(), J.tolist())]
-    assert pair_invariants(space, points, I, J, origin).tolist() == want
+    kernel = pair_kernel(space, points, origin)
+    assert kernel(I, J).tolist() == want
     perm = np.random.default_rng(n).permutation(len(I))
-    got = pair_invariants(space, points, np.concatenate([J[perm], I[perm]]),
-                          np.concatenate([I[perm], J[perm]]), origin)
+    got = kernel(np.concatenate([J[perm], I[perm]]), np.concatenate([I[perm], J[perm]]))
     assert got.tolist() == [want[k] for k in perm] * 2
     for (i, j), b in zip(zip(I.tolist(), J.tolist()), want):
-        assert pair_invariants(space, [points[i], points[j]], [0], [1], origin).item(0) == b
+        assert pair_kernel(space, [points[i], points[j]], origin)([0], [1]).item(0) == b
 
 
 @st.composite
@@ -704,17 +715,17 @@ class TestBranchKernel:
         # reach past the longest period, up to the lcm of the two
         pts = [TreeBoundary((), (0, 1)), TreeBoundary((), (0, 1, 0)),
                TreeBoundary((2,), (0, 1)), TreeBoundary((2,), (0, 1, 0))]
-        assert pair_invariants(T4, pts, [0, 2], [1, 3]).tolist() == [3, 4]
+        assert pair_kernel(T4, pts)([0, 2], [1, 3]).tolist() == [3, 4]
         assert_kernel_matches_reference(T4, pts, TreePoint((2, 0, 1)))
 
     def test_repeated_point_raises(self):
         a, b = branching_pair(2)
         with pytest.raises(IdenticalBoundaryPointsError):
-            pair_invariants(T4, [a, b, a], *np.triu_indices(3, k=1))
+            pair_kernel(T4, [a, b, a])(*np.triu_indices(3, k=1))
         with pytest.raises(IdenticalBoundaryPointsError):
-            pair_invariants(T4, [a, b], [0, 1], [1, 1], TreePoint((0, 1)))
+            pair_kernel(T4, [a, b], TreePoint((0, 1)))([0, 1], [1, 1])
         with pytest.raises(IdenticalBoundaryPointsError):
-            pair_invariants(T4, [a, a], [0], [1], TreePoint((0, 1)))
+            pair_kernel(T4, [a, a], TreePoint((0, 1)))([0], [1])
 
     @pytest.mark.parametrize("word", [TreeBoundary((), (3,)), TreeBoundary((4,), (0,)),
                                       TreeBoundary((1, 3), (0,)), TreeBoundary((), (0, -1))])
@@ -725,7 +736,7 @@ class TestBranchKernel:
         for other in (TreeBoundary((0,), (1,)), TreeBoundary((), (0,))):
             pts = [other, word]
             with pytest.raises(ValueError, match="illegal tree word"):
-                pair_invariants(T4, pts, [0], [1])
+                pair_kernel(T4, pts)([0], [1])
             with pytest.raises(ValueError, match="illegal tree word"):
                 pair_distance_matrix(T4, spec_dA(1), pts)
             with pytest.raises(ValueError, match="illegal tree word"):
@@ -781,7 +792,7 @@ class TestOneKernel:
         specs = [replace(s, basepoint=origin) for s in (spec_dA(1), spec_dA(0.7), spec_dbar())]
         tables = [exact_table(space, s, points) for s in specs]
         I, J = np.triu_indices(len(points), k=1)
-        inv = pair_invariants(space, points, I, J, origin)
+        inv = pair_kernel(space, points, origin)(I, J)
         for i, j, b in zip(I.tolist(), J.tolist(), inv.tolist()):
             xi, eta = points[i], points[j]
             for s, D in zip(specs, tables):
@@ -939,6 +950,11 @@ class TestOffPole:
 
     @pytest.mark.parametrize("r", [355.0, 1e6, math.inf, math.nan])
     def test_far_basepoints_raise(self, r):
+        if not math.isfinite(r):
+            # no point of H^2 has this radius: the point itself is rejected
+            with pytest.raises(ValueError, match="finite"):
+                HyperbolicPoint(r, 0.3)
+            return
         origin = HyperbolicPoint(r, 0.3)
         pts = [HyperbolicBoundary(0.0), HyperbolicBoundary(1.0)]
         with pytest.raises(ValueError, match="too large"):
@@ -1018,7 +1034,7 @@ class TestSampleMetric:
         assert np.all((0 <= t) & (t < 2 * math.pi))
         assert math.isclose(np.sum(np.diff(np.r_[t, t[0]]) % (2 * math.pi)), 2 * math.pi)
         I, J = np.triu_indices(150, 1)
-        inv = pair_invariants(space, points, I, J, spec.base(space))
+        inv = pair_kernel(space, points, spec.base(space))(I, J)
         angle = inv["angle"] if space.kind == "hyperbolic_plane" else 2 * np.arcsin(inv / 2)
         gap = np.abs(metric.turn[I] - metric.turn[J])
         assert np.allclose(np.minimum(gap, 2 * math.pi - gap), angle, rtol=0, atol=1e-7)

@@ -22,6 +22,7 @@ from visbound.spaces import (
     TreeBoundary,
     TreePoint,
     _check_kind,
+    boundary_to_line,
     branch_time,
     dist,
     euclidean_space,
@@ -141,6 +142,29 @@ class TestConstruction:
             with pytest.raises(ValueError, match="illegal tree word"):
                 dist(T4, TreePoint(word), TreePoint(()))
 
+    # each was accepted, and `dist`, `eval_dA` and `eval_dbar` then read nan;
+    # HyperbolicBoundary(inf) was stored as nan
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("make", [
+        lambda x: EuclideanPoint((x, 1.0)),
+        lambda x: EuclideanPoint((0.0, x)),
+        lambda x: EuclideanBoundary((x, 0.0)),
+        lambda x: EuclideanBoundary((0.0, x)),
+        lambda x: HyperbolicPoint(x, 0.0),
+        lambda x: HyperbolicPoint(1.0, x),
+        lambda x: HyperbolicBoundary(x),
+        lambda x: euclidean_space(2, (x, 0.0)),
+        lambda x: euclidean_space(1, (x,)),
+        lambda x: hyperbolic_plane(HyperbolicPoint(x, 0.0)),
+        lambda x: hyperbolic_plane(HyperbolicPoint(0.5, x)),
+    ], ids=["euclidean-point-0", "euclidean-point-1", "direction-0", "direction-1",
+            "hyperbolic-radius", "hyperbolic-angle", "hyperbolic-boundary",
+            "euclidean2-basepoint", "euclidean1-basepoint", "hyperbolic-basepoint-radius",
+            "hyperbolic-basepoint-angle"])
+    def test_non_finite_points_rejected(self, make, x):
+        with pytest.raises(ValueError, match="finite|unit vector"):
+            make(x)
+
     @pytest.mark.parametrize("angle", [-5e-324, -1e-17, -0.0, 2 * math.pi])
     def test_hyperbolic_angles_wrap_into_zero_two_pi(self, angle):
         # x % 2pi rounds to 2pi for tiny negative x; that angle is 0
@@ -222,7 +246,7 @@ class TestDistances:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_euclidean_equals_the_numpy_kernels(self, dim):
         # d * d summed left to right from 0, then sqrt: the operations of
-        # `euclidean._inside` and of the R^n chord of `pair_invariants`.  A
+        # `euclidean._inside` and of the R^n chord of `pair_kernel`.  A
         # `(a - b) ** 2` square goes through libm pow, and differed here in
         # 38 (R^2) and 30 (R^3) of these pairs (glibc 2.36)
         P, Q = np.random.default_rng(0).uniform(-4.0, 4.0, size=(2, 100_000, dim))
@@ -384,6 +408,17 @@ class TestSegments:
                 assert abs(dist(space, x, q) - (d - s)) <= 1e-12 * d
             if t >= d:
                 assert x is q
+
+
+class TestBoundaryLines:
+    @pytest.mark.parametrize("space,bp,line", [
+        (T4, TreeBoundary((1,), (0, 2)), "tree4 pre=1 per=0.2"),
+        (E2, EuclideanBoundary((0.6, 0.8)), "euclidean2 dir=0.59999999999999998,0.80000000000000004"),
+        (H2, HyperbolicBoundary(1.0), "hyperbolic_plane phi=1"),
+    ])
+    def test_each_space_writes_its_boundary_points(self, space, bp, line):
+        # no experiment writes an H^2 boundary point
+        assert boundary_to_line(space, bp) == line
 
 
 class TestSampling:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from visbound import metrics, quasisym, visual
-from visbound.metrics import pair_invariants, spec_dbar
+from visbound.metrics import pair_kernel, spec_dbar
 from visbound.quasisym import uniformly_perfect_check
 from visbound.spaces import (
     TreeBoundary,
@@ -114,13 +114,14 @@ class TestNonQSWitness:
     lambda: nonqs_witness(T4, range(1, 26)),
 ], ids=["perfectness", "nonvisual", "nonqs"])
 def test_each_tree_check_is_one_kernel_call(family, monkeypatch):
-    calls = []
+    prepared, called = [], []
 
     def spy(*args, **kwargs):
-        calls.append(args)
-        return pair_invariants(*args, **kwargs)
+        prepared.append(args)
+        kernel = pair_kernel(*args, **kwargs)
+        return lambda I, J: called.append(len(I)) or kernel(I, J)
 
     for module in (metrics, visual, quasisym):
-        monkeypatch.setattr(module, "pair_invariants", spy)
+        monkeypatch.setattr(module, "pair_kernel", spy)
     family()
-    assert len(calls) == 1
+    assert len(prepared) == len(called) == 1

@@ -388,7 +388,7 @@ def _row_norms(V: np.ndarray) -> np.ndarray:
 def _euclidean_draws(space: Space, rng: np.random.Generator):
     """Endless normalized Gaussian directions, as tuples; rows of one
     `rng.normal` block equal per-row calls, and a zero row is skipped.
-    Each row is divided by its norm twice, a block at a time."""
+    Each row is divided by its norm twice, as the sample bits require."""
     while True:
         V = rng.normal(size=(_BLOCK // space.dim + 1, space.dim))
         norm = _row_norms(V)
